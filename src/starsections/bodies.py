@@ -151,7 +151,7 @@ class BandsBase(ConeBase):
 
     def _section_bands(self, xi):
         xi = np.asarray(xi, dtype=float)
-        c = float(np.dot(xi, self.axis))
+        c = float(np.sum(xi * self.axis))  # as in section_measures
         s = math.sqrt(max(0.0, 1.0 - c * c))
         return s
 
@@ -166,22 +166,29 @@ class BandsBase(ConeBase):
     def section_measures(self, xis) -> np.ndarray:
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
         m_sub = self.ambient_dim - 2
-        c = xis @ self.axis
+        # elementwise, not xis @ axis: a BLAS product may round a row differently
+        # depending on the rows batched with it, and each row must equal its
+        # one-direction value
+        c = np.sum(xis * self.axis, axis=1)
         s = np.sqrt(np.maximum(0.0, 1.0 - c ** 2))
         out = np.empty(len(xis))
         degenerate = s < 1e-15
         if np.any(degenerate):
             hit = np.any((self.los <= 0.0) & (0.0 <= self.his))
             out[degenerate] = sphere_surface_area(m_sub) if hit else 0.0
-        todo = np.nonzero(~degenerate)[0]
-        # chunk so each (xi, band) temporary stays near 16 MB
+        # a section depends on xi only through s, and symmetric rules repeat s
+        # many times over: sum the bands once per distinct s and scatter back
+        todo = ~degenerate
+        svals, inverse = np.unique(s[todo], return_inverse=True)
+        sums = np.empty(len(svals))
+        # chunk so each (s, band) temporary stays near 16 MB
         k = max(1, len(self.los))
         block = max(1, int(2e6 // k))
-        for start in range(0, len(todo), block):
-            sel = todo[start : start + block]
-            sv = s[sel][:, None]
+        for start in range(0, len(svals), block):
+            sv = svals[start : start + block, None]
             vals = sphere_band_measure(m_sub, self.los[None, :] / sv, self.his[None, :] / sv)
-            out[sel] = np.sum(vals, axis=1)
+            sums[start : start + block] = np.sum(vals, axis=1)
+        out[todo] = sums[inverse]
         return out
 
     def reflected(self) -> "BandsBase":
@@ -745,8 +752,9 @@ def make_cone(space: SpaceSpec, base: ConeBase) -> StarBody:
     if isinstance(base, ArcsBase):
         symmetric = base.is_origin_symmetric()
     elif isinstance(base, BandsBase):
-        refl = base.reflected()
-        symmetric = np.array_equal(refl.los, base.los) and np.array_equal(refl.his, base.his)
+        # -A has bands [-hi, -lo] in reverse order; compare without building it
+        symmetric = (np.array_equal(-base.his[::-1], base.los)
+                     and np.array_equal(-base.los[::-1], base.his))
     return StarBody(space, IndicatorProfile(base, HEMISPHERE_MAX_RADIUS), symmetric=symmetric)
 
 
@@ -850,26 +858,24 @@ def perturbation_norms(body: StarBody, rule: SphereRule | None = None):
 # the alternating-strip subset of a cap
 
 
-def _strip_bounds(alpha: float, delta: float, gamma: float, nstrips: int):
-    k = np.arange(1, nstrips + 1)
-    los = alpha + (k - gamma) * delta
-    his = np.minimum(alpha + k * delta, 1.0)
-    keep = los < 1.0
-    return los[keep], his[keep]
-
-
 def _striped_base(axis, alpha: float, delta: float, lam: float, cap_measure: float) -> BandsBase:
     """Strips of pitch delta inside the cap, with the keep fraction gamma tuned
     so that the total measure is lam * cap_measure."""
     n = len(axis)
-    nstrips = int(math.floor((1.0 - alpha) / delta)) + 1
+    k = np.arange(1, int(math.floor((1.0 - alpha) / delta)) + 2)
+    tops = np.minimum(alpha + k * delta, 1.0)
+
+    def strip_bounds(gamma):
+        los = alpha + (k - gamma) * delta
+        keep = los < 1.0
+        return los[keep], tops[keep]
 
     def measure_gap(gamma):
-        los, his = _strip_bounds(alpha, delta, gamma, nstrips)
+        los, his = strip_bounds(gamma)
         return float(np.sum(sphere_band_measure(n - 1, los, his))) - lam * cap_measure
 
     gamma = brentq(measure_gap, 0.0, 1.0, xtol=1e-15, rtol=1e-15)
-    los, his = _strip_bounds(alpha, delta, gamma, nstrips)
+    los, his = strip_bounds(gamma)
     return BandsBase(np.asarray(axis, dtype=float), los, his,
                      meta={"alpha": alpha, "delta": delta, "gamma": gamma, "lam": lam,
                            "cap_measure": cap_measure})

@@ -36,7 +36,7 @@ from starsections.bodies import (
 )
 from starsections.errors import DomainError, NonInjectiveRegionError
 from starsections.functionals import busemann_functional, volume
-from starsections.quadrature import integrate_radial
+from starsections.quadrature import build_sphere_rule, default_degree, integrate_radial
 from starsections.spaces import SpaceSpec, phi, sphere_surface_area
 
 S2 = SpaceSpec(1, 2)
@@ -152,6 +152,56 @@ class TestCones:
         xis = np.array([[1.0, 0, 0], [0, 1.0, 0]])
         secs = base.section_measures(xis)
         assert abs(secs[0] - secs[1]) > 0.1
+
+
+def _unit_rows(rng, count, n):
+    xis = rng.normal(size=(count, n))
+    return xis / np.linalg.norm(xis, axis=1, keepdims=True)
+
+
+def _rowwise_section_measures(base, xis):
+    return np.concatenate([base.section_measures(x[None]) for x in xis])
+
+
+class TestBandSectionsPerDistinctHeight:
+    """section_measures evaluates each distinct |<xi, axis>| once; every row must
+    still be exactly what a one-direction call gives."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rule_nodes_axis_e1(self, n):
+        axis = np.eye(n)[0]
+        xis = build_sphere_rule(n - 1, default_degree(n - 1)).nodes
+        bases = [striped_cap_subset(0.2, axis, 0.6, 0.1), equality_cone_base(n, 0.4),
+                 cap_base(axis, 0.3)]
+        for base in bases:
+            batch = base.section_measures(xis)
+            assert np.array_equal(batch, _rowwise_section_measures(base, xis))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_tilted_axis_random_directions(self, n):
+        rng = np.random.default_rng(n)
+        axis = _unit_rows(rng, 1, n)[0]
+        base = striped_cap_subset(0.3, axis, 0.5, 0.1)
+        xis = _unit_rows(rng, 300, n)
+        batch = base.section_measures(xis)
+        assert np.array_equal(batch, _rowwise_section_measures(base, xis))
+        scalar = np.array([base.section_measure(x) for x in xis])
+        np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0.0)
+
+    def test_poles_mixed_in(self):
+        axis = np.array([0.0, 0.0, 1.0])
+        rng = np.random.default_rng(11)
+        xis = np.vstack([axis, _unit_rows(rng, 20, 3), -axis, [[1.0, 0.0, 0.0]], axis])
+        for base in (equality_cone_base(3, 0.4, axis), cap_base(axis, 0.3)):
+            batch = base.section_measures(xis)
+            assert np.array_equal(batch, _rowwise_section_measures(base, xis))
+            assert batch[0] == batch[-3] == batch[-1] == base.section_measure(axis)
+
+    def test_row_permutation(self):
+        base = striped_cap_subset(0.2, np.eye(3)[0], 0.6, 0.1)
+        xis = build_sphere_rule(2, default_degree(2)).nodes
+        perm = np.random.default_rng(5).permutation(len(xis))
+        assert np.array_equal(base.section_measures(xis[perm]), base.section_measures(xis)[perm])
 
 
 class TestLunes:
