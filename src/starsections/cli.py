@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -49,9 +48,6 @@ THEOREM_CHOICES = (
     "min2d", "cone-max", "lune-max", "hyperbolic", "min-nd",
     "gaussian", "prop4.1", "prop4.2", "busemann-euclidean",
 )
-
-ENV_THREADS = "STARSECTIONS_THREADS"
-
 
 class UsageError(ValueError):
     pass
@@ -233,8 +229,7 @@ def cmd_verify(args) -> int:
     config = None
     if args.outer_degree or args.inner_degree:
         config = make_config(args)
-    reports = verify_mod.run_theorem_suite(theorem, bodies, config=config,
-                                           workers=args.threads)
+    reports = verify_mod.run_theorem_suite(theorem, bodies, config=config)
     all_pass = all(r.verdict for r in reports)
     for r in reports:
         tag = f" [{r.variant}]" if r.variant else ""
@@ -311,14 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="starsections",
         description="Star bodies in curved spaces: section functionals and inequality checks.",
     )
-    default_threads = int(os.environ.get(ENV_THREADS, os.cpu_count() or 1))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_quad_args(p):
         p.add_argument("--outer-degree", type=int, default=None)
         p.add_argument("--inner-degree", type=int, default=None)
         p.add_argument("--radial-tol", type=float, default=1e-12)
-        p.add_argument("--threads", type=int, default=default_threads)
         p.add_argument("--out", default=None, help="write report to .json or .csv")
 
     p_fun = sub.add_parser("functional", help="evaluate volume, sections, functional")

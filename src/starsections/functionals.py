@@ -22,6 +22,7 @@ from .quadrature import (
     default_degree,
     householder_frame,
     integrate_radial,
+    integrate_vectorized,
 )
 from .spaces import (
     HEMISPHERE_MAX_RADIUS,
@@ -45,8 +46,9 @@ class QuadratureConfig:
     """Degrees and tolerances used by the functional evaluators.
 
     ``outer_degree`` drives the xi-integration on S^{n-1}; ``inner_degree``
-    the subsphere integration.  In the plane the outer integral is done
-    adaptively by default (section profiles there often have corners).
+    the subsphere integration.  In the plane the angular integrals are done
+    by default with adaptive Gauss-Kronrod 10/21 bisection to ``angular_tol``
+    (section profiles there often have corners).
     """
 
     outer_degree: int | None = None
@@ -195,9 +197,9 @@ def volume(body: StarBody, mu: RadialDensityMeasure | None = None,
         # profiles in the plane may have corners (lunes, grid profiles);
         # integrate the angle adaptively instead of by the fixed circle rule
         def integrand(theta):
-            d = np.array([[math.cos(theta), math.sin(theta)]])
-            rho = float(np.clip(body.rho(d), 0.0, space.max_radius)[0])
-            return float(_radial(space, n, rho, mu))
+            d = np.column_stack([np.cos(theta), np.sin(theta)])
+            rho = np.clip(body.rho(d), 0.0, space.max_radius)
+            return _radial(space, n, rho, mu)
 
         val, _ = _adaptive_circle(integrand, config.angular_tol)
         return val
@@ -241,38 +243,25 @@ def _all_section_volumes(body: StarBody, mu, config: QuadratureConfig):
 def _plane_scale(integrand) -> float:
     """Cheap magnitude estimate used to set an absolute angular tolerance."""
     probe = np.linspace(0.0, TWO_PI, 97)
-    return TWO_PI * max(abs(integrand(t)) for t in probe)
+    return TWO_PI * float(np.max(np.abs(integrand(probe))))
 
 
 def _adaptive_circle(integrand, angular_tol: float):
-    """Adaptive integral over the full circle, split into fixed panels.
+    """Adaptive integral of a vectorized integrand over the full circle.
 
-    Shorter intervals keep the quadrature's roundoff detector quiet near the
-    corner points of piecewise-smooth section profiles.  The tolerance is
-    scaled by the integrand's magnitude.
+    The tolerance is scaled by the integrand's magnitude.
     """
     tol = angular_tol * max(1.0, _plane_scale(integrand))
-    npanels = 8
-    total = 0.0
-    err_total = 0.0
-    for j in range(npanels):
-        a = TWO_PI * j / npanels
-        b = TWO_PI * (j + 1) / npanels
-        val, err = integrate_radial(integrand, a, b, tol=tol / npanels)
-        total += val
-        err_total += err
-    return total, err_total
+    return integrate_vectorized(integrand, 0.0, TWO_PI, tol)
 
 
 def _plane_section_at_angle(body: StarBody, theta, mu):
-    """Section volume in the plane for xi at polar angle theta (two-point subsphere)."""
-    theta = np.asarray(theta, dtype=float)
-    a = theta + math.pi / 2
-    dirs = np.stack([np.cos(a), np.sin(a)], axis=-1).reshape(-1, 2)
+    """Section volumes in the plane for xi at the polar angles theta (two-point subsphere)."""
+    a = np.asarray(theta, dtype=float) + math.pi / 2
+    dirs = np.column_stack([np.cos(a), np.sin(a)])
     rho1 = np.clip(body.rho(dirs), 0.0, body.space.max_radius)
     rho2 = np.clip(body.rho(-dirs), 0.0, body.space.max_radius)
-    vals = _radial(body.space, 1, rho1, mu) + _radial(body.space, 1, rho2, mu)
-    return vals if theta.ndim else float(vals[0])
+    return _radial(body.space, 1, rho1, mu) + _radial(body.space, 1, rho2, mu)
 
 
 def busemann_functional(body: StarBody, mu: RadialDensityMeasure | None = None,

@@ -163,8 +163,7 @@ def integrate_radial(f, a: float, b: float, tol: float = 1e-12):
 
     Returns ``(value, error_estimate)``.  Integrable endpoint singularities
     are allowed.  Raises :class:`ConvergenceError` when the error estimate
-    stalls well above ``tol``; on corner integrands the attainable estimate
-    is roundoff-limited near 1e-9 relative, which is accepted.
+    stalls well above ``tol``.
     """
     if a > b:
         raise DomainError("integration requires a <= b")
@@ -178,3 +177,85 @@ def integrate_radial(f, a: float, b: float, tol: float = 1e-12):
             f"adaptive quadrature stalled: estimated error {err:.3e} > tol {tol:.3e}"
         )
     return value, err
+
+
+# Gauss-Kronrod 10/21 rule on [-1, 1] (QUADPACK dqk21): Kronrod nodes from the
+# left end to the centre, their weights, and the 10-point Gauss weights of the
+# nodes it shares (every second node); the right half mirrors the left.
+_GK21_HALF_NODES = np.array([
+    -0.995657163025808080735527280689003, -0.973906528517171720077964012084452,
+    -0.930157491355708226001207180059508, -0.865063366688984510732096688423493,
+    -0.780817726586416897063717578345042, -0.679409568299024406234327365114874,
+    -0.562757134668604683339000099272694, -0.433395394129247190799265943165784,
+    -0.294392862701460198131126603103866, -0.148874338981631210884826001129720,
+    0.0,
+])
+_GK21_HALF_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_G10_HALF_WEIGHTS = np.array([
+    0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338, 0.0,
+])
+_GK21_NODES = np.concatenate([_GK21_HALF_NODES, -_GK21_HALF_NODES[-2::-1]])
+_GK21_WEIGHTS = np.concatenate([_GK21_HALF_WEIGHTS, _GK21_HALF_WEIGHTS[-2::-1]])
+_G10_WEIGHTS = np.concatenate([_G10_HALF_WEIGHTS, _G10_HALF_WEIGHTS[-2::-1]])
+_GK_PANELS = 8
+_GK_MAX_INTERVALS = 4000
+
+
+def integrate_vectorized(f, a: float, b: float, tol: float = 1e-12):
+    """Adaptive Gauss-Kronrod 10/21 integral of a vectorized f over [a, b].
+
+    ``f`` maps a 1-d array of points to a 1-d array of values.  Starting from
+    8 equal intervals, each round evaluates the 21 Kronrod nodes of every
+    pending interval in one call of ``f``; an interval is accepted when
+    |K21 - G10| <= tol * length / (b - a) and bisected otherwise.  Intervals
+    shorter than 1e-12 (b - a), and every pending interval once 4000
+    intervals would be exceeded, are accepted as they stand.
+
+    Returns ``(value, error_estimate)``: the exactly rounded sum of the
+    accepted Kronrod values, and the sum of their |K21 - G10| plus QUADPACK's
+    roundoff floor 50 eps * sum of |K21|.  Raises :class:`ConvergenceError`
+    when the estimate exceeds max(50 tol, 1e-9 |value|).
+    """
+    if a > b:
+        raise DomainError("integration requires a <= b")
+    if a == b:
+        return 0.0, 0.0
+    floor = 1e-12 * (b - a)
+    edges = np.linspace(a, b, _GK_PANELS + 1)
+    lo, hi = edges[:-1], edges[1:]
+    values, errors = [], []
+    accepted = 0
+    while lo.size:
+        centre, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        x = centre[:, None] + half[:, None] * _GK21_NODES
+        y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        kronrod = half * (y @ _GK21_WEIGHTS)
+        err = np.abs(kronrod - half * (y @ _G10_WEIGHTS))
+        # a NaN error stops refinement at once; the final check rejects it
+        done = ~(err > tol * (2.0 * half) / (b - a)) | (2.0 * half <= floor)
+        if accepted + lo.size + np.count_nonzero(~done) > _GK_MAX_INTERVALS:
+            done[:] = True
+        accepted += np.count_nonzero(done)
+        values.append(kronrod[done])
+        errors.append(err[done])
+        mid = centre[~done]
+        lo = np.concatenate([lo[~done], mid])
+        hi = np.concatenate([mid, hi[~done]])
+    values = np.concatenate(values)
+    value = math.fsum(values)
+    err_total = (math.fsum(np.concatenate(errors))
+                 + 50.0 * float(np.finfo(float).eps) * math.fsum(np.abs(values)))
+    if not err_total <= max(50.0 * tol, 1e-9 * abs(value)):
+        raise ConvergenceError(
+            f"adaptive quadrature stalled: estimated error {err_total:.3e} > tol {tol:.3e}"
+        )
+    return value, err_total

@@ -9,7 +9,6 @@ tolerance pinned per theorem.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,8 +187,7 @@ def _one_report(theorem_id, body, mu, config, rel_tol, variant) -> InequalityRep
 
 
 def run_theorem_suite(theorem_id: str, bodies, mu: RadialDensityMeasure | None = None,
-                      config: QuadratureConfig | None = None, rel_tol: float | None = None,
-                      workers: int = 1):
+                      config: QuadratureConfig | None = None, rel_tol: float | None = None):
     """One report per body; the suite passes iff every report passes.
 
     For ``prop4.1`` two reports per body are emitted, one per normalization
@@ -206,16 +204,8 @@ def run_theorem_suite(theorem_id: str, bodies, mu: RadialDensityMeasure | None =
         mu = gaussian_measure()
 
     variants = ("proof-chain", "literal") if theorem_id == "prop4.1" else ("proof-chain",)
-    jobs = [(body, variant) for body in bodies for variant in variants]
-
-    def work(job):
-        body, variant = job
-        return _one_report(theorem_id, body, mu, config, rel_tol, variant)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(work, jobs))
-    return [work(job) for job in jobs]
+    return [_one_report(theorem_id, body, mu, config, rel_tol, variant)
+            for body in bodies for variant in variants]
 
 
 def suite_bodies(theorem_id: str, dim: int | None = None, random_count: int = 0,

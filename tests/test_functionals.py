@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from starsections.bodies import ArcsBase, make_ball, make_bumpy_ball, make_cone, make_ellipsoid, make_lune
+from starsections.bodies import (
+    ArcsBase,
+    StarBody,
+    make_ball,
+    make_bumpy_ball,
+    make_cone,
+    make_ellipsoid,
+    make_lune,
+    make_symmetric_polygon_body,
+)
 from starsections.errors import ApplicabilityError, DomainError
 from starsections.functionals import (
     InequalityReport,
@@ -11,6 +20,7 @@ from starsections.functionals import (
     big_psi,
     bound_constants,
     busemann_functional,
+    busemann_functional_with_error,
     custom_measure,
     f_spherical,
     f_spherical_concavity_limit,
@@ -31,6 +41,7 @@ from starsections.functionals import (
 )
 from starsections.quadrature import integrate_radial
 from starsections.spaces import SpaceSpec, sphere_surface_area
+from starsections.verify import random_symmetric_convex_body
 
 S2 = SpaceSpec(1, 2)
 S3 = SpaceSpec(1, 3)
@@ -102,6 +113,55 @@ class TestBusemannFunctional:
     def test_normalized(self):
         body = make_ball(E2, 1.0)
         assert busemann_functional(body, normalized=True) == pytest.approx(4.0, rel=1e-11)
+
+
+def seeded_polygons(count, seed=12345):
+    rng = np.random.default_rng(seed)
+    return [random_symmetric_convex_body(rng) for _ in range(count)]
+
+
+class TestPlaneAdaptive:
+    def test_one_rho_call_per_refinement_round(self, monkeypatch):
+        body = make_symmetric_polygon_body([0.7, 1.3, 0.9], [0.2, 1.1, 2.3])
+        calls = []
+        rho = StarBody.rho
+
+        def counted(self, dirs):
+            calls.append(len(dirs))
+            return rho(self, dirs)
+
+        monkeypatch.setattr(StarBody, "rho", counted)
+        busemann_functional(body)
+        volume(body)
+        assert len(calls) <= 200
+
+    def test_polygon_matches_piecewise_reference(self):
+        # reference: QUADPACK on each smooth piece between the corner directions
+        offsets = np.array([0.9195839238831847, 0.6785268068085492])
+        angles = np.array([1.3913619942340814, 1.8473126265054933])
+        body = make_symmetric_polygon_body(offsets, angles)
+        normals = np.column_stack([np.cos(angles), np.sin(angles)])
+        corners = [np.linalg.solve(normals, [s1 * offsets[0], s2 * offsets[1]])
+                   for s1 in (1, -1) for s2 in (1, -1)]
+        edges = [0.0] + sorted(math.atan2(y, x) % (2 * math.pi) for x, y in corners) + [2 * math.pi]
+
+        def rho(theta):
+            return float(body.rho(np.array([[math.cos(theta), math.sin(theta)]]))[0])
+
+        def piecewise(f):
+            return sum(integrate_radial(f, a, b, 1e-14)[0] for a, b in zip(edges, edges[1:]))
+
+        vol = piecewise(lambda t: 1.0 - math.cos(rho(t)))
+        # symmetric body: the section normal to xi is twice the radius along xi-perp
+        functional = 4.0 * piecewise(lambda t: rho(t) ** 2)
+        assert volume(body) == pytest.approx(vol, rel=1e-13)
+        assert busemann_functional(body) == pytest.approx(functional, rel=1e-13)
+
+    @pytest.mark.parametrize("body", seeded_polygons(12) + [make_lune(w) for w in (0.2, 0.5, 1.0, 1.4)])
+    def test_error_estimate_covers_refinement(self, body):
+        val, err = busemann_functional_with_error(body)
+        fine = busemann_functional(body, config=QuadratureConfig(angular_tol=1e-14))
+        assert abs(val - fine) <= err
 
 
 class TestHyperbolicSpecialFunctions:

@@ -9,6 +9,7 @@ from starsections.quadrature import (
     build_sphere_rule,
     householder_frame,
     integrate_radial,
+    integrate_vectorized,
     subsphere_rule,
 )
 from starsections.spaces import sphere_surface_area
@@ -158,3 +159,35 @@ class TestIntegrateRadial:
         # a genuinely divergent integrand stalls the error estimate
         with pytest.raises((ConvergenceError, Exception)):
             integrate_radial(lambda t: 1.0 / t, 0.0, 1.0, 1e-12)
+
+
+class TestIntegrateVectorized:
+    def test_polynomials_exact_on_one_panel(self):
+        # tol = 1 accepts every starting panel, so each is one 21-point Kronrod rule
+        for degree in range(32):
+            val, _ = integrate_vectorized(lambda t: t ** degree, 0.0, 1.0, 1.0)
+            assert abs(val - 1.0 / (degree + 1)) <= 1e-14, degree
+
+    # the 0.3 shift keeps the kinks off the starting panel edges
+    @pytest.mark.parametrize("f,exact", [
+        (lambda t: np.abs(np.sin(t - 0.3)), 4.0),
+        (lambda t: np.minimum(np.abs(np.cos(t - 0.3)), np.abs(np.sin(t - 0.3))),
+         8.0 - 4.0 * math.sqrt(2.0)),
+    ])
+    def test_kinked_integrands(self, f, exact):
+        val, err = integrate_vectorized(f, 0.0, 2 * math.pi, 1e-12)
+        assert abs(val - exact) <= 1e-13
+        assert err >= abs(val - exact)
+
+    def test_bit_reproducible(self):
+        f = lambda t: np.abs(np.sin(3.0 * t - 0.3)) * np.exp(np.cos(t))  # noqa: E731
+        assert integrate_vectorized(f, 0.0, 2 * math.pi) == integrate_vectorized(f, 0.0, 2 * math.pi)
+
+    def test_empty_and_bad_interval(self):
+        assert integrate_vectorized(np.sin, 1.0, 1.0) == (0.0, 0.0)
+        with pytest.raises(DomainError):
+            integrate_vectorized(np.sin, 1.0, 0.0)
+
+    def test_convergence_error(self):
+        with pytest.raises(ConvergenceError):
+            integrate_vectorized(lambda t: 1.0 / np.abs(t - 1.0), 0.0, 2 * math.pi, 1e-12)

@@ -124,12 +124,6 @@ class TestSuites:
         with pytest.raises(ApplicabilityError):
             run_theorem_suite("unknown-theorem", [])
 
-    def test_workers_match_serial(self):
-        bodies = suite_bodies("min-nd", dim=3, random_count=2, seed=1)
-        serial = run_theorem_suite("min-nd", bodies)
-        parallel = run_theorem_suite("min-nd", bodies, workers=4)
-        assert [r.lhs for r in serial] == [r.lhs for r in parallel]
-
     def test_equality_cone_and_violating_cone(self):
         eq = make_cone(S3, equality_cone_base(3, 0.4))
         viol = make_cone(S3, double_cap_base(3, 0.5))
