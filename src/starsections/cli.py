@@ -5,8 +5,8 @@ theorem suite), ``experiment`` (perturbation signs, sharpness schedule,
 shape search).  Emits JSON report bundles and CSV tables; all JSON carries a
 ``format_version`` field and validates against the shipped schema.
 
-Exit codes: 0 all-pass, 1 inequality violation, 2 usage error, 3 numeric
-failure.
+Exit codes: 0 all-pass, 1 inequality violation, 2 usage error or input
+outside the theorem's hypotheses, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from .bodies import (
     make_lune,
     make_perturbed_ball,
 )
-from .errors import GeometryError
+from .errors import ApplicabilityError, GeometryError
 from .functionals import (
+    THEOREMS,
     QuadratureConfig,
     busemann_functional_with_error,
     gaussian_measure,
@@ -43,11 +44,6 @@ from .functionals import (
 )
 from .quadrature import build_sphere_rule
 from .spaces import SpaceSpec
-
-THEOREM_CHOICES = (
-    "min2d", "cone-max", "lune-max", "hyperbolic", "min-nd",
-    "gaussian", "prop4.1", "prop4.2", "busemann-euclidean",
-)
 
 class UsageError(ValueError):
     pass
@@ -224,8 +220,6 @@ def cmd_verify(args) -> int:
     else:
         bodies = verify_mod.suite_bodies(theorem, dim=args.dim, random_count=args.random,
                                          seed=args.seed)
-        if args.w is not None and theorem == "lune-max":
-            bodies.insert(0, make_lune(args.w))
     config = None
     if args.outer_degree or args.inner_degree:
         config = make_config(args)
@@ -327,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fun.set_defaults(fn=cmd_functional)
 
     p_ver = sub.add_parser("verify", help="run a named theorem suite")
-    p_ver.add_argument("--theorem", required=True, choices=THEOREM_CHOICES)
+    p_ver.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
     p_ver.add_argument("--space", default=None)
     p_ver.add_argument("--body", action="append", default=None,
                        help="explicit body spec (repeatable)")
@@ -354,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--volume", type=float, default=None)
     p_exp.add_argument("--budget", type=int, default=4000)
     p_exp.add_argument("--seed", type=int, default=0)
-    add_quad_args(p_exp)
+    p_exp.add_argument("--out", default=None, help="write the table to .csv")
     p_exp.set_defaults(fn=cmd_experiment)
     return parser
 
@@ -370,6 +364,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ApplicabilityError as exc:
+        print(f"inapplicable: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -9,7 +9,9 @@ inversions).  The two routes never share code, so agreement is evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -307,13 +309,7 @@ def busemann_functional_with_error(body: StarBody, mu=None, normalized: bool = F
         integrand = lambda th: _plane_section_at_angle(body, th, mu) ** p  # noqa: E731
         _, err = _adaptive_circle(integrand, config.angular_tol)
         return val, err / norm
-    finer = QuadratureConfig(
-        outer_degree=config.outer(n) + 8,
-        inner_degree=config.inner(n) + 8,
-        radial_tol=config.radial_tol,
-        plane_adaptive=config.plane_adaptive,
-        angular_tol=config.angular_tol,
-    )
+    finer = replace(config, outer_degree=config.outer(n) + 8, inner_degree=config.inner(n) + 8)
     val2 = busemann_functional(body, mu, normalized, exponent, finer)
     return val2, abs(val2 - val) + 1e-15 * abs(val2)
 
@@ -490,21 +486,102 @@ def lune_bound(vol: float) -> float:
     return 16.0 * val
 
 
-THEOREMS = (
-    "busemann-euclidean",
-    "hyperbolic",
-    "prop4.1",
-    "prop4.2",
-    "min2d",
-    "cone-max",
-    "lune-max",
-    "min-nd",
-    "gaussian",
-)
+def _power_bound(kind: str, shift: int):
+    """The bound C(n) vol^(n + shift), C the closed-form constant ``kind``."""
+    def bound(body, mu, config, variant):
+        n = body.space.dim
+        return bound_constants(kind, n) * volume(body, None, config) ** (n + shift)
+    return bound
 
-# theorems whose paper-facing statement is a lower bound on the functional;
-# reports still read lhs <= rhs, with the roles swapped by the suite runner
-LOWER_BOUND_THEOREMS = {"min2d", "min-nd"}
+
+def _hyperbolic_bound(body, mu, config, variant):
+    n = body.space.dim
+    vol = volume(body, None, config)
+    return bound_constants("hyperbolic", n) * h_hyperbolic(n, vol)
+
+
+def _prop41_bound(body, mu, config, variant):
+    n = body.space.dim
+    vol = volume(body, None, config)
+    s = sphere_surface_area(n - 1)
+    if variant == "proof-chain":
+        arg = vol / (2.0 ** n * s)
+    elif variant == "literal":
+        # the literal normalization can push the argument past the domain
+        # sup of F; clamp to the sup (the weakest form, still an upper
+        # bound since F is increasing and vol/(2^n |S|) stays in range)
+        arg = min(vol / s, f_spherical_limit(n))
+    else:
+        raise ApplicabilityError(f"unknown variant {variant!r}")
+    return 2.0 ** (n - 1) * s * sphere_surface_area(n - 2) * f_spherical(n, arg)
+
+
+def _min2d_bound(body, mu, config, variant):
+    r = stable_arccos_one_minus(volume(body, None, config) / TWO_PI)
+    return 8.0 * math.pi * r ** 2
+
+
+def _gaussian_bound(body, mu, config, variant):
+    if mu is None:
+        raise ApplicabilityError("a radial density measure is required")
+    n = body.space.dim
+    return big_psi(mu, body.space, n, volume(body, mu, config)) ** (n - 1)
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One verified inequality: where it applies, how its suite checks it, and
+    its closed-form right side ``bound(body, mu, config, variant)``.  A
+    ``lower`` bound is reported as bound <= functional.
+    """
+
+    id: str
+    deltas: tuple
+    bound: Callable
+    dims: range = range(2, sys.maxsize)
+    exponent: int | None = None
+    normalized: bool = False
+    lower: bool = False
+    symmetric: bool = False
+    rel_tol: float = 1e-8
+    config: QuadratureConfig = DEFAULT_CONFIG
+    variants: tuple = ("proof-chain",)
+    measure: Callable | None = None
+
+    def check(self, body: StarBody):
+        """Raise ApplicabilityError unless the body meets the hypotheses."""
+        space = body.space
+        if space.delta not in self.deltas or space.dim not in self.dims:
+            raise ApplicabilityError(f"theorem {self.id!r} does not apply to "
+                                     f"delta = {space.delta}, n = {space.dim}")
+        if self.symmetric and not body.symmetric:
+            raise ApplicabilityError(f"theorem {self.id!r} needs an origin-symmetric body")
+
+
+# in the CLI's order
+THEOREMS = {t.id: t for t in (
+    Theorem("min2d", (1,), _min2d_bound, dims=range(2, 3), lower=True, symmetric=True),
+    Theorem("cone-max", (1,), dims=range(2, 3),
+            bound=lambda body, mu, config, variant: math.pi ** 2 * volume(body, None, config)),
+    Theorem("lune-max", (1,), dims=range(2, 3), rel_tol=1e-6,
+            bound=lambda body, mu, config, variant: lune_bound(volume(body, None, config))),
+    Theorem("hyperbolic", (-1,), _hyperbolic_bound, rel_tol=1e-6,
+            config=QuadratureConfig(outer_degree=31, inner_degree=63)),
+    Theorem("min-nd", (1,), _power_bound("spherical-min", 0), dims=range(3, sys.maxsize),
+            lower=True, rel_tol=1e-4),
+    Theorem("gaussian", (0, -1), _gaussian_bound, normalized=True, rel_tol=1e-6,
+            config=QuadratureConfig(outer_degree=39, inner_degree=63), measure=gaussian_measure),
+    Theorem("prop4.1", (1,), _prop41_bound, exponent=1, variants=("proof-chain", "literal")),
+    Theorem("prop4.2", (1,), _power_bound("spherical-nonoptimal", -1)),
+    Theorem("busemann-euclidean", (0,), _power_bound("busemann", -1), rel_tol=1e-5,
+            config=QuadratureConfig(outer_degree=39, inner_degree=63)),
+)}
+
+
+def get_theorem(theorem_id: str) -> Theorem:
+    if theorem_id not in THEOREMS:
+        raise ApplicabilityError(f"unknown theorem id {theorem_id!r}")
+    return THEOREMS[theorem_id]
 
 
 def rhs_bound(theorem_id: str, body: StarBody, mu: RadialDensityMeasure | None = None,
@@ -513,65 +590,11 @@ def rhs_bound(theorem_id: str, body: StarBody, mu: RadialDensityMeasure | None =
 
     Never computed through the verifying quadrature of the left side: volume
     enters through its own integral and everything else is a closed form.
+    Raises ApplicabilityError for a body outside the theorem's hypotheses.
     """
-    space = body.space
-    n = space.dim
-    if theorem_id == "busemann-euclidean":
-        if space.delta != 0:
-            raise ApplicabilityError("the Euclidean bound needs delta = 0")
-        vol = volume(body, None, config)
-        return bound_constants("busemann", n) * vol ** (n - 1)
-    if theorem_id == "hyperbolic":
-        if space.delta != -1:
-            raise ApplicabilityError("the hyperbolic bound needs delta = -1")
-        vol = volume(body, None, config)
-        return bound_constants("hyperbolic", n) * h_hyperbolic(n, vol)
-    if theorem_id == "prop4.1":
-        if space.delta != 1:
-            raise ApplicabilityError("this bound applies on the hemisphere")
-        vol = volume(body, None, config)
-        s = sphere_surface_area(n - 1)
-        if variant == "proof-chain":
-            arg = vol / (2.0 ** n * s)
-        elif variant == "literal":
-            # the literal normalization can push the argument past the domain
-            # sup of F; clamp to the sup (the weakest form, still an upper
-            # bound since F is increasing and vol/(2^n |S|) stays in range)
-            arg = min(vol / s, f_spherical_limit(n))
-        else:
-            raise ApplicabilityError(f"unknown variant {variant!r}")
-        return 2.0 ** (n - 1) * s * sphere_surface_area(n - 2) * f_spherical(n, arg)
-    if theorem_id == "prop4.2":
-        if space.delta != 1:
-            raise ApplicabilityError("this bound applies on the hemisphere")
-        vol = volume(body, None, config)
-        return bound_constants("spherical-nonoptimal", n) * vol ** (n - 1)
-    if theorem_id == "min2d":
-        if space.delta != 1 or n != 2:
-            raise ApplicabilityError("the plane minimum lives on the 2-hemisphere")
-        vol = volume(body, None, config)
-        r = stable_arccos_one_minus(vol / TWO_PI)
-        return 8.0 * math.pi * r ** 2
-    if theorem_id == "cone-max":
-        if space.delta != 1 or n != 2:
-            raise ApplicabilityError("the cone maximum lives on the 2-hemisphere")
-        return math.pi ** 2 * volume(body, None, config)
-    if theorem_id == "lune-max":
-        if space.delta != 1 or n != 2:
-            raise ApplicabilityError("the lune maximum lives on the 2-hemisphere")
-        return lune_bound(volume(body, None, config))
-    if theorem_id == "min-nd":
-        if space.delta != 1 or n < 3:
-            raise ApplicabilityError("the sharp minimum needs the hemisphere, n >= 3")
-        vol = volume(body, None, config)
-        return bound_constants("spherical-min", n) * vol ** n
-    if theorem_id == "gaussian":
-        if space.delta not in (0, -1):
-            raise ApplicabilityError("the measure bound applies in R^n or H^n")
-        if mu is None:
-            raise ApplicabilityError("a radial density measure is required")
-        return big_psi(mu, space, n, volume(body, mu, config)) ** (n - 1)
-    raise ApplicabilityError(f"unknown theorem id {theorem_id!r}")
+    theorem = get_theorem(theorem_id)
+    theorem.check(body)
+    return theorem.bound(body, mu, config, variant)
 
 
 def phi_ratio_inequality_check(n: int, x: float):

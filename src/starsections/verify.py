@@ -34,13 +34,12 @@ from .errors import ApplicabilityError, DomainError
 from .functionals import (
     DEFAULT_CONFIG,
     InequalityReport,
-    LOWER_BOUND_THEOREMS,
     QuadratureConfig,
     RadialDensityMeasure,
     bound_constants,
     busemann_functional,
     busemann_functional_with_error,
-    gaussian_measure,
+    get_theorem,
     rhs_bound,
     volume,
 )
@@ -138,122 +137,83 @@ def random_cone_arcs(rng: np.random.Generator, pairs: int = 2) -> StarBody:
 # theorem suites
 
 
-_SUITES = {
-    "busemann-euclidean": dict(delta=0, exponent=None, rel_tol=1e-5,
-                               config=QuadratureConfig(outer_degree=39, inner_degree=63)),
-    "hyperbolic": dict(delta=-1, exponent=None, rel_tol=1e-6,
-                       config=QuadratureConfig(outer_degree=31, inner_degree=63)),
-    "prop4.1": dict(delta=1, exponent=1, rel_tol=1e-8, config=None),
-    "prop4.2": dict(delta=1, exponent=None, rel_tol=1e-8, config=None),
-    "min2d": dict(delta=1, exponent=None, rel_tol=1e-8, config=None),
-    "cone-max": dict(delta=1, exponent=None, rel_tol=1e-8, config=None),
-    "lune-max": dict(delta=1, exponent=None, rel_tol=1e-6, config=None),
-    "min-nd": dict(delta=1, exponent=None, rel_tol=1e-4, config=None),
-    "gaussian": dict(delta=(0, -1), exponent=None, rel_tol=1e-6,
-                     config=QuadratureConfig(outer_degree=39, inner_degree=63)),
-}
-
-
-def suite_config(theorem_id: str) -> QuadratureConfig:
-    cfg = _SUITES[theorem_id].get("config")
-    return cfg if cfg is not None else DEFAULT_CONFIG
-
-
-def _one_report(theorem_id, body, mu, config, rel_tol, variant) -> InequalityReport:
-    spec = _SUITES[theorem_id]
-    deltas = spec["delta"] if isinstance(spec["delta"], tuple) else (spec["delta"],)
-    if body.space.delta not in deltas:
-        raise ApplicabilityError(
-            f"theorem {theorem_id!r} does not apply to delta = {body.space.delta}"
-        )
-    normalized = theorem_id == "gaussian"
-    functional = busemann_functional(body, mu, normalized=normalized,
-                                     exponent=spec["exponent"], config=config)
-    bound = rhs_bound(theorem_id, body, mu, config, variant=variant)
-    if theorem_id in LOWER_BOUND_THEOREMS:
-        lhs, rhs = bound, functional
-    else:
-        lhs, rhs = functional, bound
+def _one_report(theorem, body, mu, config, rel_tol, variant) -> InequalityReport:
+    bound = rhs_bound(theorem.id, body, mu, config, variant=variant)
+    functional = busemann_functional(body, mu, normalized=theorem.normalized,
+                                     exponent=theorem.exponent, config=config)
+    lhs, rhs = (bound, functional) if theorem.lower else (functional, bound)
     tol = rel_tol * max(abs(lhs), abs(rhs))
-    return InequalityReport(
-        theorem_id=theorem_id,
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=tol,
-        quadrature=config.describe(body.space.dim),
-        body_kind=body.profile.kind,
-        variant=variant if theorem_id == "prop4.1" else "",
-    )
+    return InequalityReport(theorem_id=theorem.id, lhs=lhs, rhs=rhs, tolerance=tol,
+                            quadrature=config.describe(body.space.dim),
+                            body_kind=body.profile.kind,
+                            variant=variant if len(theorem.variants) > 1 else "")
 
 
 def run_theorem_suite(theorem_id: str, bodies, mu: RadialDensityMeasure | None = None,
                       config: QuadratureConfig | None = None, rel_tol: float | None = None):
-    """One report per body; the suite passes iff every report passes.
+    """One report per body and variant; the suite passes iff every report passes.
 
-    For ``prop4.1`` two reports per body are emitted, one per normalization
-    variant of the closed-form bound (the statement and its derivation
-    disagree by a factor 2^n inside the argument; both are checked and the
-    sharp one is flagged by the equality cases).
+    ``prop4.1`` has two variants of the closed-form bound: the statement and
+    its derivation disagree by a factor 2^n inside the argument; both are
+    checked and the sharp one is flagged by the equality cases.  A body
+    outside the theorem's hypotheses raises ApplicabilityError.
     """
-    if theorem_id not in _SUITES:
-        raise ApplicabilityError(f"unknown theorem id {theorem_id!r}")
-    spec = _SUITES[theorem_id]
-    config = config if config is not None else suite_config(theorem_id)
-    rel_tol = rel_tol if rel_tol is not None else spec["rel_tol"]
-    if theorem_id == "gaussian" and mu is None:
-        mu = gaussian_measure()
+    theorem = get_theorem(theorem_id)
+    config = config if config is not None else theorem.config
+    rel_tol = rel_tol if rel_tol is not None else theorem.rel_tol
+    if mu is None and theorem.measure is not None:
+        mu = theorem.measure()
+    return [_one_report(theorem, body, mu, config, rel_tol, variant)
+            for body in bodies for variant in theorem.variants]
 
-    variants = ("proof-chain", "literal") if theorem_id == "prop4.1" else ("proof-chain",)
-    return [_one_report(theorem_id, body, mu, config, rel_tol, variant)
-            for body in bodies for variant in variants]
+
+_HEMISPHERE_BODIES = (3, lambda n, rng, count: [
+    make_ball(SpaceSpec(1, n), 0.7),
+    *(random_star_body(SpaceSpec(1, n), rng) for _ in range(count))])
+
+# theorem id -> (default n, factory(n, rng, random_count)): equality cases, then random bodies
+_SUITE_BODIES = {
+    "min2d": (2, lambda n, rng, count: [
+        *(make_ball(SpaceSpec(1, 2), r) for r in (0.2, 0.7, HEMISPHERE_MAX_RADIUS)),
+        *(random_star_body(SpaceSpec(1, 2), rng, symmetric=True) for _ in range(count))]),
+    "cone-max": (2, lambda n, rng, count: [
+        make_cone(SpaceSpec(1, 2), ArcsBase(((0.0, TWO_PI),))),
+        make_cone(SpaceSpec(1, 2), ArcsBase(((0.2, 1.1), (0.2 + math.pi, 1.1 + math.pi)))),
+        *(random_cone_arcs(rng, pairs=p) for p in (1, 2, 3)),
+        *(random_star_body(SpaceSpec(1, 2), rng, symmetric=True) for _ in range(count))]),
+    "lune-max": (2, lambda n, rng, count: [
+        *(make_lune(w) for w in (0.2, 0.5, 1.0)),
+        *(random_symmetric_convex_body(rng) for _ in range(count))]),
+    "hyperbolic": (3, lambda n, rng, count: [
+        *(make_ball(SpaceSpec(-1, n), r) for r in (0.3, 0.7, 1.2)),
+        *(random_star_body(SpaceSpec(-1, n), rng) for _ in range(count))]),
+    "min-nd": (3, lambda n, rng, count: [
+        make_cone(SpaceSpec(1, n), equality_cone_base(n, 0.4)),
+        make_cone(SpaceSpec(1, n), equality_cone_base(n, 0.7)),
+        make_cone(SpaceSpec(1, n), full_sphere_base(n)),
+        *(random_star_body(SpaceSpec(1, n), rng, symmetric=bool(rng.integers(0, 2)))
+          for _ in range(count))]),
+    "gaussian": (3, lambda n, rng, count: [
+        *(make_ball(SpaceSpec(0, n), r) for r in (0.5, 1.0, 2.0)),
+        *(random_star_body(SpaceSpec(0, n), rng) for _ in range(count))]),
+    "prop4.1": _HEMISPHERE_BODIES,
+    "prop4.2": _HEMISPHERE_BODIES,
+    "busemann-euclidean": (3, lambda n, rng, count: [
+        make_ball(SpaceSpec(0, n), 1.0),
+        *(random_ellipsoid(n, rng) for _ in range(max(1, count // 2))),
+        *(random_star_body(SpaceSpec(0, n), rng) for _ in range(count))]),
+}
 
 
 def suite_bodies(theorem_id: str, dim: int | None = None, random_count: int = 0,
                  seed: int = 0):
     """Equality-case bodies plus random bodies for a named theorem suite."""
-    rng = np.random.default_rng(seed)
-    out = []
-    if theorem_id == "busemann-euclidean":
-        n = dim or 3
-        out.append(make_ball(SpaceSpec(0, n), 1.0))
-        out.extend(random_ellipsoid(n, rng) for _ in range(max(1, random_count // 2)))
-        out.extend(random_star_body(SpaceSpec(0, n), rng) for _ in range(random_count))
-    elif theorem_id == "hyperbolic":
-        n = dim or 3
-        out.extend(make_ball(SpaceSpec(-1, n), r) for r in (0.3, 0.7, 1.2))
-        out.extend(random_star_body(SpaceSpec(-1, n), rng) for _ in range(random_count))
-    elif theorem_id == "min2d":
-        out.extend(make_ball(SpaceSpec(1, 2), r) for r in (0.2, 0.7, HEMISPHERE_MAX_RADIUS))
-        out.extend(random_star_body(SpaceSpec(1, 2), rng, symmetric=True)
-                   for _ in range(random_count))
-    elif theorem_id == "cone-max":
-        space = SpaceSpec(1, 2)
-        out.append(make_cone(space, ArcsBase(((0.0, TWO_PI),))))
-        out.append(make_cone(space, ArcsBase(((0.2, 1.1), (0.2 + math.pi, 1.1 + math.pi)))))
-        out.extend(random_cone_arcs(rng, pairs=p) for p in (1, 2, 3))
-        out.extend(random_star_body(space, rng, symmetric=True) for _ in range(random_count))
-    elif theorem_id == "lune-max":
-        out.extend(make_lune(w) for w in (0.2, 0.5, 1.0))
-        out.extend(random_symmetric_convex_body(rng) for _ in range(random_count))
-    elif theorem_id in ("prop4.1", "prop4.2"):
-        n = dim or 3
-        out.append(make_ball(SpaceSpec(1, n), 0.7))
-        out.extend(random_star_body(SpaceSpec(1, n), rng) for _ in range(random_count))
-    elif theorem_id == "min-nd":
-        n = dim or 3
-        space = SpaceSpec(1, n)
-        out.append(make_cone(space, equality_cone_base(n, 0.4)))
-        out.append(make_cone(space, equality_cone_base(n, 0.7)))
-        out.append(make_cone(space, full_sphere_base(n)))
-        out.extend(random_star_body(space, rng, symmetric=bool(rng.integers(0, 2)))
-                   for _ in range(random_count))
-    elif theorem_id == "gaussian":
-        n = dim or 3
-        out.extend(make_ball(SpaceSpec(0, n), r) for r in (0.5, 1.0, 2.0))
-        out.extend(random_star_body(SpaceSpec(0, n), rng) for _ in range(random_count))
-    else:
-        raise ApplicabilityError(f"unknown theorem id {theorem_id!r}")
-    return out
+    theorem = get_theorem(theorem_id)
+    default_dim, factory = _SUITE_BODIES[theorem_id]
+    n = dim or default_dim
+    if n not in theorem.dims:
+        raise ApplicabilityError(f"theorem {theorem_id!r} does not apply to n = {n}")
+    return factory(n, np.random.default_rng(seed), random_count)
 
 
 # ---------------------------------------------------------------------------

@@ -168,3 +168,21 @@ class TestUsage:
 
     def test_unknown_theorem_rejected(self):
         assert run_cli("verify", "--theorem", "nonsense") == 2
+
+    def test_experiment_takes_no_quadrature_flags(self):
+        assert run_cli("experiment", "sharpness", "--dim", "3", "--outer-degree", "5") == 2
+
+
+class TestInapplicable:
+    def test_asymmetric_cone_for_min2d(self, capsys):
+        assert run_cli("verify", "--theorem", "min2d", "--space", "s+:2",
+                       "--body", "cone:arcs=0:3") == 2
+        assert "inapplicable" in capsys.readouterr().err
+
+    def test_wrong_space(self, capsys):
+        assert run_cli("verify", "--theorem", "min2d", "--space", "e:2", "--body", "ball:r=1") == 2
+        assert "inapplicable" in capsys.readouterr().err
+
+    def test_dim_outside_theorem(self, capsys):
+        assert run_cli("verify", "--theorem", "lune-max", "--dim", "3") == 2
+        assert "inapplicable" in capsys.readouterr().err

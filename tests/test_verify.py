@@ -1,14 +1,17 @@
+import argparse
 import math
 
 import numpy as np
 import pytest
 
-from starsections.bodies import make_ball, make_cone, double_cap_base, equality_cone_base
+from starsections.bodies import ArcsBase, make_ball, make_cone, double_cap_base, equality_cone_base
+from starsections.cli import build_parser
 from starsections.errors import ApplicabilityError, DomainError
-from starsections.functionals import bound_constants, busemann_functional, volume
+from starsections.functionals import THEOREMS, bound_constants, busemann_functional, volume
 from starsections.harmonics import radon_multiplier
 from starsections.spaces import SpaceSpec, sphere_surface_area
 from starsections.verify import (
+    _SUITE_BODIES,
     c5_constant,
     c_chain,
     extremizer_search,
@@ -124,6 +127,19 @@ class TestSuites:
         with pytest.raises(ApplicabilityError):
             run_theorem_suite("unknown-theorem", [])
 
+    def test_asymmetric_body_is_inapplicable_to_min2d(self):
+        cone = make_cone(S2, ArcsBase(((0.0, 3.0),)))
+        assert not cone.symmetric
+        with pytest.raises(ApplicabilityError, match="origin-symmetric"):
+            run_theorem_suite("min2d", [cone])
+
+    def test_dim_outside_theorem_rejected(self):
+        for theorem_id in ("min2d", "cone-max", "lune-max"):
+            with pytest.raises(ApplicabilityError):
+                suite_bodies(theorem_id, dim=3)
+        with pytest.raises(ApplicabilityError):
+            suite_bodies("min-nd", dim=2)
+
     def test_equality_cone_and_violating_cone(self):
         eq = make_cone(S3, equality_cone_base(3, 0.4))
         viol = make_cone(S3, double_cap_base(3, 0.5))
@@ -136,6 +152,19 @@ class TestSuites:
                 assert abs(rel) <= 1e-4
             else:
                 assert rel > 1e-2
+
+
+class TestTheoremTable:
+    def test_same_ids_in_table_suite_bodies_and_cli(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        theorem_arg = next(a for a in sub.choices["verify"]._actions if a.dest == "theorem")
+        assert list(THEOREMS) == list(_SUITE_BODIES) == list(theorem_arg.choices)
+
+    def test_suite_bodies_meet_their_hypotheses(self):
+        for theorem_id, theorem in THEOREMS.items():
+            for body in suite_bodies(theorem_id, random_count=2):
+                theorem.check(body)
 
 
 class TestSharpness:
