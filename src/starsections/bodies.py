@@ -350,6 +350,10 @@ class RadialProfile:
     def descriptor(self) -> dict:
         raise NotImplementedError
 
+    def zonal_axis(self, n: int) -> np.ndarray | None:
+        """Unit axis in R^n about which rho is rotationally symmetric, or None."""
+        return None
+
     # indicator-type profiles carry an analytic base and bypass smooth quadrature
     indicator_base: ConeBase | None = None
     indicator_height: float | None = None
@@ -363,6 +367,10 @@ class ConstantProfile(RadialProfile):
     def rho(self, dirs):
         dirs = np.atleast_2d(dirs)
         return np.full(dirs.shape[0], self.r)
+
+    def zonal_axis(self, n):
+        # every axis works; take e_1
+        return np.eye(n)[0]
 
     def descriptor(self):
         return {"kind": "ball", "r": self.r}
@@ -428,6 +436,9 @@ class HarmonicPerturbedProfile(RadialProfile):
     def perturbation(self, dirs):
         dirs = np.atleast_2d(dirs)
         return self.alpha + self.beta * self.harmonic(dirs)
+
+    def zonal_axis(self, n):
+        return self.harmonic.axis
 
     def descriptor(self):
         return {

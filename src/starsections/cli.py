@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -129,6 +130,16 @@ def parse_measure(name: str | None):
     raise UsageError(f"--measure: unknown measure {name!r} (uniform or gaussian)")
 
 
+def _degree(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer degree, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"a quadrature degree must be >= 1, got {value}")
+    return value
+
+
 def make_config(args) -> QuadratureConfig:
     return QuadratureConfig(
         outer_degree=args.outer_degree,
@@ -220,9 +231,12 @@ def cmd_verify(args) -> int:
     else:
         bodies = verify_mod.suite_bodies(theorem, dim=args.dim, random_count=args.random,
                                          seed=args.seed)
-    config = None
-    if args.outer_degree or args.inner_degree:
-        config = make_config(args)
+    # a degree flag overrides only that degree of the theorem's own config
+    config = THEOREMS[theorem].config
+    if args.outer_degree is not None:
+        config = replace(config, outer_degree=args.outer_degree)
+    if args.inner_degree is not None:
+        config = replace(config, inner_degree=args.inner_degree)
     reports = verify_mod.run_theorem_suite(theorem, bodies, config=config)
     all_pass = all(r.verdict for r in reports)
     for r in reports:
@@ -303,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_quad_args(p):
-        p.add_argument("--outer-degree", type=int, default=None)
-        p.add_argument("--inner-degree", type=int, default=None)
+        p.add_argument("--outer-degree", type=_degree, default=None)
+        p.add_argument("--inner-degree", type=_degree, default=None)
         p.add_argument("--radial-tol", type=float, default=1e-12)
         p.add_argument("--out", default=None, help="write report to .json or .csv")
 

@@ -139,13 +139,16 @@ class RadialDensityMeasure:
             out = 2.0 ** ((m - 2) / 2.0) * math.exp(gammaln(m / 2.0)) * gammainc(m / 2.0, up ** 2 / 2.0)
         else:
             x01, w01 = _GL01
-            # composite panels keep the fixed rule accurate on long ranges
-            npanels = max(1, int(math.ceil(float(np.max(up, initial=0.0)) / 4.0)))
+            # composite panels keep the fixed rule accurate on long ranges; each
+            # point takes its own count and its own row sum (not a matrix-vector
+            # product, whose rounding of a row depends on the rows beside it),
+            # so its value does not depend on the batch
+            npanels = np.maximum(1.0, np.ceil(up / 4.0))
             out = np.zeros_like(up)
-            for j in range(npanels):
-                nodes = up[:, None] * ((j + x01[None, :]) / npanels)
+            for j in range(int(np.max(npanels, initial=1.0))):
+                nodes = up[:, None] * ((j + x01[None, :]) / npanels[:, None])
                 sm = np.asarray(self.profile(nodes)) * _metric_sine_pow(space, nodes, m - 1)
-                out += (up / npanels) * (sm @ w01)
+                out += np.where(j < npanels, (up / npanels) * np.sum(sm * w01, axis=1), 0.0)
         out = self.dim_weight(m) * out
         return float(out[0]) if scalar else out
 
@@ -237,9 +240,40 @@ def _all_section_volumes(body: StarBody, mu, config: QuadratureConfig):
         h = body.profile.indicator_height
         sections = float(_radial(space, n - 1, h, mu)) * base.section_measures(outer.nodes)
         return outer, sections
-    rho = np.clip(body.rho(embedded.reshape(-1, n)), 0.0, space.max_radius)
-    vals = _radial(space, n - 1, rho, mu).reshape(len(outer), len(inner))
-    return outer, vals @ inner.weights
+    return outer, _section_integrands(body, mu, embedded) @ inner.weights
+
+
+def _section_integrands(body: StarBody, mu, embedded):
+    """Radial primitives of a non-indicator body at its (D, N_inner, n) embedded
+    inner nodes, shape (D, N_inner); a section volume is a row's weighted sum."""
+    space = body.space
+    rho = np.clip(body.rho(embedded.reshape(-1, space.dim)), 0.0, space.max_radius)
+    return _radial(space, space.dim - 1, rho, mu).reshape(embedded.shape[:2])
+
+
+def _zonal_section_volumes(body: StarBody, axis, mu, config: QuadratureConfig):
+    """Summed outer weights and section volumes, one per distinct c = <xi, axis>.
+
+    The body is rotationally symmetric about ``axis``, so a section depends
+    only on c.  The outer product rule integrates over S^{n-1} with its polar
+    coordinate as c, whatever the axis: collapsing it along that coordinate
+    gives the distinct c and their summed weights, and each section is taken
+    at the one normal xi_c = c axis + sqrt(1 - c^2) b, b a fixed unit vector
+    orthogonal to the axis.
+    """
+    n = body.space.dim
+    outer = build_sphere_rule(n - 1, config.outer(n))
+    inner = build_sphere_rule(n - 2, config.inner(n))
+    c, which = np.unique(outer.nodes[:, 0], return_inverse=True)
+    weights = np.array([math.fsum(outer.weights[which == i]) for i in range(len(c))])
+    b = householder_frame(axis)[:, 0]
+    xis = c[:, None] * axis + np.sqrt(1.0 - c ** 2)[:, None] * b
+    embedded = np.stack([inner.nodes @ householder_frame(xi).T for xi in xis])
+    # each of the few sections carries a large share of the weight, so its
+    # rounding does not average out as over the product rule's many nodes:
+    # sum the rows pairwise, more accurately than a matrix-vector product
+    sections = np.sum(_section_integrands(body, mu, embedded) * inner.weights, axis=1)
+    return weights, sections
 
 
 def _plane_scale(integrand) -> float:
@@ -273,7 +307,8 @@ def busemann_functional(body: StarBody, mu: RadialDensityMeasure | None = None,
 
     The exponent defaults to the ambient dimension n (the interesting case
     throughout); ``normalized`` divides by |S^{n-1}| so the xi-measure has
-    total mass 1.
+    total mass 1.  For n >= 3 a body with a zonal axis (balls, perturbed
+    balls) takes one section per distinct <xi, axis> of the outer rule.
     """
     space = body.space
     n = space.dim
@@ -292,6 +327,11 @@ def busemann_functional(body: StarBody, mu: RadialDensityMeasure | None = None,
         integrand = lambda th: _plane_section_at_angle(body, th, mu) ** p  # noqa: E731
         val, _ = _adaptive_circle(integrand, config.angular_tol)
         return val / norm
+
+    axis = body.profile.zonal_axis(n) if n >= 3 else None
+    if axis is not None:
+        weights, sections = _zonal_section_volumes(body, axis, mu, config)
+        return float(np.dot(weights, sections ** p)) / norm
 
     outer, sections = _all_section_volumes(body, mu, config)
     return float(np.dot(outer.weights, sections ** p)) / norm

@@ -137,16 +137,21 @@ def random_cone_arcs(rng: np.random.Generator, pairs: int = 2) -> StarBody:
 # theorem suites
 
 
-def _one_report(theorem, body, mu, config, rel_tol, variant) -> InequalityReport:
-    bound = rhs_bound(theorem.id, body, mu, config, variant=variant)
+def _body_reports(theorem, body, mu, config, rel_tol) -> list[InequalityReport]:
+    """One report per variant; the left side does not depend on the variant."""
+    bounds = [rhs_bound(theorem.id, body, mu, config, variant=v) for v in theorem.variants]
     functional = busemann_functional(body, mu, normalized=theorem.normalized,
                                      exponent=theorem.exponent, config=config)
-    lhs, rhs = (bound, functional) if theorem.lower else (functional, bound)
-    tol = rel_tol * max(abs(lhs), abs(rhs))
-    return InequalityReport(theorem_id=theorem.id, lhs=lhs, rhs=rhs, tolerance=tol,
-                            quadrature=config.describe(body.space.dim),
-                            body_kind=body.profile.kind,
-                            variant=variant if len(theorem.variants) > 1 else "")
+    reports = []
+    for variant, bound in zip(theorem.variants, bounds):
+        lhs, rhs = (bound, functional) if theorem.lower else (functional, bound)
+        reports.append(InequalityReport(
+            theorem_id=theorem.id, lhs=lhs, rhs=rhs,
+            tolerance=rel_tol * max(abs(lhs), abs(rhs)),
+            quadrature=config.describe(body.space.dim),
+            body_kind=body.profile.kind,
+            variant=variant if len(theorem.variants) > 1 else ""))
+    return reports
 
 
 def run_theorem_suite(theorem_id: str, bodies, mu: RadialDensityMeasure | None = None,
@@ -163,8 +168,8 @@ def run_theorem_suite(theorem_id: str, bodies, mu: RadialDensityMeasure | None =
     rel_tol = rel_tol if rel_tol is not None else theorem.rel_tol
     if mu is None and theorem.measure is not None:
         mu = theorem.measure()
-    return [_one_report(theorem, body, mu, config, rel_tol, variant)
-            for body in bodies for variant in theorem.variants]
+    return [report for body in bodies
+            for report in _body_reports(theorem, body, mu, config, rel_tol)]
 
 
 _HEMISPHERE_BODIES = (3, lambda n, rng, count: [

@@ -106,6 +106,13 @@ class TestVerifyCommand:
         assert lines[0] == "# format_version=1"
         assert lines[1].startswith("theorem_id,")
 
+    def test_one_degree_flag_keeps_the_suite_config(self, tmp_path):
+        out = tmp_path / "h.json"
+        assert run_cli("verify", "--theorem", "hyperbolic", "--outer-degree", "31",
+                       "--out", str(out)) == 0
+        quadrature = json.loads(out.read_text())["reports"][0]["quadrature"]
+        assert (quadrature["outer_degree"], quadrature["inner_degree"]) == (31, 63)
+
     def test_deterministic_across_runs(self, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):
@@ -128,6 +135,10 @@ class TestExperimentCommand:
         rows = [line.split(",") for line in lines[2:]]
         signs = {int(row[2]): int(row[9]) for row in rows}
         assert signs[2] == 1 and signs[4] == -1
+
+    def test_perturbation_dim4(self, capsys):
+        assert run_cli("experiment", "perturbation", "--dim", "4", "--k", "2") == 0
+        assert "(conclusive, match)" in capsys.readouterr().out
 
     def test_sharpness_converging_schedule_exit_zero(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -168,6 +179,13 @@ class TestUsage:
 
     def test_unknown_theorem_rejected(self):
         assert run_cli("verify", "--theorem", "nonsense") == 2
+
+    @pytest.mark.parametrize("command", [["verify", "--theorem", "hyperbolic"],
+                                         ["functional", "--space", "s+:3", "--body", "ball:r=1"]])
+    @pytest.mark.parametrize("flag", ["--outer-degree", "--inner-degree"])
+    def test_degree_below_one_rejected(self, command, flag, capsys):
+        assert run_cli(*command, flag, "0") == 2
+        assert "degree must be >= 1" in capsys.readouterr().err
 
     def test_experiment_takes_no_quadrature_flags(self):
         assert run_cli("experiment", "sharpness", "--dim", "3", "--outer-degree", "5") == 2

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from starsections import functionals
 from starsections.bodies import (
     ArcsBase,
+    HarmonicPerturbedProfile,
+    RadialProfile,
     StarBody,
     make_ball,
     make_bumpy_ball,
     make_cone,
     make_ellipsoid,
     make_lune,
+    make_perturbed_ball,
     make_symmetric_polygon_body,
 )
 from starsections.errors import ApplicabilityError, DomainError
@@ -39,9 +43,10 @@ from starsections.functionals import (
     stable_arccos_one_minus,
     volume,
 )
+from starsections.harmonics import zonal_harmonic
 from starsections.quadrature import integrate_radial
 from starsections.spaces import SpaceSpec, sphere_surface_area
-from starsections.verify import random_symmetric_convex_body
+from starsections.verify import perturbation_sign_experiment, random_symmetric_convex_body
 
 S2 = SpaceSpec(1, 2)
 S3 = SpaceSpec(1, 3)
@@ -164,6 +169,74 @@ class TestPlaneAdaptive:
         assert abs(val - fine) <= err
 
 
+class NonZonal(RadialProfile):
+    """The same radial function with its axis hidden: forces the product rule."""
+
+    def __init__(self, profile):
+        self.profile = profile
+        self.kind = profile.kind
+
+    def rho(self, dirs):
+        return self.profile.rho(dirs)
+
+
+def product_rule(body):
+    return StarBody(body.space, NonZonal(body.profile), body.symmetric)
+
+
+def experiment_config(n, k):
+    degree = max(31, n * k + 14)   # as perturbation_sign_experiment chooses it
+    return QuadratureConfig(outer_degree=degree, inner_degree=degree)
+
+
+@pytest.fixture
+def fresh_grid_cache(monkeypatch):
+    # the n = 4 product grids take about 0.5 GB; drop them after the test
+    monkeypatch.setattr(functionals, "_EMBEDDED_CACHE", {})
+
+
+class TestZonalPath:
+    @pytest.mark.parametrize("space,mu", [(S3, None), (SpaceSpec(1, 4), None), (H3, None),
+                                          (E3, None), (H3, gaussian_measure()),
+                                          (E3, gaussian_measure())])
+    def test_ball_matches_product_rule(self, space, mu):
+        ball = make_ball(space, 0.7)
+        assert busemann_functional(ball, mu) == pytest.approx(
+            busemann_functional(product_rule(ball), mu), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [0.08, 0.02])
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 4), (3, 6), (3, 8), (4, 2)])
+    def test_perturbed_ball_within_both_error_estimates(self, n, k, beta, fresh_grid_cache):
+        body = make_perturbed_ball(SpaceSpec(1, n), 0.8, beta, k)
+        config = experiment_config(n, k)
+        zonal, err_zonal = busemann_functional_with_error(body, config=config)
+        product, err_product = busemann_functional_with_error(product_rule(body), config=config)
+        assert abs(zonal - product) <= err_zonal + err_product
+
+    @pytest.mark.parametrize("n,k", [(3, 4), (4, 2)])
+    def test_tilted_axis_matches_default_axis(self, n, k):
+        body = make_perturbed_ball(SpaceSpec(1, n), 0.8, 0.08, k)
+        p = body.profile
+        tilted = np.random.default_rng(7).normal(size=n)
+        tilted /= np.linalg.norm(tilted)
+        turned = HarmonicPerturbedProfile(p.r, p.alpha, p.beta, zonal_harmonic(n, k, tilted))
+        config = experiment_config(n, k)
+        assert busemann_functional(StarBody(body.space, turned, True), config=config) == \
+            pytest.approx(busemann_functional(body, config=config), rel=1e-13, abs=0.0)
+
+    def test_n4_experiment_evaluates_few_points(self, monkeypatch):
+        points = []
+        rho = StarBody.rho
+
+        def counted(self, dirs):
+            points.append(len(dirs))
+            return rho(self, dirs)
+
+        monkeypatch.setattr(StarBody, "rho", counted)
+        assert perturbation_sign_experiment(4, 0.8, 2).sign_matches
+        assert sum(points) <= 150_000
+
+
 class TestHyperbolicSpecialFunctions:
     def test_f2_closed_form(self):
         # F_2(t) = t^2 / (2 (1 - t^2))
@@ -282,6 +355,13 @@ class TestMeasureFunctions:
                 mid = big_psi(mu, space, space.dim, (a + b) / 2)
                 ends = (big_psi(mu, space, space.dim, a) + big_psi(mu, space, space.dim, b)) / 2
                 assert mid >= ends - 1e-11
+
+    def test_radial_integral_does_not_depend_on_the_batch(self):
+        mu = gaussian_measure()
+        alone = mu.radial_integral(H2, 2, np.array([0.5]))
+        batched = mu.radial_integral(H2, 2, np.array([0.5, 9.0]))
+        assert alone[0] == batched[0]
+        assert mu.radial_integral(H2, 2, 9.0) == batched[1]
 
     def test_decreasing_validation(self):
         with pytest.raises(DomainError):

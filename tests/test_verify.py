@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from starsections.bodies import ArcsBase, make_ball, make_cone, double_cap_base, equality_cone_base
+from starsections import verify
 from starsections.cli import build_parser
 from starsections.errors import ApplicabilityError, DomainError
 from starsections.functionals import THEOREMS, bound_constants, busemann_functional, volume
@@ -120,6 +121,21 @@ class TestSuites:
         assert abs(sharp.rel_gap) <= 1e-10
         slack = next(r for r in reports if r.variant == "literal")
         assert slack.gap > 0.1
+
+    def test_prop41_left_side_once_per_body(self, monkeypatch):
+        bodies = [make_ball(S3, 0.7), make_ball(S3, 1.1)]
+        calls = []
+
+        def counted(body, *args, **kwargs):
+            calls.append(body)
+            return busemann_functional(body, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "busemann_functional", counted)
+        reports = run_theorem_suite("prop4.1", bodies)
+        assert calls == bodies
+        assert [(r.variant, r.lhs) for r in reports] == [
+            (variant, busemann_functional(body, exponent=1))
+            for body in bodies for variant in ("proof-chain", "literal")]
 
     def test_applicability(self):
         with pytest.raises(ApplicabilityError):
