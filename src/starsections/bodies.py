@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ApplicabilityError,
@@ -29,6 +28,7 @@ from .spaces import (
     HEMISPHERE_MAX_RADIUS,
     SpaceSpec,
     as_direction,
+    brent_root,
     phi,
     sphere_surface_area,
 )
@@ -839,7 +839,7 @@ def make_perturbed_ball(space: SpaceSpec, r: float, beta: float, k: int, axis=No
         alpha = 0.0
     else:
         try:
-            alpha = brentq(vol_gap, -span, span, xtol=1e-15, rtol=1e-15)
+            alpha = brent_root(vol_gap, -span, span, xtol=1e-15, rtol=1e-15)
         except DomainError:
             raise
         except ValueError as exc:
@@ -885,7 +885,7 @@ def _striped_base(axis, alpha: float, delta: float, lam: float, cap_measure: flo
         los, his = strip_bounds(gamma)
         return float(np.sum(sphere_band_measure(n - 1, los, his))) - lam * cap_measure
 
-    gamma = brentq(measure_gap, 0.0, 1.0, xtol=1e-15, rtol=1e-15)
+    gamma = brent_root(measure_gap, 0.0, 1.0, xtol=1e-15, rtol=1e-15)
     los, his = strip_bounds(gamma)
     return BandsBase(np.asarray(axis, dtype=float), los, his,
                      meta={"alpha": alpha, "delta": delta, "gamma": gamma, "lam": lam,

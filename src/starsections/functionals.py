@@ -12,23 +12,23 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammainc, gammaln, roots_legendre
 
 from .bodies import ArcsBase, StarBody
-from .errors import ApplicabilityError, DomainError, InversionRangeError
+from .errors import ApplicabilityError, ConvergenceError, DomainError, InversionRangeError
 from .quadrature import (
     build_sphere_rule,
     default_degree,
+    gauss_jacobi,
     householder_frame,
-    integrate_radial,
     integrate_vectorized,
 )
 from .spaces import (
     HEMISPHERE_MAX_RADIUS,
     SpaceSpec,
+    brent_root,
     phi,
     phi_inverse,
     sin_power_primitive_full,
@@ -98,11 +98,41 @@ def _section_grid(n: int, outer_degree: int, inner_degree: int):
 
 
 def _gauss_legendre_01(npts: int = 48):
-    x, w = roots_legendre(npts)
+    x, w = gauss_jacobi(npts, 0.0)
     return (x + 1.0) / 2.0, w / 2.0
 
 
 _GL01 = _gauss_legendre_01()
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def _gaussian_moment(m: int, u):
+    """The integral of t^{m-1} exp(-t^2/2) over [0, u], elementwise for u >= 0.
+
+    It starts from sqrt(pi/2) erf(u / sqrt 2) (m odd) or 1 - exp(-u^2/2)
+    (m even) and steps up with I_m = (m-2) I_{m-2} - u^{m-2} exp(-u^2/2).  For
+    u^2 < m that difference cancels, and the series of positive terms
+    I_m = exp(-u^2/2) u^m sum_k u^{2k} / (m (m+2) ... (m+2k)) is used instead.
+    """
+    u = np.asarray(u, dtype=float)
+    e = np.exp(-u * u / 2.0)
+    if m % 2:
+        out, start = math.sqrt(math.pi / 2.0) * _erf(u / math.sqrt(2.0)).astype(float), 1
+    else:
+        out, start = -np.expm1(-u * u / 2.0), 2
+    for j in range(start, m - 1, 2):
+        out = j * out - u ** j * e
+    small = u * u < m
+    if m >= 3 and np.any(small):
+        us = u[small]
+        term = total = np.full_like(us, 1.0 / m)
+        k = 1
+        while np.any(term > 1e-17 * total):
+            term = term * (us * us) / (m + 2 * k)
+            total = total + term
+            k += 1
+        out[small] = e[small] * us ** m * total
+    return out
 
 
 @dataclass(frozen=True)
@@ -136,19 +166,22 @@ class RadialDensityMeasure:
         scalar = upper.ndim == 0
         up = np.atleast_1d(upper)
         if self.name == "gaussian" and space.delta == 0:
-            out = 2.0 ** ((m - 2) / 2.0) * math.exp(gammaln(m / 2.0)) * gammainc(m / 2.0, up ** 2 / 2.0)
+            out = _gaussian_moment(m, up)
         else:
             x01, w01 = _GL01
             # composite panels keep the fixed rule accurate on long ranges; each
-            # point takes its own count and its own row sum (not a matrix-vector
-            # product, whose rounding of a row depends on the rows beside it),
-            # so its value does not depend on the batch
+            # point takes its own count, evaluates only its own panels and sums
+            # its own rows (not a matrix-vector product, whose rounding of a row
+            # depends on the rows beside it), so its value does not depend on
+            # the batch
             npanels = np.maximum(1.0, np.ceil(up / 4.0))
             out = np.zeros_like(up)
             for j in range(int(np.max(npanels, initial=1.0))):
-                nodes = up[:, None] * ((j + x01[None, :]) / npanels[:, None])
+                rows = np.flatnonzero(npanels > j)
+                upr, npr = up[rows], npanels[rows]
+                nodes = upr[:, None] * ((j + x01[None, :]) / npr[:, None])
                 sm = np.asarray(self.profile(nodes)) * _metric_sine_pow(space, nodes, m - 1)
-                out += np.where(j < npanels, (up / npanels) * np.sum(sm * w01, axis=1), 0.0)
+                out[rows] += (upr / npr) * np.sum(sm * w01, axis=1)
         out = self.dim_weight(m) * out
         return float(out[0]) if scalar else out
 
@@ -434,8 +467,8 @@ def f_spherical(n: int, v):
     out = np.empty_like(arr)
     for i, vi in enumerate(arr):
         target = 2.0 ** n * vi
-        x = brentq(lambda s: sin_power_primitive_full(n, s) - target, 0.0, math.pi,
-                   xtol=1e-14, rtol=1e-15)
+        x = brent_root(lambda s: sin_power_primitive_full(n, s) - target, 0.0, math.pi,
+                       xtol=1e-14, rtol=1e-15)
         out[i] = sin_power_primitive_full(n - 1, x) / 2.0 ** (n - 1)
     return float(out[0]) if scalar else out
 
@@ -459,7 +492,7 @@ def psi_inverse(mu: RadialDensityMeasure, space: SpaceSpec, m: int, y) -> float:
         hi *= 2.0
         if hi > 1e6:
             raise InversionRangeError("value outside the range of the ball-measure function")
-    return brentq(lambda x: psi(mu, space, m, x) - y, 0.0, hi, xtol=1e-14, rtol=1e-15)
+    return brent_root(lambda x: psi(mu, space, m, x) - y, 0.0, hi, xtol=1e-14, rtol=1e-15)
 
 
 def big_psi(mu: RadialDensityMeasure, space: SpaceSpec, n: int, t) -> float:
@@ -497,7 +530,7 @@ def bound_constants(kind: str, n: int) -> float:
     if kind == "spherical-min":
         if n < 3:
             raise DomainError("the sharp spherical minimum needs n >= 3")
-        return 2.0 * math.exp(n * gammaln((n + 1) / 2.0) - (n + 1) * gammaln(n / 2.0))
+        return 2.0 * math.exp(n * math.lgamma((n + 1) / 2.0) - (n + 1) * math.lgamma(n / 2.0))
     raise ApplicabilityError(f"unknown constant kind {kind!r}")
 
 
@@ -511,68 +544,107 @@ def stable_arccos_one_minus(u: float) -> float:
     return math.acos(max(-1.0, 1.0 - u))
 
 
+_TANH_SINH_T_MAX = 3.5   # the weight at t = 3.5 is 3e-21
+_TANH_SINH_H0 = 0.5
+_TANH_SINH_LEVELS = 10
+
+
+@lru_cache(maxsize=1)
+def _tanh_sinh_levels():
+    """The nested tanh-sinh rules on [-1, 1] (Takahasi & Mori, 1974), by level.
+
+    Level L has step h = 0.5 / 2^L on t in [-3.5, 3.5] and node x = tanh(u),
+    u = (pi/2) sinh t, with weight (pi/2) cosh t / cosh^2 u (times h); it
+    reuses the nodes of level L - 1, so each level lists only its new t >= 0.
+    A node is given by its distance 1 - |x| = 1 / (e^u cosh u) to the nearer
+    end, which keeps the integrand's argument exact next to the endpoints.
+    """
+    levels = []
+    for level in range(_TANH_SINH_LEVELS):
+        h = _TANH_SINH_H0 / 2 ** level
+        k = np.arange(round(_TANH_SINH_T_MAX / h) + 1)
+        t = h * (k if level == 0 else k[k % 2 == 1])
+        u = math.pi / 2.0 * np.sinh(t)
+        levels.append((h, 1.0 / (np.exp(u) * np.cosh(u)), math.pi / 2.0 * np.cosh(t) / np.cosh(u) ** 2))
+    return levels
+
+
 def lune_bound(vol: float) -> float:
-    """16 * integral over [0, pi/2] of arctan^2(tan(vol/4) / cos(theta))."""
+    """16 * integral over [0, pi/2] of arctan^2(tan(vol/4) / cos(theta)).
+
+    The integral has its own rule, not the left sides' quadrature: nested
+    tanh-sinh levels, stopped from level 3 on when two successive levels
+    agree to 1e-12 relative, which leaves an error near 1e-16 (the error
+    squares from one level to the next).  The integrand turns over within
+    tan(vol/4) of pi/2, where the rule's nodes cluster.
+    """
     if not 0.0 < vol < TWO_PI:
         raise DomainError("lune volumes lie in (0, 2 pi)")
-    w = vol / 4.0
-    tw = math.tan(w)
+    tw = math.tan(vol / 4.0)
 
-    def integrand(theta):
+    def integrand(cos_theta):
         # arctan(tw / cos) = pi/2 - arctan(cos / tw), smooth up to the endpoint
-        return (math.pi / 2.0 - math.atan(math.cos(theta) / tw)) ** 2
+        return (math.pi / 2.0 - np.arctan(cos_theta / tw)) ** 2
 
-    val, _ = integrate_radial(integrand, 0.0, math.pi / 2.0, tol=1e-13)
-    return 16.0 * val
+    total = previous = 0.0
+    for level, (h, gap, weights) in enumerate(_tanh_sinh_levels()):
+        # theta = (pi/4) gap next to 0 and pi/2 - (pi/4) gap next to pi/2
+        d = math.pi / 4.0 * gap
+        values = weights * (integrand(np.cos(d)) + integrand(np.sin(d)))
+        if level == 0:
+            values[0] /= 2.0   # t = 0 is one node, theta = pi/4
+        total = total / 2.0 + h * float(np.sum(values))
+        if level >= 3 and abs(total - previous) <= 1e-12 * abs(total):
+            return 16.0 * (math.pi / 4.0) * total
+        previous = total
+    raise ConvergenceError("the tanh-sinh levels of the lune bound did not settle")
 
 
 def _power_bound(kind: str, shift: int):
     """The bound C(n) vol^(n + shift), C the closed-form constant ``kind``."""
-    def bound(body, mu, config, variant):
+    def bound(body, mu, config):
         n = body.space.dim
-        return bound_constants(kind, n) * volume(body, None, config) ** (n + shift)
+        return (bound_constants(kind, n) * volume(body, None, config) ** (n + shift),)
     return bound
 
 
-def _hyperbolic_bound(body, mu, config, variant):
+def _hyperbolic_bound(body, mu, config):
     n = body.space.dim
     vol = volume(body, None, config)
-    return bound_constants("hyperbolic", n) * h_hyperbolic(n, vol)
+    return (bound_constants("hyperbolic", n) * h_hyperbolic(n, vol),)
 
 
-def _prop41_bound(body, mu, config, variant):
+def _prop41_bound(body, mu, config):
+    """The proof-chain and the literal bound, from one volume."""
     n = body.space.dim
     vol = volume(body, None, config)
     s = sphere_surface_area(n - 1)
-    if variant == "proof-chain":
-        arg = vol / (2.0 ** n * s)
-    elif variant == "literal":
-        # the literal normalization can push the argument past the domain
-        # sup of F; clamp to the sup (the weakest form, still an upper
-        # bound since F is increasing and vol/(2^n |S|) stays in range)
-        arg = min(vol / s, f_spherical_limit(n))
-    else:
-        raise ApplicabilityError(f"unknown variant {variant!r}")
-    return 2.0 ** (n - 1) * s * sphere_surface_area(n - 2) * f_spherical(n, arg)
+    # the literal normalization can push the argument past the domain sup of
+    # F; clamp to the sup (the weakest form, still an upper bound since F is
+    # increasing and vol/(2^n |S|) stays in range)
+    args = (vol / (2.0 ** n * s), min(vol / s, f_spherical_limit(n)))
+    return tuple(2.0 ** (n - 1) * s * sphere_surface_area(n - 2) * f_spherical(n, arg)
+                 for arg in args)
 
 
-def _min2d_bound(body, mu, config, variant):
+def _min2d_bound(body, mu, config):
     r = stable_arccos_one_minus(volume(body, None, config) / TWO_PI)
-    return 8.0 * math.pi * r ** 2
+    return (8.0 * math.pi * r ** 2,)
 
 
-def _gaussian_bound(body, mu, config, variant):
+def _gaussian_bound(body, mu, config):
     if mu is None:
         raise ApplicabilityError("a radial density measure is required")
     n = body.space.dim
-    return big_psi(mu, body.space, n, volume(body, mu, config)) ** (n - 1)
+    return (big_psi(mu, body.space, n, volume(body, mu, config)) ** (n - 1),)
 
 
 @dataclass(frozen=True)
 class Theorem:
     """One verified inequality: where it applies, how its suite checks it, and
-    its closed-form right side ``bound(body, mu, config, variant)``.  A
-    ``lower`` bound is reported as bound <= functional.
+    its closed-form right side ``bound(body, mu, config)``, which returns one
+    value per entry of ``variants``.  A ``lower`` bound is reported as
+    bound <= functional.
     """
 
     id: str
@@ -602,9 +674,9 @@ class Theorem:
 THEOREMS = {t.id: t for t in (
     Theorem("min2d", (1,), _min2d_bound, dims=range(2, 3), lower=True, symmetric=True),
     Theorem("cone-max", (1,), dims=range(2, 3),
-            bound=lambda body, mu, config, variant: math.pi ** 2 * volume(body, None, config)),
+            bound=lambda body, mu, config: (math.pi ** 2 * volume(body, None, config),)),
     Theorem("lune-max", (1,), dims=range(2, 3), rel_tol=1e-6,
-            bound=lambda body, mu, config, variant: lune_bound(volume(body, None, config))),
+            bound=lambda body, mu, config: (lune_bound(volume(body, None, config)),)),
     Theorem("hyperbolic", (-1,), _hyperbolic_bound, rel_tol=1e-6,
             config=QuadratureConfig(outer_degree=31, inner_degree=63)),
     Theorem("min-nd", (1,), _power_bound("spherical-min", 0), dims=range(3, sys.maxsize),
@@ -625,16 +697,22 @@ def get_theorem(theorem_id: str) -> Theorem:
 
 
 def rhs_bound(theorem_id: str, body: StarBody, mu: RadialDensityMeasure | None = None,
-              config: QuadratureConfig = DEFAULT_CONFIG, variant: str = "proof-chain") -> float:
+              config: QuadratureConfig = DEFAULT_CONFIG, variant: str | None = "proof-chain"):
     """Closed-form bound value for the given theorem at this body's volume.
 
     Never computed through the verifying quadrature of the left side: volume
     enters through its own integral and everything else is a closed form.
-    Raises ApplicabilityError for a body outside the theorem's hypotheses.
+    ``variant=None`` returns the tuple of every variant's bound, in the
+    order of the theorem's ``variants``, from one volume evaluation.  Raises
+    ApplicabilityError for a body outside the theorem's hypotheses or a
+    variant the theorem does not have.
     """
     theorem = get_theorem(theorem_id)
     theorem.check(body)
-    return theorem.bound(body, mu, config, variant)
+    if variant is not None and variant not in theorem.variants:
+        raise ApplicabilityError(f"unknown variant {variant!r}")
+    bounds = theorem.bound(body, mu, config)
+    return bounds if variant is None else bounds[theorem.variants.index(variant)]
 
 
 def phi_ratio_inequality_check(n: int, x: float):

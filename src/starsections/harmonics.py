@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, UnsupportedDimensionError
 from .quadrature import SphereRule, build_sphere_rule, subsphere_rule
@@ -107,8 +106,8 @@ def radon_multiplier(n: int, k: int) -> float:
     log_mag = (
         math.log(2.0)
         + (n - 2) / 2.0 * math.log(math.pi)
-        + gammaln((k + 1) / 2.0)
-        - gammaln((n + k - 1) / 2.0)
+        + math.lgamma((k + 1) / 2.0)
+        - math.lgamma((n + k - 1) / 2.0)
     )
     sign = -1.0 if (k // 2) % 2 else 1.0
     return sign * math.exp(log_mag)

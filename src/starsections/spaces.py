@@ -12,10 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln
 
-from .errors import DomainError, InversionRangeError, ResourceLimitError
+from .errors import DomainError, InversionRangeError, ResourceLimitError, SolverError
 
 HEMISPHERE_MAX_RADIUS = math.pi / 2
 
@@ -88,7 +86,7 @@ def unit_ball_volume(n: int) -> float:
     """Volume of the unit Euclidean ball in R^n."""
     if n < 0:
         raise DomainError("dimension must be >= 0")
-    return math.pi ** (n / 2) / math.exp(gammaln(n / 2 + 1))
+    return math.pi ** (n / 2) / math.exp(math.lgamma(n / 2 + 1))
 
 
 def metric_sine(space: SpaceSpec, r):
@@ -153,6 +151,68 @@ def sin_power_primitive_full(m: int, x):
     return out if out.ndim else float(out)
 
 
+# Step cap of the Brent solver (scipy's ``brentq`` default).
+_BRENT_MAXITER = 100
+
+
+def brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """A root of the scalar function f in [a, b] by Brent's method (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+
+    The steps and the stopping rule are those of scipy's ``brentq.c``,
+    operation for operation, so the root is the same float that
+    ``scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)`` returns: the
+    iterate is accepted once the bracket's half-width is below
+    (xtol + rtol |x|) / 2.  Raises ValueError when f(a) and f(b) have the same
+    sign or f returns NaN, and SolverError after ``_BRENT_MAXITER`` steps.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at {x!r} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate (inverse quadratic)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise SolverError(f"Brent's method did not converge in {_BRENT_MAXITER} steps")
+
+
 def phi_inverse(space: SpaceSpec, m: int, y):
     """Inverse of ``phi`` in its first radial argument, by bracketed root solve."""
     arr = np.asarray(y, dtype=float)
@@ -182,7 +242,7 @@ def phi_inverse(space: SpaceSpec, m: int, y):
                 hi *= 2.0
                 if hi > RADIUS_SAFETY_CAP:
                     raise ResourceLimitError("phi inverse exceeds the radius cap")
-            out[i] = brentq(lambda t: phi(space, m, t) - yi, 0.0, hi, xtol=1e-14, rtol=1e-15)
+            out[i] = brent_root(lambda t: phi(space, m, t) - yi, 0.0, hi, xtol=1e-14, rtol=1e-15)
     return float(out[0]) if scalar else out
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc, gammaln
 
 from starsections import functionals
 from starsections.bodies import (
@@ -17,7 +18,7 @@ from starsections.bodies import (
     make_perturbed_ball,
     make_symmetric_polygon_body,
 )
-from starsections.errors import ApplicabilityError, DomainError
+from starsections.errors import ApplicabilityError, ConvergenceError, DomainError
 from starsections.functionals import (
     InequalityReport,
     QuadratureConfig,
@@ -363,9 +364,54 @@ class TestMeasureFunctions:
         assert alone[0] == batched[0]
         assert mu.radial_integral(H2, 2, 9.0) == batched[1]
 
+    def test_radial_integral_evaluates_only_the_panels_each_point_needs(self):
+        evaluated = []
+
+        def profile(r):
+            r = np.asarray(r, dtype=float)
+            evaluated.append(r.size)
+            return np.exp(-r ** 2 / 2.0)
+
+        mu = custom_measure(profile)
+        evaluated.clear()
+        radii = np.array([0.5, 0.5, 9.0, 0.5])
+        batched = mu.radial_integral(H3, 3, radii)
+        # 9.0 takes three panels of 48 nodes, each 0.5 one panel
+        assert sum(evaluated) == 48 * (3 + 1 + 1 + 1)
+        for r, value in zip(radii, batched):
+            assert mu.radial_integral(H3, 3, r) == value
+
     def test_decreasing_validation(self):
         with pytest.raises(DomainError):
             custom_measure(lambda r: 1.0 + np.asarray(r, dtype=float))
+
+
+class TestGaussianMoment:
+    """The Euclidean Gaussian radial integral is the closed form
+    int_0^u t^{m-1} exp(-t^2/2) dt = 2^{m/2-1} Gamma(m/2) P(m/2, u^2/2)."""
+
+    U = np.geomspace(1e-4, 30.0, 300)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_against_gammainc(self, m):
+        expected = 2.0 ** ((m - 2) / 2.0) * math.exp(gammaln(m / 2.0)) * gammainc(m / 2.0, self.U ** 2 / 2.0)
+        # gammainc itself is off from a 40-digit reference by up to 1e-14 here
+        np.testing.assert_allclose(functionals._gaussian_moment(m, self.U), expected, rtol=2e-14, atol=0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_against_a_40_digit_reference(self, m):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        u = np.concatenate([self.U[::10], np.linspace(0.4, 3.5, 32)])
+        expected = [float(mp.mpf(2) ** (mp.mpf(m - 2) / 2) * mp.gammainc(mp.mpf(m) / 2, 0, mp.mpf(x) ** 2 / 2))
+                    for x in u]
+        np.testing.assert_allclose(functionals._gaussian_moment(m, u), expected, rtol=2e-15, atol=0)
+
+    def test_radial_integral_uses_it(self):
+        mu = gaussian_measure()
+        u = np.array([0.0, 0.3, 1.7, 6.0])
+        assert np.array_equal(mu.radial_integral(E3, 3, u),
+                              (2 * math.pi) ** -1.5 * functionals._gaussian_moment(3, u))
 
 
 class TestBoundConstants:
@@ -417,6 +463,43 @@ class TestRhsBounds:
     def test_lune_bound_domain(self):
         with pytest.raises(DomainError):
             lune_bound(2 * math.pi)
+
+    @pytest.mark.parametrize("vol", [1e-3, 0.05, 1.0, 4.0, 2 * math.pi - 1e-3])
+    def test_lune_bound_against_quadpack(self, vol):
+        tw = math.tan(vol / 4.0)
+        value, _ = integrate_radial(lambda th: math.atan(tw / math.cos(th)) ** 2,
+                                    0.0, math.pi / 2, tol=1e-13)
+        assert lune_bound(vol) == pytest.approx(16.0 * value, rel=1e-12)
+
+    @pytest.mark.parametrize("vol", [1e-3, 0.05, 1.0, 4.0, 2 * math.pi - 1e-3])
+    def test_lune_bound_against_a_30_digit_reference(self, vol):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        tw = mp.tan(mp.mpf(vol) / 4)
+        edge = [mp.pi / 2 - 10 * tw, mp.pi / 2 - tw] if tw < 0.01 else []
+        expected = 16 * mp.quad(lambda th: (mp.pi / 2 - mp.atan(mp.cos(th) / tw)) ** 2,
+                                [0, mp.pi / 4, *edge, mp.pi / 2])
+        assert lune_bound(vol) == pytest.approx(float(expected), rel=2e-15)
+
+    def test_lune_bound_stall_raises(self, monkeypatch):
+        levels = functionals._tanh_sinh_levels()[:3]
+        monkeypatch.setattr(functionals, "_tanh_sinh_levels", lambda: levels)
+        with pytest.raises(ConvergenceError):
+            lune_bound(1.0)
+
+    def test_all_variants_at_once(self):
+        body = make_ball(S3, 0.7)
+        both = rhs_bound("prop4.1", body, variant=None)
+        assert both == (rhs_bound("prop4.1", body, variant="proof-chain"),
+                        rhs_bound("prop4.1", body, variant="literal"))
+        assert rhs_bound("min2d", make_ball(S2, 0.7), variant=None) == (
+            rhs_bound("min2d", make_ball(S2, 0.7)),)
+
+    def test_unknown_variant(self):
+        with pytest.raises(ApplicabilityError):
+            rhs_bound("prop4.1", make_ball(S3, 0.7), variant="nope")
+        with pytest.raises(ApplicabilityError):
+            rhs_bound("min2d", make_ball(S2, 0.7), variant="literal")
 
 
 class TestPhiRatioInequality:

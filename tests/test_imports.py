@@ -1,0 +1,56 @@
+"""The library and its CLI import numpy only: scipy is a test dependency."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import starsections
+
+PACKAGE = Path(starsections.__file__).resolve().parent
+
+RUN_CLI = """
+import json, sys
+from starsections.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["functional", "--space", "s+:3", "--body", "ball:r=0.7"],
+    ["functional", "--space", "e:3", "--body", "ball:r=1.2", "--measure", "gaussian"],
+    ["verify", "--theorem", "lune-max"],
+])
+def test_cli_runs_without_scipy(argv):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def import_time_statements(node):
+    """The statements of a module that run when it is imported: everything
+    but the bodies of functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from import_time_statements(child)
+
+
+def test_no_module_level_scipy_import():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in import_time_statements(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name == "scipy" or name.startswith("scipy.") for name in names), path.name

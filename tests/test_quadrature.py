@@ -1,12 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
 from starsections.errors import ConvergenceError, DomainError, ResourceLimitError
 from starsections.harmonics import zonal_harmonic
 from starsections.quadrature import (
     build_sphere_rule,
+    gauss_jacobi,
     householder_frame,
     integrate_radial,
     integrate_vectorized,
@@ -18,6 +21,69 @@ from starsections.spaces import sphere_surface_area
 def random_rotation(n, rng):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return q
+
+
+# with a wider long double the rule's weights are good to a few ulp;
+# without one, the recurrence's rounding limits them to about 1e-13
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+def reference_gauss_rule(npts, a, mp):
+    """40-digit nodes and weights for the weight (1 - t^2)^a: Newton on the
+    Gegenbauer recurrence from scipy's nodes, then the Christoffel formula."""
+    mp.mp.dps = 40
+    lam = mp.mpf(a) + mp.mpf(1) / 2
+
+    def value_and_derivative(t):
+        prev, cur = mp.mpf(1), 2 * lam * t
+        for j in range(2, npts + 1):
+            prev, cur = cur, (2 * (j + lam - 1) * t * cur - (j + 2 * lam - 2) * prev) / j
+        return cur, (-npts * t * cur + (npts + 2 * lam - 1) * prev) / (1 - t * t)
+
+    nodes, weights = [], []
+    for guess in roots_jacobi(npts, a, a)[0]:
+        t = mp.mpf(float(guess))
+        for _ in range(5):
+            value, slope = value_and_derivative(t)
+            t -= value / slope
+        _, slope = value_and_derivative(t)
+        nodes.append(t)
+        weights.append(1 / ((1 - t * t) * slope ** 2))
+    mass = 2 ** (2 * mp.mpf(a) + 1) * mp.gamma(a + 1) ** 2 / mp.gamma(2 * mp.mpf(a) + 2)
+    scale = mass / mp.fsum(weights)
+    return (np.array([float(t) for t in nodes]), np.array([float(w * scale) for w in weights]))
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 1.5])
+    def test_against_scipy(self, a):
+        for npts in range(1, 65):
+            x, w = gauss_jacobi(npts, a)
+            xs, ws = roots_legendre(npts) if a == 0 else roots_jacobi(npts, a, a)
+            # 4 ulp of 1: the nodes lie in (-1, 1)
+            assert np.max(np.abs(x - xs)) <= 4 * np.finfo(float).eps
+            # scipy takes C_n' at the eigenvalues before its Newton step, which
+            # leaves its own weights up to 3.4e-12 off next to +-1 (n = 61,
+            # a = 0; the reference test below shows the error is scipy's)
+            np.testing.assert_allclose(w, ws, rtol=5e-12, atol=0)
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("npts", [1, 12, 48, 61, 64])
+    def test_against_a_40_digit_reference(self, a, npts):
+        mp = pytest.importorskip("mpmath")
+        x, w = gauss_jacobi(npts, a)
+        xr, wr = reference_gauss_rule(npts, a, mp)
+        if EXTENDED:
+            assert np.all(np.abs(x - xr) <= np.spacing(np.abs(xr)))
+            np.testing.assert_allclose(w, wr, rtol=2e-15, atol=0)
+        else:
+            assert np.max(np.abs(x - xr)) <= 4 * np.finfo(float).eps
+            np.testing.assert_allclose(w, wr, rtol=1e-12, atol=0)
+
+    def test_symmetric_with_a_zero_middle_node(self):
+        x, w = gauss_jacobi(13, 0.5)
+        assert np.array_equal(x, -x[::-1]) and x[6] == 0.0
+        assert np.array_equal(w, w[::-1])
 
 
 class TestSphereRules:
@@ -159,6 +225,12 @@ class TestIntegrateRadial:
         # a genuinely divergent integrand stalls the error estimate
         with pytest.raises((ConvergenceError, Exception)):
             integrate_radial(lambda t: 1.0 / t, 0.0, 1.0, 1e-12)
+
+    def test_without_scipy_names_the_dependency(self, monkeypatch):
+        # a None entry in sys.modules makes the import raise ImportError
+        monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+        with pytest.raises(ImportError, match="optional dependency"):
+            integrate_radial(math.sin, 0.0, 1.0)
 
 
 class TestIntegrateVectorized:

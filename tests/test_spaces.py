@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
-from starsections.errors import DomainError
+from starsections import spaces
+from starsections.errors import DomainError, SolverError
 from starsections.spaces import (
     SpaceSpec,
     as_direction,
     ball_model_radius,
+    brent_root,
     geodesic_radius,
     gnomonic_radial,
     metric_sine,
     phi,
     phi_inverse,
+    sin_power_primitive_full,
     sphere_surface_area,
     unit_ball_volume,
 )
@@ -152,3 +156,47 @@ class TestConstants:
         assert unit_ball_volume(1) == pytest.approx(2.0)
         assert unit_ball_volume(2) == pytest.approx(math.pi)
         assert unit_ball_volume(3) == pytest.approx(4 * math.pi / 3)
+
+
+class TestBrentRoot:
+    """brent_root follows scipy's brentq step for step, so the roots are the
+    same floats; scipy is the reference."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_phi_roots_bit_identical(self, n, delta):
+        space = SpaceSpec(delta, n)
+        hi = math.pi / 2 if delta == 1 else 4.0
+        for y in np.random.default_rng(n).uniform(0.0, 1.0, 50) * phi(space, n, hi):
+            f = lambda t: phi(space, n, t) - y  # noqa: E731
+            assert brent_root(f, 0.0, hi, 1e-14, 1e-15) == brentq(f, 0.0, hi, xtol=1e-14, rtol=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_sine_power_roots_bit_identical(self, n):
+        top = sin_power_primitive_full(n, math.pi)
+        for v in np.random.default_rng(n).uniform(0.0, 1.0, 50) * top:
+            f = lambda s: sin_power_primitive_full(n, s) - v  # noqa: E731
+            assert (brent_root(f, 0.0, math.pi, 1e-14, 1e-15)
+                    == brentq(f, 0.0, math.pi, xtol=1e-14, rtol=1e-15))
+
+    def test_phi_inverse_uses_the_same_roots(self):
+        space = SpaceSpec(-1, 4)
+        y = 0.2   # below phi(space, 4, 1.0) = 0.348, so phi_inverse brackets with [0, 1]
+        expected = brentq(lambda t: phi(space, 4, t) - y, 0.0, 1.0, xtol=1e-14, rtol=1e-15)
+        assert phi_inverse(space, 4, y) == expected
+
+    def test_endpoint_root(self):
+        assert brent_root(lambda x: x, 0.0, 1.0, 1e-14, 1e-15) == 0.0
+
+    def test_unbracketed_raises_value_error(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14, 1e-15)
+
+    def test_nan_raises_value_error(self):
+        with pytest.raises(ValueError, match="NaN"):
+            brent_root(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0, 1e-14, 1e-15)
+
+    def test_step_cap(self, monkeypatch):
+        monkeypatch.setattr(spaces, "_BRENT_MAXITER", 2)
+        with pytest.raises(SolverError, match="2 steps"):
+            brent_root(lambda x: math.exp(x) - 2.0, 0.0, 1.0, 1e-14, 1e-15)

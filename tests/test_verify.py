@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from starsections.bodies import ArcsBase, make_ball, make_cone, double_cap_base, equality_cone_base
-from starsections import verify
+from starsections import functionals, verify
 from starsections.cli import build_parser
 from starsections.errors import ApplicabilityError, DomainError
 from starsections.functionals import THEOREMS, bound_constants, busemann_functional, volume
@@ -136,6 +136,18 @@ class TestSuites:
         assert [(r.variant, r.lhs) for r in reports] == [
             (variant, busemann_functional(body, exponent=1))
             for body in bodies for variant in ("proof-chain", "literal")]
+
+    def test_prop41_volume_once_per_body(self, monkeypatch):
+        calls = []
+
+        def counted(body, *args, **kwargs):
+            calls.append(body)
+            return volume(body, *args, **kwargs)
+
+        monkeypatch.setattr(functionals, "volume", counted)
+        ball = make_ball(S3, 0.7)
+        assert len(run_theorem_suite("prop4.1", [ball])) == 2
+        assert calls == [ball]
 
     def test_applicability(self):
         with pytest.raises(ApplicabilityError):
