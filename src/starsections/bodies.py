@@ -149,19 +149,9 @@ class BandsBase(ConeBase):
         idx = np.searchsorted(edges, t, side="right")
         return idx % 2 == 1
 
-    def _section_bands(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        c = float(np.sum(xi * self.axis))  # as in section_measures
-        s = math.sqrt(max(0.0, 1.0 - c * c))
-        return s
-
     def section_measure(self, xi) -> float:
-        s = self._section_bands(xi)
-        m_sub = self.ambient_dim - 2
-        if s < 1e-15:
-            hit = np.any((self.los <= 0.0) & (0.0 <= self.his))
-            return sphere_surface_area(m_sub) if hit else 0.0
-        return float(np.sum(sphere_band_measure(m_sub, self.los / s, self.his / s)))
+        """The one-row case of ``section_measures``."""
+        return float(self.section_measures(xi)[0])
 
     def section_measures(self, xis) -> np.ndarray:
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
@@ -978,7 +968,8 @@ def make_vanishing_body(space: SpaceSpec, volume: float, eta: float,
     cap = spherical_cap_measure(n - 1, cap_height)
     axis = np.zeros(n)
     axis[0] = 1.0
-    outer = build_sphere_rule(n - 1, default_degree(n - 1))
+    # a function-level import: functionals imports this module
+    from .functionals import busemann_functional
 
     r = 1.0
     while True:
@@ -986,11 +977,8 @@ def make_vanishing_body(space: SpaceSpec, volume: float, eta: float,
             lam = volume / (2.0 * phi(space, n, r) * cap)
             a_part = _striped_base(axis, cap_height, pitch, lam, cap)
             base = a_part.union_disjoint(a_part.reflected())
-            # the base already contains the reflection, so no extra factor of 2
-            sections = phi(space, n - 1, r) * base.section_measures(outer.nodes)
-            functional = float(np.dot(outer.weights, sections ** n))
-            if functional <= eta:
-                body = StarBody(space, IndicatorProfile(base, float(r)), symmetric=True)
+            body = StarBody(space, IndicatorProfile(base, float(r)), symmetric=True)
+            if busemann_functional(body) <= eta:
                 return body
         r *= 1.6
         if r > 320.0:

@@ -4,6 +4,8 @@ closed-form right-hand sides of every inequality this library verifies.
 Left sides are always quadrature over the direction sphere; right sides are
 always closed forms (possibly with 1-d adaptive integrals or bracketed
 inversions).  The two routes never share code, so agreement is evidence.
+Every left side of a body takes the one evaluation path that ``_path``
+chooses: arcs, indicator, plane, zonal or product.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .quadrature import (
 from .spaces import (
     HEMISPHERE_MAX_RADIUS,
     SpaceSpec,
+    as_direction,
     brent_root,
     phi,
     phi_inverse,
@@ -76,21 +79,17 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-_EMBEDDED_CACHE: dict = {}
-
-
+@lru_cache(maxsize=3)
 def _section_grid(n: int, outer_degree: int, inner_degree: int):
-    """Outer rule, inner rule and the (N_outer, N_inner, n) embedded-node tensor."""
-    key = (n, outer_degree, inner_degree)
-    if key not in _EMBEDDED_CACHE:
-        outer = build_sphere_rule(n - 1, outer_degree)
-        inner = build_sphere_rule(n - 2, inner_degree)
-        embedded = np.empty((len(outer), len(inner), n))
-        for i, xi in enumerate(outer.nodes):
-            embedded[i] = inner.nodes @ householder_frame(xi).T
-        embedded.setflags(write=False)
-        _EMBEDDED_CACHE[key] = (outer, inner, embedded)
-    return _EMBEDDED_CACHE[key]
+    """Outer rule, inner rule and (N_outer, N_inner, n) embedded nodes of the product
+    path; three entries hold what one run reuses (s+:4 at degree 31 is 134 MB)."""
+    outer = build_sphere_rule(n - 1, outer_degree)
+    inner = build_sphere_rule(n - 2, inner_degree)
+    embedded = np.empty((len(outer), len(inner), n))
+    for i, xi in enumerate(outer.nodes):
+        embedded[i] = inner.nodes @ householder_frame(xi).T
+    embedded.setflags(write=False)
+    return outer, inner, embedded
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +221,34 @@ def _radial(space: SpaceSpec, m: int, upper, mu: RadialDensityMeasure | None):
 # volume and sections
 
 
+def _path(body: StarBody, config: QuadratureConfig) -> str:
+    """The one path every left side of this body takes under this config:
+    ``arcs`` (an indicator body over arcs in the plane, in closed form),
+    ``indicator`` (other indicator bodies, exact sections on the outer rule),
+    ``plane`` (other plane bodies while ``plane_adaptive``, Gauss-Kronrod in
+    the angle), ``zonal`` (a zonal axis in n >= 3, one section per distinct
+    <xi, axis>) or ``product`` (the outer rule times the inner rule).
+    """
+    n = body.space.dim
+    if body.is_indicator:
+        if n == 2 and isinstance(body.profile.indicator_base, ArcsBase):
+            return "arcs"
+        return "indicator"
+    if n == 2:
+        return "plane" if config.plane_adaptive else "product"
+    return "zonal" if body.profile.zonal_axis(n) is not None else "product"
+
+
 def volume(body: StarBody, mu: RadialDensityMeasure | None = None,
            config: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Volume (or mu-measure) of a star body, by sphere rule times radial primitive."""
     space = body.space
     n = space.dim
-    if body.is_indicator:
+    path = _path(body, config)
+    if path in ("arcs", "indicator"):
         base = body.profile.indicator_base
-        h = body.profile.indicator_height
-        return float(_radial(space, n, h, mu)) * base.measure
-    if n == 2 and config.plane_adaptive:
+        return float(_radial(space, n, body.profile.indicator_height, mu)) * base.measure
+    if path == "plane":
         # profiles in the plane may have corners (lunes, grid profiles);
         # integrate the angle adaptively instead of by the fixed circle rule
         def integrand(theta):
@@ -249,31 +266,22 @@ def volume(body: StarBody, mu: RadialDensityMeasure | None = None,
 def section_volume(body: StarBody, xi, mu: RadialDensityMeasure | None = None,
                    config: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Volume (or mu-measure) of the section by the hyperplane through the
-    origin with normal xi."""
-    space = body.space
-    n = space.dim
-    xi = np.asarray(xi, dtype=float)
-    if body.is_indicator:
-        base = body.profile.indicator_base
-        h = body.profile.indicator_height
-        return float(_radial(space, n - 1, h, mu)) * base.section_measure(xi)
+    origin with unit normal xi; DomainError for any other xi."""
+    n = body.space.dim
+    xi = as_direction(xi, n)
+    if _path(body, config) in ("arcs", "indicator"):
+        return float(_indicator_sections(body, mu, xi[None])[0])
     inner = build_sphere_rule(n - 2, config.inner(n))
-    nodes = inner.nodes @ householder_frame(xi).T
-    rho = np.clip(body.rho(nodes), 0.0, space.max_radius)
-    return float(np.dot(inner.weights, _radial(space, n - 1, rho, mu)))
+    embedded = (inner.nodes @ householder_frame(xi).T)[None]
+    return float(np.dot(inner.weights, _section_integrands(body, mu, embedded)[0]))
 
 
-def _all_section_volumes(body: StarBody, mu, config: QuadratureConfig):
-    """Section volumes at every outer-rule node; returns (outer_rule, sections)."""
+def _indicator_sections(body: StarBody, mu, xis):
+    """Exact section volumes of an indicator body at the normals xis: the radial
+    primitive of its height times the base's section measures."""
     space = body.space
-    n = space.dim
-    outer, inner, embedded = _section_grid(n, config.outer(n), config.inner(n))
-    if body.is_indicator:
-        base = body.profile.indicator_base
-        h = body.profile.indicator_height
-        sections = float(_radial(space, n - 1, h, mu)) * base.section_measures(outer.nodes)
-        return outer, sections
-    return outer, _section_integrands(body, mu, embedded) @ inner.weights
+    h = float(_radial(space, space.dim - 1, body.profile.indicator_height, mu))
+    return h * body.profile.indicator_base.section_measures(xis)
 
 
 def _section_integrands(body: StarBody, mu, embedded):
@@ -284,53 +292,61 @@ def _section_integrands(body: StarBody, mu, embedded):
     return _radial(space, space.dim - 1, rho, mu).reshape(embedded.shape[:2])
 
 
-def _zonal_section_volumes(body: StarBody, axis, mu, config: QuadratureConfig):
-    """Summed outer weights and section volumes, one per distinct c = <xi, axis>.
-
-    The body is rotationally symmetric about ``axis``, so a section depends
-    only on c.  The outer product rule integrates over S^{n-1} with its polar
-    coordinate as c, whatever the axis: collapsing it along that coordinate
-    gives the distinct c and their summed weights, and each section is taken
-    at the one normal xi_c = c axis + sqrt(1 - c^2) b, b a fixed unit vector
-    orthogonal to the axis.
-    """
+def _rule_sections(body: StarBody, mu, config: QuadratureConfig, path: str):
+    """Outer weights and the section volumes they weight, on the indicator,
+    zonal or product path."""
     n = body.space.dim
-    outer = build_sphere_rule(n - 1, config.outer(n))
-    inner = build_sphere_rule(n - 2, config.inner(n))
-    c, which = np.unique(outer.nodes[:, 0], return_inverse=True)
-    weights = np.array([math.fsum(outer.weights[which == i]) for i in range(len(c))])
-    b = householder_frame(axis)[:, 0]
-    xis = c[:, None] * axis + np.sqrt(1.0 - c ** 2)[:, None] * b
-    embedded = np.stack([inner.nodes @ householder_frame(xi).T for xi in xis])
-    # each of the few sections carries a large share of the weight, so its
-    # rounding does not average out as over the product rule's many nodes:
-    # sum the rows pairwise, more accurately than a matrix-vector product
-    sections = np.sum(_section_integrands(body, mu, embedded) * inner.weights, axis=1)
-    return weights, sections
-
-
-def _plane_scale(integrand) -> float:
-    """Cheap magnitude estimate used to set an absolute angular tolerance."""
-    probe = np.linspace(0.0, TWO_PI, 97)
-    return TWO_PI * float(np.max(np.abs(integrand(probe))))
+    if path == "indicator":
+        outer = build_sphere_rule(n - 1, config.outer(n))
+        return outer.weights, _indicator_sections(body, mu, outer.nodes)
+    if path == "zonal":
+        # The body is rotationally symmetric about its axis, so a section
+        # depends only on c = <xi, axis>.  The outer product rule integrates
+        # over S^{n-1} with its polar coordinate as c, whatever the axis:
+        # collapsing it along that coordinate gives the distinct c and their
+        # summed weights, and each section is taken at the one normal
+        # xi_c = c axis + sqrt(1 - c^2) b, b a fixed unit vector orthogonal
+        # to the axis.
+        axis = body.profile.zonal_axis(n)
+        outer = build_sphere_rule(n - 1, config.outer(n))
+        inner = build_sphere_rule(n - 2, config.inner(n))
+        c, which = np.unique(outer.nodes[:, 0], return_inverse=True)
+        weights = np.array([math.fsum(outer.weights[which == i]) for i in range(len(c))])
+        b = householder_frame(axis)[:, 0]
+        xis = c[:, None] * axis + np.sqrt(1.0 - c ** 2)[:, None] * b
+        embedded = np.stack([inner.nodes @ householder_frame(xi).T for xi in xis])
+        # each of the few sections carries a large share of the weight, so its
+        # rounding does not average out as over the product rule's many nodes:
+        # sum the rows pairwise, more accurately than a matrix-vector product
+        sections = np.sum(_section_integrands(body, mu, embedded) * inner.weights, axis=1)
+        return weights, sections
+    outer, inner, embedded = _section_grid(n, config.outer(n), config.inner(n))
+    return outer.weights, _section_integrands(body, mu, embedded) @ inner.weights
 
 
 def _adaptive_circle(integrand, angular_tol: float):
     """Adaptive integral of a vectorized integrand over the full circle.
 
-    The tolerance is scaled by the integrand's magnitude.
+    The tolerance is scaled by a cheap estimate of the integral's magnitude.
     """
-    tol = angular_tol * max(1.0, _plane_scale(integrand))
-    return integrate_vectorized(integrand, 0.0, TWO_PI, tol)
+    probe = np.linspace(0.0, TWO_PI, 97)
+    scale = TWO_PI * float(np.max(np.abs(integrand(probe))))
+    return integrate_vectorized(integrand, 0.0, TWO_PI, angular_tol * max(1.0, scale))
 
 
-def _plane_section_at_angle(body: StarBody, theta, mu):
-    """Section volumes in the plane for xi at the polar angles theta (two-point subsphere)."""
-    a = np.asarray(theta, dtype=float) + math.pi / 2
-    dirs = np.column_stack([np.cos(a), np.sin(a)])
-    rho1 = np.clip(body.rho(dirs), 0.0, body.space.max_radius)
-    rho2 = np.clip(body.rho(-dirs), 0.0, body.space.max_radius)
-    return _radial(body.space, 1, rho1, mu) + _radial(body.space, 1, rho2, mu)
+def _plane_functional(body: StarBody, mu, p: int, config: QuadratureConfig):
+    """The plane path's integral of section^p over the circle and its error; the
+    subsphere of xi at the polar angle theta is the two points at theta +- pi/2."""
+    space = body.space
+
+    def integrand(theta):
+        a = np.asarray(theta, dtype=float) + math.pi / 2
+        dirs = np.column_stack([np.cos(a), np.sin(a)])
+        rho1 = np.clip(body.rho(dirs), 0.0, space.max_radius)
+        rho2 = np.clip(body.rho(-dirs), 0.0, space.max_radius)
+        return (_radial(space, 1, rho1, mu) + _radial(space, 1, rho2, mu)) ** p
+
+    return _adaptive_circle(integrand, config.angular_tol)
 
 
 def busemann_functional(body: StarBody, mu: RadialDensityMeasure | None = None,
@@ -340,15 +356,15 @@ def busemann_functional(body: StarBody, mu: RadialDensityMeasure | None = None,
 
     The exponent defaults to the ambient dimension n (the interesting case
     throughout); ``normalized`` divides by |S^{n-1}| so the xi-measure has
-    total mass 1.  For n >= 3 a body with a zonal axis (balls, perturbed
-    balls) takes one section per distinct <xi, axis> of the outer rule.
+    total mass 1.
     """
     space = body.space
     n = space.dim
     p = n if exponent is None else exponent
     norm = sphere_surface_area(n - 1) if normalized else 1.0
+    path = _path(body, config)
 
-    if body.is_indicator and isinstance(body.profile.indicator_base, ArcsBase) and n == 2:
+    if path == "arcs":
         # exact in the plane: sections take values {0, h, 2h} on arcs
         base = body.profile.indicator_base
         h = float(_radial(space, 1, body.profile.indicator_height, mu))
@@ -356,31 +372,25 @@ def busemann_functional(body: StarBody, mu: RadialDensityMeasure | None = None,
         single = 2.0 * (base.measure - both)
         return (h ** p * single + (2.0 * h) ** p * both) / norm
 
-    if n == 2 and config.plane_adaptive and not body.is_indicator:
-        integrand = lambda th: _plane_section_at_angle(body, th, mu) ** p  # noqa: E731
-        val, _ = _adaptive_circle(integrand, config.angular_tol)
+    if path == "plane":
+        val, _ = _plane_functional(body, mu, p, config)
         return val / norm
 
-    axis = body.profile.zonal_axis(n) if n >= 3 else None
-    if axis is not None:
-        weights, sections = _zonal_section_volumes(body, axis, mu, config)
-        return float(np.dot(weights, sections ** p)) / norm
-
-    outer, sections = _all_section_volumes(body, mu, config)
-    return float(np.dot(outer.weights, sections ** p)) / norm
+    weights, sections = _rule_sections(body, mu, config, path)
+    return float(np.dot(weights, sections ** p)) / norm
 
 
 def busemann_functional_with_error(body: StarBody, mu=None, normalized: bool = False,
                                    exponent: int | None = None,
                                    config: QuadratureConfig = DEFAULT_CONFIG):
-    """Functional value plus a refinement-based error estimate."""
+    """Functional value plus an error estimate: Gauss-Kronrod's on the plane
+    path, the difference from degrees + 8 on the others."""
     n = body.space.dim
     val = busemann_functional(body, mu, normalized, exponent, config)
-    if n == 2 and config.plane_adaptive and not body.is_indicator:
+    if _path(body, config) == "plane":
         p = n if exponent is None else exponent
         norm = sphere_surface_area(1) if normalized else 1.0
-        integrand = lambda th: _plane_section_at_angle(body, th, mu) ** p  # noqa: E731
-        _, err = _adaptive_circle(integrand, config.angular_tol)
+        _, err = _plane_functional(body, mu, p, config)
         return val, err / norm
     finer = replace(config, outer_degree=config.outer(n) + 8, inner_degree=config.inner(n) + 8)
     val2 = busemann_functional(body, mu, normalized, exponent, finer)

@@ -10,12 +10,14 @@ from starsections.bodies import (
     HarmonicPerturbedProfile,
     RadialProfile,
     StarBody,
+    equality_cone_base,
     make_ball,
     make_bumpy_ball,
     make_cone,
     make_ellipsoid,
     make_lune,
     make_perturbed_ball,
+    make_striped_cone,
     make_symmetric_polygon_body,
 )
 from starsections.errors import ApplicabilityError, ConvergenceError, DomainError
@@ -47,7 +49,11 @@ from starsections.functionals import (
 from starsections.harmonics import zonal_harmonic
 from starsections.quadrature import integrate_radial
 from starsections.spaces import SpaceSpec, sphere_surface_area
-from starsections.verify import perturbation_sign_experiment, random_symmetric_convex_body
+from starsections.verify import (
+    perturbation_sign_experiment,
+    random_star_body,
+    random_symmetric_convex_body,
+)
 
 S2 = SpaceSpec(1, 2)
 S3 = SpaceSpec(1, 3)
@@ -93,6 +99,16 @@ class TestSectionVolume:
         body = make_ball(E2, 1.3)
         expected = math.erf(1.3 / math.sqrt(2))
         assert section_volume(body, np.array([1.0, 0.0]), mu) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("body", [make_bumpy_ball(S3, 0.8, [[0.0, 0.0, 1.0]], [0.2], [3.0]),
+                                      make_cone(S3, equality_cone_base(3, 0.4))],
+                             ids=["bumpy", "cone"])
+    @pytest.mark.parametrize("xi", [[0.0, 1.2, 1.6], [0.0, 0.0, 0.0], [0.6, 0.8]],
+                             ids=["scaled", "zero", "wrong-length"])
+    def test_rejects_a_normal_that_is_not_a_unit_vector(self, body, xi):
+        assert section_volume(body, [0.0, 0.6, 0.8]) > 0.0
+        with pytest.raises(DomainError):
+            section_volume(body, xi)
 
 
 class TestBusemannFunctional:
@@ -170,6 +186,38 @@ class TestPlaneAdaptive:
         assert abs(val - fine) <= err
 
 
+RULE_IN_PLANE = QuadratureConfig(plane_adaptive=False)
+
+
+class TestPlaneRule:
+    """``plane_adaptive=False``: plane bodies take the circle rule, not Gauss-Kronrod."""
+
+    def test_ball_closed_forms(self):
+        r = 0.7
+        body = make_ball(S2, r)
+        assert volume(body, config=RULE_IN_PLANE) == pytest.approx(
+            2 * math.pi * (1 - math.cos(r)), rel=1e-12, abs=0.0)
+        assert busemann_functional(body, config=RULE_IN_PLANE) == pytest.approx(
+            2 * math.pi * (2 * r) ** 2, rel=1e-12, abs=0.0)
+
+    def test_error_estimate_is_the_rule_refinement(self):
+        body = make_ball(S2, 0.7)
+        val, err = busemann_functional_with_error(body, config=RULE_IN_PLANE)
+        coarse = busemann_functional(body, config=RULE_IN_PLANE)
+        finer = busemann_functional(body, config=QuadratureConfig(
+            outer_degree=RULE_IN_PLANE.outer(2) + 8, inner_degree=RULE_IN_PLANE.inner(2) + 8,
+            plane_adaptive=False))
+        assert val == finer
+        assert err == abs(finer - coarse) + 1e-15 * abs(finer)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rule_and_adaptive_agree_within_both_estimates(self, seed):
+        body = random_star_body(S2, np.random.default_rng(seed))
+        rule, err_rule = busemann_functional_with_error(body, config=RULE_IN_PLANE)
+        adaptive, err_adaptive = busemann_functional_with_error(body)
+        assert abs(rule - adaptive) <= err_rule + err_adaptive
+
+
 class NonZonal(RadialProfile):
     """The same radial function with its axis hidden: forces the product rule."""
 
@@ -191,9 +239,11 @@ def experiment_config(n, k):
 
 
 @pytest.fixture
-def fresh_grid_cache(monkeypatch):
-    # the n = 4 product grids take about 0.5 GB; drop them after the test
-    monkeypatch.setattr(functionals, "_EMBEDDED_CACHE", {})
+def fresh_grid_cache():
+    # start from no grids, and drop the n = 4 product grids (up to 0.5 GB) after the test
+    functionals._section_grid.cache_clear()
+    yield
+    functionals._section_grid.cache_clear()
 
 
 class TestZonalPath:
@@ -236,6 +286,26 @@ class TestZonalPath:
         monkeypatch.setattr(StarBody, "rho", counted)
         assert perturbation_sign_experiment(4, 0.8, 2).sign_matches
         assert sum(points) <= 150_000
+
+
+class TestSectionGrid:
+    def test_indicator_bodies_build_no_grid(self, fresh_grid_cache):
+        for body in (make_cone(SpaceSpec(1, 4), equality_cone_base(4, 0.4)),
+                     make_striped_cone(S3, 0.5, 0.4, 0.2)):
+            volume(body)
+            busemann_functional(body)
+            busemann_functional_with_error(body)
+        assert functionals._section_grid.cache_info().misses == 0
+
+    def test_cache_is_bounded(self, fresh_grid_cache):
+        bumpy = make_bumpy_ball(S3, 0.8, [[0.0, 0.0, 1.0]], [0.2], [3.0])
+        for body, degree in ((bumpy, 11), (bumpy, 15), (product_rule(make_ball(S3, 0.7)), 19),
+                             (make_bumpy_ball(S2, 0.8, [[0.6, 0.8]], [0.2], [3.0]), 15)):
+            config = QuadratureConfig(outer_degree=degree, inner_degree=degree, plane_adaptive=False)
+            busemann_functional(body, config=config)
+        info = functionals._section_grid.cache_info()
+        assert info.misses == 4
+        assert info.currsize <= 3
 
 
 class TestHyperbolicSpecialFunctions:

@@ -1,0 +1,155 @@
+"""Print every left side, volume, section volume and error estimate over a
+fixed set of bodies, one ``label repr(value)`` line each.
+
+    python3 tools/dump_outputs.py > outputs.txt
+
+Run it in two checkouts and compare the two files with ``cmp``: a change
+that must keep every number bit for bit shows no difference.  The set is
+
+* the nine theorem suites at dim None, 2, 3 and 4 (where the theorem
+  applies), seed 11: every report's two sides and every body's volume.  At
+  n = 4 the suites run at the default degrees, because their own degrees
+  (31/63, 39/63) need product grids of 0.5-1 GB;
+* the rows of three perturbation sign experiments;
+* both striped-cone sharpness schedules (n = 3 and n = 4, t = 0.5);
+* the vanishing bodies in R^3 and H^3;
+* bodies on each evaluation path (arcs, indicator, plane, zonal, product),
+  each with the uniform and the Gaussian measure and with the default
+  config, ``plane_adaptive=False`` and degree 31: volume, functional,
+  normalized first power, functional with error and three section volumes.
+
+It takes a few seconds and has no options.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from starsections import (  # noqa: E402
+    ArcsBase,
+    QuadratureConfig,
+    SpaceSpec,
+    busemann_functional,
+    busemann_functional_with_error,
+    equality_cone_base,
+    gaussian_measure,
+    make_ball,
+    make_bumpy_ball,
+    make_cone,
+    make_ellipsoid,
+    make_lune,
+    make_perturbed_ball,
+    make_striped_cone,
+    make_vanishing_body,
+    perturbation_sign_experiment,
+    run_theorem_suite,
+    section_volume,
+    sharpness_schedule,
+    volume,
+)
+from starsections.errors import ApplicabilityError  # noqa: E402
+from starsections.functionals import THEOREMS  # noqa: E402
+from starsections.verify import suite_bodies  # noqa: E402
+
+
+def out(label, value):
+    print(label, repr(value))
+
+
+def suites():
+    for theorem in THEOREMS.values():
+        for dim in (None, 2, 3, 4):
+            try:
+                bodies = suite_bodies(theorem.id, dim, random_count=2, seed=11)
+            except ApplicabilityError:
+                continue
+            config = QuadratureConfig() if dim == 4 else theorem.config
+            mu = theorem.measure() if theorem.measure is not None else None
+            reports = run_theorem_suite(theorem.id, bodies, mu, config)
+            for i, report in enumerate(reports):
+                out(f"suite/{theorem.id}/{dim}/{i}/{report.variant}/lhs", report.lhs)
+                out(f"suite/{theorem.id}/{dim}/{i}/{report.variant}/rhs", report.rhs)
+            for i, body in enumerate(bodies):
+                out(f"suite/{theorem.id}/{dim}/{i}/volume", volume(body, mu, config))
+
+
+def perturbations():
+    for n, r, k in ((3, 0.8, 2), (3, 0.8, 4), (4, 0.8, 2)):
+        result = perturbation_sign_experiment(n, r, k)
+        for i, row in enumerate(result.rows):
+            for j, value in enumerate(row):
+                out(f"perturbation/{n}/{r}/{k}/{i}/{j}", value)
+
+
+def schedules():
+    for n in (3, 4):
+        for i, row in enumerate(sharpness_schedule(n, 0.5)):
+            for key in ("volume", "functional", "excess"):
+                out(f"schedule/{n}/{i}/{key}", row[key])
+
+
+def vanishing():
+    for space in (SpaceSpec(0, 3), SpaceSpec(-1, 3)):
+        body = make_vanishing_body(space, 1.0, 0.4)
+        label = f"vanishing/{space.delta:+d}"
+        out(f"{label}/height", body.profile.height)
+        out(f"{label}/bands", len(body.profile.base.los))
+        out(f"{label}/volume", volume(body))
+        out(f"{label}/functional", busemann_functional(body))
+
+
+def path_bodies():
+    s2, s3 = SpaceSpec(1, 2), SpaceSpec(1, 3)
+    return {
+        "arcs": make_cone(s2, ArcsBase(((0.2, 1.1), (0.2 + math.pi, 1.1 + math.pi)))),
+        "indicator": make_cone(s3, equality_cone_base(3, 0.4)),
+        "indicator-striped": make_striped_cone(s3, 0.5, 0.4, 0.2),
+        "plane": make_bumpy_ball(s2, 0.8, [[0.6, 0.8]], [0.2], [3.0]),
+        "plane-lune": make_lune(0.5),
+        "zonal": make_perturbed_ball(s3, 0.8, 0.08, 4),
+        "zonal-euclidean": make_ball(SpaceSpec(0, 3), 0.9),
+        "product": make_bumpy_ball(s3, 0.8, [[0.0, 0.0, 1.0]], [0.2], [3.0]),
+        "product-ellipsoid": make_ellipsoid([0.8, 1.0, 1.2]),
+    }
+
+
+def paths():
+    configs = {
+        "default": QuadratureConfig(),
+        "rule": QuadratureConfig(plane_adaptive=False),
+        "degree31": QuadratureConfig(outer_degree=31, inner_degree=31),
+    }
+    for name, body in path_bodies().items():
+        n = body.space.dim
+        oblique = np.arange(1.0, n + 1.0) / np.linalg.norm(np.arange(1.0, n + 1.0))
+        xis = (np.eye(n)[0], np.eye(n)[-1], oblique)
+        for mu_name, mu in (("uniform", None), ("gaussian", gaussian_measure())):
+            for config_name, config in configs.items():
+                label = f"path/{name}/{mu_name}/{config_name}"
+                out(f"{label}/volume", volume(body, mu, config))
+                out(f"{label}/functional", busemann_functional(body, mu, config=config))
+                out(f"{label}/normalized-first", busemann_functional(
+                    body, mu, normalized=True, exponent=1, config=config))
+                value, error = busemann_functional_with_error(body, mu, config=config)
+                out(f"{label}/with-error/value", value)
+                out(f"{label}/with-error/error", error)
+                for i, xi in enumerate(xis):
+                    out(f"{label}/section/{i}", section_volume(body, xi, mu, config))
+
+
+def main():
+    suites()
+    perturbations()
+    schedules()
+    vanishing()
+    paths()
+
+
+if __name__ == "__main__":
+    main()
