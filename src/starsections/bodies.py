@@ -83,8 +83,9 @@ def spherical_cap_measure(sphere_dim: int, height: float) -> float:
 class ConeBase:
     """Subset A of the direction sphere with exact measures.
 
-    Implementations provide membership, the total measure |A| and the exact
-    subsphere measure |A cut by xi-perp|, per band or per arc.
+    Implementations provide membership, the total measure |A|, the exact
+    subsphere measures |A cut by xi-perp| at a batch of normals xi, and
+    whether A = -A.
     """
 
     ambient_dim: int
@@ -93,12 +94,11 @@ class ConeBase:
     def contains(self, dirs) -> np.ndarray:
         raise NotImplementedError
 
-    def section_measure(self, xi) -> float:
+    def section_measures(self, xis) -> np.ndarray:
         raise NotImplementedError
 
-    def section_measures(self, xis) -> np.ndarray:
-        xis = np.atleast_2d(np.asarray(xis, dtype=float))
-        return np.array([self.section_measure(x) for x in xis])
+    def is_origin_symmetric(self) -> bool:
+        raise NotImplementedError
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -149,10 +149,6 @@ class BandsBase(ConeBase):
         idx = np.searchsorted(edges, t, side="right")
         return idx % 2 == 1
 
-    def section_measure(self, xi) -> float:
-        """The one-row case of ``section_measures``."""
-        return float(self.section_measures(xi)[0])
-
     def section_measures(self, xis) -> np.ndarray:
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
         m_sub = self.ambient_dim - 2
@@ -171,9 +167,11 @@ class BandsBase(ConeBase):
         todo = ~degenerate
         svals, inverse = np.unique(s[todo], return_inverse=True)
         sums = np.empty(len(svals))
-        # chunk so each (s, band) temporary stays near 16 MB
+        # chunk so each (s, band) temporary stays within 128 KB, glibc's default
+        # mmap threshold: larger temporaries make every call map and unmap
+        # them, or trim and regrow the heap
         k = max(1, len(self.los))
-        block = max(1, int(2e6 // k))
+        block = max(1, 16384 // k)
         for start in range(0, len(svals), block):
             sv = svals[start : start + block, None]
             vals = sphere_band_measure(m_sub, self.los[None, :] / sv, self.his[None, :] / sv)
@@ -181,19 +179,15 @@ class BandsBase(ConeBase):
         out[todo] = sums[inverse]
         return out
 
-    def reflected(self) -> "BandsBase":
-        """The antipodal image -A (same axis, negated bands)."""
-        return BandsBase(self.axis, -self.his[::-1], -self.los[::-1])
+    def is_origin_symmetric(self) -> bool:
+        # -A has bands [-hi, -lo] in reverse order; compare without building it
+        return (np.array_equal(-self.his[::-1], self.los)
+                and np.array_equal(-self.los[::-1], self.his))
 
-    def union_disjoint(self, other: "BandsBase") -> "BandsBase":
-        if not np.allclose(other.axis, self.axis, atol=1e-14):
-            raise DomainError("band unions require a common axis")
-        return BandsBase(
-            self.axis,
-            np.concatenate([self.los, other.los]),
-            np.concatenate([self.his, other.his]),
-            meta={**self.meta},
-        )
+    def with_antipodes(self) -> "BandsBase":
+        """A union -A, with A's meta; A must not meet -A."""
+        return BandsBase(self.axis, np.concatenate([self.los, -self.his[::-1]]),
+                         np.concatenate([self.his, -self.los[::-1]]), meta={**self.meta})
 
     def descriptor(self) -> dict:
         return {
@@ -294,11 +288,12 @@ class ArcsBase(ConeBase):
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         return self._contains_angle(np.arctan2(dirs[:, 1], dirs[:, 0]))
 
-    def section_measure(self, xi) -> float:
-        xi = np.asarray(xi, dtype=float)
-        theta = math.atan2(xi[1], xi[0])
-        hits = self._contains_angle(np.array([theta + math.pi / 2, theta - math.pi / 2]))
-        return float(np.sum(hits))
+    def section_measures(self, xis) -> np.ndarray:
+        # the subsphere of xi is the two points at its polar angle +- pi/2
+        xis = np.atleast_2d(np.asarray(xis, dtype=float))
+        theta = np.arctan2(xis[:, 1], xis[:, 0])
+        hits = self._contains_angle(np.stack([theta + math.pi / 2, theta - math.pi / 2]))
+        return np.sum(hits, axis=0).astype(float)
 
     def reflected(self) -> "ArcsBase":
         return ArcsBase(tuple((a + math.pi, b + math.pi) for a, b in self.arcs))
@@ -671,6 +666,9 @@ class StarBody:
 
 
 def body_from_json_dict(doc: dict) -> StarBody:
+    """The body a ``to_json_dict`` document describes.  The symmetry flag is
+    derived wherever the profile fixes it; a bumpy or grid document's claim of
+    symmetry is checked, and DomainError raised if it fails."""
     space = SpaceSpec(int(doc["space"]["delta"]), int(doc["space"]["dim"]))
     p = doc["profile"]
     kind = p["kind"]
@@ -681,13 +679,14 @@ def body_from_json_dict(doc: dict) -> StarBody:
     if kind == "lune":
         return make_lune(float(p["w"]), np.array(p["axis"], dtype=float))
     if kind == "cone":
-        base = base_from_descriptor(p["base"])
-        profile = IndicatorProfile(base, float(p["height"]))
-        return StarBody(space, profile, symmetric=bool(doc.get("symmetric", False)))
+        return _indicator_body(space, base_from_descriptor(p["base"]), float(p["height"]))
     if kind == "perturbed_ball":
         h = zonal_harmonic(space.dim, int(p["degree"]), np.array(p["axis"], dtype=float))
         profile = HarmonicPerturbedProfile(float(p["r"]), float(p["alpha"]), float(p["beta"]), h)
         return StarBody(space, profile, symmetric=p["degree"] % 2 == 0)
+    if kind == "polygon":
+        profile = PolygonProfile(np.array(p["normals"], dtype=float), np.array(p["offsets"], dtype=float))
+        return StarBody(space, profile, symmetric=True)
     if kind == "bumpy":
         profile = BumpyProfile(
             float(p["r0"]),
@@ -697,14 +696,14 @@ def body_from_json_dict(doc: dict) -> StarBody:
             lo=float(p.get("lo", 0.0)),
             hi=math.inf if p.get("hi") is None else float(p["hi"]),
         )
-        return StarBody(space, profile, symmetric=bool(doc.get("symmetric", False)))
-    if kind == "polygon":
-        profile = PolygonProfile(np.array(p["normals"], dtype=float), np.array(p["offsets"], dtype=float))
-        return StarBody(space, profile, symmetric=True)
-    if kind == "grid":
-        values = np.array(p["values"], dtype=float).reshape(p["shape"])
-        return StarBody(space, GridProfile(values), symmetric=bool(doc.get("symmetric", False)))
-    raise DomainError(f"unknown profile kind {kind!r}")
+    elif kind == "grid":
+        profile = GridProfile(np.array(p["values"], dtype=float).reshape(p["shape"]))
+    else:
+        raise DomainError(f"unknown profile kind {kind!r}")
+    body = StarBody(space, profile, symmetric=bool(doc.get("symmetric", False)))
+    if body.symmetric and not body.check_symmetry():
+        raise DomainError(f"the {kind} profile is not origin-symmetric, though the document says so")
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -741,22 +740,24 @@ def bands_to_arcs(base: BandsBase) -> ArcsBase:
     return ArcsBase(tuple(arcs))
 
 
-def make_cone(space: SpaceSpec, base: ConeBase) -> StarBody:
-    """Spherical cone: rho = pi/2 on the base, 0 elsewhere (star-shaped set)."""
-    if space.delta != 1:
-        raise DomainError("cones live on the hemisphere (delta = +1)")
+def _indicator_body(space: SpaceSpec, base: ConeBase, height: float) -> StarBody:
+    """The one builder of indicator bodies: rho = height on the base, 0 elsewhere.
+
+    A circle band base becomes arcs, so that plane left sides take the exact
+    ``arcs`` path; the symmetry flag is the base's own.
+    """
     if base.ambient_dim != space.dim:
         raise DomainError("base dimension does not match the space")
     if space.dim == 2 and isinstance(base, BandsBase):
         base = bands_to_arcs(base)
-    symmetric = False
-    if isinstance(base, ArcsBase):
-        symmetric = base.is_origin_symmetric()
-    elif isinstance(base, BandsBase):
-        # -A has bands [-hi, -lo] in reverse order; compare without building it
-        symmetric = (np.array_equal(-base.his[::-1], base.los)
-                     and np.array_equal(-base.los[::-1], base.his))
-    return StarBody(space, IndicatorProfile(base, HEMISPHERE_MAX_RADIUS), symmetric=symmetric)
+    return StarBody(space, IndicatorProfile(base, height), symmetric=base.is_origin_symmetric())
+
+
+def make_cone(space: SpaceSpec, base: ConeBase) -> StarBody:
+    """Spherical cone: rho = pi/2 on the base, 0 elsewhere (star-shaped set)."""
+    if space.delta != 1:
+        raise DomainError("cones live on the hemisphere (delta = +1)")
+    return _indicator_body(space, base, HEMISPHERE_MAX_RADIUS)
 
 
 def make_lune(w: float, axis=(1.0, 0.0)) -> StarBody:
@@ -941,11 +942,7 @@ def make_striped_cone(space: SpaceSpec, t: float, alpha: float, eps: float) -> S
     lam = t * sphere / (2.0 * cap)
     axis = np.zeros(n)
     axis[0] = 1.0
-    a_part = striped_cap_subset(alpha, axis, lam, eps)
-    base = a_part.union_disjoint(a_part.reflected())
-    base.meta.update(a_part.meta)
-    body = make_cone(space, base)
-    return body
+    return make_cone(space, striped_cap_subset(alpha, axis, lam, eps).with_antipodes())
 
 
 def make_vanishing_body(space: SpaceSpec, volume: float, eta: float,
@@ -975,9 +972,8 @@ def make_vanishing_body(space: SpaceSpec, volume: float, eta: float,
     while True:
         if phi(space, n, r) > volume / (2.0 * cap):
             lam = volume / (2.0 * phi(space, n, r) * cap)
-            a_part = _striped_base(axis, cap_height, pitch, lam, cap)
-            base = a_part.union_disjoint(a_part.reflected())
-            body = StarBody(space, IndicatorProfile(base, float(r)), symmetric=True)
+            base = _striped_base(axis, cap_height, pitch, lam, cap).with_antipodes()
+            body = _indicator_body(space, base, r)
             if busemann_functional(body) <= eta:
                 return body
         r *= 1.6

@@ -74,13 +74,15 @@ def _parse_kv(text: str) -> dict:
 
 
 def parse_body(text: str, space: SpaceSpec | None) -> StarBody:
-    """Constructor mini-language ``kind:key=val,...`` mirroring the JSON fields."""
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return body_from_json_dict(json.load(fh))
+    """Constructor mini-language ``kind:key=val,...`` mirroring the JSON fields,
+    or ``@file.json`` holding a body document."""
     kind, _, rest = text.partition(":")
-    params = _parse_kv(rest)
     try:
+        if text.startswith("@"):
+            kind = text
+            with open(text[1:]) as fh:
+                return body_from_json_dict(json.load(fh))
+        params = _parse_kv(rest)
         if kind == "ball":
             if space is None:
                 raise UsageError("--body ball requires --space")
@@ -117,7 +119,7 @@ def parse_body(text: str, space: SpaceSpec | None) -> StarBody:
         raise
     except KeyError as exc:
         raise UsageError(f"--body {kind}: missing parameter {exc.args[0]!r}") from exc
-    except (ValueError, GeometryError) as exc:
+    except (OSError, TypeError, ValueError, GeometryError) as exc:
         raise UsageError(f"--body {kind}: {exc}") from exc
     raise UsageError(f"--body: unknown body kind {kind!r}")
 
@@ -319,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_quad_args(p):
         p.add_argument("--outer-degree", type=_degree, default=None)
         p.add_argument("--inner-degree", type=_degree, default=None)
-        p.add_argument("--radial-tol", type=float, default=1e-12)
         p.add_argument("--out", default=None, help="write report to .json or .csv")
 
     p_fun = sub.add_parser("functional", help="evaluate volume, sections, functional")
@@ -331,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fun.add_argument("--sections", type=int, default=0, metavar="N",
                        help="print a table of N section volumes")
     p_fun.add_argument("--dump-body", default=None, help="write the body JSON here")
+    p_fun.add_argument("--radial-tol", type=float, default=1e-12)
     add_quad_args(p_fun)
     p_fun.set_defaults(fn=cmd_functional)
 

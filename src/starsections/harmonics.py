@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UnsupportedDimensionError
-from .quadrature import SphereRule, build_sphere_rule, subsphere_rule
+from .quadrature import SphereRule, build_sphere_rule, subsphere_nodes
 from .spaces import as_direction, sphere_surface_area
 
 
@@ -130,9 +130,8 @@ def multiplier_table(n: int, max_degree: int) -> MultiplierTable:
 
 def radon_quadrature(f, rule: SphereRule, xi) -> float:
     """Quadrature estimate of Rf(xi) using a rule on S^{n-2}."""
-    sub = subsphere_rule(rule, xi)
-    vals = np.asarray(f(sub.embedded_nodes), dtype=float)
-    return float(np.dot(sub.weights, vals))
+    vals = np.asarray(f(subsphere_nodes(rule, as_direction(xi)[None])[0]), dtype=float)
+    return float(np.dot(rule.weights, vals))
 
 
 def radon_l2_bound_check(f, outer_rule: SphereRule, inner_rule: SphereRule):

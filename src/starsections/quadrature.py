@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ResourceLimitError
-from .spaces import as_direction, sphere_surface_area
 
 DEFAULT_NODE_CAP = 4_000_000
 
@@ -54,9 +53,6 @@ class SphereRule:
         """Integrate a vectorized function of node coordinates over the sphere."""
         vals = np.asarray(f(self.nodes), dtype=float)
         return float(np.dot(self.weights, vals))
-
-    def integrate_values(self, values) -> float:
-        return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
 
 def gauss_jacobi(npts: int, a: float):
@@ -156,39 +152,23 @@ def householder_frame(xi: np.ndarray) -> np.ndarray:
     return house[:, : n - 1]
 
 
-@dataclass(frozen=True)
-class SubsphereRule:
-    """A rule on the great subsphere S^{n-1} intersected with xi-perp."""
+def subsphere_nodes(rule: SphereRule, xis) -> np.ndarray:
+    """The nodes of a rule on S^{n-2} carried onto the great subsphere of S^{n-1}
+    orthogonal to each unit normal xi, shape (D, N, n) for D normals.
 
-    direction: np.ndarray   # xi, unit vector in R^n
-    frame: np.ndarray       # (n, n-1), orthonormal columns spanning xi-perp
-    base: SphereRule        # rule on S^{n-2}
-
-    def __post_init__(self):
-        self.direction.setflags(write=False)
-        self.frame.setflags(write=False)
-
-    @property
-    def embedded_nodes(self) -> np.ndarray:
-        """Base nodes mapped onto S^{n-1} in xi-perp, shape (N, n)."""
-        return self.base.nodes @ self.frame.T
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.base.weights
-
-    def integrate(self, f) -> float:
-        vals = np.asarray(f(self.embedded_nodes), dtype=float)
-        return float(np.dot(self.base.weights, vals))
-
-
-def subsphere_rule(rule: SphereRule, xi) -> SubsphereRule:
-    """Embed a rule on S^{n-2} into the subsphere orthogonal to xi."""
-    xi = as_direction(xi)
-    n = xi.shape[0]
+    Each normal takes one product with its Householder frame, written into one
+    preallocated array: stacking a list of them would hold the grid twice.
+    """
+    xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    n = xis.shape[1]
     if rule.dim != n - 2:
         raise DomainError(f"base rule must have dimension {n - 2}, got {rule.dim}")
-    return SubsphereRule(xi.copy(), householder_frame(xi), rule)
+    if np.any(np.abs(np.linalg.norm(xis, axis=1) - 1.0) > 1e-12):
+        raise DomainError("subsphere normals must be unit vectors")
+    out = np.empty((len(xis), len(rule), n))
+    for i, xi in enumerate(xis):
+        out[i] = rule.nodes @ householder_frame(xi).T
+    return out
 
 
 def integrate_radial(f, a: float, b: float, tol: float = 1e-12):

@@ -99,7 +99,7 @@ def random_star_body(space: SpaceSpec, rng: np.random.Generator,
     """Smooth random body: ball plus 2-4 zonal bumps, clipped to the space range."""
     n = space.dim
     if base_radius is None:
-        base_radius = rng.uniform(0.5, 1.1) if space.delta != 1 else rng.uniform(0.5, 1.1)
+        base_radius = rng.uniform(0.5, 1.1)
     nb = int(rng.integers(2, 5))
     centers = rng.normal(size=(nb, n))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
@@ -409,22 +409,14 @@ def _plane_volume(space, values):
     return float(h * np.sum(seg))
 
 
-def _plane_objective(values, exponent):
-    """Exact section-power integral of the piecewise-linear profile (n = 2)."""
+def _plane_objective(values):
+    """Exact section-square integral of the piecewise-linear profile (n = 2)."""
     half = len(values) // 2
-    s = values + np.roll(values, -half)
-    a = s
-    b = np.roll(s, -1)
+    a = values + np.roll(values, -half)
+    b = np.roll(a, -1)
     h = TWO_PI / len(values)
-    if exponent == 2:
-        seg = (a ** 2 + a * b + b ** 2) / 3.0
-        return float(h * np.sum(seg))
-    # general exponents via per-segment Gauss-Legendre (exact through degree 9)
-    x, w = np.polynomial.legendre.leggauss(5)
-    x = (x + 1.0) / 2.0
-    w = w / 2.0
-    vals = a[:, None] * (1.0 - x[None, :]) + b[:, None] * x[None, :]
-    return float(h * np.sum((vals ** exponent) @ w))
+    seg = (a ** 2 + a * b + b ** 2) / 3.0
+    return float(h * np.sum(seg))
 
 
 def _plane_renormalize(space, values, target, hi):
@@ -479,7 +471,7 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
     values = _plane_renormalize(space, values, volume_target, hi)
 
     sign = 1.0 if sense == "max" else -1.0
-    objective = _plane_objective(values, space.dim)
+    objective = _plane_objective(values)
     trace = SearchTrace(settings={
         "delta": space.delta, "dim": space.dim, "body_class": body_class,
         "volume": volume_target, "sense": sense, "budget": budget,
@@ -507,7 +499,7 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
         drift = abs(vol - volume_target) / volume_target
         if drift > 1e-8:
             continue
-        cand_obj = _plane_objective(cand, space.dim)
+        cand_obj = _plane_objective(cand)
         trace.evaluations += 1
         if sign * (cand_obj - objective) > 0:
             if convex:

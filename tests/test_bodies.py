@@ -139,6 +139,14 @@ class TestCones:
         arcs = bands_to_arcs(base)
         assert arcs.measure == pytest.approx(2 * math.acos(0.2), rel=1e-12)
 
+    def test_arc_sections_count_the_perpendicular_pair(self):
+        base = ArcsBase(((0.3, 1.9), (2.5, 4.0)))
+        xis = _unit_rows(np.random.default_rng(2), 200, 2)
+        # the section of xi is the pair +-(-xi_2, xi_1); count the points in A
+        perp = np.column_stack([-xis[:, 1], xis[:, 0]])
+        reference = base.contains(perp).astype(float) + base.contains(-perp)
+        assert np.array_equal(base.section_measures(xis), reference)
+
     def test_equality_base_sections_constant(self):
         base = equality_cone_base(3, 0.35)
         rng = np.random.default_rng(1)
@@ -185,8 +193,6 @@ class TestBandSectionsPerDistinctHeight:
         xis = _unit_rows(rng, 300, n)
         batch = base.section_measures(xis)
         assert np.array_equal(batch, _rowwise_section_measures(base, xis))
-        scalar = np.array([base.section_measure(x) for x in xis])
-        np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0.0)
 
     def test_poles_mixed_in(self):
         axis = np.array([0.0, 0.0, 1.0])
@@ -195,7 +201,7 @@ class TestBandSectionsPerDistinctHeight:
         for base in (equality_cone_base(3, 0.4, axis), cap_base(axis, 0.3)):
             batch = base.section_measures(xis)
             assert np.array_equal(batch, _rowwise_section_measures(base, xis))
-            assert batch[0] == batch[-3] == batch[-1] == base.section_measure(axis)
+            assert batch[0] == batch[-3] == batch[-1] == base.section_measures(axis[None])[0]
 
     def test_row_permutation(self):
         base = striped_cap_subset(0.2, np.eye(3)[0], 0.6, 0.1)
@@ -503,6 +509,36 @@ class TestSerialization:
         dirs = rng.normal(size=(40, body.space.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         assert np.max(np.abs(clone.rho(dirs) - body.rho(dirs))) < 1e-12
+
+    def test_symmetric_bumpy_keeps_its_flag(self):
+        body = make_bumpy_ball(S2, 0.8, [[1.0, 0.0]], [0.2], [4.0], symmetric=True)
+        assert body_from_json_dict(body.to_json_dict()).symmetric
+
+    @pytest.mark.parametrize("body", [
+        make_bumpy_ball(S2, 0.8, [[1.0, 0.0]], [0.2], [4.0]),
+        StarBody(S2, GridProfile(np.linspace(0.5, 1.2, 16))),
+    ], ids=["bumpy", "grid"])
+    def test_false_symmetry_claim_rejected(self, body):
+        doc = {**body.to_json_dict(), "symmetric": True}
+        with pytest.raises(DomainError):
+            body_from_json_dict(doc)
+
+    def test_cone_symmetry_comes_from_the_base(self):
+        doc = {**make_cone(S2, ArcsBase(((0.0, 3.0),))).to_json_dict(), "symmetric": True}
+        assert not body_from_json_dict(doc).symmetric
+        doc = {**make_cone(S3, equality_cone_base(3, 0.3)).to_json_dict(), "symmetric": True}
+        assert not body_from_json_dict(doc).symmetric
+        doc = {**make_cone(S3, double_cap_base(3, 0.3)).to_json_dict(), "symmetric": False}
+        assert body_from_json_dict(doc).symmetric
+
+    def test_circle_band_base_becomes_arcs(self):
+        body = make_cone(S2, cap_base([1.0, 0.0], 0.3))
+        doc = {**body.to_json_dict(),
+               "profile": {"kind": "cone", "height": math.pi / 2,
+                           "base": cap_base([1.0, 0.0], 0.3).descriptor()}}
+        clone = body_from_json_dict(doc)
+        assert isinstance(clone.profile.base, ArcsBase)
+        assert busemann_functional(clone) == busemann_functional(body)
 
     def test_callable_profile_not_serializable(self):
         profile = AngularProfile(lambda th: np.full_like(th, 0.7))

@@ -3,9 +3,13 @@ import math
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
+from starsections.bodies import ArcsBase, GridProfile, StarBody, cap_base, make_bumpy_ball, make_cone
 from starsections.cli import main
+from starsections.functionals import busemann_functional_with_error
+from starsections.spaces import SpaceSpec
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +193,57 @@ class TestUsage:
 
     def test_experiment_takes_no_quadrature_flags(self):
         assert run_cli("experiment", "sharpness", "--dim", "3", "--outer-degree", "5") == 2
+
+    def test_verify_takes_no_radial_tol(self):
+        assert run_cli("verify", "--theorem", "lune-max", "--w", "0.3", "--radial-tol", "1e-3") == 2
+        assert run_cli("functional", "--space", "s+:2", "--body", "ball:r=0.5",
+                       "--radial-tol", "1e-3") == 0
+
+
+class TestBodyFiles:
+    """A bad ``--body @file`` is a usage error, and a file's symmetry claim is
+    derived or checked, never trusted."""
+
+    @pytest.mark.parametrize("content", [None, "{not json", '{"space": {"delta": 1}}', "[1, 2]"],
+                             ids=["missing", "not-json", "no-dim", "not-an-object"])
+    def test_bad_file_exits_two(self, tmp_path, capsys, content):
+        path = tmp_path / "body.json"
+        if content is not None:
+            path.write_text(content)
+        assert run_cli("functional", "--body", f"@{path}") == 2
+        assert "--body" in capsys.readouterr().err
+
+    def _write(self, tmp_path, body, **changes):
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps({**body.to_json_dict(), **changes}))
+        return f"@{path}"
+
+    def test_asymmetric_cone_claiming_symmetry_is_inapplicable(self, tmp_path, capsys):
+        body = make_cone(SpaceSpec(1, 2), ArcsBase(((0.0, 3.0),)))
+        spec = self._write(tmp_path, body, symmetric=True)
+        assert run_cli("verify", "--theorem", "min2d", "--body", spec) == 2
+        assert "inapplicable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [
+        make_bumpy_ball(SpaceSpec(1, 2), 0.8, [[1.0, 0.0]], [0.2], [4.0]),
+        StarBody(SpaceSpec(1, 2), GridProfile(np.linspace(0.5, 1.2, 16))),
+    ], ids=["bumpy", "grid"])
+    def test_false_symmetry_claim_exits_two(self, tmp_path, capsys, body):
+        spec = self._write(tmp_path, body, symmetric=True)
+        assert run_cli("verify", "--theorem", "min2d", "--body", spec) == 2
+        assert "symmetric" in capsys.readouterr().err
+
+    def test_circle_band_base_takes_the_arcs_closed_form(self, tmp_path):
+        space = SpaceSpec(1, 2)
+        base = cap_base(np.array([1.0, 0.0]), 0.3)
+        spec = self._write(tmp_path, make_cone(space, base),
+                           profile={"kind": "cone", "height": math.pi / 2, "base": base.descriptor()})
+        out = tmp_path / "report.json"
+        assert run_cli("functional", "--body", spec, "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        value, err = busemann_functional_with_error(make_cone(space, base))
+        assert doc["functional"] == value
+        assert doc["error_estimate"] == err
 
 
 class TestInapplicable:

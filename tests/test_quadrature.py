@@ -13,7 +13,7 @@ from starsections.quadrature import (
     householder_frame,
     integrate_radial,
     integrate_vectorized,
-    subsphere_rule,
+    subsphere_nodes,
 )
 from starsections.spaces import sphere_surface_area
 
@@ -143,7 +143,7 @@ class TestSphereRules:
         assert np.sum(rule.weights) == pytest.approx(sphere_surface_area(0))
 
 
-class TestSubsphereRule:
+class TestSubsphereNodes:
     def test_identity_frame(self):
         n = 4
         xi = np.zeros(n)
@@ -157,24 +157,37 @@ class TestSubsphereRule:
         for _ in range(10):
             xi = rng.normal(size=3)
             xi /= np.linalg.norm(xi)
-            sub = subsphere_rule(base, xi)
-            f = sub.frame
+            f = householder_frame(xi)
             assert np.max(np.abs(f.T @ f - np.eye(2))) < 1e-12
             assert np.max(np.abs(f.T @ xi)) < 1e-12
-            nodes = sub.embedded_nodes
+            nodes = subsphere_nodes(base, xi[None])[0]
             assert np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) < 1e-12
             assert np.max(np.abs(nodes @ xi)) < 1e-12
-            assert np.sum(sub.weights) == pytest.approx(sphere_surface_area(1))
+            assert np.sum(base.weights) == pytest.approx(sphere_surface_area(1))
 
     def test_e1_axis_circle(self):
         base = build_sphere_rule(1, 7)
-        sub = subsphere_rule(base, np.array([1.0, 0.0, 0.0]))
-        assert np.max(np.abs(sub.embedded_nodes @ np.array([1.0, 0.0, 0.0]))) < 1e-12
+        nodes = subsphere_nodes(base, np.array([[1.0, 0.0, 0.0]]))[0]
+        assert np.max(np.abs(nodes @ np.array([1.0, 0.0, 0.0]))) < 1e-12
 
     def test_dimension_mismatch(self):
         base = build_sphere_rule(2, 5)
         with pytest.raises(DomainError):
-            subsphere_rule(base, np.array([1.0, 0.0, 0.0]))
+            subsphere_nodes(base, np.array([[1.0, 0.0, 0.0]]))
+
+    def test_batch_rows_equal_single_rows(self):
+        rng = np.random.default_rng(4)
+        base = build_sphere_rule(2, 9)
+        xis = rng.normal(size=(7, 4))
+        xis /= np.linalg.norm(xis, axis=1, keepdims=True)
+        batch = subsphere_nodes(base, xis)
+        assert batch.shape == (7, len(base), 4)
+        for i, xi in enumerate(xis):
+            assert np.array_equal(batch[i], subsphere_nodes(base, xi[None])[0])
+
+    def test_non_unit_normal(self):
+        with pytest.raises(DomainError):
+            subsphere_nodes(build_sphere_rule(1, 7), np.array([[1.0, 1.0, 0.0]]))
 
 
 class TestSelfAdjointness:
