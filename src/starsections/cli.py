@@ -34,7 +34,7 @@ from .bodies import (
     make_lune,
     make_perturbed_ball,
 )
-from .errors import ApplicabilityError, GeometryError
+from .errors import ApplicabilityError, DomainError, GeometryError
 from .functionals import (
     THEOREMS,
     QuadratureConfig,
@@ -299,10 +299,13 @@ def cmd_experiment(args) -> int:
         vol = args.volume if args.volume is not None else (
             2.0 if space.delta == 1 else 2.0 * math.pi * 0.3
         )
-        trace = verify_mod.extremizer_search(
-            space, args.body_class, vol, sense=args.sense,
-            budget=args.budget, seed=args.seed,
-        )
+        try:
+            trace = verify_mod.extremizer_search(
+                space, args.body_class, vol, sense=args.sense,
+                budget=args.budget, seed=args.seed,
+            )
+        except DomainError as exc:
+            raise UsageError(f"search: {exc}") from exc
         print(f"search: {trace.accepted} accepted / {trace.evaluations} evaluated, "
               f"best objective {trace.best_objective:.10g}")
         header = ["iteration", "objective", "volume_drift"]

@@ -47,6 +47,7 @@ from .harmonics import radon_multiplier
 from .spaces import (
     HEMISPHERE_MAX_RADIUS,
     SpaceSpec,
+    brent_root,
     phi,
     phi_inverse,
     sphere_surface_area,
@@ -387,26 +388,23 @@ class SearchTrace:
                         symmetric=self.settings["body_class"].startswith("sym"))
 
 
-def _segment_ratio(a, b, fn_diff, fn_point):
-    """h-normalized integral of a 1-parameter primitive along linear segments:
-    (F(b) - F(a)) / (b - a), with the pointwise limit at a == b."""
-    diff = b - a
-    safe = np.where(np.abs(diff) > 1e-9, diff, 1.0)
-    return np.where(np.abs(diff) > 1e-9, fn_diff(a, b) / safe, fn_point(a))
+def _segment_volumes(space, a, b, h):
+    """Volumes of the sectors of angle h whose radius runs linearly in angle
+    from a to b.  On the hemisphere this is h (1 - (sin b - sin a)/(b - a)),
+    written as h (1 - cos m sin d / d) with m = (a+b)/2, d = (b-a)/2, which
+    keeps every digit when a and b nearly agree; cosh and sinh in the
+    hyperbolic plane."""
+    if space.delta == 0:
+        return h * (a * a + a * b + b * b) / 6.0
+    cos, sin = (np.cos, np.sin) if space.delta == 1 else (np.cosh, np.sinh)
+    m = 0.5 * (a + b)
+    d = np.maximum(0.5 * np.abs(b - a), 1e-300)   # sin d / d is even, and 1 at the floor
+    return space.delta * h * (1.0 - cos(m) * (sin(d) / d))
 
 
 def _plane_volume(space, values):
     """Exact volume of the piecewise-linear-in-angle profile."""
-    h = TWO_PI / len(values)
-    a = values
-    b = np.roll(values, -1)
-    if space.delta == 1:
-        seg = 1.0 - _segment_ratio(a, b, lambda x, y: np.sin(y) - np.sin(x), np.cos)
-    elif space.delta == -1:
-        seg = _segment_ratio(a, b, lambda x, y: np.sinh(y) - np.sinh(x), np.cosh) - 1.0
-    else:
-        seg = (a ** 2 + a * b + b ** 2) / 6.0
-    return float(h * np.sum(seg))
+    return float(np.sum(_segment_volumes(space, values, np.roll(values, -1), TWO_PI / len(values))))
 
 
 def _plane_objective(values):
@@ -419,19 +417,32 @@ def _plane_objective(values):
     return float(h * np.sum(seg))
 
 
-def _plane_renormalize(space, values, target, hi):
-    """Multiplicative rescaling in the radial-primitive domain, iterated to
-    absorb clipping at the range boundary and interpolation nonlinearity."""
-    vals = values
-    for _ in range(20):
-        cur = _plane_volume(space, vals)
-        if abs(cur - target) <= 1e-13 * target:
-            break
-        prim = phi(space, 2, vals) * (target / cur)
-        cap = phi(space, 2, hi)
-        prim = np.minimum(prim, cap)
-        vals = phi_inverse(space, 2, prim)
-    return vals
+def _volume_move(space, values, i, j, mag, symmetric, lo, hi):
+    """Raise node i (with its antipode when symmetric) by mag, clipped at hi,
+    and lower node j (with its antipode) to the root in [lo, values[j]] that
+    keeps the volume of the segments touching the moved nodes.  None when j
+    lies in i's orbit or even lo cannot absorb the raise."""
+    nodes = len(values)
+    up = np.array([i, (i + nodes // 2) % nodes] if symmetric else [i])
+    down = np.array([j, (j + nodes // 2) % nodes] if symmetric else [j])
+    if j in up:
+        return None
+    seg = np.unique(np.concatenate([up, down, up - 1, down - 1]) % nodes)  # segment k: nodes k, k+1
+    nxt = (seg + 1) % nodes
+    h = TWO_PI / nodes
+    before = _segment_volumes(space, values[seg], values[nxt], h).sum()
+    cand = values.copy()
+    cand[up] = min(hi, values[i] + mag)
+
+    def excess(x):
+        cand[down] = x
+        return _segment_volumes(space, cand[seg], cand[nxt], h).sum() - before
+
+    try:  # tolerances at roundoff, so that the volume is kept to roundoff
+        cand[down] = brent_root(excess, lo, values[j], xtol=1e-15, rtol=1e-15)
+    except ValueError:  # no sign change: even lo cannot absorb the raise
+        return None
+    return cand
 
 
 def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
@@ -439,11 +450,15 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
                       nodes: int = 64, step: float = 0.2) -> SearchTrace:
     """Volume-preserving local search over grid profiles in the plane (n = 2).
 
-    Moves are paired up/down bumps (mirrored when the class is symmetric)
-    followed by multiplicative renormalization in the radial-primitive
-    domain.  The convex class rejects steps whose interpolated body fails the
-    spherical convexity verdict.  Claims nothing beyond the best profile
-    found; the trace replays deterministically from the seed.
+    The start is the ball of the target volume, perturbed by ``nodes``
+    warm-up moves of magnitude 0.2 r0.  A move raises one node (and its
+    antipode when the class is symmetric) and lowers another (and its
+    antipode) to the root that keeps the exact piecewise-linear volume of
+    the touched segments, so the volume holds to roundoff by construction.
+    The convex classes also reject warm-up moves and steps that fail the
+    convexity verdict.  Such steps, and moves too large to absorb, count as
+    rejected when the step size adapts.  Claims nothing beyond the best
+    profile found; the trace replays deterministically from the seed.
     """
     if space.dim != 2:
         raise ApplicabilityError("the shape search operates on plane profiles (dim = 2)")
@@ -455,20 +470,33 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
         raise DomainError("sense must be 'max' or 'min'")
     if nodes % 2:
         raise DomainError("the grid size must be even (antipodal pairing)")
+    hi = HEMISPHERE_MAX_RADIUS - 1e-9 if space.delta == 1 else 50.0
+    lo = 1e-6
+    vmax = TWO_PI * phi(space, 2, hi)
+    if not 0.0 < volume_target < vmax:
+        raise DomainError(f"the volume must lie in (0, {vmax!r})")
+    if budget < 0:
+        raise DomainError("the budget must be >= 0")
 
     rng = np.random.default_rng(seed)
     symmetric = body_class.startswith("sym")
     convex = "convex" in body_class
-    hi = HEMISPHERE_MAX_RADIUS - 1e-9 if space.delta == 1 else 50.0
-    lo = 1e-6
 
-    # feasible start: ball radius for the target volume, lightly perturbed
+    def in_class(cand, probe_seed):
+        if not convex:
+            return True
+        if space.delta == 0:
+            return _is_convex_plane_euclidean(cand)
+        probe = StarBody(space, GridProfile(cand), symmetric=symmetric)
+        return is_convex_spherical(probe, samples=400, seed=probe_seed, tol=1e-7)
+
     r0 = phi_inverse(space, 2, volume_target / TWO_PI)
-    values = np.clip(r0 * (1.0 + 0.2 * rng.standard_normal(nodes)), lo, hi)
-    if symmetric:
-        half = nodes // 2
-        values = np.concatenate([values[:half], values[:half]])
-    values = _plane_renormalize(space, values, volume_target, hi)
+    values = np.full(nodes, r0)
+    for k in range(nodes):
+        i, j = rng.integers(0, nodes, size=2)
+        cand = _volume_move(space, values, i, j, 0.2 * r0, symmetric, lo, hi)
+        if cand is not None and in_class(cand, seed + k):
+            values = cand
 
     sign = 1.0 if sense == "max" else -1.0
     objective = _plane_objective(values)
@@ -480,36 +508,30 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
     trace.best_objective = objective
     trace.best_values = values.copy()
 
-    half = nodes // 2
     eta = step
     recent = []
     for it in range(budget):
+        if len(recent) >= 250:
+            if sum(recent) < 8:
+                eta = max(eta * 0.5, 1e-4)
+            recent = []
         i, j = rng.integers(0, nodes, size=2)
         if i == j:
             continue
         mag = eta * rng.uniform(0.2, 1.0)
-        cand = values.copy()
-        cand[i] = min(hi, cand[i] + mag)
-        cand[j] = max(lo, cand[j] - mag)
-        if symmetric:
-            cand[(i + half) % nodes] = cand[i]
-            cand[(j + half) % nodes] = cand[j]
-        cand = _plane_renormalize(space, cand, volume_target, hi)
+        cand = _volume_move(space, values, i, j, mag, symmetric, lo, hi)
+        if cand is None:  # j in i's orbit, or a raise too large to absorb
+            recent.append(0)
+            continue
         vol = _plane_volume(space, cand)
         drift = abs(vol - volume_target) / volume_target
         if drift > 1e-8:
             continue
         cand_obj = _plane_objective(cand)
         trace.evaluations += 1
-        if sign * (cand_obj - objective) > 0:
-            if convex:
-                probe = StarBody(space, GridProfile(cand), symmetric=symmetric)
-                if space.delta == 1:
-                    if not is_convex_spherical(probe, samples=400, seed=seed + it, tol=1e-7):
-                        continue
-                else:
-                    if not _is_convex_plane_euclidean(cand):
-                        continue
+        accept = sign * (cand_obj - objective) > 0 and in_class(cand, seed + it)
+        recent.append(int(accept))
+        if accept:
             values = cand
             objective = cand_obj
             trace.accepted += 1
@@ -518,13 +540,6 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
             if sign * (objective - trace.best_objective) > 0:
                 trace.best_objective = objective
                 trace.best_values = values.copy()
-            recent.append(1)
-        else:
-            recent.append(0)
-        if len(recent) >= 250:
-            if sum(recent) < 8:
-                eta = max(eta * 0.5, 1e-4)
-            recent = []
     return trace
 
 

@@ -178,6 +178,20 @@ class TestExperimentCommand:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv, message", [
+        (["--volume", "0"], "volume"),
+        (["--volume", "-1"], "volume"),
+        (["--volume", "7"], "volume"),
+        (["--budget", "-5"], "budget"),
+        (["--space", "h:2", "--volume", "1e30"], "volume"),
+    ])
+    def test_search_input_out_of_domain(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert run_cli("experiment", "search", *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: search:") and message in err
+        assert not out.exists()
+
     def test_bad_space(self):
         assert run_cli("functional", "--space", "zz:9", "--body", "ball:r=1") == 2
 

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from starsections.bodies import ArcsBase, make_ball, make_cone, double_cap_base, equality_cone_base
-from starsections import functionals, verify
+from starsections.bodies import (
+    ArcsBase, GridProfile, StarBody, double_cap_base, equality_cone_base, is_convex_spherical,
+    make_ball, make_cone,
+)
+from starsections import functionals, spaces, verify
 from starsections.cli import build_parser
 from starsections.errors import ApplicabilityError, DomainError
 from starsections.functionals import THEOREMS, bound_constants, busemann_functional, volume
@@ -13,6 +16,9 @@ from starsections.harmonics import radon_multiplier
 from starsections.spaces import SpaceSpec, sphere_surface_area
 from starsections.verify import (
     _SUITE_BODIES,
+    _is_convex_plane_euclidean,
+    _plane_volume,
+    _segment_volumes,
     c5_constant,
     c_chain,
     extremizer_search,
@@ -254,3 +260,96 @@ class TestSearch:
     def test_convex_gated(self):
         with pytest.raises(ApplicabilityError):
             extremizer_search(SpaceSpec(-1, 2), "sym-convex", 1.0)
+
+    def test_rejects_a_volume_outside_the_range(self):
+        rim = 2 * math.pi * (1 - math.cos(math.pi / 2 - 1e-9))
+        for space, vol in [(S2, 0.0), (S2, -1.0), (S2, 7.0), (S2, rim), (S2, math.nan),
+                           (SpaceSpec(-1, 2), 1e30)]:
+            with pytest.raises(DomainError, match="volume"):
+                extremizer_search(space, "sym-star", vol, budget=10)
+
+    def test_rejects_a_negative_budget(self):
+        with pytest.raises(DomainError, match="budget"):
+            extremizer_search(S2, "sym-star", 2.0, budget=-5)
+
+    @pytest.mark.parametrize("body_class", ["star", "sym-star"])
+    @pytest.mark.parametrize("sense", ["max", "min"])
+    def test_moves_keep_the_volume_to_roundoff(self, body_class, sense):
+        trace = extremizer_search(S2, body_class, 2.0, sense=sense, budget=1000, seed=5)
+        assert trace.accepted > 0
+        assert all(step[2] <= 1e-12 for step in trace.steps)
+        for values in trace.step_profiles:
+            assert abs(_plane_volume(S2, values) - 2.0) <= 2e-12
+
+    @pytest.mark.parametrize("space, body_class, vol", [
+        (S2, "sym-star", 2.0), (S2, "sym-star", 6.0), (SpaceSpec(-1, 2), "sym-star", 3.0),
+        (SpaceSpec(0, 2), "sym-convex", 2.0)])
+    def test_symmetric_profiles_stay_exactly_symmetric(self, space, body_class, vol):
+        trace = extremizer_search(space, body_class, vol, budget=600, seed=7)
+        assert trace.accepted > 0
+        for values in [trace.best_values, *trace.step_profiles]:
+            assert np.array_equal(values[:32], values[32:])
+
+    def test_inverts_the_ball_volume_once(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return spaces.phi_inverse(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "phi_inverse", spy)
+        trace = extremizer_search(S2, "sym-star", 2.0, budget=500, seed=1)
+        assert trace.accepted > 0
+        assert calls == [(S2, 2, 2.0 / (2 * math.pi))]
+
+    @pytest.mark.parametrize("vol", [6.0, 6.2])
+    def test_volume_near_the_rim_is_kept(self, vol):
+        trace = extremizer_search(S2, "sym-star", vol, budget=400, seed=0)
+        assert trace.accepted > 0
+        assert all(step[2] <= 1e-8 for step in trace.steps)
+        assert _plane_volume(S2, trace.best_values) == pytest.approx(vol, rel=1e-8)
+
+    @pytest.mark.parametrize("sense", ["max", "min"])
+    def test_small_volume_shrinks_the_steps(self, sense):
+        # at volume 0.001 (r0 = 0.018) the first steps are too large to absorb
+        trace = extremizer_search(S2, "sym-star", 0.001, sense=sense, budget=1000, seed=0)
+        assert trace.accepted > 0
+        assert all(step[2] <= 1e-12 for step in trace.steps)
+
+    def test_hemisphere_convex_class_accepts_convex_steps(self):
+        seed = 0
+        trace = extremizer_search(S2, "sym-convex", 2.0, budget=800, seed=seed)
+        assert trace.accepted >= 1
+        for (it, _, drift), values in zip(trace.steps, trace.step_profiles):
+            assert drift <= 1e-8
+            probe = StarBody(S2, GridProfile(values), symmetric=True)
+            assert is_convex_spherical(probe, samples=400, seed=seed + it, tol=1e-7)
+
+    def test_plane_convex_class_accepts_convex_steps(self):
+        trace = extremizer_search(SpaceSpec(0, 2), "convex", 2.0, budget=300, seed=0)
+        assert trace.accepted >= 1
+        for (_, _, drift), values in zip(trace.steps, trace.step_profiles):
+            assert drift <= 1e-8
+            assert _is_convex_plane_euclidean(values)
+
+
+class TestSegmentVolumes:
+    """The sector volume h (1 - (sin b - sin a)/(b - a)) (hemisphere) and
+    h ((sinh b - sinh a)/(b - a) - 1) (hyperbolic plane), with the limits
+    h (1 - cos a) and h (cosh a - 1) at b = a, against a 50-digit reference."""
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("a", [0.3, 1.0, 1.5])
+    @pytest.mark.parametrize("gap", [0.0, 1e-12, 1.1e-9, 1e-6])
+    def test_against_mpmath(self, delta, a, gap):
+        mp = pytest.importorskip("mpmath")
+        b = a + gap
+        h = 2 * math.pi / 64
+        sin, cos = (mp.sin, mp.cos) if delta == 1 else (mp.sinh, mp.cosh)
+        with mp.workdps(50):
+            A, B = mp.mpf(a), mp.mpf(b)
+            ratio = cos(A) if A == B else (sin(B) - sin(A)) / (B - A)
+            ref = mp.mpf(h) * delta * (1 - ratio)
+        got = _segment_volumes(SpaceSpec(delta, 2), np.array([a, b]), np.array([b, a]), h)
+        for value in got:
+            assert abs(value - ref) <= 1e-14 * ref
