@@ -261,10 +261,27 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
+def _parse_list(flag: str, text: str | None, kind):
+    """A comma-separated option as a list of ``kind``, or None when not given."""
+    if text is None:
+        return None
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"{flag}: expected a comma-separated list, got {text!r}") from exc
+
+
 def cmd_experiment(args) -> int:
+    try:
+        return _run_experiment(args)
+    except DomainError as exc:
+        raise UsageError(f"{args.mode}: {exc}") from exc
+
+
+def _run_experiment(args) -> int:
     if args.mode == "perturbation":
-        ks = [int(v) for v in args.k.split(",")]
-        betas = [float(v) for v in args.beta.split(",")] if args.beta else None
+        ks = _parse_list("--k", args.k, int)
+        betas = _parse_list("--beta", args.beta, float)
         rows = []
         ok = True
         for k in ks:
@@ -283,8 +300,8 @@ def cmd_experiment(args) -> int:
         _emit(args.out, csv_data=(header, rows))
         return 0 if ok else 1
     if args.mode == "sharpness":
-        alphas = [float(v) for v in args.alphas.split(",")] if args.alphas else None
-        epsilons = [float(v) for v in args.epsilons.split(",")] if args.epsilons else None
+        alphas = _parse_list("--alphas", args.alphas, float)
+        epsilons = _parse_list("--epsilons", args.epsilons, float)
         rows = verify_mod.sharpness_schedule(args.dim, args.t, alphas, epsilons)
         print(f"target constant: {rows[0]['target']:.10g}")
         for row in rows:
@@ -299,13 +316,9 @@ def cmd_experiment(args) -> int:
         vol = args.volume if args.volume is not None else (
             2.0 if space.delta == 1 else 2.0 * math.pi * 0.3
         )
-        try:
-            trace = verify_mod.extremizer_search(
-                space, args.body_class, vol, sense=args.sense,
-                budget=args.budget, seed=args.seed,
-            )
-        except DomainError as exc:
-            raise UsageError(f"search: {exc}") from exc
+        trace = verify_mod.extremizer_search(
+            space, args.body_class, vol, sense=args.sense, budget=args.budget, seed=args.seed,
+        )
         print(f"search: {trace.accepted} accepted / {trace.evaluations} evaluated, "
               f"best objective {trace.best_objective:.10g}")
         header = ["iteration", "objective", "volume_drift"]

@@ -82,13 +82,14 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @lru_cache(maxsize=3)
 def _section_grid(n: int, outer_degree: int, inner_degree: int):
-    """Outer rule, inner rule and (N_outer, N_inner, n) embedded nodes of the product
-    path; three entries hold what one run reuses (s+:4 at degree 31 is 134 MB)."""
-    outer = build_sphere_rule(n - 1, outer_degree)
+    """Outer weights, inner rule and (N_outer / 2, N_inner, n) embedded nodes of
+    the product path, on one normal of each antipodal pair of the outer rule;
+    three entries hold what one run reuses (s+:4 at degree 31 is 67 MB)."""
+    normals, weights = build_sphere_rule(n - 1, outer_degree).antipodal_half
     inner = build_sphere_rule(n - 2, inner_degree)
-    embedded = subsphere_nodes(inner, outer.nodes)
+    embedded = subsphere_nodes(inner, normals)
     embedded.setflags(write=False)
-    return outer, inner, embedded
+    return weights, inner, embedded
 
 
 # ---------------------------------------------------------------------------
@@ -293,24 +294,26 @@ def _section_integrands(body: StarBody, mu, embedded):
 
 def _rule_sections(body: StarBody, mu, config: QuadratureConfig, path: str):
     """Outer weights and the section volumes they weight, on the indicator,
-    zonal or product path."""
+    zonal or product path.  xi and -xi have the same section, so each path
+    takes one normal of each antipodal pair of the outer rule at twice its
+    weight."""
     n = body.space.dim
     if path == "indicator":
-        outer = build_sphere_rule(n - 1, config.outer(n))
-        return outer.weights, _indicator_sections(body, mu, outer.nodes)
+        normals, weights = build_sphere_rule(n - 1, config.outer(n)).antipodal_half
+        return weights, _indicator_sections(body, mu, normals)
     if path == "zonal":
         # The body is rotationally symmetric about its axis, so a section
         # depends only on c = <xi, axis>.  The outer product rule integrates
         # over S^{n-1} with its polar coordinate as c, whatever the axis:
-        # collapsing it along that coordinate gives the distinct c and their
-        # summed weights, and each section is taken at the one normal
-        # xi_c = c axis + sqrt(1 - c^2) b, b a fixed unit vector orthogonal
-        # to the axis.
+        # collapsing its half along that coordinate gives the distinct c >= 0
+        # and their summed weights, and each section is taken at the one
+        # normal xi_c = c axis + sqrt(1 - c^2) b, b a fixed unit vector
+        # orthogonal to the axis.
         axis = body.profile.zonal_axis(n)
-        outer = build_sphere_rule(n - 1, config.outer(n))
+        normals, half_weights = build_sphere_rule(n - 1, config.outer(n)).antipodal_half
         inner = build_sphere_rule(n - 2, config.inner(n))
-        c, which = np.unique(outer.nodes[:, 0], return_inverse=True)
-        weights = np.array([math.fsum(outer.weights[which == i]) for i in range(len(c))])
+        c, which = np.unique(normals[:, 0], return_inverse=True)
+        weights = np.array([math.fsum(half_weights[which == i]) for i in range(len(c))])
         b = householder_frame(axis)[:, 0]
         xis = c[:, None] * axis + np.sqrt(1.0 - c ** 2)[:, None] * b
         # each of the few sections carries a large share of the weight, so its
@@ -319,8 +322,8 @@ def _rule_sections(body: StarBody, mu, config: QuadratureConfig, path: str):
         integrands = _section_integrands(body, mu, subsphere_nodes(inner, xis))
         sections = np.sum(integrands * inner.weights, axis=1)
         return weights, sections
-    outer, inner, embedded = _section_grid(n, config.outer(n), config.inner(n))
-    return outer.weights, _section_integrands(body, mu, embedded) @ inner.weights
+    weights, inner, embedded = _section_grid(n, config.outer(n), config.inner(n))
+    return weights, _section_integrands(body, mu, embedded) @ inner.weights
 
 
 def _adaptive_circle(integrand, angular_tol: float):

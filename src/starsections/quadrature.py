@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,6 +54,23 @@ class SphereRule:
         vals = np.asarray(f(self.nodes), dtype=float)
         return float(np.dot(self.weights, vals))
 
+    @cached_property
+    def antipodal_half(self):
+        """(nodes, weights): one node of each antipodal pair {x, -x}, the one
+        whose first nonzero coordinate is positive, at twice its weight; the
+        rule on even functions at half the nodes.
+
+        Every rule that ``build_sphere_rule`` makes is antipodal to the bit (the
+        circle rule's second half negates its first, the polar Gauss-Jacobi
+        factor is symmetric), so the pair's weights agree exactly.
+        """
+        first = self.nodes[np.arange(len(self)), np.argmax(self.nodes != 0.0, axis=1)]
+        keep = first > 0.0
+        nodes, weights = self.nodes[keep], 2.0 * self.weights[keep]
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        return nodes, weights
+
 
 def gauss_jacobi(npts: int, a: float):
     """Nodes and weights of the npts-point Gauss rule for the weight
@@ -91,9 +108,12 @@ def gauss_jacobi(npts: int, a: float):
 
 
 def _circle_rule(degree: int) -> SphereRule:
-    n = max(degree + 1, 4)
-    angles = 2 * math.pi * np.arange(n) / n
-    nodes = np.column_stack([np.cos(angles), np.sin(angles)])
+    """degree + 1 equally spaced nodes, rounded up to an even count (at least 4),
+    the second half the exact negation of the first."""
+    n = max(degree + 2 - degree % 2, 4)
+    angles = 2 * math.pi * np.arange(n // 2) / n
+    half = np.column_stack([np.cos(angles), np.sin(angles)])
+    nodes = np.concatenate([half, -half])
     weights = np.full(n, 2 * math.pi / n)
     return SphereRule(1, nodes, weights, degree)
 
@@ -136,28 +156,35 @@ def build_sphere_rule(m: int, degree: int, node_cap: int = DEFAULT_NODE_CAP) -> 
     return SphereRule(m, nodes, weights, degree)
 
 
-def householder_frame(xi: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of xi-perp, columns of the reflection sending e_n to xi.
+def householder_frames(xis: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of xi-perp, shape (D, n, n - 1) for D unit normals: the
+    columns of the reflection sending e_n to each xi.
 
     Deterministic completion: for xi = e_n it returns (e_1, ..., e_{n-1}).
     """
-    xi = np.asarray(xi, dtype=float)
-    n = xi.shape[0]
-    v = xi.copy()
-    v[-1] -= 1.0
-    norm2 = float(np.dot(v, v))
-    if norm2 < 1e-28:
-        return np.eye(n)[:, : n - 1]
-    house = np.eye(n) - 2.0 * np.outer(v, v) / norm2
-    return house[:, : n - 1]
+    xis = np.asarray(xis, dtype=float)
+    n = xis.shape[1]
+    v = xis.copy()
+    v[:, -1] -= 1.0
+    norm2 = np.einsum("ij,ij->i", v, v)
+    reflect = norm2 >= 1e-28
+    house = np.broadcast_to(np.eye(n), (len(xis), n, n)).copy()
+    house[reflect] -= 2.0 * (v[reflect, :, None] * v[reflect, None, :]) / norm2[reflect, None, None]
+    return house[:, :, : n - 1]
+
+
+def householder_frame(xi: np.ndarray) -> np.ndarray:
+    """The frame of ``householder_frames`` for one normal, shape (n, n - 1)."""
+    return householder_frames(np.asarray(xi, dtype=float)[None])[0]
 
 
 def subsphere_nodes(rule: SphereRule, xis) -> np.ndarray:
     """The nodes of a rule on S^{n-2} carried onto the great subsphere of S^{n-1}
     orthogonal to each unit normal xi, shape (D, N, n) for D normals.
 
-    Each normal takes one product with its Householder frame, written into one
-    preallocated array: stacking a list of them would hold the grid twice.
+    All frames are built in one batched step, and each normal takes one
+    product with its frame, written into one preallocated array: stacking a
+    list of them would hold the grid twice.
     """
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     n = xis.shape[1]
@@ -166,8 +193,7 @@ def subsphere_nodes(rule: SphereRule, xis) -> np.ndarray:
     if np.any(np.abs(np.linalg.norm(xis, axis=1) - 1.0) > 1e-12):
         raise DomainError("subsphere normals must be unit vectors")
     out = np.empty((len(xis), len(rule), n))
-    for i, xi in enumerate(xis):
-        out[i] = rule.nodes @ householder_frame(xi).T
+    np.matmul(rule.nodes, householder_frames(xis).transpose(0, 2, 1), out=out)
     return out
 
 

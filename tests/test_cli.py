@@ -192,6 +192,25 @@ class TestUsage:
         assert err.startswith("error: search:") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["perturbation", "--dim", "2"], "perturbation: the expansion needs n >= 3"),
+        (["perturbation", "--r", "2"], "perturbation: r exceeds"),
+        (["perturbation", "--k", "0"], "perturbation: the harmonic degree"),
+        (["perturbation", "--beta", "-1"], "perturbation: perturbation leaves"),
+        (["perturbation", "--k", "x"], "--k:"),
+        (["perturbation", "--beta", "0.1,y"], "--beta:"),
+        (["sharpness", "--dim", "2"], "sharpness: the sharp spherical minimum"),
+        (["sharpness", "--t", "1.5"], "sharpness: the volume fraction"),
+        (["sharpness", "--alphas", "0.4", "--epsilons", "0.2,0.1"], "sharpness: alpha and eps"),
+        (["sharpness", "--epsilons", "z"], "--epsilons:"),
+    ])
+    def test_experiment_input_out_of_domain(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert run_cli("experiment", *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_bad_space(self):
         assert run_cli("functional", "--space", "zz:9", "--body", "ball:r=1") == 2
 

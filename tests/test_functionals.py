@@ -47,8 +47,8 @@ from starsections.functionals import (
     volume,
 )
 from starsections.harmonics import zonal_harmonic
-from starsections.quadrature import integrate_radial
-from starsections.spaces import SpaceSpec, sphere_surface_area
+from starsections.quadrature import build_sphere_rule, integrate_radial, subsphere_nodes
+from starsections.spaces import SpaceSpec, phi, sphere_surface_area
 from starsections.verify import (
     perturbation_sign_experiment,
     random_star_body,
@@ -296,6 +296,38 @@ class TestSectionGrid:
             busemann_functional(body)
             busemann_functional_with_error(body)
         assert functionals._section_grid.cache_info().misses == 0
+
+    def test_product_path_evaluates_half_the_grid(self, monkeypatch, fresh_grid_cache):
+        points = []
+        rho = StarBody.rho
+
+        def counted(self, dirs):
+            points.append(len(dirs))
+            return rho(self, dirs)
+
+        monkeypatch.setattr(StarBody, "rho", counted)
+        body = make_bumpy_ball(S3, 0.8, [[0.0, 0.6, 0.8]], [0.2], [3.0])
+        config = QuadratureConfig(outer_degree=11, inner_degree=15)
+        busemann_functional(body, config=config)
+        outer, inner = build_sphere_rule(2, 11), build_sphere_rule(1, 15)
+        assert sum(points) * 2 == len(outer) * len(inner)
+
+    @pytest.mark.parametrize("space", [S3, H3, SpaceSpec(1, 4)])
+    def test_non_symmetric_body_matches_the_full_rule(self, space, fresh_grid_cache):
+        # xi and -xi cut the same section, but their inner nodes differ: the
+        # full outer rule is a second quadrature of the same integral
+        n = space.dim
+        body = make_bumpy_ball(space, 0.7, np.eye(n)[:2] + 0.3, [0.2, -0.15], [3.0, 5.0])
+        assert not body.symmetric
+        config = QuadratureConfig()
+        value, error = busemann_functional_with_error(body, config=config)
+        outer = build_sphere_rule(n - 1, config.outer(n) + 8)
+        inner = build_sphere_rule(n - 2, config.inner(n) + 8)
+        embedded = subsphere_nodes(inner, outer.nodes)
+        rho = body.rho(embedded.reshape(-1, n)).reshape(embedded.shape[:2])
+        sections = phi(space, n - 1, rho) @ inner.weights
+        reference = float(np.dot(outer.weights, sections ** n))
+        assert abs(value - reference) <= error
 
     def test_cache_is_bounded(self, fresh_grid_cache):
         bumpy = make_bumpy_ball(S3, 0.8, [[0.0, 0.0, 1.0]], [0.2], [3.0])

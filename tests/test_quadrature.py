@@ -143,6 +143,43 @@ class TestSphereRules:
         assert np.sum(rule.weights) == pytest.approx(sphere_surface_area(0))
 
 
+def sorted_rows(a):
+    return a[np.lexsort(a.T[::-1])]
+
+
+class TestAntipodalHalf:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [6, 7, 10, 11])
+    def test_representatives_and_negations_are_the_rule(self, m, degree):
+        rule = build_sphere_rule(m, degree)
+        nodes, weights = rule.antipodal_half
+        assert 2 * len(nodes) == len(rule)
+        assert np.array_equal(sorted_rows(np.concatenate([nodes, -nodes])), sorted_rows(rule.nodes))
+        # each representative carries its own weight and its antipode's, which agree exactly
+        weight_of = {tuple(x): w for x, w in zip(rule.nodes, rule.weights)}
+        for x, w in zip(nodes, weights):
+            assert w == 2.0 * weight_of[tuple(x)] == 2.0 * weight_of[tuple(-x)]
+
+    def test_even_degree_adds_one_circle_node(self):
+        assert [len(build_sphere_rule(1, d)) for d in (2, 3, 7, 8, 46, 47)] == [4, 4, 8, 10, 48, 48]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [6, 7, 11])
+    def test_integrates_even_polynomials_exactly(self, m, degree):
+        # the integral of (u . a)^(2j) over S^m for a unit a is
+        # |S^m| Gamma(j + 1/2) Gamma((m + 1)/2) / (Gamma(1/2) Gamma(j + (m + 1)/2))
+        rng = np.random.default_rng(m * 100 + degree)
+        nodes, weights = build_sphere_rule(m, degree).antipodal_half
+        for j in range(degree // 2 + 1):
+            a = rng.normal(size=m + 1)
+            a /= np.linalg.norm(a)
+            exact = sphere_surface_area(m) * math.exp(
+                math.lgamma(j + 0.5) + math.lgamma((m + 1) / 2)
+                - math.lgamma(0.5) - math.lgamma(j + (m + 1) / 2))
+            value = float(np.dot(weights, (nodes @ a) ** (2 * j)))
+            assert value == pytest.approx(exact, rel=1e-13, abs=0.0), j
+
+
 class TestSubsphereNodes:
     def test_identity_frame(self):
         n = 4

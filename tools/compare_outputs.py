@@ -1,0 +1,88 @@
+"""Compare two ``tools/dump_outputs.py`` files, line by line.
+
+    python3 tools/compare_outputs.py OLD NEW
+
+Prints how many lines changed, then, per label prefix (the label up to its
+second ``/``, e.g. ``suite/hyperbolic`` or ``path/product``), the number of
+changed lines and the largest relative change |new - old| / |old| with the
+label where it occurs.  Error-estimate lines (labels ending in ``/error`` and
+the perturbation rows' error column) are listed apart: an estimate is a
+difference of two quadratures, so its own relative change says little about
+the numbers it bounds.  Last comes the largest move of a perturbation row's
+difference against that row's own error estimate in NEW.  Exits 1 when the
+two files do not hold the same labels in the same order.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+# the columns of a perturbation row, as dump_outputs.py prints them by index
+PERTURBATION_DIFFERENCE_COLUMN = "5"
+PERTURBATION_ERROR_COLUMN = "6"
+
+
+def read(path):
+    with open(path) as fh:
+        return [line.rstrip("\n").split(" ", 1) for line in fh if line.strip()]
+
+
+def is_error(label: str) -> bool:
+    parts = label.split("/")
+    return parts[-1] == "error" or (parts[0] == "perturbation"
+                                    and parts[-1] == PERTURBATION_ERROR_COLUMN)
+
+
+def relative_change(old: str, new: str) -> float:
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    if a == b:
+        return 0.0
+    return abs(b - a) / abs(a) if a != 0.0 else math.inf
+
+
+def main(argv) -> int:
+    if len(argv) != 3:
+        print("usage: python3 tools/compare_outputs.py OLD NEW", file=sys.stderr)
+        return 2
+    old, new = read(argv[1]), read(argv[2])
+    if [label for label, _ in old] != [label for label, _ in new]:
+        print("the two files do not hold the same labels in the same order", file=sys.stderr)
+        return 1
+    groups = {}
+    changed = 0
+    for (label, a), (_, b) in zip(old, new):
+        if a == b:
+            continue
+        changed += 1
+        prefix = "/".join(label.split("/")[:2])
+        key = ("error estimates" if is_error(label) else "values", prefix)
+        count, worst, where = groups.get(key, (0, -1.0, ""))
+        rel = relative_change(a, b)
+        groups[key] = (count + 1, max(worst, rel), where if worst >= rel else label)
+    print(f"{changed} of {len(old)} lines changed")
+    for kind in ("values", "error estimates"):
+        rows = sorted((prefix, stats) for (k, prefix), stats in groups.items() if k == kind)
+        if not rows:
+            continue
+        print(f"{kind}:")
+        for prefix, (count, worst, where) in rows:
+            print(f"  {prefix:<32} {count:4d} changed, largest relative change {worst:.3g} ({where})")
+    new_values = dict(new)
+    moves = []
+    for label, a in old:
+        row, _, column = label.rpartition("/")
+        if label.startswith("perturbation/") and column == PERTURBATION_DIFFERENCE_COLUMN:
+            error = float(new_values[f"{row}/{PERTURBATION_ERROR_COLUMN}"])
+            moves.append((abs(float(new_values[label]) - float(a)) / error, label))
+    if moves:
+        ratio, label = max(moves)
+        print(f"perturbation differences: largest |change| / own error estimate {ratio:.3g} ({label})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

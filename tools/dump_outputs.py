@@ -4,12 +4,14 @@ fixed set of bodies, one ``label repr(value)`` line each.
     python3 tools/dump_outputs.py > outputs.txt
 
 Run it in two checkouts and compare the two files with ``cmp``: a change
-that must keep every number bit for bit shows no difference.  The set is
+that must keep every number bit for bit shows no difference.  For a change
+that may move numbers within their tolerances, ``tools/compare_outputs.py
+OLD NEW`` prints how far each group moved.  The set is
 
 * the nine theorem suites at dim None, 2, 3 and 4 (where the theorem
   applies), seed 11: every report's two sides and every body's volume.  At
   n = 4 the suites run at the default degrees, because their own degrees
-  (31/63, 39/63) need product grids of 0.5-1 GB;
+  (31/63, 39/63) need product grids of 0.27-0.52 GB;
 * the rows of three perturbation sign experiments;
 * both striped-cone sharpness schedules (n = 3 and n = 4, t = 0.5);
 * the vanishing bodies in R^3 and H^3;
