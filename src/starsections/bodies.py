@@ -17,13 +17,12 @@ import numpy as np
 from .errors import (
     ApplicabilityError,
     DomainError,
-    NonInjectiveRegionError,
     PitchSelectionError,
     ResourceLimitError,
     SolverError,
 )
 from .harmonics import ZonalHarmonic, zonal_harmonic
-from .quadrature import SphereRule, build_sphere_rule, default_degree
+from .quadrature import SphereRule, build_sphere_rule, gauss_jacobi, polar_rule
 from .spaces import (
     HEMISPHERE_MAX_RADIUS,
     SpaceSpec,
@@ -418,10 +417,6 @@ class HarmonicPerturbedProfile(RadialProfile):
         dirs = np.atleast_2d(dirs)
         return self.r + self.alpha + self.beta * self.harmonic(dirs)
 
-    def perturbation(self, dirs):
-        dirs = np.atleast_2d(dirs)
-        return self.alpha + self.beta * self.harmonic(dirs)
-
     def zonal_axis(self, n):
         return self.harmonic.axis
 
@@ -531,27 +526,6 @@ class PolygonProfile(RadialProfile):
             "normals": self.normals.tolist(),
             "offsets": self.offsets.tolist(),
         }
-
-
-@dataclass(frozen=True)
-class AngularProfile(RadialProfile):
-    """Plane-specific profile given by a callable of the polar angle (n = 2)."""
-
-    fn: object
-    params: dict = field(default_factory=dict)
-    kind = "angular"
-
-    def rho(self, dirs):
-        dirs = np.atleast_2d(dirs)
-        return np.asarray(self.fn(np.arctan2(dirs[:, 1], dirs[:, 0])), dtype=float)
-
-    def rho_angle(self, theta):
-        return np.asarray(self.fn(np.asarray(theta, dtype=float)), dtype=float)
-
-    def descriptor(self):
-        if not self.params:
-            raise ApplicabilityError("callable angular profiles are not serializable")
-        return {"kind": "angular", **self.params}
 
 
 @dataclass(frozen=True)
@@ -792,14 +766,21 @@ def make_symmetric_polygon_body(offsets, angles) -> StarBody:
     return StarBody(SpaceSpec(1, 2), PolygonProfile(normals, offsets), symmetric=True)
 
 
-def make_perturbed_ball(space: SpaceSpec, r: float, beta: float, k: int, axis=None,
-                        rule: SphereRule | None = None) -> StarBody:
+def _harmonic_extrema(n: int, k: int) -> np.ndarray:
+    """The t in [-1, 1] where alpha + beta H_k(t) takes its extrema: +-1 and the
+    zeros of H_k' ~ C_{k-1}^{lam+1}, lam = (n - 2) / 2, which are the nodes of
+    the Gauss rule for the weight (1 - t^2)^{(n-1)/2}."""
+    return np.concatenate([[-1.0, 1.0], gauss_jacobi(k - 1, (n - 1) / 2.0)[0]])
+
+
+def make_perturbed_ball(space: SpaceSpec, r: float, beta: float, k: int, axis=None) -> StarBody:
     """Volume-matched harmonic perturbation of a centered hemisphere ball.
 
-    rho = r + alpha + beta * H_k with alpha solved so that the quadrature
-    volume equals the ball volume to 1e-10 relative.  The exact root solve is
-    used rather than the first-order expansion of alpha: the sign experiment
-    downstream needs the volumes matched to machine precision.
+    rho = r + alpha + beta * H_k with alpha solved so that the volume, by the
+    polar rule in <u, axis>, equals the ball volume to 1e-10 relative.  The
+    exact root solve is used rather than the first-order expansion of alpha:
+    the sign experiment downstream needs the volumes matched to machine
+    precision.
     """
     if space.delta != 1:
         raise DomainError("perturbed balls are hemisphere constructions")
@@ -810,29 +791,26 @@ def make_perturbed_ball(space: SpaceSpec, r: float, beta: float, k: int, axis=No
     if axis is None:
         axis = np.zeros(n)
         axis[-1] = 1.0
-    if rule is None:
-        rule = build_sphere_rule(n - 1, max(default_degree(n - 1), 2 * k + 12))
     harmonic = zonal_harmonic(n, k, axis)
 
-    hvals = harmonic(rule.nodes)
-    ball_vol = float(np.dot(rule.weights, phi(space, n, np.full(len(rule), r))))
-    span = abs(beta) * float(np.max(np.abs(hvals))) + 1e-9
+    # against a degree-801 rule, degree max(63, 8k + 15) leaves at most 4e-15
+    # relative for n <= 8, k <= 32 at r = 0.7; a fixed degree 23 left up to
+    # 6e-5 there for k <= 8, and 63 up to 4e-5 at k = 32
+    t, w = polar_rule(n - 1, max(63, 8 * k + 15))
+    hvals = harmonic.at(t)
+    ball_vol = float(np.dot(w, phi(space, n, np.full(len(t), r))))
+    span = abs(beta) * float(np.max(np.abs(harmonic.at(_harmonic_extrema(n, k))))) + 1e-9
     if r - 2 * span <= 0 or r + 2 * span >= HEMISPHERE_MAX_RADIUS:
         raise DomainError("perturbation leaves the open radius range (0, pi/2)")
 
     def vol_gap(alpha):
-        rho = r + alpha + beta * hvals
-        if np.any(rho <= 0) or np.any(rho >= HEMISPHERE_MAX_RADIUS):
-            raise DomainError("perturbation leaves the open radius range (0, pi/2)")
-        return float(np.dot(rule.weights, phi(space, n, rho))) - ball_vol
+        return float(np.dot(w, phi(space, n, r + alpha + beta * hvals))) - ball_vol
 
     if beta == 0.0:
         alpha = 0.0
     else:
         try:
             alpha = brent_root(vol_gap, -span, span, xtol=1e-15, rtol=1e-15)
-        except DomainError:
-            raise
         except ValueError as exc:
             raise SolverError(f"volume-matching alpha not bracketed: {exc}") from exc
     body = StarBody(space, HarmonicPerturbedProfile(float(r), float(alpha), float(beta), harmonic),
@@ -843,17 +821,20 @@ def make_perturbed_ball(space: SpaceSpec, r: float, beta: float, k: int, axis=No
     return body
 
 
-def perturbation_norms(body: StarBody, rule: SphereRule | None = None):
-    """(L2, sup) norms of the radial perturbation f = rho - r over rule nodes."""
+def perturbation_norms(body: StarBody):
+    """(L2, sup) norms of the radial perturbation f = rho - r = alpha + beta H_k:
+    the L2 norm by the polar rule, exact at degree 2k, and the sup over the
+    points where f takes its extrema."""
     profile = body.profile
     if not isinstance(profile, HarmonicPerturbedProfile):
         raise ApplicabilityError("norms are defined for perturbed-ball bodies")
-    if rule is None:
-        rule = build_sphere_rule(body.space.dim - 1, max(default_degree(body.space.dim - 1),
-                                                         2 * profile.harmonic.degree + 12))
-    f = profile.perturbation(rule.nodes)
-    l2 = math.sqrt(float(np.dot(rule.weights, f ** 2)))
-    return l2, float(np.max(np.abs(f)))
+    n, k = body.space.dim, profile.harmonic.degree
+
+    def f(t):
+        return profile.alpha + profile.beta * profile.harmonic.at(t)
+
+    t, w = polar_rule(n - 1, 2 * k)
+    return math.sqrt(float(np.dot(w, f(t) ** 2))), float(np.max(np.abs(f(_harmonic_extrema(n, k)))))
 
 
 # ---------------------------------------------------------------------------
@@ -1019,145 +1000,3 @@ def is_convex_spherical(body: StarBody, samples: int = 800, seed: int = 0,
     w = mid[nontrivial, :-1] / horiz[nontrivial, None]
     allowed = body.rho(w)
     return bool(np.all(psi[nontrivial] <= allowed + tol))
-
-
-# ---------------------------------------------------------------------------
-# inverse angular area (plane-hemisphere regions)
-
-
-@dataclass(frozen=True)
-class AngularRegion:
-    """Connected difference-of-star-bodies region in the 2-hemisphere.
-
-    Described by inner and outer radial callables of the polar angle; the
-    angular volume density is cos(rho_inner) - cos(rho_outer), clipped at 0.
-    """
-
-    outer: object
-    inner: object
-
-    def density(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.maximum(np.cos(self.inner(theta)) - np.cos(self.outer(theta)), 0.0)
-
-
-def region_between(rho_inner, rho_outer) -> AngularRegion:
-    return AngularRegion(rho_outer, rho_inner)
-
-
-def region_over_arc(a: float, b: float, height: float = HEMISPHERE_MAX_RADIUS) -> AngularRegion:
-    """The cone-type region over the arc [a, b] (uniform angular density)."""
-
-    def outer(theta):
-        theta = np.asarray(theta, dtype=float) % TWO_PI
-        inside = (theta >= a % TWO_PI) & (theta <= (a % TWO_PI) + (b - a))
-        return np.where(inside, height, 0.0)
-
-    return AngularRegion(outer, lambda theta: np.zeros_like(np.asarray(theta, dtype=float)))
-
-
-class InverseAngularArea:
-    """Monotone counterclockwise map [0, 1] -> S^1 inverting normalized angular volume."""
-
-    def __init__(self, thetas: np.ndarray, cumulative: np.ndarray, x0: float):
-        self._thetas = thetas
-        self._cum = cumulative
-        self.x0 = x0
-        self.support = (float(thetas[0]), float(thetas[-1]))
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any((t < -1e-12) | (t > 1 + 1e-12)):
-            raise DomainError("the parameter must lie in [0, 1]")
-        out = np.interp(np.clip(t, 0.0, 1.0), self._cum, self._thetas)
-        return out if out.ndim else float(out)
-
-    def forward(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.interp(theta, self._thetas, self._cum)
-        return out if out.ndim else float(out)
-
-
-def _bisect_support_edge(density, inside: float, outside: float, tol: float) -> float:
-    """Angle where the density first exceeds tol between outside and inside."""
-    for _ in range(60):
-        mid = 0.5 * (inside + outside)
-        if float(density(np.array([mid]))[0]) > tol:
-            inside = mid
-        else:
-            outside = mid
-    return 0.5 * (inside + outside)
-
-
-def inverse_angular_area(region: AngularRegion, x0=None, grid: int = 1 << 14,
-                         fine: int = 1 << 17) -> InverseAngularArea:
-    """Inverse of f(x) = vol(region cut by cone(x0, x)) / vol(region).
-
-    ``x0`` (an angle or unit 2-vector) must avoid the angular support; when
-    omitted it is placed in the complementary gap automatically.  Support
-    endpoints are refined by bisection, and the cumulative volume is
-    accumulated on a fine grid aligned with the support, so the forward map
-    composed with the inverse is the identity to well below 1e-8.
-    """
-    thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    dens = region.density(thetas)
-    total_vol = float(np.sum(dens)) * (TWO_PI / grid)
-    if total_vol <= 0:
-        raise DomainError("region must have positive volume")
-    tol = 1e-12 * float(np.max(dens))
-    occupied = dens > tol
-
-    if x0 is None:
-        if np.all(occupied):
-            start_idx = 0
-        else:
-            # start inside the longest empty run (wrap-aware)
-            empty = ~occupied
-            idx = np.nonzero(empty)[0]
-            runs = np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1)
-            if empty[0] and empty[-1] and len(runs) > 1:
-                runs[0] = np.concatenate([runs[-1] - grid, runs[0]])
-                runs = runs[:-1]
-            longest = max(runs, key=len)
-            start_idx = int(longest[len(longest) // 2]) % grid
-    else:
-        angle = float(np.arctan2(x0[1], x0[0]) % TWO_PI) if np.ndim(x0) else float(x0) % TWO_PI
-        start_idx = int(round(angle / TWO_PI * grid)) % grid
-        if occupied[start_idx]:
-            raise DomainError("x0 must lie outside the angular support of the region")
-
-    origin = start_idx * TWO_PI / grid
-    dens = np.roll(dens, -start_idx)
-    occupied = dens > tol
-    support = np.nonzero(occupied)[0]
-    lo, hi = support[0], support[-1]
-    if np.any(~occupied[lo : hi + 1]):
-        raise NonInjectiveRegionError(
-            "angular density vanishes on an interior interval; the cumulative "
-            "volume is not injective"
-        )
-
-    def shifted_density(theta):
-        return region.density(np.asarray(theta) + origin)
-
-    h = TWO_PI / grid
-    theta_lo = lo * h
-    theta_hi = hi * h
-    if lo > 0:
-        theta_lo = _bisect_support_edge(shifted_density, lo * h, (lo - 1) * h, tol)
-    if hi < grid - 1:
-        theta_hi = _bisect_support_edge(shifted_density, hi * h, (hi + 1) * h, tol)
-
-    fine_theta = np.linspace(theta_lo, theta_hi, fine + 1)
-    step = (theta_hi - theta_lo) / fine
-    # midpoint-rule accumulation: exact for indicator densities (no half-cell
-    # loss at the jump edges), O(step^2) for smooth ones
-    mid_dens = shifted_density(fine_theta[:-1] + step / 2.0)
-    cum = np.concatenate([[0.0], np.cumsum(mid_dens * step)])
-    cum /= cum[-1]
-    cum = np.maximum.accumulate(cum)
-    # canonical angles: support start in [0, 2 pi), map stays monotone (it may
-    # pass 2 pi when the support wraps the zero direction)
-    out_theta = fine_theta + origin
-    out_theta -= TWO_PI * math.floor(out_theta[0] / TWO_PI)
-    return InverseAngularArea(out_theta, cum, origin % TWO_PI)

@@ -36,7 +36,3 @@ class ResourceLimitError(GeometryError, RuntimeError):
 class PitchSelectionError(GeometryError, RuntimeError):
     """No strip pitch small enough to meet the requested section tolerance."""
 
-
-class NonInjectiveRegionError(GeometryError, ValueError):
-    """The angular density vanishes on an interior interval, so the cumulative
-    angular volume is not invertible."""

@@ -26,6 +26,7 @@ from .quadrature import (
     gauss_jacobi,
     householder_frame,
     integrate_vectorized,
+    polar_rule,
     subsphere_nodes,
 )
 from .spaces import (
@@ -226,8 +227,9 @@ def _path(body: StarBody, config: QuadratureConfig) -> str:
     ``arcs`` (an indicator body over arcs in the plane, in closed form),
     ``indicator`` (other indicator bodies, exact sections on the outer rule),
     ``plane`` (other plane bodies while ``plane_adaptive``, Gauss-Kronrod in
-    the angle), ``zonal`` (a zonal axis in n >= 3, one section per distinct
-    <xi, axis>) or ``product`` (the outer rule times the inner rule).
+    the angle), ``zonal`` (a zonal axis in n >= 3, 1-d polar rules in
+    <xi, axis> and <u, axis>) or ``product`` (the outer rule times the inner
+    rule).
     """
     n = body.space.dim
     if body.is_indicator:
@@ -258,6 +260,9 @@ def volume(body: StarBody, mu: RadialDensityMeasure | None = None,
 
         val, _ = _adaptive_circle(integrand, config.angular_tol)
         return val
+    if path == "zonal":
+        c, w = polar_rule(n - 1, config.outer(n))
+        return float(np.dot(w, _zonal_radial(body, mu, n, c)))
     rule = build_sphere_rule(n - 1, config.outer(n))
     rho = np.clip(body.rho(rule.nodes), 0.0, space.max_radius)
     return float(np.dot(rule.weights, _radial(space, n, rho, mu)))
@@ -269,8 +274,12 @@ def section_volume(body: StarBody, xi, mu: RadialDensityMeasure | None = None,
     origin with unit normal xi; DomainError for any other xi."""
     n = body.space.dim
     xi = as_direction(xi, n)
-    if _path(body, config) in ("arcs", "indicator"):
+    path = _path(body, config)
+    if path in ("arcs", "indicator"):
         return float(_indicator_sections(body, mu, xi[None])[0])
+    if path == "zonal":
+        c = np.array([xi @ body.profile.zonal_axis(n)])
+        return float(_zonal_sections(body, mu, c, config)[0])
     inner = build_sphere_rule(n - 2, config.inner(n))
     integrands = _section_integrands(body, mu, subsphere_nodes(inner, xi[None]))
     return float(np.dot(inner.weights, integrands[0]))
@@ -292,6 +301,33 @@ def _section_integrands(body: StarBody, mu, embedded):
     return _radial(space, space.dim - 1, rho, mu).reshape(embedded.shape[:2])
 
 
+def _zonal_radial(body: StarBody, mu, m: int, s):
+    """Radial primitives (of dimension m) of a zonal body at any direction u
+    with <u, axis> = s, elementwise in s: u = s axis + sqrt(1 - s^2) b, for one
+    unit b orthogonal to the axis, through ``rho``."""
+    space = body.space
+    axis = body.profile.zonal_axis(space.dim)
+    b = householder_frame(axis)[:, 0]
+    s = np.asarray(s, dtype=float)
+    flat = s.reshape(-1)
+    dirs = flat[:, None] * axis + np.sqrt(1.0 - flat * flat)[:, None] * b
+    rho = np.clip(body.rho(dirs), 0.0, space.max_radius)
+    return _radial(space, m, rho, mu).reshape(s.shape)
+
+
+def _zonal_sections(body: StarBody, mu, c, config: QuadratureConfig):
+    """Section volumes of a zonal body at normals xi with <xi, axis> = c.  On
+    xi-perp, <u, axis> = sqrt(1 - c^2) t with t the polar coordinate of the
+    subsphere (Funk-Hecke), so one polar rule on S^{n-2} gives each section."""
+    n = body.space.dim
+    t, w = polar_rule(n - 2, config.inner(n))
+    s = np.sqrt(np.maximum(1.0 - c * c, 0.0))[:, None] * t
+    # each of the few sections carries a large share of the weight, so its
+    # rounding does not average out as over the product rule's many nodes:
+    # sum the rows pairwise, more accurately than a matrix-vector product
+    return np.sum(_zonal_radial(body, mu, n - 1, s) * w, axis=1)
+
+
 def _rule_sections(body: StarBody, mu, config: QuadratureConfig, path: str):
     """Outer weights and the section volumes they weight, on the indicator,
     zonal or product path.  xi and -xi have the same section, so each path
@@ -302,26 +338,12 @@ def _rule_sections(body: StarBody, mu, config: QuadratureConfig, path: str):
         normals, weights = build_sphere_rule(n - 1, config.outer(n)).antipodal_half
         return weights, _indicator_sections(body, mu, normals)
     if path == "zonal":
-        # The body is rotationally symmetric about its axis, so a section
-        # depends only on c = <xi, axis>.  The outer product rule integrates
-        # over S^{n-1} with its polar coordinate as c, whatever the axis:
-        # collapsing its half along that coordinate gives the distinct c >= 0
-        # and their summed weights, and each section is taken at the one
-        # normal xi_c = c axis + sqrt(1 - c^2) b, b a fixed unit vector
-        # orthogonal to the axis.
-        axis = body.profile.zonal_axis(n)
-        normals, half_weights = build_sphere_rule(n - 1, config.outer(n)).antipodal_half
-        inner = build_sphere_rule(n - 2, config.inner(n))
-        c, which = np.unique(normals[:, 0], return_inverse=True)
-        weights = np.array([math.fsum(half_weights[which == i]) for i in range(len(c))])
-        b = householder_frame(axis)[:, 0]
-        xis = c[:, None] * axis + np.sqrt(1.0 - c ** 2)[:, None] * b
-        # each of the few sections carries a large share of the weight, so its
-        # rounding does not average out as over the product rule's many nodes:
-        # sum the rows pairwise, more accurately than a matrix-vector product
-        integrands = _section_integrands(body, mu, subsphere_nodes(inner, xis))
-        sections = np.sum(integrands * inner.weights, axis=1)
-        return weights, sections
+        # a section depends only on c = <xi, axis>, and xi and -xi share it:
+        # the c >= 0 of the polar rule, each at twice its weight except c = 0
+        c, w = polar_rule(n - 1, config.outer(n))
+        keep = c >= 0.0
+        weights = np.where(c[keep] > 0.0, 2.0, 1.0) * w[keep]
+        return weights, _zonal_sections(body, mu, c[keep], config)
     weights, inner, embedded = _section_grid(n, config.outer(n), config.inner(n))
     return weights, _section_integrands(body, mu, embedded) @ inner.weights
 

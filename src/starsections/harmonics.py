@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedDimensionError
-from .quadrature import SphereRule, build_sphere_rule, subsphere_nodes
-from .spaces import as_direction, sphere_surface_area
+from .quadrature import SphereRule, polar_rule, subsphere_nodes
+from .spaces import as_direction
 
 
 def gegenbauer(k: int, lam: float, t):
@@ -31,25 +32,17 @@ def gegenbauer(k: int, lam: float, t):
     return cur
 
 
-_NORMALIZATION_CACHE: dict[tuple[int, int], float] = {}
-
-
+@lru_cache(maxsize=None)
 def _zonal_scale(n: int, k: int) -> float:
     """1 / L2-norm of the raw zonal polynomial on S^{n-1}, computed by quadrature.
 
-    Quadrature (degree >= 2k + 2 rule) rather than a closed form: the scale is
-    then self-consistent with the rules used downstream, and a whole class of
-    constant-factor bugs disappears.
+    Quadrature (the polar rule, exact at degree >= 2k) rather than a closed
+    form: the scale is then self-consistent with the rules used downstream,
+    and a whole class of constant-factor bugs disappears.
     """
-    key = (n, k)
-    if key not in _NORMALIZATION_CACHE:
-        rule = build_sphere_rule(n - 1, max(2 * k + 2, 8))
-        axis = np.zeros(n)
-        axis[-1] = 1.0
-        vals = gegenbauer(k, (n - 2) / 2.0, rule.nodes @ axis)
-        norm_sq = float(np.dot(rule.weights, vals ** 2))
-        _NORMALIZATION_CACHE[key] = 1.0 / math.sqrt(norm_sq)
-    return _NORMALIZATION_CACHE[key]
+    t, w = polar_rule(n - 1, max(2 * k + 2, 8))
+    norm_sq = float(np.dot(w, gegenbauer(k, (n - 2) / 2.0, t) ** 2))
+    return 1.0 / math.sqrt(norm_sq)
 
 
 @dataclass(frozen=True)
@@ -71,8 +64,10 @@ class ZonalHarmonic:
         object.__setattr__(self, "_scale", _zonal_scale(self.ambient_dim, self.degree))
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        t = u @ self.axis
+        return self.at(np.asarray(u, dtype=float) @ self.axis)
+
+    def at(self, t):
+        """The harmonic at every unit u with <u, axis> = t."""
         return self._scale * gegenbauer(self.degree, (self.ambient_dim - 2) / 2.0, t)
 
 
@@ -113,36 +108,8 @@ def radon_multiplier(n: int, k: int) -> float:
     return sign * math.exp(log_mag)
 
 
-@dataclass(frozen=True)
-class MultiplierTable:
-    """lambda_k for k = 0..max_degree on S^{n-1} (zero at odd k)."""
-
-    ambient_dim: int
-    values: dict[int, float]
-
-    def __getitem__(self, k: int) -> float:
-        return self.values[k]
-
-
-def multiplier_table(n: int, max_degree: int) -> MultiplierTable:
-    return MultiplierTable(n, {k: radon_multiplier(n, k) for k in range(max_degree + 1)})
-
-
 def radon_quadrature(f, rule: SphereRule, xi) -> float:
     """Quadrature estimate of Rf(xi) using a rule on S^{n-2}."""
     vals = np.asarray(f(subsphere_nodes(rule, as_direction(xi)[None])[0]), dtype=float)
     return float(np.dot(rule.weights, vals))
 
-
-def radon_l2_bound_check(f, outer_rule: SphereRule, inner_rule: SphereRule):
-    """Both sides of ||Rf||_{L2} <= |S^{n-2}| ||f||_{L2}, by quadrature.
-
-    Returns ``(lhs, rhs)``.  Constants saturate the bound; for other f the
-    left side falls short by the multiplier decay.
-    """
-    n = outer_rule.dim + 1
-    rf = np.array([radon_quadrature(f, inner_rule, xi) for xi in outer_rule.nodes])
-    lhs = math.sqrt(float(np.dot(outer_rule.weights, rf ** 2)))
-    fv = np.asarray(f(outer_rule.nodes), dtype=float)
-    rhs = sphere_surface_area(n - 2) * math.sqrt(float(np.dot(outer_rule.weights, fv ** 2)))
-    return lhs, rhs

@@ -3,7 +3,8 @@
 Sphere rules are products of Gauss-Jacobi rules in the polar coordinate with
 a recursive lower-dimensional rule, bottoming out at a uniform rule on the
 circle.  Exactness is by construction: a rule of declared degree d integrates
-every polynomial of total degree <= d restricted to the sphere.
+every polynomial of total degree <= d restricted to the sphere.  Functions of
+<u, e> alone integrate over the polar factor only (``polar_rule``).
 
 Rules are immutable after construction.  Summation over nodes goes through
 ``numpy`` dot/sum reductions, which use pairwise summation over the fixed
@@ -13,13 +14,13 @@ node ordering, so repeated evaluations are bit-reproducible.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ResourceLimitError
+from .spaces import sphere_surface_area
 
 DEFAULT_NODE_CAP = 4_000_000
 
@@ -156,6 +157,32 @@ def build_sphere_rule(m: int, degree: int, node_cap: int = DEFAULT_NODE_CAP) -> 
     return SphereRule(m, nodes, weights, degree)
 
 
+@lru_cache(maxsize=None)
+def polar_rule(m: int, degree: int):
+    """Read-only nodes t and weights w on [-1, 1] with sum w f(t) equal to the
+    integral of f(<u, e>) over u in S^m, for any unit e and every polynomial f
+    of degree <= degree.
+
+    For m >= 2 this is the polar factor of ``build_sphere_rule(m, degree)``
+    times |S^{m-1}|, so degrees map to node counts as there; for m = 1 (whose
+    weight (1 - t^2)^{-1/2} ``gauss_jacobi`` refuses) the first coordinates of
+    the circle rule.  No node cap applies: the rule is one-dimensional.
+    """
+    if m < 1:
+        raise DomainError("polar rules need sphere dimension >= 1")
+    if degree < 1:
+        raise DomainError("degree must be >= 1")
+    if m == 1:
+        rule = _circle_rule(degree)
+        t, w = rule.nodes[:, 0].copy(), rule.weights.copy()
+    else:
+        t, w = gauss_jacobi((degree + 2) // 2, (m - 2) / 2.0)
+        w = w * sphere_surface_area(m - 1)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
 def householder_frames(xis: np.ndarray) -> np.ndarray:
     """Orthonormal bases of xi-perp, shape (D, n, n - 1) for D unit normals: the
     columns of the reflection sending e_n to each xi.
@@ -195,37 +222,6 @@ def subsphere_nodes(rule: SphereRule, xis) -> np.ndarray:
     out = np.empty((len(xis), len(rule), n))
     np.matmul(rule.nodes, householder_frames(xis).transpose(0, 2, 1), out=out)
     return out
-
-
-def integrate_radial(f, a: float, b: float, tol: float = 1e-12):
-    """Adaptive integral of f over [a, b].
-
-    Returns ``(value, error_estimate)``.  Integrable endpoint singularities
-    are allowed.  Raises :class:`ConvergenceError` when the error estimate
-    stalls well above ``tol``.  This function needs the optional scipy
-    dependency (``pip install starsections[test]``): QUADPACK is imported on
-    the first call, so that importing the library does not load scipy.
-    """
-    try:
-        from scipy.integrate import IntegrationWarning, quad
-    except ImportError as exc:
-        raise ImportError(
-            "integrate_radial uses QUADPACK from scipy, an optional dependency; "
-            "install it with `pip install starsections[test]`"
-        ) from exc
-
-    if a > b:
-        raise DomainError("integration requires a <= b")
-    if a == b:
-        return 0.0, 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = quad(f, a, b, epsabs=tol, epsrel=max(tol, 1e-13), limit=500)
-    if err > max(50 * tol, 1e-9 * abs(value)):
-        raise ConvergenceError(
-            f"adaptive quadrature stalled: estimated error {err:.3e} > tol {tol:.3e}"
-        )
-    return value, err
 
 
 # Gauss-Kronrod 10/21 rule on [-1, 1] (QUADPACK dqk21): Kronrod nodes from the

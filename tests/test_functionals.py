@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 
 from starsections import functionals
@@ -47,7 +48,7 @@ from starsections.functionals import (
     volume,
 )
 from starsections.harmonics import zonal_harmonic
-from starsections.quadrature import build_sphere_rule, integrate_radial, subsphere_nodes
+from starsections.quadrature import build_sphere_rule, subsphere_nodes
 from starsections.spaces import SpaceSpec, phi, sphere_surface_area
 from starsections.verify import (
     perturbation_sign_experiment,
@@ -171,7 +172,8 @@ class TestPlaneAdaptive:
             return float(body.rho(np.array([[math.cos(theta), math.sin(theta)]]))[0])
 
         def piecewise(f):
-            return sum(integrate_radial(f, a, b, 1e-14)[0] for a, b in zip(edges, edges[1:]))
+            return sum(quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=500)[0]
+                       for a, b in zip(edges, edges[1:]))
 
         vol = piecewise(lambda t: 1.0 - math.cos(rho(t)))
         # symmetric body: the section normal to xi is twice the radius along xi-perp
@@ -275,6 +277,37 @@ class TestZonalPath:
         assert busemann_functional(StarBody(body.space, turned, True), config=config) == \
             pytest.approx(busemann_functional(body, config=config), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_ball_matches_closed_forms(self, n):
+        space = SpaceSpec(1, n)
+        ball = make_ball(space, 0.9)
+        section = sphere_surface_area(n - 2) * phi(space, n - 1, 0.9)
+        assert volume(ball) == pytest.approx(
+            sphere_surface_area(n - 1) * phi(space, n, 0.9), rel=1e-13, abs=0.0)
+        assert busemann_functional(ball) == pytest.approx(
+            sphere_surface_area(n - 1) * section ** n, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n,k", [(3, 4), (4, 2)])
+    def test_section_at_tilted_normal_within_both_error_estimates(self, n, k):
+        body = make_perturbed_ball(SpaceSpec(1, n), 0.8, 0.08, k)
+        xi = np.arange(1.0, n + 1.0) / np.linalg.norm(np.arange(1.0, n + 1.0))
+        config = experiment_config(n, k)
+        finer = QuadratureConfig(outer_degree=config.outer_degree + 8,
+                                 inner_degree=config.inner_degree + 8)
+
+        def with_error(b):
+            coarse, fine = section_volume(b, xi, config=config), section_volume(b, xi, config=finer)
+            return fine, abs(fine - coarse) + 1e-15 * abs(fine)
+
+        zonal, err_zonal = with_error(body)
+        product, err_product = with_error(product_rule(body))
+        assert abs(zonal - product) <= err_zonal + err_product
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_n6_experiment(self, k):
+        result = perturbation_sign_experiment(6, 0.7, k)
+        assert result.conclusive and result.sign_matches
+
     def test_n4_experiment_evaluates_few_points(self, monkeypatch):
         points = []
         rho = StarBody.rho
@@ -356,7 +389,7 @@ class TestHyperbolicSpecialFunctions:
                 r = 1.0 - math.exp(-u)
                 return r ** 2 / (1 - r ** 2) ** 3 * math.exp(-u)
 
-            ref, _ = integrate_radial(integrand, 0.0, u_hi, 1e-13)
+            ref, _ = quad(integrand, 0.0, u_hi, epsabs=1e-13, epsrel=1e-13, limit=500)
             assert fn_hyperbolic(3, t) == pytest.approx(ref, rel=1e-9)
 
     def test_zero_and_domain(self):
@@ -400,7 +433,7 @@ class TestSphericalComparisonFunction:
         # inner integral for n = 2 is t^2 / (2 (1 + t^2)), invertible by hand
         for t in (0.4, 1.3, 3.0):
             v = t * t / (2 * (1 + t * t))
-            expected, _ = integrate_radial(lambda r: 1.0 / (1 + r ** 2), 0.0, t, 1e-13)
+            expected, _ = quad(lambda r: 1.0 / (1 + r ** 2), 0.0, t, epsabs=1e-13, epsrel=1e-13)
             assert f_spherical(2, v) == pytest.approx(expected, rel=1e-10)
 
     def test_midpoint_concavity_on_applicable_domain(self):
@@ -569,8 +602,8 @@ class TestRhsBounds:
     @pytest.mark.parametrize("vol", [1e-3, 0.05, 1.0, 4.0, 2 * math.pi - 1e-3])
     def test_lune_bound_against_quadpack(self, vol):
         tw = math.tan(vol / 4.0)
-        value, _ = integrate_radial(lambda th: math.atan(tw / math.cos(th)) ** 2,
-                                    0.0, math.pi / 2, tol=1e-13)
+        value, _ = quad(lambda th: math.atan(tw / math.cos(th)) ** 2,
+                        0.0, math.pi / 2, epsabs=1e-13, epsrel=1e-13, limit=500)
         assert lune_bound(vol) == pytest.approx(16.0 * value, rel=1e-12)
 
     @pytest.mark.parametrize("vol", [1e-3, 0.05, 1.0, 4.0, 2 * math.pi - 1e-3])

@@ -44,13 +44,24 @@ def import_time_statements(node):
             yield from import_time_statements(child)
 
 
+def scipy_imports(nodes):
+    """The scipy modules that the import statements among nodes name."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        yield from (name for name in names if name == "scipy" or name.startswith("scipy."))
+
+
 def test_no_module_level_scipy_import():
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in import_time_statements(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert not any(name == "scipy" or name.startswith("scipy.") for name in names), path.name
+        assert not list(scipy_imports(import_time_statements(ast.parse(path.read_text())))), path.name
+
+
+def test_no_scipy_import_anywhere():
+    # not even inside a function: no library path needs scipy
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert not list(scipy_imports(ast.walk(ast.parse(path.read_text())))), path.name

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -11,8 +10,8 @@ from starsections.quadrature import (
     build_sphere_rule,
     gauss_jacobi,
     householder_frame,
-    integrate_radial,
     integrate_vectorized,
+    polar_rule,
     subsphere_nodes,
 )
 from starsections.spaces import sphere_surface_area
@@ -248,39 +247,36 @@ class TestSelfAdjointness:
             assert abs(lhs - rhs) <= 1e-6 * s * gmax
 
 
-class TestIntegrateRadial:
-    def test_polynomial(self):
-        val, err = integrate_radial(lambda t: t ** 2, 0.0, 1.0, 1e-12)
-        assert val == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert err <= 1e-10
+class TestPolarRule:
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("degree", [7, 8, 23])
+    def test_moments_exact(self, m, degree):
+        # the integral of <u, e>^j over S^m is |S^{m-1}| B((j + 1) / 2, m / 2) for
+        # even j and 0 for odd j
+        t, w = polar_rule(m, degree)
+        for j in range(degree + 1):
+            exact = 0.0 if j % 2 else sphere_surface_area(m - 1) * math.exp(
+                math.lgamma((j + 1) / 2) + math.lgamma(m / 2) - math.lgamma((j + m + 1) / 2))
+            assert abs(np.dot(w, t ** j) - exact) <= 1e-13 * sphere_surface_area(m)
 
-    def test_sine(self):
-        val, _ = integrate_radial(math.sin, 0.0, math.pi / 2)
-        assert val == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("m,degree", [(1, 7), (1, 8), (2, 23), (3, 23), (3, 31)])
+    def test_is_the_sphere_rule_polar_coordinate(self, m, degree):
+        # the distinct first coordinates of the sphere rule, with their summed weights
+        rule = build_sphere_rule(m, degree)
+        t, w = polar_rule(m, degree)
+        c, which = np.unique(rule.nodes[:, 0], return_inverse=True)
+        summed = np.bincount(which, weights=rule.weights)
+        ours, inverse = np.unique(t, return_inverse=True)
+        np.testing.assert_array_equal(ours, c)
+        np.testing.assert_allclose(np.bincount(inverse, weights=w), summed, rtol=1e-14)
 
-    def test_blowup_near_one(self):
-        # closed form: 1 / (2 (1 - r^2)) - 1/2
-        val, _ = integrate_radial(lambda r: r / (1 - r ** 2) ** 2, 0.0, 0.9, 1e-12)
-        assert val == pytest.approx(0.5 * (1 / (1 - 0.81) - 1), rel=1e-10)
-
-    def test_integrable_endpoint_singularity(self):
-        val, _ = integrate_radial(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, 1e-10)
-        assert val == pytest.approx(2.0, rel=1e-8)
-
-    def test_bad_interval(self):
+    def test_read_only_and_domain(self):
+        t, w = polar_rule(2, 11)
+        assert not t.flags.writeable and not w.flags.writeable
         with pytest.raises(DomainError):
-            integrate_radial(math.sin, 1.0, 0.0)
-
-    def test_convergence_error(self):
-        # a genuinely divergent integrand stalls the error estimate
-        with pytest.raises((ConvergenceError, Exception)):
-            integrate_radial(lambda t: 1.0 / t, 0.0, 1.0, 1e-12)
-
-    def test_without_scipy_names_the_dependency(self, monkeypatch):
-        # a None entry in sys.modules makes the import raise ImportError
-        monkeypatch.setitem(sys.modules, "scipy.integrate", None)
-        with pytest.raises(ImportError, match="optional dependency"):
-            integrate_radial(math.sin, 0.0, 1.0)
+            polar_rule(0, 11)
+        with pytest.raises(DomainError):
+            polar_rule(2, 0)
 
 
 class TestIntegrateVectorized:
