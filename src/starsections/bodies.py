@@ -18,6 +18,7 @@ from .errors import (
     ApplicabilityError,
     DomainError,
     PitchSelectionError,
+    RadiusRangeError,
     ResourceLimitError,
     SolverError,
 )
@@ -40,12 +41,13 @@ TWO_PI = 2.0 * math.pi
 
 
 def _band_primitive(q: float, t):
-    """Antiderivative of (1 - u^2)^q vanishing at 0, for q in {-1/2, 0, 1/2, 1, ...}."""
+    """Antiderivative of (1 - u^2)^q vanishing at 0, for q in {-1/2, 0, 1/2, 1, ...}
+    and t in [-1, 1].  At q = 0 it is t itself, not a copy."""
     t = np.asarray(t, dtype=float)
     if q == -0.5:
-        return np.arcsin(np.clip(t, -1.0, 1.0))
+        return np.arcsin(t)
     if q == 0.0:
-        return t.copy()
+        return t
     return (t * (1.0 - t ** 2) ** q + 2.0 * q * _band_primitive(q - 1.0, t)) / (2.0 * q + 1.0)
 
 
@@ -61,8 +63,10 @@ def sphere_band_measure(m: int, lo, hi):
         inside = lambda t: (lo <= t) & (t <= hi)  # noqa: E731
         out = inside(1.0) * 1.0 + inside(-1.0) * 1.0
         return out if out.ndim else float(out)
-    lo_c = np.clip(lo, -1.0, 1.0)
-    hi_c = np.clip(hi, -1.0, 1.0)
+    # np.clip's values at a fraction of its call overhead, which would dominate
+    # on the chunk-sized arrays of BandsBase.section_measures
+    lo_c = np.minimum(np.maximum(lo, -1.0), 1.0)
+    hi_c = np.minimum(np.maximum(hi, -1.0), 1.0)
     q = (m - 2) / 2.0
     out = sphere_surface_area(m - 1) * np.maximum(
         _band_primitive(q, hi_c) - _band_primitive(q, lo_c), 0.0
@@ -121,13 +125,21 @@ class BandsBase(ConeBase):
             raise DomainError("band bounds must be matching 1-d arrays")
         if np.any(his < los):
             raise DomainError("band upper bounds must dominate lower bounds")
-        order = np.argsort(los)
-        los, his = los[order], his[order]
+        if np.any(los[1:] < los[:-1]):
+            order = np.argsort(los)
+            los, his = los[order], his[order]
+        else:
+            los, his = los.copy(), his.copy()
         if np.any(los[1:] < his[:-1] - 1e-15):
             raise DomainError("bands must be disjoint")
+        # the running maximum of the upper edges, which bounds the section
+        # windows; bands may overlap by the disjointness tolerance, so the
+        # upper edges themselves need not be sorted
+        his_max = np.maximum.accumulate(his) if np.any(his[1:] < his[:-1]) else his
         object.__setattr__(self, "los", los)
         object.__setattr__(self, "his", his)
-        for arr in (self.axis, self.los, self.his):
+        object.__setattr__(self, "_his_max", his_max)
+        for arr in (self.axis, self.los, self.his, his_max):
             arr.setflags(write=False)
 
     @property
@@ -159,24 +171,43 @@ class BandsBase(ConeBase):
         out = np.empty(len(xis))
         degenerate = s < 1e-15
         if np.any(degenerate):
-            hit = np.any((self.los <= 0.0) & (0.0 <= self.his))
-            out[degenerate] = sphere_surface_area(m_sub) if hit else 0.0
+            start, stop = self._windows(np.zeros(1))
+            out[degenerate] = sphere_surface_area(m_sub) if start[0] < stop[0] else 0.0
         # a section depends on xi only through s, and symmetric rules repeat s
         # many times over: sum the bands once per distinct s and scatter back
         todo = ~degenerate
         svals, inverse = np.unique(s[todo], return_inverse=True)
         sums = np.empty(len(svals))
-        # chunk so each (s, band) temporary stays within 128 KB, glibc's default
-        # mmap threshold: larger temporaries make every call map and unmap
-        # them, or trim and regrow the heap
-        k = max(1, len(self.los))
-        block = max(1, 16384 // k)
-        for start in range(0, len(svals), block):
-            sv = svals[start : start + block, None]
-            vals = sphere_band_measure(m_sub, self.los[None, :] / sv, self.his[None, :] / sv)
-            sums[start : start + block] = np.sum(vals, axis=1)
+        # sphere_band_measure keeps at most m_sub // 2 + 8 arrays of its input's
+        # size alive at once, the caller's two scaled edge arrays included.  At
+        # this many values each they stay under 128 KB together (16384 floats),
+        # glibc's default mmap and trim threshold: no call maps, unmaps or trims
+        # memory, and the timing does not depend on what else the process holds
+        chunk = 16384 // (m_sub // 2 + 8)
+        k = len(self.los)
+        if k <= chunk:
+            # a small base: all its bands against a block of s at once
+            block = chunk // max(1, k)
+            for start in range(0, len(svals), block):
+                sv = svals[start : start + block, None]
+                vals = sphere_band_measure(m_sub, self.los[None, :] / sv, self.his[None, :] / sv)
+                sums[start : start + block] = np.sum(vals, axis=1)
+        else:
+            # a large base: only the window of bands that meets [-s, s] adds
+            # anything (every other band adds exactly 0), summed in chunks
+            for i, (sv, start, stop) in enumerate(zip(svals, *self._windows(svals))):
+                sums[i] = math.fsum(
+                    sphere_band_measure(m_sub, self.los[j : min(j + chunk, stop)] / sv,
+                                        self.his[j : min(j + chunk, stop)] / sv).sum()
+                    for j in range(start, stop, chunk))
         out[todo] = sums[inverse]
         return out
+
+    def _windows(self, svals):
+        """For each s, the bands [start, stop) that meet [-s, s]: those before
+        start lie below -s and those from stop on lie above s."""
+        return (np.searchsorted(self._his_max, -svals, side="left"),
+                np.searchsorted(self.los, svals, side="right"))
 
     def is_origin_symmetric(self) -> bool:
         # -A has bands [-hi, -lo] in reverse order; compare without building it
@@ -185,8 +216,9 @@ class BandsBase(ConeBase):
 
     def with_antipodes(self) -> "BandsBase":
         """A union -A, with A's meta; A must not meet -A."""
-        return BandsBase(self.axis, np.concatenate([self.los, -self.his[::-1]]),
-                         np.concatenate([self.his, -self.los[::-1]]), meta={**self.meta})
+        # -A first: for A above the equator the bands are then already sorted
+        return BandsBase(self.axis, np.concatenate([-self.his[::-1], self.los]),
+                         np.concatenate([-self.los[::-1], self.his]), meta={**self.meta})
 
     def descriptor(self) -> dict:
         return {
@@ -801,7 +833,7 @@ def make_perturbed_ball(space: SpaceSpec, r: float, beta: float, k: int, axis=No
     ball_vol = float(np.dot(w, phi(space, n, np.full(len(t), r))))
     span = abs(beta) * float(np.max(np.abs(harmonic.at(_harmonic_extrema(n, k))))) + 1e-9
     if r - 2 * span <= 0 or r + 2 * span >= HEMISPHERE_MAX_RADIUS:
-        raise DomainError("perturbation leaves the open radius range (0, pi/2)")
+        raise RadiusRangeError("perturbation leaves the open radius range (0, pi/2)")
 
     def vol_gap(alpha):
         return float(np.dot(w, phi(space, n, r + alpha + beta * hvals))) - ball_vol
@@ -843,23 +875,41 @@ def perturbation_norms(body: StarBody):
 
 def _striped_base(axis, alpha: float, delta: float, lam: float, cap_measure: float) -> BandsBase:
     """Strips of pitch delta inside the cap, with the keep fraction gamma tuned
-    so that the total measure is lam * cap_measure."""
-    n = len(axis)
-    k = np.arange(1, int(math.floor((1.0 - alpha) / delta)) + 2)
-    tops = np.minimum(alpha + k * delta, 1.0)
+    so that the total measure is lam * cap_measure.
 
-    def strip_bounds(gamma):
-        los = alpha + (k - gamma) * delta
-        keep = los < 1.0
-        return los[keep], tops[keep]
+    The root solve measures up to about 10^6 strips per evaluation, so it
+    does only the arithmetic of sphere_band_measure and no more: the tops'
+    primitive is computed once, the lower edges alpha + (k - gamma) delta are
+    rebuilt in place with the same float operations, and as they rise with k
+    the kept strips (lo < 1) are the prefix that one bisection finds.  Every
+    edge lies in [alpha, 1], where clipping changes nothing, so each measure
+    is bit for bit that of sphere_band_measure on the kept strips.
+    """
+    n = len(axis)
+    # the strip numbers 1, 2, ... as floats, exactly as k - gamma converts them
+    k = np.arange(1, int(math.floor((1.0 - alpha) / delta)) + 2).astype(float)
+    tops = np.minimum(alpha + k * delta, 1.0)
+    q = (n - 3) / 2.0
+    top_primitive = _band_primitive(q, tops)
+    area = sphere_surface_area(n - 2)
+    lo, band = np.empty(len(k)), np.empty(len(k))
+
+    def lower_edges(gamma):
+        np.subtract(k, gamma, out=lo)
+        np.multiply(lo, delta, out=lo)
+        np.add(lo, alpha, out=lo)
+        return lo[: np.searchsorted(lo, 1.0)]
 
     def measure_gap(gamma):
-        los, his = strip_bounds(gamma)
-        return float(np.sum(sphere_band_measure(n - 1, los, his))) - lam * cap_measure
+        los = lower_edges(gamma)
+        kept = np.subtract(top_primitive[: len(los)], _band_primitive(q, los), out=band[: len(los)])
+        np.maximum(kept, 0.0, out=kept)
+        kept *= area
+        return float(np.sum(kept)) - lam * cap_measure
 
     gamma = brent_root(measure_gap, 0.0, 1.0, xtol=1e-15, rtol=1e-15)
-    los, his = strip_bounds(gamma)
-    return BandsBase(np.asarray(axis, dtype=float), los, his,
+    los = lower_edges(gamma)
+    return BandsBase(np.asarray(axis, dtype=float), los, tops[: len(los)],
                      meta={"alpha": alpha, "delta": delta, "gamma": gamma, "lam": lam,
                            "cap_measure": cap_measure})
 

@@ -9,6 +9,10 @@ class DomainError(GeometryError, ValueError):
     """An argument is outside the valid range of the target space or function."""
 
 
+class RadiusRangeError(DomainError):
+    """A perturbation would take the radial function out of its open range."""
+
+
 class ApplicabilityError(GeometryError, ValueError):
     """A theorem, bound or operation does not apply to the given inputs."""
 

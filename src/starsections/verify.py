@@ -30,7 +30,7 @@ from .bodies import (
     is_convex_spherical,
     perturbation_norms,
 )
-from .errors import ApplicabilityError, DomainError
+from .errors import ApplicabilityError, DomainError, RadiusRangeError
 from .functionals import (
     DEFAULT_CONFIG,
     InequalityReport,
@@ -275,11 +275,15 @@ def perturbation_sign_experiment(n: int, r: float, k: int, betas=None,
 
     The reported sign comes from the smallest beta whose difference clears ten
     times the quadrature error estimate; an inconclusive run is reported as
-    such, never silently passed.
+    such, never silently passed.  A beta so large that the perturbation would
+    leave the open radius range is skipped; RadiusRangeError is raised only
+    when no beta of the schedule fits.  beta = 0, the ball itself, is refused.
     """
     if betas is None:
         betas = (0.08, 0.04, 0.02)
     betas = tuple(sorted(betas, reverse=True))
+    if 0.0 in betas:
+        raise DomainError("beta = 0 is the ball itself; every beta must be nonzero")
     space = SpaceSpec(1, n)
     degree = max(31, n * k + 14)
     if config is None:
@@ -296,7 +300,10 @@ def perturbation_sign_experiment(n: int, r: float, k: int, betas=None,
     rows = []
     chosen = None
     for beta in betas:
-        body = make_perturbed_ball(space, r, beta, k)
+        try:
+            body = make_perturbed_ball(space, r, beta, k)
+        except RadiusRangeError:
+            continue   # this beta is too large for r; a smaller one may fit
         lhs_K, err_K = busemann_functional_with_error(body, config=config)
         delta_norm, eps_norm = perturbation_norms(body)
         diff = lhs_K - lhs_B
@@ -305,6 +312,9 @@ def perturbation_sign_experiment(n: int, r: float, k: int, betas=None,
         rows.append((beta, delta_norm, eps_norm, lhs_K, lhs_B, diff, err, conclusive))
         if conclusive:
             chosen = rows[-1]
+    if not rows:
+        raise RadiusRangeError(f"perturbation leaves the open radius range (0, pi/2) "
+                               f"at every beta of {betas}")
     if chosen is None:
         # keep the smallest-beta row but flag the verdict
         chosen = rows[-1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from starsections.bodies import (
 from starsections.errors import DomainError
 from starsections.functionals import busemann_functional, volume
 from starsections.quadrature import build_sphere_rule, default_degree, gauss_jacobi
-from starsections.spaces import SpaceSpec, phi, sphere_surface_area
+from starsections.spaces import SpaceSpec, brent_root, phi, sphere_surface_area
 
 S2 = SpaceSpec(1, 2)
 S3 = SpaceSpec(1, 3)
@@ -203,6 +204,190 @@ class TestBandSectionsPerDistinctHeight:
         xis = build_sphere_rule(2, default_degree(2)).nodes
         perm = np.random.default_rng(5).permutation(len(xis))
         assert np.array_equal(base.section_measures(xis[perm]), base.section_measures(xis)[perm])
+
+
+class TestBandsConstruction:
+    def test_ascending_input_is_copied_not_aliased(self):
+        los, his = np.array([-0.5, 0.1, 0.4]), np.array([-0.2, 0.3, 0.9])
+        base = BandsBase(np.eye(3)[0], los, his)
+        assert np.array_equal(base.los, los) and np.array_equal(base.his, his)
+        assert not np.shares_memory(base.los, los) and los.flags.writeable
+
+    def test_unordered_input_is_sorted(self):
+        base = BandsBase(np.eye(3)[0], np.array([0.4, -0.5, 0.1]), np.array([0.9, -0.2, 0.3]))
+        assert base.los.tolist() == [-0.5, 0.1, 0.4] and base.his.tolist() == [-0.2, 0.3, 0.9]
+
+    @pytest.mark.parametrize("los, his", [([0.1, 0.2], [0.3, 0.4]),     # ordered, overlapping
+                                          ([0.2, 0.1], [0.4, 0.3]),     # unordered, overlapping
+                                          ([0.1, 0.5], [0.3, 0.4])])    # hi below lo
+    def test_checks_hold_for_any_order(self, los, his):
+        with pytest.raises(DomainError):
+            BandsBase(np.eye(3)[0], np.array(los), np.array(his))
+
+    def test_with_antipodes_is_ascending(self):
+        half = striped_cap_subset(0.2, np.eye(3)[0], 0.6, 0.1)
+        both = half.with_antipodes()
+        assert np.all(np.diff(both.los) > 0) and both.is_origin_symmetric()
+        unordered = BandsBase(half.axis, np.concatenate([half.los, -half.his[::-1]]),
+                              np.concatenate([half.his, -half.los[::-1]]))
+        assert np.array_equal(both.los, unordered.los) and np.array_equal(both.his, unordered.his)
+
+
+def _reference_striped_base(base):
+    """gamma and the strips (los, his) by the plain construction: mask and copy
+    the strip arrays and measure them with sphere_band_measure, at every
+    evaluation of the same root solve."""
+    meta, n = base.meta, base.ambient_dim
+    alpha, delta = meta["alpha"], meta["delta"]
+    k = np.arange(1, int(math.floor((1.0 - alpha) / delta)) + 2)
+    tops = np.minimum(alpha + k * delta, 1.0)
+
+    def strip_bounds(gamma):
+        los = alpha + (k - gamma) * delta
+        keep = los < 1.0
+        return los[keep], tops[keep]
+
+    def measure_gap(gamma):
+        los, his = strip_bounds(gamma)
+        return float(np.sum(sphere_band_measure(n - 1, los, his))) - meta["lam"] * meta["cap_measure"]
+
+    gamma = brent_root(measure_gap, 0.0, 1.0, xtol=1e-15, rtol=1e-15)
+    return (gamma, *strip_bounds(gamma))
+
+
+@pytest.fixture(scope="module")
+def dense_striped_cone_base():
+    """The densest schedule row: 1,354,522 bands."""
+    return make_striped_cone(S3, 0.5, 0.05, 0.02).profile.indicator_base
+
+
+class TestStripedRootSolve:
+    """The strip-fraction solve is bit for bit the plain construction."""
+
+    @staticmethod
+    def _assert_matches_reference(base, antipodal):
+        gamma, los, his = _reference_striped_base(base)
+        assert base.meta["gamma"] == gamma
+        half = len(los)
+        assert len(base.los) == (2 * half if antipodal else half)
+        assert np.array_equal(base.los[-half:], los) and np.array_equal(base.his[-half:], his)
+        if antipodal:
+            assert np.array_equal(base.los[:half], -his[::-1])
+            assert np.array_equal(base.his[:half], -los[::-1])
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("alpha, lam, eps", [(0.2, 0.6, 0.1), (0.4, 0.995, 0.2)])
+    def test_strip_subsets(self, n, alpha, lam, eps):
+        self._assert_matches_reference(striped_cap_subset(alpha, np.eye(n)[0], lam, eps), False)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_striped_cones(self, n):
+        base = make_striped_cone(SpaceSpec(1, n), 0.5, 0.1, 0.05).profile.indicator_base
+        self._assert_matches_reference(base, True)
+
+    def test_densest_schedule_row(self, dense_striped_cone_base):
+        self._assert_matches_reference(dense_striped_cone_base, True)
+
+    def test_vanishing_body(self):
+        base = make_vanishing_body(E3, 1.0, 0.3).profile.indicator_base
+        self._assert_matches_reference(base, True)
+
+
+def _fsum_sections(base, xis):
+    """Sections at the normals xis, summing every band's sphere_band_measure
+    exactly, at s = sqrt(1 - <xi, axis>^2) computed as section_measures does."""
+    m_sub = base.ambient_dim - 2
+    svals = np.sqrt(np.maximum(0.0, 1.0 - np.sum(xis * base.axis, axis=1) ** 2))
+    return [math.fsum(sphere_band_measure(m_sub, base.los / s, base.his / s).tolist())
+            for s in svals]
+
+
+def _normals_at(axis, svals):
+    """Unit normals xi with sqrt(1 - <xi, axis>^2) = s up to rounding, one per s."""
+    n = len(axis)
+    other = np.zeros(n)
+    other[1 if abs(axis[0]) > 0.5 else 0] = 1.0
+    other -= (other @ axis) * axis
+    other /= np.linalg.norm(other)
+    svals = np.asarray(svals)
+    return np.sqrt(1.0 - svals[:, None] ** 2) * axis + svals[:, None] * other
+
+
+class TestWindowedBandSums:
+    """A large base sums only the bands that meet [-s, s], in chunks."""
+
+    @staticmethod
+    def _assert_matches_fsum(base, xis):
+        for sec, ref in zip(base.section_measures(xis), _fsum_sections(base, xis)):
+            assert sec == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_dense_striped_base_against_fsum(self, n):
+        axis = np.eye(n)[0]
+        base = striped_cap_subset(0.1, axis, 0.5, 0.004 if n == 3 else 0.02).with_antipodes()
+        assert len(base.los) > 16384 // ((n - 2) // 2 + 8)    # more bands than one chunk
+        # no band comes closer than alpha = 0.1 to the equator
+        assert base.section_measures(_normals_at(axis, [0.03, 0.0999])).tolist() == [0.0, 0.0]
+        self._assert_matches_fsum(base, _normals_at(axis, [0.1, 0.1001, 0.3, 0.7, 0.99, 1.0]))
+
+    def test_densest_schedule_row_against_fsum(self, dense_striped_cone_base):
+        base = dense_striped_cone_base
+        assert base.section_measures(_normals_at(base.axis, [0.049]))[0] == 0.0
+        self._assert_matches_fsum(base, _normals_at(base.axis, [0.05, 0.2, 0.6381613, 0.99212731]))
+
+    def test_circle_bands_count_touching_edges(self):
+        # on S^1 the section is two points, and a band whose edge is +-s holds one
+        axis = np.eye(2)[0]
+        xis = _normals_at(axis, [0.2, 0.5, 0.8])
+        s = np.sqrt(np.maximum(0.0, 1.0 - np.sum(xis * axis, axis=1) ** 2))
+        edges = np.linspace(-0.95, 0.95, 6001)
+        # put an upper edge at -s[0], a lower edge at -s[1] and a lower edge at s[2]
+        for t, parity in ((-s[0], 1), (-s[1], 0), (s[2], 0)):
+            i = int(np.searchsorted(edges, t))
+            edges[i if i % 2 == parity else i - 1] = t
+        base = BandsBase(axis, edges[0:-1:2], edges[1::2])
+        assert {-s[0], -s[1], s[2]} <= set(base.los) | set(base.his)
+        assert base.section_measures(xis).tolist() == _fsum_sections(base, xis)
+
+    def test_upper_edges_out_of_order(self):
+        # bands may overlap by the disjointness tolerance, so a point band can
+        # lie below the end of the band before it.  Here that band ends one ulp
+        # above -s and adds ~1e-8; a window cut by bisection on the unsorted
+        # upper edges would drop it
+        axis = np.eye(3)[0]
+        xis = np.array([[math.sqrt(0.75), 0.5, 0.0]])
+        s = math.sqrt(max(0.0, 1.0 - float(np.sum(xis * axis)) ** 2))
+        below, above = np.linspace(-0.95, -s - 0.01, 2000), np.linspace(-s + 0.01, 0.95, 3000)
+        point = np.nextafter(np.nextafter(-s, -1.0), -1.0)
+        base = BandsBase(axis, np.concatenate([below, [-s - 1e-3, point], above]),
+                         np.concatenate([below + 1e-6, [np.nextafter(-s, 1.0), point], above + 1e-4]))
+        assert np.any(np.diff(base.his) < 0)
+        self._assert_matches_fsum(base, xis)
+
+    @staticmethod
+    def _traced_peak_less_output(base, xis):
+        base.section_measures(xis)      # warm any lazy numpy state
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = base.section_measures(xis)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return peak - out.nbytes
+
+    def test_densest_schedule_row_allocates_little(self, dense_striped_cone_base):
+        xis = build_sphere_rule(2, default_degree(2)).nodes
+        assert self._traced_peak_less_output(dense_striped_cone_base, xis) < 512 * 1024
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
+    def test_live_temporaries_stay_under_128_kb(self, n):
+        # the chunk size's premise: no temporary is mapped, and the heap top
+        # never holds 128 KB of freed memory
+        edges = np.linspace(-0.99, 0.99, 40_001)
+        base = BandsBase(np.eye(n)[0], edges[0:-1:2], edges[1::2])
+        xis = _normals_at(base.axis, np.linspace(0.05, 1.0, 20))
+        assert self._traced_peak_less_output(base, xis) < 128 * 1024
 
 
 class TestLunes:

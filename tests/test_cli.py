@@ -203,6 +203,7 @@ class TestUsage:
         (["sharpness", "--t", "1.5"], "sharpness: the volume fraction"),
         (["sharpness", "--alphas", "0.4", "--epsilons", "0.2,0.1"], "sharpness: alpha and eps"),
         (["sharpness", "--epsilons", "z"], "--epsilons:"),
+        (["perturbation", "--beta", "0.04,0"], "perturbation: beta = 0"),
     ])
     def test_experiment_input_out_of_domain(self, argv, message, tmp_path, capsys):
         out = tmp_path / "table.csv"

@@ -1,0 +1,100 @@
+"""tools/compare_outputs.py: the diff of two tools/dump_outputs.py files."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+@pytest.fixture(scope="module")
+def compare_outputs():
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOLS / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+OLD = """\
+suite/hyperbolic/3/0//lhs 10.0
+suite/hyperbolic/3/0//rhs 20.0
+suite/hyperbolic/3/1//lhs 4.0
+suite/gaussian/3/0//lhs 1.0
+path/product/uniform/functional 8.0
+path/product/uniform/error 1e-10
+perturbation/3/0.8/2/0/5 1.0e-3
+perturbation/3/0.8/2/0/6 1.0e-6
+"""
+
+NEW = """\
+suite/hyperbolic/3/0//lhs 10.000001
+suite/hyperbolic/3/0//rhs 20.0
+suite/hyperbolic/3/1//lhs 4.004
+suite/gaussian/3/0//lhs 1.0
+path/product/uniform/functional 8.0
+path/product/uniform/error 3e-10
+perturbation/3/0.8/2/0/5 1.0005e-3
+perturbation/3/0.8/2/0/6 2.0e-6
+"""
+
+
+def _run(compare_outputs, tmp_path, capsys, old, new):
+    (tmp_path / "old.txt").write_text(old)
+    (tmp_path / "new.txt").write_text(new)
+    code = compare_outputs.main(["compare_outputs.py", str(tmp_path / "old.txt"),
+                                 str(tmp_path / "new.txt")])
+    captured = capsys.readouterr()
+    return code, captured.out.splitlines(), captured.err
+
+
+def _section(lines, title):
+    """The indented lines under one heading of the report."""
+    start = lines.index(title) + 1
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("  "):
+            break
+        rows.append(line.split())
+    return rows
+
+
+def test_changed_lines_and_largest_change_per_prefix(compare_outputs, tmp_path, capsys):
+    code, lines, _ = _run(compare_outputs, tmp_path, capsys, OLD, NEW)
+    assert code == 0
+    assert lines[0] == "5 of 8 lines changed"
+    values = _section(lines, "values:")
+    # sorted by prefix; count, largest relative change and the label it is at
+    assert [row[0] for row in values] == ["perturbation/3", "suite/hyperbolic"]
+    hyperbolic = values[1]
+    assert hyperbolic[1] == "2" and float(hyperbolic[6]) == pytest.approx(1e-3, rel=1e-9)
+    assert hyperbolic[7] == "(suite/hyperbolic/3/1//lhs)"
+    assert float(values[0][6]) == pytest.approx(5e-4, rel=1e-9)
+
+
+def test_error_estimates_are_listed_apart(compare_outputs, tmp_path, capsys):
+    _, lines, _ = _run(compare_outputs, tmp_path, capsys, OLD, NEW)
+    errors = _section(lines, "error estimates:")
+    assert [(row[0], row[1], row[7]) for row in errors] == [
+        ("path/product", "1", "(path/product/uniform/error)"),
+        ("perturbation/3", "1", "(perturbation/3/0.8/2/0/6)")]
+    assert float(errors[0][6]) == pytest.approx(2.0, rel=1e-9)
+    assert not any(row[0] == "path/product" for row in _section(lines, "values:"))
+    # the difference moved by 5e-7 against its new error estimate 2e-6
+    assert lines[-1].startswith("perturbation differences: largest |change| / own error estimate 0.25 ")
+
+
+def test_identical_files(compare_outputs, tmp_path, capsys):
+    code, lines, _ = _run(compare_outputs, tmp_path, capsys, OLD, OLD)
+    assert code == 0 and lines[0] == "0 of 8 lines changed"
+    assert "values:" not in lines and "error estimates:" not in lines
+
+
+@pytest.mark.parametrize("new", [
+    OLD.replace("suite/gaussian/3/0//lhs", "suite/gaussian/3/1//lhs"),    # a label differs
+    "".join(OLD.splitlines(keepends=True)[:-1]),                          # a line is missing
+])
+def test_label_lists_that_differ_exit_1(compare_outputs, tmp_path, capsys, new):
+    code, lines, err = _run(compare_outputs, tmp_path, capsys, OLD, new)
+    assert code == 1 and lines == []
+    assert "do not hold the same labels" in err

@@ -10,7 +10,7 @@ from starsections.bodies import (
 )
 from starsections import functionals, spaces, verify
 from starsections.cli import build_parser
-from starsections.errors import ApplicabilityError, DomainError
+from starsections.errors import ApplicabilityError, DomainError, RadiusRangeError
 from starsections.functionals import THEOREMS, bound_constants, busemann_functional, volume
 from starsections.harmonics import radon_multiplier
 from starsections.spaces import SpaceSpec, sphere_surface_area
@@ -92,6 +92,24 @@ class TestPerturbationExperiment:
                 assert res.observed_sign == res.predicted_sign
                 predicted = int(np.sign(radon_multiplier(3, k) ** 2 - c5_constant(3, r)))
                 assert res.predicted_sign == predicted
+
+    @pytest.mark.parametrize("n, r, k", [(8, 0.7, 8), (12, 0.7, 4)])
+    def test_beta_that_does_not_fit_is_skipped(self, n, r, k):
+        # beta = 0.08 and 0.04 take rho out of (0, pi/2) here; 0.02 fits
+        res = perturbation_sign_experiment(n, r, k)
+        assert [row[0] for row in res.rows] == [0.02] and res.beta == 0.02
+        assert res.conclusive and res.sign_matches
+
+    def test_no_beta_fits(self):
+        with pytest.raises(RadiusRangeError, match="at every beta"):
+            perturbation_sign_experiment(3, 0.7, 2, betas=(5.0, 3.0))
+
+    @pytest.mark.parametrize("n, r, k, betas", [(3, 0.7, 3, None), (3, 2.0, 2, None),
+                                                (2, 0.7, 2, None), (3, 0.7, 2, (0.04, 0.0))])
+    def test_other_domain_errors_still_raise(self, n, r, k, betas):
+        with pytest.raises(DomainError) as info:
+            perturbation_sign_experiment(n, r, k, betas=betas)
+        assert not isinstance(info.value, RadiusRangeError)
 
     def test_json(self):
         res = perturbation_sign_experiment(3, 0.7, 2, betas=(0.04,))
