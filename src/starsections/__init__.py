@@ -3,9 +3,6 @@ functionals, and numerical verification of their sharp inequalities."""
 
 from .spaces import (
     SpaceSpec,
-    euclidean_space,
-    hemisphere_space,
-    hyperbolic_space,
     metric_sine,
     phi,
     phi_inverse,
@@ -64,7 +61,6 @@ from .functionals import (
     h_hyperbolic,
     gaussian_measure,
     custom_measure,
-    uniform_measure,
     lune_bound,
     phi_ratio_inequality_check,
     psi,

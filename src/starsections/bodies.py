@@ -23,7 +23,7 @@ from .errors import (
     SolverError,
 )
 from .harmonics import ZonalHarmonic, zonal_harmonic
-from .quadrature import SphereRule, build_sphere_rule, gauss_jacobi, polar_rule
+from .quadrature import build_sphere_rule, gauss_jacobi, polar_rule
 from .spaces import (
     HEMISPHERE_MAX_RADIUS,
     SpaceSpec,
@@ -173,11 +173,7 @@ class BandsBase(ConeBase):
         if np.any(degenerate):
             start, stop = self._windows(np.zeros(1))
             out[degenerate] = sphere_surface_area(m_sub) if start[0] < stop[0] else 0.0
-        # a section depends on xi only through s, and symmetric rules repeat s
-        # many times over: sum the bands once per distinct s and scatter back
-        todo = ~degenerate
-        svals, inverse = np.unique(s[todo], return_inverse=True)
-        sums = np.empty(len(svals))
+        rows = np.flatnonzero(~degenerate)
         # sphere_band_measure keeps at most m_sub // 2 + 8 arrays of its input's
         # size alive at once, the caller's two scaled edge arrays included.  At
         # this many values each they stay under 128 KB together (16384 floats),
@@ -186,21 +182,21 @@ class BandsBase(ConeBase):
         chunk = 16384 // (m_sub // 2 + 8)
         k = len(self.los)
         if k <= chunk:
-            # a small base: all its bands against a block of s at once
+            # a small base: all its bands against a block of rows at once
             block = chunk // max(1, k)
-            for start in range(0, len(svals), block):
-                sv = svals[start : start + block, None]
+            for start in range(0, len(rows), block):
+                todo = rows[start : start + block]
+                sv = s[todo, None]
                 vals = sphere_band_measure(m_sub, self.los[None, :] / sv, self.his[None, :] / sv)
-                sums[start : start + block] = np.sum(vals, axis=1)
+                out[todo] = np.sum(vals, axis=1)
         else:
             # a large base: only the window of bands that meets [-s, s] adds
             # anything (every other band adds exactly 0), summed in chunks
-            for i, (sv, start, stop) in enumerate(zip(svals, *self._windows(svals))):
-                sums[i] = math.fsum(
-                    sphere_band_measure(m_sub, self.los[j : min(j + chunk, stop)] / sv,
-                                        self.his[j : min(j + chunk, stop)] / sv).sum()
+            for i, start, stop in zip(rows, *self._windows(s[rows])):
+                out[i] = math.fsum(
+                    sphere_band_measure(m_sub, self.los[j : min(j + chunk, stop)] / s[i],
+                                        self.his[j : min(j + chunk, stop)] / s[i]).sum()
                     for j in range(start, stop, chunk))
-        out[todo] = sums[inverse]
         return out
 
     def _windows(self, svals):
@@ -237,8 +233,7 @@ def cap_base(axis, height: float) -> BandsBase:
 
 
 def full_sphere_base(n: int) -> BandsBase:
-    axis = np.zeros(n)
-    axis[0] = 1.0
+    axis = np.eye(n)[0]
     return BandsBase(axis, np.array([-1.0]), np.array([1.0]))
 
 
@@ -253,9 +248,7 @@ def equality_cone_base(n: int, height: float, axis=None) -> BandsBase:
     """
     if not 0.0 < height < 1.0:
         raise DomainError("height must lie in (0, 1)")
-    if axis is None:
-        axis = np.zeros(n)
-        axis[0] = 1.0
+    axis = np.eye(n)[0] if axis is None else axis
     return BandsBase(np.asarray(axis, dtype=float), np.array([-height, height]), np.array([0.0, 1.0]))
 
 
@@ -263,9 +256,7 @@ def double_cap_base(n: int, height: float, axis=None) -> BandsBase:
     """Symmetric pair of antipodal caps; violates both equality-type conditions."""
     if not 0.0 < height < 1.0:
         raise DomainError("height must lie in (0, 1)")
-    if axis is None:
-        axis = np.zeros(n)
-        axis[0] = 1.0
+    axis = np.eye(n)[0] if axis is None else axis
     return BandsBase(np.asarray(axis, dtype=float), np.array([-1.0, height]), np.array([-height, 1.0]))
 
 
@@ -336,8 +327,8 @@ class ArcsBase(ConeBase):
                 total += max(0.0, min(b1, b2) - max(a1, a2))
         return total
 
-    def is_origin_symmetric(self, tol: float = 1e-10) -> bool:
-        return abs(self.intersection_measure(self.reflected()) - self.measure) <= tol
+    def is_origin_symmetric(self) -> bool:
+        return abs(self.intersection_measure(self.reflected()) - self.measure) <= 1e-10
 
     def descriptor(self) -> dict:
         return {"kind": "arcs", "arcs": [list(ab) for ab in self.arcs]}
@@ -477,6 +468,10 @@ class IndicatorProfile(RadialProfile):
     def rho(self, dirs):
         dirs = np.atleast_2d(dirs)
         return self.height * self.base.contains(dirs).astype(float)
+
+    def zonal_axis(self, n):
+        # a band base is rotationally symmetric about its axis; arcs have none
+        return self.base.axis if isinstance(self.base, BandsBase) else None
 
     @property
     def indicator_base(self):
@@ -654,13 +649,11 @@ class StarBody:
     def is_indicator(self) -> bool:
         return self.profile.indicator_base is not None
 
-    def check_symmetry(self, rule: SphereRule | None = None, tol: float = 1e-10) -> bool:
-        """Verify the symmetry claim at rule nodes: rho(u) = rho(-u)."""
-        if rule is None:
-            rule = build_sphere_rule(self.space.dim - 1, 11)
-        r1 = self.rho(rule.nodes)
-        r2 = self.rho(-rule.nodes)
-        return bool(np.max(np.abs(r1 - r2)) <= tol)
+    def check_symmetry(self) -> bool:
+        """Verify the symmetry claim at the nodes of a degree-11 rule:
+        rho(u) = rho(-u) to 1e-10."""
+        nodes = build_sphere_rule(self.space.dim - 1, 11).nodes
+        return bool(np.max(np.abs(self.rho(nodes) - self.rho(-nodes))) <= 1e-10)
 
     def to_json_dict(self) -> dict:
         return {
@@ -672,28 +665,30 @@ class StarBody:
 
 
 def body_from_json_dict(doc: dict) -> StarBody:
-    """The body a ``to_json_dict`` document describes.  The symmetry flag is
-    derived wherever the profile fixes it; a bumpy or grid document's claim of
-    symmetry is checked, and DomainError raised if it fails."""
+    """The body a ``to_json_dict`` document describes.  Each kind passes its
+    builder's checks, and the document's space must be the one the profile
+    implies.  The symmetry flag is derived wherever the profile fixes it; a
+    bumpy or grid document's claim of symmetry is checked.  DomainError for a
+    document that fails any of these."""
     space = SpaceSpec(int(doc["space"]["delta"]), int(doc["space"]["dim"]))
     p = doc["profile"]
     kind = p["kind"]
+    symmetric = bool(doc.get("symmetric", False))
     if kind == "ball":
-        return make_ball(space, float(p["r"]))
-    if kind == "ellipsoid":
-        return make_ellipsoid(np.array(p["semiaxes"], dtype=float))
-    if kind == "lune":
-        return make_lune(float(p["w"]), np.array(p["axis"], dtype=float))
-    if kind == "cone":
-        return _indicator_body(space, base_from_descriptor(p["base"]), float(p["height"]))
-    if kind == "perturbed_ball":
-        h = zonal_harmonic(space.dim, int(p["degree"]), np.array(p["axis"], dtype=float))
-        profile = HarmonicPerturbedProfile(float(p["r"]), float(p["alpha"]), float(p["beta"]), h)
-        return StarBody(space, profile, symmetric=p["degree"] % 2 == 0)
-    if kind == "polygon":
-        profile = PolygonProfile(np.array(p["normals"], dtype=float), np.array(p["offsets"], dtype=float))
-        return StarBody(space, profile, symmetric=True)
-    if kind == "bumpy":
+        body = make_ball(space, float(p["r"]))
+    elif kind == "ellipsoid":
+        body = make_ellipsoid(np.array(p["semiaxes"], dtype=float))
+    elif kind == "lune":
+        body = make_lune(float(p["w"]), np.array(p["axis"], dtype=float))
+    elif kind == "cone":
+        body = _indicator_body(space, base_from_descriptor(p["base"]), float(p["height"]))
+    elif kind == "perturbed_ball":
+        r, beta = float(p["r"]), float(p["beta"])
+        h, _ = _perturbation(space, r, beta, int(p["degree"]), np.array(p["axis"], dtype=float))
+        body = StarBody(space, HarmonicPerturbedProfile(r, float(p["alpha"]), beta, h), symmetric=True)
+    elif kind == "polygon":
+        body = _polygon_body(np.array(p["normals"], dtype=float), np.array(p["offsets"], dtype=float))
+    elif kind == "bumpy":
         profile = BumpyProfile(
             float(p["r0"]),
             np.array(p["centers"], dtype=float),
@@ -702,12 +697,18 @@ def body_from_json_dict(doc: dict) -> StarBody:
             lo=float(p.get("lo", 0.0)),
             hi=math.inf if p.get("hi") is None else float(p["hi"]),
         )
+        _check_bumps(space, profile.centers, profile.amplitudes, profile.sharpness)
+        body = StarBody(space, profile, symmetric)
     elif kind == "grid":
         profile = GridProfile(np.array(p["values"], dtype=float).reshape(p["shape"]))
+        if profile.ambient_dim != space.dim:
+            raise DomainError(f"a grid of {profile.values.ndim} angles does not describe dim {space.dim}")
+        body = StarBody(space, profile, symmetric)
     else:
         raise DomainError(f"unknown profile kind {kind!r}")
-    body = StarBody(space, profile, symmetric=bool(doc.get("symmetric", False)))
-    if body.symmetric and not body.check_symmetry():
+    if body.space != space:
+        raise DomainError(f"a {kind} document on {space} describes a body on {body.space}")
+    if kind in ("bumpy", "grid") and symmetric and not body.check_symmetry():
         raise DomainError(f"the {kind} profile is not origin-symmetric, though the document says so")
     return body
 
@@ -773,16 +774,26 @@ def make_lune(w: float, axis=(1.0, 0.0)) -> StarBody:
     return StarBody(space, LuneProfile(float(w), np.asarray(axis, dtype=float)), symmetric=True)
 
 
+def _check_bumps(space: SpaceSpec, centers, amplitudes, sharpness):
+    """DomainError unless each bump has a center in R^n, an amplitude and a sharpness."""
+    if (amplitudes.ndim != 1 or centers.shape != (len(amplitudes), space.dim)
+            or sharpness.shape != amplitudes.shape):
+        raise DomainError(f"each bump needs a center in R^{space.dim}, an amplitude and a sharpness")
+
+
 def make_bumpy_ball(space: SpaceSpec, r0: float, centers, amplitudes, sharpness,
-                    symmetric: bool = False, margin: float = 0.05) -> StarBody:
-    """Ball plus smooth zonal bumps, clipped to the valid radius range."""
+                    symmetric: bool = False) -> StarBody:
+    """Ball plus smooth zonal bumps, clipped to the valid radius range less a
+    margin of 0.05 at either end."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     amplitudes = np.asarray(amplitudes, dtype=float)
     sharpness = np.asarray(sharpness, dtype=float)
+    _check_bumps(space, centers, amplitudes, sharpness)
     if symmetric:
         centers = np.vstack([centers, -centers])
         amplitudes = np.concatenate([amplitudes, amplitudes])
         sharpness = np.concatenate([sharpness, sharpness])
+    margin = 0.05
     hi = HEMISPHERE_MAX_RADIUS - margin if space.delta == 1 else math.inf
     profile = BumpyProfile(float(r0), centers, amplitudes, sharpness, lo=margin, hi=hi)
     return StarBody(space, profile, symmetric=symmetric)
@@ -790,11 +801,19 @@ def make_bumpy_ball(space: SpaceSpec, r0: float, centers, amplitudes, sharpness,
 
 def make_symmetric_polygon_body(offsets, angles) -> StarBody:
     """Origin-symmetric convex body in the 2-hemisphere from gnomonic strips."""
-    offsets = np.asarray(offsets, dtype=float)
     angles = np.asarray(angles, dtype=float)
+    return _polygon_body(np.column_stack([np.cos(angles), np.sin(angles)]),
+                         np.asarray(offsets, dtype=float))
+
+
+def _polygon_body(normals, offsets) -> StarBody:
+    """The polygon body of at least one strip, each a unit normal in the plane
+    and a positive offset."""
     if np.any(offsets <= 0):
         raise DomainError("strip offsets must be positive")
-    normals = np.column_stack([np.cos(angles), np.sin(angles)])
+    if (len(offsets) == 0 or normals.shape != (len(offsets), 2)
+            or np.any(np.abs(np.linalg.norm(normals, axis=1) - 1.0) > 1e-12)):
+        raise DomainError("a polygon needs at least one strip, and a unit normal in the plane per offset")
     return StarBody(SpaceSpec(1, 2), PolygonProfile(normals, offsets), symmetric=True)
 
 
@@ -803,6 +822,22 @@ def _harmonic_extrema(n: int, k: int) -> np.ndarray:
     zeros of H_k' ~ C_{k-1}^{lam+1}, lam = (n - 2) / 2, which are the nodes of
     the Gauss rule for the weight (1 - t^2)^{(n-1)/2}."""
     return np.concatenate([[-1.0, 1.0], gauss_jacobi(k - 1, (n - 1) / 2.0)[0]])
+
+
+def _perturbation(space: SpaceSpec, r: float, beta: float, k: int, axis):
+    """The harmonic H_k about the axis, and the bound span on |beta H_k| that
+    brackets alpha, for a perturbed ball whose radii r + alpha + beta H_k, with
+    |alpha| <= span, stay in (0, pi/2); DomainError otherwise."""
+    if space.delta != 1:
+        raise DomainError("perturbed balls are hemisphere constructions")
+    if k < 2 or k % 2 != 0:
+        raise DomainError("the harmonic degree must be even and >= 2")
+    space.check_radius(r)
+    harmonic = zonal_harmonic(space.dim, k, axis)
+    span = abs(beta) * float(np.max(np.abs(harmonic.at(_harmonic_extrema(space.dim, k))))) + 1e-9
+    if r - 2 * span <= 0 or r + 2 * span >= HEMISPHERE_MAX_RADIUS:
+        raise RadiusRangeError("perturbation leaves the open radius range (0, pi/2)")
+    return harmonic, span
 
 
 def make_perturbed_ball(space: SpaceSpec, r: float, beta: float, k: int, axis=None) -> StarBody:
@@ -814,16 +849,9 @@ def make_perturbed_ball(space: SpaceSpec, r: float, beta: float, k: int, axis=No
     the sign experiment downstream needs the volumes matched to machine
     precision.
     """
-    if space.delta != 1:
-        raise DomainError("perturbed balls are hemisphere constructions")
-    if k < 2 or k % 2 != 0:
-        raise DomainError("the harmonic degree must be even and >= 2")
-    space.check_radius(r)
     n = space.dim
-    if axis is None:
-        axis = np.zeros(n)
-        axis[-1] = 1.0
-    harmonic = zonal_harmonic(n, k, axis)
+    axis = np.eye(n)[-1] if axis is None else axis
+    harmonic, span = _perturbation(space, r, beta, k, axis)
 
     # against a degree-801 rule, degree max(63, 8k + 15) leaves at most 4e-15
     # relative for n <= 8, k <= 32 at r = 0.7; a fixed degree 23 left up to
@@ -831,9 +859,6 @@ def make_perturbed_ball(space: SpaceSpec, r: float, beta: float, k: int, axis=No
     t, w = polar_rule(n - 1, max(63, 8 * k + 15))
     hvals = harmonic.at(t)
     ball_vol = float(np.dot(w, phi(space, n, np.full(len(t), r))))
-    span = abs(beta) * float(np.max(np.abs(harmonic.at(_harmonic_extrema(n, k))))) + 1e-9
-    if r - 2 * span <= 0 or r + 2 * span >= HEMISPHERE_MAX_RADIUS:
-        raise RadiusRangeError("perturbation leaves the open radius range (0, pi/2)")
 
     def vol_gap(alpha):
         return float(np.dot(w, phi(space, n, r + alpha + beta * hvals))) - ball_vol
@@ -971,19 +996,18 @@ def make_striped_cone(space: SpaceSpec, t: float, alpha: float, eps: float) -> S
     if cap <= t / 2.0 * sphere:
         raise DomainError("cap too small: need |C_alpha| > (t/2) |S^{n-1}|")
     lam = t * sphere / (2.0 * cap)
-    axis = np.zeros(n)
-    axis[0] = 1.0
+    axis = np.eye(n)[0]
     return make_cone(space, striped_cap_subset(alpha, axis, lam, eps).with_antipodes())
 
 
-def make_vanishing_body(space: SpaceSpec, volume: float, eta: float,
-                        cap_height: float = 0.6, pitch: float = 1e-4) -> StarBody:
+def make_vanishing_body(space: SpaceSpec, volume: float, eta: float) -> StarBody:
     """Origin-symmetric star-shaped set of the given volume in R^n or H^n whose
     section functional is at most eta.
 
     rho = r on A union -A and 0 otherwise, with A an alternating-strip subset
-    of a fixed cap; r grows until the exactly-computed functional drops below
-    eta (the section-to-volume primitive ratio decays to 0 in r).
+    of the cap of height 0.6 at pitch 1e-4; r grows until the exactly-computed
+    functional drops below eta (the section-to-volume primitive ratio decays
+    to 0 in r).
     """
     if space.delta not in (0, -1):
         raise DomainError("the vanishing construction lives in R^n or H^n")
@@ -993,9 +1017,9 @@ def make_vanishing_body(space: SpaceSpec, volume: float, eta: float,
         raise DomainError("volume and eta must be positive")
     n = space.dim
     sphere = sphere_surface_area(n - 1)
+    cap_height, pitch = 0.6, 1e-4
     cap = spherical_cap_measure(n - 1, cap_height)
-    axis = np.zeros(n)
-    axis[0] = 1.0
+    axis = np.eye(n)[0]
     # a function-level import: functionals imports this module
     from .functionals import busemann_functional
 

@@ -107,9 +107,7 @@ def parse_body(text: str, space: SpaceSpec | None) -> StarBody:
                     arcs.append((float(a), float(b)))
                 return make_cone(space, ArcsBase(tuple(arcs)))
             if "cap" in params:
-                axis = np.zeros(space.dim)
-                axis[0] = 1.0
-                return make_cone(space, cap_base(axis, float(params["cap"])))
+                return make_cone(space, cap_base(np.eye(space.dim)[0], float(params["cap"])))
             if "equality" in params:
                 return make_cone(space, equality_cone_base(space.dim, float(params["equality"])))
             if "full" in params:
@@ -225,10 +223,12 @@ def cmd_functional(args) -> int:
 
 def cmd_verify(args) -> int:
     theorem = args.theorem
+    if args.w is not None and (theorem != "lune-max" or args.body):
+        raise UsageError("--w sets the lune of --theorem lune-max, and goes without --body")
     if args.body:
         space = parse_space(args.space) if args.space else None
         bodies = [parse_body(spec, space) for spec in args.body]
-    elif theorem == "lune-max" and args.w is not None:
+    elif args.w is not None:
         bodies = [make_lune(args.w)]
     else:
         bodies = verify_mod.suite_bodies(theorem, dim=args.dim, random_count=args.random,

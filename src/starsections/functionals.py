@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bodies import ArcsBase, StarBody
+from .bodies import StarBody
 from .errors import ApplicabilityError, ConvergenceError, DomainError, InversionRangeError
 from .quadrature import (
     build_sphere_rule,
@@ -196,10 +196,6 @@ def _metric_sine_pow(space: SpaceSpec, r, p: int):
     return np.sinh(r) ** p
 
 
-def uniform_measure() -> RadialDensityMeasure:
-    return RadialDensityMeasure("uniform", lambda r: np.ones_like(np.asarray(r, dtype=float)))
-
-
 def gaussian_measure() -> RadialDensityMeasure:
     return RadialDensityMeasure(
         "gaussian",
@@ -213,7 +209,7 @@ def custom_measure(profile, name: str = "custom") -> RadialDensityMeasure:
 
 
 def _radial(space: SpaceSpec, m: int, upper, mu: RadialDensityMeasure | None):
-    if mu is None or mu.name == "uniform":
+    if mu is None:
         return phi(space, m, upper)
     return mu.radial_integral(space, m, upper)
 
@@ -225,7 +221,8 @@ def _radial(space: SpaceSpec, m: int, upper, mu: RadialDensityMeasure | None):
 def _path(body: StarBody, config: QuadratureConfig) -> str:
     """The one path every left side of this body takes under this config:
     ``arcs`` (an indicator body over arcs in the plane, in closed form),
-    ``indicator`` (other indicator bodies, exact sections on the outer rule),
+    ``indicator`` (other indicator bodies, whose band bases have an axis:
+    exact sections on the polar rule in <xi, axis>),
     ``plane`` (other plane bodies while ``plane_adaptive``, Gauss-Kronrod in
     the angle), ``zonal`` (a zonal axis in n >= 3, 1-d polar rules in
     <xi, axis> and <u, axis>) or ``product`` (the outer rule times the inner
@@ -233,9 +230,8 @@ def _path(body: StarBody, config: QuadratureConfig) -> str:
     """
     n = body.space.dim
     if body.is_indicator:
-        if n == 2 and isinstance(body.profile.indicator_base, ArcsBase):
-            return "arcs"
-        return "indicator"
+        # a band base has an axis, and arcs of the circle have none
+        return "arcs" if body.profile.zonal_axis(n) is None else "indicator"
     if n == 2:
         return "plane" if config.plane_adaptive else "product"
     return "zonal" if body.profile.zonal_axis(n) is not None else "product"
@@ -301,18 +297,22 @@ def _section_integrands(body: StarBody, mu, embedded):
     return _radial(space, space.dim - 1, rho, mu).reshape(embedded.shape[:2])
 
 
-def _zonal_radial(body: StarBody, mu, m: int, s):
-    """Radial primitives (of dimension m) of a zonal body at any direction u
-    with <u, axis> = s, elementwise in s: u = s axis + sqrt(1 - s^2) b, for one
-    unit b orthogonal to the axis, through ``rho``."""
-    space = body.space
-    axis = body.profile.zonal_axis(space.dim)
+def _zonal_directions(body: StarBody, s):
+    """Unit directions u with <u, axis> = s, one per element of s, flattened:
+    u = s axis + sqrt(1 - s^2) b, for one unit b orthogonal to the body's
+    zonal axis."""
+    axis = body.profile.zonal_axis(body.space.dim)
     b = householder_frame(axis)[:, 0]
-    s = np.asarray(s, dtype=float)
-    flat = s.reshape(-1)
-    dirs = flat[:, None] * axis + np.sqrt(1.0 - flat * flat)[:, None] * b
-    rho = np.clip(body.rho(dirs), 0.0, space.max_radius)
-    return _radial(space, m, rho, mu).reshape(s.shape)
+    flat = np.asarray(s, dtype=float).reshape(-1)
+    return flat[:, None] * axis + np.sqrt(1.0 - flat * flat)[:, None] * b
+
+
+def _zonal_radial(body: StarBody, mu, m: int, s):
+    """Radial primitives (of dimension m) of a zonal body at the directions u
+    with <u, axis> = s, elementwise in s, through ``rho``."""
+    space = body.space
+    rho = np.clip(body.rho(_zonal_directions(body, s)), 0.0, space.max_radius)
+    return _radial(space, m, rho, mu).reshape(np.shape(s))
 
 
 def _zonal_sections(body: StarBody, mu, c, config: QuadratureConfig):
@@ -334,18 +334,18 @@ def _rule_sections(body: StarBody, mu, config: QuadratureConfig, path: str):
     takes one normal of each antipodal pair of the outer rule at twice its
     weight."""
     n = body.space.dim
+    if path == "product":
+        weights, inner, embedded = _section_grid(n, config.outer(n), config.inner(n))
+        return weights, _section_integrands(body, mu, embedded) @ inner.weights
+    # an indicator body's band base and a zonal body both have an axis, and a
+    # section depends only on c = <xi, axis> (Funk-Hecke), which xi and -xi
+    # share: the c >= 0 of the polar rule, each at twice its weight except c = 0
+    c, w = polar_rule(n - 1, config.outer(n))
+    keep = c >= 0.0
+    c, weights = c[keep], np.where(c[keep] > 0.0, 2.0, 1.0) * w[keep]
     if path == "indicator":
-        normals, weights = build_sphere_rule(n - 1, config.outer(n)).antipodal_half
-        return weights, _indicator_sections(body, mu, normals)
-    if path == "zonal":
-        # a section depends only on c = <xi, axis>, and xi and -xi share it:
-        # the c >= 0 of the polar rule, each at twice its weight except c = 0
-        c, w = polar_rule(n - 1, config.outer(n))
-        keep = c >= 0.0
-        weights = np.where(c[keep] > 0.0, 2.0, 1.0) * w[keep]
-        return weights, _zonal_sections(body, mu, c[keep], config)
-    weights, inner, embedded = _section_grid(n, config.outer(n), config.inner(n))
-    return weights, _section_integrands(body, mu, embedded) @ inner.weights
+        return weights, _indicator_sections(body, mu, _zonal_directions(body, c))
+    return weights, _zonal_sections(body, mu, c, config)
 
 
 def _adaptive_circle(integrand, angular_tol: float):

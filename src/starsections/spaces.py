@@ -50,18 +50,6 @@ class SpaceSpec:
         return arr
 
 
-def hyperbolic_space(dim: int) -> SpaceSpec:
-    return SpaceSpec(-1, dim)
-
-
-def euclidean_space(dim: int) -> SpaceSpec:
-    return SpaceSpec(0, dim)
-
-
-def hemisphere_space(dim: int) -> SpaceSpec:
-    return SpaceSpec(1, dim)
-
-
 def as_direction(v, dim: int | None = None) -> np.ndarray:
     """Validate a unit vector (a point of the direction sphere S^{n-1})."""
     u = np.asarray(v, dtype=float)

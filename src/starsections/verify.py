@@ -32,7 +32,6 @@ from .bodies import (
 )
 from .errors import ApplicabilityError, DomainError, RadiusRangeError
 from .functionals import (
-    DEFAULT_CONFIG,
     InequalityReport,
     QuadratureConfig,
     RadialDensityMeasure,
@@ -138,7 +137,7 @@ def random_cone_arcs(rng: np.random.Generator, pairs: int = 2) -> StarBody:
 # theorem suites
 
 
-def _body_reports(theorem, body, mu, config, rel_tol) -> list[InequalityReport]:
+def _body_reports(theorem, body, mu, config) -> list[InequalityReport]:
     """One report per variant; the left side does not depend on the variant."""
     bounds = rhs_bound(theorem.id, body, mu, config, variant=None)
     functional = busemann_functional(body, mu, normalized=theorem.normalized,
@@ -148,7 +147,7 @@ def _body_reports(theorem, body, mu, config, rel_tol) -> list[InequalityReport]:
         lhs, rhs = (bound, functional) if theorem.lower else (functional, bound)
         reports.append(InequalityReport(
             theorem_id=theorem.id, lhs=lhs, rhs=rhs,
-            tolerance=rel_tol * max(abs(lhs), abs(rhs)),
+            tolerance=theorem.rel_tol * max(abs(lhs), abs(rhs)),
             quadrature=config.describe(body.space.dim),
             body_kind=body.profile.kind,
             variant=variant if len(theorem.variants) > 1 else ""))
@@ -156,7 +155,7 @@ def _body_reports(theorem, body, mu, config, rel_tol) -> list[InequalityReport]:
 
 
 def run_theorem_suite(theorem_id: str, bodies, mu: RadialDensityMeasure | None = None,
-                      config: QuadratureConfig | None = None, rel_tol: float | None = None):
+                      config: QuadratureConfig | None = None):
     """One report per body and variant; the suite passes iff every report passes.
 
     ``prop4.1`` has two variants of the closed-form bound: the statement and
@@ -166,11 +165,9 @@ def run_theorem_suite(theorem_id: str, bodies, mu: RadialDensityMeasure | None =
     """
     theorem = get_theorem(theorem_id)
     config = config if config is not None else theorem.config
-    rel_tol = rel_tol if rel_tol is not None else theorem.rel_tol
     if mu is None and theorem.measure is not None:
         mu = theorem.measure()
-    return [report for body in bodies
-            for report in _body_reports(theorem, body, mu, config, rel_tol)]
+    return [report for body in bodies for report in _body_reports(theorem, body, mu, config)]
 
 
 _HEMISPHERE_BODIES = (3, lambda n, rng, count: [
@@ -268,8 +265,7 @@ class PerturbationResult:
         }
 
 
-def perturbation_sign_experiment(n: int, r: float, k: int, betas=None,
-                                 config: QuadratureConfig | None = None) -> PerturbationResult:
+def perturbation_sign_experiment(n: int, r: float, k: int, betas=None) -> PerturbationResult:
     """Compare the functional of a volume-matched harmonic perturbation against
     the ball, over a decreasing beta schedule.
 
@@ -286,8 +282,7 @@ def perturbation_sign_experiment(n: int, r: float, k: int, betas=None,
         raise DomainError("beta = 0 is the ball itself; every beta must be nonzero")
     space = SpaceSpec(1, n)
     degree = max(31, n * k + 14)
-    if config is None:
-        config = QuadratureConfig(outer_degree=degree, inner_degree=degree)
+    config = QuadratureConfig(outer_degree=degree, inner_degree=degree)
     ball = make_ball(space, r)
     lhs_B, err_B = busemann_functional_with_error(ball, config=config)
 
@@ -341,8 +336,7 @@ def perturbation_sign_experiment(n: int, r: float, k: int, betas=None,
 # striped-cone sharpness schedule
 
 
-def sharpness_schedule(n: int, t: float, alphas=None, epsilons=None,
-                       config: QuadratureConfig | None = None):
+def sharpness_schedule(n: int, t: float, alphas=None, epsilons=None):
     """Normalized functional of striped cones along a decreasing (alpha, eps)
     schedule; approaches the sharp minimum constant from above."""
     if alphas is None:
@@ -352,13 +346,12 @@ def sharpness_schedule(n: int, t: float, alphas=None, epsilons=None,
     if len(alphas) != len(epsilons):
         raise DomainError("alpha and eps schedules must have equal length")
     space = SpaceSpec(1, n)
-    config = config if config is not None else DEFAULT_CONFIG
     cn = bound_constants("spherical-min", n)
     rows = []
     for alpha, eps in zip(alphas, epsilons):
         body = make_striped_cone(space, t, alpha, eps)
-        vol = volume(body, None, config)
-        functional = busemann_functional(body, config=config)
+        vol = volume(body)
+        functional = busemann_functional(body)
         normalized = functional / vol ** n
         rows.append({
             "alpha": alpha,
@@ -456,19 +449,18 @@ def _volume_move(space, values, i, j, mag, symmetric, lo, hi):
 
 
 def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
-                      sense: str = "max", budget: int = 4000, seed: int = 0,
-                      nodes: int = 64, step: float = 0.2) -> SearchTrace:
+                      sense: str = "max", budget: int = 4000, seed: int = 0) -> SearchTrace:
     """Volume-preserving local search over grid profiles in the plane (n = 2).
 
-    The start is the ball of the target volume, perturbed by ``nodes``
-    warm-up moves of magnitude 0.2 r0.  A move raises one node (and its
-    antipode when the class is symmetric) and lowers another (and its
-    antipode) to the root that keeps the exact piecewise-linear volume of
-    the touched segments, so the volume holds to roundoff by construction.
-    The convex classes also reject warm-up moves and steps that fail the
-    convexity verdict.  Such steps, and moves too large to absorb, count as
-    rejected when the step size adapts.  Claims nothing beyond the best
-    profile found; the trace replays deterministically from the seed.
+    The start is the ball of the target volume on a grid of 64 nodes,
+    perturbed by 64 warm-up moves of magnitude 0.2 r0.  A move raises one node
+    (and its antipode when the class is symmetric) and lowers another (and its
+    antipode) to the root that keeps the exact piecewise-linear volume of the
+    touched segments, so the volume holds to roundoff by construction.  The
+    convex classes also reject warm-up moves and steps that fail the convexity
+    verdict.  Such steps, and moves too large to absorb, count as rejected
+    when the step size adapts.  Claims nothing beyond the best profile found;
+    the trace replays deterministically from the seed.
     """
     if space.dim != 2:
         raise ApplicabilityError("the shape search operates on plane profiles (dim = 2)")
@@ -478,8 +470,6 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
         raise ApplicabilityError("the convex class is gated only on the hemisphere or in the plane")
     if sense not in ("max", "min"):
         raise DomainError("sense must be 'max' or 'min'")
-    if nodes % 2:
-        raise DomainError("the grid size must be even (antipodal pairing)")
     hi = HEMISPHERE_MAX_RADIUS - 1e-9 if space.delta == 1 else 50.0
     lo = 1e-6
     vmax = TWO_PI * phi(space, 2, hi)
@@ -500,6 +490,7 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
         probe = StarBody(space, GridProfile(cand), symmetric=symmetric)
         return is_convex_spherical(probe, samples=400, seed=probe_seed, tol=1e-7)
 
+    nodes, step = 64, 0.2   # even, so that every node has its antipode
     r0 = phi_inverse(space, 2, volume_target / TWO_PI)
     values = np.full(nodes, r0)
     for k in range(nodes):

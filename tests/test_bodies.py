@@ -33,7 +33,7 @@ from starsections.bodies import (
 )
 from starsections.errors import DomainError
 from starsections.functionals import busemann_functional, volume
-from starsections.quadrature import build_sphere_rule, default_degree, gauss_jacobi
+from starsections.quadrature import build_sphere_rule, default_degree, gauss_jacobi, polar_rule
 from starsections.spaces import SpaceSpec, brent_root, phi, sphere_surface_area
 
 S2 = SpaceSpec(1, 2)
@@ -168,8 +168,8 @@ def _rowwise_section_measures(base, xis):
 
 
 class TestBandSectionsPerDistinctHeight:
-    """section_measures evaluates each distinct |<xi, axis>| once; every row must
-    still be exactly what a one-direction call gives."""
+    """Every row of a batch is exactly what a one-direction call gives, for
+    repeated heights |<xi, axis>| as well as distinct ones."""
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_rule_nodes_axis_e1(self, n):
@@ -377,7 +377,9 @@ class TestWindowedBandSums:
         return peak - out.nbytes
 
     def test_densest_schedule_row_allocates_little(self, dense_striped_cone_base):
-        xis = build_sphere_rule(2, default_degree(2)).nodes
+        # the normals the functional passes: one per node c >= 0 of the polar rule
+        c = polar_rule(2, default_degree(2))[0]
+        xis = _normals_at(dense_striped_cone_base.axis, np.sqrt(1.0 - c[c >= 0.0] ** 2))
         assert self._traced_peak_less_output(dense_striped_cone_base, xis) < 512 * 1024
 
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
@@ -589,6 +591,36 @@ class TestGridProfile:
         assert np.max(np.abs(body.rho(dirs) - 1.3)) < 1e-12
 
 
+def _document(body, space=None, **profile):
+    """The body's document, its space replaced by space = (delta, dim) and its
+    profile fields by the given ones."""
+    doc = body.to_json_dict()
+    if space is not None:
+        doc["space"] = {"delta": space[0], "dim": space[1]}
+    doc["profile"].update(profile)
+    return doc
+
+
+_POLYGON = make_symmetric_polygon_body([1.0, 0.8], [0.4, 1.5])
+_PERTURBED = make_perturbed_ball(S3, 0.7, 0.03, 2)
+
+# documents that load as no body, each next to what it would have loaded as
+BAD_BODY_DOCUMENTS = {
+    "polygon-negative-offset": _document(_POLYGON, offsets=[-0.5, 0.8]),        # volume 0
+    "polygon-zero-normal": _document(_POLYGON, normals=[[0.0, 0.0], [0.0, 1.0]]),
+    "polygon-on-h2": _document(_POLYGON, space=(-1, 2)),
+    "lune-on-h2": _document(make_lune(0.4), space=(-1, 2)),                     # s+:2
+    "ellipsoid-on-s3": _document(make_ellipsoid([1.2, 0.8, 1.0]), space=(1, 3)),  # e:3
+    "ellipsoid-2-axes-on-e3": _document(make_ellipsoid([1.2, 0.8, 1.0]), semiaxes=[1.2, 0.8]),
+    "perturbed-rho-leaves-range": _document(_PERTURBED, r=1.5, beta=0.5),
+    "perturbed-on-e3": _document(_PERTURBED, space=(0, 3)),
+    "bumpy-2d-centers-on-s3": _document(make_bumpy_ball(S3, 0.8, [[0.0, 0.0, 1.0]], [0.2], [3.0]),
+                                        centers=[[0.0, 1.0]]),
+    "grid-shape-8-on-s3": _document(StarBody(S3, GridProfile(np.full((4, 8), 0.7))),
+                                    shape=[8], values=[0.7] * 8),
+}
+
+
 class TestSerialization:
     @pytest.mark.parametrize("builder", [
         lambda: make_ball(H3, 0.8),
@@ -629,6 +661,11 @@ class TestSerialization:
         assert not body_from_json_dict(doc).symmetric
         doc = {**make_cone(S3, double_cap_base(3, 0.3)).to_json_dict(), "symmetric": False}
         assert body_from_json_dict(doc).symmetric
+
+    @pytest.mark.parametrize("doc", BAD_BODY_DOCUMENTS.values(), ids=BAD_BODY_DOCUMENTS.keys())
+    def test_document_its_builder_refuses_is_rejected(self, doc):
+        with pytest.raises(DomainError):
+            body_from_json_dict(doc)
 
     def test_circle_band_base_becomes_arcs(self):
         body = make_cone(S2, cap_base([1.0, 0.0], 0.3))

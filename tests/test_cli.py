@@ -6,7 +6,16 @@ import jsonschema
 import numpy as np
 import pytest
 
-from starsections.bodies import ArcsBase, GridProfile, StarBody, cap_base, make_bumpy_ball, make_cone
+from starsections.bodies import (
+    ArcsBase,
+    GridProfile,
+    StarBody,
+    cap_base,
+    make_bumpy_ball,
+    make_cone,
+    make_lune,
+    make_symmetric_polygon_body,
+)
 from starsections.cli import main
 from starsections.functionals import busemann_functional_with_error
 from starsections.spaces import SpaceSpec
@@ -228,6 +237,18 @@ class TestUsage:
     def test_experiment_takes_no_quadrature_flags(self):
         assert run_cli("experiment", "sharpness", "--dim", "3", "--outer-degree", "5") == 2
 
+    @pytest.mark.parametrize("argv", [["--theorem", "min2d"], ["--theorem", "cone-max"],
+                                      ["--theorem", "lune-max", "--body", "lune:w=0.4"]],
+                             ids=["min2d", "cone-max", "with-body"])
+    def test_w_outside_the_lune_suite_exits_two(self, argv, capsys):
+        assert run_cli("verify", *argv, "--w", "0.3") == 2
+        assert "--w" in capsys.readouterr().err
+
+    def test_w_sets_the_lune(self, tmp_path):
+        out = tmp_path / "l.json"
+        assert run_cli("verify", "--theorem", "lune-max", "--w", "0.3", "--out", str(out)) == 0
+        assert [r["body_kind"] for r in json.loads(out.read_text())["reports"]] == ["lune"]
+
     def test_verify_takes_no_radial_tol(self):
         assert run_cli("verify", "--theorem", "lune-max", "--w", "0.3", "--radial-tol", "1e-3") == 2
         assert run_cli("functional", "--space", "s+:2", "--body", "ball:r=0.5",
@@ -266,6 +287,23 @@ class TestBodyFiles:
         spec = self._write(tmp_path, body, symmetric=True)
         assert run_cli("verify", "--theorem", "min2d", "--body", spec) == 2
         assert "symmetric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["functional"], ["verify", "--theorem", "lune-max"]])
+    @pytest.mark.parametrize("body, changes, space", [
+        (make_symmetric_polygon_body([1.0, 0.8], [0.4, 1.5]), {"offsets": [-0.5, 0.8]}, None),
+        (make_bumpy_ball(SpaceSpec(1, 3), 0.8, [[0.0, 0.0, 1.0]], [0.2], [3.0]),
+         {"centers": [[0.0, 1.0]]}, None),
+        (StarBody(SpaceSpec(1, 3), GridProfile(np.full((4, 8), 0.7))),
+         {"shape": [8], "values": [0.7] * 8}, None),
+        (make_lune(0.4), {}, {"delta": -1, "dim": 2}),
+    ], ids=["polygon-negative-offset", "bumpy-2d-centers-on-s3", "grid-shape-8-on-s3", "lune-on-h2"])
+    def test_document_its_builder_refuses_exits_two(self, tmp_path, capsys, command, body, changes,
+                                                    space):
+        doc = body.to_json_dict()
+        doc["profile"].update(changes)
+        spec = self._write(tmp_path, body, profile=doc["profile"], space=space or doc["space"])
+        assert run_cli(*command, "--body", spec) == 2
+        assert capsys.readouterr().err.startswith("error: --body @")
 
     def test_circle_band_base_takes_the_arcs_closed_form(self, tmp_path):
         space = SpaceSpec(1, 2)

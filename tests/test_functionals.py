@@ -5,12 +5,15 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 
-from starsections import functionals
+from starsections import bodies, functionals, quadrature
 from starsections.bodies import (
     ArcsBase,
+    BandsBase,
     HarmonicPerturbedProfile,
     RadialProfile,
     StarBody,
+    cap_base,
+    double_cap_base,
     equality_cone_base,
     make_ball,
     make_bumpy_ball,
@@ -52,6 +55,7 @@ from starsections.quadrature import build_sphere_rule, subsphere_nodes
 from starsections.spaces import SpaceSpec, phi, sphere_surface_area
 from starsections.verify import (
     perturbation_sign_experiment,
+    run_theorem_suite,
     random_star_body,
     random_symmetric_convex_body,
 )
@@ -371,6 +375,68 @@ class TestSectionGrid:
         info = functionals._section_grid.cache_info()
         assert info.misses == 4
         assert info.currsize <= 3
+
+
+def _sphere_rule_functional(body):
+    """The indicator path's functional as it was summed over one normal of each
+    antipodal pair of the full product rule on S^{n-1}, at the default degree."""
+    n = body.space.dim
+    normals, weights = build_sphere_rule(n - 1, QuadratureConfig().outer(n)).antipodal_half
+    sections = phi(body.space, n - 1, body.profile.height) * body.profile.base.section_measures(normals)
+    return float(np.dot(weights, sections ** n))
+
+
+def _band_cones(n, axis):
+    """Cones over a cap near the equator, a cap, an equality base, a double cap
+    and a striped base, all about the given axis."""
+    striped = make_striped_cone(SpaceSpec(1, n), 0.5, 0.1, 0.05).profile.base
+    bases = [cap_base(axis, -0.077), cap_base(axis, 0.3), equality_cone_base(n, 0.4, axis),
+             double_cap_base(n, 0.5, axis), BandsBase(axis, striped.los, striped.his)]
+    return [make_cone(SpaceSpec(1, n), base) for base in bases]
+
+
+BAND_CONE_IDS = ["cap-0.077", "cap0.3", "equality", "double-cap", "striped"]
+
+
+class TestBandConesOnThePolarRule:
+    """Cones over band bases take the polar rule in <xi, axis>, not the full
+    product rule on S^{n-1}."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_axis_e1_matches_the_sphere_rule_sum(self, n):
+        for body, name in zip(_band_cones(n, np.eye(n)[0]), BAND_CONE_IDS):
+            assert busemann_functional(body) == pytest.approx(
+                _sphere_rule_functional(body), rel=1e-14, abs=0.0), name
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_tilted_axis_matches_axis_e1(self, n):
+        tilted = np.random.default_rng(n).normal(size=n)
+        tilted /= np.linalg.norm(tilted)
+        for plain, turned, name in zip(_band_cones(n, np.eye(n)[0]), _band_cones(n, tilted),
+                                       BAND_CONE_IDS):
+            assert busemann_functional(turned) == pytest.approx(
+                busemann_functional(plain), rel=1e-13, abs=0.0), name
+
+    @pytest.mark.parametrize("n", [7, 8, 12])
+    def test_min_nd_equality_cones_in_high_dimension(self, n):
+        cones = [make_cone(SpaceSpec(1, n), equality_cone_base(n, h)) for h in (0.4, 0.7)]
+        for report in run_theorem_suite("min-nd", cones):
+            assert report.verdict and abs(report.rel_gap) <= 1e-12
+
+    def test_indicator_path_builds_no_sphere_rule(self, monkeypatch):
+        cones = _band_cones(4, np.eye(4)[0]) + [make_cone(SpaceSpec(1, 8), equality_cone_base(8, 0.4))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the indicator path built a sphere rule")
+
+        for module in (bodies, functionals, quadrature):
+            monkeypatch.setattr(module, "build_sphere_rule", refuse)
+        for body in cones:
+            assert functionals._path(body, QuadratureConfig()) == "indicator"
+            volume(body)
+            section_volume(body, np.eye(body.space.dim)[1])
+            busemann_functional_with_error(body)
+            run_theorem_suite("min-nd", [body])
 
 
 class TestHyperbolicSpecialFunctions:
