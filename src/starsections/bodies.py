@@ -35,6 +35,9 @@ from .spaces import (
 
 TWO_PI = 2.0 * math.pi
 
+# The format of every JSON document and CSV table the library writes.
+FORMAT_VERSION = "1"
+
 
 # ---------------------------------------------------------------------------
 # analytic band measures on spheres
@@ -361,10 +364,6 @@ class RadialProfile:
         """Unit axis in R^n about which rho is rotationally symmetric, or None."""
         return None
 
-    # indicator-type profiles carry an analytic base and bypass smooth quadrature
-    indicator_base: ConeBase | None = None
-    indicator_height: float | None = None
-
 
 @dataclass(frozen=True)
 class ConstantProfile(RadialProfile):
@@ -472,14 +471,6 @@ class IndicatorProfile(RadialProfile):
     def zonal_axis(self, n):
         # a band base is rotationally symmetric about its axis; arcs have none
         return self.base.axis if isinstance(self.base, BandsBase) else None
-
-    @property
-    def indicator_base(self):
-        return self.base
-
-    @property
-    def indicator_height(self):
-        return self.height
 
     def descriptor(self):
         return {"kind": "cone", "height": self.height, "base": self.base.descriptor()}
@@ -643,11 +634,14 @@ class StarBody:
     symmetric: bool = False
 
     def rho(self, dirs) -> np.ndarray:
-        return self.profile.rho(dirs)
+        """The profile clamped to the space's radius range [0, max_radius]."""
+        return np.clip(self.profile.rho(dirs), 0.0, self.space.max_radius)
 
     @property
     def is_indicator(self) -> bool:
-        return self.profile.indicator_base is not None
+        """Whether rho is a height on a cone base and 0 elsewhere, whose left
+        sides are exact."""
+        return isinstance(self.profile, IndicatorProfile)
 
     def check_symmetry(self) -> bool:
         """Verify the symmetry claim at the nodes of a degree-11 rule:
@@ -657,7 +651,7 @@ class StarBody:
 
     def to_json_dict(self) -> dict:
         return {
-            "format_version": "1",
+            "format_version": FORMAT_VERSION,
             "space": {"delta": self.space.delta, "dim": self.space.dim},
             "profile": self.profile.descriptor(),
             "symmetric": self.symmetric,
@@ -840,18 +834,18 @@ def _perturbation(space: SpaceSpec, r: float, beta: float, k: int, axis):
     return harmonic, span
 
 
-def make_perturbed_ball(space: SpaceSpec, r: float, beta: float, k: int, axis=None) -> StarBody:
+def make_perturbed_ball(space: SpaceSpec, r: float, beta: float, k: int) -> StarBody:
     """Volume-matched harmonic perturbation of a centered hemisphere ball.
 
-    rho = r + alpha + beta * H_k with alpha solved so that the volume, by the
-    polar rule in <u, axis>, equals the ball volume to 1e-10 relative.  The
+    rho = r + alpha + beta * H_k, H_k zonal about the last coordinate axis,
+    with alpha solved so that the volume, by the polar rule in <u, axis>,
+    equals the ball volume to 1e-10 relative.  The
     exact root solve is used rather than the first-order expansion of alpha:
     the sign experiment downstream needs the volumes matched to machine
     precision.
     """
     n = space.dim
-    axis = np.eye(n)[-1] if axis is None else axis
-    harmonic, span = _perturbation(space, r, beta, k, axis)
+    harmonic, span = _perturbation(space, r, beta, k, np.eye(n)[-1])
 
     # against a degree-801 rule, degree max(63, 8k + 15) leaves at most 4e-15
     # relative for n <= 8, k <= 32 at r = 0.7; a fixed degree 23 left up to
@@ -1059,7 +1053,7 @@ def is_convex_spherical(body: StarBody, samples: int = 800, seed: int = 0,
     v /= np.linalg.norm(v, axis=1, keepdims=True)
 
     def embed(dirs):
-        r = np.clip(body.rho(dirs), 0.0, HEMISPHERE_MAX_RADIUS)
+        r = body.rho(dirs)
         return np.column_stack([np.sin(r)[:, None] * dirs, np.cos(r)])
 
     p = embed(u)

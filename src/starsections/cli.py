@@ -22,6 +22,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .bodies import (
+    FORMAT_VERSION,
     ArcsBase,
     StarBody,
     body_from_json_dict,
@@ -74,8 +75,17 @@ def _parse_kv(text: str) -> dict:
 
 
 def parse_body(text: str, space: SpaceSpec | None) -> StarBody:
-    """Constructor mini-language ``kind:key=val,...`` mirroring the JSON fields,
-    or ``@file.json`` holding a body document."""
+    """The body of a ``--body`` spec; with a ``--space`` given, a body on any
+    other space is a usage error."""
+    body = _build_body(text, space)
+    if space is not None and body.space != space:
+        raise UsageError(f"--body {text}: the body lives on {body.space}, not on --space {space}")
+    return body
+
+
+def _build_body(text: str, space: SpaceSpec | None) -> StarBody:
+    """Constructor mini-language ``kind:key=val,...`` (see the README for the
+    keys of each kind), or ``@file.json`` holding a body document."""
     kind, _, rest = text.partition(":")
     try:
         if text.startswith("@"):
@@ -83,29 +93,21 @@ def parse_body(text: str, space: SpaceSpec | None) -> StarBody:
             with open(text[1:]) as fh:
                 return body_from_json_dict(json.load(fh))
         params = _parse_kv(rest)
+        if kind in ("ball", "perturbed", "cone") and space is None:
+            raise UsageError(f"--body {kind} requires --space")
         if kind == "ball":
-            if space is None:
-                raise UsageError("--body ball requires --space")
             return make_ball(space, float(params["r"]))
         if kind == "ellipsoid":
-            axes = [float(v) for v in params["semiaxes"].split(";")]
-            return make_ellipsoid(axes)
+            return make_ellipsoid([float(v) for v in params["semiaxes"].split(";")])
         if kind == "lune":
             return make_lune(float(params["w"]))
         if kind == "perturbed":
-            if space is None:
-                raise UsageError("--body perturbed requires --space")
             return make_perturbed_ball(space, float(params["r"]), float(params["beta"]),
                                        int(params["k"]))
         if kind == "cone":
-            if space is None:
-                raise UsageError("--body cone requires --space")
             if "arcs" in params:
-                arcs = []
-                for pair in params["arcs"].split(";"):
-                    a, b = pair.split(":")
-                    arcs.append((float(a), float(b)))
-                return make_cone(space, ArcsBase(tuple(arcs)))
+                pairs = (pair.split(":") for pair in params["arcs"].split(";"))
+                return make_cone(space, ArcsBase(tuple((float(a), float(b)) for a, b in pairs)))
             if "cap" in params:
                 return make_cone(space, cap_base(np.eye(space.dim)[0], float(params["cap"])))
             if "equality" in params:
@@ -156,7 +158,7 @@ def _write_json(path: str, doc: dict):
 
 def _write_csv(path: str, header, rows):
     with open(path, "w", newline="") as fh:
-        fh.write("# format_version=1\n")
+        fh.write(f"# format_version={FORMAT_VERSION}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -202,7 +204,7 @@ def cmd_functional(args) -> int:
             print(f"  [{pretty}] -> {sv:.10g}")
     print(f"functional: {functional:.12g}  (error estimate {err:.3g})")
     doc = {
-        "format_version": "1",
+        "format_version": FORMAT_VERSION,
         "command": "functional",
         "space": {"delta": space.delta, "dim": space.dim},
         "body": body.to_json_dict(),
@@ -225,14 +227,20 @@ def cmd_verify(args) -> int:
     theorem = args.theorem
     if args.w is not None and (theorem != "lune-max" or args.body):
         raise UsageError("--w sets the lune of --theorem lune-max, and goes without --body")
-    if args.body:
+    if args.body or args.w is not None:
+        random_flags = [flag for flag, value in (("--random", args.random), ("--seed", args.seed))
+                        if value is not None]
+        if random_flags:
+            raise UsageError(f"{' and '.join(random_flags)} set the random suite bodies, "
+                             "and go without --body or --w")
         space = parse_space(args.space) if args.space else None
-        bodies = [parse_body(spec, space) for spec in args.body]
-    elif args.w is not None:
-        bodies = [make_lune(args.w)]
+        bodies = [parse_body(spec, space) for spec in args.body] if args.body else [make_lune(args.w)]
+        # next to given bodies --dim is a check, not a choice
+        if args.dim is not None and any(body.space.dim != args.dim for body in bodies):
+            raise UsageError(f"--dim {args.dim} is not the dimension of every given body")
     else:
-        bodies = verify_mod.suite_bodies(theorem, dim=args.dim, random_count=args.random,
-                                         seed=args.seed)
+        bodies = verify_mod.suite_bodies(theorem, dim=args.dim, random_count=args.random or 0,
+                                         seed=args.seed or 0)
     # a degree flag overrides only that degree of the theorem's own config
     config = THEOREMS[theorem].config
     if args.outer_degree is not None:
@@ -247,18 +255,21 @@ def cmd_verify(args) -> int:
         print(f"{status}  {r.theorem_id}{tag}  body={r.body_kind:<10} "
               f"lhs={r.lhs:.10g} rhs={r.rhs:.10g} rel_gap={r.rel_gap:+.3e}")
     print(f"suite: {'pass' if all_pass else 'FAIL'} ({len(reports)} checks)")
+    records = [r.to_json_dict() for r in reports]
     doc = {
-        "format_version": "1",
+        "format_version": FORMAT_VERSION,
         "theorem_id": theorem,
-        "reports": [r.to_json_dict() for r in reports],
+        "reports": records,
         "suite_verdict": "pass" if all_pass else "fail",
     }
-    _emit(args.out, json_doc=doc, csv_data=(
-        ["theorem_id", "variant", "body_kind", "lhs", "rhs", "gap", "rel_gap", "verdict"],
-        [[r.theorem_id, r.variant, r.body_kind, r.lhs, r.rhs, r.gap, r.rel_gap,
-          "pass" if r.verdict else "fail"] for r in reports],
-    ))
+    _emit(args.out, json_doc=doc, csv_data=_table(
+        ["theorem_id", "variant", "body_kind", "lhs", "rhs", "gap", "rel_gap", "verdict"], records))
     return 0 if all_pass else 1
+
+
+def _table(header, records):
+    """A CSV table of the given columns of JSON records."""
+    return header, [[record[column] for column in header] for record in records]
 
 
 def _parse_list(flag: str, text: str | None, kind):
@@ -282,22 +293,19 @@ def _run_experiment(args) -> int:
     if args.mode == "perturbation":
         ks = _parse_list("--k", args.k, int)
         betas = _parse_list("--beta", args.beta, float)
-        rows = []
+        records = []
         ok = True
         for k in ks:
             res = verify_mod.perturbation_sign_experiment(args.dim, args.r, k, betas=betas)
-            rows.append([args.dim, args.r, k, res.beta, res.delta_norm, res.eps_norm,
-                         res.difference, res.error_estimate, res.predicted_sign,
-                         res.observed_sign, res.conclusive, res.ratio, res.predicted_ratio])
+            records.append(res.to_json_dict())
             status = "conclusive" if res.conclusive else "INCONCLUSIVE"
             match = "match" if res.sign_matches else "MISMATCH"
             print(f"k={k}: difference={res.difference:+.6e} predicted={res.predicted_sign:+d} "
                   f"observed={res.observed_sign:+d} ({status}, {match})")
             ok = ok and res.sign_matches
-        header = ["n", "r", "k", "beta", "delta_norm", "eps_norm", "difference",
-                  "error_estimate", "predicted_sign", "observed_sign", "conclusive",
-                  "ratio", "predicted_ratio"]
-        _emit(args.out, csv_data=(header, rows))
+        _emit(args.out, csv_data=_table(
+            ["n", "r", "k", "beta", "delta_norm", "eps_norm", "difference", "error_estimate",
+             "predicted_sign", "observed_sign", "conclusive", "ratio", "predicted_ratio"], records))
         return 0 if ok else 1
     if args.mode == "sharpness":
         alphas = _parse_list("--alphas", args.alphas, float)
@@ -307,8 +315,8 @@ def _run_experiment(args) -> int:
         for row in rows:
             print(f"alpha={row['alpha']:<6g} eps={row['eps']:<6g} "
                   f"normalized={row['normalized']:.8g} excess={row['excess']:+.3%}")
-        header = ["alpha", "eps", "volume", "functional", "normalized", "target", "excess"]
-        _emit(args.out, csv_data=(header, [[r[h] for h in header] for r in rows]))
+        _emit(args.out, csv_data=_table(
+            ["alpha", "eps", "volume", "functional", "normalized", "target", "excess"], rows))
         final_ok = abs(rows[-1]["excess"]) <= 0.05 and all(r["excess"] >= -1e-9 for r in rows)
         return 0 if final_ok else 1
     if args.mode == "search":
@@ -357,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--space", default=None)
     p_ver.add_argument("--body", action="append", default=None,
                        help="explicit body spec (repeatable)")
-    p_ver.add_argument("--dim", type=int, default=None)
-    p_ver.add_argument("--random", type=int, default=0, help="number of random bodies")
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--dim", type=int, default=None, help="suite dimension")
+    p_ver.add_argument("--random", type=int, default=None, help="number of random suite bodies (0)")
+    p_ver.add_argument("--seed", type=int, default=None, help="seed of the random suite bodies (0)")
     p_ver.add_argument("--w", type=float, default=None, help="lune half-width")
     add_quad_args(p_ver)
     p_ver.set_defaults(fn=cmd_verify)

@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .bodies import StarBody
+from .bodies import FORMAT_VERSION, StarBody
 from .errors import ApplicabilityError, ConvergenceError, DomainError, InversionRangeError
 from .quadrature import (
     build_sphere_rule,
@@ -33,7 +33,9 @@ from .spaces import (
     HEMISPHERE_MAX_RADIUS,
     SpaceSpec,
     as_direction,
-    brent_root,
+    ball_model_radius,
+    geodesic_radius,
+    monotone_inverse,
     phi,
     phi_inverse,
     sin_power_primitive_full,
@@ -97,12 +99,8 @@ def _section_grid(n: int, outer_degree: int, inner_degree: int):
 # radially symmetric measures
 
 
-def _gauss_legendre_01(npts: int = 48):
-    x, w = gauss_jacobi(npts, 0.0)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
-_GL01 = _gauss_legendre_01()
+_GL_T, _GL_W = gauss_jacobi(48, 0.0)
+_GL01 = (_GL_T + 1.0) / 2.0, _GL_W / 2.0   # the 48-point Gauss-Legendre rule on [0, 1]
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 
@@ -147,11 +145,9 @@ class RadialDensityMeasure:
 
     name: str
     profile: object
-    dim_weight: object = field(default=None)
+    dim_weight: Callable = lambda m: 1.0
 
     def __post_init__(self):
-        if self.dim_weight is None:
-            object.__setattr__(self, "dim_weight", lambda m: 1.0)
         grid = np.linspace(0.0, 10.0, 1000)
         vals = np.asarray(self.profile(grid), dtype=float)
         if np.any(vals <= 0):
@@ -165,7 +161,7 @@ class RadialDensityMeasure:
         upper = np.asarray(upper, dtype=float)
         scalar = upper.ndim == 0
         up = np.atleast_1d(upper)
-        if self.name == "gaussian" and space.delta == 0:
+        if self.profile is _gaussian_profile and space.delta == 0:
             out = _gaussian_moment(m, up)
         else:
             x01, w01 = _GL01
@@ -196,16 +192,18 @@ def _metric_sine_pow(space: SpaceSpec, r, p: int):
     return np.sinh(r) ** p
 
 
+def _gaussian_profile(r):
+    """The standard Gaussian's radial shape; ``radial_integral`` knows its
+    moments in closed form on e:n."""
+    return np.exp(-np.asarray(r, dtype=float) ** 2 / 2.0)
+
+
 def gaussian_measure() -> RadialDensityMeasure:
-    return RadialDensityMeasure(
-        "gaussian",
-        lambda r: np.exp(-np.asarray(r, dtype=float) ** 2 / 2.0),
-        lambda m: (2.0 * math.pi) ** (-m / 2.0),
-    )
+    return RadialDensityMeasure("gaussian", _gaussian_profile, lambda m: (2.0 * math.pi) ** (-m / 2.0))
 
 
-def custom_measure(profile, name: str = "custom") -> RadialDensityMeasure:
-    return RadialDensityMeasure(name, profile)
+def custom_measure(profile) -> RadialDensityMeasure:
+    return RadialDensityMeasure("custom", profile)
 
 
 def _radial(space: SpaceSpec, m: int, upper, mu: RadialDensityMeasure | None):
@@ -244,24 +242,20 @@ def volume(body: StarBody, mu: RadialDensityMeasure | None = None,
     n = space.dim
     path = _path(body, config)
     if path in ("arcs", "indicator"):
-        base = body.profile.indicator_base
-        return float(_radial(space, n, body.profile.indicator_height, mu)) * base.measure
+        return float(_radial(space, n, body.profile.height, mu)) * body.profile.base.measure
     if path == "plane":
         # profiles in the plane may have corners (lunes, grid profiles);
         # integrate the angle adaptively instead of by the fixed circle rule
         def integrand(theta):
-            d = np.column_stack([np.cos(theta), np.sin(theta)])
-            rho = np.clip(body.rho(d), 0.0, space.max_radius)
-            return _radial(space, n, rho, mu)
+            return _body_radial(body, mu, n, np.column_stack([np.cos(theta), np.sin(theta)]))
 
         val, _ = _adaptive_circle(integrand, config.angular_tol)
         return val
     if path == "zonal":
         c, w = polar_rule(n - 1, config.outer(n))
-        return float(np.dot(w, _zonal_radial(body, mu, n, c)))
+        return float(np.dot(w, _body_radial(body, mu, n, _zonal_directions(body, c))))
     rule = build_sphere_rule(n - 1, config.outer(n))
-    rho = np.clip(body.rho(rule.nodes), 0.0, space.max_radius)
-    return float(np.dot(rule.weights, _radial(space, n, rho, mu)))
+    return float(np.dot(rule.weights, _body_radial(body, mu, n, rule.nodes)))
 
 
 def section_volume(body: StarBody, xi, mu: RadialDensityMeasure | None = None,
@@ -277,42 +271,32 @@ def section_volume(body: StarBody, xi, mu: RadialDensityMeasure | None = None,
         c = np.array([xi @ body.profile.zonal_axis(n)])
         return float(_zonal_sections(body, mu, c, config)[0])
     inner = build_sphere_rule(n - 2, config.inner(n))
-    integrands = _section_integrands(body, mu, subsphere_nodes(inner, xi[None]))
-    return float(np.dot(inner.weights, integrands[0]))
+    return float(np.dot(inner.weights, _body_radial(body, mu, n - 1, subsphere_nodes(inner, xi))[0]))
 
 
 def _indicator_sections(body: StarBody, mu, xis):
     """Exact section volumes of an indicator body at the normals xis: the radial
     primitive of its height times the base's section measures."""
-    space = body.space
-    h = float(_radial(space, space.dim - 1, body.profile.indicator_height, mu))
-    return h * body.profile.indicator_base.section_measures(xis)
+    h = float(_radial(body.space, body.space.dim - 1, body.profile.height, mu))
+    return h * body.profile.base.section_measures(xis)
 
 
-def _section_integrands(body: StarBody, mu, embedded):
-    """Radial primitives of a non-indicator body at its (D, N_inner, n) embedded
-    inner nodes, shape (D, N_inner); a section volume is a row's weighted sum."""
-    space = body.space
-    rho = np.clip(body.rho(embedded.reshape(-1, space.dim)), 0.0, space.max_radius)
-    return _radial(space, space.dim - 1, rho, mu).reshape(embedded.shape[:2])
+def _body_radial(body: StarBody, mu, m: int, dirs):
+    """Radial primitives (of dimension m) of a non-indicator body along the last
+    axis of dirs, which holds unit directions: shape dirs.shape[:-1].  Every
+    other left side is a weighted sum of these."""
+    rho = body.rho(dirs.reshape(-1, body.space.dim))
+    return _radial(body.space, m, rho, mu).reshape(dirs.shape[:-1])
 
 
 def _zonal_directions(body: StarBody, s):
-    """Unit directions u with <u, axis> = s, one per element of s, flattened:
-    u = s axis + sqrt(1 - s^2) b, for one unit b orthogonal to the body's
-    zonal axis."""
+    """Unit directions u with <u, axis> = s, one per element of s, shape
+    s.shape + (n,): u = s axis + sqrt(1 - s^2) b, for one unit b orthogonal to
+    the body's zonal axis."""
     axis = body.profile.zonal_axis(body.space.dim)
     b = householder_frame(axis)[:, 0]
-    flat = np.asarray(s, dtype=float).reshape(-1)
-    return flat[:, None] * axis + np.sqrt(1.0 - flat * flat)[:, None] * b
-
-
-def _zonal_radial(body: StarBody, mu, m: int, s):
-    """Radial primitives (of dimension m) of a zonal body at the directions u
-    with <u, axis> = s, elementwise in s, through ``rho``."""
-    space = body.space
-    rho = np.clip(body.rho(_zonal_directions(body, s)), 0.0, space.max_radius)
-    return _radial(space, m, rho, mu).reshape(np.shape(s))
+    s = np.asarray(s, dtype=float)[..., None]
+    return s * axis + np.sqrt(1.0 - s * s) * b
 
 
 def _zonal_sections(body: StarBody, mu, c, config: QuadratureConfig):
@@ -325,7 +309,7 @@ def _zonal_sections(body: StarBody, mu, c, config: QuadratureConfig):
     # each of the few sections carries a large share of the weight, so its
     # rounding does not average out as over the product rule's many nodes:
     # sum the rows pairwise, more accurately than a matrix-vector product
-    return np.sum(_zonal_radial(body, mu, n - 1, s) * w, axis=1)
+    return np.sum(_body_radial(body, mu, n - 1, _zonal_directions(body, s)) * w, axis=1)
 
 
 def _rule_sections(body: StarBody, mu, config: QuadratureConfig, path: str):
@@ -336,7 +320,7 @@ def _rule_sections(body: StarBody, mu, config: QuadratureConfig, path: str):
     n = body.space.dim
     if path == "product":
         weights, inner, embedded = _section_grid(n, config.outer(n), config.inner(n))
-        return weights, _section_integrands(body, mu, embedded) @ inner.weights
+        return weights, _body_radial(body, mu, n - 1, embedded) @ inner.weights
     # an indicator body's band base and a zonal body both have an axis, and a
     # section depends only on c = <xi, axis> (Funk-Hecke), which xi and -xi
     # share: the c >= 0 of the polar rule, each at twice its weight except c = 0
@@ -361,14 +345,10 @@ def _adaptive_circle(integrand, angular_tol: float):
 def _plane_functional(body: StarBody, mu, p: int, config: QuadratureConfig):
     """The plane path's integral of section^p over the circle and its error; the
     subsphere of xi at the polar angle theta is the two points at theta +- pi/2."""
-    space = body.space
-
     def integrand(theta):
         a = np.asarray(theta, dtype=float) + math.pi / 2
         dirs = np.column_stack([np.cos(a), np.sin(a)])
-        rho1 = np.clip(body.rho(dirs), 0.0, space.max_radius)
-        rho2 = np.clip(body.rho(-dirs), 0.0, space.max_radius)
-        return (_radial(space, 1, rho1, mu) + _radial(space, 1, rho2, mu)) ** p
+        return (_body_radial(body, mu, 1, dirs) + _body_radial(body, mu, 1, -dirs)) ** p
 
     return _adaptive_circle(integrand, config.angular_tol)
 
@@ -390,8 +370,8 @@ def busemann_functional(body: StarBody, mu: RadialDensityMeasure | None = None,
 
     if path == "arcs":
         # exact in the plane: sections take values {0, h, 2h} on arcs
-        base = body.profile.indicator_base
-        h = float(_radial(space, 1, body.profile.indicator_height, mu))
+        base = body.profile.base
+        h = float(_radial(space, 1, body.profile.height, mu))
         both = base.intersection_measure(base.reflected())
         single = 2.0 * (base.measure - both)
         return (h ** p * single + (2.0 * h) ** p * both) / norm
@@ -439,7 +419,8 @@ def fn_hyperbolic(n: int, t):
     arr = np.asarray(t, dtype=float)
     if np.any((arr < 0) | (arr >= 1)):
         raise DomainError("the hyperbolic radial coordinate must lie in [0, 1)")
-    out = phi(SpaceSpec(-1, max(n, 2)), n, 2.0 * np.arctanh(arr)) / 2.0 ** n
+    space = SpaceSpec(-1, max(n, 2))
+    out = phi(space, n, geodesic_radius(space, arr)) / 2.0 ** n
     return out if np.ndim(t) else float(out)
 
 
@@ -448,8 +429,8 @@ def fn_hyperbolic_inverse(n: int, v):
     arr = np.asarray(v, dtype=float)
     if np.any(arr < 0):
         raise DomainError("F_n values are nonnegative")
-    x = phi_inverse(SpaceSpec(-1, max(n, 2)), n, 2.0 ** n * arr)
-    out = np.tanh(np.asarray(x) / 2.0)
+    space = SpaceSpec(-1, max(n, 2))
+    out = ball_model_radius(space, phi_inverse(space, n, 2.0 ** n * arr))
     return out if np.ndim(v) else float(out)
 
 
@@ -502,13 +483,11 @@ def f_spherical(n: int, v):
     limit = f_spherical_limit(n)
     if np.any((arr < 0) | (arr > limit * (1 + 1e-12))):
         raise DomainError(f"argument must lie in [0, {limit!r}]")
-    arr = np.minimum(arr, limit)
-    out = np.empty_like(arr)
-    for i, vi in enumerate(arr):
-        target = 2.0 ** n * vi
-        x = brent_root(lambda s: sin_power_primitive_full(n, s) - target, 0.0, math.pi,
-                       xtol=1e-14, rtol=1e-15)
-        out[i] = sin_power_primitive_full(n - 1, x) / 2.0 ** (n - 1)
+    x = monotone_inverse(lambda s: sin_power_primitive_full(n, s), 2.0 ** n * np.minimum(arr, limit),
+                         math.pi)
+    # one point at a time: numpy's power of a 0-d array and of a longer one
+    # may differ in the last bit
+    out = np.array([sin_power_primitive_full(n - 1, xi) for xi in x]) / 2.0 ** (n - 1)
     return float(out[0]) if scalar else out
 
 
@@ -524,14 +503,9 @@ def psi(mu: RadialDensityMeasure, space: SpaceSpec, m: int, x):
 def psi_inverse(mu: RadialDensityMeasure, space: SpaceSpec, m: int, y) -> float:
     if y < 0:
         raise DomainError("ball measures are nonnegative")
-    if y == 0:
-        return 0.0
-    hi = 1.0
-    while psi(mu, space, m, hi) < y:
-        hi *= 2.0
-        if hi > 1e6:
-            raise InversionRangeError("value outside the range of the ball-measure function")
-    return brent_root(lambda x: psi(mu, space, m, x) - y, 0.0, hi, xtol=1e-14, rtol=1e-15)
+    out = monotone_inverse(lambda x: psi(mu, space, m, x), y, 1.0, 1e6,
+                           InversionRangeError("value outside the range of the ball-measure function"))
+    return float(out[0])
 
 
 def big_psi(mu: RadialDensityMeasure, space: SpaceSpec, n: int, t) -> float:
@@ -795,7 +769,7 @@ class InequalityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "format_version": "1",
+            "format_version": FORMAT_VERSION,
             "theorem_id": self.theorem_id,
             "lhs": self.lhs,
             "rhs": self.rhs,

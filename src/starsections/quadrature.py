@@ -22,7 +22,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, ResourceLimitError
 from .spaces import sphere_surface_area
 
-DEFAULT_NODE_CAP = 4_000_000
+# The most nodes a sphere rule may have.
+NODE_CAP = 4_000_000
 
 # Default polynomial degrees: high on the circle where nodes are cheap,
 # moderate on S^2 and S^3 to keep nested outer/inner loops fast.
@@ -123,12 +124,13 @@ _POINT_PAIR = SphereRule(0, np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), 10 
 
 
 @lru_cache(maxsize=None)
-def build_sphere_rule(m: int, degree: int, node_cap: int = DEFAULT_NODE_CAP) -> SphereRule:
+def build_sphere_rule(m: int, degree: int) -> SphereRule:
     """Construct a quadrature rule on S^m exact for polynomials of degree <= degree.
 
     m = 0 is the two-point sphere (needed for sections in the plane),
     m = 1 the uniform circle rule, and m >= 2 a polar Gauss-Jacobi rule of
     weight (1 - t^2)^{(m-2)/2} producted with a recursive S^{m-1} rule.
+    ResourceLimitError for a rule of more than ``NODE_CAP`` nodes.
     """
     if m < 0:
         raise DomainError("sphere dimension must be >= 0")
@@ -138,16 +140,16 @@ def build_sphere_rule(m: int, degree: int, node_cap: int = DEFAULT_NODE_CAP) -> 
         raise DomainError("degree must be >= 1")
     if m == 1:
         rule = _circle_rule(degree)
-        if len(rule) > node_cap:
-            raise ResourceLimitError(f"rule would need {len(rule)} nodes, cap is {node_cap}")
+        if len(rule) > NODE_CAP:
+            raise ResourceLimitError(f"rule would need {len(rule)} nodes, cap is {NODE_CAP}")
         return rule
 
     npolar = (degree + 2) // 2
     t, wt = gauss_jacobi(npolar, (m - 2) / 2.0)
-    sub = build_sphere_rule(m - 1, degree, node_cap)
+    sub = build_sphere_rule(m - 1, degree)
     count = npolar * len(sub)
-    if count > node_cap:
-        raise ResourceLimitError(f"rule would need {count} nodes, cap is {node_cap}")
+    if count > NODE_CAP:
+        raise ResourceLimitError(f"rule would need {count} nodes, cap is {NODE_CAP}")
 
     s = np.sqrt(1.0 - t ** 2)
     nodes = np.empty((count, m + 1))

@@ -201,6 +201,27 @@ def brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
     raise SolverError(f"Brent's method did not converge in {_BRENT_MAXITER} steps")
 
 
+def monotone_inverse(f, y, hi: float, cap: float | None = None, error: Exception | None = None):
+    """For each element of y, the x in [0, hi] with f(x) = y, f increasing with
+    f(0) = 0; y = 0 gives 0.  Given a cap, hi doubles while f(hi) < y, and
+    ``error`` is raised once it passes the cap.  Brent's method at xtol 1e-14,
+    rtol 1e-15; returns a 1-d array.
+    """
+    arr = np.atleast_1d(np.asarray(y, dtype=float))
+    out = np.empty_like(arr)
+    for i, yi in enumerate(arr):
+        if yi == 0.0:
+            out[i] = 0.0
+            continue
+        top = hi
+        while cap is not None and f(top) < yi:
+            top *= 2.0
+            if top > cap:
+                raise error
+        out[i] = brent_root(lambda x: f(x) - yi, 0.0, top, xtol=1e-14, rtol=1e-15)
+    return out
+
+
 def phi_inverse(space: SpaceSpec, m: int, y):
     """Inverse of ``phi`` in its first radial argument, by bracketed root solve."""
     arr = np.asarray(y, dtype=float)
@@ -218,19 +239,11 @@ def phi_inverse(space: SpaceSpec, m: int, y):
         out = np.arccosh(1.0 + arr)
     elif space.delta == 0:
         out = (m * arr) ** (1.0 / m)
+    elif space.delta == 1:
+        out = monotone_inverse(lambda t: phi(space, m, t), arr, HEMISPHERE_MAX_RADIUS)
     else:
-        out = np.empty_like(arr)
-        hi0 = HEMISPHERE_MAX_RADIUS if space.delta == 1 else 1.0
-        for i, yi in enumerate(arr):
-            if yi == 0.0:
-                out[i] = 0.0
-                continue
-            hi = hi0
-            while space.delta != 1 and phi(space, m, hi) < yi:
-                hi *= 2.0
-                if hi > RADIUS_SAFETY_CAP:
-                    raise ResourceLimitError("phi inverse exceeds the radius cap")
-            out[i] = brent_root(lambda t: phi(space, m, t) - yi, 0.0, hi, xtol=1e-14, rtol=1e-15)
+        out = monotone_inverse(lambda t: phi(space, m, t), arr, 1.0, RADIUS_SAFETY_CAP,
+                               ResourceLimitError("phi inverse exceeds the radius cap"))
     return float(out[0]) if scalar else out
 
 

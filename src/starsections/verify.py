@@ -9,11 +9,12 @@ tolerance pinned per theorem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .bodies import (
+    FORMAT_VERSION,
     ArcsBase,
     GridProfile,
     StarBody,
@@ -59,14 +60,19 @@ TWO_PI = 2.0 * math.pi
 # expansion constants of the ball functional
 
 
-def c_chain(n: int, r: float):
-    """The coefficient chain (c0..c4) of the second-order ball expansion."""
+def _ball_section(n: int, r: float) -> float:
+    """The section volume of the ball of radius r on s+:n, for the expansion
+    constants: DomainError unless n >= 3 and r lies in (0, pi/2)."""
     if n < 3:
         raise DomainError("the expansion needs n >= 3")
     if not 0.0 < r < HEMISPHERE_MAX_RADIUS:
         raise DomainError("r must lie in (0, pi/2)")
-    space = SpaceSpec(1, n)
-    section = sphere_surface_area(n - 2) * phi(space, n - 1, r)
+    return sphere_surface_area(n - 2) * phi(SpaceSpec(1, n), n - 1, r)
+
+
+def c_chain(n: int, r: float):
+    """The coefficient chain (c0..c4) of the second-order ball expansion."""
+    section = _ball_section(n, r)
     c0 = (n - 1) / (2.0 * math.tan(r))
     c1 = math.sin(r) ** (n - 2)
     c2 = (n - 2) / (2.0 * math.tan(r))
@@ -81,12 +87,7 @@ def c5_constant(n: int, r: float) -> float:
     Always strictly below |S^{n-2}|^2 / (n-1)^2, which is what separates the
     degree-2 harmonic from all higher ones in the sign experiment.
     """
-    if n < 3:
-        raise DomainError("c5 needs n >= 3")
-    if not 0.0 < r < HEMISPHERE_MAX_RADIUS:
-        raise DomainError("r must lie in (0, pi/2)")
-    space = SpaceSpec(1, n)
-    section = sphere_surface_area(n - 2) * phi(space, n - 1, r)
+    section = _ball_section(n, r)
     return sphere_surface_area(n - 2) * section / ((n - 1) * math.tan(r) * math.sin(r) ** (n - 2))
 
 
@@ -94,16 +95,15 @@ def c5_constant(n: int, r: float) -> float:
 # random test bodies
 
 
-def random_star_body(space: SpaceSpec, rng: np.random.Generator,
-                     symmetric: bool = False, base_radius=None, bump_scale: float = 0.25) -> StarBody:
-    """Smooth random body: ball plus 2-4 zonal bumps, clipped to the space range."""
+def random_star_body(space: SpaceSpec, rng: np.random.Generator, symmetric: bool = False) -> StarBody:
+    """Smooth random body: a ball of radius in [0.5, 1.1] plus 2-4 zonal bumps
+    of amplitude up to a quarter of it, clipped to the space range."""
     n = space.dim
-    if base_radius is None:
-        base_radius = rng.uniform(0.5, 1.1)
+    base_radius = rng.uniform(0.5, 1.1)
     nb = int(rng.integers(2, 5))
     centers = rng.normal(size=(nb, n))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    amps = rng.uniform(-bump_scale, bump_scale, size=nb) * base_radius
+    amps = rng.uniform(-0.25, 0.25, size=nb) * base_radius
     sharp = rng.uniform(2.0, 6.0, size=nb)
     return make_bumpy_ball(space, base_radius, centers, amps, sharp, symmetric=symmetric)
 
@@ -251,18 +251,10 @@ class PerturbationResult:
         return self.conclusive and self.observed_sign == self.predicted_sign
 
     def to_json_dict(self) -> dict:
-        return {
-            "format_version": "1",
-            "n": self.n, "r": self.r, "k": self.k, "beta": self.beta,
-            "delta_norm": self.delta_norm, "eps_norm": self.eps_norm,
-            "lhs_K": self.lhs_K, "lhs_B": self.lhs_B,
-            "difference": self.difference, "error_estimate": self.error_estimate,
-            "c5": self.c5, "lambda_k": self.lambda_k,
-            "predicted_sign": self.predicted_sign, "observed_sign": self.observed_sign,
-            "conclusive": self.conclusive,
-            "ratio": self.ratio, "predicted_ratio": self.predicted_ratio,
-            "rows": [list(row) for row in self.rows],
-        }
+        """Every field in its order, after the format version; rows as lists."""
+        doc = {"format_version": FORMAT_VERSION, **{f.name: getattr(self, f.name) for f in fields(self)}}
+        doc["rows"] = [list(row) for row in self.rows]
+        return doc
 
 
 def perturbation_sign_experiment(n: int, r: float, k: int, betas=None) -> PerturbationResult:
@@ -310,26 +302,14 @@ def perturbation_sign_experiment(n: int, r: float, k: int, betas=None) -> Pertur
     if not rows:
         raise RadiusRangeError(f"perturbation leaves the open radius range (0, pi/2) "
                                f"at every beta of {betas}")
-    if chosen is None:
-        # keep the smallest-beta row but flag the verdict
-        chosen = rows[-1]
-        conclusive = False
-    else:
-        conclusive = True
-    beta, delta_norm, eps_norm, lhs_K, lhs_Bv, diff, err, _ = chosen
+    conclusive = chosen is not None
+    # without a conclusive row, report the smallest beta's, flagged
+    beta, delta_norm, eps_norm, lhs_K, lhs_Bv, diff, err, _ = chosen if conclusive else rows[-1]
     return PerturbationResult(
-        n=n, r=r, k=k, beta=beta,
-        delta_norm=delta_norm, eps_norm=eps_norm,
-        lhs_K=lhs_K, lhs_B=lhs_Bv,
-        difference=diff, error_estimate=err,
-        c5=c5, lambda_k=lam,
-        predicted_sign=predicted,
-        observed_sign=int(np.sign(diff)),
-        conclusive=conclusive,
-        ratio=diff / delta_norm ** 2,
-        predicted_ratio=predicted_ratio,
-        rows=tuple(rows),
-    )
+        n=n, r=r, k=k, beta=beta, delta_norm=delta_norm, eps_norm=eps_norm,
+        lhs_K=lhs_K, lhs_B=lhs_Bv, difference=diff, error_estimate=err, c5=c5, lambda_k=lam,
+        predicted_sign=predicted, observed_sign=int(np.sign(diff)), conclusive=conclusive,
+        ratio=diff / delta_norm ** 2, predicted_ratio=predicted_ratio, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ def _reference_striped_base(base):
 @pytest.fixture(scope="module")
 def dense_striped_cone_base():
     """The densest schedule row: 1,354,522 bands."""
-    return make_striped_cone(S3, 0.5, 0.05, 0.02).profile.indicator_base
+    return make_striped_cone(S3, 0.5, 0.05, 0.02).profile.base
 
 
 class TestStripedRootSolve:
@@ -282,14 +282,14 @@ class TestStripedRootSolve:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_striped_cones(self, n):
-        base = make_striped_cone(SpaceSpec(1, n), 0.5, 0.1, 0.05).profile.indicator_base
+        base = make_striped_cone(SpaceSpec(1, n), 0.5, 0.1, 0.05).profile.base
         self._assert_matches_reference(base, True)
 
     def test_densest_schedule_row(self, dense_striped_cone_base):
         self._assert_matches_reference(dense_striped_cone_base, True)
 
     def test_vanishing_body(self):
-        base = make_vanishing_body(E3, 1.0, 0.3).profile.indicator_base
+        base = make_vanishing_body(E3, 1.0, 0.3).profile.base
         self._assert_matches_reference(base, True)
 
 
@@ -520,8 +520,8 @@ class TestStripedConstruction:
 class TestVanishingBody:
     def test_construction_identities(self):
         body = make_vanishing_body(E3, 1.0, 0.01)
-        base = body.profile.indicator_base
-        r = body.profile.indicator_height
+        base = body.profile.base
+        r = body.profile.height
         # vol = 2 phi_n(r) |A| with the stored base already symmetrized
         assert volume(body) == pytest.approx(phi(E3, 3, r) * base.measure, rel=1e-12)
         assert volume(body) == pytest.approx(1.0, rel=1e-8)

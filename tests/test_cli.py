@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from importlib import resources
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from starsections.bodies import (
+    FORMAT_VERSION,
     ArcsBase,
     GridProfile,
     StarBody,
@@ -19,6 +21,7 @@ from starsections.bodies import (
 from starsections.cli import main
 from starsections.functionals import busemann_functional_with_error
 from starsections.spaces import SpaceSpec
+from starsections.verify import perturbation_sign_experiment, run_theorem_suite, suite_bodies
 
 
 @pytest.fixture(scope="module")
@@ -331,3 +334,92 @@ class TestInapplicable:
     def test_dim_outside_theorem(self, capsys):
         assert run_cli("verify", "--theorem", "lune-max", "--dim", "3") == 2
         assert "inapplicable" in capsys.readouterr().err
+
+
+class TestSpaceBindsBodies:
+    """With --space given, every --body must live on that space."""
+
+    @pytest.mark.parametrize("argv", [
+        ["functional", "--space", "s+:3", "--body", "ellipsoid:semiaxes=1;2"],
+        ["functional", "--space", "h:3", "--body", "lune:w=0.4"],
+        ["verify", "--theorem", "busemann-euclidean", "--space", "s+:3",
+         "--body", "ellipsoid:semiaxes=1;2;1.5"],
+        ["verify", "--theorem", "lune-max", "--space", "h:3", "--body", "lune:w=0.4"],
+        ["verify", "--theorem", "lune-max", "--space", "s+:2", "--body", "lune:w=0.4",
+         "--body", "ellipsoid:semiaxes=1;2"],
+    ])
+    def test_a_body_on_another_space_exits_two(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        assert "not on --space" in capsys.readouterr().err
+
+    def test_a_body_document_on_another_space_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps(make_lune(0.4).to_json_dict()))
+        assert run_cli("functional", "--space", "s+:3", "--body", f"@{path}") == 2
+        assert "not on --space" in capsys.readouterr().err
+        assert run_cli("functional", "--space", "s+:2", "--body", f"@{path}") == 0
+
+    def test_a_body_on_the_given_space_runs(self, capsys):
+        assert run_cli("functional", "--space", "e:2", "--body", "ellipsoid:semiaxes=1;2") == 0
+        assert "delta=0 dim=2" in capsys.readouterr().out
+
+
+class TestVerifySuiteFlags:
+    """--random and --seed choose the random suite bodies, and --dim the suite's
+    dimension; next to --body or --w they would be ignored, so they exit 2,
+    except a --dim that every given body has."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--theorem", "lune-max", "--body", "lune:w=0.4", "--dim", "3", "--random", "5", "--seed", "9"],
+        ["--theorem", "min-nd", "--space", "s+:3", "--body", "cone:equality=0.4", "--random", "4"],
+        ["--theorem", "min-nd", "--space", "s+:3", "--body", "cone:equality=0.4", "--seed", "0"],
+        ["--theorem", "lune-max", "--w", "0.4", "--random", "0"],
+        ["--theorem", "lune-max", "--w", "0.4", "--seed", "3"],
+        ["--theorem", "lune-max", "--body", "lune:w=0.4", "--dim", "3"],
+        ["--theorem", "lune-max", "--w", "0.4", "--dim", "3"],
+    ])
+    def test_ignored_flags_exit_two(self, argv, capsys):
+        assert run_cli("verify", *argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_a_dim_every_body_has_is_accepted(self):
+        assert run_cli("verify", "--theorem", "lune-max", "--w", "0.4", "--dim", "2") == 0
+        assert run_cli("verify", "--theorem", "min-nd", "--space", "s+:3",
+                       "--body", "cone:equality=0.4", "--dim", "3") == 0
+
+    def test_defaults_are_no_random_bodies_and_seed_zero(self, tmp_path):
+        docs = []
+        for name, flags in (("a.json", []), ("b.json", ["--random", "0", "--seed", "0"])):
+            path = tmp_path / name
+            assert run_cli("verify", "--theorem", "min-nd", *flags, "--out", str(path)) == 0
+            docs.append(json.loads(path.read_text()))
+        assert docs[0] == docs[1]
+        assert len(docs[0]["reports"]) == len(suite_bodies("min-nd"))
+
+
+def _csv_records(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"# format_version={FORMAT_VERSION}"
+    return list(csv.DictReader(lines[1:]))
+
+
+class TestCsvRowsAreRecords:
+    """Each CSV row holds its record's to_json_dict() values, column by column."""
+
+    def test_perturbation(self, tmp_path):
+        path = tmp_path / "p.csv"
+        assert run_cli("experiment", "perturbation", "--dim", "3", "--r", "0.8", "--k", "2,4",
+                       "--out", str(path)) == 0
+        rows = _csv_records(path)
+        for row, k in zip(rows, (2, 4), strict=True):
+            record = perturbation_sign_experiment(3, 0.8, k).to_json_dict()
+            assert {column: str(record[column]) for column in row} == row
+
+    def test_verify(self, tmp_path):
+        path = tmp_path / "v.csv"
+        assert run_cli("verify", "--theorem", "min-nd", "--random", "2", "--dim", "3", "--seed", "7",
+                       "--out", str(path)) == 0
+        reports = run_theorem_suite("min-nd", suite_bodies("min-nd", dim=3, random_count=2, seed=7))
+        for row, report in zip(_csv_records(path), reports, strict=True):
+            record = report.to_json_dict()
+            assert {column: str(record[column]) for column in row} == row

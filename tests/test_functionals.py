@@ -9,6 +9,7 @@ from starsections import bodies, functionals, quadrature
 from starsections.bodies import (
     ArcsBase,
     BandsBase,
+    GridProfile,
     HarmonicPerturbedProfile,
     RadialProfile,
     StarBody,
@@ -24,10 +25,11 @@ from starsections.bodies import (
     make_striped_cone,
     make_symmetric_polygon_body,
 )
-from starsections.errors import ApplicabilityError, ConvergenceError, DomainError
+from starsections.errors import ApplicabilityError, ConvergenceError, DomainError, InversionRangeError
 from starsections.functionals import (
     InequalityReport,
     QuadratureConfig,
+    RadialDensityMeasure,
     big_psi,
     bound_constants,
     busemann_functional,
@@ -52,7 +54,7 @@ from starsections.functionals import (
 )
 from starsections.harmonics import zonal_harmonic
 from starsections.quadrature import build_sphere_rule, subsphere_nodes
-from starsections.spaces import SpaceSpec, phi, sphere_surface_area
+from starsections.spaces import SpaceSpec, brent_root, phi, sin_power_primitive_full, sphere_surface_area
 from starsections.verify import (
     perturbation_sign_experiment,
     run_theorem_suite,
@@ -754,3 +756,111 @@ class TestInequalityReport:
         assert doc["format_version"] == "1"
         assert doc["verdict"] == "pass"
         assert doc["gap"] == pytest.approx(1.0)
+
+
+def _loop_psi_inverse(mu, space, m, y):
+    """psi_inverse's own Brent loop before ``monotone_inverse`` took it over."""
+    if y == 0:
+        return 0.0
+    hi = 1.0
+    while psi(mu, space, m, hi) < y:
+        hi *= 2.0
+        if hi > 1e6:
+            raise InversionRangeError("value outside the range of the ball-measure function")
+    return brent_root(lambda x: psi(mu, space, m, x) - y, 0.0, hi, xtol=1e-14, rtol=1e-15)
+
+
+def _loop_f_spherical(n, v):
+    """f_spherical's own Brent loop before ``monotone_inverse`` took it over."""
+    arr = np.minimum(np.atleast_1d(np.asarray(v, dtype=float)), f_spherical_limit(n))
+    out = np.empty_like(arr)
+    for i, vi in enumerate(arr):
+        target = 2.0 ** n * vi
+        x = brent_root(lambda s: sin_power_primitive_full(n, s) - target, 0.0, math.pi,
+                       xtol=1e-14, rtol=1e-15)
+        out[i] = sin_power_primitive_full(n - 1, x) / 2.0 ** (n - 1)
+    return out
+
+
+class TestOneInversionLoop:
+    """psi_inverse and f_spherical return the roots their own loops returned."""
+
+    @pytest.mark.parametrize("space", [E3, H3])
+    def test_psi_inverse(self, space):
+        mu = gaussian_measure()
+        for y in [0.0, *(psi(mu, space, 3, r) for r in np.geomspace(1e-3, 6.0, 25))]:
+            assert psi_inverse(mu, space, 3, y) == _loop_psi_inverse(mu, space, 3, y)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_f_spherical(self, n):
+        v = np.linspace(0.0, f_spherical_limit(n), 41)
+        expected = _loop_f_spherical(n, v)
+        assert np.array_equal(f_spherical(n, v), expected)
+        assert all(f_spherical(n, float(x)) == e for x, e in zip(v, expected))
+
+    def test_range_errors_keep_their_types_and_messages(self):
+        message = "value outside the range of the ball-measure function"
+        with pytest.raises(InversionRangeError, match=message):
+            _loop_psi_inverse(gaussian_measure(), E3, 3, 1.5)
+        with pytest.raises(InversionRangeError, match=message):
+            psi_inverse(gaussian_measure(), E3, 3, 1.5)
+        with pytest.raises(DomainError, match="ball measures are nonnegative"):
+            psi_inverse(gaussian_measure(), E3, 3, -0.1)
+        for v in (-0.1, f_spherical_limit(3) * (1 + 1e-9)):
+            with pytest.raises(DomainError, match="argument must lie in"):
+                f_spherical(3, v)
+
+
+class TestGaussianClosedFormFollowsTheProfile:
+    def test_a_measure_named_gaussian_integrates_its_own_profile(self):
+        mu = RadialDensityMeasure("gaussian", lambda r: np.exp(-np.asarray(r, dtype=float)))
+        # int_0^2 t^2 e^-t dt
+        assert mu.radial_integral(E3, 3, 2.0) == pytest.approx(2.0 - 10.0 * math.exp(-2.0), rel=1e-13)
+
+    def test_gaussian_measure_keeps_its_closed_form(self):
+        u = np.array([0.0, 0.3, 1.7, 6.0])
+        for mu in (gaussian_measure(), gaussian_measure()):
+            assert np.array_equal(mu.radial_integral(E3, 3, u),
+                                  (2 * math.pi) ** -1.5 * functionals._gaussian_moment(3, u))
+        # the standard normal in R^3 puts erf(1/sqrt 2) - sqrt(2/pi) e^-1/2 in the unit ball
+        expected = math.erf(1 / math.sqrt(2)) - math.sqrt(2 / math.pi) * math.exp(-0.5)
+        assert psi(gaussian_measure(), E3, 3, 1.0) == pytest.approx(expected, rel=1e-14)
+
+
+def _grid_with_a_negative_island(shape, seed):
+    """Grid values in [0.2, 1.4] but for a block of negative values inside a
+    ring of zeros: every cell meets only one side of 0, so clamping after the
+    interpolation gives what clamping the values before it gives."""
+    values = np.random.default_rng(seed).uniform(0.2, 1.4, size=shape)
+    ring = tuple(slice(2, 7) for _ in shape)
+    island = tuple(slice(3, 6) for _ in shape)
+    values[ring] = 0.0
+    values[island] = -np.random.default_rng(seed + 1).uniform(0.1, 0.6, size=values[island].shape)
+    return values
+
+
+class TestRhoClamp:
+    """StarBody.rho is the profile clamped to the space's radius range."""
+
+    @pytest.mark.parametrize("shape", [(24,), (9, 12)])
+    def test_rho_stays_in_the_range(self, shape):
+        space = SpaceSpec(1, len(shape) + 1)
+        values = np.random.default_rng(3).uniform(-0.6, 2.2, size=shape)
+        body = StarBody(space, GridProfile(values))
+        dirs = np.random.default_rng(4).normal(size=(500, space.dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        raw = body.profile.rho(dirs)
+        assert raw.min() < 0.0 and raw.max() > math.pi / 2
+        rho = body.rho(dirs)
+        assert rho.min() == 0.0 and rho.max() == math.pi / 2
+        assert np.array_equal(rho, np.clip(raw, 0.0, math.pi / 2))
+
+    @pytest.mark.parametrize("shape", [(24,), (9, 12)])
+    def test_left_sides_equal_those_of_the_grid_clipped_beforehand(self, shape):
+        space = SpaceSpec(1, len(shape) + 1)
+        values = _grid_with_a_negative_island(shape, 5)
+        assert values.min() < 0.0
+        body = StarBody(space, GridProfile(values))
+        clipped = StarBody(space, GridProfile(np.clip(values, 0.0, math.pi / 2)))
+        assert volume(body) == volume(clipped)
+        assert busemann_functional(body) == busemann_functional(clipped)

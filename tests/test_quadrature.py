@@ -134,7 +134,7 @@ class TestSphereRules:
 
     def test_node_cap(self):
         with pytest.raises(ResourceLimitError):
-            build_sphere_rule(3, 201, node_cap=1000)
+            build_sphere_rule(3, 301)
 
     def test_point_pair(self):
         rule = build_sphere_rule(0, 1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from starsections import spaces
-from starsections.errors import DomainError, SolverError
+from starsections.errors import DomainError, InversionRangeError, ResourceLimitError, SolverError
 from starsections.spaces import (
     SpaceSpec,
     as_direction,
@@ -200,3 +200,57 @@ class TestBrentRoot:
         monkeypatch.setattr(spaces, "_BRENT_MAXITER", 2)
         with pytest.raises(SolverError, match="2 steps"):
             brent_root(lambda x: math.exp(x) - 2.0, 0.0, 1.0, 1e-14, 1e-15)
+
+
+def _loop_phi_inverse(space, m, y):
+    """The per-element Brent loop phi_inverse ran before ``monotone_inverse``
+    took it over: the reference its roots must equal."""
+    out = np.empty_like(y)
+    hi0 = math.pi / 2 if space.delta == 1 else 1.0
+    for i, yi in enumerate(y):
+        if yi == 0.0:
+            out[i] = 0.0
+            continue
+        hi = hi0
+        while space.delta != 1 and phi(space, m, hi) < yi:
+            hi *= 2.0
+            if hi > spaces.RADIUS_SAFETY_CAP:
+                raise ResourceLimitError("phi inverse exceeds the radius cap")
+        out[i] = brent_root(lambda t: phi(space, m, t) - yi, 0.0, hi, xtol=1e-14, rtol=1e-15)
+    return out
+
+
+class TestMonotoneInverse:
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_phi_inverse_roots_equal_the_loop(self, delta, m):
+        space = SpaceSpec(delta, m)
+        # radii from 1e-3 to the rim on s+; on h to 100, where phi of every
+        # m here is still finite and the bracket doubles seven times
+        top = math.pi / 2 if delta == 1 else 100.0
+        y = np.concatenate([[0.0], phi(space, m, np.geomspace(1e-3, top, 40))])
+        # phi's power reduction cancels near 0: at m = 6 it is negative at 1e-3
+        y = y[y >= 0.0]
+        expected = _loop_phi_inverse(space, m, y)
+        assert np.array_equal(phi_inverse(space, m, y), expected)
+        assert all(phi_inverse(space, m, float(v)) == e for v, e in zip(y, expected))
+
+    def test_range_errors_keep_their_types_and_messages(self):
+        hyper = SpaceSpec(-1, 3)
+        y = np.array([phi(hyper, 3, 300.0)])
+        with pytest.raises(ResourceLimitError, match="phi inverse exceeds the radius cap"):
+            _loop_phi_inverse(hyper, 3, y)
+        with pytest.raises(ResourceLimitError, match="phi inverse exceeds the radius cap"):
+            phi_inverse(hyper, 3, y)
+        with pytest.raises(InversionRangeError, match="hemisphere rim"):
+            phi_inverse(SPHERE, 3, 1.01 * phi(SPHERE, 3, math.pi / 2))
+
+    def test_zero_and_the_cap(self):
+        f = lambda x: x ** 3  # noqa: E731
+        assert np.array_equal(spaces.monotone_inverse(f, [0.0, 8.0], 1.0, 4.0, DomainError("x")),
+                              [0.0, brent_root(lambda x: f(x) - 8.0, 0.0, 2.0, 1e-14, 1e-15)])
+        with pytest.raises(DomainError, match="past the cap"):
+            spaces.monotone_inverse(f, 125.0, 1.0, 4.0, DomainError("past the cap"))
+        # without a cap the bracket stays put, and a root outside it is unbracketed
+        with pytest.raises(ValueError):
+            spaces.monotone_inverse(f, 8.0, 1.0)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import math
 
 import numpy as np
@@ -115,6 +116,14 @@ class TestPerturbationExperiment:
         res = perturbation_sign_experiment(3, 0.7, 2, betas=(0.04,))
         doc = res.to_json_dict()
         assert doc["format_version"] == "1" and "rows" in doc
+
+    def test_json_holds_every_field_in_order(self):
+        res = perturbation_sign_experiment(3, 0.7, 2, betas=(0.04,))
+        doc = res.to_json_dict()
+        names = [f.name for f in dataclasses.fields(res)]
+        assert list(doc) == ["format_version", *names]
+        assert all(doc[name] == getattr(res, name) for name in names if name != "rows")
+        assert doc["rows"] == [list(row) for row in res.rows]
 
 
 class TestSuites:
