@@ -627,7 +627,13 @@ class GridProfile(RadialProfile):
 
 @dataclass(frozen=True)
 class StarBody:
-    """A space, a radial profile and an origin-symmetry claim."""
+    """A space, a radial profile and an origin-symmetry claim.
+
+    ``symmetric=True`` promises rho(-u) = rho(u) for every direction u.  Left
+    sides rely on it: the product and plane paths sum each antipodal pair of a
+    subsphere rule from rho at one of its two nodes.  ``check_symmetry`` tests
+    the promise.
+    """
 
     space: SpaceSpec
     profile: RadialProfile
@@ -645,9 +651,10 @@ class StarBody:
 
     def check_symmetry(self) -> bool:
         """Verify the symmetry claim at the nodes of a degree-11 rule:
-        rho(u) = rho(-u) to 1e-10."""
+        rho(u) = rho(-u) to 1e-12 max(1, |rho(u)|)."""
         nodes = build_sphere_rule(self.space.dim - 1, 11).nodes
-        return bool(np.max(np.abs(self.rho(nodes) - self.rho(-nodes))) <= 1e-10)
+        rho = self.rho(nodes)
+        return bool(np.all(np.abs(rho - self.rho(-nodes)) <= 1e-12 * np.maximum(1.0, np.abs(rho))))
 
     def to_json_dict(self) -> dict:
         return {

@@ -227,6 +227,8 @@ def cmd_verify(args) -> int:
     theorem = args.theorem
     if args.w is not None and (theorem != "lune-max" or args.body):
         raise UsageError("--w sets the lune of --theorem lune-max, and goes without --body")
+    if args.space and not args.body:
+        raise UsageError("--space binds the --body specs, and goes only with --body")
     if args.body or args.w is not None:
         random_flags = [flag for flag, value in (("--random", args.random), ("--seed", args.seed))
                         if value is not None]

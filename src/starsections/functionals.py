@@ -83,16 +83,25 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
+def _inner_pairs(n: int, inner_degree: int):
+    """One node of each antipodal pair of the inner rule on S^{n-2}, and the
+    weight of each node of its pair: the rule that ``_pair_radial`` sums."""
+    nodes, weights = build_sphere_rule(n - 2, inner_degree).antipodal_half
+    return nodes, weights / 2.0
+
+
 @lru_cache(maxsize=3)
 def _section_grid(n: int, outer_degree: int, inner_degree: int):
-    """Outer weights, inner rule and (N_outer / 2, N_inner, n) embedded nodes of
-    the product path, on one normal of each antipodal pair of the outer rule;
-    three entries hold what one run reuses (s+:4 at degree 31 is 67 MB)."""
+    """Outer weights, inner pair weights and (N_outer / 2, N_inner / 2, n)
+    embedded nodes of the product path: one normal of each antipodal pair of
+    the outer rule, and on its subsphere one node of each antipodal pair of the
+    inner rule; three entries hold what one run reuses (s+:4 at degree 31 is
+    34 MB)."""
     normals, weights = build_sphere_rule(n - 1, outer_degree).antipodal_half
-    inner = build_sphere_rule(n - 2, inner_degree)
-    embedded = subsphere_nodes(inner, normals)
+    nodes, pair_weights = _inner_pairs(n, inner_degree)
+    embedded = subsphere_nodes(nodes, normals)
     embedded.setflags(write=False)
-    return weights, inner, embedded
+    return weights, pair_weights, embedded
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +279,8 @@ def section_volume(body: StarBody, xi, mu: RadialDensityMeasure | None = None,
     if path == "zonal":
         c = np.array([xi @ body.profile.zonal_axis(n)])
         return float(_zonal_sections(body, mu, c, config)[0])
-    inner = build_sphere_rule(n - 2, config.inner(n))
-    return float(np.dot(inner.weights, _body_radial(body, mu, n - 1, subsphere_nodes(inner, xi))[0]))
+    nodes, pair_weights = _inner_pairs(n, config.inner(n))
+    return float(_pair_radial(body, mu, n - 1, subsphere_nodes(nodes, xi))[0] @ pair_weights)
 
 
 def _indicator_sections(body: StarBody, mu, xis):
@@ -287,6 +296,15 @@ def _body_radial(body: StarBody, mu, m: int, dirs):
     other left side is a weighted sum of these."""
     rho = body.rho(dirs.reshape(-1, body.space.dim))
     return _radial(body.space, m, rho, mu).reshape(dirs.shape[:-1])
+
+
+def _pair_radial(body: StarBody, mu, m: int, dirs):
+    """``_body_radial`` at dirs plus at -dirs: each antipodal pair of a
+    subsphere rule at the weight of one of its nodes.  A symmetric body
+    promises rho(-u) = rho(u), so it evaluates dirs alone, at half the points."""
+    if body.symmetric:
+        return 2.0 * _body_radial(body, mu, m, dirs)
+    return _body_radial(body, mu, m, dirs) + _body_radial(body, mu, m, -dirs)
 
 
 def _zonal_directions(body: StarBody, s):
@@ -316,11 +334,11 @@ def _rule_sections(body: StarBody, mu, config: QuadratureConfig, path: str):
     """Outer weights and the section volumes they weight, on the indicator,
     zonal or product path.  xi and -xi have the same section, so each path
     takes one normal of each antipodal pair of the outer rule at twice its
-    weight."""
+    weight; the product path's inner rule is summed by antipodal pairs."""
     n = body.space.dim
     if path == "product":
-        weights, inner, embedded = _section_grid(n, config.outer(n), config.inner(n))
-        return weights, _body_radial(body, mu, n - 1, embedded) @ inner.weights
+        weights, pair_weights, embedded = _section_grid(n, config.outer(n), config.inner(n))
+        return weights, _pair_radial(body, mu, n - 1, embedded) @ pair_weights
     # an indicator body's band base and a zonal body both have an axis, and a
     # section depends only on c = <xi, axis> (Funk-Hecke), which xi and -xi
     # share: the c >= 0 of the polar rule, each at twice its weight except c = 0
@@ -347,8 +365,7 @@ def _plane_functional(body: StarBody, mu, p: int, config: QuadratureConfig):
     subsphere of xi at the polar angle theta is the two points at theta +- pi/2."""
     def integrand(theta):
         a = np.asarray(theta, dtype=float) + math.pi / 2
-        dirs = np.column_stack([np.cos(a), np.sin(a)])
-        return (_body_radial(body, mu, 1, dirs) + _body_radial(body, mu, 1, -dirs)) ** p
+        return _pair_radial(body, mu, 1, np.column_stack([np.cos(a), np.sin(a)])) ** p
 
     return _adaptive_circle(integrand, config.angular_tol)
 

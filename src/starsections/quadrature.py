@@ -207,22 +207,25 @@ def householder_frame(xi: np.ndarray) -> np.ndarray:
     return householder_frames(np.asarray(xi, dtype=float)[None])[0]
 
 
-def subsphere_nodes(rule: SphereRule, xis) -> np.ndarray:
-    """The nodes of a rule on S^{n-2} carried onto the great subsphere of S^{n-1}
-    orthogonal to each unit normal xi, shape (D, N, n) for D normals.
+def subsphere_nodes(rule: SphereRule | np.ndarray, xis) -> np.ndarray:
+    """The nodes of a rule on S^{n-2} (or an (N, n - 1) array of such nodes,
+    such as the first half of ``antipodal_half``) carried onto the great
+    subsphere of S^{n-1} orthogonal to each unit normal xi, shape (D, N, n) for
+    D normals.
 
     All frames are built in one batched step, and each normal takes one
     product with its frame, written into one preallocated array: stacking a
     list of them would hold the grid twice.
     """
+    nodes = rule.nodes if isinstance(rule, SphereRule) else np.asarray(rule, dtype=float)
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     n = xis.shape[1]
-    if rule.dim != n - 2:
-        raise DomainError(f"base rule must have dimension {n - 2}, got {rule.dim}")
+    if nodes.shape[1] != n - 1:
+        raise DomainError(f"base rule must have dimension {n - 2}, got {nodes.shape[1] - 1}")
     if np.any(np.abs(np.linalg.norm(xis, axis=1) - 1.0) > 1e-12):
         raise DomainError("subsphere normals must be unit vectors")
-    out = np.empty((len(xis), len(rule), n))
-    np.matmul(rule.nodes, householder_frames(xis).transpose(0, 2, 1), out=out)
+    out = np.empty((len(xis), len(nodes), n))
+    np.matmul(nodes, householder_frames(xis).transpose(0, 2, 1), out=out)
     return out
 
 

@@ -35,6 +35,12 @@ from starsections.errors import DomainError
 from starsections.functionals import busemann_functional, volume
 from starsections.quadrature import build_sphere_rule, default_degree, gauss_jacobi, polar_rule
 from starsections.spaces import SpaceSpec, brent_root, phi, sphere_surface_area
+from starsections.verify import (
+    extremizer_search,
+    random_cone_arcs,
+    random_star_body,
+    random_symmetric_convex_body,
+)
 
 S2 = SpaceSpec(1, 2)
 S3 = SpaceSpec(1, 3)
@@ -676,3 +682,36 @@ class TestSerialization:
         assert isinstance(clone.profile.base, ArcsBase)
         assert busemann_functional(clone) == busemann_functional(body)
 
+
+def _search_body(space, body_class):
+    return extremizer_search(space, body_class, 1.0, "max", seed=3, budget=200).best_body()
+
+
+SYMMETRIC_BUILDERS = {
+    **{f"ball-{space}": (lambda space=space: make_ball(space, 0.7))
+       for space in (S2, S3, E3, H3, SpaceSpec(1, 4))},
+    **{f"bumpy-{space}": (lambda space=space: random_star_body(
+        space, np.random.default_rng(space.dim - space.delta), symmetric=True))
+       for space in [SpaceSpec(delta, n) for delta in (1, 0, -1) for n in (2, 3, 4)]},
+    "ellipsoid": lambda: make_ellipsoid([1.2, 0.8, 1.0]),
+    "perturbed-ball": lambda: make_perturbed_ball(S3, 0.7, 0.03, 2),
+    "polygon": lambda: make_symmetric_polygon_body([1.0, 0.8], [0.4, 1.5]),
+    "random-polygon": lambda: random_symmetric_convex_body(np.random.default_rng(2)),
+    "lune": lambda: make_lune(0.4, (0.6, 0.8)),
+    "double-cap-cone": lambda: make_cone(S3, double_cap_base(3, 0.3)),
+    "arcs-cone": lambda: random_cone_arcs(np.random.default_rng(5)),
+    "striped-cone": lambda: make_striped_cone(S3, 0.5, 0.4, 0.2),
+    "vanishing-body": lambda: make_vanishing_body(H3, 1.0, 0.1),
+    **{f"search-{cls}-{space}": (lambda space=space, cls=cls: _search_body(space, cls))
+       for cls in ("sym-star", "sym-convex") for space in (S2, SpaceSpec(0, 2))},
+}
+
+
+class TestSymmetryClaimsHoldToRoundoff:
+    """A body built as symmetric has rho(-u) = rho(u) to 1e-12 max(1, |rho|):
+    the product and plane paths evaluate one node of each antipodal pair."""
+
+    @pytest.mark.parametrize("builder", SYMMETRIC_BUILDERS.values(), ids=SYMMETRIC_BUILDERS.keys())
+    def test_every_builder_passes(self, builder):
+        body = builder()
+        assert body.symmetric and body.check_symmetry()

@@ -12,6 +12,7 @@ from starsections.bodies import (
     ArcsBase,
     GridProfile,
     StarBody,
+    body_from_json_dict,
     cap_base,
     make_bumpy_ball,
     make_cone,
@@ -20,6 +21,7 @@ from starsections.bodies import (
 )
 from starsections.cli import main
 from starsections.functionals import busemann_functional_with_error
+from starsections.quadrature import build_sphere_rule
 from starsections.spaces import SpaceSpec
 from starsections.verify import perturbation_sign_experiment, run_theorem_suite, suite_bodies
 
@@ -291,6 +293,23 @@ class TestBodyFiles:
         assert run_cli("verify", "--theorem", "min2d", "--body", spec) == 2
         assert "symmetric" in capsys.readouterr().err
 
+    def test_asymmetry_past_roundoff_exits_two(self, tmp_path, capsys):
+        # one mirrored amplitude off by 3e-11: inside the old 1e-10 absolute
+        # tolerance, far outside roundoff
+        body = make_bumpy_ball(SpaceSpec(1, 3), 0.8, [[0.0, 0.6, 0.8]], [0.2], [3.0], symmetric=True)
+        doc = body.to_json_dict()
+        doc["profile"]["amplitudes"][1] += 3e-11
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps(doc))
+        nodes = build_sphere_rule(2, 11).nodes
+        skewed = StarBody(body.space, body_from_json_dict({**doc, "symmetric": False}).profile)
+        gap = np.max(np.abs(skewed.rho(nodes) - skewed.rho(-nodes)))
+        assert 1e-12 < gap < 1e-10
+        assert run_cli("functional", "--body", f"@{path}") == 2
+        assert "not origin-symmetric" in capsys.readouterr().err
+        path.write_text(json.dumps(body.to_json_dict()))
+        assert run_cli("functional", "--body", f"@{path}") == 0
+
     @pytest.mark.parametrize("command", [["functional"], ["verify", "--theorem", "lune-max"]])
     @pytest.mark.parametrize("body, changes, space", [
         (make_symmetric_polygon_body([1.0, 0.8], [0.4, 1.5]), {"offsets": [-0.5, 0.8]}, None),
@@ -362,6 +381,15 @@ class TestSpaceBindsBodies:
     def test_a_body_on_the_given_space_runs(self, capsys):
         assert run_cli("functional", "--space", "e:2", "--body", "ellipsoid:semiaxes=1;2") == 0
         assert "delta=0 dim=2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--theorem", "min-nd", "--space", "h:3"],
+        ["--theorem", "lune-max", "--w", "0.3", "--space", "h:3"],
+    ])
+    def test_verify_space_without_a_body_exits_two(self, argv, capsys):
+        # the suite bodies and --w's lune have spaces of their own
+        assert run_cli("verify", *argv) == 2
+        assert "--space" in capsys.readouterr().err
 
 
 class TestVerifySuiteFlags:

@@ -864,3 +864,83 @@ class TestRhoClamp:
         clipped = StarBody(space, GridProfile(np.clip(values, 0.0, math.pi / 2)))
         assert volume(body) == volume(clipped)
         assert busemann_functional(body) == busemann_functional(clipped)
+
+
+DEFAULT = QuadratureConfig()
+
+
+def _full_inner_sections(body, mu, config=DEFAULT):
+    """The product path's sections and functional as they were summed before
+    the inner rule was folded: every node of the inner rule, at its weight."""
+    space, n = body.space, body.space.dim
+    normals, weights = build_sphere_rule(n - 1, config.outer(n)).antipodal_half
+    inner = build_sphere_rule(n - 2, config.inner(n))
+    embedded = subsphere_nodes(inner, normals)
+    rho = body.rho(embedded.reshape(-1, n))
+    radial = phi(space, n - 1, rho) if mu is None else mu.radial_integral(space, n - 1, rho)
+    sections = radial.reshape(embedded.shape[:2]) @ inner.weights
+    return normals, sections, float(np.dot(weights, sections ** n))
+
+
+PAIR_SUM_SPACES = [E3, H3, S3, SpaceSpec(1, 4)]
+
+
+class TestPairSum:
+    """The product and plane paths sum each antipodal pair of the inner rule
+    at once, from rho at one of its nodes when the body is symmetric."""
+
+    @pytest.mark.parametrize("mu", [None, gaussian_measure()], ids=["uniform", "gaussian"])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("space", PAIR_SUM_SPACES, ids=str)
+    def test_matches_the_full_inner_rule(self, space, symmetric, mu, fresh_grid_cache):
+        body = random_star_body(space, np.random.default_rng(space.dim - space.delta), symmetric)
+        assert body.symmetric == symmetric
+        _, reference, functional = _full_inner_sections(body, mu)
+        _, sections = functionals._rule_sections(body, mu, DEFAULT, "product")
+        assert np.max(np.abs(sections - reference) / reference) <= 1e-14
+        assert busemann_functional(body, mu) == pytest.approx(functional, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("mu", [None, gaussian_measure()], ids=["uniform", "gaussian"])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("space", PAIR_SUM_SPACES, ids=str)
+    def test_section_volume_is_its_row_of_the_grid(self, space, symmetric, mu, fresh_grid_cache):
+        body = random_star_body(space, np.random.default_rng(space.dim + 7), symmetric)
+        normals, _, _ = _full_inner_sections(body, mu)
+        _, sections = functionals._rule_sections(body, mu, DEFAULT, "product")
+        for row in (0, len(normals) // 3, len(normals) - 1):
+            assert section_volume(body, normals[row], mu) == pytest.approx(
+                sections[row], rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("symmetric, inner_share", [(True, 2), (False, 1)],
+                             ids=["symmetric", "asymmetric"])
+    def test_rho_points(self, symmetric, inner_share, monkeypatch, fresh_grid_cache):
+        points = []
+        rho = StarBody.rho
+
+        def counted(self, dirs):
+            points.append(len(dirs))
+            return rho(self, dirs)
+
+        space = SpaceSpec(1, 4)
+        body = random_star_body(space, np.random.default_rng(4), symmetric)
+        monkeypatch.setattr(StarBody, "rho", counted)
+        busemann_functional(body)
+        n_outer = len(build_sphere_rule(3, DEFAULT.outer(4)))
+        n_inner = len(build_sphere_rule(2, DEFAULT.inner(4)))
+        assert sum(points) == (n_outer // 2) * (n_inner // inner_share)
+
+    @pytest.mark.parametrize("exponent", [None, 1])
+    @pytest.mark.parametrize("body", [make_ball(S2, 0.9), make_lune(0.4, (0.6, 0.8)),
+                                      make_symmetric_polygon_body([1.0, 0.8], [0.4, 1.5])],
+                             ids=["ball", "lune", "polygon"])
+    def test_plane_path_of_even_profiles_is_unchanged(self, body, exponent):
+        p = 2 if exponent is None else exponent
+
+        def integrand(theta):
+            a = np.asarray(theta, dtype=float) + math.pi / 2
+            dirs = np.column_stack([np.cos(a), np.sin(a)])
+            return (phi(S2, 1, body.rho(dirs)) + phi(S2, 1, body.rho(-dirs))) ** p
+
+        reference = functionals._adaptive_circle(integrand, DEFAULT.angular_tol)
+        assert busemann_functional(body, exponent=exponent) == reference[0]
+        assert busemann_functional_with_error(body, exponent=exponent) == reference

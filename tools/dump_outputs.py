@@ -11,7 +11,7 @@ OLD NEW`` prints how far each group moved.  The set is
 * the nine theorem suites at dim None, 2, 3 and 4 (where the theorem
   applies), seed 11: every report's two sides and every body's volume.  At
   n = 4 the suites run at the default degrees, because their own degrees
-  (31/63, 39/63) need product grids of 0.27-0.52 GB;
+  (31/63, 39/63) need product grids of 0.13-0.26 GB;
 * the rows of three perturbation sign experiments;
 * both striped-cone sharpness schedules (n = 3 and n = 4, t = 0.5);
 * the vanishing bodies in R^3 and H^3;
