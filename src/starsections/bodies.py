@@ -364,6 +364,11 @@ class RadialProfile:
         """Unit axis in R^n about which rho is rotationally symmetric, or None."""
         return None
 
+    def plane_corners(self):
+        """Angles t in the plane at which rho(cos t, sin t) may fail to be
+        smooth; the plane path starts its panels cut there."""
+        return np.empty(0)
+
 
 @dataclass(frozen=True)
 class ConstantProfile(RadialProfile):
@@ -420,6 +425,11 @@ class LuneProfile(RadialProfile):
         # arctan(tan w / c) written pole-safe
         out[pos] = HEMISPHERE_MAX_RADIUS - np.arctan(c[pos] / math.tan(self.w))
         return out
+
+    def plane_corners(self):
+        # |<u, axis>| has its kinks where u is orthogonal to the axis
+        t = math.atan2(self.axis[1], self.axis[0])
+        return np.array([t - math.pi / 2, t + math.pi / 2]) % TWO_PI
 
     def descriptor(self):
         return {"kind": "lune", "w": self.w, "axis": self.axis.tolist()}
@@ -538,6 +548,30 @@ class PolygonProfile(RadialProfile):
             gnomonic = np.min(self.offsets[None, :] / np.maximum(denom, 1e-300), axis=1)
         return np.arctan(gnomonic)
 
+    def plane_corners(self):
+        """Where the active strip switches.  1 / tan rho(u) is the largest
+        <u, p> over the 2k points p = +-w_i / c_i, and its maximizer changes
+        where u is the outer normal of an edge of their convex hull (for one
+        strip, or parallel ones, where u is orthogonal to w): at most 2k
+        angles, however many strips are never active."""
+        p = self.normals / self.offsets[:, None]
+        points = sorted(set(map(tuple, np.concatenate([p, -p]).tolist())))
+
+        def chain(seq):
+            # Andrew's monotone chain: one half of the hull, as left turns
+            out = []
+            for q in seq:
+                while len(out) > 1 and ((out[-1][0] - out[-2][0]) * (q[1] - out[-2][1])
+                                        - (out[-1][1] - out[-2][1]) * (q[0] - out[-2][0])) <= 0:
+                    out.pop()
+                out.append(q)
+            return out[:-1]
+
+        ring = np.array(chain(points) + chain(points[::-1]))
+        dx, dy = (np.roll(ring, -1, axis=0) - ring).T
+        # the outer normal of the counter-clockwise edge (dx, dy) is (dy, -dx)
+        return np.arctan2(-dx, dy) % TWO_PI
+
     def descriptor(self):
         return {
             "kind": "polygon",
@@ -616,6 +650,12 @@ class GridProfile(RadialProfile):
                     sel.append(idx_lo[axis])
             out += weight * self.values[tuple(sel)]
         return out
+
+    def plane_corners(self):
+        # linear in the angle between the nodes of the periodic axis
+        if self.ambient_dim != 2:
+            return np.empty(0)
+        return TWO_PI * np.arange(len(self.values)) / len(self.values)
 
     def descriptor(self):
         return {"kind": "grid", "shape": list(self.values.shape), "values": self.values.ravel().tolist()}

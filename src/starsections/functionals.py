@@ -258,7 +258,7 @@ def volume(body: StarBody, mu: RadialDensityMeasure | None = None,
         def integrand(theta):
             return _body_radial(body, mu, n, np.column_stack([np.cos(theta), np.sin(theta)]))
 
-        val, _ = _adaptive_circle(integrand, config.angular_tol)
+        val, _ = _adaptive_circle(integrand, config.angular_tol, body.profile.plane_corners())
         return val
     if path == "zonal":
         c, w = polar_rule(n - 1, config.outer(n))
@@ -290,6 +290,10 @@ def _indicator_sections(body: StarBody, mu, xis):
     return h * body.profile.base.section_measures(xis)
 
 
+# the most points of -dirs that ``_pair_radial`` holds at once
+_NEGATED_BLOCK_POINTS = 1 << 14
+
+
 def _body_radial(body: StarBody, mu, m: int, dirs):
     """Radial primitives (of dimension m) of a non-indicator body along the last
     axis of dirs, which holds unit directions: shape dirs.shape[:-1].  Every
@@ -301,10 +305,16 @@ def _body_radial(body: StarBody, mu, m: int, dirs):
 def _pair_radial(body: StarBody, mu, m: int, dirs):
     """``_body_radial`` at dirs plus at -dirs: each antipodal pair of a
     subsphere rule at the weight of one of its nodes.  A symmetric body
-    promises rho(-u) = rho(u), so it evaluates dirs alone, at half the points."""
+    promises rho(-u) = rho(u), so it evaluates dirs alone, at half the points.
+    Otherwise -dirs is negated a block of rows at a time: negating the whole
+    of a cached product grid would copy it."""
+    out = _body_radial(body, mu, m, dirs)
     if body.symmetric:
-        return 2.0 * _body_radial(body, mu, m, dirs)
-    return _body_radial(body, mu, m, dirs) + _body_radial(body, mu, m, -dirs)
+        return 2.0 * out
+    rows = max(1, _NEGATED_BLOCK_POINTS // math.prod(dirs.shape[1:-1]))
+    for start in range(0, len(dirs), rows):
+        out[start:start + rows] += _body_radial(body, mu, m, -dirs[start:start + rows])
+    return out
 
 
 def _zonal_directions(body: StarBody, s):
@@ -350,24 +360,28 @@ def _rule_sections(body: StarBody, mu, config: QuadratureConfig, path: str):
     return weights, _zonal_sections(body, mu, c, config)
 
 
-def _adaptive_circle(integrand, angular_tol: float):
-    """Adaptive integral of a vectorized integrand over the full circle.
+def _adaptive_circle(integrand, angular_tol: float, breaks=()):
+    """Adaptive integral of a vectorized integrand over the full circle, its
+    first panels cut at the angles ``breaks``.
 
     The tolerance is scaled by a cheap estimate of the integral's magnitude.
     """
     probe = np.linspace(0.0, TWO_PI, 97)
     scale = TWO_PI * float(np.max(np.abs(integrand(probe))))
-    return integrate_vectorized(integrand, 0.0, TWO_PI, angular_tol * max(1.0, scale))
+    return integrate_vectorized(integrand, 0.0, TWO_PI, angular_tol * max(1.0, scale), breaks)
 
 
 def _plane_functional(body: StarBody, mu, p: int, config: QuadratureConfig):
     """The plane path's integral of section^p over the circle and its error; the
-    subsphere of xi at the polar angle theta is the two points at theta +- pi/2."""
+    subsphere of xi at the polar angle theta is the two points at theta +- pi/2,
+    so the integrand has its corners a quarter turn from the profile's."""
     def integrand(theta):
         a = np.asarray(theta, dtype=float) + math.pi / 2
         return _pair_radial(body, mu, 1, np.column_stack([np.cos(a), np.sin(a)])) ** p
 
-    return _adaptive_circle(integrand, config.angular_tol)
+    corners = body.profile.plane_corners()
+    breaks = np.concatenate([corners - math.pi / 2, corners + math.pi / 2]) % TWO_PI
+    return _adaptive_circle(integrand, config.angular_tol, breaks)
 
 
 def busemann_functional(body: StarBody, mu: RadialDensityMeasure | None = None,

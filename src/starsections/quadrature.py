@@ -260,12 +260,15 @@ _GK_PANELS = 8
 _GK_MAX_INTERVALS = 4000
 
 
-def integrate_vectorized(f, a: float, b: float, tol: float = 1e-12):
+def integrate_vectorized(f, a: float, b: float, tol: float = 1e-12, breaks=()):
     """Adaptive Gauss-Kronrod 10/21 integral of a vectorized f over [a, b].
 
-    ``f`` maps a 1-d array of points to a 1-d array of values.  Starting from
-    8 equal intervals, each round evaluates the 21 Kronrod nodes of every
-    pending interval in one call of ``f``; an interval is accepted when
+    ``f`` maps a 1-d array of points to a 1-d array of values.  The first
+    intervals are 8 equal ones, cut further at each point of ``breaks`` (known
+    corners of f, as QUADPACK's qagp takes them) that lies strictly inside
+    (a, b) and farther than 1e-12 (b - a) from their edges and from the break
+    before it.  Each round evaluates the 21 Kronrod nodes of every pending
+    interval in one call of ``f``; an interval is accepted when
     |K21 - G10| <= tol * length / (b - a) and bisected otherwise.  Intervals
     shorter than 1e-12 (b - a), and every pending interval once 4000
     intervals would be exceeded, are accepted as they stand.
@@ -281,6 +284,12 @@ def integrate_vectorized(f, a: float, b: float, tol: float = 1e-12):
         return 0.0, 0.0
     floor = 1e-12 * (b - a)
     edges = np.linspace(a, b, _GK_PANELS + 1)
+    if len(breaks):
+        cuts = np.sort(np.asarray(breaks, dtype=float).ravel())
+        cuts = cuts[(cuts > a) & (cuts < b)]
+        cuts = cuts[np.min(np.abs(cuts[:, None] - edges), axis=1) > floor]
+        cuts = cuts[np.diff(cuts, prepend=-np.inf) > floor]
+        edges = np.sort(np.concatenate([edges, cuts]))
     lo, hi = edges[:-1], edges[1:]
     values, errors = [], []
     accepted = 0

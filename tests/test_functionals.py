@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 
 from starsections import bodies, functionals, quadrature
+from starsections import verify as verify_module
 from starsections.bodies import (
     ArcsBase,
     BandsBase,
@@ -192,6 +194,182 @@ class TestPlaneAdaptive:
         val, err = busemann_functional_with_error(body)
         fine = busemann_functional(body, config=QuadratureConfig(angular_tol=1e-14))
         assert abs(val - fine) <= err
+
+
+def _strips(body):
+    """(normals, offsets) with tan rho(u) = min_i c_i / |<u, w_i>|: a polygon's
+    strips, or a lune's one strip of offset tan w."""
+    profile = body.profile
+    if profile.kind == "lune":
+        return profile.axis[None, :], np.array([math.tan(profile.w)])
+    return profile.normals, profile.offsets
+
+
+def _corners_by_bisection(body, samples=20000):
+    """The angles where rho(cos t, sin t) changes its formula, found without
+    ``plane_corners``: where the active strip or the sign of <u, w> on it
+    changes between dense samples, then bisected to the last bit."""
+    normals, offsets = _strips(body)
+
+    def piece(t):
+        t = np.atleast_1d(t)
+        dots = np.column_stack([np.cos(t), np.sin(t)]) @ normals.T
+        active = np.argmin(offsets / np.maximum(np.abs(dots), 1e-300), axis=1)
+        return 2 * active + (dots[np.arange(len(t)), active] > 0)
+
+    t = np.linspace(0.0, 2 * math.pi, samples + 1)
+    labels = piece(t)
+    corners = []
+    for k in np.flatnonzero(labels[1:] != labels[:-1]):
+        lo, hi = t[k], t[k + 1]
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if piece(mid)[0] == labels[k] else (lo, mid)
+        corners.append((lo + hi) / 2)
+    return corners
+
+
+def _piecewise_quad(f, corners):
+    edges = [0.0, *sorted(corners), 2 * math.pi]
+    return math.fsum(quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                     for a, b in zip(edges, edges[1:]) if b > a)
+
+
+def _random_polygon(k, lo, hi, seed=0):
+    """k strips of random directions and offsets in [lo, hi]."""
+    rng = np.random.default_rng(seed)
+    return make_symmetric_polygon_body(rng.uniform(lo, hi, k), rng.uniform(0.0, math.pi, k))
+
+
+CORNERED_BODIES = {
+    "polygon2": make_symmetric_polygon_body([0.92, 0.68], [1.39, 1.85]),
+    "polygon2-wide": make_symmetric_polygon_body([1.0, 0.8], [0.4, 1.5]),
+    "polygon3": make_symmetric_polygon_body([0.7, 1.3, 0.9], [0.2, 1.1, 2.3]),
+    "polygon3-thin": make_symmetric_polygon_body([0.3, 1.9, 0.5], [0.05, 1.6, 2.9]),
+    "polygon50": _random_polygon(50, 0.9, 1.1),
+    "lune-tilted": make_lune(0.4, (0.6, 0.8)),
+    "lune-wide": make_lune(1.3, (math.cos(2.0), math.sin(2.0))),
+    "lune-thin": make_lune(0.15, (math.cos(-0.3), math.sin(-0.3))),
+}
+
+
+def _grid_body(space, symmetric, seed=0, nodes=64):
+    lo, hi = {1: (0.2, 1.4), 0: (0.5, 2.0), -1: (0.3, 1.5)}[space.delta]
+    values = np.random.default_rng(seed).uniform(lo, hi, nodes)
+    if symmetric:
+        values[nodes // 2:] = values[:nodes // 2]
+    return StarBody(space, GridProfile(values), symmetric)
+
+
+def _plane_rounds(body, monkeypatch):
+    """Rounds (calls of the integrand) of each Gauss-Kronrod integral that the
+    plane path makes for the volume, the functional, its first power and the
+    normalized functional with error, with the uniform and the Gaussian
+    measure."""
+    rounds = []
+    integrate = functionals.integrate_vectorized
+
+    def counted(f, *args):
+        calls = [0]
+
+        def g(x):
+            calls[0] += 1
+            return f(x)
+
+        result = integrate(g, *args)
+        rounds.append(calls[0])
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(functionals, "integrate_vectorized", counted)
+        for mu in (None, gaussian_measure()):
+            volume(body, mu)
+            busemann_functional(body, mu)
+            busemann_functional(body, mu, exponent=1)
+            busemann_functional_with_error(body, mu, normalized=True)
+    return rounds
+
+
+class TestPlaneCorners:
+    """Plane integrals start cut at the profile's own corners."""
+
+    def test_declared_corners(self):
+        assert len(make_ball(S2, 0.7).profile.plane_corners()) == 0
+        assert np.allclose(np.sort(make_lune(0.4, (0.6, 0.8)).profile.plane_corners()),
+                           [math.atan2(0.8, 0.6) + math.pi / 2, math.atan2(0.8, 0.6) + 3 * math.pi / 2])
+        grid = GridProfile(np.full(8, 0.7))
+        assert np.array_equal(grid.plane_corners(), 2 * math.pi * np.arange(8) / 8)
+        assert len(GridProfile(np.full((4, 8), 0.7)).plane_corners()) == 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 50, 300])
+    def test_a_polygon_declares_only_its_hull_edges(self, k):
+        # one corner per edge of the hull of the 2k points +-w_i / c_i, however
+        # many strips are never active; a strip's u-orthogonal-to-w kink only
+        # when every strip is parallel to it
+        for lo, hi in ((0.3, 2.0), (0.9, 1.1)):
+            assert len(_random_polygon(k, lo, hi, seed=k).profile.plane_corners()) <= 2 * k
+        parallel = make_symmetric_polygon_body([0.9, 1.4, 1.1], [0.7, 0.7, 0.7 + math.pi])
+        close = np.isclose(parallel.profile.plane_corners()[:, None],
+                           [0.7 + math.pi / 2, 0.7 + 3 * math.pi / 2], rtol=0.0, atol=1e-12)
+        assert close.any(axis=0).all() and close.any(axis=1).all()
+
+    @pytest.mark.parametrize("name", CORNERED_BODIES)
+    def test_declared_corners_hold_the_bisected_ones(self, name):
+        body = CORNERED_BODIES[name]
+        declared = body.profile.plane_corners()
+        for corner in _corners_by_bisection(body):
+            gap = np.abs(declared - corner)
+            assert np.min(np.minimum(gap, 2 * math.pi - gap)) <= 1e-12
+
+    @pytest.mark.parametrize("name", CORNERED_BODIES)
+    def test_against_a_piecewise_reference(self, name):
+        # QUADPACK on each smooth piece between corners found by bisection
+        body = CORNERED_BODIES[name]
+        corners = _corners_by_bisection(body)
+
+        def rho(t):
+            return float(body.rho(np.array([[math.cos(t), math.sin(t)]]))[0])
+
+        vol = _piecewise_quad(lambda t: 1.0 - math.cos(rho(t)), corners)
+        # symmetric body: the section normal to xi is twice the radius along xi-perp
+        functional = 4.0 * _piecewise_quad(lambda t: rho(t) ** 2, corners)
+        value, err = busemann_functional_with_error(body)
+        assert volume(body) == pytest.approx(vol, rel=1e-12, abs=0.0)
+        assert value == pytest.approx(functional, rel=1e-12, abs=0.0)
+        assert abs(value - functional) <= err
+
+    @pytest.mark.parametrize("body", [
+        *(b for name, b in CORNERED_BODIES.items() if name.startswith("polygon")), *seeded_polygons(6),
+        *(_grid_body(space, symmetric) for space in (S2, E2, H2) for symmetric in (True, False)),
+    ])
+    def test_polygon_and_grid_integrals_take_at_most_two_rounds(self, body, monkeypatch):
+        rounds = _plane_rounds(body, monkeypatch)
+        # per measure: volume, two functionals, and the value and error passes
+        # of the functional with error
+        assert len(rounds) == 10 and max(rounds) <= 2
+
+    @pytest.mark.parametrize("w", [0.15, 0.2, 0.4, 1.3])
+    @pytest.mark.parametrize("angle", [-0.3, 1.0, 2.0])
+    def test_a_tilted_lune_takes_the_rounds_of_its_axis_e1_twin(self, w, angle, monkeypatch):
+        # the axis-e1 lune has its corners on the starting panels' edges, so
+        # what refinement it needs comes from the curvature beside them
+        # (3 rounds at w = 0.15 and 0.2, which the cuts do not change)
+        tilted = _plane_rounds(make_lune(w, (math.cos(angle), math.sin(angle))), monkeypatch)
+        twin = _plane_rounds(make_lune(w), monkeypatch)
+        assert max(tilted) <= max(2, max(twin))
+        if w >= 0.4:
+            assert max(tilted) <= 2
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("space", [S2, E2, H2], ids=str)
+    def test_grid_bodies_match_the_search_closed_forms(self, space, symmetric):
+        # the profile is linear in the angle between its nodes, which are its corners
+        body = _grid_body(space, symmetric, seed=space.delta + 5)
+        values = body.profile.values
+        assert busemann_functional(body) == pytest.approx(
+            verify_module._plane_objective(values), rel=1e-13, abs=0.0)
+        assert volume(body) == pytest.approx(
+            verify_module._plane_volume(space, values), rel=1e-13, abs=0.0)
 
 
 RULE_IN_PLANE = QuadratureConfig(plane_adaptive=False)
@@ -929,6 +1107,23 @@ class TestPairSum:
         n_inner = len(build_sphere_rule(2, DEFAULT.inner(4)))
         assert sum(points) == (n_outer // 2) * (n_inner // inner_share)
 
+    def test_an_asymmetric_body_does_not_copy_the_grid(self, fresh_grid_cache):
+        # the -u half is negated a block of rows at a time, so the peak beyond
+        # the cached grid is that of a symmetric body
+        space = SpaceSpec(1, 4)
+        peaks = {}
+        for symmetric in (True, False):
+            body = random_star_body(space, np.random.default_rng(4), symmetric)
+            busemann_functional(body)   # builds and caches the grid
+            tracemalloc.start()
+            try:
+                busemann_functional(body)
+                peaks[symmetric] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a copy of the grid (8 MB at the default degrees) would show here
+        assert peaks[False] <= peaks[True] + 2e6
+
     @pytest.mark.parametrize("exponent", [None, 1])
     @pytest.mark.parametrize("body", [make_ball(S2, 0.9), make_lune(0.4, (0.6, 0.8)),
                                       make_symmetric_polygon_body([1.0, 0.8], [0.4, 1.5])],
@@ -941,6 +1136,9 @@ class TestPairSum:
             dirs = np.column_stack([np.cos(a), np.sin(a)])
             return (phi(S2, 1, body.rho(dirs)) + phi(S2, 1, body.rho(-dirs))) ** p
 
-        reference = functionals._adaptive_circle(integrand, DEFAULT.angular_tol)
+        # the integrand's corners lie a quarter turn from the profile's
+        corners = body.profile.plane_corners()
+        breaks = np.concatenate([corners - math.pi / 2, corners + math.pi / 2]) % (2 * math.pi)
+        reference = functionals._adaptive_circle(integrand, DEFAULT.angular_tol, breaks)
         assert busemann_functional(body, exponent=exponent) == reference[0]
         assert busemann_functional_with_error(body, exponent=exponent) == reference

@@ -309,3 +309,70 @@ class TestIntegrateVectorized:
     def test_convergence_error(self):
         with pytest.raises(ConvergenceError):
             integrate_vectorized(lambda t: 1.0 / np.abs(t - 1.0), 0.0, 2 * math.pi, 1e-12)
+
+
+def _counting(f):
+    """f, and the list that each call of it appends its point count to."""
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    return counted, calls
+
+
+class TestIntegrateVectorizedBreaks:
+    """``breaks`` cut the first panels at known corners of the integrand."""
+
+    A, B, C = 0.0, 2 * math.pi, 1.234567   # C lies off the 8 starting panels' edges
+
+    @pytest.mark.parametrize("f,exact", [
+        (lambda t: np.abs(t - 1.234567), (1.234567 ** 2 + (2 * math.pi - 1.234567) ** 2) / 2),
+        (lambda t: np.maximum(t - 1.234567, 0.0) ** 3, (2 * math.pi - 1.234567) ** 4 / 4),
+    ], ids=["abs", "cubic-kink"])
+    def test_a_kink_at_a_break_is_exact_in_one_round(self, f, exact):
+        counted, calls = _counting(f)
+        val, err = integrate_vectorized(counted, self.A, self.B, 1e-12, breaks=[self.C])
+        assert len(calls) == 1 and calls[0] == 9 * 21
+        assert val == pytest.approx(exact, rel=1e-15, abs=0.0)
+        assert err >= abs(val - exact)
+        # without the break, the panel holding the kink is bisected round after round
+        counted, calls = _counting(f)
+        integrate_vectorized(counted, self.A, self.B, 1e-12)
+        assert len(calls) > 5
+
+    def test_a_square_root_end_converges_no_slower_at_a_break(self):
+        # a square-root end is not polynomial on either side, so the panels next
+        # to it are still bisected: the break puts it on an edge, where the
+        # Kronrod nodes never meet it
+        f = lambda t: np.sqrt(np.abs(t - self.C))  # noqa: E731
+        exact = 2.0 / 3.0 * (self.C ** 1.5 + (self.B - self.C) ** 1.5)
+        cut, cut_calls = _counting(f)
+        val, err = integrate_vectorized(cut, self.A, self.B, 1e-12, breaks=[self.C])
+        plain, plain_calls = _counting(f)
+        integrate_vectorized(plain, self.A, self.B, 1e-12)
+        assert val == pytest.approx(exact, rel=1e-14, abs=0.0)
+        assert err >= abs(val - exact)
+        assert len(cut_calls) <= len(plain_calls)
+
+    @pytest.mark.parametrize("breaks", [
+        [-1.0, 0.0, 2 * math.pi, 7.0],                               # outside (a, b) or on its ends
+        [math.pi / 4 + 5e-13, math.pi - 5e-13, 0.5e-12, 2 * math.pi - 0.5e-12],   # within the floor of an edge
+        [math.pi / 2] * 3,                                           # an edge, thrice
+    ])
+    def test_breaks_that_change_nothing(self, breaks):
+        f = lambda t: np.abs(np.sin(t - 0.3)) * np.exp(np.cos(t))  # noqa: E731
+        assert integrate_vectorized(f, self.A, self.B, 1e-12, breaks) == integrate_vectorized(
+            f, self.A, self.B, 1e-12)
+
+    def test_a_repeated_break_counts_once(self):
+        f = lambda t: np.abs(t - self.C)  # noqa: E731
+        once = integrate_vectorized(f, self.A, self.B, 1e-12, [self.C])
+        assert integrate_vectorized(f, self.A, self.B, 1e-12, [self.C, self.C, self.C + 1e-13]) == once
+        assert integrate_vectorized(f, self.A, self.B, 1e-12, np.array([[self.C], [self.C]])) == once
+
+    def test_a_smooth_integrand_is_unchanged_by_no_breaks(self):
+        f = lambda t: np.exp(np.sin(3.0 * t)) / (2.0 + np.cos(t))  # noqa: E731
+        assert integrate_vectorized(f, self.A, self.B, 1e-12, breaks=()) == integrate_vectorized(
+            f, self.A, self.B, 1e-12)

@@ -98,3 +98,38 @@ def test_label_lists_that_differ_exit_1(compare_outputs, tmp_path, capsys, new):
     code, lines, err = _run(compare_outputs, tmp_path, capsys, OLD, new)
     assert code == 1 and lines == []
     assert "do not hold the same labels" in err
+
+
+HEADER = "# numpy 2.0\n# numpy cpu baseline: X86_V2\n# openblas core: SkylakeX\n"
+
+
+def test_header_lines_are_not_outputs(compare_outputs, tmp_path, capsys):
+    code, lines, _ = _run(compare_outputs, tmp_path, capsys, HEADER + OLD, HEADER + NEW)
+    assert code == 0
+    assert lines[0] == "5 of 8 lines changed"
+
+
+def test_environments_that_differ_are_named(compare_outputs, tmp_path, capsys):
+    other = HEADER.replace("SkylakeX", "Prescott")
+    code, lines, _ = _run(compare_outputs, tmp_path, capsys, HEADER + OLD, other + OLD)
+    assert code == 0
+    assert lines[:4] == ["environments differ:", "  OLD # openblas core: SkylakeX",
+                         "  NEW # openblas core: Prescott", "0 of 8 lines changed"]
+
+
+@pytest.mark.parametrize("old, new, side", [(OLD, HEADER + OLD, "OLD"), (HEADER + OLD, OLD, "NEW")])
+def test_a_missing_header_is_an_unknown_environment(compare_outputs, tmp_path, capsys, old, new, side):
+    code, lines, _ = _run(compare_outputs, tmp_path, capsys, old, new)
+    assert code == 0
+    assert lines[:2] == [f"environment unknown: {side} has no environment header", "0 of 8 lines changed"]
+
+
+def test_dump_header_names_the_numeric_environment(capsys):
+    spec = importlib.util.spec_from_file_location("dump_outputs", TOOLS / "dump_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.environment()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "# numpy cpu baseline", "# numpy cpu dispatch", "# openblas core"]
+    assert lines[0].startswith("# numpy ") and all(line.split(": ")[1] for line in lines[1:])

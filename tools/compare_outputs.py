@@ -2,8 +2,14 @@
 
     python3 tools/compare_outputs.py OLD NEW
 
-Prints how many lines changed, then, per label prefix (the label up to its
-second ``/``, e.g. ``suite/hyperbolic`` or ``path/product``), the number of
+Lines that begin with ``#`` are the dump's environment header, not outputs.
+When the two headers differ, the report first says "environments differ"
+and lists the differing lines, and when only one file has a header it says
+"environment unknown": a dump made under another CPU kernel or BLAS core
+moves roundoff that no code change caused.
+
+Then it prints how many lines changed, then, per label prefix (the label up
+to its second ``/``, e.g. ``suite/hyperbolic`` or ``path/product``), the number of
 changed lines and the largest relative change |new - old| / |old| with the
 label where it occurs.  Error-estimate lines (labels ending in ``/error`` and
 the perturbation rows' error column) are listed apart: an estimate is a
@@ -24,8 +30,23 @@ PERTURBATION_ERROR_COLUMN = "6"
 
 
 def read(path):
+    """The environment header lines and the (label, value) pairs of a dump."""
     with open(path) as fh:
-        return [line.rstrip("\n").split(" ", 1) for line in fh if line.strip()]
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    header = [line for line in lines if line.startswith("#")]
+    return header, [line.split(" ", 1) for line in lines if not line.startswith("#")]
+
+
+def environment_note(old_header, new_header):
+    """The lines that warn of two different or unknown environments."""
+    if old_header == new_header:
+        return []
+    if not old_header or not new_header:
+        side = "OLD" if not old_header else "NEW"
+        return [f"environment unknown: {side} has no environment header"]
+    return (["environments differ:"]
+            + [f"  OLD {line}" for line in old_header if line not in new_header]
+            + [f"  NEW {line}" for line in new_header if line not in old_header])
 
 
 def is_error(label: str) -> bool:
@@ -48,7 +69,7 @@ def main(argv) -> int:
     if len(argv) != 3:
         print("usage: python3 tools/compare_outputs.py OLD NEW", file=sys.stderr)
         return 2
-    old, new = read(argv[1]), read(argv[2])
+    (old_header, old), (new_header, new) = read(argv[1]), read(argv[2])
     if [label for label, _ in old] != [label for label, _ in new]:
         print("the two files do not hold the same labels in the same order", file=sys.stderr)
         return 1
@@ -63,6 +84,8 @@ def main(argv) -> int:
         count, worst, where = groups.get(key, (0, -1.0, ""))
         rel = relative_change(a, b)
         groups[key] = (count + 1, max(worst, rel), where if worst >= rel else label)
+    for line in environment_note(old_header, new_header):
+        print(line)
     print(f"{changed} of {len(old)} lines changed")
     for kind in ("values", "error estimates"):
         rows = sorted((prefix, stats) for (k, prefix), stats in groups.items() if k == kind)

@@ -20,12 +20,20 @@ OLD NEW`` prints how far each group moved.  The set is
   config, ``plane_adaptive=False`` and degree 31: volume, functional,
   normalized first power, functional with error and three section volumes.
 
+The first lines, which begin with ``#``, name the numeric environment:
+numpy's SIMD baseline and the dispatched SIMD targets this CPU enables, and
+the OpenBLAS core type (``unknown`` where it cannot be read).  A dump from
+another CPU kernel may differ in roundoff alone; ``compare_outputs.py`` says
+so when the headers differ.
+
 It takes a few seconds and has no options.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -62,6 +70,39 @@ from starsections.verify import suite_bodies  # noqa: E402
 
 def out(label, value):
     print(label, repr(value))
+
+
+def openblas_core() -> str:
+    """The core type of the OpenBLAS that numpy loaded, read through the
+    library's own ``*openblas_get_corename*`` entry point; ``unknown`` when no
+    such library or symbol is found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted(set(re.findall(r"(/\S*openblas\S*\.so\S*)", fh.read())))
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                         "openblas_get_corename"):
+                get = getattr(lib, name, None)
+                if get is not None:
+                    get.restype = ctypes.c_char_p
+                    return get().decode()
+    except OSError:
+        pass
+    return "unknown"
+
+
+def environment():
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:   # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    enabled = umath.__cpu_features__
+    print("# numpy", np.__version__)
+    print("# numpy cpu baseline:", " ".join(umath.__cpu_baseline__) or "none")
+    print("# numpy cpu dispatch:",
+          " ".join(f for f in umath.__cpu_dispatch__ if enabled.get(f)) or "none")
+    print("# openblas core:", openblas_core())
 
 
 def suites():
@@ -146,6 +187,7 @@ def paths():
 
 
 def main():
+    environment()
     suites()
     perturbations()
     schedules()
