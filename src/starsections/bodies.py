@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,9 +111,24 @@ class ConeBase:
         raise NotImplementedError
 
 
+def _band_chunk(m: int) -> int:
+    """How many bands a sum on S^m takes at once.  sphere_band_measure keeps
+    at most m // 2 + 8 arrays of its input's size alive at once, the caller's
+    two scaled edge arrays included.  At this many values each they stay under
+    128 KB together (16384 floats), glibc's default mmap and trim threshold:
+    no call maps, unmaps or trims memory, and the timing does not depend on
+    what else the process holds."""
+    return 16384 // (m // 2 + 8)
+
+
 @dataclass(frozen=True)
 class BandsBase(ConeBase):
-    """Disjoint union of bands {lo_k <= <x, axis> <= hi_k} on S^{n-1}."""
+    """Disjoint union of bands {lo_k <= <x, axis> <= hi_k} on S^{n-1}.
+
+    A base whose bands are exactly their own mirror image (the band (-hi, -lo)
+    of each band, as floats) is mirrored: the flag is decided once, from the
+    arrays, and the measure and large section sums add only the upper half.
+    """
 
     axis: np.ndarray
     los: np.ndarray
@@ -151,8 +167,7 @@ class BandsBase(ConeBase):
 
     @property
     def measure(self) -> float:
-        m = self.ambient_dim - 1
-        return float(np.sum(sphere_band_measure(m, self.los, self.his)))
+        return self._window_sum(self.ambient_dim - 1, 0, len(self.los))
 
     def contains(self, dirs) -> np.ndarray:
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
@@ -177,12 +192,7 @@ class BandsBase(ConeBase):
             start, stop = self._windows(np.zeros(1))
             out[degenerate] = sphere_surface_area(m_sub) if start[0] < stop[0] else 0.0
         rows = np.flatnonzero(~degenerate)
-        # sphere_band_measure keeps at most m_sub // 2 + 8 arrays of its input's
-        # size alive at once, the caller's two scaled edge arrays included.  At
-        # this many values each they stay under 128 KB together (16384 floats),
-        # glibc's default mmap and trim threshold: no call maps, unmaps or trims
-        # memory, and the timing does not depend on what else the process holds
-        chunk = 16384 // (m_sub // 2 + 8)
+        chunk = _band_chunk(m_sub)
         k = len(self.los)
         if k <= chunk:
             # a small base: all its bands against a block of rows at once
@@ -194,13 +204,33 @@ class BandsBase(ConeBase):
                 out[todo] = np.sum(vals, axis=1)
         else:
             # a large base: only the window of bands that meets [-s, s] adds
-            # anything (every other band adds exactly 0), summed in chunks
+            # anything (every other band adds exactly 0)
             for i, start, stop in zip(rows, *self._windows(s[rows])):
-                out[i] = math.fsum(
-                    sphere_band_measure(m_sub, self.los[j : min(j + chunk, stop)] / s[i],
-                                        self.his[j : min(j + chunk, stop)] / s[i]).sum()
-                    for j in range(start, stop, chunk))
+                out[i] = self._window_sum(m_sub, int(start), int(stop), s[i])
         return out
+
+    def _window_sum(self, m: int, start: int, stop: int, s=1.0) -> float:
+        """The measures on S^m of the bands [start, stop), edges divided by s,
+        summed in chunks whose sums math.fsum adds.
+
+        The windows of a mirrored base of K bands are symmetric (start =
+        K - stop, as every section window and the whole base are), so it sums
+        only their upper half and doubles it, and adds a middle band, its own
+        mirror, once.
+        """
+        chunk = _band_chunk(m)
+
+        def chunk_sums(a, b):
+            return [sphere_band_measure(m, self.los[j : min(j + chunk, b)] / s,
+                                        self.his[j : min(j + chunk, b)] / s).sum()
+                    for j in range(a, b, chunk)]
+
+        if not self._mirrored:
+            return math.fsum(chunk_sums(start, stop))
+        k = len(self.los)
+        half = (k + 1) // 2     # the upper half; band k // 2 is the middle when k is odd
+        return math.fsum(chunk_sums(max(start, k // 2), min(stop, half))
+                         + [2.0 * v for v in chunk_sums(max(start, half), stop)])
 
     def _windows(self, svals):
         """For each s, the bands [start, stop) that meet [-s, s]: those before
@@ -208,10 +238,14 @@ class BandsBase(ConeBase):
         return (np.searchsorted(self._his_max, -svals, side="left"),
                 np.searchsorted(self.los, svals, side="right"))
 
+    @cached_property
+    def _mirrored(self) -> bool:
+        # -A has bands [-hi, -lo] in reverse order.  A = -A as floats when
+        # -his[::-1] == los; read backwards, that is also -los[::-1] == his
+        return bool(np.array_equal(-self.his[::-1], self.los))
+
     def is_origin_symmetric(self) -> bool:
-        # -A has bands [-hi, -lo] in reverse order; compare without building it
-        return (np.array_equal(-self.his[::-1], self.los)
-                and np.array_equal(-self.los[::-1], self.his))
+        return self._mirrored
 
     def with_antipodes(self) -> "BandsBase":
         """A union -A, with A's meta; A must not meet -A."""

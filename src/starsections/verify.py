@@ -387,14 +387,15 @@ def _segment_volumes(space, a, b, h):
 
 def _plane_volume(space, values):
     """Exact volume of the piecewise-linear-in-angle profile."""
-    return float(np.sum(_segment_volumes(space, values, np.roll(values, -1), TWO_PI / len(values))))
+    nxt = np.concatenate([values[1:], values[:1]])
+    return float(np.sum(_segment_volumes(space, values, nxt, TWO_PI / len(values))))
 
 
 def _plane_objective(values):
     """Exact section-square integral of the piecewise-linear profile (n = 2)."""
     half = len(values) // 2
-    a = values + np.roll(values, -half)
-    b = np.roll(a, -1)
+    a = values + np.concatenate([values[half:], values[:half]])
+    b = np.concatenate([a[1:], a[:1]])
     h = TWO_PI / len(values)
     seg = (a ** 2 + a * b + b ** 2) / 3.0
     return float(h * np.sum(seg))
@@ -406,11 +407,12 @@ def _volume_move(space, values, i, j, mag, symmetric, lo, hi):
     keeps the volume of the segments touching the moved nodes.  None when j
     lies in i's orbit or even lo cannot absorb the raise."""
     nodes = len(values)
-    up = np.array([i, (i + nodes // 2) % nodes] if symmetric else [i])
-    down = np.array([j, (j + nodes // 2) % nodes] if symmetric else [j])
+    up = [i, (i + nodes // 2) % nodes] if symmetric else [i]
+    down = [j, (j + nodes // 2) % nodes] if symmetric else [j]
     if j in up:
         return None
-    seg = np.unique(np.concatenate([up, down, up - 1, down - 1]) % nodes)  # segment k: nodes k, k+1
+    # segment k joins nodes k and k + 1; a Python set, since np.unique imports numpy.ma
+    seg = np.array(sorted({(k - d) % nodes for k in up + down for d in (0, 1)}))
     nxt = (seg + 1) % nodes
     h = TWO_PI / nodes
     before = _segment_volumes(space, values[seg], values[nxt], h).sum()

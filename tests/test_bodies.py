@@ -15,6 +15,7 @@ from starsections.bodies import (
     cap_base,
     double_cap_base,
     equality_cone_base,
+    full_sphere_base,
     is_convex_spherical,
     make_ball,
     make_bumpy_ball,
@@ -396,6 +397,92 @@ class TestWindowedBandSums:
         base = BandsBase(np.eye(n)[0], edges[0:-1:2], edges[1::2])
         xis = _normals_at(base.axis, np.linspace(0.05, 1.0, 20))
         assert self._traced_peak_less_output(base, xis) < 128 * 1024
+
+
+def _mirrored_base(n, middle):
+    """A mirrored base of 2 * 3000 (+ 1) bands, more than one chunk: bands in
+    [0.01, 0.95], their mirror images and, when middle, the band [-0.005, 0.005]."""
+    edges = np.linspace(0.01, 0.95, 6001)
+    lo, hi = edges[0:-1:2], edges[1::2]
+    mid = [0.005] if middle else []
+    return BandsBase(np.eye(n)[0], np.concatenate([-hi[::-1], -np.array(mid), lo]),
+                     np.concatenate([-lo[::-1], mid, hi]))
+
+
+def _touching_at_zero_base(n):
+    """A mirrored base whose two middle bands meet at 0.0 and -0.0."""
+    edges = np.linspace(0.0, 0.9, 5001)
+    lo, hi = edges[0:-1:2], edges[1::2]
+    assert lo[0] == 0.0 and math.copysign(1.0, -lo[::-1][-1]) < 0.0
+    return BandsBase(np.eye(n)[0], np.concatenate([-hi[::-1], lo]), np.concatenate([-lo[::-1], hi]))
+
+
+MIRRORED_BASES = {
+    "even": lambda: _mirrored_base(3, False),
+    "odd-with-middle": lambda: _mirrored_base(3, True),
+    "odd-with-middle-n5": lambda: _mirrored_base(5, True),
+    "edges-at-signed-zero": lambda: _touching_at_zero_base(4),
+    "full-sphere": lambda: full_sphere_base(3),
+    "double-cap": lambda: double_cap_base(4, 0.3),
+    "vanishing": lambda: make_vanishing_body(E3, 1.0, 0.3).profile.base,
+}
+
+
+class TestMirroredBandSums:
+    """A base that is its own mirror image sums the upper half of its bands."""
+
+    @staticmethod
+    def _assert_matches_fsum(base, svals, rel):
+        ref = math.fsum(sphere_band_measure(base.ambient_dim - 1, base.los, base.his).tolist())
+        assert base.measure == pytest.approx(ref, rel=rel, abs=0.0)
+        xis = _normals_at(base.axis, svals)
+        for sec, ref in zip(base.section_measures(xis), _fsum_sections(base, xis)):
+            assert sec == pytest.approx(ref, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("builder", MIRRORED_BASES.values(), ids=MIRRORED_BASES.keys())
+    def test_half_sums_against_fsum(self, builder):
+        # s = 0.003 lies inside the middle band of the odd bases
+        base = builder()
+        assert base.is_origin_symmetric()
+        self._assert_matches_fsum(base, [0.003, 0.1, 0.5, 0.6, 0.97, 1.0], 1e-14)
+
+    def test_densest_schedule_row_against_fsum(self, dense_striped_cone_base):
+        assert dense_striped_cone_base.is_origin_symmetric()
+        self._assert_matches_fsum(dense_striped_cone_base, [0.05, 0.2, 0.6381613, 0.99212731], 1e-14)
+
+    def test_one_ulp_twin_takes_the_full_sum(self):
+        base = _mirrored_base(3, True)
+        his = base.his.copy()
+        his[-7] = np.nextafter(his[-7], 0.0)
+        twin = BandsBase(base.axis, base.los, his)
+        assert not twin.is_origin_symmetric()
+        svals = [0.1, 0.5, 0.97]
+        self._assert_matches_fsum(twin, svals, 1e-14)
+        assert twin.measure == pytest.approx(base.measure, rel=1e-13, abs=0.0)
+        xis = _normals_at(base.axis, svals)
+        np.testing.assert_allclose(twin.section_measures(xis), base.section_measures(xis),
+                                   rtol=1e-13, atol=0.0)
+
+    def test_reloaded_cone_gives_the_same_numbers(self):
+        # the flag comes from the arrays, not from the builder
+        cone = make_striped_cone(S3, 0.5, 0.1, 0.05)
+        assert len(cone.profile.base.los) > 16384 // 8    # the windowed sums
+        clone = body_from_json_dict(cone.to_json_dict())
+        assert clone.profile.base.is_origin_symmetric()
+        assert volume(clone) == volume(cone)
+        assert busemann_functional(clone) == busemann_functional(cone)
+
+    def test_densest_volume_allocates_no_full_size_temporaries(self):
+        tracemalloc.start()
+        try:
+            cone = make_striped_cone(S3, 0.5, 0.05, 0.02)
+            tracemalloc.reset_peak()
+            volume(cone)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        base = cone.profile.base
+        assert peak < base.los.nbytes + base.his.nbytes + 1024 * 1024
 
 
 class TestLunes:
