@@ -248,10 +248,36 @@ class BandsBase(ConeBase):
         return self._mirrored
 
     def with_antipodes(self) -> "BandsBase":
-        """A union -A, with A's meta; A must not meet -A."""
-        # -A first: for A above the equator the bands are then already sorted
-        return BandsBase(self.axis, np.concatenate([-self.his[::-1], self.los]),
-                         np.concatenate([-self.los[::-1], self.his]), meta={**self.meta})
+        """A union -A, with A's meta; DomainError where A meets -A.
+
+        -A comes first.  When A's upper edges are sorted and A's lowest band
+        starts no lower than its mirror, -A lies below A in order: A passed
+        the sort and disjointness checks already, and so did -A, its exact
+        negation, so only the junction of A's lowest band with its mirror is
+        checked, and the two halves are written into the result's arrays
+        without a second pass of checks and copies.  The result is mirrored
+        by construction.  Any other A takes the checked constructor.
+        """
+        los, his = self.los, self.his
+        if not len(los) or self._his_max is not his or -his[0] > los[0]:
+            return BandsBase(self.axis, np.concatenate([-his[::-1], los]),
+                             np.concatenate([-los[::-1], his]), meta={**self.meta})
+        if los[0] < -los[0] - 1e-15:
+            raise DomainError("bands must be disjoint")
+        half = len(los)
+        both_los, both_his = np.empty(2 * half), np.empty(2 * half)
+        np.negative(his[::-1], out=both_los[:half])
+        both_los[half:] = los
+        np.negative(los[::-1], out=both_his[:half])
+        both_his[half:] = his
+        out = object.__new__(BandsBase)
+        # the upper edges are sorted: -A's are, A's are, and -los[0] <= his[0]
+        for name, value in (("axis", self.axis), ("los", both_los), ("his", both_his),
+                            ("_his_max", both_his), ("meta", {**self.meta}), ("_mirrored", True)):
+            object.__setattr__(out, name, value)
+        both_los.setflags(write=False)
+        both_his.setflags(write=False)
+        return out
 
     def descriptor(self) -> dict:
         return {
@@ -794,14 +820,14 @@ def body_from_json_dict(doc: dict) -> StarBody:
 
 def make_ball(space: SpaceSpec, r: float) -> StarBody:
     space.check_radius(r)
-    if r <= 0:
+    if not r > 0:
         raise DomainError("ball radius must be positive")
     return StarBody(space, ConstantProfile(float(r)), symmetric=True)
 
 
 def make_ellipsoid(semiaxes) -> StarBody:
     ax = np.asarray(semiaxes, dtype=float)
-    if np.any(ax <= 0):
+    if not np.all(ax > 0):
         raise DomainError("all semiaxes must be positive")
     space = SpaceSpec(0, ax.shape[0])
     return StarBody(space, EllipsoidProfile(ax), symmetric=True)
@@ -884,7 +910,7 @@ def make_symmetric_polygon_body(offsets, angles) -> StarBody:
 def _polygon_body(normals, offsets) -> StarBody:
     """The polygon body of at least one strip, each a unit normal in the plane
     and a positive offset."""
-    if np.any(offsets <= 0):
+    if not np.all(offsets > 0):
         raise DomainError("strip offsets must be positive")
     if (len(offsets) == 0 or normals.shape != (len(offsets), 2)
             or np.any(np.abs(np.linalg.norm(normals, axis=1) - 1.0) > 1e-12)):
@@ -973,6 +999,15 @@ def perturbation_norms(body: StarBody):
 # the alternating-strip subset of a cap
 
 
+# The most strips a striped base may have; each takes 8 bytes in each of about
+# five arrays.  The densest base the tests build has 6,433,983.
+STRIP_CAP = 1 << 24
+
+# Strips with index below this form one group of the root solve; from here on
+# each binade of k - gamma is a group of its own.
+_FIRST_STRIP_GROUP = 1 << 14
+
+
 def _striped_base(axis, alpha: float, delta: float, lam: float, cap_measure: float) -> BandsBase:
     """Strips of pitch delta inside the cap, with the keep fraction gamma tuned
     so that the total measure is lam * cap_measure.
@@ -984,28 +1019,64 @@ def _striped_base(axis, alpha: float, delta: float, lam: float, cap_measure: flo
     the kept strips (lo < 1) are the prefix that one bisection finds.  Every
     edge lies in [alpha, 1], where clipping changes nothing, so each measure
     is bit for bit that of sphere_band_measure on the kept strips.
+
+    Only the strips whose edges moved are rebuilt.  The indices [0, 2^14)
+    are one group, rebuilt at every evaluation; each further group is the
+    indices [2^j, 2^(j+1)), whose strip numbers k in (2^j, 2^(j+1)] put
+    k - gamma, gamma in [0, 1], in the binade [2^j, 2^(j+1)].  There
+    fl(k - gamma) is k minus gamma rounded to the binade's grid, the same
+    rounding for every k, since each k is a multiple of twice the grid.  So
+    the group's last k - gamma is equal to the previous evaluation's exactly
+    when all of them are, and then every edge and measure of the group is
+    the same to the bit and is kept.  The sum is still one np.sum over the
+    kept prefix, so gamma and the bands do not depend on what was skipped.
+    ResourceLimitError for more than STRIP_CAP strips, before any allocation.
     """
     n = len(axis)
+    count = int(math.floor((1.0 - alpha) / delta)) + 1
+    if count > STRIP_CAP:
+        raise ResourceLimitError(f"a pitch of {delta:.3g} would need {count} strips, cap is {STRIP_CAP}")
     # the strip numbers 1, 2, ... as floats, exactly as k - gamma converts them
-    k = np.arange(1, int(math.floor((1.0 - alpha) / delta)) + 2).astype(float)
+    k = np.arange(1, count + 1).astype(float)
     tops = np.minimum(alpha + k * delta, 1.0)
     q = (n - 3) / 2.0
     top_primitive = _band_primitive(q, tops)
     area = sphere_surface_area(n - 2)
-    lo, band = np.empty(len(k)), np.empty(len(k))
+    lo, band = np.empty(count), np.empty(count)
+    starts = [0]
+    while (start := max(_FIRST_STRIP_GROUP, 2 * starts[-1])) < count:
+        starts.append(start)
+    groups = list(zip(starts, starts[1:] + [count]))
+    # per group: its last k - gamma when it was rebuilt (nan equals nothing),
+    # and how many of its leading strips are measured for those edges
+    probes = [math.nan] * len(groups)
+    measured = [0] * len(groups)
 
     def lower_edges(gamma):
-        np.subtract(k, gamma, out=lo)
-        np.multiply(lo, delta, out=lo)
-        np.add(lo, alpha, out=lo)
+        for g, (a, b) in enumerate(groups):
+            if g:
+                probe = k[b - 1] - gamma
+                if probe == probes[g]:
+                    continue
+                probes[g] = probe
+            measured[g] = 0
+            edges = lo[a:b]
+            np.subtract(k[a:b], gamma, out=edges)
+            np.multiply(edges, delta, out=edges)
+            np.add(edges, alpha, out=edges)
         return lo[: np.searchsorted(lo, 1.0)]
 
     def measure_gap(gamma):
-        los = lower_edges(gamma)
-        kept = np.subtract(top_primitive[: len(los)], _band_primitive(q, los), out=band[: len(los)])
-        np.maximum(kept, 0.0, out=kept)
-        kept *= area
-        return float(np.sum(kept)) - lam * cap_measure
+        kept = len(lower_edges(gamma))
+        for g, (a, b) in enumerate(groups):
+            stop = min(b, kept)
+            if stop - a <= measured[g]:
+                continue
+            vals = np.subtract(top_primitive[a:stop], _band_primitive(q, lo[a:stop]), out=band[a:stop])
+            np.maximum(vals, 0.0, out=vals)
+            vals *= area
+            measured[g] = stop - a
+        return float(np.sum(band[:kept])) - lam * cap_measure
 
     gamma = brent_root(measure_gap, 0.0, 1.0, xtol=1e-15, rtol=1e-15)
     los = lower_edges(gamma)
@@ -1030,7 +1101,7 @@ def striped_cap_subset(alpha: float, axis, lam: float, eps: float) -> BandsBase:
         raise DomainError("cap height must lie in (0, 1)")
     if not 0.0 < lam < 1.0:
         raise DomainError("the fraction lam must lie in (0, 1)")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError("eps must be positive")
 
     cap = spherical_cap_measure(n - 1, alpha)
@@ -1088,7 +1159,7 @@ def make_vanishing_body(space: SpaceSpec, volume: float, eta: float) -> StarBody
         raise DomainError("the vanishing construction lives in R^n or H^n")
     if space.dim < 3:
         raise DomainError("dimension must be >= 3")
-    if volume <= 0 or eta <= 0:
+    if not (volume > 0 and eta > 0):
         raise DomainError("volume and eta must be positive")
     n = space.dim
     sphere = sphere_surface_area(n - 1)

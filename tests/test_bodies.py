@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starsections import bodies
 from starsections.bodies import (
+    STRIP_CAP,
     ArcsBase,
     BandsBase,
     GridProfile,
@@ -32,7 +34,7 @@ from starsections.bodies import (
     spherical_cap_measure,
     striped_cap_subset,
 )
-from starsections.errors import DomainError
+from starsections.errors import DomainError, ResourceLimitError
 from starsections.functionals import busemann_functional, volume
 from starsections.quadrature import build_sphere_rule, default_degree, gauss_jacobi, polar_rule
 from starsections.spaces import SpaceSpec, brent_root, phi, sphere_surface_area
@@ -213,6 +215,22 @@ class TestBandSectionsPerDistinctHeight:
         assert np.array_equal(base.section_measures(xis[perm]), base.section_measures(xis)[perm])
 
 
+# 0.3 and the seven floats above it
+_POINT_EDGES = 0.3 + np.arange(8) * np.spacing(0.3)
+
+WITH_ANTIPODES_BASES = {
+    "striped": lambda: striped_cap_subset(0.2, np.eye(3)[0], 0.6, 0.1),
+    "from-zero": lambda: BandsBase(np.eye(3)[0], np.array([0.0, 0.5]), np.array([0.2, 0.7])),
+    # the lowest band starts below 0, within the disjointness tolerance
+    "below-zero-in-tolerance": lambda: BandsBase(np.eye(4)[0], np.array([-4e-16, 0.5]),
+                                                 np.array([0.3, 0.7])),
+    # a point band nested in the tolerance: A's upper edges are unsorted
+    "upper-edges-unsorted": lambda: BandsBase(np.eye(3)[0], _POINT_EDGES[[0, 2]].copy(),
+                                              _POINT_EDGES[[7, 5]].copy()),
+    "below-the-equator": lambda: BandsBase(np.eye(3)[0], np.array([-0.5]), np.array([-0.4])),
+}
+
+
 class TestBandsConstruction:
     def test_ascending_input_is_copied_not_aliased(self):
         los, his = np.array([-0.5, 0.1, 0.4]), np.array([-0.2, 0.3, 0.9])
@@ -230,6 +248,24 @@ class TestBandsConstruction:
     def test_checks_hold_for_any_order(self, los, his):
         with pytest.raises(DomainError):
             BandsBase(np.eye(3)[0], np.array(los), np.array(his))
+
+    @pytest.mark.parametrize("los, his", [([-0.1], [0.2]), ([-2e-15, 0.3], [0.1, 0.4])])
+    def test_with_antipodes_refuses_a_base_that_meets_its_mirror(self, los, his):
+        with pytest.raises(DomainError, match="disjoint"):
+            BandsBase(np.eye(3)[0], np.array(los), np.array(his)).with_antipodes()
+
+    @pytest.mark.parametrize("builder", WITH_ANTIPODES_BASES.values(), ids=WITH_ANTIPODES_BASES.keys())
+    def test_with_antipodes_is_the_checked_union(self, builder):
+        half = builder()
+        both = half.with_antipodes()
+        reference = BandsBase(half.axis, np.concatenate([-half.his[::-1], half.los]),
+                              np.concatenate([-half.los[::-1], half.his]))
+        for name in ("axis", "los", "his", "_his_max"):
+            assert np.array_equal(getattr(both, name), getattr(reference, name))
+            assert not getattr(both, name).flags.writeable
+        assert (both._his_max is both.his) == (reference._his_max is reference.his)
+        assert both.is_origin_symmetric() == reference.is_origin_symmetric()
+        assert both.meta == half.meta and both.meta is not half.meta
 
     def test_with_antipodes_is_ascending(self):
         half = striped_cap_subset(0.2, np.eye(3)[0], 0.6, 0.1)
@@ -298,6 +334,66 @@ class TestStripedRootSolve:
     def test_vanishing_body(self):
         base = make_vanishing_body(E3, 1.0, 0.3).profile.base
         self._assert_matches_reference(base, True)
+
+    @pytest.mark.parametrize("n, alpha, lam, eps, strips", [(6, 0.3, 0.5, 0.002, 52_893),
+                                                            (8, 0.2, 0.5, 0.001, 160_659)])
+    def test_rows_of_several_strip_groups(self, n, alpha, lam, eps, strips):
+        # past 2^14 strips each binade of k - gamma is a group of its own, and
+        # n = 6, 8 take the (1 - t^2)^q power in the strip primitive
+        base = striped_cap_subset(alpha, np.eye(n)[0], lam, eps)
+        assert len(base.los) == strips
+        self._assert_matches_reference(base, False)
+
+
+class TestStripGroups:
+    """The root solve skips a group of strips k in (2^j, 2^(j+1)] when its last
+    k - gamma is unchanged; that is exact because the whole group's k - gamma
+    is then unchanged too."""
+
+    @pytest.mark.parametrize("j", range(14, 21))
+    def test_last_strip_decides_the_group(self, j):
+        k = np.arange(2 ** j + 1, 2 ** (j + 1) + 1).astype(float)
+        rng = np.random.default_rng(j)
+        gaps = 10.0 ** rng.uniform(-15.0, -9.0, size=40)
+        firsts = np.concatenate([[0.0, 1.0 - gaps[1]], rng.uniform(0.0, 1.0 - 1e-9, size=38)])
+        outcomes = set()
+        for first, gap in zip(firsts, gaps):
+            second = first + gap
+            probe_same = bool(k[-1] - first == k[-1] - second)
+            assert probe_same == np.array_equal(k - first, k - second)
+            outcomes.add(probe_same)
+        assert outcomes == {True, False}
+
+    def test_densest_solve_measures_under_half_the_strips(self, monkeypatch):
+        # re-measuring all 677,261 strips at each of the 20 evaluations passes
+        # 14.22 M strip values, the tops included
+        primitive, passed = bodies._band_primitive, []
+
+        def spy(q, t):
+            passed.append(np.size(t))
+            return primitive(q, t)
+
+        monkeypatch.setattr(bodies, "_band_primitive", spy)
+        lam = 0.5 * sphere_surface_area(2) / (2.0 * spherical_cap_measure(2, 0.05))
+        assert len(striped_cap_subset(0.05, np.eye(3)[0], lam, 0.02).los) == 677_261
+        assert sum(passed) <= 7_100_000
+
+    def test_densest_cone_peaks_under_twice_its_base(self):
+        make_striped_cone(S3, 0.5, 0.1, 0.05)     # warm any lazy numpy state
+        tracemalloc.start()
+        try:
+            cone = make_striped_cone(S3, 0.5, 0.05, 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        base = cone.profile.base
+        assert peak <= 2 * (base.los.nbytes + base.his.nbytes)
+
+    def test_strip_count_is_capped_before_allocation(self):
+        # 6.9e10 strips at this eps: the refusal comes before any array
+        with pytest.raises(ResourceLimitError, match="cap is"):
+            striped_cap_subset(0.4, np.eye(4)[0], 0.5, 1e-9)
+        assert STRIP_CAP > 6_433_983    # the densest base TestWindowedBandSums builds
 
 
 def _fsum_sections(base, xis):
@@ -626,6 +722,24 @@ class TestVanishingBody:
         rho = body.rho(dirs)
         inside = base.contains(dirs)
         assert np.all(rho[inside] == r) and np.all(rho[~inside] == 0.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_ball(S3, NAN),
+    lambda: make_ball(E3, NAN),
+    lambda: make_ellipsoid([NAN, 1.0]),
+    lambda: make_symmetric_polygon_body([NAN, 1.0], [0.2, 1.7]),
+    lambda: striped_cap_subset(0.4, np.eye(4)[0], 0.5, NAN),
+    lambda: make_vanishing_body(E3, NAN, 0.3),
+    lambda: make_vanishing_body(E3, 1.0, NAN),
+], ids=["ball-s3", "ball-e3", "ellipsoid", "polygon", "striped-eps", "vanishing-volume",
+        "vanishing-eta"])
+def test_nan_parameters_are_refused(build):
+    with pytest.raises(DomainError, match="positive"):
+        build()
 
 
 class TestConvexity:

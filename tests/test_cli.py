@@ -190,6 +190,13 @@ class TestExperimentCommand:
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_strip_count_over_the_cap_exit_three(self, capsys):
+        # this eps asks for 6.9e10 strips; the cap refuses before allocating
+        code = run_cli("experiment", "sharpness", "--dim", "4", "--alphas", "0.4",
+                       "--epsilons", "1e-9")
+        assert code == 3
+        assert "strips, cap is" in capsys.readouterr().err
+
 
 class TestUsage:
     @pytest.mark.parametrize("argv, message", [
@@ -225,6 +232,17 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["functional", "--space", "s+:3", "--body", "ball:r=nan"], "ball radius must be positive"),
+        (["functional", "--body", "ellipsoid:semiaxes=nan;1"], "all semiaxes must be positive"),
+        (["experiment", "sharpness", "--dim", "4", "--alphas", "0.4", "--epsilons", "nan"],
+         "eps must be positive"),
+    ], ids=["ball", "ellipsoid", "sharpness"])
+    def test_nan_parameters_exit_two(self, argv, message, capsys):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "nan" not in captured.out
 
     def test_bad_space(self):
         assert run_cli("functional", "--space", "zz:9", "--body", "ball:r=1") == 2
