@@ -48,11 +48,32 @@ def _band_primitive(q: float, t):
     """Antiderivative of (1 - u^2)^q vanishing at 0, for q in {-1/2, 0, 1/2, 1, ...}
     and t in [-1, 1].  At q = 0 it is t itself, not a copy."""
     t = np.asarray(t, dtype=float)
-    if q == -0.5:
-        return np.arcsin(t)
     if q == 0.0:
         return t
-    return (t * (1.0 - t ** 2) ** q + 2.0 * q * _band_primitive(q - 1.0, t)) / (2.0 * q + 1.0)
+    p = np.empty_like(t)
+    _primitive_in_place(q, t, p, np.empty_like(t) if q > 0 else None)
+    return p
+
+
+def _primitive_in_place(q: float, t: np.ndarray, p: np.ndarray, scratch) -> None:
+    """Write _band_primitive(q, t) into p by its own float operations, in
+    place: the arcsine or the copy at the base, then one recursion step per
+    unit of q.  t is kept unless p is t, which q <= 0 allows; scratch is
+    used when q > 0."""
+    base = -0.5 if q % 1.0 else 0.0
+    if base:
+        np.arcsin(t, out=p)
+    elif p is not t:
+        np.copyto(p, t)
+    for i in range(int(q - base)):
+        qi = base + 1.0 + i
+        np.square(t, out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        scratch **= qi
+        scratch *= t
+        p *= 2.0 * qi
+        p += scratch
+        p /= 2.0 * qi + 1.0
 
 
 def sphere_band_measure(m: int, lo, hi):
@@ -112,13 +133,26 @@ class ConeBase:
 
 
 def _band_chunk(m: int) -> int:
-    """How many bands a sum on S^m takes at once.  sphere_band_measure keeps
-    at most m // 2 + 8 arrays of its input's size alive at once, the caller's
-    two scaled edge arrays included.  At this many values each they stay under
-    128 KB together (16384 floats), glibc's default mmap and trim threshold:
-    no call maps, unmaps or trims memory, and the timing does not depend on
-    what else the process holds."""
+    """How many bands one partial sum on S^m adds, and how many band values
+    a small base's sections take at once.  The chunks fix the order of the
+    sum, so the values do not depend on how many chunks a numpy pass
+    evaluates (see _band_block).  sphere_band_measure keeps at most
+    m // 2 + 8 arrays of its input's size alive at once; at a chunk each
+    they stay under 128 KB together (16384 floats)."""
     return 16384 // (m // 2 + 8)
+
+
+def _band_block(m: int) -> tuple[int, int]:
+    """How many buffers a band sum on S^m, m >= 1, evaluates in place, and how
+    many bands (whole chunks) each holds.  q = (m - 2) / 2 <= 0 takes the
+    two edge arrays, which become their primitives; q > 0 takes the two
+    primitives, the edges and a scratch array.  Together the buffers stay
+    under 16384 floats less one chunk, glibc's default mmap and trim
+    threshold of 128 KB less room for the sums: no sum maps, unmaps or trims
+    memory, and the timing does not depend on what else the process holds."""
+    chunk = _band_chunk(m)
+    buffers = 2 if m <= 2 else 4
+    return buffers, (16384 // chunk - 1) // buffers * chunk
 
 
 @dataclass(frozen=True)
@@ -211,26 +245,73 @@ class BandsBase(ConeBase):
 
     def _window_sum(self, m: int, start: int, stop: int, s=1.0) -> float:
         """The measures on S^m of the bands [start, stop), edges divided by s,
-        summed in chunks whose sums math.fsum adds.
+        summed in chunks whose sums math.fsum adds; _chunk_sums evaluates a
+        block of chunks per numpy pass, in buffers allocated once per call.
 
         The windows of a mirrored base of K bands are symmetric (start =
         K - stop, as every section window and the whole base are), so it sums
         only their upper half and doubles it, and adds a middle band, its own
         mirror, once.
         """
-        chunk = _band_chunk(m)
-
-        def chunk_sums(a, b):
-            return [sphere_band_measure(m, self.los[j : min(j + chunk, b)] / s,
-                                        self.his[j : min(j + chunk, b)] / s).sum()
-                    for j in range(a, b, chunk)]
-
         if not self._mirrored:
-            return math.fsum(chunk_sums(start, stop))
+            return math.fsum(self._chunk_sums(m, s, (start, stop))[0])
         k = len(self.los)
         half = (k + 1) // 2     # the upper half; band k // 2 is the middle when k is odd
-        return math.fsum(chunk_sums(max(start, k // 2), min(stop, half))
-                         + [2.0 * v for v in chunk_sums(max(start, half), stop)])
+        middle, upper = self._chunk_sums(m, s, (max(start, k // 2), min(stop, half)),
+                                         (max(start, half), stop))
+        return math.fsum(middle + [2.0 * v for v in upper])
+
+    def _chunk_sums(self, m: int, s, *spans) -> list[list[float]]:
+        """For each span [a, b) of bands, the sum of each of its chunks of
+        _band_chunk(m) bands on S^m, edges divided by s.
+
+        A numpy pass evaluates a block of whole chunks: the edges are divided
+        into buffers allocated once per call (_band_block), clipped to
+        [-1, 1] only where the block's extreme edges, los[j] and the running
+        maximum of the upper edges, fall outside it, and taken through
+        sphere_band_measure's float operations in place.  Each chunk's sum is
+        one row of a (rows, chunk) view, so every sum is bit for bit the
+        chunk's own sphere_band_measure(...).sum().  m = 0, the two-point
+        sphere, takes sphere_band_measure per chunk.
+        """
+        chunk = _band_chunk(m)
+        los, his = self.los, self.his
+        if m == 0:
+            return [[float(sphere_band_measure(m, los[j : min(j + chunk, b)] / s,
+                                               his[j : min(j + chunk, b)] / s).sum())
+                     for j in range(a, b, chunk)] for a, b in spans]
+        q = (m - 2) / 2.0
+        area = sphere_surface_area(m - 1)
+        buffers, block = _band_block(m)
+        bufs = np.empty((buffers, max(0, min(block, max(b - a for a, b in spans)))))
+        # rows: the primitives at the upper and lower edges, then (q > 0) the
+        # edges and the scratch array; at q <= 0 the edges become their primitives
+        p_hi, p_lo = bufs[0], bufs[1]
+        t_hi, t_lo, scratch = (bufs[2], bufs[2], bufs[3]) if buffers == 4 else (p_hi, p_lo, None)
+        out = []
+        for a, b in spans:
+            sums = []
+            for j in range(a, b, block):
+                e = min(j + block, b)
+                n = e - j
+                clip = los[j] / s < -1.0 or self._his_max[e - 1] / s > 1.0
+                for edges, t, p in ((his, t_hi, p_hi), (los, t_lo, p_lo)):
+                    t, p = t[:n], p[:n]
+                    np.divide(edges[j:e], s, out=t)
+                    if clip:
+                        np.maximum(t, -1.0, out=t)
+                        np.minimum(t, 1.0, out=t)
+                    _primitive_in_place(q, t, p, None if scratch is None else scratch[:n])
+                vals = p_hi[:n]
+                np.subtract(vals, p_lo[:n], out=vals)
+                np.maximum(vals, 0.0, out=vals)
+                vals *= area
+                whole = n - n % chunk
+                sums += vals[:whole].reshape(-1, chunk).sum(axis=1).tolist()
+                if whole < n:
+                    sums.append(float(vals[whole:].sum()))
+            out.append(sums)
+        return out
 
     def _windows(self, svals):
         """For each s, the bands [start, stop) that meet [-s, s]: those before
@@ -933,6 +1014,8 @@ def _perturbation(space: SpaceSpec, r: float, beta: float, k: int, axis):
         raise DomainError("perturbed balls are hemisphere constructions")
     if k < 2 or k % 2 != 0:
         raise DomainError("the harmonic degree must be even and >= 2")
+    if not math.isfinite(beta):
+        raise DomainError(f"the perturbation amplitude beta must be finite, got {beta}")
     space.check_radius(r)
     harmonic = zonal_harmonic(space.dim, k, axis)
     span = abs(beta) * float(np.max(np.abs(harmonic.at(_harmonic_extrema(space.dim, k))))) + 1e-9

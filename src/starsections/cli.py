@@ -236,7 +236,13 @@ def cmd_verify(args) -> int:
             raise UsageError(f"{' and '.join(random_flags)} set the random suite bodies, "
                              "and go without --body or --w")
         space = parse_space(args.space) if args.space else None
-        bodies = [parse_body(spec, space) for spec in args.body] if args.body else [make_lune(args.w)]
+        if args.body:
+            bodies = [parse_body(spec, space) for spec in args.body]
+        else:
+            try:
+                bodies = [make_lune(args.w)]
+            except DomainError as exc:
+                raise UsageError(f"--w {args.w}: {exc}") from exc
         # next to given bodies --dim is a check, not a choice
         if args.dim is not None and any(body.space.dim != args.dim for body in bodies):
             raise UsageError(f"--dim {args.dim} is not the dimension of every given body")

@@ -416,6 +416,78 @@ def _normals_at(axis, svals):
     return np.sqrt(1.0 - svals[:, None] ** 2) * axis + svals[:, None] * other
 
 
+def _recursive_primitive(q, t):
+    """The band primitive by its recursion on fresh arrays."""
+    if q == -0.5:
+        return np.arcsin(t)
+    if q == 0.0:
+        return t
+    return (t * (1.0 - t ** 2) ** q + 2.0 * q * _recursive_primitive(q - 1.0, t)) / (2.0 * q + 1.0)
+
+
+def _per_chunk_sums(base, m, a, b, s=1.0):
+    """The chunk sums of the bands [a, b) on S^m, edges divided by s, by one
+    clip, recursive primitive and sum per chunk of bodies._band_chunk(m) bands."""
+    chunk = bodies._band_chunk(m)
+    sums = []
+    for j in range(a, b, chunk):
+        lo, hi = base.los[j : min(j + chunk, b)] / s, base.his[j : min(j + chunk, b)] / s
+        if m == 0:
+            vals = sphere_band_measure(m, lo, hi)
+        else:
+            lo, hi = (np.minimum(np.maximum(x, -1.0), 1.0) for x in (lo, hi))
+            q = (m - 2) / 2.0
+            vals = sphere_surface_area(m - 1) * np.maximum(
+                _recursive_primitive(q, hi) - _recursive_primitive(q, lo), 0.0)
+        sums.append(float(vals.sum()))
+    return sums
+
+
+def _per_chunk_window_sum(base, m, start, stop, s=1.0):
+    """BandsBase._window_sum by one sphere_band_measure call per chunk: the
+    halved sum of a mirrored base, the plain one of any other."""
+    if not base.is_origin_symmetric():
+        return math.fsum(_per_chunk_sums(base, m, start, stop, s))
+    k = len(base.los)
+    half = (k + 1) // 2
+    return math.fsum(_per_chunk_sums(base, m, max(start, k // 2), min(stop, half), s)
+                     + [2.0 * v for v in _per_chunk_sums(base, m, max(start, half), stop, s)])
+
+
+def _band_base(n, count, mirrored):
+    """count bands of width 2e-5 spread over [-0.97, 0.99], or, mirrored, count
+    bands and their mirror images spread over [0.01, 0.95] with the middle
+    band [-0.005, 0.005]."""
+    if not mirrored:
+        edges = np.linspace(-0.97, 0.99, count)
+        return BandsBase(np.eye(n)[0], edges, edges + 2e-5)
+    lo = np.linspace(0.01, 0.95, count)
+    hi = lo + 2e-5
+    return BandsBase(np.eye(n)[0], np.concatenate([-hi[::-1], [-0.005], lo]),
+                     np.concatenate([-lo[::-1], [0.005], hi]))
+
+
+def _overlapping_base():
+    """The base of TestWindowedBandSums.test_upper_edges_out_of_order, and
+    the s at which a point band ends one ulp above -s."""
+    axis = np.eye(3)[0]
+    c = float(np.sum(np.array([math.sqrt(0.75), 0.5, 0.0]) * axis))
+    s = math.sqrt(max(0.0, 1.0 - c ** 2))
+    below, above = np.linspace(-0.95, -s - 0.01, 2000), np.linspace(-s + 0.01, 0.95, 3000)
+    point = np.nextafter(np.nextafter(-s, -1.0), -1.0)
+    return BandsBase(axis, np.concatenate([below, [-s - 1e-3, point], above]),
+                     np.concatenate([below + 1e-6, [np.nextafter(-s, 1.0), point], above + 1e-4])), s
+
+
+BLOCK_BASES = {
+    **{f"n{n}": (lambda n=n: _band_base(n, 10_007, False)) for n in range(2, 8)},
+    **{f"n{n}-mirrored": (lambda n=n: _band_base(n, 7001, True)) for n in range(2, 8)},
+    "overlapping": lambda: _overlapping_base()[0],
+    "two-bands": lambda: BandsBase(np.eye(4)[0], np.array([-0.5, 0.2]), np.array([0.1, 0.9])),
+    "two-bands-mirrored": lambda: double_cap_base(5, 0.3),
+}
+
+
 class TestWindowedBandSums:
     """A large base sums only the bands that meet [-s, s], in chunks."""
 
@@ -493,6 +565,72 @@ class TestWindowedBandSums:
         base = BandsBase(np.eye(n)[0], edges[0:-1:2], edges[1::2])
         xis = _normals_at(base.axis, np.linspace(0.05, 1.0, 20))
         assert self._traced_peak_less_output(base, xis) < 128 * 1024
+
+    @pytest.mark.parametrize("builder", BLOCK_BASES.values(), ids=BLOCK_BASES.keys())
+    def test_chunk_for_chunk(self, builder):
+        # every chunk sum, and so every measure and section, is bit for bit
+        # one sphere_band_measure call per chunk
+        base = builder()
+        k, m = len(base.los), base.ambient_dim - 1
+        assert base.measure == _per_chunk_window_sum(base, m, 0, k)
+        assert base._chunk_sums(m, 1.0, (0, k)) == [_per_chunk_sums(base, m, 0, k)]
+        # s in the middle of a band above 0, so that the window's end bands
+        # reach past -s and s and are clipped; s = 1; s in a gap
+        mid = k // 2 + (k - k // 2) // 3
+        gap = 0.5 * (base.his[mid] + base.los[mid + 1]) if mid + 1 < k else 0.999
+        svals = [0.5 * (base.los[mid] + base.his[mid]), 1.0, gap]
+        if builder is BLOCK_BASES["overlapping"]:
+            svals.append(_overlapping_base()[1])
+        xis = _normals_at(base.axis, svals)
+        s = np.sqrt(np.maximum(0.0, 1.0 - np.sum(xis * base.axis, axis=1) ** 2))
+        sections = base.section_measures(xis)
+        clipped = False
+        for si, start, stop, section in zip(s, *base._windows(s), sections):
+            start, stop = int(start), int(stop)
+            clipped |= start < stop and (base.los[start] < -si or base._his_max[stop - 1] > si)
+            window = base._window_sum(m - 1, start, stop, si)
+            assert window == _per_chunk_window_sum(base, m - 1, start, stop, si)
+            assert base._chunk_sums(m - 1, si, (start, stop)) == [
+                _per_chunk_sums(base, m - 1, start, stop, si)]
+            if k > bodies._band_chunk(m - 1):
+                assert section == window
+        assert clipped
+
+    @pytest.mark.parametrize("q", [-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0])
+    def test_primitive_is_the_recursion(self, q):
+        t = np.concatenate([[-1.0, -0.0, 0.0, 1.0, 1e-300, -5e-324],
+                            np.random.default_rng(7).uniform(-1.0, 1.0, 5000)])
+        assert bodies._band_primitive(q, t).tobytes() == _recursive_primitive(q, t).tobytes()
+        for x in (0.3, np.float64(-0.7)):
+            assert float(bodies._band_primitive(q, x)) == float(_recursive_primitive(q, np.float64(x)))
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_blocks_hold_whole_chunks_under_the_budget(self, m):
+        buffers, block = bodies._band_block(m)
+        chunk = bodies._band_chunk(m)
+        assert buffers == (2 if m <= 2 else 4)
+        assert block % chunk == 0 and block >= 2 * chunk
+        assert buffers * block + chunk <= 16384
+
+    def test_densest_row_takes_several_chunks_per_pass(self, dense_striped_cone_base, monkeypatch):
+        # one sphere_band_measure call per chunk passes numpy one chunk at a time
+        base, largest = dense_striped_cone_base, []
+
+        class SpyNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def maximum(*args, **kwargs):
+                largest[-1] = max(largest[-1], *(np.size(a) for a in args))
+                return np.maximum(*args, **kwargs)
+
+        monkeypatch.setattr(bodies, "np", SpyNumpy())
+        xis = _normals_at(base.axis, [0.6])
+        for m, run in ((2, lambda: base.measure), (1, lambda: base.section_measures(xis))):
+            largest.append(0)
+            run()
+            assert largest[-1] >= 2 * bodies._band_chunk(m)
 
 
 def _mirrored_base(n, middle):
@@ -632,6 +770,14 @@ class TestPerturbedBalls:
     def test_range_error(self):
         with pytest.raises(DomainError):
             make_perturbed_ball(S3, 1.5, 0.5, 2)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_is_refused(self, beta):
+        # NaN passes every range comparison and reached the alpha solve; an
+        # infinite beta took the out-of-range refusal that callers skip
+        with pytest.raises(DomainError, match="beta must be finite") as excinfo:
+            make_perturbed_ball(S3, 0.7, beta, 2)
+        assert excinfo.type is DomainError
 
     @pytest.mark.parametrize("k", [2, 4, 8])
     @pytest.mark.parametrize("n", [3, 4, 6, 8])

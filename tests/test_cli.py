@@ -244,6 +244,22 @@ class TestUsage:
         captured = capsys.readouterr()
         assert message in captured.err and "nan" not in captured.out
 
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "perturbation", "--dim", "3", "--k", "2", "--beta", "nan"],
+        ["functional", "--space", "s+:3", "--body", "perturbed:r=0.7,beta=nan,k=2"],
+    ], ids=["experiment", "body"])
+    def test_nan_beta_exits_two(self, argv, capsys):
+        # refused as it is, not as a volume match that failed to bracket
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert "beta must be finite" in err and "bracketed" not in err
+
+    @pytest.mark.parametrize("w", ["2", "nan", "0"])
+    def test_w_out_of_domain_exits_two(self, w, capsys):
+        assert run_cli("verify", "--theorem", "lune-max", "--w", w) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --w") and "lune half-width must lie in (0, pi/2)" in err
+
     def test_bad_space(self):
         assert run_cli("functional", "--space", "zz:9", "--body", "ball:r=1") == 2
 

@@ -15,6 +15,11 @@ OLD NEW`` prints how far each group moved.  The set is
 * the rows of three perturbation sign experiments;
 * both striped-cone sharpness schedules (n = 3 and n = 4, t = 0.5);
 * the vanishing bodies in R^3 and H^3;
+* three cones whose band sums run in windows: striped cones at n = 5 and
+  n = 6 (t = 0.3, alpha = 0.05, eps = 0.02; 3,934 and 6,058 bands, sections
+  at q = 1/2 and q = 1) and the unmirrored cone over one striped cap subset
+  at n = 3 (alpha = 0.1, lam = 0.5, eps = 0.05; 32,170 bands): volume,
+  functional and five section volumes;
 * bodies on each evaluation path (arcs, indicator, plane, zonal, product),
   each with the uniform and the Gaussian measure and with the default
   config, ``plane_adaptive=False`` and degree 31: volume, functional,
@@ -61,6 +66,7 @@ from starsections import (  # noqa: E402
     run_theorem_suite,
     section_volume,
     sharpness_schedule,
+    striped_cap_subset,
     volume,
 )
 from starsections.errors import ApplicabilityError  # noqa: E402
@@ -147,6 +153,24 @@ def vanishing():
         out(f"{label}/functional", busemann_functional(body))
 
 
+def windowed():
+    bodies = {f"striped/{n}": make_striped_cone(SpaceSpec(1, n), 0.3, 0.05, 0.02) for n in (5, 6)}
+    bodies["unmirrored/3"] = make_cone(SpaceSpec(1, 3), striped_cap_subset(0.1, np.eye(3)[0], 0.5, 0.05))
+    for name, body in bodies.items():
+        n = body.space.dim
+        label = f"windowed/{name}"
+        out(f"{label}/bands", len(body.profile.base.los))
+        out(f"{label}/volume", volume(body))
+        out(f"{label}/functional", busemann_functional(body))
+        # the axis (no window), the last axis (s = 1), an oblique normal, and
+        # two normals whose windows end inside the cap
+        oblique = np.arange(1.0, n + 1.0) / np.linalg.norm(np.arange(1.0, n + 1.0))
+        xis = [np.eye(n)[0], np.eye(n)[-1], oblique]
+        xis += [math.sqrt(1.0 - s * s) * np.eye(n)[0] + s * np.eye(n)[1] for s in (0.3, 0.7)]
+        for i, xi in enumerate(xis):
+            out(f"{label}/section/{i}", section_volume(body, xi))
+
+
 def path_bodies():
     s2, s3 = SpaceSpec(1, 2), SpaceSpec(1, 3)
     return {
@@ -192,6 +216,7 @@ def main():
     perturbations()
     schedules()
     vanishing()
+    windowed()
     paths()
 
 
