@@ -6,9 +6,6 @@ from .spaces import (
     metric_sine,
     phi,
     phi_inverse,
-    ball_model_radius,
-    geodesic_radius,
-    gnomonic_radial,
     sphere_surface_area,
     unit_ball_volume,
 )
@@ -26,7 +23,6 @@ from .bodies import (
     BandsBase,
     ArcsBase,
     cap_base,
-    double_cap_base,
     equality_cone_base,
     full_sphere_base,
     make_ball,
@@ -39,7 +35,6 @@ from .bodies import (
     make_symmetric_polygon_body,
     make_vanishing_body,
     striped_cap_subset,
-    section_bound_margin,
     is_convex_spherical,
     body_from_json_dict,
     sphere_band_measure,
@@ -53,16 +48,11 @@ from .functionals import (
     busemann_functional,
     busemann_functional_with_error,
     f_spherical,
-    f_spherical_concavity_limit,
     f_spherical_limit,
-    fn_hyperbolic,
-    fn_hyperbolic_inverse,
     g_hyperbolic,
     h_hyperbolic,
     gaussian_measure,
-    custom_measure,
     lune_bound,
-    phi_ratio_inequality_check,
     psi,
     psi_inverse,
     big_psi,

@@ -176,8 +176,8 @@ class BandsBase(ConeBase):
         his = np.asarray(self.his, dtype=float)
         if los.shape != his.shape or los.ndim != 1:
             raise DomainError("band bounds must be matching 1-d arrays")
-        if np.any(his < los):
-            raise DomainError("band upper bounds must dominate lower bounds")
+        if not np.all(los <= his):
+            raise DomainError("band upper bounds must dominate lower bounds, and no edge may be NaN")
         if np.any(los[1:] < los[:-1]):
             order = np.argsort(los)
             los, his = los[order], his[order]
@@ -189,6 +189,9 @@ class BandsBase(ConeBase):
         # windows; bands may overlap by the disjointness tolerance, so the
         # upper edges themselves need not be sorted
         his_max = np.maximum.accumulate(his) if np.any(his[1:] < his[:-1]) else his
+        # every edge lies between the lowest lower edge and the highest upper one
+        if len(los) and not (math.isfinite(los[0]) and math.isfinite(his_max[-1])):
+            raise DomainError("band edges must be finite")
         object.__setattr__(self, "los", los)
         object.__setattr__(self, "his", his)
         object.__setattr__(self, "_his_max", his_max)
@@ -396,20 +399,12 @@ def equality_cone_base(n: int, height: float, axis=None) -> BandsBase:
     return BandsBase(np.asarray(axis, dtype=float), np.array([-height, height]), np.array([0.0, 1.0]))
 
 
-def double_cap_base(n: int, height: float, axis=None) -> BandsBase:
-    """Symmetric pair of antipodal caps; violates both equality-type conditions."""
-    if not 0.0 < height < 1.0:
-        raise DomainError("height must lie in (0, 1)")
-    axis = np.eye(n)[0] if axis is None else axis
-    return BandsBase(np.asarray(axis, dtype=float), np.array([-1.0, height]), np.array([-height, 1.0]))
-
-
 def _normalize_arcs(arcs) -> list[tuple[float, float]]:
     out = []
     for a, b in arcs:
         a = float(a)
         b = float(b)
-        if b <= a:
+        if not a < b:
             raise DomainError("arc endpoints must satisfy a < b")
         if b - a > TWO_PI + 1e-12:
             raise DomainError("arc longer than the whole circle")
@@ -865,9 +860,11 @@ def body_from_json_dict(doc: dict) -> StarBody:
     elif kind == "cone":
         body = _indicator_body(space, base_from_descriptor(p["base"]), float(p["height"]))
     elif kind == "perturbed_ball":
-        r, beta = float(p["r"]), float(p["beta"])
-        h, _ = _perturbation(space, r, beta, int(p["degree"]), np.array(p["axis"], dtype=float))
-        body = StarBody(space, HarmonicPerturbedProfile(r, float(p["alpha"]), beta, h), symmetric=True)
+        r, alpha, beta = float(p["r"]), float(p["alpha"]), float(p["beta"])
+        h, span = _perturbation(space, r, beta, int(p["degree"]), np.array(p["axis"], dtype=float))
+        if not abs(alpha) <= span:
+            raise DomainError(f"the volume shift alpha must lie in [-{span!r}, {span!r}], got {alpha!r}")
+        body = StarBody(space, HarmonicPerturbedProfile(r, alpha, beta, h), symmetric=True)
     elif kind == "polygon":
         body = _polygon_body(np.array(p["normals"], dtype=float), np.array(p["offsets"], dtype=float))
     elif kind == "bumpy":
@@ -879,10 +876,14 @@ def body_from_json_dict(doc: dict) -> StarBody:
             lo=float(p.get("lo", 0.0)),
             hi=math.inf if p.get("hi") is None else float(p["hi"]),
         )
-        _check_bumps(space, profile.centers, profile.amplitudes, profile.sharpness)
+        _check_bumps(space, profile.r0, profile.centers, profile.amplitudes, profile.sharpness)
+        if not (math.isfinite(profile.lo) and profile.lo <= profile.hi):
+            raise DomainError("a bumpy profile's clip range needs a finite lo <= hi")
         body = StarBody(space, profile, symmetric)
     elif kind == "grid":
         profile = GridProfile(np.array(p["values"], dtype=float).reshape(p["shape"]))
+        if not np.all(np.isfinite(profile.values)):
+            raise DomainError("grid values must be finite")
         if profile.ambient_dim != space.dim:
             raise DomainError(f"a grid of {profile.values.ndim} angles does not describe dim {space.dim}")
         body = StarBody(space, profile, symmetric)
@@ -908,8 +909,8 @@ def make_ball(space: SpaceSpec, r: float) -> StarBody:
 
 def make_ellipsoid(semiaxes) -> StarBody:
     ax = np.asarray(semiaxes, dtype=float)
-    if not np.all(ax > 0):
-        raise DomainError("all semiaxes must be positive")
+    if not np.all((ax > 0) & np.isfinite(ax)):
+        raise DomainError("all semiaxes must be positive and finite")
     space = SpaceSpec(0, ax.shape[0])
     return StarBody(space, EllipsoidProfile(ax), symmetric=True)
 
@@ -937,6 +938,9 @@ def _indicator_body(space: SpaceSpec, base: ConeBase, height: float) -> StarBody
     """
     if base.ambient_dim != space.dim:
         raise DomainError("base dimension does not match the space")
+    space.check_radius(height, name="height")
+    if not height > 0:
+        raise DomainError(f"the height must be positive, got {height!r}")
     if space.dim == 2 and isinstance(base, BandsBase):
         base = bands_to_arcs(base)
     return StarBody(space, IndicatorProfile(base, height), symmetric=base.is_origin_symmetric())
@@ -956,11 +960,14 @@ def make_lune(w: float, axis=(1.0, 0.0)) -> StarBody:
     return StarBody(space, LuneProfile(float(w), np.asarray(axis, dtype=float)), symmetric=True)
 
 
-def _check_bumps(space: SpaceSpec, centers, amplitudes, sharpness):
-    """DomainError unless each bump has a center in R^n, an amplitude and a sharpness."""
+def _check_bumps(space: SpaceSpec, r0: float, centers, amplitudes, sharpness):
+    """DomainError unless each bump has a center in R^n, an amplitude and a
+    sharpness, and r0 and every one of these is finite."""
     if (amplitudes.ndim != 1 or centers.shape != (len(amplitudes), space.dim)
             or sharpness.shape != amplitudes.shape):
         raise DomainError(f"each bump needs a center in R^{space.dim}, an amplitude and a sharpness")
+    if not all(np.all(np.isfinite(x)) for x in (r0, centers, amplitudes, sharpness)):
+        raise DomainError("a bumpy profile's r0, centers, amplitudes and sharpness must be finite")
 
 
 def make_bumpy_ball(space: SpaceSpec, r0: float, centers, amplitudes, sharpness,
@@ -970,7 +977,7 @@ def make_bumpy_ball(space: SpaceSpec, r0: float, centers, amplitudes, sharpness,
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     amplitudes = np.asarray(amplitudes, dtype=float)
     sharpness = np.asarray(sharpness, dtype=float)
-    _check_bumps(space, centers, amplitudes, sharpness)
+    _check_bumps(space, r0, centers, amplitudes, sharpness)
     if symmetric:
         centers = np.vstack([centers, -centers])
         amplitudes = np.concatenate([amplitudes, amplitudes])
@@ -991,10 +998,10 @@ def make_symmetric_polygon_body(offsets, angles) -> StarBody:
 def _polygon_body(normals, offsets) -> StarBody:
     """The polygon body of at least one strip, each a unit normal in the plane
     and a positive offset."""
-    if not np.all(offsets > 0):
-        raise DomainError("strip offsets must be positive")
+    if not np.all((offsets > 0) & np.isfinite(offsets)):
+        raise DomainError("strip offsets must be positive and finite")
     if (len(offsets) == 0 or normals.shape != (len(offsets), 2)
-            or np.any(np.abs(np.linalg.norm(normals, axis=1) - 1.0) > 1e-12)):
+            or not np.all(np.abs(np.linalg.norm(normals, axis=1) - 1.0) <= 1e-12)):
         raise DomainError("a polygon needs at least one strip, and a unit normal in the plane per offset")
     return StarBody(SpaceSpec(1, 2), PolygonProfile(normals, offsets), symmetric=True)
 
@@ -1019,7 +1026,7 @@ def _perturbation(space: SpaceSpec, r: float, beta: float, k: int, axis):
     space.check_radius(r)
     harmonic = zonal_harmonic(space.dim, k, axis)
     span = abs(beta) * float(np.max(np.abs(harmonic.at(_harmonic_extrema(space.dim, k))))) + 1e-9
-    if r - 2 * span <= 0 or r + 2 * span >= HEMISPHERE_MAX_RADIUS:
+    if not (r - 2 * span > 0 and r + 2 * span < HEMISPHERE_MAX_RADIUS):
         raise RadiusRangeError("perturbation leaves the open radius range (0, pi/2)")
     return harmonic, span
 
@@ -1201,15 +1208,6 @@ def striped_cap_subset(alpha: float, axis, lam: float, eps: float) -> BandsBase:
         if delta < 1e-12:
             raise PitchSelectionError("eps is below float-resolvable strip pitch")
     return _striped_base(axis, alpha, delta, lam, cap)
-
-
-def section_bound_margin(base: BandsBase, xis) -> float:
-    """max over xis of |A cut xi| - lam |C cut xi|; <= eps by construction."""
-    meta = base.meta
-    cap = cap_base(base.axis, meta["alpha"])
-    a_sec = base.section_measures(xis)
-    c_sec = cap.section_measures(xis)
-    return float(np.max(a_sec - meta["lam"] * c_sec))
 
 
 def make_striped_cone(space: SpaceSpec, t: float, alpha: float, eps: float) -> StarBody:

@@ -132,14 +132,21 @@ def parse_measure(name: str | None):
     raise UsageError(f"--measure: unknown measure {name!r} (uniform or gaussian)")
 
 
-def _degree(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer degree, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"a quadrature degree must be >= 1, got {value}")
-    return value
+def _integer_at_least(low: int, noun: str):
+    """An argparse type: an integer >= low, or a usage error naming the noun."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer {noun}, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"a {noun} must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_degree = _integer_at_least(1, "quadrature degree")
+_count = _integer_at_least(0, "count")
 
 
 def make_config(args) -> QuadratureConfig:
@@ -361,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fun.add_argument("--measure", default=None, choices=["uniform", "gaussian"])
     p_fun.add_argument("--normalized", action="store_true")
     p_fun.add_argument("--exponent", type=int, default=None)
-    p_fun.add_argument("--sections", type=int, default=0, metavar="N",
+    p_fun.add_argument("--sections", type=_count, default=0, metavar="N",
                        help="print a table of N section volumes")
     p_fun.add_argument("--dump-body", default=None, help="write the body JSON here")
     p_fun.add_argument("--radial-tol", type=float, default=1e-12)
@@ -374,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--body", action="append", default=None,
                        help="explicit body spec (repeatable)")
     p_ver.add_argument("--dim", type=int, default=None, help="suite dimension")
-    p_ver.add_argument("--random", type=int, default=None, help="number of random suite bodies (0)")
+    p_ver.add_argument("--random", type=_count, default=None, help="number of random suite bodies (0)")
     p_ver.add_argument("--seed", type=int, default=None, help="seed of the random suite bodies (0)")
     p_ver.add_argument("--w", type=float, default=None, help="lune half-width")
     add_quad_args(p_ver)

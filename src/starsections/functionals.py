@@ -30,11 +30,9 @@ from .quadrature import (
     subsphere_nodes,
 )
 from .spaces import (
-    HEMISPHERE_MAX_RADIUS,
     SpaceSpec,
     as_direction,
-    ball_model_radius,
-    geodesic_radius,
+    metric_sine,
     monotone_inverse,
     phi,
     phi_inverse,
@@ -185,20 +183,10 @@ class RadialDensityMeasure:
                 rows = np.flatnonzero(npanels > j)
                 upr, npr = up[rows], npanels[rows]
                 nodes = upr[:, None] * ((j + x01[None, :]) / npr[:, None])
-                sm = np.asarray(self.profile(nodes)) * _metric_sine_pow(space, nodes, m - 1)
+                sm = np.asarray(self.profile(nodes)) * metric_sine(space, nodes) ** (m - 1)
                 out[rows] += (upr / npr) * np.sum(sm * w01, axis=1)
         out = self.dim_weight(m) * out
         return float(out[0]) if scalar else out
-
-
-def _metric_sine_pow(space: SpaceSpec, r, p: int):
-    if p == 0:
-        return np.ones_like(r)
-    if space.delta == 1:
-        return np.sin(r) ** p
-    if space.delta == 0:
-        return r ** p
-    return np.sinh(r) ** p
 
 
 def _gaussian_profile(r):
@@ -209,10 +197,6 @@ def _gaussian_profile(r):
 
 def gaussian_measure() -> RadialDensityMeasure:
     return RadialDensityMeasure("gaussian", _gaussian_profile, lambda m: (2.0 * math.pi) ** (-m / 2.0))
-
-
-def custom_measure(profile) -> RadialDensityMeasure:
-    return RadialDensityMeasure("custom", profile)
 
 
 def _radial(space: SpaceSpec, m: int, upper, mu: RadialDensityMeasure | None):
@@ -441,32 +425,13 @@ def busemann_functional_with_error(body: StarBody, mu=None, normalized: bool = F
 # special functions of the gnomonic radial coordinate
 
 
-def fn_hyperbolic(n: int, t):
-    """F_n(t): integral of r^{n-1} / (1 - r^2)^n over [0, t], t in [0, 1).
-
-    Computed exactly through the substitution r = tanh(s/2), which turns the
-    integrand into sinh^{n-1}(s) / 2^n.
-    """
-    arr = np.asarray(t, dtype=float)
-    if np.any((arr < 0) | (arr >= 1)):
-        raise DomainError("the hyperbolic radial coordinate must lie in [0, 1)")
-    space = SpaceSpec(-1, max(n, 2))
-    out = phi(space, n, geodesic_radius(space, arr)) / 2.0 ** n
-    return out if np.ndim(t) else float(out)
-
-
-def fn_hyperbolic_inverse(n: int, v):
-    """Inverse of F_n, by bracketed root solve in the geodesic radius."""
-    arr = np.asarray(v, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("F_n values are nonnegative")
-    space = SpaceSpec(-1, max(n, 2))
-    out = ball_model_radius(space, phi_inverse(space, n, 2.0 ** n * arr))
-    return out if np.ndim(v) else float(out)
-
-
 def g_hyperbolic(n: int, t):
-    """G(t) = [F_{n-1}(F_n^{-1}(t))]^{n/(n-1)}; increasing and strictly concave."""
+    """G(t) = [F_{n-1}(F_n^{-1}(t))]^{n/(n-1)}; increasing and strictly concave.
+
+    F_m(t) is the integral of r^{m-1} / (1 - r^2)^m over [0, t], t in [0, 1).
+    The substitution r = tanh(s/2) makes it phi on h:m at s = 2 artanh t,
+    divided by 2^m, so G is computed in the geodesic radius s.
+    """
     if n < 2:
         raise DomainError("G requires n >= 2")
     arr = np.asarray(t, dtype=float)
@@ -489,16 +454,6 @@ def h_hyperbolic(n: int, t):
 def f_spherical_limit(n: int) -> float:
     """Supremum of the argument of the spherical comparison function."""
     return sin_power_primitive_full(n, math.pi) / 2.0 ** n
-
-
-def f_spherical_concavity_limit(n: int) -> float:
-    """Largest argument up to which the spherical comparison function is concave.
-
-    In geodesic coordinates its slope is 2 / sin(s), decreasing precisely for
-    s <= pi/2; the value at s = pi/2 is the normalized volume of the full
-    hemisphere, so bodies never push the bound past the concave branch.
-    """
-    return sin_power_primitive_full(n, math.pi / 2.0) / 2.0 ** n
 
 
 def f_spherical(n: int, v):
@@ -757,16 +712,6 @@ def rhs_bound(theorem_id: str, body: StarBody, mu: RadialDensityMeasure | None =
         raise ApplicabilityError(f"unknown variant {variant!r}")
     bounds = theorem.bound(body, mu, config)
     return bounds if variant is None else bounds[theorem.variants.index(variant)]
-
-
-def phi_ratio_inequality_check(n: int, x: float):
-    """Both sides of (phi_{n-1}(pi/2) / phi_n(pi/2)) phi_n(x) <= phi_{n-1}(x),
-    for x in [0, pi/2]; equality exactly at the endpoints."""
-    space = SpaceSpec(1, max(n, 2))
-    if not 0.0 <= x <= HEMISPHERE_MAX_RADIUS:
-        raise DomainError("x must lie in [0, pi/2]")
-    ratio = phi(space, n - 1, HEMISPHERE_MAX_RADIUS) / phi(space, n, HEMISPHERE_MAX_RADIUS)
-    return ratio * phi(space, n, x), phi(space, n - 1, x)
 
 
 # ---------------------------------------------------------------------------

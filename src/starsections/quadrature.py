@@ -222,7 +222,7 @@ def subsphere_nodes(rule: SphereRule | np.ndarray, xis) -> np.ndarray:
     n = xis.shape[1]
     if nodes.shape[1] != n - 1:
         raise DomainError(f"base rule must have dimension {n - 2}, got {nodes.shape[1] - 1}")
-    if np.any(np.abs(np.linalg.norm(xis, axis=1) - 1.0) > 1e-12):
+    if not np.all(np.abs(np.linalg.norm(xis, axis=1) - 1.0) <= 1e-12):
         raise DomainError("subsphere normals must be unit vectors")
     out = np.empty((len(xis), len(nodes), n))
     np.matmul(nodes, householder_frames(xis).transpose(0, 2, 1), out=out)

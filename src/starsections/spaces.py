@@ -58,7 +58,7 @@ def as_direction(v, dim: int | None = None) -> np.ndarray:
     if dim is not None and u.shape[0] != dim:
         raise DomainError(f"direction must have {dim} components, got {u.shape[0]}")
     norm = float(np.linalg.norm(u))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:
         raise DomainError(f"direction must be unit length, |v| = {norm!r}")
     return u
 
@@ -245,51 +245,3 @@ def phi_inverse(space: SpaceSpec, m: int, y):
         out = monotone_inverse(lambda t: phi(space, m, t), arr, 1.0, RADIUS_SAFETY_CAP,
                                ResourceLimitError("phi inverse exceeds the radius cap"))
     return float(out[0]) if scalar else out
-
-
-def ball_model_radius(space: SpaceSpec, r):
-    """Geodesic radius -> radial coordinate of the unit-ball model.
-
-    The model metric is 4|dx|^2 / (1 + delta |x|^2)^2, so
-    t = tanh(r/2) for delta = -1, t = tan(r/2) for delta = +1, t = r/2 for
-    delta = 0.
-    """
-    arr = space.check_radius(r)
-    if space.delta == 1:
-        out = np.tan(arr / 2)
-    elif space.delta == -1:
-        out = np.tanh(arr / 2)
-    else:
-        out = arr / 2
-    return out if out.ndim else float(out)
-
-
-def geodesic_radius(space: SpaceSpec, t):
-    """Inverse of :func:`ball_model_radius`."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("model radius must be nonnegative")
-    if space.delta == 1:
-        if np.any(arr > 1 + 1e-12):
-            raise DomainError("model radius exceeds the closed hemisphere boundary t = 1")
-        out = 2 * np.arctan(arr)
-    elif space.delta == -1:
-        if np.any(arr >= 1):
-            raise DomainError("model radius must be < 1 in the hyperbolic ball model")
-        out = 2 * np.arctanh(arr)
-    else:
-        out = 2 * arr
-    return out if out.ndim else float(out)
-
-
-def gnomonic_radial(rho):
-    """Central (gnomonic) projection of a spherical radius: rho -> tan(rho).
-
-    rho = pi/2 maps to +inf.  Convexity of a hemisphere body is equivalent to
-    Euclidean convexity of its gnomonic image.
-    """
-    arr = np.asarray(rho, dtype=float)
-    if np.any(arr < 0) or np.any(arr > HEMISPHERE_MAX_RADIUS + 1e-12):
-        raise DomainError("rho must lie in [0, pi/2]")
-    out = np.where(arr >= HEMISPHERE_MAX_RADIUS, np.inf, np.tan(np.minimum(arr, HEMISPHERE_MAX_RADIUS)))
-    return out if out.ndim else float(out)

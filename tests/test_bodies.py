@@ -15,7 +15,6 @@ from starsections.bodies import (
     bands_to_arcs,
     body_from_json_dict,
     cap_base,
-    double_cap_base,
     equality_cone_base,
     full_sphere_base,
     is_convex_spherical,
@@ -29,7 +28,6 @@ from starsections.bodies import (
     make_symmetric_polygon_body,
     make_vanishing_body,
     perturbation_norms,
-    section_bound_margin,
     sphere_band_measure,
     spherical_cap_measure,
     striped_cap_subset,
@@ -49,6 +47,19 @@ S2 = SpaceSpec(1, 2)
 S3 = SpaceSpec(1, 3)
 E3 = SpaceSpec(0, 3)
 H3 = SpaceSpec(-1, 3)
+
+
+def _double_cap_base(n, height):
+    """The caps {t <= -height} and {t >= height} about the first axis: a
+    symmetric base that meets neither equality-type condition."""
+    return BandsBase(np.eye(n)[0], np.array([-1.0, height]), np.array([-height, 1.0]))
+
+
+def _section_bound_margin(base, xis):
+    """max over xis of |A cut xi| - lam |C cut xi| for a striped cap subset A
+    of the cap C: the construction promises at most its eps."""
+    cap = cap_base(base.axis, base.meta["alpha"])
+    return float(np.max(base.section_measures(xis) - base.meta["lam"] * cap.section_measures(xis)))
 
 
 class TestBandMeasures:
@@ -161,7 +172,7 @@ class TestCones:
         assert np.max(np.abs(secs - math.pi)) < 1e-12  # |S^1| / 2
 
     def test_double_cap_sections_vary(self):
-        base = double_cap_base(3, 0.5)
+        base = _double_cap_base(3, 0.5)
         xis = np.array([[1.0, 0, 0], [0, 1.0, 0]])
         secs = base.section_measures(xis)
         assert abs(secs[0] - secs[1]) > 0.1
@@ -484,7 +495,7 @@ BLOCK_BASES = {
     **{f"n{n}-mirrored": (lambda n=n: _band_base(n, 7001, True)) for n in range(2, 8)},
     "overlapping": lambda: _overlapping_base()[0],
     "two-bands": lambda: BandsBase(np.eye(4)[0], np.array([-0.5, 0.2]), np.array([0.1, 0.9])),
-    "two-bands-mirrored": lambda: double_cap_base(5, 0.3),
+    "two-bands-mirrored": lambda: _double_cap_base(5, 0.3),
 }
 
 
@@ -657,7 +668,7 @@ MIRRORED_BASES = {
     "odd-with-middle-n5": lambda: _mirrored_base(5, True),
     "edges-at-signed-zero": lambda: _touching_at_zero_base(4),
     "full-sphere": lambda: full_sphere_base(3),
-    "double-cap": lambda: double_cap_base(4, 0.3),
+    "double-cap": lambda: _double_cap_base(4, 0.3),
     "vanishing": lambda: make_vanishing_body(E3, 1.0, 0.3).profile.base,
 }
 
@@ -832,7 +843,7 @@ class TestStripedConstruction:
         rng = np.random.default_rng(42)
         xis = rng.normal(size=(10_000, 3))
         xis /= np.linalg.norm(xis, axis=1, keepdims=True)
-        assert section_bound_margin(base, xis) <= 0.05
+        assert _section_bound_margin(base, xis) <= 0.05
 
     def test_section_bound_dim4(self):
         axis = np.array([1.0, 0.0, 0.0, 0.0])
@@ -840,7 +851,7 @@ class TestStripedConstruction:
         rng = np.random.default_rng(3)
         xis = rng.normal(size=(2000, 4))
         xis /= np.linalg.norm(xis, axis=1, keepdims=True)
-        assert section_bound_margin(base, xis) <= 0.1
+        assert _section_bound_margin(base, xis) <= 0.1
 
     def test_striped_cone_volume(self):
         body = make_striped_cone(S3, 0.3, 0.1, 0.05)
@@ -1012,7 +1023,7 @@ class TestSerialization:
         assert not body_from_json_dict(doc).symmetric
         doc = {**make_cone(S3, equality_cone_base(3, 0.3)).to_json_dict(), "symmetric": True}
         assert not body_from_json_dict(doc).symmetric
-        doc = {**make_cone(S3, double_cap_base(3, 0.3)).to_json_dict(), "symmetric": False}
+        doc = {**make_cone(S3, _double_cap_base(3, 0.3)).to_json_dict(), "symmetric": False}
         assert body_from_json_dict(doc).symmetric
 
     @pytest.mark.parametrize("doc", BAD_BODY_DOCUMENTS.values(), ids=BAD_BODY_DOCUMENTS.keys())
@@ -1045,7 +1056,7 @@ SYMMETRIC_BUILDERS = {
     "polygon": lambda: make_symmetric_polygon_body([1.0, 0.8], [0.4, 1.5]),
     "random-polygon": lambda: random_symmetric_convex_body(np.random.default_rng(2)),
     "lune": lambda: make_lune(0.4, (0.6, 0.8)),
-    "double-cap-cone": lambda: make_cone(S3, double_cap_base(3, 0.3)),
+    "double-cap-cone": lambda: make_cone(S3, _double_cap_base(3, 0.3)),
     "arcs-cone": lambda: random_cone_arcs(np.random.default_rng(5)),
     "striped-cone": lambda: make_striped_cone(S3, 0.5, 0.4, 0.2),
     "vanishing-body": lambda: make_vanishing_body(H3, 1.0, 0.1),

@@ -16,7 +16,9 @@ from starsections.bodies import (
     cap_base,
     make_bumpy_ball,
     make_cone,
+    make_ellipsoid,
     make_lune,
+    make_perturbed_ball,
     make_symmetric_polygon_body,
 )
 from starsections.cli import main
@@ -34,6 +36,10 @@ def schema():
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+NAN = float("nan")
+_CAP_CONE = make_cone(SpaceSpec(1, 3), cap_base(np.eye(3)[0], 0.3))
 
 
 class TestFunctionalCommand:
@@ -273,6 +279,15 @@ class TestUsage:
         assert run_cli(*command, flag, "0") == 2
         assert "degree must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["functional", "--space", "s+:3", "--body", "ball:r=0.7", "--sections", "-3"],
+        ["verify", "--theorem", "min-nd", "--random", "-3"],
+    ], ids=["sections", "random"])
+    def test_negative_count_exits_two(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert "a count must be >= 0, got -3" in captured.err and not captured.out
+
     def test_experiment_takes_no_quadrature_flags(self):
         assert run_cli("experiment", "sharpness", "--dim", "3", "--outer-degree", "5") == 2
 
@@ -360,6 +375,43 @@ class TestBodyFiles:
         spec = self._write(tmp_path, body, profile=doc["profile"], space=space or doc["space"])
         assert run_cli(*command, "--body", spec) == 2
         assert capsys.readouterr().err.startswith("error: --body @")
+
+    @pytest.mark.parametrize("command, body, edit, space", [
+        (["verify", "--theorem", "min-nd"], _CAP_CONE, lambda p: p["base"].update(axis=[NAN, 0.0, 0.0]),
+         None),
+        (["verify", "--theorem", "min-nd"], _CAP_CONE, lambda p: p["base"].update(los=[NAN]), None),
+        (["functional"], _CAP_CONE, lambda p: p["base"].update(his=[math.inf]), None),
+        (["functional"], _CAP_CONE, lambda p: p.update(height=NAN), None),
+        (["functional"], _CAP_CONE, lambda p: p.update(height=7.0), None),
+        (["functional"], _CAP_CONE, lambda p: p.update(height=-1.0), {"delta": -1, "dim": 3}),
+        (["functional"], make_cone(SpaceSpec(1, 2), ArcsBase(((0.0, 3.0),))),
+         lambda p: p["base"].update(arcs=[[NAN, 3.0]]), None),
+        (["functional"], make_ellipsoid([1.0, 1.0, 1.0]), lambda p: p.update(semiaxes=[1.0, math.inf, 1.0]),
+         None),
+        (["functional"], make_bumpy_ball(SpaceSpec(1, 2), 0.8, [[1.0, 0.0]], [0.2], [4.0]),
+         lambda p: p.update(r0=NAN), None),
+        (["functional"], make_bumpy_ball(SpaceSpec(1, 2), 0.8, [[1.0, 0.0]], [0.2], [4.0]),
+         lambda p: p.update(lo=NAN), None),
+        (["functional"], StarBody(SpaceSpec(1, 2), GridProfile(np.full(8, 0.7))),
+         lambda p: p["values"].__setitem__(7, NAN), None),
+        (["functional"], make_symmetric_polygon_body([1.0, 0.8], [0.4, 1.5]),
+         lambda p: p["normals"].__setitem__(0, [NAN, 0.0]), None),
+        (["functional"], make_symmetric_polygon_body([1.0, 0.8], [0.4, 1.5]),
+         lambda p: p["offsets"].__setitem__(1, math.inf), None),
+        (["functional"], make_perturbed_ball(SpaceSpec(1, 3), 0.7, 0.03, 2), lambda p: p.update(alpha=NAN),
+         None),
+    ], ids=["cone-axis-nan", "band-lower-edge-nan", "band-upper-edge-inf", "cone-height-nan",
+            "cone-height-past-the-rim", "cone-height-negative-on-h3", "arc-nan", "ellipsoid-semiaxis-inf",
+            "bumpy-r0-nan", "bumpy-lo-nan", "grid-value-nan", "polygon-normal-nan", "polygon-offset-inf",
+            "perturbed-alpha-nan"])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, command, body, edit, space):
+        doc = body.to_json_dict()
+        edit(doc["profile"])
+        spec = self._write(tmp_path, body, profile=doc["profile"], space=space or doc["space"])
+        assert run_cli(*command, "--body", spec) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --body @") and captured.err.count("\n") == 1
+        assert "nan" not in captured.out and "FAIL" not in captured.out
 
     def test_circle_band_base_takes_the_arcs_closed_form(self, tmp_path):
         space = SpaceSpec(1, 2)

@@ -16,7 +16,6 @@ from starsections.bodies import (
     RadialProfile,
     StarBody,
     cap_base,
-    double_cap_base,
     equality_cone_base,
     make_ball,
     make_bumpy_ball,
@@ -36,17 +35,12 @@ from starsections.functionals import (
     bound_constants,
     busemann_functional,
     busemann_functional_with_error,
-    custom_measure,
     f_spherical,
-    f_spherical_concavity_limit,
     f_spherical_limit,
-    fn_hyperbolic,
-    fn_hyperbolic_inverse,
     g_hyperbolic,
     gaussian_measure,
     h_hyperbolic,
     lune_bound,
-    phi_ratio_inequality_check,
     psi,
     psi_inverse,
     rhs_bound,
@@ -571,7 +565,8 @@ def _band_cones(n, axis):
     and a striped base, all about the given axis."""
     striped = make_striped_cone(SpaceSpec(1, n), 0.5, 0.1, 0.05).profile.base
     bases = [cap_base(axis, -0.077), cap_base(axis, 0.3), equality_cone_base(n, 0.4, axis),
-             double_cap_base(n, 0.5, axis), BandsBase(axis, striped.los, striped.his)]
+             BandsBase(axis, np.array([-1.0, 0.5]), np.array([-0.5, 1.0])),
+             BandsBase(axis, striped.los, striped.his)]
     return [make_cone(SpaceSpec(1, n), base) for base in bases]
 
 
@@ -619,12 +614,18 @@ class TestBandConesOnThePolarRule:
             run_theorem_suite("min-nd", [body])
 
 
+def _fn_hyperbolic(n, t):
+    """F_n(t), the integral of r^{n-1} / (1 - r^2)^n over [0, t]: through
+    r = tanh(s/2) it is phi on h:n at s = 2 artanh t, divided by 2^n."""
+    return phi(SpaceSpec(-1, max(n, 2)), n, 2.0 * math.atanh(t)) / 2.0 ** n
+
+
 class TestHyperbolicSpecialFunctions:
     def test_f2_closed_form(self):
         # F_2(t) = t^2 / (2 (1 - t^2))
         for t in (0.1, 0.5, 0.9, 0.99):
-            assert fn_hyperbolic(2, t) == pytest.approx(t * t / (2 * (1 - t * t)), rel=1e-12)
-        assert fn_hyperbolic(2, 0.5) == pytest.approx(1.0 / 6.0, rel=1e-13)
+            assert _fn_hyperbolic(2, t) == pytest.approx(t * t / (2 * (1 - t * t)), rel=1e-12)
+        assert _fn_hyperbolic(2, 0.5) == pytest.approx(1.0 / 6.0, rel=1e-13)
 
     def test_f3_against_substitution_quadrature(self):
         # independent oracle: adaptive quadrature after r = 1 - exp(-u)
@@ -636,16 +637,15 @@ class TestHyperbolicSpecialFunctions:
                 return r ** 2 / (1 - r ** 2) ** 3 * math.exp(-u)
 
             ref, _ = quad(integrand, 0.0, u_hi, epsabs=1e-13, epsrel=1e-13, limit=500)
-            assert fn_hyperbolic(3, t) == pytest.approx(ref, rel=1e-9)
+            assert _fn_hyperbolic(3, t) == pytest.approx(ref, rel=1e-9)
 
-    def test_zero_and_domain(self):
-        assert fn_hyperbolic(4, 0.0) == 0.0
-        with pytest.raises(DomainError):
-            fn_hyperbolic(3, 1.0)
-
-    def test_inverse_round_trip(self):
-        for n in (2, 3, 4):
-            assert fn_hyperbolic_inverse(n, fn_hyperbolic(n, 0.7)) == pytest.approx(0.7, abs=1e-10)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_g_is_its_definition_through_f(self, n):
+        # G(F_n(t)) = F_{n-1}(t)^{n/(n-1)}; F_1(t) = artanh t
+        for t in (0.2, 0.5, 0.8, 0.95):
+            expected = _fn_hyperbolic(n - 1, t) ** (n / (n - 1))
+            assert g_hyperbolic(n, _fn_hyperbolic(n, t)) == pytest.approx(expected, rel=1e-12)
+        assert _fn_hyperbolic(1, 0.5) == pytest.approx(math.atanh(0.5), rel=1e-15)
 
     def test_g_zero(self):
         assert g_hyperbolic(3, 0.0) == 0.0
@@ -671,6 +671,13 @@ class TestHyperbolicSpecialFunctions:
         assert h_hyperbolic(n, t) == pytest.approx(expected, rel=1e-13)
 
 
+def _f_spherical_concavity_limit(n):
+    """The largest argument up to which F is concave: its slope in the
+    geodesic coordinate s is 2 / sin s, decreasing exactly for s <= pi/2, and
+    the value there is the normalized volume of the whole hemisphere."""
+    return sin_power_primitive_full(n, math.pi / 2.0) / 2.0 ** n
+
+
 class TestSphericalComparisonFunction:
     def test_zero(self):
         assert f_spherical(3, 0.0) == 0.0
@@ -687,7 +694,7 @@ class TestSphericalComparisonFunction:
         # around at the equator); bodies never exceed this argument
         rng = np.random.default_rng(1)
         for n in (2, 3, 4):
-            limit = f_spherical_concavity_limit(n)
+            limit = _f_spherical_concavity_limit(n)
             for _ in range(250):
                 a, b = rng.uniform(0.0, limit, size=2)
                 mid = f_spherical(n, (a + b) / 2)
@@ -696,7 +703,7 @@ class TestSphericalComparisonFunction:
     def test_convex_past_equator(self):
         # the turnaround is real: midpoint concavity fails on the outer branch
         limit = f_spherical_limit(3)
-        lo = f_spherical_concavity_limit(3) * 1.05
+        lo = _f_spherical_concavity_limit(3) * 1.05
         a, b = lo, limit * 0.999
         mid = f_spherical(3, (a + b) / 2)
         assert mid < (f_spherical(3, a) + f_spherical(3, b)) / 2
@@ -724,10 +731,10 @@ class TestMeasureFunctions:
     @pytest.mark.parametrize("space", [E3, H3])
     def test_big_psi_concavity(self, space):
         densities = [
-            gaussian_measure() if space.delta == 0 else custom_measure(
-                lambda r: np.exp(-np.asarray(r, dtype=float))),
-            custom_measure(lambda r: np.exp(-0.8 * np.asarray(r, dtype=float))),
-            custom_measure(lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2) ** 2),
+            gaussian_measure() if space.delta == 0 else RadialDensityMeasure(
+                "custom", lambda r: np.exp(-np.asarray(r, dtype=float))),
+            RadialDensityMeasure("custom", lambda r: np.exp(-0.8 * np.asarray(r, dtype=float))),
+            RadialDensityMeasure("custom", lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2) ** 2),
         ]
         rng = np.random.default_rng(11)
         for mu in densities:
@@ -753,7 +760,7 @@ class TestMeasureFunctions:
             evaluated.append(r.size)
             return np.exp(-r ** 2 / 2.0)
 
-        mu = custom_measure(profile)
+        mu = RadialDensityMeasure("custom", profile)
         evaluated.clear()
         radii = np.array([0.5, 0.5, 9.0, 0.5])
         batched = mu.radial_integral(H3, 3, radii)
@@ -764,7 +771,7 @@ class TestMeasureFunctions:
 
     def test_decreasing_validation(self):
         with pytest.raises(DomainError):
-            custom_measure(lambda r: 1.0 + np.asarray(r, dtype=float))
+            RadialDensityMeasure("custom", lambda r: 1.0 + np.asarray(r, dtype=float))
 
 
 class TestGaussianMoment:
@@ -883,21 +890,28 @@ class TestRhsBounds:
             rhs_bound("min2d", make_ball(S2, 0.7), variant="literal")
 
 
+def _phi_ratio_sides(n, x):
+    """Both sides of (phi_{n-1}(pi/2) / phi_n(pi/2)) phi_n(x) <= phi_{n-1}(x) on
+    s+, for x in [0, pi/2]; equality exactly at the endpoints."""
+    space, rim = SpaceSpec(1, n), math.pi / 2
+    return phi(space, n - 1, rim) / phi(space, n, rim) * phi(space, n, x), phi(space, n - 1, x)
+
+
 class TestPhiRatioInequality:
     def test_endpoints(self):
-        lhs0, rhs0 = phi_ratio_inequality_check(3, 0.0)
+        lhs0, rhs0 = _phi_ratio_sides(3, 0.0)
         assert lhs0 == rhs0 == 0.0
-        lhs1, rhs1 = phi_ratio_inequality_check(3, math.pi / 2)
+        lhs1, rhs1 = _phi_ratio_sides(3, math.pi / 2)
         assert lhs1 == pytest.approx(rhs1, rel=1e-14)
 
     def test_strict_inside(self):
-        lhs, rhs = phi_ratio_inequality_check(3, math.pi / 4)
+        lhs, rhs = _phi_ratio_sides(3, math.pi / 4)
         assert rhs - lhs > 1e-3
 
     def test_grid(self):
         for n in (3, 4, 5):
             for x in np.linspace(0, math.pi / 2, 40):
-                lhs, rhs = phi_ratio_inequality_check(n, x)
+                lhs, rhs = _phi_ratio_sides(n, x)
                 assert lhs <= rhs + 1e-14
 
 

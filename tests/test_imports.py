@@ -1,10 +1,12 @@
-"""The library and its CLI import numpy only: scipy is a test dependency."""
+"""The library and its CLI import numpy only: scipy is a test dependency.  And
+the library holds no public name that nothing in it calls."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -65,3 +67,36 @@ def test_no_scipy_import_anywhere():
     # not even inside a function: no library path needs scipy
     for path in sorted(PACKAGE.glob("*.py")):
         assert not list(scipy_imports(ast.walk(ast.parse(path.read_text())))), path.name
+
+
+
+# The public names that nothing in src/ calls, each with the reason it stays.
+UNCALLED_PUBLIC_NAMES = {
+    "radon_quadrature": "the quadrature side of the Funk-Hecke eigenvalue check (acceptance 11)",
+    "eval_zonal": "evaluates the zonal harmonics of the Funk-Hecke eigenvalue check",
+    "make_vanishing_body": "the vanishing bodies of the benchmark and the acceptance tests",
+}
+
+
+def referenced_names(tree):
+    """Every name that a load, an attribute or an import in tree refers to."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_public_name_has_a_caller():
+    # a public function or class of a module is used in src/ outside its own
+    # definition and __init__.py, or it is on the allowlist; an allowlisted
+    # name that gains a caller or is deleted leaves the list too
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"]
+    uses = Counter(name for tree in trees for name in referenced_names(tree))
+    uncalled = {node.name for tree in trees for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+                and uses[node.name] == Counter(referenced_names(node))[node.name]}
+    assert uncalled == set(UNCALLED_PUBLIC_NAMES)

@@ -222,8 +222,9 @@ class TestSubsphereNodes:
             assert np.array_equal(batch[i], subsphere_nodes(base, xi[None])[0])
 
     def test_non_unit_normal(self):
-        with pytest.raises(DomainError):
-            subsphere_nodes(build_sphere_rule(1, 7), np.array([[1.0, 1.0, 0.0]]))
+        for normal in ([1.0, 1.0, 0.0], [np.nan, 0.0, 0.0]):
+            with pytest.raises(DomainError):
+                subsphere_nodes(build_sphere_rule(1, 7), np.array([normal]))
 
 
 class TestSelfAdjointness:

@@ -10,10 +10,7 @@ from starsections.errors import DomainError, InversionRangeError, ResourceLimitE
 from starsections.spaces import (
     SpaceSpec,
     as_direction,
-    ball_model_radius,
     brent_root,
-    geodesic_radius,
-    gnomonic_radial,
     metric_sine,
     phi,
     phi_inverse,
@@ -41,6 +38,8 @@ class TestSpaceSpec:
         as_direction([0.6, 0.8])
         with pytest.raises(DomainError):
             as_direction([0.6, 0.9])
+        with pytest.raises(DomainError):
+            as_direction([math.nan, 0.0])
 
 
 class TestMetricSine:
@@ -107,42 +106,6 @@ class TestPhi:
             for m in (2, 3, 5):
                 back = phi_inverse(space, m, phi(space, m, xs))
                 assert np.max(np.abs(back - xs)) < 1e-10
-
-
-class TestBallModel:
-    def test_examples(self):
-        assert ball_model_radius(HYPER, 0.0) == 0.0
-        assert ball_model_radius(SPHERE, math.pi / 2) == pytest.approx(1.0, abs=1e-15)
-        assert ball_model_radius(HYPER, 2.0) == pytest.approx(0.7615941559557649, abs=1e-15)
-
-    def test_round_trip_grid(self):
-        for space in (SPHERE, PLANE, HYPER):
-            hi = math.pi / 2 if space.delta == 1 else 5.0
-            rs = np.linspace(0.0, hi, 1000)
-            back = geodesic_radius(space, ball_model_radius(space, rs))
-            assert np.max(np.abs(back - rs)) <= 1e-12
-
-    def test_monotone(self):
-        rs = np.linspace(0.0, 1.5, 300)
-        for space in (SPHERE, PLANE, HYPER):
-            ts = ball_model_radius(space, rs)
-            assert np.all(np.diff(ts) > 0)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            geodesic_radius(HYPER, 1.0)
-
-
-class TestGnomonic:
-    def test_examples(self):
-        assert gnomonic_radial(0.0) == 0.0
-        assert gnomonic_radial(math.pi / 4) == pytest.approx(1.0, abs=1e-15)
-        assert gnomonic_radial(math.pi / 3) == pytest.approx(1.7320508075688772, abs=1e-12)
-        assert gnomonic_radial(math.pi / 2) == math.inf
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            gnomonic_radial(-0.2)
 
 
 class TestConstants:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from starsections.bodies import (
-    ArcsBase, GridProfile, StarBody, double_cap_base, equality_cone_base, is_convex_spherical,
+    ArcsBase, BandsBase, GridProfile, StarBody, equality_cone_base, is_convex_spherical,
     make_ball, make_cone,
 )
 from starsections import functionals, spaces, verify
@@ -203,7 +203,7 @@ class TestSuites:
 
     def test_equality_cone_and_violating_cone(self):
         eq = make_cone(S3, equality_cone_base(3, 0.4))
-        viol = make_cone(S3, double_cap_base(3, 0.5))
+        viol = make_cone(S3, BandsBase(np.eye(3)[0], np.array([-1.0, 0.5]), np.array([-0.5, 1.0])))
         cn = bound_constants("spherical-min", 3)
         for body, expect_tight in ((eq, True), (viol, False)):
             lhs = busemann_functional(body)
