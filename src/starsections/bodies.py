@@ -624,7 +624,12 @@ class IndicatorProfile(RadialProfile):
 
 @dataclass(frozen=True)
 class BumpyProfile(RadialProfile):
-    """Ball radius plus smooth zonal bumps: r0 + sum a_j exp(s_j (<u, c_j> - 1))."""
+    """Ball radius plus smooth zonal bumps: r0 + sum a_j exp(s_j (<u, c_j> - 1)).
+
+    When the second half of the bumps is the first half with negated centers
+    (as ``make_bumpy_ball(symmetric=True)`` builds them), each antipodal pair
+    takes one projection: <u, -c> is -<u, c> bit for bit.
+    """
 
     r0: float
     centers: np.ndarray      # (k, n)
@@ -639,13 +644,31 @@ class BumpyProfile(RadialProfile):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
+        k = len(self.centers)
+        half = k // 2
+        antipodal = (k > 0 and k % 2 == 0
+                     and np.array_equal(self.centers[half:], -self.centers[:half])
+                     and np.array_equal(self.amplitudes[half:], self.amplitudes[:half])
+                     and np.array_equal(self.sharpness[half:], self.sharpness[:half]))
+        # the number of leading bumps whose projections rho takes
+        object.__setattr__(self, "_projected", half if antipodal else k)
 
     def rho(self, dirs):
         dirs = np.atleast_2d(dirs)
+        projections = [dirs @ c for c in self.centers[:self._projected]]
         vals = np.full(dirs.shape[0], self.r0)
-        for c, a, s in zip(self.centers, self.amplitudes, self.sharpness):
-            vals = vals + a * np.exp(s * (dirs @ c - 1.0))
-        return np.clip(vals, self.lo, self.hi)
+        term = np.empty_like(vals)
+        for j, (a, s) in enumerate(zip(self.amplitudes, self.sharpness)):
+            if j < self._projected:
+                np.subtract(projections[j], 1.0, out=term)
+            else:
+                # <u, -c> - 1 = -1 - <u, c>, as rounding is symmetric
+                np.subtract(-1.0, projections[j - self._projected], out=term)
+            term *= s
+            np.exp(term, out=term)
+            term *= a
+            vals += term
+        return np.clip(vals, self.lo, self.hi, out=vals)
 
     def descriptor(self):
         return {
@@ -901,9 +924,9 @@ def body_from_json_dict(doc: dict) -> StarBody:
 
 
 def make_ball(space: SpaceSpec, r: float) -> StarBody:
-    space.check_radius(r)
     if not r > 0:
         raise DomainError("ball radius must be positive")
+    space.check_radius(r)
     return StarBody(space, ConstantProfile(float(r)), symmetric=True)
 
 
@@ -938,9 +961,9 @@ def _indicator_body(space: SpaceSpec, base: ConeBase, height: float) -> StarBody
     """
     if base.ambient_dim != space.dim:
         raise DomainError("base dimension does not match the space")
-    space.check_radius(height, name="height")
     if not height > 0:
         raise DomainError(f"the height must be positive, got {height!r}")
+    space.check_radius(height, name="height")
     if space.dim == 2 and isinstance(base, BandsBase):
         base = bands_to_arcs(base)
     return StarBody(space, IndicatorProfile(base, height), symmetric=base.is_origin_symmetric())

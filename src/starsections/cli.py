@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fun.add_argument("--body", required=True, help="kind:key=val,... or @file.json")
     p_fun.add_argument("--measure", default=None, choices=["uniform", "gaussian"])
     p_fun.add_argument("--normalized", action="store_true")
-    p_fun.add_argument("--exponent", type=int, default=None)
+    p_fun.add_argument("--exponent", type=_integer_at_least(1, "section-power exponent"), default=None)
     p_fun.add_argument("--sections", type=_count, default=0, metavar="N",
                        help="print a table of N section volumes")
     p_fun.add_argument("--dump-body", default=None, help="write the body JSON here")

@@ -106,8 +106,9 @@ def _section_grid(n: int, outer_degree: int, inner_degree: int):
 # radially symmetric measures
 
 
-_GL_T, _GL_W = gauss_jacobi(48, 0.0)
-_GL01 = (_GL_T + 1.0) / 2.0, _GL_W / 2.0   # the 48-point Gauss-Legendre rule on [0, 1]
+# the density integrals' fixed panels [jP, (j+1)P] and the nodes per panel
+_PANEL = 0.5
+_PANEL_NODES = 12
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 
@@ -171,22 +172,49 @@ class RadialDensityMeasure:
         if self.profile is _gaussian_profile and space.delta == 0:
             out = _gaussian_moment(m, up)
         else:
-            x01, w01 = _GL01
-            # composite panels keep the fixed rule accurate on long ranges; each
-            # point takes its own count, evaluates only its own panels and sums
-            # its own rows (not a matrix-vector product, whose rounding of a row
-            # depends on the rows beside it), so its value does not depend on
-            # the batch
-            npanels = np.maximum(1.0, np.ceil(up / 4.0))
-            out = np.zeros_like(up)
-            for j in range(int(np.max(npanels, initial=1.0))):
-                rows = np.flatnonzero(npanels > j)
-                upr, npr = up[rows], npanels[rows]
-                nodes = upr[:, None] * ((j + x01[None, :]) / npr[:, None])
-                sm = np.asarray(self.profile(nodes)) * metric_sine(space, nodes) ** (m - 1)
-                out[rows] += (upr / npr) * np.sum(sm * w01, axis=1)
+            out = self._panel_integral(space, m, up)
         out = self.dim_weight(m) * out
         return float(out[0]) if scalar else out
+
+    def _panel_integral(self, space: SpaceSpec, m: int, up):
+        """The integral of profile(t) s_delta(t)^{m-1} over [0, u] for each u of
+        the 1-d array up: the whole panels below u, each summed once per call
+        and prefix-summed, plus one rule over [floor(u / P) P, u].  One profile
+        and one metric_sine call take every node.  A panel's value depends only
+        on its index, and every row is summed on its own (not by a
+        matrix-vector product, whose rounding of a row depends on the rows
+        beside it), so a point's value does not depend on the batch."""
+        x01, w01 = _panel_rule()
+        k = np.floor(space.check_radius(up, name="upper") / _PANEL)
+        panels = int(np.max(k, initial=0.0))
+        lo = k * _PANEL
+        width = up - lo
+        # the nodes, filled in place: panel j's at (j + x01) P, then each
+        # point's at lo + width x01
+        t = np.empty((panels + len(up), len(x01)))
+        np.add(np.arange(panels)[:, None], x01, out=t[:panels])
+        t[:panels] *= _PANEL
+        np.multiply(width[:, None], x01, out=t[panels:])
+        t[panels:] += lo[:, None]
+        # the products are taken in place, and each array is dropped once
+        # used, which keeps the peak at three arrays of nodes
+        f = np.asarray(self.profile(t), dtype=float)
+        sm = metric_sine(space, t)
+        del t
+        sm **= m - 1
+        sm *= f
+        del f
+        sm *= w01
+        sums = np.sum(sm, axis=1)
+        prefix = np.concatenate([[0.0], np.cumsum(_PANEL * sums[:panels])])
+        return prefix[k.astype(np.intp)] + width * sums[panels:]
+
+
+@lru_cache(maxsize=1)
+def _panel_rule():
+    """The ``_PANEL_NODES``-point Gauss-Legendre rule on [0, 1]."""
+    t, w = gauss_jacobi(_PANEL_NODES, 0.0)
+    return (t + 1.0) / 2.0, w / 2.0
 
 
 def _gaussian_profile(r):
@@ -274,16 +302,25 @@ def _indicator_sections(body: StarBody, mu, xis):
     return h * body.profile.base.section_measures(xis)
 
 
-# the most points of -dirs that ``_pair_radial`` holds at once
-_NEGATED_BLOCK_POINTS = 1 << 14
+# the most points whose rho and radial primitive are evaluated at once: a
+# float64 temporary of 16,000 points stays under glibc's 128 KB mmap threshold,
+# so the block's temporaries reuse the heap instead of being mapped afresh
+_BLOCK_POINTS = 16_000
 
 
 def _body_radial(body: StarBody, mu, m: int, dirs):
     """Radial primitives (of dimension m) of a non-indicator body along the last
     axis of dirs, which holds unit directions: shape dirs.shape[:-1].  Every
-    other left side is a weighted sum of these."""
-    rho = body.rho(dirs.reshape(-1, body.space.dim))
-    return _radial(body.space, m, rho, mu).reshape(dirs.shape[:-1])
+    other left side is a weighted sum of these.  More than ``_BLOCK_POINTS``
+    points are evaluated a block at a time into one output."""
+    flat = dirs.reshape(-1, body.space.dim)
+    if len(flat) <= _BLOCK_POINTS:
+        return _radial(body.space, m, body.rho(flat), mu).reshape(dirs.shape[:-1])
+    out = np.empty(len(flat))
+    for start in range(0, len(flat), _BLOCK_POINTS):
+        block = flat[start:start + _BLOCK_POINTS]
+        out[start:start + len(block)] = _radial(body.space, m, body.rho(block), mu)
+    return out.reshape(dirs.shape[:-1])
 
 
 def _pair_radial(body: StarBody, mu, m: int, dirs):
@@ -294,8 +331,9 @@ def _pair_radial(body: StarBody, mu, m: int, dirs):
     of a cached product grid would copy it."""
     out = _body_radial(body, mu, m, dirs)
     if body.symmetric:
-        return 2.0 * out
-    rows = max(1, _NEGATED_BLOCK_POINTS // math.prod(dirs.shape[1:-1]))
+        out *= 2.0
+        return out
+    rows = max(1, _BLOCK_POINTS // math.prod(dirs.shape[1:-1]))
     for start in range(0, len(dirs), rows):
         out[start:start + rows] += _body_radial(body, mu, m, -dirs[start:start + rows])
     return out

@@ -10,6 +10,7 @@ from starsections.bodies import (
     STRIP_CAP,
     ArcsBase,
     BandsBase,
+    BumpyProfile,
     GridProfile,
     StarBody,
     bands_to_arcs,
@@ -1073,3 +1074,38 @@ class TestSymmetryClaimsHoldToRoundoff:
     def test_every_builder_passes(self, builder):
         body = builder()
         assert body.symmetric and body.check_symmetry()
+
+
+class TestBumpyPairs:
+    """A symmetric bumpy ball's mirrored bumps take one projection per pair,
+    and give the term-by-term sum bit for bit."""
+
+    @staticmethod
+    def _term_by_term(profile, dirs):
+        vals = np.full(dirs.shape[0], profile.r0)
+        for c, a, s in zip(profile.centers, profile.amplitudes, profile.sharpness):
+            vals = vals + a * np.exp(s * (dirs @ c - 1.0))
+        return np.clip(vals, profile.lo, profile.hi)
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("space", [S3, E3, SpaceSpec(1, 4)], ids=str)
+    def test_rho_is_the_term_by_term_sum(self, space, symmetric):
+        rng = np.random.default_rng(space.dim)
+        centers = rng.normal(size=(3, space.dim))
+        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+        body = make_bumpy_ball(space, 0.8, centers, [0.2, -0.1, 0.05], [3.0, 5.0, 2.0],
+                               symmetric=symmetric)
+        dirs = rng.normal(size=(5000, space.dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        assert np.array_equal(body.profile.rho(dirs), self._term_by_term(body.profile, dirs))
+
+    def test_pairs_are_found_only_when_exact(self):
+        body = make_bumpy_ball(S3, 0.8, [[0.0, 0.6, 0.8], [1.0, 0.0, 0.0]], [0.2, 0.1], [3.0, 4.0],
+                               symmetric=True)
+        p = body.profile
+        assert p._projected == 2
+        nudged = np.array(p.amplitudes)
+        nudged[3] = np.nextafter(nudged[3], 1.0)
+        assert BumpyProfile(p.r0, p.centers, nudged, p.sharpness)._projected == 4
+        # two bumps that are each other's mirror are such a pair
+        assert BumpyProfile(0.8, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [0.2, 0.2], [3.0, 3.0])._projected == 1

@@ -288,6 +288,16 @@ class TestUsage:
         captured = capsys.readouterr()
         assert "a count must be >= 0, got -3" in captured.err and not captured.out
 
+    @pytest.mark.parametrize("exponent", ["-2", "0"])
+    def test_exponent_below_one_exits_two(self, exponent, capsys):
+        # a cone's zero sections to a negative power gave "functional: inf"
+        assert run_cli("functional", "--space", "s+:3", "--body", "cone:cap=0.3",
+                       "--exponent", exponent) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"a section-power exponent must be >= 1, got {exponent}" in errors[0]
+
     def test_experiment_takes_no_quadrature_flags(self):
         assert run_cli("experiment", "sharpness", "--dim", "3", "--outer-degree", "5") == 2
 

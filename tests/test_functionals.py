@@ -752,20 +752,21 @@ class TestMeasureFunctions:
         assert alone[0] == batched[0]
         assert mu.radial_integral(H2, 2, 9.0) == batched[1]
 
-    def test_radial_integral_evaluates_only_the_panels_each_point_needs(self):
-        evaluated = []
+    def test_radial_integral_takes_every_node_in_one_profile_call(self):
+        calls = []
 
         def profile(r):
             r = np.asarray(r, dtype=float)
-            evaluated.append(r.size)
+            calls.append(r.size)
             return np.exp(-r ** 2 / 2.0)
 
         mu = RadialDensityMeasure("custom", profile)
-        evaluated.clear()
-        radii = np.array([0.5, 0.5, 9.0, 0.5])
+        calls.clear()
+        radii = np.array([0.5, 0.5, 9.0, 0.3])
         batched = mu.radial_integral(H3, 3, radii)
-        # 9.0 takes three panels of 48 nodes, each 0.5 one panel
-        assert sum(evaluated) == 48 * (3 + 1 + 1 + 1)
+        # q nodes per point, plus q per whole panel below the largest radius
+        q, panel = functionals._PANEL_NODES, functionals._PANEL
+        assert calls == [q * (len(radii) + int(9.0 / panel))]
         for r, value in zip(radii, batched):
             assert mu.radial_integral(H3, 3, r) == value
 
@@ -1156,3 +1157,110 @@ class TestPairSum:
         reference = functionals._adaptive_circle(integrand, DEFAULT.angular_tol, breaks)
         assert busemann_functional(body, exponent=exponent) == reference[0]
         assert busemann_functional_with_error(body, exponent=exponent) == reference
+
+
+# the measures of test_big_psi_concavity, each with its density in mpmath
+DENSITIES = {
+    "gaussian": (gaussian_measure(), lambda mp, t: mp.exp(-t * t / 2)),
+    "exp": (RadialDensityMeasure("custom", lambda r: np.exp(-np.asarray(r, dtype=float))),
+            lambda mp, t: mp.exp(-t)),
+    "exp-0.8": (RadialDensityMeasure("custom", lambda r: np.exp(-0.8 * np.asarray(r, dtype=float))),
+                lambda mp, t: mp.exp(-0.8 * t)),
+    "rational": (RadialDensityMeasure("custom", lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2) ** 2),
+                 lambda mp, t: 1 / (1 + t * t) ** 2),
+}
+PANEL = functionals._PANEL
+PANEL_EDGES = [PANEL, math.nextafter(PANEL, 1.0), 2 * PANEL]
+
+
+def _density_reference(mp, density, delta, m, u):
+    """The integral of density(t) s_delta(t)^{m-1} over [0, u] to 40 digits,
+    in s = t / u, where the integrand is of order 1 at every u."""
+    mp.mp.dps = 40
+    scale = mp.mpf(u)
+    sine = mp.sinh if delta == -1 else mp.sin
+
+    def integrand(s):
+        return density(mp, scale * s) * (sine(scale * s) / scale) ** (m - 1)
+
+    return scale ** m * mp.quad(integrand, mp.linspace(0, 1, max(2, math.ceil(u / 4) + 1)))
+
+
+class TestDensityIntegralReference:
+    """radial_integral on the shared panels against 40-digit references that
+    use neither functionals nor spaces.phi.  The tolerance grows with
+    (m - 1) u: that is the relative change of s_delta(t)^{m-1} when t moves by
+    one rounding, which no float rule can avoid."""
+
+    @staticmethod
+    def _check(name, delta, m, radii):
+        mp = pytest.importorskip("mpmath")
+        mu, mp_density = DENSITIES[name]
+        radii = np.asarray(radii)
+        got = mu.radial_integral(SpaceSpec(delta, max(m, 2)), m, radii) / mu.dim_weight(m)
+        expected = np.array([float(_density_reference(mp, mp_density, delta, m, u)) for u in radii])
+        err = np.abs(got - expected) / expected
+        assert np.all(err <= 3e-15 + 1.1e-16 * (m - 1) * radii), (radii, err)
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    @pytest.mark.parametrize("delta, radii", [
+        (1, [1e-6, 0.3, *PANEL_EDGES, 1.2, math.pi / 2]),
+        (-1, [1e-6, 0.3, *PANEL_EDGES, 1.2, 7.5, 20.0]),
+    ], ids=["s+", "h"])
+    def test_gaussian(self, delta, radii, m):
+        self._check("gaussian", delta, m, radii)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("delta, radii", [
+        (1, [1e-6, PANEL_EDGES[1], 1.2, math.pi / 2]),
+        (-1, [1e-6, PANEL_EDGES[1], 1.2, 7.5]),
+    ], ids=["s+", "h"])
+    @pytest.mark.parametrize("name", ["exp", "exp-0.8", "rational"])
+    def test_custom_densities(self, name, delta, radii, m):
+        self._check(name, delta, m, radii)
+
+    def test_nan_and_negative_radii_are_refused(self):
+        mu = DENSITIES["exp"][0]
+        for u in (math.nan, -0.1):
+            with pytest.raises(DomainError):
+                mu.radial_integral(H3, 3, np.array([0.5, u]))
+
+
+def _bumpy(space, seed):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(2, space.dim))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    return make_bumpy_ball(space, 0.8, centers, [0.15, -0.1], [3.0, 5.0], symmetric=True)
+
+
+class TestProductPathBlocks:
+    """The product path evaluates rho and the radial primitive a block of
+    points at a time, so that its temporaries stay small."""
+
+    @pytest.mark.parametrize("mu", [None, gaussian_measure()], ids=["uniform", "gaussian"])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    def test_blocks_give_one_pass_bit_for_bit(self, symmetric, mu, monkeypatch, fresh_grid_cache):
+        space = SpaceSpec(1, 4)
+        body = random_star_body(space, np.random.default_rng(6), symmetric)
+        _, blocked = functionals._rule_sections(body, mu, DEFAULT, "product")
+        embedded = functionals._section_grid(4, DEFAULT.outer(4), DEFAULT.inner(4))[2]
+        assert embedded.shape[0] * embedded.shape[1] > 2 * functionals._BLOCK_POINTS
+        monkeypatch.setattr(functionals, "_BLOCK_POINTS", 1 << 30)
+        _, whole = functionals._rule_sections(body, mu, DEFAULT, "product")
+        # a point's density integral does not depend on its batch either
+        assert np.array_equal(blocked, whole)
+
+    @pytest.mark.parametrize("space, mu, config, cap", [
+        (SpaceSpec(1, 4), None, DEFAULT, 4e6),
+        (H3, gaussian_measure(), QuadratureConfig(outer_degree=39, inner_degree=63), 6e6),
+    ], ids=["s+4-bumpy", "h3-gaussian"])
+    def test_peak_memory_of_one_functional(self, space, mu, config, cap, fresh_grid_cache):
+        body = _bumpy(space, 5)
+        busemann_functional(body, mu, config=config)   # builds and caches the grid
+        tracemalloc.start()
+        try:
+            busemann_functional(body, mu, config=config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap

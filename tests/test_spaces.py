@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from starsections import spaces
-from starsections.errors import DomainError, InversionRangeError, ResourceLimitError, SolverError
+from starsections.errors import (
+    DomainError,
+    GeometryError,
+    InversionRangeError,
+    ResourceLimitError,
+    SolverError,
+)
 from starsections.spaces import (
     SpaceSpec,
     as_direction,
@@ -106,6 +112,88 @@ class TestPhi:
             for m in (2, 3, 5):
                 back = phi_inverse(space, m, phi(space, m, xs))
                 assert np.max(np.abs(back - xs)) < 1e-10
+
+
+def _sine_levels(m, x):
+    """phi_m on the sphere by the power-reduction step from phi_1 or phi_2,
+    each level taking its own sin x and cos x."""
+    if m == 1:
+        return x.copy()
+    if m == 2:
+        return 1.0 - np.cos(x)
+    return (-np.sin(x) ** (m - 2) * np.cos(x) + (m - 2) * _sine_levels(m - 2, x)) / (m - 1)
+
+
+def _sinh_levels(m, x):
+    """The same in hyperbolic space."""
+    if m == 1:
+        return x.copy()
+    if m == 2:
+        return np.cosh(x) - 1.0
+    return (np.sinh(x) ** (m - 2) * np.cosh(x) - (m - 2) * _sinh_levels(m - 2, x)) / (m - 1)
+
+
+class TestPowerReduction:
+    X = np.linspace(1e-3, math.pi / 2, 997)
+
+    @pytest.mark.parametrize("m", range(4, 13))
+    def test_sphere_takes_each_level_bit_for_bit(self, m):
+        # sin x and cos x are taken once per call, with the same float steps
+        assert np.array_equal(phi(SpaceSpec(1, m), m, self.X),
+                              _sine_levels(m, self.X))
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_hyperbolic_space_takes_each_level_bit_for_bit(self, m):
+        x = 4.0 * self.X
+        assert np.array_equal(phi(SpaceSpec(-1, max(m, 2)), m, x),
+                              _sinh_levels(m, x))
+
+    def test_phi3_takes_one_sine(self):
+        assert np.array_equal(phi(SPHERE, 3, self.X), (self.X - 0.5 * np.sin(2.0 * self.X)) / 2.0)
+
+    def test_phi3_against_a_40_digit_reference(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        x = np.linspace(0.3, math.pi / 2, 1201)
+        expected = np.array([float((mp.mpf(t) - mp.sin(mp.mpf(t)) * mp.cos(mp.mpf(t))) / 2) for t in x])
+        err = np.abs(phi(SPHERE, 3, x) - expected) / expected
+        assert np.max(err[x >= 0.5]) <= 5e-16
+        # below 0.5 the one rounding of sin 2x / 2 is amplified by its
+        # cancellation against x (smaller x belongs to the series of item 9)
+        half_sine = np.sin(2.0 * x) / 2.0
+        assert np.all(err <= 2.3e-16 * (1.0 + half_sine / (x - half_sine)))
+
+
+class TestNaN:
+    """NaN fails every radius and value check, as a DomainError."""
+
+    @pytest.mark.parametrize("space", [SPHERE, PLANE, HYPER], ids=str)
+    def test_phi_and_metric_sine(self, space):
+        for value in (math.nan, np.array([0.2, math.nan])):
+            with pytest.raises(DomainError):
+                metric_sine(space, value)
+            with pytest.raises(DomainError):
+                phi(space, 3, value)
+            with pytest.raises(DomainError):
+                space.check_radius(value)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("space", [SPHERE, PLANE, HYPER], ids=str)
+    def test_phi_inverse_is_a_geometry_error(self, space, m):
+        # m = 4 once reached brent_root, which raised a plain ValueError
+        for value in (math.nan, np.array([0.2, math.nan])):
+            with pytest.raises(GeometryError, match="phi values are nonnegative"):
+                phi_inverse(space, m, value)
+
+    def test_the_bounds_still_hold(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            phi(HYPER, 3, -1e-300)
+        with pytest.raises(DomainError, match="exceeds pi/2"):
+            phi(SPHERE, 3, math.pi / 2 + 1e-9)
+        with pytest.raises(ResourceLimitError):
+            phi(HYPER, 3, math.inf)
+        with pytest.raises(InversionRangeError):
+            phi_inverse(SPHERE, 4, math.inf)
 
 
 class TestConstants:

@@ -133,3 +133,18 @@ def test_dump_header_names_the_numeric_environment(capsys):
     assert [line.split(":")[0] for line in lines[1:]] == [
         "# numpy cpu baseline", "# numpy cpu dispatch", "# openblas core"]
     assert lines[0].startswith("# numpy ") and all(line.split(": ")[1] for line in lines[1:])
+
+
+def test_dump_prints_the_radial_primitives(capsys):
+    spec = importlib.util.spec_from_file_location("dump_outputs", TOOLS / "dump_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.radial()
+    labels = [line.split(" ")[0] for line in capsys.readouterr().out.splitlines()]
+    for space in ("-1:3", "-1:5", "+1:4"):
+        for m in (2, 3, 5):
+            for u in ("0.0001", "0.3", "0.5", "0.5000000000000001", "1.2"):
+                assert f"radial/gaussian/{space}/{m}/{u}" in labels
+            assert (f"radial/gaussian/{space}/{m}/7.5" in labels) == space.startswith("-1")
+    assert [label for label in labels if label.startswith("radial/phi/")] == [
+        f"radial/phi/+1/{m}/{x}" for m in range(1, 7) for x in ("0.001", "0.7", "1.5")]

@@ -23,7 +23,10 @@ OLD NEW`` prints how far each group moved.  The set is
 * bodies on each evaluation path (arcs, indicator, plane, zonal, product),
   each with the uniform and the Gaussian measure and with the default
   config, ``plane_adaptive=False`` and degree 31: volume, functional,
-  normalized first power, functional with error and three section volumes.
+  normalized first power, functional with error and three section volumes;
+* the radial primitives alone: the Gaussian ``radial_integral`` on h:3, h:5
+  and s+:4 for m = 2, 3, 5 at radii on and next to the density panels' edges
+  (and 7.5 on h), and phi_m on the hemisphere for m = 1..6.
 
 The first lines, which begin with ``#``, name the numeric environment:
 numpy's SIMD baseline and the dispatched SIMD targets this CPU enables, and
@@ -63,6 +66,7 @@ from starsections import (  # noqa: E402
     make_striped_cone,
     make_vanishing_body,
     perturbation_sign_experiment,
+    phi,
     run_theorem_suite,
     section_volume,
     sharpness_schedule,
@@ -210,6 +214,19 @@ def paths():
                     out(f"{label}/section/{i}", section_volume(body, xi, mu, config))
 
 
+def radial():
+    mu = gaussian_measure()
+    for delta, n in ((-1, 3), (-1, 5), (1, 4)):
+        radii = [1e-4, 0.3, 0.5, 0.5000000000000001, 1.2] + ([7.5] if delta == -1 else [])
+        for m in (2, 3, 5):
+            values = mu.radial_integral(SpaceSpec(delta, n), m, np.array(radii))
+            for u, value in zip(radii, values):
+                out(f"radial/gaussian/{delta:+d}:{n}/{m}/{u!r}", float(value))
+    for m in range(1, 7):
+        for x in (1e-3, 0.7, 1.5):
+            out(f"radial/phi/+1/{m}/{x!r}", phi(SpaceSpec(1, max(m, 2)), m, x))
+
+
 def main():
     environment()
     suites()
@@ -218,6 +235,7 @@ def main():
     vanishing()
     windowed()
     paths()
+    radial()
 
 
 if __name__ == "__main__":
