@@ -622,13 +622,21 @@ class IndicatorProfile(RadialProfile):
         return {"kind": "cone", "height": self.height, "base": self.base.descriptor()}
 
 
+# the largest s and s |c| of an antipodal bump pair that BumpyProfile sums as
+# one cosh: cosh(700) ~ 5e303 is finite, and e^{-700} ~ 1e-304 is normal
+_COSH_ARG_MAX = 700.0
+
+
 @dataclass(frozen=True)
 class BumpyProfile(RadialProfile):
     """Ball radius plus smooth zonal bumps: r0 + sum a_j exp(s_j (<u, c_j> - 1)).
 
     When the second half of the bumps is the first half with negated centers
     (as ``make_bumpy_ball(symmetric=True)`` builds them), each antipodal pair
-    takes one projection: <u, -c> is -<u, c> bit for bit.
+    sums to 2 a e^{-s} cosh(s <u, c>): one projection and one cosh per pair.
+    That form is taken where e^{-s} and cosh(s <u, c>) stay finite and normal
+    for every unit u (0 < s, s <= ``_COSH_ARG_MAX`` and s |c| <=
+    ``_COSH_ARG_MAX``); every other bump is summed on its own.
     """
 
     r0: float
@@ -650,23 +658,36 @@ class BumpyProfile(RadialProfile):
                      and np.array_equal(self.centers[half:], -self.centers[:half])
                      and np.array_equal(self.amplitudes[half:], self.amplitudes[:half])
                      and np.array_equal(self.sharpness[half:], self.sharpness[:half]))
-        # the number of leading bumps whose projections rho takes
-        object.__setattr__(self, "_projected", half if antipodal else k)
+        s = self.sharpness[:half]
+        paired = np.zeros(k, dtype=bool)
+        if antipodal:
+            scale = np.maximum(np.linalg.norm(self.centers[:half], axis=1), 1.0)
+            paired[:half] = (s > 0) & (s * scale <= _COSH_ARG_MAX)
+            paired[half:] = paired[:half]
+        lead = paired[:half]
+        # each pair's scaled center s c and coefficient 2 a e^{-s}, and the
+        # indices of the bumps summed one by one
+        for name, arr in (("_pair_centers", s[lead, None] * self.centers[:half][lead]),
+                          ("_pair_coefs", 2.0 * self.amplitudes[:half][lead] * np.exp(-s[lead])),
+                          ("_single", np.flatnonzero(~paired))):
+            object.__setattr__(self, name, arr)
+            arr.setflags(write=False)
 
     def rho(self, dirs):
         dirs = np.atleast_2d(dirs)
-        projections = [dirs @ c for c in self.centers[:self._projected]]
         vals = np.full(dirs.shape[0], self.r0)
         term = np.empty_like(vals)
-        for j, (a, s) in enumerate(zip(self.amplitudes, self.sharpness)):
-            if j < self._projected:
-                np.subtract(projections[j], 1.0, out=term)
-            else:
-                # <u, -c> - 1 = -1 - <u, c>, as rounding is symmetric
-                np.subtract(-1.0, projections[j - self._projected], out=term)
-            term *= s
+        for sc, coef in zip(self._pair_centers, self._pair_coefs):
+            np.matmul(dirs, sc, out=term)
+            np.cosh(term, out=term)
+            term *= coef
+            vals += term
+        for j in self._single:
+            np.matmul(dirs, self.centers[j], out=term)
+            term -= 1.0
+            term *= self.sharpness[j]
             np.exp(term, out=term)
-            term *= a
+            term *= self.amplitudes[j]
             vals += term
         return np.clip(vals, self.lo, self.hi, out=vals)
 

@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="explicit body spec (repeatable)")
     p_ver.add_argument("--dim", type=int, default=None, help="suite dimension")
     p_ver.add_argument("--random", type=_count, default=None, help="number of random suite bodies (0)")
-    p_ver.add_argument("--seed", type=int, default=None, help="seed of the random suite bodies (0)")
+    p_ver.add_argument("--seed", type=_count, default=None, help="seed of the random suite bodies (0)")
     p_ver.add_argument("--w", type=float, default=None, help="lune half-width")
     add_quad_args(p_ver)
     p_ver.set_defaults(fn=cmd_verify)
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--sense", default="max", choices=["max", "min"])
     p_exp.add_argument("--volume", type=float, default=None)
     p_exp.add_argument("--budget", type=int, default=4000)
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument("--seed", type=_count, default=0)
     p_exp.add_argument("--out", default=None, help="write the table to .csv")
     p_exp.set_defaults(fn=cmd_experiment)
     return parser

@@ -165,14 +165,19 @@ class RadialDensityMeasure:
 
     def radial_integral(self, space: SpaceSpec, m: int, upper):
         """Vectorized integral of profile(t) s_delta(t)^{m-1} dt over [0, upper],
-        times the dimension weight."""
+        times the dimension weight.  The panel rule takes the points in blocks
+        of ``_BLOCK_POINTS // _PANEL_NODES``, so that its node arrays stay as
+        small as the product path's other temporaries."""
         upper = np.asarray(upper, dtype=float)
         scalar = upper.ndim == 0
         up = np.atleast_1d(upper)
         if self.profile is _gaussian_profile and space.delta == 0:
             out = _gaussian_moment(m, up)
         else:
-            out = self._panel_integral(space, m, up)
+            out = np.empty(len(up))
+            step = max(1, _BLOCK_POINTS // _PANEL_NODES)
+            for start in range(0, len(up), step):
+                out[start:start + step] = self._panel_integral(space, m, up[start:start + step])
         out = self.dim_weight(m) * out
         return float(out[0]) if scalar else out
 
@@ -505,7 +510,8 @@ def f_spherical(n: int, v):
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     limit = f_spherical_limit(n)
-    if np.any((arr < 0) | (arr > limit * (1 + 1e-12))):
+    # written so that NaN fails it, as in SpaceSpec.check_radius
+    if not np.all((arr >= 0) & (arr <= limit * (1 + 1e-12))):
         raise DomainError(f"argument must lie in [0, {limit!r}]")
     x = monotone_inverse(lambda s: sin_power_primitive_full(n, s), 2.0 ** n * np.minimum(arr, limit),
                          math.pi)

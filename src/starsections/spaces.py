@@ -149,7 +149,8 @@ def sin_power_primitive_full(m: int, x):
     the hemisphere rim; not subject to the pi/2 radius check.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -1e-15) or np.any(arr > math.pi + 1e-12):
+    # written so that NaN fails it, as in SpaceSpec.check_radius
+    if not np.all((arr >= -1e-15) & (arr <= math.pi + 1e-12)):
         raise DomainError("x must lie in [0, pi]")
     out = _sin_power_primitive(m, arr)
     return out if out.ndim else float(out)

@@ -213,7 +213,7 @@ def suite_bodies(theorem_id: str, dim: int | None = None, random_count: int = 0,
     """Equality-case bodies plus random bodies for a named theorem suite."""
     theorem = get_theorem(theorem_id)
     default_dim, factory = _SUITE_BODIES[theorem_id]
-    n = dim or default_dim
+    n = default_dim if dim is None else dim
     if n not in theorem.dims:
         raise ApplicabilityError(f"theorem {theorem_id!r} does not apply to n = {n}")
     return factory(n, np.random.default_rng(seed), random_count)

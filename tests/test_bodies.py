@@ -1077,8 +1077,9 @@ class TestSymmetryClaimsHoldToRoundoff:
 
 
 class TestBumpyPairs:
-    """A symmetric bumpy ball's mirrored bumps take one projection per pair,
-    and give the term-by-term sum bit for bit."""
+    """A symmetric bumpy ball sums each mirrored pair of bumps as one cosh,
+    a e^{s(t-1)} + a e^{s(-t-1)} = 2 a e^{-s} cosh(s t); every other bump is
+    summed on its own, as the term-by-term sum does."""
 
     @staticmethod
     def _term_by_term(profile, dirs):
@@ -1087,25 +1088,72 @@ class TestBumpyPairs:
             vals = vals + a * np.exp(s * (dirs @ c - 1.0))
         return np.clip(vals, profile.lo, profile.hi)
 
-    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
-    @pytest.mark.parametrize("space", [S3, E3, SpaceSpec(1, 4)], ids=str)
-    def test_rho_is_the_term_by_term_sum(self, space, symmetric):
+    @staticmethod
+    def _body_and_dirs(space, symmetric, count):
         rng = np.random.default_rng(space.dim)
         centers = rng.normal(size=(3, space.dim))
         centers /= np.linalg.norm(centers, axis=1, keepdims=True)
         body = make_bumpy_ball(space, 0.8, centers, [0.2, -0.1, 0.05], [3.0, 5.0, 2.0],
                                symmetric=symmetric)
-        dirs = rng.normal(size=(5000, space.dim))
+        dirs = rng.normal(size=(count, space.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        assert np.array_equal(body.profile.rho(dirs), self._term_by_term(body.profile, dirs))
+        return body.profile, dirs
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("space", [S3, E3, SpaceSpec(1, 4)], ids=str)
+    def test_rho_is_the_term_by_term_sum(self, space, symmetric):
+        """Bit for bit without pairs; with pairs within a few roundings of
+        the largest terms, r0 + sum |a_j|."""
+        profile, dirs = self._body_and_dirs(space, symmetric, 5000)
+        assert len(profile._pair_coefs) == (3 if symmetric else 0)
+        rho, reference = profile.rho(dirs), self._term_by_term(profile, dirs)
+        if symmetric:
+            scale = profile.r0 + np.sum(np.abs(profile.amplitudes))
+            assert np.max(np.abs(rho - reference)) <= 4.0 * np.finfo(float).eps * scale
+        else:
+            assert np.array_equal(rho, reference)
+
+    @pytest.mark.parametrize("space", [S3, E3, SpaceSpec(1, 4)], ids=str)
+    def test_pairs_against_forty_digits(self, space):
+        mp = pytest.importorskip("mpmath")
+        profile, dirs = self._body_and_dirs(space, True, 400)
+        rho = profile.rho(dirs)
+        with mp.workdps(40):
+            for u, value in zip(dirs, rho):
+                exact = mp.mpf(profile.r0)
+                for c, a, s in zip(profile.centers, profile.amplitudes, profile.sharpness):
+                    t = mp.fsum(mp.mpf(x) * mp.mpf(y) for x, y in zip(u, c))
+                    exact += mp.mpf(a) * mp.exp(mp.mpf(s) * (t - 1))
+                assert abs(value - exact) <= 4e-16 * abs(exact)
+
+    @pytest.mark.parametrize("center, sharpness", [
+        ([0.0, 0.6, 0.8], 800.0),
+        ([0.0, 180.0, 240.0], 3.0),
+    ], ids=["sharpness-800", "center-norm-300"])
+    def test_pairs_outside_the_cosh_range_are_summed_bump_by_bump(self, center, sharpness):
+        body = make_bumpy_ball(S3, 0.8, [center, [1.0, 0.0, 0.0]], [0.2, 0.1], [sharpness, 4.0],
+                               symmetric=True)
+        profile = body.profile
+        # only the second pair is one cosh
+        assert len(profile._pair_coefs) == 1 and list(profile._single) == [0, 2]
+        only_far = BumpyProfile(0.8, [center, np.negative(center)], [0.2, 0.2], [sharpness] * 2,
+                                lo=profile.lo, hi=profile.hi)
+        assert len(only_far._pair_coefs) == 0
+        dirs = np.random.default_rng(8).normal(size=(2000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):   # a center of norm 300 overflows exp in either sum
+            rho, reference = only_far.rho(dirs), self._term_by_term(only_far, dirs)
+            assert not np.any(np.isnan(rho)) and not np.any(np.isnan(profile.rho(dirs)))
+        assert np.array_equal(rho, reference)
 
     def test_pairs_are_found_only_when_exact(self):
         body = make_bumpy_ball(S3, 0.8, [[0.0, 0.6, 0.8], [1.0, 0.0, 0.0]], [0.2, 0.1], [3.0, 4.0],
                                symmetric=True)
         p = body.profile
-        assert p._projected == 2
+        assert len(p._pair_coefs) == 2
         nudged = np.array(p.amplitudes)
         nudged[3] = np.nextafter(nudged[3], 1.0)
-        assert BumpyProfile(p.r0, p.centers, nudged, p.sharpness)._projected == 4
+        assert len(BumpyProfile(p.r0, p.centers, nudged, p.sharpness)._pair_coefs) == 0
         # two bumps that are each other's mirror are such a pair
-        assert BumpyProfile(0.8, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [0.2, 0.2], [3.0, 3.0])._projected == 1
+        mirrored = BumpyProfile(0.8, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [0.2, 0.2], [3.0, 3.0])
+        assert len(mirrored._pair_coefs) == 1

@@ -288,6 +288,24 @@ class TestUsage:
         captured = capsys.readouterr()
         assert "a count must be >= 0, got -3" in captured.err and not captured.out
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--theorem", "min-nd", "--random", "1", "--seed", "-1"],
+        ["experiment", "search", "--seed", "-5", "--budget", "10"],
+    ], ids=["verify", "experiment"])
+    def test_negative_seed_exits_two(self, argv, capsys):
+        # numpy's generator refused it with a traceback, and exit 1
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "argument --seed: a count must be >= 0" in errors[0]
+
+    def test_dim_zero_exits_two(self, capsys):
+        # it ran the default n = 3 suite and exited 0
+        assert run_cli("verify", "--theorem", "min-nd", "--dim", "0") == 2
+        captured = capsys.readouterr()
+        assert not captured.out and "does not apply to n = 0" in captured.err
+
     @pytest.mark.parametrize("exponent", ["-2", "0"])
     def test_exponent_below_one_exits_two(self, exponent, capsys):
         # a cone's zero sections to a negative power gave "functional: inf"

@@ -177,6 +177,11 @@ class TestNaN:
             with pytest.raises(DomainError):
                 space.check_radius(value)
 
+    def test_sin_power_primitive_full(self):
+        for value in (math.nan, np.array([0.2, math.nan])):
+            with pytest.raises(DomainError, match=r"x must lie in \[0, pi\]"):
+                sin_power_primitive_full(3, value)
+
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("space", [SPHERE, PLANE, HYPER], ids=str)
     def test_phi_inverse_is_a_geometry_error(self, space, m):

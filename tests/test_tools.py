@@ -124,22 +124,24 @@ def test_a_missing_header_is_an_unknown_environment(compare_outputs, tmp_path, c
     assert lines[:2] == [f"environment unknown: {side} has no environment header", "0 of 8 lines changed"]
 
 
-def test_dump_header_names_the_numeric_environment(capsys):
+@pytest.fixture(scope="module")
+def dump_outputs():
     spec = importlib.util.spec_from_file_location("dump_outputs", TOOLS / "dump_outputs.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    module.environment()
+    return module
+
+
+def test_dump_header_names_the_numeric_environment(dump_outputs, capsys):
+    dump_outputs.environment()
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines[1:]] == [
         "# numpy cpu baseline", "# numpy cpu dispatch", "# openblas core"]
     assert lines[0].startswith("# numpy ") and all(line.split(": ")[1] for line in lines[1:])
 
 
-def test_dump_prints_the_radial_primitives(capsys):
-    spec = importlib.util.spec_from_file_location("dump_outputs", TOOLS / "dump_outputs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    module.radial()
+def test_dump_prints_the_radial_primitives(dump_outputs, capsys):
+    dump_outputs.radial()
     labels = [line.split(" ")[0] for line in capsys.readouterr().out.splitlines()]
     for space in ("-1:3", "-1:5", "+1:4"):
         for m in (2, 3, 5):
@@ -148,3 +150,13 @@ def test_dump_prints_the_radial_primitives(capsys):
             assert (f"radial/gaussian/{space}/{m}/7.5" in labels) == space.startswith("-1")
     assert [label for label in labels if label.startswith("radial/phi/")] == [
         f"radial/phi/+1/{m}/{x}" for m in range(1, 7) for x in ("0.001", "0.7", "1.5")]
+
+
+def test_dump_prints_the_product_pairs(dump_outputs, capsys):
+    dump_outputs.product_pairs()
+    lines = [line.split(" ") for line in capsys.readouterr().out.splitlines()]
+    assert [label for label, _ in lines] == [
+        f"path/product-pairs/{run}/{key}"
+        for run in ("+1:4/uniform/default", "-1:3/gaussian/39-63")
+        for key in ("volume", "functional", "section/0", "section/1", "section/2")]
+    assert all(float(value) > 0 for _, value in lines)

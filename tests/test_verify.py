@@ -200,6 +200,9 @@ class TestSuites:
                 suite_bodies(theorem_id, dim=3)
         with pytest.raises(ApplicabilityError):
             suite_bodies("min-nd", dim=2)
+        # dim 0 is a dimension, not a request for the default one
+        with pytest.raises(ApplicabilityError, match="n = 0"):
+            suite_bodies("min-nd", dim=0)
 
     def test_equality_cone_and_violating_cone(self):
         eq = make_cone(S3, equality_cone_base(3, 0.4))

@@ -24,6 +24,11 @@ OLD NEW`` prints how far each group moved.  The set is
   each with the uniform and the Gaussian measure and with the default
   config, ``plane_adaptive=False`` and degree 31: volume, functional,
   normalized first power, functional with error and three section volumes;
+* a symmetric bumpy body of two bumps and their mirrors, whose pairs rho
+  sums as one cosh each, on the product path: on s+:4 with the uniform
+  measure at the default degrees, and on h:3 with the Gaussian at degrees
+  39/63 (the density integrals in blocks): volume, functional and three
+  section volumes;
 * the radial primitives alone: the Gaussian ``radial_integral`` on h:3, h:5
   and s+:4 for m = 2, 3, 5 at radii on and next to the density panels' edges
   (and 7.5 on h), and phi_m on the hemisphere for m = 1..6.
@@ -214,6 +219,22 @@ def paths():
                     out(f"{label}/section/{i}", section_volume(body, xi, mu, config))
 
 
+def product_pairs():
+    runs = (("+1:4/uniform/default", SpaceSpec(1, 4), None, QuadratureConfig()),
+            ("-1:3/gaussian/39-63", SpaceSpec(-1, 3), gaussian_measure(),
+             QuadratureConfig(outer_degree=39, inner_degree=63)))
+    for name, space, mu, config in runs:
+        n = space.dim
+        oblique = np.arange(1.0, n + 1.0) / np.linalg.norm(np.arange(1.0, n + 1.0))
+        centers = np.array([np.eye(n)[-1], oblique])
+        body = make_bumpy_ball(space, 0.8, centers, [0.15, -0.1], [3.0, 5.0], symmetric=True)
+        label = f"path/product-pairs/{name}"
+        out(f"{label}/volume", volume(body, mu, config))
+        out(f"{label}/functional", busemann_functional(body, mu, config=config))
+        for i, xi in enumerate((np.eye(n)[0], np.eye(n)[-1], oblique)):
+            out(f"{label}/section/{i}", section_volume(body, xi, mu, config))
+
+
 def radial():
     mu = gaussian_measure()
     for delta, n in ((-1, 3), (-1, 5), (1, 4)):
@@ -235,6 +256,7 @@ def main():
     vanishing()
     windowed()
     paths()
+    product_pairs()
     radial()
 
 
