@@ -5,7 +5,8 @@ Left sides are always quadrature over the direction sphere; right sides are
 always closed forms (possibly with 1-d adaptive integrals or bracketed
 inversions).  The two routes never share code, so agreement is evidence.
 Every left side of a body takes the one evaluation path that ``_path``
-chooses: arcs, indicator, plane, zonal or product.
+chooses, an object of one of five private classes: ``_Product``, ``_Zonal``,
+``_Indicator``, ``_Arcs`` or ``_Plane``.
 """
 
 from __future__ import annotations
@@ -83,23 +84,21 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 def _inner_pairs(n: int, inner_degree: int):
     """One node of each antipodal pair of the inner rule on S^{n-2}, and the
-    weight of each node of its pair: the rule that ``_pair_radial`` sums."""
+    weight of each node of its pair: the rule that ``_Product.sections`` sums."""
     nodes, weights = build_sphere_rule(n - 2, inner_degree).antipodal_half
     return nodes, weights / 2.0
 
 
 @lru_cache(maxsize=3)
 def _section_grid(n: int, outer_degree: int, inner_degree: int):
-    """Outer weights, inner pair weights and (N_outer / 2, N_inner / 2, n)
-    embedded nodes of the product path: one normal of each antipodal pair of
-    the outer rule, and on its subsphere one node of each antipodal pair of the
-    inner rule; three entries hold what one run reuses (s+:4 at degree 31 is
-    34 MB)."""
+    """Outer weights and (N_outer / 2, N_inner / 2, n) embedded nodes of the
+    product path: one normal of each antipodal pair of the outer rule, and on
+    its subsphere one node of each antipodal pair of the inner rule; three
+    entries hold what one run reuses (s+:4 at degree 31 is 34 MB)."""
     normals, weights = build_sphere_rule(n - 1, outer_degree).antipodal_half
-    nodes, pair_weights = _inner_pairs(n, inner_degree)
-    embedded = subsphere_nodes(nodes, normals)
+    embedded = subsphere_nodes(_inner_pairs(n, inner_degree)[0], normals)
     embedded.setflags(write=False)
-    return weights, pair_weights, embedded
+    return weights, embedded
 
 
 # ---------------------------------------------------------------------------
@@ -239,152 +238,13 @@ def _radial(space: SpaceSpec, m: int, upper, mu: RadialDensityMeasure | None):
 
 
 # ---------------------------------------------------------------------------
-# volume and sections
-
-
-def _path(body: StarBody, config: QuadratureConfig) -> str:
-    """The one path every left side of this body takes under this config:
-    ``arcs`` (an indicator body over arcs in the plane, in closed form),
-    ``indicator`` (other indicator bodies, whose band bases have an axis:
-    exact sections on the polar rule in <xi, axis>),
-    ``plane`` (other plane bodies while ``plane_adaptive``, Gauss-Kronrod in
-    the angle), ``zonal`` (a zonal axis in n >= 3, 1-d polar rules in
-    <xi, axis> and <u, axis>) or ``product`` (the outer rule times the inner
-    rule).
-    """
-    n = body.space.dim
-    if body.is_indicator:
-        # a band base has an axis, and arcs of the circle have none
-        return "arcs" if body.profile.zonal_axis(n) is None else "indicator"
-    if n == 2:
-        return "plane" if config.plane_adaptive else "product"
-    return "zonal" if body.profile.zonal_axis(n) is not None else "product"
-
-
-def volume(body: StarBody, mu: RadialDensityMeasure | None = None,
-           config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Volume (or mu-measure) of a star body, by sphere rule times radial primitive."""
-    space = body.space
-    n = space.dim
-    path = _path(body, config)
-    if path in ("arcs", "indicator"):
-        return float(_radial(space, n, body.profile.height, mu)) * body.profile.base.measure
-    if path == "plane":
-        # profiles in the plane may have corners (lunes, grid profiles);
-        # integrate the angle adaptively instead of by the fixed circle rule
-        def integrand(theta):
-            return _body_radial(body, mu, n, np.column_stack([np.cos(theta), np.sin(theta)]))
-
-        val, _ = _adaptive_circle(integrand, config.angular_tol, body.profile.plane_corners())
-        return val
-    if path == "zonal":
-        c, w = polar_rule(n - 1, config.outer(n))
-        return float(np.dot(w, _body_radial(body, mu, n, _zonal_directions(body, c))))
-    rule = build_sphere_rule(n - 1, config.outer(n))
-    return float(np.dot(rule.weights, _body_radial(body, mu, n, rule.nodes)))
-
-
-def section_volume(body: StarBody, xi, mu: RadialDensityMeasure | None = None,
-                   config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Volume (or mu-measure) of the section by the hyperplane through the
-    origin with unit normal xi; DomainError for any other xi."""
-    n = body.space.dim
-    xi = as_direction(xi, n)
-    path = _path(body, config)
-    if path in ("arcs", "indicator"):
-        return float(_indicator_sections(body, mu, xi[None])[0])
-    if path == "zonal":
-        c = np.array([xi @ body.profile.zonal_axis(n)])
-        return float(_zonal_sections(body, mu, c, config)[0])
-    nodes, pair_weights = _inner_pairs(n, config.inner(n))
-    return float(_pair_radial(body, mu, n - 1, subsphere_nodes(nodes, xi))[0] @ pair_weights)
-
-
-def _indicator_sections(body: StarBody, mu, xis):
-    """Exact section volumes of an indicator body at the normals xis: the radial
-    primitive of its height times the base's section measures."""
-    h = float(_radial(body.space, body.space.dim - 1, body.profile.height, mu))
-    return h * body.profile.base.section_measures(xis)
+# evaluation paths, volume and sections
 
 
 # the most points whose rho and radial primitive are evaluated at once: a
 # float64 temporary of 16,000 points stays under glibc's 128 KB mmap threshold,
 # so the block's temporaries reuse the heap instead of being mapped afresh
 _BLOCK_POINTS = 16_000
-
-
-def _body_radial(body: StarBody, mu, m: int, dirs):
-    """Radial primitives (of dimension m) of a non-indicator body along the last
-    axis of dirs, which holds unit directions: shape dirs.shape[:-1].  Every
-    other left side is a weighted sum of these.  More than ``_BLOCK_POINTS``
-    points are evaluated a block at a time into one output."""
-    flat = dirs.reshape(-1, body.space.dim)
-    if len(flat) <= _BLOCK_POINTS:
-        return _radial(body.space, m, body.rho(flat), mu).reshape(dirs.shape[:-1])
-    out = np.empty(len(flat))
-    for start in range(0, len(flat), _BLOCK_POINTS):
-        block = flat[start:start + _BLOCK_POINTS]
-        out[start:start + len(block)] = _radial(body.space, m, body.rho(block), mu)
-    return out.reshape(dirs.shape[:-1])
-
-
-def _pair_radial(body: StarBody, mu, m: int, dirs):
-    """``_body_radial`` at dirs plus at -dirs: each antipodal pair of a
-    subsphere rule at the weight of one of its nodes.  A symmetric body
-    promises rho(-u) = rho(u), so it evaluates dirs alone, at half the points.
-    Otherwise -dirs is negated a block of rows at a time: negating the whole
-    of a cached product grid would copy it."""
-    out = _body_radial(body, mu, m, dirs)
-    if body.symmetric:
-        out *= 2.0
-        return out
-    rows = max(1, _BLOCK_POINTS // math.prod(dirs.shape[1:-1]))
-    for start in range(0, len(dirs), rows):
-        out[start:start + rows] += _body_radial(body, mu, m, -dirs[start:start + rows])
-    return out
-
-
-def _zonal_directions(body: StarBody, s):
-    """Unit directions u with <u, axis> = s, one per element of s, shape
-    s.shape + (n,): u = s axis + sqrt(1 - s^2) b, for one unit b orthogonal to
-    the body's zonal axis."""
-    axis = body.profile.zonal_axis(body.space.dim)
-    b = householder_frame(axis)[:, 0]
-    s = np.asarray(s, dtype=float)[..., None]
-    return s * axis + np.sqrt(1.0 - s * s) * b
-
-
-def _zonal_sections(body: StarBody, mu, c, config: QuadratureConfig):
-    """Section volumes of a zonal body at normals xi with <xi, axis> = c.  On
-    xi-perp, <u, axis> = sqrt(1 - c^2) t with t the polar coordinate of the
-    subsphere (Funk-Hecke), so one polar rule on S^{n-2} gives each section."""
-    n = body.space.dim
-    t, w = polar_rule(n - 2, config.inner(n))
-    s = np.sqrt(np.maximum(1.0 - c * c, 0.0))[:, None] * t
-    # each of the few sections carries a large share of the weight, so its
-    # rounding does not average out as over the product rule's many nodes:
-    # sum the rows pairwise, more accurately than a matrix-vector product
-    return np.sum(_body_radial(body, mu, n - 1, _zonal_directions(body, s)) * w, axis=1)
-
-
-def _rule_sections(body: StarBody, mu, config: QuadratureConfig, path: str):
-    """Outer weights and the section volumes they weight, on the indicator,
-    zonal or product path.  xi and -xi have the same section, so each path
-    takes one normal of each antipodal pair of the outer rule at twice its
-    weight; the product path's inner rule is summed by antipodal pairs."""
-    n = body.space.dim
-    if path == "product":
-        weights, pair_weights, embedded = _section_grid(n, config.outer(n), config.inner(n))
-        return weights, _pair_radial(body, mu, n - 1, embedded) @ pair_weights
-    # an indicator body's band base and a zonal body both have an axis, and a
-    # section depends only on c = <xi, axis> (Funk-Hecke), which xi and -xi
-    # share: the c >= 0 of the polar rule, each at twice its weight except c = 0
-    c, w = polar_rule(n - 1, config.outer(n))
-    keep = c >= 0.0
-    c, weights = c[keep], np.where(c[keep] > 0.0, 2.0, 1.0) * w[keep]
-    if path == "indicator":
-        return weights, _indicator_sections(body, mu, _zonal_directions(body, c))
-    return weights, _zonal_sections(body, mu, c, config)
 
 
 def _adaptive_circle(integrand, angular_tol: float, breaks=()):
@@ -398,17 +258,220 @@ def _adaptive_circle(integrand, angular_tol: float, breaks=()):
     return integrate_vectorized(integrand, 0.0, TWO_PI, angular_tol * max(1.0, scale), breaks)
 
 
-def _plane_functional(body: StarBody, mu, p: int, config: QuadratureConfig):
-    """The plane path's integral of section^p over the circle and its error; the
-    subsphere of xi at the polar angle theta is the two points at theta +- pi/2,
-    so the integrand has its corners a quarter turn from the profile's."""
-    def integrand(theta):
-        a = np.asarray(theta, dtype=float) + math.pi / 2
-        return _pair_radial(body, mu, 1, np.column_stack([np.cos(a), np.sin(a)])) ** p
+class _Product:
+    """The product path: the outer rule on S^{n-1} times the inner rule on each
+    normal's subsphere.
 
-    corners = body.profile.plane_corners()
-    breaks = np.concatenate([corners - math.pi / 2, corners + math.pi / 2]) % TWO_PI
-    return _adaptive_circle(integrand, config.angular_tol, breaks)
+    Every path holds one body and one config.  It has the volume, the
+    ``point`` that stands for a normal xi, the ``sections`` at such points, and
+    the ``rule()``: the outer weights with the points of the normals they
+    weight.  xi and -xi cut the same section, so each rule takes one normal of
+    each antipodal pair at twice its weight.  The functional sums the rule's
+    section powers unless a path overrides it, and its error estimate is the
+    change at degrees + 8.
+    """
+
+    def __init__(self, body: StarBody, config: QuadratureConfig):
+        self.body, self.config, self.n = body, config, body.space.dim
+
+    def volume(self, mu) -> float:
+        rule = build_sphere_rule(self.n - 1, self.config.outer(self.n))
+        return float(np.dot(rule.weights, self._body_radial(mu, self.n, rule.nodes)))
+
+    def point(self, xi):
+        """The nodes of the inner rule's antipodal pairs on xi's subsphere."""
+        return subsphere_nodes(_inner_pairs(self.n, self.config.inner(self.n))[0], xi)
+
+    def sections(self, mu, points):
+        """The inner rule on each row of points, summed by antipodal pairs."""
+        pair_weights = _inner_pairs(self.n, self.config.inner(self.n))[1]
+        return self._pair_radial(mu, self.n - 1, points) @ pair_weights
+
+    def rule(self):
+        return _section_grid(self.n, self.config.outer(self.n), self.config.inner(self.n))
+
+    def functional(self, mu, p: int) -> float:
+        """The integral of section^p over the normals, not normalized."""
+        weights, points = self.rule()
+        return float(np.dot(weights, self.sections(mu, points) ** p))
+
+    def with_error(self, mu, normalized: bool, exponent: int | None):
+        # both values go through busemann_functional, where a profiler sees
+        # them as two evaluations
+        n, config = self.n, self.config
+        val = busemann_functional(self.body, mu, normalized, exponent, config)
+        finer = replace(config, outer_degree=config.outer(n) + 8, inner_degree=config.inner(n) + 8)
+        val2 = busemann_functional(self.body, mu, normalized, exponent, finer)
+        return val2, abs(val2 - val) + 1e-15 * abs(val2)
+
+    def _body_radial(self, mu, m: int, dirs):
+        """Radial primitives (of dimension m) of a non-indicator body along the
+        last axis of dirs, which holds unit directions: shape dirs.shape[:-1].
+        Every other left side is a weighted sum of these.  More than
+        ``_BLOCK_POINTS`` points are evaluated a block at a time into one
+        output."""
+        flat = dirs.reshape(-1, self.n)
+        if len(flat) <= _BLOCK_POINTS:
+            return _radial(self.body.space, m, self.body.rho(flat), mu).reshape(dirs.shape[:-1])
+        out = np.empty(len(flat))
+        for start in range(0, len(flat), _BLOCK_POINTS):
+            block = flat[start:start + _BLOCK_POINTS]
+            out[start:start + len(block)] = _radial(self.body.space, m, self.body.rho(block), mu)
+        return out.reshape(dirs.shape[:-1])
+
+    def _pair_radial(self, mu, m: int, dirs):
+        """``_body_radial`` at dirs plus at -dirs: each antipodal pair of a
+        subsphere rule at the weight of one of its nodes.  A symmetric body
+        promises rho(-u) = rho(u), so it evaluates dirs alone, at half the
+        points.  Otherwise -dirs is negated a block of rows at a time: negating
+        the whole of a cached product grid would copy it."""
+        out = self._body_radial(mu, m, dirs)
+        if self.body.symmetric:
+            out *= 2.0
+            return out
+        rows = max(1, _BLOCK_POINTS // math.prod(dirs.shape[1:-1]))
+        for start in range(0, len(dirs), rows):
+            out[start:start + rows] += self._body_radial(mu, m, -dirs[start:start + rows])
+        return out
+
+
+class _Zonal(_Product):
+    """A body with a zonal axis in n >= 3.  Its radial function depends on
+    <u, axis> alone, and a section on c = <xi, axis> alone (Funk-Hecke), so
+    1-d polar rules take the volume and the sections; a point is c."""
+
+    def volume(self, mu) -> float:
+        c, w = polar_rule(self.n - 1, self.config.outer(self.n))
+        return float(np.dot(w, self._body_radial(mu, self.n, self._directions(c))))
+
+    def point(self, xi):
+        return np.array([xi @ self.body.profile.zonal_axis(self.n)])
+
+    def sections(self, mu, c):
+        """On xi-perp, <u, axis> = sqrt(1 - c^2) t with t the polar coordinate
+        of the subsphere, so one polar rule on S^{n-2} gives each section."""
+        t, w = polar_rule(self.n - 2, self.config.inner(self.n))
+        s = np.sqrt(np.maximum(1.0 - c * c, 0.0))[:, None] * t
+        # each of the few sections carries a large share of the weight, so its
+        # rounding does not average out as over the product rule's many nodes:
+        # sum the rows pairwise, more accurately than a matrix-vector product
+        return np.sum(self._body_radial(mu, self.n - 1, self._directions(s)) * w, axis=1)
+
+    def rule(self):
+        """The c >= 0 of the outer polar rule, each at twice its weight except
+        c = 0: xi and -xi share |c|."""
+        c, w = polar_rule(self.n - 1, self.config.outer(self.n))
+        keep = c >= 0.0
+        return np.where(c[keep] > 0.0, 2.0, 1.0) * w[keep], c[keep]
+
+    def _directions(self, s):
+        """Unit directions u with <u, axis> = s, one per element of s, shape
+        s.shape + (n,): u = s axis + sqrt(1 - s^2) b, for one unit b orthogonal
+        to the axis."""
+        axis = self.body.profile.zonal_axis(self.n)
+        b = householder_frame(axis)[:, 0]
+        s = np.asarray(s, dtype=float)[..., None]
+        return s * axis + np.sqrt(1.0 - s * s) * b
+
+
+class _Indicator(_Zonal):
+    """An indicator body over a band base, which has an axis: exact sections,
+    the radial primitive of the height times the base's section measures, on
+    the zonal path's outer rule.  A point is the normal itself."""
+
+    def volume(self, mu) -> float:
+        return float(self._height(mu, self.n)) * self.body.profile.base.measure
+
+    def point(self, xi):
+        return xi[None]
+
+    def sections(self, mu, xis):
+        return float(self._height(mu, self.n - 1)) * self.body.profile.base.section_measures(xis)
+
+    def rule(self):
+        weights, c = super().rule()
+        return weights, self._directions(c)
+
+    def _height(self, mu, m: int):
+        return _radial(self.body.space, m, self.body.profile.height, mu)
+
+
+class _Arcs(_Indicator):
+    """An indicator body over arcs of the circle, which have no axis: its
+    sections take the values 0, h and 2h on arcs, so the functional is a
+    closed form that needs no outer rule, and the degree + 8 error estimate
+    is 1e-15 relative."""
+
+    def functional(self, mu, p: int) -> float:
+        base = self.body.profile.base
+        h = float(self._height(mu, 1))
+        both = base.intersection_measure(base.reflected())
+        single = 2.0 * (base.measure - both)
+        return h ** p * single + (2.0 * h) ** p * both
+
+
+class _Plane(_Product):
+    """A plane body while ``plane_adaptive``: profiles in the plane may have
+    corners (lunes, grid profiles), so the volume and the functional integrate
+    the angle by adaptive Gauss-Kronrod instead of the fixed circle rule, and
+    the error estimate is Gauss-Kronrod's.  Single sections are the product
+    path's."""
+
+    def volume(self, mu) -> float:
+        def integrand(theta):
+            return self._body_radial(mu, 2, np.column_stack([np.cos(theta), np.sin(theta)]))
+
+        corners = self.body.profile.plane_corners()
+        return _adaptive_circle(integrand, self.config.angular_tol, corners)[0]
+
+    def functional(self, mu, p: int) -> float:
+        return self._integral(mu, p)[0]
+
+    def with_error(self, mu, normalized: bool, exponent: int | None):
+        # the value goes through busemann_functional, and the estimate reruns
+        # the integral
+        val = busemann_functional(self.body, mu, normalized, exponent, self.config)
+        _, err = self._integral(mu, self.n if exponent is None else exponent)
+        return val, err / (sphere_surface_area(self.n - 1) if normalized else 1.0)
+
+    def _integral(self, mu, p: int):
+        """The integral of section^p over the circle and its error; the
+        subsphere of xi at the polar angle theta is the two points at
+        theta +- pi/2, so the integrand has its corners a quarter turn from the
+        profile's."""
+        def integrand(theta):
+            a = np.asarray(theta, dtype=float) + math.pi / 2
+            return self._pair_radial(mu, 1, np.column_stack([np.cos(a), np.sin(a)])) ** p
+
+        corners = self.body.profile.plane_corners()
+        breaks = np.concatenate([corners - math.pi / 2, corners + math.pi / 2]) % TWO_PI
+        return _adaptive_circle(integrand, self.config.angular_tol, breaks)
+
+
+def _path(body: StarBody, config: QuadratureConfig) -> _Product:
+    """The one path that every left side of this body takes under this config."""
+    n = body.space.dim
+    if body.is_indicator:
+        # a band base has an axis, and arcs of the circle have none
+        return (_Arcs if body.profile.zonal_axis(n) is None else _Indicator)(body, config)
+    if n == 2:
+        return (_Plane if config.plane_adaptive else _Product)(body, config)
+    return (_Zonal if body.profile.zonal_axis(n) is not None else _Product)(body, config)
+
+
+def volume(body: StarBody, mu: RadialDensityMeasure | None = None,
+           config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Volume (or mu-measure) of a star body, by sphere rule times radial primitive."""
+    return _path(body, config).volume(mu)
+
+
+def section_volume(body: StarBody, xi, mu: RadialDensityMeasure | None = None,
+                   config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Volume (or mu-measure) of the section by the hyperplane through the
+    origin with unit normal xi; DomainError for any other xi.  It is the
+    functional's section operator at one point."""
+    path = _path(body, config)
+    return float(path.sections(mu, path.point(as_direction(xi, body.space.dim)))[0])
 
 
 def busemann_functional(body: StarBody, mu: RadialDensityMeasure | None = None,
@@ -420,48 +483,18 @@ def busemann_functional(body: StarBody, mu: RadialDensityMeasure | None = None,
     throughout); ``normalized`` divides by |S^{n-1}| so the xi-measure has
     total mass 1.
     """
-    space = body.space
-    n = space.dim
-    p = n if exponent is None else exponent
+    n = body.space.dim
     norm = sphere_surface_area(n - 1) if normalized else 1.0
-    path = _path(body, config)
-
-    if path == "arcs":
-        # exact in the plane: sections take values {0, h, 2h} on arcs
-        base = body.profile.base
-        h = float(_radial(space, 1, body.profile.height, mu))
-        both = base.intersection_measure(base.reflected())
-        single = 2.0 * (base.measure - both)
-        return (h ** p * single + (2.0 * h) ** p * both) / norm
-
-    if path == "plane":
-        val, _ = _plane_functional(body, mu, p, config)
-        return val / norm
-
-    weights, sections = _rule_sections(body, mu, config, path)
-    return float(np.dot(weights, sections ** p)) / norm
+    return _path(body, config).functional(mu, n if exponent is None else exponent) / norm
 
 
 def busemann_functional_with_error(body: StarBody, mu=None, normalized: bool = False,
                                    exponent: int | None = None,
                                    config: QuadratureConfig = DEFAULT_CONFIG):
     """Functional value plus an error estimate: Gauss-Kronrod's on the plane
-    path, 1e-15 relative for the arcs closed form, the difference from
-    degrees + 8 on the others."""
-    n = body.space.dim
-    path = _path(body, config)
-    val = busemann_functional(body, mu, normalized, exponent, config)
-    if path == "arcs":
-        # a closed form: the degree + 8 pass would give the same value
-        return val, 1e-15 * abs(val)
-    if path == "plane":
-        p = n if exponent is None else exponent
-        norm = sphere_surface_area(1) if normalized else 1.0
-        _, err = _plane_functional(body, mu, p, config)
-        return val, err / norm
-    finer = replace(config, outer_degree=config.outer(n) + 8, inner_degree=config.inner(n) + 8)
-    val2 = busemann_functional(body, mu, normalized, exponent, finer)
-    return val2, abs(val2 - val) + 1e-15 * abs(val2)
+    path, the difference from degrees + 8 on the others (1e-15 relative for
+    the arcs closed form, which no degree changes)."""
+    return _path(body, config).with_error(mu, normalized, exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, ResourceLimitError
 from .spaces import sphere_surface_area
 
-# The most nodes a sphere rule may have.
+# The most nodes a sphere rule may have, and the most entries of the dense
+# Jacobi matrix that ``gauss_jacobi`` builds (2000 nodes, 32 MB).
 NODE_CAP = 4_000_000
 
 # Default polynomial degrees: high on the circle where nodes are cheap,
@@ -85,7 +86,12 @@ def gauss_jacobi(npts: int, a: float):
     to the weight's total mass.  Both run in ``numpy.longdouble``: in doubles
     the recurrence's rounding and the rounding of the nodes put errors of up to
     1e-13 into the weights next to +-1 (eigenvector weights are off by 1e-12).
+    ResourceLimitError, before anything is allocated, when npts^2 exceeds
+    ``NODE_CAP``.
     """
+    if npts * npts > NODE_CAP:
+        raise ResourceLimitError(f"a {npts}-point Gauss-Jacobi rule needs a {npts} x {npts} matrix, "
+                                 f"cap is {NODE_CAP} entries")
     lam = a + 0.5
     k = np.arange(1.0, npts)
     offdiag = np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))
@@ -111,8 +117,11 @@ def gauss_jacobi(npts: int, a: float):
 
 def _circle_rule(degree: int) -> SphereRule:
     """degree + 1 equally spaced nodes, rounded up to an even count (at least 4),
-    the second half the exact negation of the first."""
+    the second half the exact negation of the first.  ResourceLimitError,
+    before anything is allocated, for more than ``NODE_CAP`` nodes."""
     n = max(degree + 2 - degree % 2, 4)
+    if n > NODE_CAP:
+        raise ResourceLimitError(f"rule would need {n} nodes, cap is {NODE_CAP}")
     angles = 2 * math.pi * np.arange(n // 2) / n
     half = np.column_stack([np.cos(angles), np.sin(angles)])
     nodes = np.concatenate([half, -half])
@@ -139,17 +148,14 @@ def build_sphere_rule(m: int, degree: int) -> SphereRule:
     if degree < 1:
         raise DomainError("degree must be >= 1")
     if m == 1:
-        rule = _circle_rule(degree)
-        if len(rule) > NODE_CAP:
-            raise ResourceLimitError(f"rule would need {len(rule)} nodes, cap is {NODE_CAP}")
-        return rule
+        return _circle_rule(degree)
 
     npolar = (degree + 2) // 2
-    t, wt = gauss_jacobi(npolar, (m - 2) / 2.0)
     sub = build_sphere_rule(m - 1, degree)
     count = npolar * len(sub)
     if count > NODE_CAP:
         raise ResourceLimitError(f"rule would need {count} nodes, cap is {NODE_CAP}")
+    t, wt = gauss_jacobi(npolar, (m - 2) / 2.0)
 
     s = np.sqrt(1.0 - t ** 2)
     nodes = np.empty((count, m + 1))
@@ -168,7 +174,8 @@ def polar_rule(m: int, degree: int):
     For m >= 2 this is the polar factor of ``build_sphere_rule(m, degree)``
     times |S^{m-1}|, so degrees map to node counts as there; for m = 1 (whose
     weight (1 - t^2)^{-1/2} ``gauss_jacobi`` refuses) the first coordinates of
-    the circle rule.  No node cap applies: the rule is one-dimensional.
+    the circle rule.  ResourceLimitError past ``gauss_jacobi``'s cap of 2000
+    nodes for m >= 2 (degree 3998), and past ``NODE_CAP`` nodes for m = 1.
     """
     if m < 1:
         raise DomainError("polar rules need sphere dimension >= 1")

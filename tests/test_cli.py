@@ -203,6 +203,14 @@ class TestExperimentCommand:
         assert code == 3
         assert "strips, cap is" in capsys.readouterr().err
 
+    def test_degree_past_the_gauss_jacobi_cap_exit_three(self, capsys):
+        # the zonal path's polar rule would need a dense 50,001 x 50,001 matrix
+        code = run_cli("functional", "--space", "s+:3", "--body", "ball:r=0.7",
+                       "--outer-degree", "100000")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
+
 
 class TestUsage:
     @pytest.mark.parametrize("argv, message", [

@@ -64,6 +64,7 @@ E2 = SpaceSpec(0, 2)
 E3 = SpaceSpec(0, 3)
 H2 = SpaceSpec(-1, 2)
 H3 = SpaceSpec(-1, 3)
+DEFAULT = QuadratureConfig()
 
 
 class TestVolume:
@@ -551,6 +552,33 @@ class TestSectionGrid:
         assert info.currsize <= 3
 
 
+PLANE_RULE = QuadratureConfig(plane_adaptive=False)
+_BUMPY_S2 = make_bumpy_ball(S2, 0.8, [[0.6, 0.8]], [0.2], [3.0])
+PATH_TABLE = {
+    "arcs-cone": (make_cone(S2, ArcsBase(((0.3, 1.0),))), DEFAULT, functionals._Arcs),
+    "arcs-cone-symmetric": (make_cone(S2, ArcsBase(((0.3, 1.0), (0.3 + math.pi, 1.0 + math.pi)))),
+                            DEFAULT, functionals._Arcs),
+    "equality-cone": (make_cone(S3, equality_cone_base(3, 0.4)), DEFAULT, functionals._Indicator),
+    "striped-cone": (make_striped_cone(S3, 0.5, 0.4, 0.2), DEFAULT, functionals._Indicator),
+    "bumpy-s2": (_BUMPY_S2, DEFAULT, functionals._Plane),
+    "bumpy-s2-rule": (_BUMPY_S2, PLANE_RULE, functionals._Product),
+    "ball-e3": (make_ball(E3, 1.2), DEFAULT, functionals._Zonal),
+    "perturbed-ball-s3": (make_perturbed_ball(S3, 0.8, 0.08, 4), DEFAULT, functionals._Zonal),
+    "bumpy-s3": (make_bumpy_ball(S3, 0.8, [[0.0, 0.6, 0.8]], [0.2], [3.0]), DEFAULT,
+                 functionals._Product),
+    "ellipsoid": (make_ellipsoid([2.0, 0.5, 1.3]), DEFAULT, functionals._Product),
+}
+
+
+@pytest.mark.parametrize("body, config, path", PATH_TABLE.values(), ids=PATH_TABLE.keys())
+def test_path_picks_each_path(body, config, path):
+    assert type(functionals._path(body, config)) is path
+    if path is functionals._Arcs:
+        # a closed form: the degree + 8 rerun gives the same value
+        v = busemann_functional(body)
+        assert busemann_functional_with_error(body) == (v, 1e-15 * abs(v))
+
+
 def _sphere_rule_functional(body):
     """The indicator path's functional as it was summed over one normal of each
     antipodal pair of the full product rule on S^{n-1}, at the default degree."""
@@ -607,7 +635,7 @@ class TestBandConesOnThePolarRule:
         for module in (bodies, functionals, quadrature):
             monkeypatch.setattr(module, "build_sphere_rule", refuse)
         for body in cones:
-            assert functionals._path(body, QuadratureConfig()) == "indicator"
+            assert type(functionals._path(body, QuadratureConfig())) is functionals._Indicator
             volume(body)
             section_volume(body, np.eye(body.space.dim)[1])
             busemann_functional_with_error(body)
@@ -1065,9 +1093,6 @@ class TestRhoClamp:
         assert busemann_functional(body) == busemann_functional(clipped)
 
 
-DEFAULT = QuadratureConfig()
-
-
 def _full_inner_sections(body, mu, config=DEFAULT):
     """The product path's sections and functional as they were summed before
     the inner rule was folded: every node of the inner rule, at its weight."""
@@ -1079,6 +1104,12 @@ def _full_inner_sections(body, mu, config=DEFAULT):
     radial = phi(space, n - 1, rho) if mu is None else mu.radial_integral(space, n - 1, rho)
     sections = radial.reshape(embedded.shape[:2]) @ inner.weights
     return normals, sections, float(np.dot(weights, sections ** n))
+
+
+def _product_sections(body, mu):
+    """The product path's sections at every normal of its folded outer rule."""
+    path = functionals._Product(body, DEFAULT)
+    return path.sections(mu, path.rule()[1])
 
 
 PAIR_SUM_SPACES = [E3, H3, S3, SpaceSpec(1, 4)]
@@ -1095,7 +1126,7 @@ class TestPairSum:
         body = random_star_body(space, np.random.default_rng(space.dim - space.delta), symmetric)
         assert body.symmetric == symmetric
         _, reference, functional = _full_inner_sections(body, mu)
-        _, sections = functionals._rule_sections(body, mu, DEFAULT, "product")
+        sections = _product_sections(body, mu)
         assert np.max(np.abs(sections - reference) / reference) <= 1e-14
         assert busemann_functional(body, mu) == pytest.approx(functional, rel=1e-14, abs=0.0)
 
@@ -1105,10 +1136,32 @@ class TestPairSum:
     def test_section_volume_is_its_row_of_the_grid(self, space, symmetric, mu, fresh_grid_cache):
         body = random_star_body(space, np.random.default_rng(space.dim + 7), symmetric)
         normals, _, _ = _full_inner_sections(body, mu)
-        _, sections = functionals._rule_sections(body, mu, DEFAULT, "product")
+        sections = _product_sections(body, mu)
         for row in (0, len(normals) // 3, len(normals) - 1):
             assert section_volume(body, normals[row], mu) == pytest.approx(
                 sections[row], rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("mu", [None, gaussian_measure()], ids=["uniform", "gaussian"])
+    @pytest.mark.parametrize("body", [
+        make_ball(E3, 1.2), make_ball(H3, 0.9), make_perturbed_ball(S3, 0.8, 0.08, 4),
+        make_perturbed_ball(SpaceSpec(1, 4), 0.8, 0.08, 2),
+        make_cone(SpaceSpec(1, 4), equality_cone_base(4, 0.4)), make_striped_cone(S3, 0.5, 0.4, 0.2),
+    ], ids=["ball-e3", "ball-h3", "perturbed-s3", "perturbed-s4", "equality-cone-s4", "striped-cone-s3"])
+    def test_section_volume_is_its_row_of_the_polar_rule(self, body, mu):
+        # the zonal and indicator paths: one section operator serves the single
+        # section and the functional, at every normal of the folded outer rule
+        path = functionals._path(body, DEFAULT)
+        assert type(path) in (functionals._Zonal, functionals._Indicator)
+        _, points = path.rule()
+        sections = path.sections(mu, points)
+        if type(path) is functionals._Indicator:
+            # a row of the band sums does not depend on its batch
+            for normal, section in zip(points, sections, strict=True):
+                assert section_volume(body, normal, mu) == section
+        else:
+            # the single section's c = <xi, axis> is recomputed from xi
+            for normal, section in zip(path._directions(points), sections, strict=True):
+                assert section_volume(body, normal, mu) == pytest.approx(section, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("symmetric, inner_share", [(True, 2), (False, 1)],
                              ids=["symmetric", "asymmetric"])
@@ -1248,11 +1301,11 @@ class TestProductPathBlocks:
     def test_blocks_give_one_pass_bit_for_bit(self, symmetric, mu, monkeypatch, fresh_grid_cache):
         space = SpaceSpec(1, 4)
         body = random_star_body(space, np.random.default_rng(6), symmetric)
-        _, blocked = functionals._rule_sections(body, mu, DEFAULT, "product")
-        embedded = functionals._section_grid(4, DEFAULT.outer(4), DEFAULT.inner(4))[2]
+        blocked = _product_sections(body, mu)
+        embedded = functionals._section_grid(4, DEFAULT.outer(4), DEFAULT.inner(4))[1]
         assert embedded.shape[0] * embedded.shape[1] > 2 * functionals._BLOCK_POINTS
         monkeypatch.setattr(functionals, "_BLOCK_POINTS", 1 << 30)
-        _, whole = functionals._rule_sections(body, mu, DEFAULT, "product")
+        whole = _product_sections(body, mu)
         # a point's density integral does not depend on its batch either
         assert np.array_equal(blocked, whole)
 

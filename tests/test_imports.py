@@ -100,3 +100,27 @@ def test_every_public_name_has_a_caller():
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
                 and uses[node.name] == Counter(referenced_names(node))[node.name]}
     assert uncalled == set(UNCALLED_PUBLIC_NAMES)
+
+
+PATH_NAMES = {"arcs", "indicator", "plane", "zonal", "product"}
+
+
+def docstrings(tree):
+    """The docstring nodes of a module and of its classes and functions."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.body and isinstance(node.body[0], ast.Expr) \
+                and isinstance(node.body[0].value, ast.Constant) \
+                and isinstance(node.body[0].value.value, str):
+            yield node.body[0].value
+
+
+def test_paths_are_chosen_in_one_place():
+    # _path returns a path object, and each path's class holds what differs;
+    # a path's name as a string in functionals.py is a second place that
+    # chooses a path
+    tree = ast.parse((PACKAGE / "functionals.py").read_text())
+    skip = {id(node) for node in docstrings(tree)}
+    names = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and id(node) not in skip and node.value in PATH_NAMES]
+    assert names == []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,32 @@ class TestSphereRules:
     def test_node_cap(self):
         with pytest.raises(ResourceLimitError):
             build_sphere_rule(3, 301)
+
+    @pytest.mark.parametrize("build, args", [
+        (polar_rule, (2, 100_000)),   # a 50,001-point Gauss-Jacobi matrix: 18.6 GB
+        (polar_rule, (1, 10 ** 9)),   # a circle rule of 1e9 nodes
+        (build_sphere_rule, (1, 10 ** 9)),
+    ], ids=["polar-s2", "polar-s1", "sphere-s1"])
+    def test_rules_past_the_cap_are_refused_before_they_allocate(self, build, args):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                build(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_node_count_is_checked_before_the_polar_factor(self):
+        # 5e9 nodes; the 100,002-node circle factor is built first, the
+        # 50,001-point polar factor never
+        with pytest.raises(ResourceLimitError, match="nodes, cap is"):
+            build_sphere_rule(2, 100_000)
+
+    def test_gauss_jacobi_cap_is_2000_nodes(self):
+        assert len(gauss_jacobi(2000, 0.0)[0]) == 2000
+        with pytest.raises(ResourceLimitError):
+            gauss_jacobi(2001, 0.0)
 
     def test_point_pair(self):
         rule = build_sphere_rule(0, 1)
