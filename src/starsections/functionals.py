@@ -55,8 +55,9 @@ class QuadratureConfig:
 
     ``outer_degree`` drives the xi-integration on S^{n-1}; ``inner_degree``
     the subsphere integration.  In the plane the angular integrals are done
-    by default with adaptive Gauss-Kronrod 10/21 bisection to ``angular_tol``
-    (section profiles there often have corners).
+    by default with adaptive Gauss-Kronrod 10/21 bisection (section profiles
+    there often have corners), to ``angular_tol`` relative to
+    max(1, 2 pi max |integrand|) on the first round.
     """
 
     outer_degree: int | None = None
@@ -249,13 +250,9 @@ _BLOCK_POINTS = 16_000
 
 def _adaptive_circle(integrand, angular_tol: float, breaks=()):
     """Adaptive integral of a vectorized integrand over the full circle, its
-    first panels cut at the angles ``breaks``.
-
-    The tolerance is scaled by a cheap estimate of the integral's magnitude.
-    """
-    probe = np.linspace(0.0, TWO_PI, 97)
-    scale = TWO_PI * float(np.max(np.abs(integrand(probe))))
-    return integrate_vectorized(integrand, 0.0, TWO_PI, angular_tol * max(1.0, scale), breaks)
+    first panels cut at the angles ``breaks``, to ``angular_tol`` relative to
+    max(1, 2 pi max |integrand|) on the first round."""
+    return integrate_vectorized(integrand, 0.0, TWO_PI, angular_tol, breaks)
 
 
 class _Product:
@@ -351,11 +348,20 @@ class _Zonal(_Product):
         """On xi-perp, <u, axis> = sqrt(1 - c^2) t with t the polar coordinate
         of the subsphere, so one polar rule on S^{n-2} gives each section."""
         t, w = polar_rule(self.n - 2, self.config.inner(self.n))
-        s = np.sqrt(np.maximum(1.0 - c * c, 0.0))[:, None] * t
-        # each of the few sections carries a large share of the weight, so its
-        # rounding does not average out as over the product rule's many nodes:
-        # sum the rows pairwise, more accurately than a matrix-vector product
-        return np.sum(self._body_radial(mu, self.n - 1, self._directions(s)) * w, axis=1)
+        scale = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+        # the directions are built a block of rows at a time, so a fine grid
+        # never holds its (C, T, n) array; a small grid is one block
+        rows = max(1, _BLOCK_POINTS // len(t))
+        out = np.empty(len(scale))
+        for start in range(0, len(scale), rows):
+            s = scale[start:start + rows, None] * t
+            # each of the few sections carries a large share of the weight, so
+            # its rounding does not average out as over the product rule's many
+            # nodes: sum the rows pairwise, more accurately than a matrix-vector
+            # product
+            out[start:start + len(s)] = np.sum(
+                self._body_radial(mu, self.n - 1, self._directions(s)) * w, axis=1)
+        return out
 
     def rule(self):
         """The c >= 0 of the outer polar rule, each at twice its weight except

@@ -115,11 +115,16 @@ def gauss_jacobi(npts: int, a: float):
     return x, w * (mass / w.sum())
 
 
+def _circle_count(degree: int) -> int:
+    """The node count of ``_circle_rule(degree)``."""
+    return max(degree + 2 - degree % 2, 4)
+
+
 def _circle_rule(degree: int) -> SphereRule:
     """degree + 1 equally spaced nodes, rounded up to an even count (at least 4),
     the second half the exact negation of the first.  ResourceLimitError,
     before anything is allocated, for more than ``NODE_CAP`` nodes."""
-    n = max(degree + 2 - degree % 2, 4)
+    n = _circle_count(degree)
     if n > NODE_CAP:
         raise ResourceLimitError(f"rule would need {n} nodes, cap is {NODE_CAP}")
     angles = 2 * math.pi * np.arange(n // 2) / n
@@ -151,10 +156,11 @@ def build_sphere_rule(m: int, degree: int) -> SphereRule:
         return _circle_rule(degree)
 
     npolar = (degree + 2) // 2
-    sub = build_sphere_rule(m - 1, degree)
-    count = npolar * len(sub)
+    # the count is checked before the S^{m-1} factor is built and cached
+    count = npolar ** (m - 1) * _circle_count(degree)
     if count > NODE_CAP:
         raise ResourceLimitError(f"rule would need {count} nodes, cap is {NODE_CAP}")
+    sub = build_sphere_rule(m - 1, degree)
     t, wt = gauss_jacobi(npolar, (m - 2) / 2.0)
 
     s = np.sqrt(1.0 - t ** 2)
@@ -275,15 +281,19 @@ def integrate_vectorized(f, a: float, b: float, tol: float = 1e-12, breaks=()):
     corners of f, as QUADPACK's qagp takes them) that lies strictly inside
     (a, b) and farther than 1e-12 (b - a) from their edges and from the break
     before it.  Each round evaluates the 21 Kronrod nodes of every pending
-    interval in one call of ``f``; an interval is accepted when
-    |K21 - G10| <= tol * length / (b - a) and bisected otherwise.  Intervals
-    shorter than 1e-12 (b - a), and every pending interval once 4000
-    intervals would be exceeded, are accepted as they stand.
+    interval in one call of ``f``.  ``tol`` is relative to the integral's
+    magnitude as the first round sees it: the whole integration runs to
+    tol * max(1, (b - a) * max |f|), the maximum taken over the first
+    round's nodes (as QUADPACK's qag scales by a magnitude its rule already
+    holds, with no separate pass).  An interval is accepted when
+    |K21 - G10| <= that tolerance * length / (b - a) and bisected otherwise.
+    Intervals shorter than 1e-12 (b - a), and every pending interval once
+    4000 intervals would be exceeded, are accepted as they stand.
 
     Returns ``(value, error_estimate)``: the exactly rounded sum of the
     accepted Kronrod values, and the sum of their |K21 - G10| plus QUADPACK's
     roundoff floor 50 eps * sum of |K21|.  Raises :class:`ConvergenceError`
-    when the estimate exceeds max(50 tol, 1e-9 |value|).
+    when the estimate exceeds max(50 tolerance, 1e-9 |value|).
     """
     if a > b:
         raise DomainError("integration requires a <= b")
@@ -304,6 +314,8 @@ def integrate_vectorized(f, a: float, b: float, tol: float = 1e-12, breaks=()):
         centre, half = (lo + hi) / 2.0, (hi - lo) / 2.0
         x = centre[:, None] + half[:, None] * _GK21_NODES
         y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        if not values:
+            tol *= max(1.0, (b - a) * float(np.max(np.abs(y))))
         kronrod = half * (y @ _GK21_WEIGHTS)
         err = np.abs(kronrod - half * (y @ _G10_WEIGHTS))
         # a NaN error stops refinement at once; the final check rejects it

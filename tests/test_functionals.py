@@ -367,6 +367,58 @@ class TestPlaneCorners:
             verify_module._plane_volume(space, values), rel=1e-13, abs=0.0)
 
 
+def _rho_calls_by_round(body, mu, monkeypatch):
+    """The point count of each Gauss-Kronrod round that the volume, the
+    functional and the functional with error make, each with the point counts
+    of the ``StarBody.rho`` calls made inside it; and every ``rho`` call's
+    point count."""
+    rounds, points = [], []
+    rho, integrate = StarBody.rho, functionals.integrate_vectorized
+
+    def spied_rho(self, dirs):
+        points.append(len(dirs))
+        return rho(self, dirs)
+
+    def counted(f, *args):
+        def g(x):
+            start = len(points)
+            out = f(x)
+            rounds.append((len(x), points[start:]))
+            return out
+
+        return integrate(g, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(StarBody, "rho", spied_rho)
+        patch.setattr(functionals, "integrate_vectorized", counted)
+        volume(body, mu)
+        busemann_functional(body, mu)
+        busemann_functional_with_error(body, mu)
+    return rounds, points
+
+
+class TestPlaneRoundsOnly:
+    """The plane path scales its tolerance by Gauss-Kronrod's own first round,
+    so rho is evaluated at round nodes and nowhere else."""
+
+    @pytest.mark.parametrize("mu", [None, gaussian_measure()], ids=["uniform", "gaussian"])
+    @pytest.mark.parametrize("body", [
+        make_ball(S2, 0.7), make_lune(0.4, (0.6, 0.8)),
+        make_symmetric_polygon_body([0.7, 1.3, 0.9], [0.2, 1.1, 2.3]),
+        make_bumpy_ball(S2, 0.8, [[0.6, 0.8]], [0.2], [3.0], symmetric=True),
+        make_bumpy_ball(S2, 0.8, [[0.6, 0.8]], [0.2], [3.0]),
+    ], ids=["ball", "lune", "polygon", "bumpy", "bumpy-asymmetric"])
+    def test_rho_sees_only_round_nodes(self, body, mu, monkeypatch):
+        rounds, points = _rho_calls_by_round(body, mu, monkeypatch)
+        # no rho call outside a round, and no 97-point probe
+        assert sum(len(calls) for _, calls in rounds) == len(points)
+        assert 97 not in points
+        for size, calls in rounds:
+            assert size % 21 == 0
+            # a functional round of an asymmetric body adds rho at -dirs
+            assert calls == [size] or (not body.symmetric and calls == [size, size])
+
+
 RULE_IN_PLANE = QuadratureConfig(plane_adaptive=False)
 
 
@@ -486,6 +538,34 @@ class TestZonalPath:
     def test_n6_experiment(self, k):
         result = perturbation_sign_experiment(6, 0.7, k)
         assert result.conclusive and result.sign_matches
+
+    @pytest.mark.parametrize("mu", [None, gaussian_measure()], ids=["uniform", "gaussian"])
+    def test_sections_in_row_blocks_match_one_pass_bit_for_bit(self, mu, monkeypatch):
+        body = make_perturbed_ball(S3, 0.8, 0.08, 4)
+        path = functionals._path(body, DEFAULT)
+        assert isinstance(path, functionals._Zonal)
+        c = path.rule()[1]
+        t, w = functionals.polar_rule(1, DEFAULT.inner(3))
+        s = np.sqrt(np.maximum(1.0 - c * c, 0.0))[:, None] * t
+        whole = np.sum(path._body_radial(mu, 2, path._directions(s)) * w, axis=1)
+        assert np.array_equal(path.sections(mu, c), whole)
+        # blocks of one and of two rows
+        for block in (len(t), 2 * len(t)):
+            monkeypatch.setattr(functionals, "_BLOCK_POINTS", block)
+            assert np.array_equal(path.sections(mu, c), whole)
+
+    def test_peak_memory_of_a_fine_zonal_functional(self):
+        # degrees 3014/3014: 754 sections of 3,016 points each, which one
+        # (C, T, n) direction array would hold in 55 MB
+        ball, config = make_ball(S3, 0.7), QuadratureConfig(outer_degree=3014, inner_degree=3014)
+        value = busemann_functional(ball, config=config)   # builds and caches the polar rules
+        tracemalloc.start()
+        try:
+            assert busemann_functional(ball, config=config) == value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     def test_n4_experiment_evaluates_few_points(self, monkeypatch):
         points = []

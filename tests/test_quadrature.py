@@ -8,6 +8,7 @@ from scipy.special import roots_jacobi, roots_legendre
 from starsections.errors import ConvergenceError, DomainError, ResourceLimitError
 from starsections.harmonics import zonal_harmonic
 from starsections.quadrature import (
+    _GK21_NODES,
     build_sphere_rule,
     gauss_jacobi,
     householder_frame,
@@ -153,10 +154,18 @@ class TestSphereRules:
         assert peak < 1e6
 
     def test_node_count_is_checked_before_the_polar_factor(self):
-        # 5e9 nodes; the 100,002-node circle factor is built first, the
-        # 50,001-point polar factor never
-        with pytest.raises(ResourceLimitError, match="nodes, cap is"):
-            build_sphere_rule(2, 100_000)
+        # 5e9 nodes: neither the 100,002-node circle factor nor the
+        # 50,001-point polar factor is built, and nothing is cached
+        cached = build_sphere_rule.cache_info().currsize
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="nodes, cap is"):
+                build_sphere_rule(2, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert build_sphere_rule.cache_info().currsize == cached
+        assert peak < 1e6
 
     def test_gauss_jacobi_cap_is_2000_nodes(self):
         assert len(gauss_jacobi(2000, 0.0)[0]) == 2000
@@ -338,6 +347,21 @@ class TestIntegrateVectorized:
         with pytest.raises(ConvergenceError):
             integrate_vectorized(lambda t: 1.0 / np.abs(t - 1.0), 0.0, 2 * math.pi, 1e-12)
 
+    @pytest.mark.parametrize("nan_at", [slice(None), slice(5, 6)], ids=["every-node", "one-node"])
+    def test_a_nan_first_round_is_a_convergence_error(self, nan_at):
+        # the first round sets the tolerance's scale; its NaN must not pass
+        calls = []
+
+        def f(t):
+            y = np.abs(np.sin(t - 0.3))
+            if not calls:
+                y[nan_at] = np.nan
+            calls.append(len(t))
+            return y
+
+        with pytest.raises(ConvergenceError):
+            integrate_vectorized(f, 0.0, 2 * math.pi, 1e-12)
+
 
 def _counting(f):
     """f, and the list that each call of it appends its point count to."""
@@ -365,9 +389,14 @@ class TestIntegrateVectorizedBreaks:
         assert len(calls) == 1 and calls[0] == 9 * 21
         assert val == pytest.approx(exact, rel=1e-15, abs=0.0)
         assert err >= abs(val - exact)
-        # without the break, the panel holding the kink is bisected round after round
+        # without the break, the panel holding the kink is bisected round after
+        # round, at the absolute threshold 1e-12: tol is relative to the first
+        # round's scale (b - a) max |f| over the 8 equal panels' Kronrod nodes
+        edges = np.linspace(self.A, self.B, 9)
+        first = ((edges[:-1] + edges[1:]) / 2)[:, None] + (np.diff(edges) / 2)[:, None] * _GK21_NODES
+        scale = max(1.0, (self.B - self.A) * float(np.max(np.abs(f(first)))))
         counted, calls = _counting(f)
-        integrate_vectorized(counted, self.A, self.B, 1e-12)
+        integrate_vectorized(counted, self.A, self.B, 1e-12 / scale)
         assert len(calls) > 5
 
     def test_a_square_root_end_converges_no_slower_at_a_break(self):
