@@ -24,7 +24,7 @@ from .errors import (
     SolverError,
 )
 from .harmonics import ZonalHarmonic, zonal_harmonic
-from .quadrature import build_sphere_rule, gauss_jacobi, polar_rule
+from .quadrature import gauss_jacobi, polar_rule
 from .spaces import (
     HEMISPHERE_MAX_RADIUS,
     SpaceSpec,
@@ -486,9 +486,14 @@ def base_from_descriptor(d: dict) -> ConeBase:
 
 
 class RadialProfile:
-    """Radial function rho on the direction sphere; vectorized evaluation."""
+    """Radial function rho on the direction sphere; vectorized evaluation.
+
+    ``symmetric`` says whether rho(-u) = rho(u) for every direction u.  Each
+    profile decides it exactly from its own data; one that cannot says False.
+    """
 
     kind: str = "abstract"
+    symmetric: bool = False
 
     def rho(self, dirs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -510,6 +515,7 @@ class RadialProfile:
 class ConstantProfile(RadialProfile):
     r: float
     kind = "ball"
+    symmetric = True
 
     def rho(self, dirs):
         dirs = np.atleast_2d(dirs)
@@ -527,6 +533,7 @@ class ConstantProfile(RadialProfile):
 class EllipsoidProfile(RadialProfile):
     semiaxes: np.ndarray
     kind = "ellipsoid"
+    symmetric = True
 
     def __post_init__(self):
         ax = np.asarray(self.semiaxes, dtype=float)
@@ -548,6 +555,7 @@ class LuneProfile(RadialProfile):
     w: float
     axis: np.ndarray
     kind = "lune"
+    symmetric = True
 
     def __post_init__(self):
         object.__setattr__(self, "axis", as_direction(self.axis, 2).copy())
@@ -581,6 +589,11 @@ class HarmonicPerturbedProfile(RadialProfile):
     harmonic: ZonalHarmonic
     kind = "perturbed_ball"
 
+    @property
+    def symmetric(self) -> bool:
+        # H_k(-u) = (-1)^k H_k(u)
+        return self.harmonic.degree % 2 == 0
+
     def rho(self, dirs):
         dirs = np.atleast_2d(dirs)
         return self.r + self.alpha + self.beta * self.harmonic(dirs)
@@ -610,6 +623,10 @@ class IndicatorProfile(RadialProfile):
     height: float
     kind = "cone"
 
+    @cached_property
+    def symmetric(self) -> bool:
+        return self.base.is_origin_symmetric()
+
     def rho(self, dirs):
         dirs = np.atleast_2d(dirs)
         return self.height * self.base.contains(dirs).astype(float)
@@ -627,6 +644,14 @@ class IndicatorProfile(RadialProfile):
 _COSH_ARG_MAX = 700.0
 
 
+def _is_own_mirror(profile) -> bool:
+    """Whether a bumpy profile's bumps (c, a, s), as a multiset, equal their
+    mirrors (-c, a, s): both lists sorted, then compared exactly."""
+    bumps = sorted(zip(map(tuple, profile.centers.tolist()), profile.amplitudes.tolist(),
+                       profile.sharpness.tolist()))
+    return bumps == sorted((tuple(-x for x in c), a, s) for c, a, s in bumps)
+
+
 @dataclass(frozen=True)
 class BumpyProfile(RadialProfile):
     """Ball radius plus smooth zonal bumps: r0 + sum a_j exp(s_j (<u, c_j> - 1)).
@@ -637,6 +662,9 @@ class BumpyProfile(RadialProfile):
     That form is taken where e^{-s} and cosh(s <u, c>) stay finite and normal
     for every unit u (0 < s, s <= ``_COSH_ARG_MAX`` and s |c| <=
     ``_COSH_ARG_MAX``); every other bump is summed on its own.
+
+    The profile is symmetric when its bumps (c, a, s), as a multiset, are
+    their own mirror (-c, a, s), in any order.
     """
 
     r0: float
@@ -672,6 +700,7 @@ class BumpyProfile(RadialProfile):
                           ("_single", np.flatnonzero(~paired))):
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
+        object.__setattr__(self, "symmetric", bool(antipodal) or _is_own_mirror(self))
 
     def rho(self, dirs):
         dirs = np.atleast_2d(dirs)
@@ -714,6 +743,7 @@ class PolygonProfile(RadialProfile):
     normals: np.ndarray   # (k, 2)
     offsets: np.ndarray   # (k,)
     kind = "polygon"
+    symmetric = True
 
     def __post_init__(self):
         for name in ("normals", "offsets"):
@@ -766,7 +796,8 @@ class GridProfile(RadialProfile):
 
     Polar angles use clamped linear interpolation on uniform [0, pi] grids;
     the azimuth is periodic.  Order 1 preserves star-shapedness and min/max
-    bounds, which is what the shape search needs.
+    bounds, which is what the shape search needs.  DomainError for a grid
+    without an axis or with an empty one.
     """
 
     values: np.ndarray   # shape (N_1, ..., N_{n-1})
@@ -774,8 +805,21 @@ class GridProfile(RadialProfile):
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
+        if arr.ndim == 0 or 0 in arr.shape:
+            raise DomainError(f"a grid needs at least one value on each angle axis, got shape {arr.shape}")
         object.__setattr__(self, "values", arr)
         arr.setflags(write=False)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """u -> -u takes each polar angle t to pi - t and the azimuth p to
+        p + pi: on the grid, a flip of every polar axis and a roll of the
+        azimuth by half its count, which must be even."""
+        count = self.values.shape[-1]
+        if count % 2:
+            return False
+        mirror = np.roll(np.flip(self.values, axis=tuple(range(self.values.ndim - 1))), count // 2, axis=-1)
+        return bool(np.array_equal(self.values, mirror))
 
     @property
     def ambient_dim(self) -> int:
@@ -847,17 +891,18 @@ class GridProfile(RadialProfile):
 
 @dataclass(frozen=True)
 class StarBody:
-    """A space, a radial profile and an origin-symmetry claim.
-
-    ``symmetric=True`` promises rho(-u) = rho(u) for every direction u.  Left
-    sides rely on it: the product and plane paths sum each antipodal pair of a
-    subsphere rule from rho at one of its two nodes.  ``check_symmetry`` tests
-    the promise.
-    """
+    """A space and a radial profile."""
 
     space: SpaceSpec
     profile: RadialProfile
-    symmetric: bool = False
+
+    @property
+    def symmetric(self) -> bool:
+        """Whether rho(-u) = rho(u) for every direction u, as the profile
+        decides it exactly.  Left sides rely on it: the product and plane
+        paths sum each antipodal pair of a subsphere rule from rho at one of
+        its two nodes."""
+        return self.profile.symmetric
 
     def rho(self, dirs) -> np.ndarray:
         """The profile clamped to the space's radius range [0, max_radius]."""
@@ -868,13 +913,6 @@ class StarBody:
         """Whether rho is a height on a cone base and 0 elsewhere, whose left
         sides are exact."""
         return isinstance(self.profile, IndicatorProfile)
-
-    def check_symmetry(self) -> bool:
-        """Verify the symmetry claim at the nodes of a degree-11 rule:
-        rho(u) = rho(-u) to 1e-12 max(1, |rho(u)|)."""
-        nodes = build_sphere_rule(self.space.dim - 1, 11).nodes
-        rho = self.rho(nodes)
-        return bool(np.all(np.abs(rho - self.rho(-nodes)) <= 1e-12 * np.maximum(1.0, np.abs(rho))))
 
     def to_json_dict(self) -> dict:
         return {
@@ -888,13 +926,16 @@ class StarBody:
 def body_from_json_dict(doc: dict) -> StarBody:
     """The body a ``to_json_dict`` document describes.  Each kind passes its
     builder's checks, and the document's space must be the one the profile
-    implies.  The symmetry flag is derived wherever the profile fixes it; a
-    bumpy or grid document's claim of symmetry is checked.  DomainError for a
-    document that fails any of these."""
+    implies.  The symmetry flag is the profile's own; a bumpy or grid
+    document that claims a symmetry its profile lacks is refused, and any
+    other kind's claim is ignored.  DomainError for a document that fails any
+    of these, or whose ``symmetric`` is not a boolean."""
     space = SpaceSpec(int(doc["space"]["delta"]), int(doc["space"]["dim"]))
     p = doc["profile"]
     kind = p["kind"]
-    symmetric = bool(doc.get("symmetric", False))
+    claim = doc.get("symmetric", False)
+    if not isinstance(claim, bool):
+        raise DomainError(f"the document's 'symmetric' must be true or false, got {claim!r}")
     if kind == "ball":
         body = make_ball(space, float(p["r"]))
     elif kind == "ellipsoid":
@@ -908,7 +949,7 @@ def body_from_json_dict(doc: dict) -> StarBody:
         h, span = _perturbation(space, r, beta, int(p["degree"]), np.array(p["axis"], dtype=float))
         if not abs(alpha) <= span:
             raise DomainError(f"the volume shift alpha must lie in [-{span!r}, {span!r}], got {alpha!r}")
-        body = StarBody(space, HarmonicPerturbedProfile(r, alpha, beta, h), symmetric=True)
+        body = StarBody(space, HarmonicPerturbedProfile(r, alpha, beta, h))
     elif kind == "polygon":
         body = _polygon_body(np.array(p["normals"], dtype=float), np.array(p["offsets"], dtype=float))
     elif kind == "bumpy":
@@ -923,19 +964,19 @@ def body_from_json_dict(doc: dict) -> StarBody:
         _check_bumps(space, profile.r0, profile.centers, profile.amplitudes, profile.sharpness)
         if not (math.isfinite(profile.lo) and profile.lo <= profile.hi):
             raise DomainError("a bumpy profile's clip range needs a finite lo <= hi")
-        body = StarBody(space, profile, symmetric)
+        body = StarBody(space, profile)
     elif kind == "grid":
         profile = GridProfile(np.array(p["values"], dtype=float).reshape(p["shape"]))
         if not np.all(np.isfinite(profile.values)):
             raise DomainError("grid values must be finite")
         if profile.ambient_dim != space.dim:
             raise DomainError(f"a grid of {profile.values.ndim} angles does not describe dim {space.dim}")
-        body = StarBody(space, profile, symmetric)
+        body = StarBody(space, profile)
     else:
         raise DomainError(f"unknown profile kind {kind!r}")
     if body.space != space:
         raise DomainError(f"a {kind} document on {space} describes a body on {body.space}")
-    if kind in ("bumpy", "grid") and symmetric and not body.check_symmetry():
+    if kind in ("bumpy", "grid") and claim and not body.symmetric:
         raise DomainError(f"the {kind} profile is not origin-symmetric, though the document says so")
     return body
 
@@ -948,7 +989,7 @@ def make_ball(space: SpaceSpec, r: float) -> StarBody:
     if not r > 0:
         raise DomainError("ball radius must be positive")
     space.check_radius(r)
-    return StarBody(space, ConstantProfile(float(r)), symmetric=True)
+    return StarBody(space, ConstantProfile(float(r)))
 
 
 def make_ellipsoid(semiaxes) -> StarBody:
@@ -956,7 +997,7 @@ def make_ellipsoid(semiaxes) -> StarBody:
     if not np.all((ax > 0) & np.isfinite(ax)):
         raise DomainError("all semiaxes must be positive and finite")
     space = SpaceSpec(0, ax.shape[0])
-    return StarBody(space, EllipsoidProfile(ax), symmetric=True)
+    return StarBody(space, EllipsoidProfile(ax))
 
 
 def bands_to_arcs(base: BandsBase) -> ArcsBase:
@@ -978,7 +1019,7 @@ def _indicator_body(space: SpaceSpec, base: ConeBase, height: float) -> StarBody
     """The one builder of indicator bodies: rho = height on the base, 0 elsewhere.
 
     A circle band base becomes arcs, so that plane left sides take the exact
-    ``arcs`` path; the symmetry flag is the base's own.
+    ``arcs`` path.
     """
     if base.ambient_dim != space.dim:
         raise DomainError("base dimension does not match the space")
@@ -987,7 +1028,7 @@ def _indicator_body(space: SpaceSpec, base: ConeBase, height: float) -> StarBody
     space.check_radius(height, name="height")
     if space.dim == 2 and isinstance(base, BandsBase):
         base = bands_to_arcs(base)
-    return StarBody(space, IndicatorProfile(base, height), symmetric=base.is_origin_symmetric())
+    return StarBody(space, IndicatorProfile(base, height))
 
 
 def make_cone(space: SpaceSpec, base: ConeBase) -> StarBody:
@@ -1001,7 +1042,7 @@ def make_lune(w: float, axis=(1.0, 0.0)) -> StarBody:
     if not 0.0 < w < HEMISPHERE_MAX_RADIUS:
         raise DomainError("lune half-width must lie in (0, pi/2)")
     space = SpaceSpec(1, 2)
-    return StarBody(space, LuneProfile(float(w), np.asarray(axis, dtype=float)), symmetric=True)
+    return StarBody(space, LuneProfile(float(w), np.asarray(axis, dtype=float)))
 
 
 def _check_bumps(space: SpaceSpec, r0: float, centers, amplitudes, sharpness):
@@ -1017,7 +1058,8 @@ def _check_bumps(space: SpaceSpec, r0: float, centers, amplitudes, sharpness):
 def make_bumpy_ball(space: SpaceSpec, r0: float, centers, amplitudes, sharpness,
                     symmetric: bool = False) -> StarBody:
     """Ball plus smooth zonal bumps, clipped to the valid radius range less a
-    margin of 0.05 at either end."""
+    margin of 0.05 at either end.  ``symmetric=True`` adds the mirror of each
+    bump, which makes the body origin-symmetric."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     amplitudes = np.asarray(amplitudes, dtype=float)
     sharpness = np.asarray(sharpness, dtype=float)
@@ -1029,7 +1071,7 @@ def make_bumpy_ball(space: SpaceSpec, r0: float, centers, amplitudes, sharpness,
     margin = 0.05
     hi = HEMISPHERE_MAX_RADIUS - margin if space.delta == 1 else math.inf
     profile = BumpyProfile(float(r0), centers, amplitudes, sharpness, lo=margin, hi=hi)
-    return StarBody(space, profile, symmetric=symmetric)
+    return StarBody(space, profile)
 
 
 def make_symmetric_polygon_body(offsets, angles) -> StarBody:
@@ -1047,7 +1089,7 @@ def _polygon_body(normals, offsets) -> StarBody:
     if (len(offsets) == 0 or normals.shape != (len(offsets), 2)
             or not np.all(np.abs(np.linalg.norm(normals, axis=1) - 1.0) <= 1e-12)):
         raise DomainError("a polygon needs at least one strip, and a unit normal in the plane per offset")
-    return StarBody(SpaceSpec(1, 2), PolygonProfile(normals, offsets), symmetric=True)
+    return StarBody(SpaceSpec(1, 2), PolygonProfile(normals, offsets))
 
 
 def _harmonic_extrema(n: int, k: int) -> np.ndarray:
@@ -1105,8 +1147,7 @@ def make_perturbed_ball(space: SpaceSpec, r: float, beta: float, k: int) -> Star
             alpha = brent_root(vol_gap, -span, span, xtol=1e-15, rtol=1e-15)
         except ValueError as exc:
             raise SolverError(f"volume-matching alpha not bracketed: {exc}") from exc
-    body = StarBody(space, HarmonicPerturbedProfile(float(r), float(alpha), float(beta), harmonic),
-                    symmetric=True)
+    body = StarBody(space, HarmonicPerturbedProfile(float(r), float(alpha), float(beta), harmonic))
     gap = abs(vol_gap(alpha))
     if gap > 1e-10 * ball_vol:
         raise SolverError(f"volume matching achieved only {gap:.2e}")

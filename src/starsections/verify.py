@@ -367,8 +367,7 @@ class SearchTrace:
 
     def best_body(self) -> StarBody:
         space = SpaceSpec(self.settings["delta"], self.settings["dim"])
-        return StarBody(space, GridProfile(self.best_values.copy()),
-                        symmetric=self.settings["body_class"].startswith("sym"))
+        return StarBody(space, GridProfile(self.best_values.copy()))
 
 
 def _segment_volumes(space, a, b, h):
@@ -469,7 +468,7 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
             return True
         if space.delta == 0:
             return _is_convex_plane_euclidean(cand)
-        probe = StarBody(space, GridProfile(cand), symmetric=symmetric)
+        probe = StarBody(space, GridProfile(cand))
         return is_convex_spherical(probe, samples=400, seed=probe_seed, tol=1e-7)
 
     nodes, step = 64, 0.2   # even, so that every node has its antipode

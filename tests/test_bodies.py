@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from starsections.bodies import (
     BandsBase,
     BumpyProfile,
     GridProfile,
+    HarmonicPerturbedProfile,
     StarBody,
     bands_to_arcs,
     body_from_json_dict,
@@ -34,6 +36,7 @@ from starsections.bodies import (
     striped_cap_subset,
 )
 from starsections.errors import DomainError, ResourceLimitError
+from starsections.harmonics import zonal_harmonic
 from starsections.functionals import busemann_functional, volume
 from starsections.quadrature import build_sphere_rule, default_degree, gauss_jacobi, polar_rule
 from starsections.spaces import SpaceSpec, brent_root, phi, sphere_surface_area
@@ -110,7 +113,8 @@ class TestBalls:
             make_ball(E3, 0.0)
 
     def test_symmetry_claim(self):
-        assert make_ball(E3, 1.0).check_symmetry()
+        body = make_ball(E3, 1.0)
+        assert body.symmetric and _rho_is_even(body)
 
 
 class TestEllipsoids:
@@ -777,7 +781,7 @@ class TestPerturbedBalls:
 
     def test_symmetry(self):
         body = make_perturbed_ball(S3, 0.7, 0.04, 4)
-        assert body.symmetric and body.check_symmetry()
+        assert body.symmetric and _rho_is_even(body)
 
     def test_range_error(self):
         with pytest.raises(DomainError):
@@ -955,6 +959,12 @@ class TestGridProfile:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         assert np.max(np.abs(body.rho(dirs) - 1.3)) < 1e-12
 
+    @pytest.mark.parametrize("values", [np.empty(0), np.empty((4, 0)), np.empty((0, 8)), np.array(0.7)],
+                             ids=["azimuth-0", "azimuth-0-on-s3", "polar-0", "no-axis"])
+    def test_an_empty_or_missing_axis_is_refused(self, values):
+        with pytest.raises(DomainError, match="each angle axis"):
+            GridProfile(values)
+
 
 def _document(body, space=None, **profile):
     """The body's document, its space replaced by space = (delta, dim) and its
@@ -983,6 +993,7 @@ BAD_BODY_DOCUMENTS = {
                                         centers=[[0.0, 1.0]]),
     "grid-shape-8-on-s3": _document(StarBody(S3, GridProfile(np.full((4, 8), 0.7))),
                                     shape=[8], values=[0.7] * 8),
+    "grid-shape-0": _document(StarBody(S2, GridProfile(np.full(8, 0.7))), shape=[0], values=[]),
 }
 
 
@@ -1019,6 +1030,13 @@ class TestSerialization:
         with pytest.raises(DomainError):
             body_from_json_dict(doc)
 
+    @pytest.mark.parametrize("claim", ["false", "true", 1, 0, None], ids=repr)
+    def test_a_symmetry_field_that_is_no_boolean_is_refused(self, claim):
+        # "false" was once read as bool("false"), a claim of symmetry
+        doc = {**make_bumpy_ball(S2, 0.8, [[1.0, 0.0]], [0.2], [4.0]).to_json_dict(), "symmetric": claim}
+        with pytest.raises(DomainError, match="'symmetric'"):
+            body_from_json_dict(doc)
+
     def test_cone_symmetry_comes_from_the_base(self):
         doc = {**make_cone(S2, ArcsBase(((0.0, 3.0),))).to_json_dict(), "symmetric": True}
         assert not body_from_json_dict(doc).symmetric
@@ -1042,13 +1060,47 @@ class TestSerialization:
         assert busemann_functional(clone) == busemann_functional(body)
 
 
+def _rho_is_even(body):
+    """rho(u) = rho(-u) to 1e-12 max(1, |rho(u)|) at the nodes of a degree-11 rule."""
+    nodes = build_sphere_rule(body.space.dim - 1, 11).nodes
+    rho = body.rho(nodes)
+    return bool(np.all(np.abs(rho - body.rho(-nodes)) <= 1e-12 * np.maximum(1.0, np.abs(rho))))
+
+
+def _grid_mirror(values):
+    """The grid of rho(-u): each polar axis flipped, the azimuth rolled by half."""
+    return np.roll(np.flip(values, axis=tuple(range(values.ndim - 1))), values.shape[-1] // 2, axis=-1)
+
+
+def _symmetric_grid(shape, seed):
+    values = np.random.default_rng(seed).uniform(0.4, 1.2, shape)
+    return (values + _grid_mirror(values)) / 2.0   # exactly its own mirror
+
+
+def _interleaved_bumps(s2=5.0):
+    """Two bumps and their mirrors in the order c1, -c2, -c1, c2; the second
+    pair's sharpness s2 (5 for the mirror)."""
+    c1, c2 = np.array([0.0, 0.6, 0.8]), np.array([1.0, 0.0, 0.0])
+    return BumpyProfile(0.8, [c1, -c2, -c1, c2], [0.2, -0.1, 0.2, -0.1], [3.0, 5.0, 3.0, s2],
+                        lo=0.05, hi=math.pi / 2 - 0.05)
+
+
+def _one_value_changed(values):
+    values = values.copy()
+    values.flat[7] += 0.1
+    return values
+
+
+S4 = SpaceSpec(1, 4)
+
+
 def _search_body(space, body_class):
     return extremizer_search(space, body_class, 1.0, "max", seed=3, budget=200).best_body()
 
 
 SYMMETRIC_BUILDERS = {
     **{f"ball-{space}": (lambda space=space: make_ball(space, 0.7))
-       for space in (S2, S3, E3, H3, SpaceSpec(1, 4))},
+       for space in (S2, S3, E3, H3, S4)},
     **{f"bumpy-{space}": (lambda space=space: random_star_body(
         space, np.random.default_rng(space.dim - space.delta), symmetric=True))
        for space in [SpaceSpec(delta, n) for delta in (1, 0, -1) for n in (2, 3, 4)]},
@@ -1063,17 +1115,74 @@ SYMMETRIC_BUILDERS = {
     "vanishing-body": lambda: make_vanishing_body(H3, 1.0, 0.1),
     **{f"search-{cls}-{space}": (lambda space=space, cls=cls: _search_body(space, cls))
        for cls in ("sym-star", "sym-convex") for space in (S2, SpaceSpec(0, 2))},
+    "bumpy-interleaved-mirrors": lambda: StarBody(S3, _interleaved_bumps()),
+    "perturbed-even-degree": lambda: StarBody(S3, HarmonicPerturbedProfile(
+        0.7, 0.0, 0.03, zonal_harmonic(3, 4, np.eye(3)[0]))),
+    "grid-s2": lambda: StarBody(S2, GridProfile(_symmetric_grid(16, 3))),
+    "grid-s3": lambda: StarBody(S3, GridProfile(_symmetric_grid((5, 8), 2))),
+    "grid-s4": lambda: StarBody(S4, GridProfile(_symmetric_grid((4, 5, 6), 2))),
+}
+
+
+ASYMMETRIC_BUILDERS = {
+    "bumpy": lambda: make_bumpy_ball(S3, 0.8, [[0.0, 0.6, 0.8]], [0.2], [3.0]),
+    "bumpy-mirror-off-in-sharpness": lambda: StarBody(S3, _interleaved_bumps(s2=5.5)),
+    "perturbed-odd-degree": lambda: StarBody(S3, HarmonicPerturbedProfile(
+        0.7, 0.0, 0.03, zonal_harmonic(3, 3, np.eye(3)[-1]))),
+    "arcs-cone": lambda: make_cone(S2, ArcsBase(((0.0, 3.0),))),
+    "equality-cone": lambda: make_cone(S3, equality_cone_base(3, 0.3)),
+    "grid-s2": lambda: StarBody(S2, GridProfile(np.linspace(0.5, 1.2, 16))),
+    "grid-s2-odd-azimuth": lambda: StarBody(S2, GridProfile(np.tile([0.5, 1.2, 0.8], 3)[:7])),
+    "grid-s3-odd-azimuth": lambda: StarBody(S3, GridProfile(_symmetric_grid((5, 8), 1)[:, :7])),
+    "grid-s3-one-value-changed": lambda: StarBody(S3, GridProfile(
+        _one_value_changed(_symmetric_grid((5, 8), 2)))),
+    "grid-s4-one-value-changed": lambda: StarBody(S4, GridProfile(
+        _one_value_changed(_symmetric_grid((4, 5, 6), 2)))),
 }
 
 
 class TestSymmetryClaimsHoldToRoundoff:
-    """A body built as symmetric has rho(-u) = rho(u) to 1e-12 max(1, |rho|):
-    the product and plane paths evaluate one node of each antipodal pair."""
+    """The symmetry flag is the profile's, decided exactly from its data.  A
+    body flagged symmetric has rho(-u) = rho(u) to 1e-12 max(1, |rho|): the
+    product and plane paths evaluate one node of each antipodal pair."""
 
     @pytest.mark.parametrize("builder", SYMMETRIC_BUILDERS.values(), ids=SYMMETRIC_BUILDERS.keys())
     def test_every_builder_passes(self, builder):
         body = builder()
-        assert body.symmetric and body.check_symmetry()
+        assert body.symmetric is body.profile.symmetric is True
+        assert _rho_is_even(body)
+
+    @pytest.mark.parametrize("builder", ASYMMETRIC_BUILDERS.values(), ids=ASYMMETRIC_BUILDERS.keys())
+    def test_an_asymmetric_profile_says_so(self, builder):
+        body = builder()
+        assert body.symmetric is body.profile.symmetric is False
+        assert not _rho_is_even(body)
+
+    def test_the_flag_is_no_field_of_the_body(self):
+        assert [f.name for f in dataclasses.fields(StarBody)] == ["space", "profile"]
+        assert not hasattr(StarBody, "check_symmetry")
+        body = make_ball(S2, 0.5)
+        with pytest.raises(AttributeError):
+            body.symmetric = False
+
+    def test_the_bumps_are_compared_as_a_multiset(self):
+        p = _interleaved_bumps()
+        for order in ([3, 2, 1, 0], [0, 2, 1, 3], [1, 0, 3, 2]):
+            shuffled = BumpyProfile(p.r0, p.centers[order], p.amplitudes[order], p.sharpness[order])
+            assert shuffled.symmetric
+        # three of the four bumps: one of them has lost its mirror
+        assert not BumpyProfile(0.8, p.centers[:3], p.amplitudes[:3], p.sharpness[:3]).symmetric
+        # a bump at the origin is its own mirror
+        assert BumpyProfile(0.8, [[0.0, 0.0, 0.0]], [0.2], [3.0]).symmetric
+
+    @pytest.mark.parametrize("shape", [(16,), (5, 8), (4, 5, 6)], ids=str)
+    def test_a_grid_is_symmetric_exactly_when_it_is_its_flipped_and_rolled_self(self, shape):
+        values = _symmetric_grid(shape, 4)
+        assert GridProfile(values).symmetric
+        for i in range(values.size):
+            changed = values.copy()
+            changed.flat[i] += 1e-15
+            assert not GridProfile(changed).symmetric
 
 
 class TestBumpyPairs:

@@ -378,6 +378,33 @@ class TestBodyFiles:
         assert run_cli("verify", "--theorem", "min2d", "--body", spec) == 2
         assert "symmetric" in capsys.readouterr().err
 
+    # two sharpness-3000 bumps at 15 and 200 degrees: every node of the
+    # degree-11 rule misses both, so a check of rho there passed a claim of
+    # symmetry, and min2d reported "pass" on the functional of the pair fold
+    SHARP_BUMPS = make_bumpy_ball(SpaceSpec(1, 2), 0.7,
+                                  [[math.cos(t), math.sin(t)] for t in (math.radians(15), math.radians(200))],
+                                  [0.3, 0.3], [3000.0, 3000.0])
+
+    @pytest.mark.parametrize("command", [["functional"], ["verify", "--theorem", "min2d"]])
+    def test_sharp_bumps_claiming_symmetry_exit_two(self, tmp_path, capsys, command):
+        spec = self._write(tmp_path, self.SHARP_BUMPS, symmetric=True)
+        assert run_cli(*command, "--body", spec) == 2
+        captured = capsys.readouterr()
+        assert "symmetric" in captured.err and "pass" not in captured.out
+
+    def test_sharp_bumps_without_the_claim(self, tmp_path, capsys):
+        spec = self._write(tmp_path, self.SHARP_BUMPS, symmetric=False)
+        assert run_cli("verify", "--theorem", "min2d", "--body", spec) == 2
+        assert "inapplicable" in capsys.readouterr().err
+        assert run_cli("functional", "--body", spec) == 0
+        assert "functional: 12.4805071208 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("claim", ["false", 1])
+    def test_a_symmetry_field_that_is_no_boolean_exits_two(self, tmp_path, capsys, claim):
+        spec = self._write(tmp_path, self.SHARP_BUMPS, symmetric=claim)
+        assert run_cli("functional", "--body", spec) == 2
+        assert "'symmetric' must be true or false" in capsys.readouterr().err
+
     def test_asymmetry_past_roundoff_exits_two(self, tmp_path, capsys):
         # one mirrored amplitude off by 3e-11: inside the old 1e-10 absolute
         # tolerance, far outside roundoff
@@ -402,8 +429,10 @@ class TestBodyFiles:
          {"centers": [[0.0, 1.0]]}, None),
         (StarBody(SpaceSpec(1, 3), GridProfile(np.full((4, 8), 0.7))),
          {"shape": [8], "values": [0.7] * 8}, None),
+        (StarBody(SpaceSpec(1, 2), GridProfile(np.full(8, 0.7))), {"shape": [0], "values": []}, None),
         (make_lune(0.4), {}, {"delta": -1, "dim": 2}),
-    ], ids=["polygon-negative-offset", "bumpy-2d-centers-on-s3", "grid-shape-8-on-s3", "lune-on-h2"])
+    ], ids=["polygon-negative-offset", "bumpy-2d-centers-on-s3", "grid-shape-8-on-s3", "grid-shape-0",
+            "lune-on-h2"])
     def test_document_its_builder_refuses_exits_two(self, tmp_path, capsys, command, body, changes,
                                                     space):
         doc = body.to_json_dict()

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 
-from starsections import bodies, functionals, quadrature
+from starsections import functionals, quadrature
 from starsections import verify as verify_module
 from starsections.bodies import (
     ArcsBase,
@@ -253,7 +253,9 @@ def _grid_body(space, symmetric, seed=0, nodes=64):
     values = np.random.default_rng(seed).uniform(lo, hi, nodes)
     if symmetric:
         values[nodes // 2:] = values[:nodes // 2]
-    return StarBody(space, GridProfile(values), symmetric)
+    body = StarBody(space, GridProfile(values))
+    assert body.symmetric == symmetric
+    return body
 
 
 def _plane_rounds(body, monkeypatch):
@@ -457,13 +459,14 @@ class NonZonal(RadialProfile):
     def __init__(self, profile):
         self.profile = profile
         self.kind = profile.kind
+        self.symmetric = profile.symmetric
 
     def rho(self, dirs):
         return self.profile.rho(dirs)
 
 
 def product_rule(body):
-    return StarBody(body.space, NonZonal(body.profile), body.symmetric)
+    return StarBody(body.space, NonZonal(body.profile))
 
 
 def experiment_config(n, k):
@@ -505,7 +508,7 @@ class TestZonalPath:
         tilted /= np.linalg.norm(tilted)
         turned = HarmonicPerturbedProfile(p.r, p.alpha, p.beta, zonal_harmonic(n, k, tilted))
         config = experiment_config(n, k)
-        assert busemann_functional(StarBody(body.space, turned, True), config=config) == \
+        assert busemann_functional(StarBody(body.space, turned), config=config) == \
             pytest.approx(busemann_functional(body, config=config), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n", range(3, 13))
@@ -712,7 +715,7 @@ class TestBandConesOnThePolarRule:
         def refuse(*args, **kwargs):
             raise AssertionError("the indicator path built a sphere rule")
 
-        for module in (bodies, functionals, quadrature):
+        for module in (functionals, quadrature):
             monkeypatch.setattr(module, "build_sphere_rule", refuse)
         for body in cones:
             assert type(functionals._path(body, QuadratureConfig())) is functionals._Indicator

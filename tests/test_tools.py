@@ -158,5 +158,6 @@ def test_dump_prints_the_product_pairs(dump_outputs, capsys):
     assert [label for label, _ in lines] == [
         f"path/product-pairs/{run}/{key}"
         for run in ("+1:4/uniform/default", "-1:3/gaussian/39-63")
-        for key in ("volume", "functional", "section/0", "section/1", "section/2")]
-    assert all(float(value) > 0 for _, value in lines)
+        for key in ("symmetric", "volume", "functional", "section/0", "section/1", "section/2")]
+    assert all(value == "True" if label.endswith("/symmetric") else float(value) > 0
+               for label, value in lines)

@@ -352,7 +352,7 @@ class TestSearch:
         assert trace.accepted >= 1
         for (it, _, drift), values in zip(trace.steps, trace.step_profiles):
             assert drift <= 1e-8
-            probe = StarBody(S2, GridProfile(values), symmetric=True)
+            probe = StarBody(S2, GridProfile(values))
             assert is_convex_spherical(probe, samples=400, seed=seed + it, tol=1e-7)
 
     def test_plane_convex_class_accepts_convex_steps(self):

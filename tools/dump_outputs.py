@@ -9,9 +9,9 @@ that may move numbers within their tolerances, ``tools/compare_outputs.py
 OLD NEW`` prints how far each group moved.  The set is
 
 * the nine theorem suites at dim None, 2, 3 and 4 (where the theorem
-  applies), seed 11: every report's two sides and every body's volume.  At
-  n = 4 the suites run at the default degrees, because their own degrees
-  (31/63, 39/63) need product grids of 0.13-0.26 GB;
+  applies), seed 11: every report's two sides and every body's volume and
+  symmetry flag.  At n = 4 the suites run at the default degrees, because
+  their own degrees (31/63, 39/63) need product grids of 0.13-0.26 GB;
 * the rows of three perturbation sign experiments;
 * both striped-cone sharpness schedules (n = 3 and n = 4, t = 0.5);
 * the vanishing bodies in R^3 and H^3;
@@ -22,13 +22,14 @@ OLD NEW`` prints how far each group moved.  The set is
   functional and five section volumes;
 * bodies on each evaluation path (arcs, indicator, plane, zonal, product),
   each with the uniform and the Gaussian measure and with the default
-  config, ``plane_adaptive=False`` and degree 31: volume, functional,
-  normalized first power, functional with error and three section volumes;
+  config, ``plane_adaptive=False`` and degree 31: the symmetry flag, and
+  volume, functional, normalized first power, functional with error and
+  three section volumes;
 * a symmetric bumpy body of two bumps and their mirrors, whose pairs rho
   sums as one cosh each, on the product path: on s+:4 with the uniform
   measure at the default degrees, and on h:3 with the Gaussian at degrees
-  39/63 (the density integrals in blocks): volume, functional and three
-  section volumes;
+  39/63 (the density integrals in blocks): the symmetry flag, volume,
+  functional and three section volumes;
 * the radial primitives alone: the Gaussian ``radial_integral`` on h:3, h:5
   and s+:4 for m = 2, 3, 5 at radii on and next to the density panels' edges
   (and 7.5 on h), and phi_m on the hemisphere for m = 1..6.
@@ -135,6 +136,7 @@ def suites():
                 out(f"suite/{theorem.id}/{dim}/{i}/{report.variant}/rhs", report.rhs)
             for i, body in enumerate(bodies):
                 out(f"suite/{theorem.id}/{dim}/{i}/volume", volume(body, mu, config))
+                out(f"suite/{theorem.id}/{dim}/{i}/symmetric", body.symmetric)
 
 
 def perturbations():
@@ -205,6 +207,7 @@ def paths():
         n = body.space.dim
         oblique = np.arange(1.0, n + 1.0) / np.linalg.norm(np.arange(1.0, n + 1.0))
         xis = (np.eye(n)[0], np.eye(n)[-1], oblique)
+        out(f"path/{name}/symmetric", body.symmetric)
         for mu_name, mu in (("uniform", None), ("gaussian", gaussian_measure())):
             for config_name, config in configs.items():
                 label = f"path/{name}/{mu_name}/{config_name}"
@@ -229,6 +232,7 @@ def product_pairs():
         centers = np.array([np.eye(n)[-1], oblique])
         body = make_bumpy_ball(space, 0.8, centers, [0.15, -0.1], [3.0, 5.0], symmetric=True)
         label = f"path/product-pairs/{name}"
+        out(f"{label}/symmetric", body.symmetric)
         out(f"{label}/volume", volume(body, mu, config))
         out(f"{label}/functional", busemann_functional(body, mu, config=config))
         for i, xi in enumerate((np.eye(n)[0], np.eye(n)[-1], oblique)):
