@@ -59,6 +59,7 @@ from .functionals import (
     rhs_bound,
     section_volume,
     volume,
+    volume_and_functional,
 )
 from .verify import (
     PerturbationResult,

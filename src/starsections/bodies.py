@@ -10,6 +10,7 @@ discontinuous integrand through a polynomial quadrature rule.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,6 +30,7 @@ from .spaces import (
     HEMISPHERE_MAX_RADIUS,
     SpaceSpec,
     as_direction,
+    basis_vector,
     brent_root,
     phi,
     sphere_surface_area,
@@ -380,7 +382,7 @@ def cap_base(axis, height: float) -> BandsBase:
 
 
 def full_sphere_base(n: int) -> BandsBase:
-    axis = np.eye(n)[0]
+    axis = basis_vector(n)
     return BandsBase(axis, np.array([-1.0]), np.array([1.0]))
 
 
@@ -395,7 +397,7 @@ def equality_cone_base(n: int, height: float, axis=None) -> BandsBase:
     """
     if not 0.0 < height < 1.0:
         raise DomainError("height must lie in (0, 1)")
-    axis = np.eye(n)[0] if axis is None else axis
+    axis = basis_vector(n) if axis is None else axis
     return BandsBase(np.asarray(axis, dtype=float), np.array([-height, height]), np.array([0.0, 1.0]))
 
 
@@ -523,7 +525,7 @@ class ConstantProfile(RadialProfile):
 
     def zonal_axis(self, n):
         # every axis works; take e_1
-        return np.eye(n)[0]
+        return basis_vector(n)
 
     def descriptor(self):
         return {"kind": "ball", "r": self.r}
@@ -923,14 +925,28 @@ class StarBody:
         }
 
 
+def _json_integer(value, name: str, low: int | None = None) -> int:
+    """A document field that must be an integer (a JSON number without a
+    fraction, not a boolean), at least ``low`` if given; DomainError, naming
+    the field, for anything else."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"the document's {name!r} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise DomainError(f"the document's {name!r} must be at least {low}, got {value!r}")
+    return int(value)
+
+
 def body_from_json_dict(doc: dict) -> StarBody:
     """The body a ``to_json_dict`` document describes.  Each kind passes its
     builder's checks, and the document's space must be the one the profile
     implies.  The symmetry flag is the profile's own; a bumpy or grid
     document that claims a symmetry its profile lacks is refused, and any
     other kind's claim is ignored.  DomainError for a document that fails any
-    of these, or whose ``symmetric`` is not a boolean."""
-    space = SpaceSpec(int(doc["space"]["delta"]), int(doc["space"]["dim"]))
+    of these, whose ``symmetric`` is not a boolean, or whose integer fields
+    (the space's ``delta`` and ``dim``, a harmonic's ``degree``, a grid's
+    ``shape`` entries, which must be positive) are not integers."""
+    space = SpaceSpec(_json_integer(doc["space"]["delta"], "delta"),
+                      _json_integer(doc["space"]["dim"], "dim"))
     p = doc["profile"]
     kind = p["kind"]
     claim = doc.get("symmetric", False)
@@ -946,7 +962,8 @@ def body_from_json_dict(doc: dict) -> StarBody:
         body = _indicator_body(space, base_from_descriptor(p["base"]), float(p["height"]))
     elif kind == "perturbed_ball":
         r, alpha, beta = float(p["r"]), float(p["alpha"]), float(p["beta"])
-        h, span = _perturbation(space, r, beta, int(p["degree"]), np.array(p["axis"], dtype=float))
+        h, span = _perturbation(space, r, beta, _json_integer(p["degree"], "degree"),
+                                np.array(p["axis"], dtype=float))
         if not abs(alpha) <= span:
             raise DomainError(f"the volume shift alpha must lie in [-{span!r}, {span!r}], got {alpha!r}")
         body = StarBody(space, HarmonicPerturbedProfile(r, alpha, beta, h))
@@ -966,7 +983,8 @@ def body_from_json_dict(doc: dict) -> StarBody:
             raise DomainError("a bumpy profile's clip range needs a finite lo <= hi")
         body = StarBody(space, profile)
     elif kind == "grid":
-        profile = GridProfile(np.array(p["values"], dtype=float).reshape(p["shape"]))
+        shape = [_json_integer(size, "shape", 1) for size in p["shape"]]
+        profile = GridProfile(np.array(p["values"], dtype=float).reshape(shape))
         if not np.all(np.isfinite(profile.values)):
             raise DomainError("grid values must be finite")
         if profile.ambient_dim != space.dim:
@@ -1128,7 +1146,7 @@ def make_perturbed_ball(space: SpaceSpec, r: float, beta: float, k: int) -> Star
     precision.
     """
     n = space.dim
-    harmonic, span = _perturbation(space, r, beta, k, np.eye(n)[-1])
+    harmonic, span = _perturbation(space, r, beta, k, basis_vector(n, -1))
 
     # against a degree-801 rule, degree max(63, 8k + 15) leaves at most 4e-15
     # relative for n <= 8, k <= 32 at r = 0.7; a fixed degree 23 left up to
@@ -1308,7 +1326,7 @@ def make_striped_cone(space: SpaceSpec, t: float, alpha: float, eps: float) -> S
     if cap <= t / 2.0 * sphere:
         raise DomainError("cap too small: need |C_alpha| > (t/2) |S^{n-1}|")
     lam = t * sphere / (2.0 * cap)
-    axis = np.eye(n)[0]
+    axis = basis_vector(n)
     return make_cone(space, striped_cap_subset(alpha, axis, lam, eps).with_antipodes())
 
 
@@ -1331,7 +1349,7 @@ def make_vanishing_body(space: SpaceSpec, volume: float, eta: float) -> StarBody
     sphere = sphere_surface_area(n - 1)
     cap_height, pitch = 0.6, 1e-4
     cap = spherical_cap_measure(n - 1, cap_height)
-    axis = np.eye(n)[0]
+    axis = basis_vector(n)
     # a function-level import: functionals imports this module
     from .functionals import busemann_functional
 

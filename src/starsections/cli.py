@@ -45,7 +45,7 @@ from .functionals import (
     volume,
 )
 from .quadrature import build_sphere_rule
-from .spaces import SpaceSpec
+from .spaces import SpaceSpec, basis_vector
 
 class UsageError(ValueError):
     pass
@@ -109,7 +109,7 @@ def _build_body(text: str, space: SpaceSpec | None) -> StarBody:
                 pairs = (pair.split(":") for pair in params["arcs"].split(";"))
                 return make_cone(space, ArcsBase(tuple((float(a), float(b)) for a, b in pairs)))
             if "cap" in params:
-                return make_cone(space, cap_base(np.eye(space.dim)[0], float(params["cap"])))
+                return make_cone(space, cap_base(basis_vector(space.dim), float(params["cap"])))
             if "equality" in params:
                 return make_cone(space, equality_cone_base(space.dim, float(params["equality"])))
             if "full" in params:

@@ -3,10 +3,11 @@ closed-form right-hand sides of every inequality this library verifies.
 
 Left sides are always quadrature over the direction sphere; right sides are
 always closed forms (possibly with 1-d adaptive integrals or bracketed
-inversions).  The two routes never share code, so agreement is evidence.
-Every left side of a body takes the one evaluation path that ``_path``
-chooses, an object of one of five private classes: ``_Product``, ``_Zonal``,
-``_Indicator``, ``_Arcs`` or ``_Plane``.
+inversions).  The two routes never share code, so agreement is evidence: a
+right side takes the body's volume as a number.  Every left side of a body
+takes the one evaluation path that ``_path`` chooses, an object of one of
+five private classes: ``_Product``, ``_Zonal``, ``_Indicator``, ``_Arcs`` or
+``_Plane``.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ class QuadratureConfig:
     ``outer_degree`` drives the xi-integration on S^{n-1}; ``inner_degree``
     the subsphere integration.  In the plane the angular integrals are done
     by default with adaptive Gauss-Kronrod 10/21 bisection (section profiles
-    there often have corners), to ``angular_tol`` relative to
-    max(1, 2 pi max |integrand|) on the first round.
+    there often have corners), each row of the one integrand (volume,
+    section power) to ``angular_tol`` relative to
+    max(1, 2 pi max |row|) on the first round.
     """
 
     outer_degree: int | None = None
@@ -248,13 +250,6 @@ def _radial(space: SpaceSpec, m: int, upper, mu: RadialDensityMeasure | None):
 _BLOCK_POINTS = 16_000
 
 
-def _adaptive_circle(integrand, angular_tol: float, breaks=()):
-    """Adaptive integral of a vectorized integrand over the full circle, its
-    first panels cut at the angles ``breaks``, to ``angular_tol`` relative to
-    max(1, 2 pi max |integrand|) on the first round."""
-    return integrate_vectorized(integrand, 0.0, TWO_PI, angular_tol, breaks)
-
-
 class _Product:
     """The product path: the outer rule on S^{n-1} times the inner rule on each
     normal's subsphere.
@@ -265,7 +260,8 @@ class _Product:
     weight.  xi and -xi cut the same section, so each rule takes one normal of
     each antipodal pair at twice its weight.  The functional sums the rule's
     section powers unless a path overrides it, and its error estimate is the
-    change at degrees + 8.
+    change at degrees + 8.  ``volume_and_functional`` is the two calls, unless
+    a path can share their work.
     """
 
     def __init__(self, body: StarBody, config: QuadratureConfig):
@@ -291,6 +287,9 @@ class _Product:
         """The integral of section^p over the normals, not normalized."""
         weights, points = self.rule()
         return float(np.dot(weights, self.sections(mu, points) ** p))
+
+    def volume_and_functional(self, mu, p: int):
+        return self.volume(mu), self.functional(mu, p)
 
     def with_error(self, mu, normalized: bool, exponent: int | None):
         # both values go through busemann_functional, where a profiler sees
@@ -419,19 +418,19 @@ class _Arcs(_Indicator):
 class _Plane(_Product):
     """A plane body while ``plane_adaptive``: profiles in the plane may have
     corners (lunes, grid profiles), so the volume and the functional integrate
-    the angle by adaptive Gauss-Kronrod instead of the fixed circle rule, and
-    the error estimate is Gauss-Kronrod's.  Single sections are the product
-    path's."""
+    the normal's polar angle by adaptive Gauss-Kronrod instead of the fixed
+    circle rule, both in one run, and the error estimate is Gauss-Kronrod's.
+    Single sections are the product path's."""
 
     def volume(self, mu) -> float:
-        def integrand(theta):
-            return self._body_radial(mu, 2, np.column_stack([np.cos(theta), np.sin(theta)]))
-
-        corners = self.body.profile.plane_corners()
-        return _adaptive_circle(integrand, self.config.angular_tol, corners)[0]
+        return float(self._integrals(mu, None, volume=True)[0][0])
 
     def functional(self, mu, p: int) -> float:
         return self._integral(mu, p)[0]
+
+    def volume_and_functional(self, mu, p: int):
+        values, _ = self._integrals(mu, p, volume=True)
+        return float(values[0]), float(values[1])
 
     def with_error(self, mu, normalized: bool, exponent: int | None):
         # the value goes through busemann_functional, and the estimate reruns
@@ -441,17 +440,43 @@ class _Plane(_Product):
         return val, err / (sphere_surface_area(self.n - 1) if normalized else 1.0)
 
     def _integral(self, mu, p: int):
-        """The integral of section^p over the circle and its error; the
-        subsphere of xi at the polar angle theta is the two points at
-        theta +- pi/2, so the integrand has its corners a quarter turn from the
-        profile's."""
+        """The integral of section^p over the circle and its error."""
+        values, errors = self._integrals(mu, p)
+        return float(values[0]), float(errors[0])
+
+    def _integrals(self, mu, p: int | None, volume: bool = False):
+        """Values and error estimates of the rows asked for, from one
+        Gauss-Kronrod run over the polar angle theta of the normal xi: the
+        volume's (if ``volume``), then that of section^p (unless p is None).
+        The subsphere of xi is the two points at theta +- pi/2, so rho is taken
+        at theta + pi/2, and at theta - pi/2 as well for an asymmetric body; the
+        volume integrates phi_2(rho) at the same points, and every row has its
+        corners a quarter turn from the profile's.  Points are taken in blocks
+        of ``_BLOCK_POINTS``."""
+        space, rho = self.body.space, self.body.rho
+        count = int(volume) + int(p is not None)
+
         def integrand(theta):
-            a = np.asarray(theta, dtype=float) + math.pi / 2
-            return self._pair_radial(mu, 1, np.column_stack([np.cos(a), np.sin(a)])) ** p
+            out = np.empty((count, len(theta)))
+            for start in range(0, len(theta), _BLOCK_POINTS):
+                a = theta[start:start + _BLOCK_POINTS] + math.pi / 2
+                dirs = np.column_stack([np.cos(a), np.sin(a)])
+                radii = rho(dirs)
+                rows = out[:, start:start + len(a)]
+                if volume:
+                    rows[0] = _radial(space, 2, radii, mu)
+                if p is not None:
+                    section = _radial(space, 1, radii, mu)
+                    if self.body.symmetric:
+                        section *= 2.0
+                    else:
+                        section += _radial(space, 1, rho(-dirs), mu)
+                    rows[-1] = section ** p
+            return out
 
         corners = self.body.profile.plane_corners()
         breaks = np.concatenate([corners - math.pi / 2, corners + math.pi / 2]) % TWO_PI
-        return _adaptive_circle(integrand, self.config.angular_tol, breaks)
+        return integrate_vectorized(integrand, 0.0, TWO_PI, self.config.angular_tol, breaks)
 
 
 def _path(body: StarBody, config: QuadratureConfig) -> _Product:
@@ -492,6 +517,19 @@ def busemann_functional(body: StarBody, mu: RadialDensityMeasure | None = None,
     n = body.space.dim
     norm = sphere_surface_area(n - 1) if normalized else 1.0
     return _path(body, config).functional(mu, n if exponent is None else exponent) / norm
+
+
+def volume_and_functional(body: StarBody, mu: RadialDensityMeasure | None = None,
+                          normalized: bool = False, exponent: int | None = None,
+                          config: QuadratureConfig = DEFAULT_CONFIG):
+    """``(volume(body, mu, config), busemann_functional(body, mu, normalized,
+    exponent, config))``, the same bits, from one evaluation on the paths that
+    can share it: the plane path takes both from one Gauss-Kronrod run, which
+    evaluates rho once per node."""
+    n = body.space.dim
+    norm = sphere_surface_area(n - 1) if normalized else 1.0
+    vol, functional = _path(body, config).volume_and_functional(mu, n if exponent is None else exponent)
+    return vol, functional / norm
 
 
 def busemann_functional_with_error(body: StarBody, mu=None, normalized: bool = False,
@@ -684,22 +722,20 @@ def lune_bound(vol: float) -> float:
 
 def _power_bound(kind: str, shift: int):
     """The bound C(n) vol^(n + shift), C the closed-form constant ``kind``."""
-    def bound(body, mu, config):
-        n = body.space.dim
-        return (bound_constants(kind, n) * volume(body, None, config) ** (n + shift),)
+    def bound(vol, space, mu):
+        n = space.dim
+        return (bound_constants(kind, n) * vol ** (n + shift),)
     return bound
 
 
-def _hyperbolic_bound(body, mu, config):
-    n = body.space.dim
-    vol = volume(body, None, config)
+def _hyperbolic_bound(vol, space, mu):
+    n = space.dim
     return (bound_constants("hyperbolic", n) * h_hyperbolic(n, vol),)
 
 
-def _prop41_bound(body, mu, config):
+def _prop41_bound(vol, space, mu):
     """The proof-chain and the literal bound, from one volume."""
-    n = body.space.dim
-    vol = volume(body, None, config)
+    n = space.dim
     s = sphere_surface_area(n - 1)
     # the literal normalization can push the argument past the domain sup of
     # F; clamp to the sup (the weakest form, still an upper bound since F is
@@ -709,23 +745,25 @@ def _prop41_bound(body, mu, config):
                  for arg in args)
 
 
-def _min2d_bound(body, mu, config):
-    r = stable_arccos_one_minus(volume(body, None, config) / TWO_PI)
+def _min2d_bound(vol, space, mu):
+    r = stable_arccos_one_minus(vol / TWO_PI)
     return (8.0 * math.pi * r ** 2,)
 
 
-def _gaussian_bound(body, mu, config):
+def _gaussian_bound(vol, space, mu):
     if mu is None:
         raise ApplicabilityError("a radial density measure is required")
-    n = body.space.dim
-    return (big_psi(mu, body.space, n, volume(body, mu, config)) ** (n - 1),)
+    n = space.dim
+    return (big_psi(mu, space, n, vol) ** (n - 1),)
 
 
 @dataclass(frozen=True)
 class Theorem:
     """One verified inequality: where it applies, how its suite checks it, and
-    its closed-form right side ``bound(body, mu, config)``, which returns one
-    value per entry of ``variants``.  A ``lower`` bound is reported as
+    its closed-form right side ``bound(vol, space, mu)``, which returns one
+    value per entry of ``variants``.  The bound takes the body's volume as a
+    number, under the measure it is stated in (``bound_measure``), and
+    computes no left side.  A ``lower`` bound is reported as
     bound <= functional.
     """
 
@@ -751,14 +789,19 @@ class Theorem:
         if self.symmetric and not body.symmetric:
             raise ApplicabilityError(f"theorem {self.id!r} needs an origin-symmetric body")
 
+    def bound_measure(self, mu):
+        """The measure of the volume that ``bound`` takes: mu for a theorem
+        stated in a measure of its own (one with a ``measure``), the uniform
+        one (None) for every other."""
+        return mu if self.measure is not None else None
+
 
 # in the CLI's order
 THEOREMS = {t.id: t for t in (
     Theorem("min2d", (1,), _min2d_bound, dims=range(2, 3), lower=True, symmetric=True),
-    Theorem("cone-max", (1,), dims=range(2, 3),
-            bound=lambda body, mu, config: (math.pi ** 2 * volume(body, None, config),)),
+    Theorem("cone-max", (1,), dims=range(2, 3), bound=lambda vol, space, mu: (math.pi ** 2 * vol,)),
     Theorem("lune-max", (1,), dims=range(2, 3), rel_tol=1e-6,
-            bound=lambda body, mu, config: (lune_bound(volume(body, None, config)),)),
+            bound=lambda vol, space, mu: (lune_bound(vol),)),
     Theorem("hyperbolic", (-1,), _hyperbolic_bound, rel_tol=1e-6,
             config=QuadratureConfig(outer_degree=31, inner_degree=63)),
     Theorem("min-nd", (1,), _power_bound("spherical-min", 0), dims=range(3, sys.maxsize),
@@ -782,10 +825,11 @@ def rhs_bound(theorem_id: str, body: StarBody, mu: RadialDensityMeasure | None =
               config: QuadratureConfig = DEFAULT_CONFIG, variant: str | None = "proof-chain"):
     """Closed-form bound value for the given theorem at this body's volume.
 
-    Never computed through the verifying quadrature of the left side: volume
-    enters through its own integral and everything else is a closed form.
+    Never computed through the verifying quadrature of the left side: the
+    volume, under the theorem's ``bound_measure``, is computed once and
+    handed to the bound, and everything else is a closed form.
     ``variant=None`` returns the tuple of every variant's bound, in the
-    order of the theorem's ``variants``, from one volume evaluation.  Raises
+    order of the theorem's ``variants``, from that one volume.  Raises
     ApplicabilityError for a body outside the theorem's hypotheses or a
     variant the theorem does not have.
     """
@@ -793,7 +837,7 @@ def rhs_bound(theorem_id: str, body: StarBody, mu: RadialDensityMeasure | None =
     theorem.check(body)
     if variant is not None and variant not in theorem.variants:
         raise ApplicabilityError(f"unknown variant {variant!r}")
-    bounds = theorem.bound(body, mu, config)
+    bounds = theorem.bound(volume(body, theorem.bound_measure(mu), config), body.space, mu)
     return bounds if variant is None else bounds[theorem.variants.index(variant)]
 
 

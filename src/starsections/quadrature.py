@@ -87,11 +87,15 @@ def gauss_jacobi(npts: int, a: float):
     the recurrence's rounding and the rounding of the nodes put errors of up to
     1e-13 into the weights next to +-1 (eigenvector weights are off by 1e-12).
     ResourceLimitError, before anything is allocated, when npts^2 exceeds
-    ``NODE_CAP``.
+    ``NODE_CAP``, and when the weight's mass overflows a float (a >= 85).
     """
     if npts * npts > NODE_CAP:
         raise ResourceLimitError(f"a {npts}-point Gauss-Jacobi rule needs a {npts} x {npts} matrix, "
                                  f"cap is {NODE_CAP} entries")
+    try:
+        mass = 2.0 ** (2 * a + 1) * math.gamma(a + 1) ** 2 / math.gamma(2 * a + 2)
+    except OverflowError:
+        raise ResourceLimitError(f"the mass of the weight (1 - t^2)^{a} overflows a float") from None
     lam = a + 0.5
     k = np.arange(1.0, npts)
     offdiag = np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))
@@ -111,7 +115,6 @@ def gauss_jacobi(npts: int, a: float):
     x, w = t.astype(float), w.astype(float)
     w = (w + w[::-1]) / 2
     x = (x - x[::-1]) / 2
-    mass = 2.0 ** (2 * a + 1) * math.gamma(a + 1) ** 2 / math.gamma(2 * a + 2)
     return x, w * (mass / w.sum())
 
 
@@ -203,9 +206,14 @@ def householder_frames(xis: np.ndarray) -> np.ndarray:
     columns of the reflection sending e_n to each xi.
 
     Deterministic completion: for xi = e_n it returns (e_1, ..., e_{n-1}).
+    ResourceLimitError, before anything is allocated, when the D n x n
+    reflections would hold more than ``NODE_CAP`` entries.
     """
     xis = np.asarray(xis, dtype=float)
     n = xis.shape[1]
+    if len(xis) * n * n > NODE_CAP:
+        raise ResourceLimitError(f"{len(xis)} frames in R^{n} need {len(xis) * n * n} entries, "
+                                 f"cap is {NODE_CAP}")
     v = xis.copy()
     v[:, -1] -= 1.0
     norm2 = np.einsum("ij,ij->i", v, v)
@@ -271,69 +279,140 @@ _GK21_WEIGHTS = np.concatenate([_GK21_HALF_WEIGHTS, _GK21_HALF_WEIGHTS[-2::-1]])
 _G10_WEIGHTS = np.concatenate([_G10_HALF_WEIGHTS, _G10_HALF_WEIGHTS[-2::-1]])
 _GK_PANELS = 8
 _GK_MAX_INTERVALS = 4000
+_EPS = float(np.finfo(float).eps)
+
+
+@lru_cache(maxsize=8)
+def _panel_edges(a: float, b: float) -> np.ndarray:
+    """The edges of the 8 equal starting panels of [a, b], read-only."""
+    edges = np.linspace(a, b, _GK_PANELS + 1)
+    edges.setflags(write=False)
+    return edges
+
+
+class _Row:
+    """One integrand of ``integrate_vectorized``: its pending intervals, in
+    the order its run alone would hold them, its scaled tolerance, and its
+    accepted intervals' Kronrod values and error estimates."""
+
+    __slots__ = ("lo", "hi", "tol", "accepted", "values", "errors")
+
+    def __init__(self, lo, hi, tol):
+        self.lo, self.hi, self.tol = lo, hi, tol
+        self.accepted, self.values, self.errors = 0, [], []
+
+    def round(self, y, centre, half, a, b, floor):
+        """Accept or bisect each pending interval from its 21 values y."""
+        kronrod = half * (y @ _GK21_WEIGHTS)
+        err = np.abs(kronrod - half * (y @ _G10_WEIGHTS))
+        # a NaN error stops refinement at once; the final check rejects it
+        split = (err > self.tol * (2.0 * half) / (b - a)) & (2.0 * half > floor)
+        more = np.count_nonzero(split)
+        if more and self.accepted + self.lo.size + more > _GK_MAX_INTERVALS:
+            more = 0
+        if not more:
+            # every interval accepted: no bisection arrays
+            self.accepted += self.lo.size
+            self.values.append(kronrod)
+            self.errors.append(err)
+            self.lo = self.hi = self.lo[:0]
+            return
+        done = ~split
+        self.accepted += self.lo.size - more
+        self.values.append(kronrod[done])
+        self.errors.append(err[done])
+        mid = centre[split]
+        self.lo, self.hi = np.concatenate([self.lo[split], mid]), np.concatenate([mid, self.hi[split]])
+
+    def result(self, index: int, single: bool):
+        """(value, error estimate); ConvergenceError past the tolerance."""
+        values, errors = ((self.values[0], self.errors[0]) if len(self.values) == 1
+                          else (np.concatenate(self.values), np.concatenate(self.errors)))
+        value = math.fsum(values.tolist())
+        err_total = math.fsum(errors.tolist()) + 50.0 * _EPS * math.fsum(np.abs(values).tolist())
+        if not err_total <= max(50.0 * self.tol, 1e-9 * abs(value)):
+            where = "" if single else f" in row {index}"
+            raise ConvergenceError(f"adaptive quadrature stalled{where}: estimated error "
+                                   f"{err_total:.3e} > tol {self.tol:.3e}")
+        return value, err_total
 
 
 def integrate_vectorized(f, a: float, b: float, tol: float = 1e-12, breaks=()):
     """Adaptive Gauss-Kronrod 10/21 integral of a vectorized f over [a, b].
 
-    ``f`` maps a 1-d array of points to a 1-d array of values.  The first
-    intervals are 8 equal ones, cut further at each point of ``breaks`` (known
-    corners of f, as QUADPACK's qagp takes them) that lies strictly inside
-    (a, b) and farther than 1e-12 (b - a) from their edges and from the break
-    before it.  Each round evaluates the 21 Kronrod nodes of every pending
-    interval in one call of ``f``.  ``tol`` is relative to the integral's
-    magnitude as the first round sees it: the whole integration runs to
-    tol * max(1, (b - a) * max |f|), the maximum taken over the first
-    round's nodes (as QUADPACK's qag scales by a magnitude its rule already
-    holds, with no separate pass).  An interval is accepted when
-    |K21 - G10| <= that tolerance * length / (b - a) and bisected otherwise.
-    Intervals shorter than 1e-12 (b - a), and every pending interval once
-    4000 intervals would be exceeded, are accepted as they stand.
+    ``f`` maps a 1-d array of points to a 1-d array of values, or to a (k, N)
+    array: k integrands on the same points, its rows.  The first intervals
+    are 8 equal ones, cut further at each point of ``breaks`` (known corners
+    of f, as QUADPACK's qagp takes them) that lies strictly inside (a, b) and
+    farther than 1e-12 (b - a) from their edges and from the break before it.
+    ``tol`` is relative to the integral's magnitude as the first round sees
+    it: each row runs to tol * max(1, (b - a) * max |f|), the maximum taken
+    over that row's values on the first round's nodes (as QUADPACK's qag
+    scales by a magnitude its rule already holds, with no separate pass).  An
+    interval is accepted when |K21 - G10| <= that tolerance * length / (b - a)
+    and bisected otherwise.  Intervals shorter than 1e-12 (b - a), and every
+    pending interval once 4000 intervals would be exceeded, are accepted as
+    they stand.
 
-    Returns ``(value, error_estimate)``: the exactly rounded sum of the
-    accepted Kronrod values, and the sum of their |K21 - G10| plus QUADPACK's
-    roundoff floor 50 eps * sum of |K21|.  Raises :class:`ConvergenceError`
-    when the estimate exceeds max(50 tolerance, 1e-9 |value|).
+    Each row keeps its own scale, intervals, cap and final check.  A round
+    evaluates the 21 Kronrod nodes of every interval that some row still has
+    pending in one call of ``f``, and rounds go on while any row has one.  A
+    row sums the values of its own pending intervals, in the order its run
+    alone would hold them (a matrix-vector product may round a row by its
+    place in the batch), so each row's value and estimate equal that row
+    integrated alone, bit for bit.
+
+    Returns ``(value, error_estimate)`` for a 1-d ``f``, and arrays
+    ``(values, errors)`` of length k for a (k, N) one: the exactly rounded sum
+    of the accepted Kronrod values, and the sum of their |K21 - G10| plus
+    QUADPACK's roundoff floor 50 eps * sum of |K21|.  Raises
+    :class:`ConvergenceError` when a row's estimate exceeds max(50 tolerance,
+    1e-9 |value|).  An empty interval gives zeros, from one call of ``f`` at a
+    that only reads the shape.
     """
     if a > b:
         raise DomainError("integration requires a <= b")
     if a == b:
-        return 0.0, 0.0
+        shape = np.shape(f(np.array([float(a)])))[:-1]
+        return (0.0, 0.0) if not shape else (np.zeros(shape), np.zeros(shape))
     floor = 1e-12 * (b - a)
-    edges = np.linspace(a, b, _GK_PANELS + 1)
+    edges = _panel_edges(a, b)
     if len(breaks):
         cuts = np.sort(np.asarray(breaks, dtype=float).ravel())
         cuts = cuts[(cuts > a) & (cuts < b)]
         cuts = cuts[np.min(np.abs(cuts[:, None] - edges), axis=1) > floor]
         cuts = cuts[np.diff(cuts, prepend=-np.inf) > floor]
         edges = np.sort(np.concatenate([edges, cuts]))
+    rows = []
     lo, hi = edges[:-1], edges[1:]
-    values, errors = [], []
-    accepted = 0
     while lo.size:
         centre, half = (lo + hi) / 2.0, (hi - lo) / 2.0
         x = centre[:, None] + half[:, None] * _GK21_NODES
-        y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-        if not values:
-            tol *= max(1.0, (b - a) * float(np.max(np.abs(y))))
-        kronrod = half * (y @ _GK21_WEIGHTS)
-        err = np.abs(kronrod - half * (y @ _G10_WEIGHTS))
-        # a NaN error stops refinement at once; the final check rejects it
-        done = ~(err > tol * (2.0 * half) / (b - a)) | (2.0 * half <= floor)
-        if accepted + lo.size + np.count_nonzero(~done) > _GK_MAX_INTERVALS:
-            done[:] = True
-        accepted += np.count_nonzero(done)
-        values.append(kronrod[done])
-        errors.append(err[done])
-        mid = centre[~done]
-        lo = np.concatenate([lo[~done], mid])
-        hi = np.concatenate([mid, hi[~done]])
-    values = np.concatenate(values)
-    value = math.fsum(values)
-    err_total = (math.fsum(np.concatenate(errors))
-                 + 50.0 * float(np.finfo(float).eps) * math.fsum(np.abs(values)))
-    if not err_total <= max(50.0 * tol, 1e-9 * abs(value)):
-        raise ConvergenceError(
-            f"adaptive quadrature stalled: estimated error {err_total:.3e} > tol {tol:.3e}"
-        )
-    return value, err_total
+        y = np.asarray(f(x.ravel()), dtype=float)
+        if not rows:
+            single = y.ndim == 1
+            y = y.reshape(-1, *x.shape)
+            rows = [_Row(lo, hi, tol * max(1.0, (b - a) * float(np.max(np.abs(yr))))) for yr in y]
+        y = y.reshape(len(rows), *x.shape)
+        for row, yr in zip(rows, y):
+            if row.lo is lo:
+                row.round(yr, centre, half, a, b, floor)
+            elif row.lo.size:
+                at = np.searchsorted(lo, row.lo)
+                row.round(yr[at], centre[at], half[at], a, b, floor)
+        live = [row for row in rows if row.lo.size]
+        lo, hi = (live[0].lo, live[0].hi) if live else (edges[:0], edges[:0])
+        if any(not np.array_equal(row.lo, lo) for row in live[1:]):
+            # the union of the rows' pending intervals: in one round every
+            # pending interval lies at the same bisection depth, so its left
+            # end names it
+            lo, first = np.unique(np.concatenate([row.lo for row in live]), return_index=True)
+            hi = np.concatenate([row.hi for row in live])[first]
+        else:
+            for row in live:
+                row.lo, row.hi = lo, hi
+    results = [row.result(r, single) for r, row in enumerate(rows)]
+    if single:
+        return results[0]
+    values, errors = np.array(results).T
+    return values, errors

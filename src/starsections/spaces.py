@@ -51,6 +51,14 @@ class SpaceSpec:
         return arr
 
 
+def basis_vector(n: int, index: int = 0) -> np.ndarray:
+    """The coordinate unit vector of R^n with its 1 at ``index`` (-1 for the
+    last), built without the n x n identity: a huge n costs n floats."""
+    e = np.zeros(n)
+    e[index] = 1.0
+    return e
+
+
 def as_direction(v, dim: int | None = None) -> np.ndarray:
     """Validate a unit vector (a point of the direction sphere S^{n-1})."""
     u = np.asarray(v, dtype=float)
@@ -65,17 +73,27 @@ def as_direction(v, dim: int | None = None) -> np.ndarray:
 
 
 def sphere_surface_area(m: int) -> float:
-    """Surface measure of the unit sphere S^m in R^{m+1}."""
+    """Surface measure of the unit sphere S^m in R^{m+1}; ResourceLimitError
+    past m = 342, where Gamma((m + 1) / 2) overflows a float."""
     if m < 0:
         raise DomainError("sphere dimension must be >= 0")
-    return 2.0 * math.pi ** ((m + 1) / 2) / math.gamma((m + 1) / 2)
+    try:
+        return 2.0 * math.pi ** ((m + 1) / 2) / math.gamma((m + 1) / 2)
+    except OverflowError:
+        raise ResourceLimitError(f"the area of S^{m} needs Gamma({(m + 1) / 2}), "
+                                 "which overflows a float") from None
 
 
 def unit_ball_volume(n: int) -> float:
-    """Volume of the unit Euclidean ball in R^n."""
+    """Volume of the unit Euclidean ball in R^n; ResourceLimitError past
+    n = 341, where Gamma(n / 2 + 1) overflows a float."""
     if n < 0:
         raise DomainError("dimension must be >= 0")
-    return math.pi ** (n / 2) / math.exp(math.lgamma(n / 2 + 1))
+    try:
+        return math.pi ** (n / 2) / math.exp(math.lgamma(n / 2 + 1))
+    except OverflowError:
+        raise ResourceLimitError(f"the volume of the unit ball in R^{n} needs Gamma({n / 2 + 1}), "
+                                 "which overflows a float") from None
 
 
 def metric_sine(space: SpaceSpec, r):

@@ -996,6 +996,25 @@ BAD_BODY_DOCUMENTS = {
     "grid-shape-0": _document(StarBody(S2, GridProfile(np.full(8, 0.7))), shape=[0], values=[]),
 }
 
+_GRID_S2 = StarBody(S2, GridProfile(np.full(8, 0.7)))
+
+# documents whose integer fields hold something else, each with the field's
+# name; int() truncated the fractions, and numpy reads a shape of -1 as "infer"
+NON_INTEGER_DOCUMENTS = {
+    "degree-2.5": (_document(_PERTURBED, degree=2.5), "degree"),
+    "degree-true": (_document(_PERTURBED, degree=True), "degree"),
+    "degree-string": (_document(_PERTURBED, degree="2"), "degree"),
+    "dim-3.5": (_document(_PERTURBED, space=(1, 3.5)), "dim"),
+    "dim-3.0": (_document(_PERTURBED, space=(1, 3.0)), "dim"),
+    "delta-0.5": (_document(make_ellipsoid([1.2, 0.8, 1.0]), space=(0.5, 3)), "delta"),
+    "delta-true": (_document(_PERTURBED, space=(True, 3)), "delta"),
+    "shape-minus-1": (_document(_GRID_S2, shape=[-1]), "shape"),
+    "shape-8.0": (_document(_GRID_S2, shape=[8.0]), "shape"),
+    "shape-true": (_document(StarBody(S2, GridProfile(np.full(1, 0.7))), shape=[True]), "shape"),
+    "shape-minus-4-on-s3": (_document(StarBody(S3, GridProfile(np.full((4, 8), 0.7))), shape=[-4, -8]),
+                            "shape"),
+}
+
 
 class TestSerialization:
     @pytest.mark.parametrize("builder", [
@@ -1049,6 +1068,15 @@ class TestSerialization:
     def test_document_its_builder_refuses_is_rejected(self, doc):
         with pytest.raises(DomainError):
             body_from_json_dict(doc)
+
+    @pytest.mark.parametrize("doc, name", NON_INTEGER_DOCUMENTS.values(), ids=NON_INTEGER_DOCUMENTS.keys())
+    def test_an_integer_field_that_is_no_integer_is_refused(self, doc, name):
+        with pytest.raises(DomainError, match=f"'{name}' must be"):
+            body_from_json_dict(doc)
+
+    def test_integer_fields_of_numpy_type_load(self):
+        doc = _document(_PERTURBED, space=(np.int64(1), np.int64(3)), degree=np.int64(2))
+        assert body_from_json_dict(doc).profile.harmonic.degree == 2
 
     def test_circle_band_base_becomes_arcs(self):
         body = make_cone(S2, cap_base([1.0, 0.0], 0.3))

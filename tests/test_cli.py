@@ -16,6 +16,7 @@ from starsections.bodies import (
     cap_base,
     make_bumpy_ball,
     make_cone,
+    make_ball,
     make_ellipsoid,
     make_lune,
     make_perturbed_ball,
@@ -208,6 +209,31 @@ class TestExperimentCommand:
         code = run_cli("functional", "--space", "s+:3", "--body", "ball:r=0.7",
                        "--outer-degree", "100000")
         assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
+
+
+class TestHugeDimensions:
+    """A space of a million dimensions exits 3 with one line: no n x n
+    identity is built, and the first float overflow is a resource limit."""
+
+    @pytest.mark.parametrize("argv", [
+        ["functional", "--space", "s+:1000000", "--body", "ball:r=0.5"],
+        ["functional", "--space", "s+:1000000", "--body", "cone:cap=0.3"],
+        ["verify", "--theorem", "min-nd", "--dim", "1000000"],
+    ], ids=["ball", "cap-cone", "min-nd-suite"])
+    def test_a_command_exits_three(self, capsys, argv):
+        # an n x n array would end in numpy's memory error, exit 1
+        assert run_cli(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
+
+    def test_a_document_exits_three(self, tmp_path, capsys):
+        doc = make_ball(SpaceSpec(1, 3), 0.5).to_json_dict()
+        doc["space"]["dim"] = 1_000_000
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("functional", "--body", f"@{path}") == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and err.count("\n") == 1
 
@@ -421,6 +447,24 @@ class TestBodyFiles:
         assert "not origin-symmetric" in capsys.readouterr().err
         path.write_text(json.dumps(body.to_json_dict()))
         assert run_cli("functional", "--body", f"@{path}") == 0
+
+    @pytest.mark.parametrize("body, changes, space, name", [
+        (make_perturbed_ball(SpaceSpec(1, 3), 0.7, 0.03, 2), {"degree": 2.5}, None, "degree"),
+        (make_perturbed_ball(SpaceSpec(1, 3), 0.7, 0.03, 2), {"degree": True}, None, "degree"),
+        (make_ellipsoid([1.2, 0.8, 1.0]), {}, {"delta": 0, "dim": 3.5}, "dim"),
+        (make_ellipsoid([1.2, 0.8, 1.0]), {}, {"delta": 0.5, "dim": 3}, "delta"),
+        (StarBody(SpaceSpec(1, 2), GridProfile(np.full(8, 0.7))), {"shape": [-1]}, None, "shape"),
+        (StarBody(SpaceSpec(1, 2), GridProfile(np.full(8, 0.7))), {"shape": [8.0]}, None, "shape"),
+    ], ids=["degree-2.5", "degree-true", "dim-3.5", "delta-0.5", "shape-minus-1", "shape-8.0"])
+    def test_an_integer_field_that_is_no_integer_exits_two(self, tmp_path, capsys, body, changes,
+                                                          space, name):
+        doc = body.to_json_dict()
+        doc["profile"].update(changes)
+        spec = self._write(tmp_path, body, profile=doc["profile"], space=space or doc["space"])
+        assert run_cli("functional", "--body", spec) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --body @") and f"'{name}' must be" in err
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command", [["functional"], ["verify", "--theorem", "lune-max"]])
     @pytest.mark.parametrize("body, changes, space", [

@@ -47,9 +47,10 @@ from starsections.functionals import (
     section_volume,
     stable_arccos_one_minus,
     volume,
+    volume_and_functional,
 )
 from starsections.harmonics import zonal_harmonic
-from starsections.quadrature import build_sphere_rule, subsphere_nodes
+from starsections.quadrature import build_sphere_rule, integrate_vectorized, subsphere_nodes
 from starsections.spaces import SpaceSpec, brent_root, phi, sin_power_primitive_full, sphere_surface_area
 from starsections.verify import (
     perturbation_sign_experiment,
@@ -396,6 +397,7 @@ def _rho_calls_by_round(body, mu, monkeypatch):
         volume(body, mu)
         busemann_functional(body, mu)
         busemann_functional_with_error(body, mu)
+        volume_and_functional(body, mu)
     return rounds, points
 
 
@@ -419,6 +421,73 @@ class TestPlaneRoundsOnly:
             assert size % 21 == 0
             # a functional round of an asymmetric body adds rho at -dirs
             assert calls == [size] or (not body.symmetric and calls == [size, size])
+
+
+def _integrals_per_body(theorem_id, bodies, mu, monkeypatch):
+    """The ``integrate_vectorized`` calls that ``run_theorem_suite`` makes for
+    each body, one body at a time."""
+    calls = []
+    integrate = functionals.integrate_vectorized
+
+    def counted(*args):
+        calls[-1] += 1
+        return integrate(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(functionals, "integrate_vectorized", counted)
+        for body in bodies:
+            calls.append(0)
+            run_theorem_suite(theorem_id, [body], mu)
+    return calls
+
+
+_SYMMETRIC_PLANE = [make_ball(S2, 0.7), make_lune(0.4, (0.6, 0.8)),
+                    make_symmetric_polygon_body([0.7, 1.3, 0.9], [0.2, 1.1, 2.3]),
+                    make_bumpy_ball(S2, 0.8, [[0.6, 0.8]], [0.2], [3.0], symmetric=True)]
+_ASYMMETRIC_PLANE = [make_bumpy_ball(S2, 0.8, [[0.6, 0.8]], [0.2], [3.0]),
+                     make_bumpy_ball(S2, 0.7, [[1.0, 0.0], [0.0, -1.0]], [0.2, -0.1], [4.0, 2.0])]
+
+
+class TestOneRunPerPlaneBody:
+    """A plane suite takes the bound's volume and the functional from one
+    Gauss-Kronrod run per body."""
+
+    @pytest.mark.parametrize("theorem_id, bodies", [
+        ("min2d", _SYMMETRIC_PLANE),
+        ("cone-max", _SYMMETRIC_PLANE + _ASYMMETRIC_PLANE),
+        ("lune-max", _SYMMETRIC_PLANE + _ASYMMETRIC_PLANE),
+    ])
+    def test_the_plane_theorems(self, theorem_id, bodies, monkeypatch):
+        assert _integrals_per_body(theorem_id, bodies, None, monkeypatch) == [1] * len(bodies)
+
+    @pytest.mark.parametrize("space", [E2, H2], ids=str)
+    def test_the_gaussian_theorem_in_the_plane(self, space, monkeypatch):
+        bodies = [make_ball(space, 0.8),
+                  make_bumpy_ball(space, 0.8, [[0.6, 0.8]], [0.2], [3.0], symmetric=True),
+                  make_bumpy_ball(space, 0.8, [[0.6, 0.8]], [0.2], [3.0])]
+        assert _integrals_per_body("gaussian", bodies, gaussian_measure(), monkeypatch) == [1] * 3
+
+    @pytest.mark.parametrize("theorem_id", ["cone-max", "lune-max"])
+    def test_a_functional_in_another_measure_than_the_bound_takes_two(self, theorem_id, monkeypatch):
+        # the bound takes the uniform volume and the functional is Gaussian:
+        # two integrands, not one run
+        bodies = _SYMMETRIC_PLANE[:1] + _ASYMMETRIC_PLANE[:1]
+        assert _integrals_per_body(theorem_id, bodies, gaussian_measure(), monkeypatch) == [2, 2]
+        reports = run_theorem_suite(theorem_id, bodies, gaussian_measure())
+        assert [r.rhs for r in reports] == [rhs_bound(theorem_id, body) for body in bodies]
+        assert [r.lhs for r in reports] == [busemann_functional(body, gaussian_measure())
+                                            for body in bodies]
+
+    @pytest.mark.parametrize("theorem_id, bodies", [
+        ("min2d", _SYMMETRIC_PLANE), ("cone-max", _ASYMMETRIC_PLANE), ("lune-max", _ASYMMETRIC_PLANE),
+    ])
+    def test_the_reports_hold_the_two_calls(self, theorem_id, bodies):
+        theorem = functionals.get_theorem(theorem_id)
+        for body, report in zip(bodies, run_theorem_suite(theorem_id, bodies)):
+            functional = busemann_functional(body)
+            bound = rhs_bound(theorem_id, body)
+            assert (report.lhs, report.rhs) == ((bound, functional) if theorem.lower
+                                                else (functional, bound))
 
 
 RULE_IN_PLANE = QuadratureConfig(plane_adaptive=False)
@@ -660,6 +729,26 @@ def test_path_picks_each_path(body, config, path):
         # a closed form: the degree + 8 rerun gives the same value
         v = busemann_functional(body)
         assert busemann_functional_with_error(body) == (v, 1e-15 * abs(v))
+
+
+VOLUME_AND_FUNCTIONAL_BODIES = {
+    **{name: (body, config) for name, (body, config, _) in PATH_TABLE.items()},
+    "bumpy-s2-symmetric": (make_bumpy_ball(S2, 0.8, [[0.6, 0.8]], [0.2], [3.0], symmetric=True), DEFAULT),
+    "lune": (make_lune(0.4, (0.6, 0.8)), DEFAULT),
+    "polygon": (make_symmetric_polygon_body([1.0, 0.8], [0.4, 1.5]), DEFAULT),
+    "ball-e2": (make_ball(E2, 0.9), DEFAULT),
+    "ball-h2": (make_ball(H2, 0.9), DEFAULT),
+}
+
+
+@pytest.mark.parametrize("normalized, exponent", [(False, None), (True, 1), (False, 3)],
+                         ids=["default", "normalized-first", "cube"])
+@pytest.mark.parametrize("mu", [None, gaussian_measure()], ids=["uniform", "gaussian"])
+@pytest.mark.parametrize("body, config", VOLUME_AND_FUNCTIONAL_BODIES.values(),
+                         ids=VOLUME_AND_FUNCTIONAL_BODIES.keys())
+def test_volume_and_functional_is_the_two_calls(body, config, mu, normalized, exponent):
+    assert volume_and_functional(body, mu, normalized, exponent, config) == (
+        volume(body, mu, config), busemann_functional(body, mu, normalized, exponent, config))
 
 
 def _sphere_rule_functional(body):
@@ -1296,7 +1385,7 @@ class TestPairSum:
         # the integrand's corners lie a quarter turn from the profile's
         corners = body.profile.plane_corners()
         breaks = np.concatenate([corners - math.pi / 2, corners + math.pi / 2]) % (2 * math.pi)
-        reference = functionals._adaptive_circle(integrand, DEFAULT.angular_tol, breaks)
+        reference = integrate_vectorized(integrand, 0.0, 2 * math.pi, DEFAULT.angular_tol, breaks)
         assert busemann_functional(body, exponent=exponent) == reference[0]
         assert busemann_functional_with_error(body, exponent=exponent) == reference
 

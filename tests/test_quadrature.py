@@ -12,11 +12,12 @@ from starsections.quadrature import (
     build_sphere_rule,
     gauss_jacobi,
     householder_frame,
+    householder_frames,
     integrate_vectorized,
     polar_rule,
     subsphere_nodes,
 )
-from starsections.spaces import sphere_surface_area
+from starsections.spaces import basis_vector, sphere_surface_area
 
 
 def random_rotation(n, rng):
@@ -167,6 +168,12 @@ class TestSphereRules:
         assert build_sphere_rule.cache_info().currsize == cached
         assert peak < 1e6
 
+    def test_a_gauss_jacobi_mass_past_the_float_range_is_a_resource_limit(self):
+        # the weight of S^171's polar factor is the last whose mass is finite
+        assert gauss_jacobi(3, 84.5)[1].sum() > 0.0
+        with pytest.raises(ResourceLimitError, match="overflows a float"):
+            gauss_jacobi(3, 85.0)
+
     def test_gauss_jacobi_cap_is_2000_nodes(self):
         assert len(gauss_jacobi(2000, 0.0)[0]) == 2000
         with pytest.raises(ResourceLimitError):
@@ -261,6 +268,25 @@ class TestSubsphereNodes:
         for normal in ([1.0, 1.0, 0.0], [np.nan, 0.0, 0.0]):
             with pytest.raises(DomainError):
                 subsphere_nodes(build_sphere_rule(1, 7), np.array([normal]))
+
+    @pytest.mark.parametrize("xis", [
+        lambda: basis_vector(1_000_000, -1)[None],         # one frame of 10^12 entries
+        lambda: np.tile(basis_vector(3, 0), (444_445, 1)),  # 9 entries each, 4,000,005 in all
+    ], ids=["huge-n", "many-normals"])
+    def test_frames_past_the_cap_are_refused_before_they_allocate(self, xis):
+        xis = xis()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="frames"):
+                householder_frames(xis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_frames_at_the_cap_are_built(self):
+        frames = householder_frames(np.tile(basis_vector(3, 0), (444_444, 1)))
+        assert frames.shape == (444_444, 3, 2)
 
 
 class TestSelfAdjointness:
@@ -433,3 +459,57 @@ class TestIntegrateVectorizedBreaks:
         f = lambda t: np.exp(np.sin(3.0 * t)) / (2.0 + np.cos(t))  # noqa: E731
         assert integrate_vectorized(f, self.A, self.B, 1e-12, breaks=()) == integrate_vectorized(
             f, self.A, self.B, 1e-12)
+
+
+class TestIntegrateVectorizedRows:
+    """A (k, N) integrand is k integrals in one run: each row equals its run
+    alone, bit for bit, and one call of f per round takes every row."""
+
+    A, B = 0.0, 2 * math.pi
+    SMOOTH = staticmethod(lambda t: np.exp(np.sin(t)))                   # one round
+    KINKED = staticmethod(lambda t: np.abs(np.sin(3.0 * t - 0.3)))       # many rounds
+    ROOT = staticmethod(lambda t: np.sqrt(np.abs(t - 1.234567)))         # many rounds
+
+    def _rows(self, fs, breaks=()):
+        stacked, calls = _counting(lambda t: np.array([f(t) for f in fs]))
+        values, errors = integrate_vectorized(stacked, self.A, self.B, 1e-12, breaks)
+        solo = []
+        for f in fs:
+            counted, solo_calls = _counting(f)
+            solo.append((integrate_vectorized(counted, self.A, self.B, 1e-12, breaks), len(solo_calls)))
+        return values, errors, len(calls), solo
+
+    @pytest.mark.parametrize("breaks", [(), (1.234567,)], ids=["no-breaks", "a-break"])
+    @pytest.mark.parametrize("names", [("SMOOTH", "KINKED"), ("KINKED", "SMOOTH"),
+                                       ("ROOT", "KINKED", "SMOOTH")])
+    def test_each_row_is_its_run_alone(self, names, breaks):
+        values, errors, rounds, solo = self._rows([getattr(self, name) for name in names], breaks)
+        assert values.shape == errors.shape == (len(names),)
+        for value, error, ((solo_value, solo_error), _) in zip(values, errors, solo):
+            assert (value, error) == (solo_value, solo_error)
+        # the rows need different numbers of rounds, and the run takes the most
+        assert len({count for _, count in solo}) > 1
+        assert rounds == max(count for _, count in solo)
+
+    def test_a_one_row_array_is_the_one_row_case(self):
+        values, errors = integrate_vectorized(lambda t: self.KINKED(t)[None], self.A, self.B)
+        assert (values[0], errors[0]) == integrate_vectorized(self.KINKED, self.A, self.B)
+
+    def test_rows_of_the_first_round_alone_take_one_call(self):
+        values, errors, rounds, solo = self._rows([self.SMOOTH, lambda t: 2.0 * np.cos(t) ** 2])
+        assert rounds == 1 and [count for _, count in solo] == [1, 1]
+        assert [(v, e) for v, e in zip(values, errors)] == [result for result, _ in solo]
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_a_nan_row_raises(self, row):
+        def f(t):
+            y = np.array([self.KINKED(t), self.SMOOTH(t)])
+            y[row, 3] = np.nan
+            return y
+
+        with pytest.raises(ConvergenceError, match=f"in row {row}"):
+            integrate_vectorized(f, self.A, self.B, 1e-12)
+
+    def test_an_empty_interval_gives_a_zero_per_row(self):
+        values, errors = integrate_vectorized(lambda t: np.array([t, t, t]), 1.0, 1.0)
+        assert values.tolist() == errors.tolist() == [0.0, 0.0, 0.0]

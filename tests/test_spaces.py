@@ -16,6 +16,7 @@ from starsections.errors import (
 from starsections.spaces import (
     SpaceSpec,
     as_direction,
+    basis_vector,
     brent_root,
     metric_sine,
     phi,
@@ -212,6 +213,22 @@ class TestConstants:
         assert unit_ball_volume(1) == pytest.approx(2.0)
         assert unit_ball_volume(2) == pytest.approx(math.pi)
         assert unit_ball_volume(3) == pytest.approx(4 * math.pi / 3)
+
+    def test_past_the_float_range_is_a_resource_limit(self):
+        # Gamma overflows a float at 171.62: |S^342| and kappa_341 are the last
+        assert sphere_surface_area(342) > 0.0 and unit_ball_volume(341) > 0.0
+        with pytest.raises(ResourceLimitError, match="overflows a float"):
+            sphere_surface_area(343)
+        with pytest.raises(ResourceLimitError, match="overflows a float"):
+            unit_ball_volume(342)
+
+    @pytest.mark.parametrize("n, index", [(1, 0), (4, 0), (4, 2), (4, -1)])
+    def test_basis_vectors(self, n, index):
+        assert np.array_equal(basis_vector(n, index), np.eye(n)[index])
+
+    def test_a_basis_vector_of_a_huge_space_takes_n_floats(self):
+        e = basis_vector(1_000_000)
+        assert e.shape == (1_000_000,) and e[0] == 1.0 and np.count_nonzero(e) == 1
 
 
 class TestBrentRoot:

@@ -1,6 +1,10 @@
-"""tools/compare_outputs.py: the diff of two tools/dump_outputs.py files."""
+"""tools/compare_outputs.py, the diff of two tools/dump_outputs.py files, and the
+committed dump that tools/dump_outputs.py must reproduce."""
 
 import importlib.util
+import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -161,3 +165,102 @@ def test_dump_prints_the_product_pairs(dump_outputs, capsys):
         for key in ("symmetric", "volume", "functional", "section/0", "section/1", "section/2")]
     assert all(value == "True" if label.endswith("/symmetric") else float(value) > 0
                for label, value in lines)
+
+
+# The committed output of tools/dump_outputs.py.  A change that moves numbers
+# on purpose regenerates it (python3 tools/dump_outputs.py > tests/data/dump_outputs.txt)
+# and lists the moved lines in CHANGES.md.
+COMMITTED_DUMP = Path(__file__).resolve().parent / "data" / "dump_outputs.txt"
+
+# Under another numeric environment (the dump's "#" lines: numpy's SIMD
+# targets and the OpenBLAS core) roundoff moves, and each value may move by
+# its group's bound, relative; the longest label prefix listed names the
+# group.  The bounds are about five times the largest moves measured under
+# the Haswell and Prescott OpenBLAS cores and without numpy's AVX-512
+# dispatch: most values 2.2e-15, band sums and windowed cones 5.7e-14,
+# suite/hyperbolic 2.7e-13, the vanishing bodies 1.8e-13, schedule rows
+# 2.3e-14 and their excesses 3e-12, perturbation rows 6.6e-11.  An error
+# estimate need only stay finite, and a perturbation row's difference may
+# move by its own error estimate (it moved by up to 0.53 of it).
+PORTABLE_BOUNDS = {
+    "": 3e-13,
+    "suite/hyperbolic": 1.5e-12,
+    "vanishing": 1e-12,
+    "schedule": 1.5e-11,
+    "perturbation": 3e-10,
+}
+
+
+def portable_moves(compare_outputs, old: str, new: str) -> list[str]:
+    """The lines of new that moved from old past the bounds above: labels
+    must match in order, words exactly, and values within their group's
+    bound."""
+    old_lines, new_lines = ([line.split(" ", 1) for line in text.splitlines()
+                             if line.strip() and not line.startswith("#")] for text in (old, new))
+    if [label for label, _ in old_lines] != [label for label, _ in new_lines]:
+        return ["the labels differ"]
+    new_values = dict(new_lines)
+    moves = []
+    for (label, a), (_, b) in zip(old_lines, new_lines):
+        if a == b:
+            continue
+        try:
+            x, y = float(a), float(b)
+        except ValueError:
+            moves.append(f"{label}: {a} -> {b}")
+            continue
+        row, _, column = label.rpartition("/")
+        if compare_outputs.is_error(label):
+            ok = math.isfinite(y) and y >= 0.0
+        elif label.startswith("perturbation/") and column == compare_outputs.PERTURBATION_DIFFERENCE_COLUMN:
+            ok = abs(y - x) <= float(new_values[f"{row}/{compare_outputs.PERTURBATION_ERROR_COLUMN}"])
+        else:
+            group = max((prefix for prefix in PORTABLE_BOUNDS
+                         if label == prefix or label.startswith(prefix + "/") or not prefix), key=len)
+            ok = compare_outputs.relative_change(a, b) <= PORTABLE_BOUNDS[group]
+        if not ok:
+            moves.append(f"{label}: {a} -> {b}")
+    return moves
+
+
+def test_the_dump_matches_the_committed_one(compare_outputs):
+    proc = subprocess.run([sys.executable, str(TOOLS / "dump_outputs.py")], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    committed = COMMITTED_DUMP.read_text()
+    header = [line for line in committed.splitlines() if line.startswith("#")]
+    if header == [line for line in proc.stdout.splitlines() if line.startswith("#")]:
+        assert proc.stdout == committed
+    else:
+        assert portable_moves(compare_outputs, committed, proc.stdout) == []
+
+
+PORTABLE_OLD = """\
+# openblas core: SkylakeX
+suite/min2d/2/0//lhs 1.0
+suite/hyperbolic/3/0//rhs 2.0
+suite/hyperbolic/3/0/symmetric True
+path/plane/uniform/default/with-error/error 1e-14
+perturbation/3/0.8/2/0/5 1.0e-3
+perturbation/3/0.8/2/0/6 1.0e-6
+schedule/3/0/excess 0.01
+"""
+
+
+@pytest.mark.parametrize("edit, moved", [
+    (lambda text: text.replace("SkylakeX", "Haswell"), []),
+    (lambda text: text.replace("lhs 1.0", "lhs 1.0000000000001"), []),
+    (lambda text: text.replace("lhs 1.0", "lhs 1.000000000001"), ["suite/min2d/2/0//lhs"]),
+    (lambda text: text.replace("rhs 2.0", "rhs 2.000000000002"), []),
+    (lambda text: text.replace("rhs 2.0", "rhs 2.00000000002"), ["suite/hyperbolic/3/0//rhs"]),
+    (lambda text: text.replace("True", "False"), ["suite/hyperbolic/3/0/symmetric"]),
+    (lambda text: text.replace("error 1e-14", "error 7e-14"), []),
+    (lambda text: text.replace("error 1e-14", "error nan"), ["path/plane/uniform/default/with-error/error"]),
+    (lambda text: text.replace("5 1.0e-3", "5 1.0009e-3"), []),
+    (lambda text: text.replace("5 1.0e-3", "5 1.0011e-3"), ["perturbation/3/0.8/2/0/5"]),
+    (lambda text: text.replace("excess 0.01", "excess 0.0100000000001"), []),
+    (lambda text: text.replace("excess 0.01", "excess 0.010000001"), ["schedule/3/0/excess"]),
+])
+def test_portable_bounds(compare_outputs, edit, moved):
+    assert [line.split(":")[0] for line in portable_moves(compare_outputs, PORTABLE_OLD,
+                                                           edit(PORTABLE_OLD))] == moved

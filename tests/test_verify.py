@@ -12,7 +12,13 @@ from starsections.bodies import (
 from starsections import functionals, spaces, verify
 from starsections.cli import build_parser
 from starsections.errors import ApplicabilityError, DomainError, RadiusRangeError
-from starsections.functionals import THEOREMS, bound_constants, busemann_functional, volume
+from starsections.functionals import (
+    THEOREMS,
+    bound_constants,
+    busemann_functional,
+    volume,
+    volume_and_functional,
+)
 from starsections.harmonics import radon_multiplier
 from starsections.spaces import SpaceSpec, sphere_surface_area
 from starsections.verify import (
@@ -161,9 +167,9 @@ class TestSuites:
 
         def counted(body, *args, **kwargs):
             calls.append(body)
-            return busemann_functional(body, *args, **kwargs)
+            return volume_and_functional(body, *args, **kwargs)
 
-        monkeypatch.setattr(verify, "busemann_functional", counted)
+        monkeypatch.setattr(verify, "volume_and_functional", counted)
         reports = run_theorem_suite("prop4.1", bodies)
         assert calls == bodies
         assert [(r.variant, r.lhs) for r in reports] == [
@@ -173,11 +179,13 @@ class TestSuites:
     def test_prop41_volume_once_per_body(self, monkeypatch):
         calls = []
 
-        def counted(body, *args, **kwargs):
-            calls.append(body)
-            return volume(body, *args, **kwargs)
+        zonal_volume = functionals._Zonal.volume
 
-        monkeypatch.setattr(functionals, "volume", counted)
+        def counted(path, mu):
+            calls.append(path.body)
+            return zonal_volume(path, mu)
+
+        monkeypatch.setattr(functionals._Zonal, "volume", counted)
         ball = make_ball(S3, 0.7)
         assert len(run_theorem_suite("prop4.1", [ball])) == 2
         assert calls == [ball]
