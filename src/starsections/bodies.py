@@ -39,7 +39,7 @@ from .spaces import (
 TWO_PI = 2.0 * math.pi
 
 # The format of every JSON document and CSV table the library writes.
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +386,7 @@ def full_sphere_base(n: int) -> BandsBase:
     return BandsBase(axis, np.array([-1.0]), np.array([1.0]))
 
 
-def equality_cone_base(n: int, height: float, axis=None) -> BandsBase:
+def equality_cone_base(n: int, height: float) -> BandsBase:
     """Base realizing the sharp-minimum equality type in dimension n >= 3.
 
     Takes the cap {t >= height} together with the reflection of its
@@ -397,8 +397,7 @@ def equality_cone_base(n: int, height: float, axis=None) -> BandsBase:
     """
     if not 0.0 < height < 1.0:
         raise DomainError("height must lie in (0, 1)")
-    axis = basis_vector(n) if axis is None else axis
-    return BandsBase(np.asarray(axis, dtype=float), np.array([-height, height]), np.array([0.0, 1.0]))
+    return BandsBase(basis_vector(n), np.array([-height, height]), np.array([0.0, 1.0]))
 
 
 def _normalize_arcs(arcs) -> list[tuple[float, float]]:

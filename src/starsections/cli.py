@@ -124,14 +124,6 @@ def _build_body(text: str, space: SpaceSpec | None) -> StarBody:
     raise UsageError(f"--body: unknown body kind {kind!r}")
 
 
-def parse_measure(name: str | None):
-    if name in (None, "uniform"):
-        return None
-    if name == "gaussian":
-        return gaussian_measure()
-    raise UsageError(f"--measure: unknown measure {name!r} (uniform or gaussian)")
-
-
 def _integer_at_least(low: int, noun: str):
     """An argparse type: an integer >= low, or a usage error naming the noun."""
     def parse(text: str) -> int:
@@ -147,14 +139,6 @@ def _integer_at_least(low: int, noun: str):
 
 _degree = _integer_at_least(1, "quadrature degree")
 _count = _integer_at_least(0, "count")
-
-
-def make_config(args) -> QuadratureConfig:
-    return QuadratureConfig(
-        outer_degree=args.outer_degree,
-        inner_degree=args.inner_degree,
-        radial_tol=args.radial_tol,
-    )
 
 
 def _write_json(path: str, doc: dict):
@@ -190,8 +174,8 @@ def cmd_functional(args) -> int:
     space = parse_space(args.space) if args.space else None
     body = parse_body(args.body, space)
     space = body.space
-    mu = parse_measure(args.measure)
-    config = make_config(args)
+    mu = gaussian_measure() if args.measure == "gaussian" else None
+    config = QuadratureConfig(args.outer_degree, args.inner_degree)
     vol = volume(body, mu, config)
     functional, err = busemann_functional_with_error(
         body, mu, normalized=args.normalized, exponent=args.exponent, config=config
@@ -215,7 +199,7 @@ def cmd_functional(args) -> int:
         "command": "functional",
         "space": {"delta": space.delta, "dim": space.dim},
         "body": body.to_json_dict(),
-        "measure": args.measure or "uniform",
+        "measure": args.measure,
         "volume": vol,
         "functional": functional,
         "error_estimate": err,
@@ -299,55 +283,57 @@ def _parse_list(flag: str, text: str | None, kind):
 
 def cmd_experiment(args) -> int:
     try:
-        return _run_experiment(args)
+        return args.run(args)
     except DomainError as exc:
         raise UsageError(f"{args.mode}: {exc}") from exc
 
 
-def _run_experiment(args) -> int:
-    if args.mode == "perturbation":
-        ks = _parse_list("--k", args.k, int)
-        betas = _parse_list("--beta", args.beta, float)
-        records = []
-        ok = True
-        for k in ks:
-            res = verify_mod.perturbation_sign_experiment(args.dim, args.r, k, betas=betas)
-            records.append(res.to_json_dict())
-            status = "conclusive" if res.conclusive else "INCONCLUSIVE"
-            match = "match" if res.sign_matches else "MISMATCH"
-            print(f"k={k}: difference={res.difference:+.6e} predicted={res.predicted_sign:+d} "
-                  f"observed={res.observed_sign:+d} ({status}, {match})")
-            ok = ok and res.sign_matches
-        _emit(args.out, csv_data=_table(
-            ["n", "r", "k", "beta", "delta_norm", "eps_norm", "difference", "error_estimate",
-             "predicted_sign", "observed_sign", "conclusive", "ratio", "predicted_ratio"], records))
-        return 0 if ok else 1
-    if args.mode == "sharpness":
-        alphas = _parse_list("--alphas", args.alphas, float)
-        epsilons = _parse_list("--epsilons", args.epsilons, float)
-        rows = verify_mod.sharpness_schedule(args.dim, args.t, alphas, epsilons)
-        print(f"target constant: {rows[0]['target']:.10g}")
-        for row in rows:
-            print(f"alpha={row['alpha']:<6g} eps={row['eps']:<6g} "
-                  f"normalized={row['normalized']:.8g} excess={row['excess']:+.3%}")
-        _emit(args.out, csv_data=_table(
-            ["alpha", "eps", "volume", "functional", "normalized", "target", "excess"], rows))
-        final_ok = abs(rows[-1]["excess"]) <= 0.05 and all(r["excess"] >= -1e-9 for r in rows)
-        return 0 if final_ok else 1
-    if args.mode == "search":
-        space = parse_space(args.space)
-        vol = args.volume if args.volume is not None else (
-            2.0 if space.delta == 1 else 2.0 * math.pi * 0.3
-        )
-        trace = verify_mod.extremizer_search(
-            space, args.body_class, vol, sense=args.sense, budget=args.budget, seed=args.seed,
-        )
-        print(f"search: {trace.accepted} accepted / {trace.evaluations} evaluated, "
-              f"best objective {trace.best_objective:.10g}")
-        header = ["iteration", "objective", "volume_drift"]
-        _emit(args.out, csv_data=(header, [list(s) for s in trace.steps]))
-        return 0
-    raise UsageError(f"unknown experiment mode {args.mode!r}")
+def _perturbation(args) -> int:
+    ks = _parse_list("--k", args.k, int)
+    betas = _parse_list("--beta", args.beta, float)
+    records = []
+    ok = True
+    for k in ks:
+        res = verify_mod.perturbation_sign_experiment(args.dim, args.r, k, betas=betas)
+        records.append(res.to_json_dict())
+        status = "conclusive" if res.conclusive else "INCONCLUSIVE"
+        match = "match" if res.sign_matches else "MISMATCH"
+        print(f"k={k}: difference={res.difference:+.6e} predicted={res.predicted_sign:+d} "
+              f"observed={res.observed_sign:+d} ({status}, {match})")
+        ok = ok and res.sign_matches
+    _emit(args.out, csv_data=_table(
+        ["n", "r", "k", "beta", "delta_norm", "eps_norm", "difference", "error_estimate",
+         "predicted_sign", "observed_sign", "conclusive", "ratio", "predicted_ratio"], records))
+    return 0 if ok else 1
+
+
+def _sharpness(args) -> int:
+    alphas = _parse_list("--alphas", args.alphas, float)
+    epsilons = _parse_list("--epsilons", args.epsilons, float)
+    rows = verify_mod.sharpness_schedule(args.dim, args.t, alphas, epsilons)
+    print(f"target constant: {rows[0]['target']:.10g}")
+    for row in rows:
+        print(f"alpha={row['alpha']:<6g} eps={row['eps']:<6g} "
+              f"normalized={row['normalized']:.8g} excess={row['excess']:+.3%}")
+    _emit(args.out, csv_data=_table(
+        ["alpha", "eps", "volume", "functional", "normalized", "target", "excess"], rows))
+    final_ok = abs(rows[-1]["excess"]) <= 0.05 and all(r["excess"] >= -1e-9 for r in rows)
+    return 0 if final_ok else 1
+
+
+def _search(args) -> int:
+    space = parse_space(args.space)
+    vol = args.volume if args.volume is not None else (
+        2.0 if space.delta == 1 else 2.0 * math.pi * 0.3
+    )
+    trace = verify_mod.extremizer_search(
+        space, args.body_class, vol, sense=args.sense, budget=args.budget, seed=args.seed,
+    )
+    print(f"search: {trace.accepted} accepted / {trace.evaluations} evaluated, "
+          f"best objective {trace.best_objective:.10g}")
+    header = ["iteration", "objective", "volume_drift"]
+    _emit(args.out, csv_data=(header, [list(s) for s in trace.steps]))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,13 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fun = sub.add_parser("functional", help="evaluate volume, sections, functional")
     p_fun.add_argument("--space", default=None, help="s+:<n>, h:<n> or e:<n>")
     p_fun.add_argument("--body", required=True, help="kind:key=val,... or @file.json")
-    p_fun.add_argument("--measure", default=None, choices=["uniform", "gaussian"])
+    p_fun.add_argument("--measure", default="uniform", choices=["uniform", "gaussian"])
     p_fun.add_argument("--normalized", action="store_true")
     p_fun.add_argument("--exponent", type=_integer_at_least(1, "section-power exponent"), default=None)
     p_fun.add_argument("--sections", type=_count, default=0, metavar="N",
                        help="print a table of N section volumes")
     p_fun.add_argument("--dump-body", default=None, help="write the body JSON here")
-    p_fun.add_argument("--radial-tol", type=float, default=1e-12)
     add_quad_args(p_fun)
     p_fun.set_defaults(fn=cmd_functional)
 
@@ -388,23 +373,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(fn=cmd_verify)
 
     p_exp = sub.add_parser("experiment", help="perturbation | sharpness | search")
-    p_exp.add_argument("mode", choices=["perturbation", "sharpness", "search"])
-    p_exp.add_argument("--dim", type=int, default=3)
-    p_exp.add_argument("--r", type=float, default=math.pi / 4)
-    p_exp.add_argument("--k", default="2,4")
-    p_exp.add_argument("--beta", default=None, help="comma-separated beta schedule")
-    p_exp.add_argument("--t", type=float, default=0.5)
-    p_exp.add_argument("--alphas", default=None)
-    p_exp.add_argument("--epsilons", default=None)
-    p_exp.add_argument("--space", default="s+:2")
-    p_exp.add_argument("--class", dest="body_class", default="sym-star",
-                       choices=["star", "sym-star", "convex", "sym-convex"])
-    p_exp.add_argument("--sense", default="max", choices=["max", "min"])
-    p_exp.add_argument("--volume", type=float, default=None)
-    p_exp.add_argument("--budget", type=int, default=4000)
-    p_exp.add_argument("--seed", type=_count, default=0)
-    p_exp.add_argument("--out", default=None, help="write the table to .csv")
-    p_exp.set_defaults(fn=cmd_experiment)
+    modes = p_exp.add_subparsers(dest="mode", required=True)
+
+    def add_mode(name, run):
+        p = modes.add_parser(name)
+        p.add_argument("--out", default=None, help="write the table to .csv")
+        p.set_defaults(fn=cmd_experiment, run=run)
+        return p
+
+    p_pert = add_mode("perturbation", _perturbation)
+    p_pert.add_argument("--dim", type=int, default=3)
+    p_pert.add_argument("--r", type=float, default=math.pi / 4)
+    p_pert.add_argument("--k", default="2,4")
+    p_pert.add_argument("--beta", default=None, help="comma-separated beta schedule")
+    p_sharp = add_mode("sharpness", _sharpness)
+    p_sharp.add_argument("--dim", type=int, default=3)
+    p_sharp.add_argument("--t", type=float, default=0.5)
+    p_sharp.add_argument("--alphas", default=None)
+    p_sharp.add_argument("--epsilons", default=None)
+    p_search = add_mode("search", _search)
+    p_search.add_argument("--space", default="s+:2")
+    p_search.add_argument("--class", dest="body_class", default="sym-star",
+                          choices=["star", "sym-star", "convex", "sym-convex"])
+    p_search.add_argument("--sense", default="max", choices=["max", "min"])
+    p_search.add_argument("--volume", type=float, default=None)
+    p_search.add_argument("--budget", type=int, default=4000)
+    p_search.add_argument("--seed", type=_count, default=0)
     return parser
 
 

@@ -2,12 +2,12 @@
 closed-form right-hand sides of every inequality this library verifies.
 
 Left sides are always quadrature over the direction sphere; right sides are
-always closed forms (possibly with 1-d adaptive integrals or bracketed
-inversions).  The two routes never share code, so agreement is evidence: a
-right side takes the body's volume as a number.  Every left side of a body
-takes the one evaluation path that ``_path`` chooses, an object of one of
-five private classes: ``_Product``, ``_Zonal``, ``_Indicator``, ``_Arcs`` or
-``_Plane``.
+always closed forms (possibly with bracketed inversions, or with a 1-d rule
+of their own, as ``lune_bound``'s tanh-sinh levels).  The two routes never
+share code, so agreement is evidence: a right side takes the body's volume
+as a number.  Every left side of a body takes the one evaluation path that
+``_path`` chooses, an object of one of five private classes: ``_Product``,
+``_Zonal``, ``_Indicator``, ``_Arcs`` or ``_Plane``.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ class QuadratureConfig:
 
     outer_degree: int | None = None
     inner_degree: int | None = None
-    radial_tol: float = 1e-12
     plane_adaptive: bool = True
     angular_tol: float = 1e-11
 
@@ -75,11 +74,7 @@ class QuadratureConfig:
         return self.inner_degree if self.inner_degree is not None else default_degree(n - 2)
 
     def describe(self, n: int) -> dict:
-        return {
-            "outer_degree": self.outer(n),
-            "inner_degree": self.inner(n),
-            "radial_tol": self.radial_tol,
-        }
+        return {"outer_degree": self.outer(n), "inner_degree": self.inner(n)}
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -426,7 +421,7 @@ class _Plane(_Product):
         return float(self._integrals(mu, None, volume=True)[0][0])
 
     def functional(self, mu, p: int) -> float:
-        return self._integral(mu, p)[0]
+        return float(self._integrals(mu, p)[0][0])
 
     def volume_and_functional(self, mu, p: int):
         values, _ = self._integrals(mu, p, volume=True)
@@ -436,13 +431,8 @@ class _Plane(_Product):
         # the value goes through busemann_functional, and the estimate reruns
         # the integral
         val = busemann_functional(self.body, mu, normalized, exponent, self.config)
-        _, err = self._integral(mu, self.n if exponent is None else exponent)
-        return val, err / (sphere_surface_area(self.n - 1) if normalized else 1.0)
-
-    def _integral(self, mu, p: int):
-        """The integral of section^p over the circle and its error."""
-        values, errors = self._integrals(mu, p)
-        return float(values[0]), float(errors[0])
+        _, errors = self._integrals(mu, self.n if exponent is None else exponent)
+        return val, float(errors[0]) / (sphere_surface_area(self.n - 1) if normalized else 1.0)
 
     def _integrals(self, mu, p: int | None, volume: bool = False):
         """Values and error estimates of the rows asked for, from one
@@ -751,8 +741,6 @@ def _min2d_bound(vol, space, mu):
 
 
 def _gaussian_bound(vol, space, mu):
-    if mu is None:
-        raise ApplicabilityError("a radial density measure is required")
     n = space.dim
     return (big_psi(mu, space, n, vol) ** (n - 1),)
 
@@ -761,10 +749,12 @@ def _gaussian_bound(vol, space, mu):
 class Theorem:
     """One verified inequality: where it applies, how its suite checks it, and
     its closed-form right side ``bound(vol, space, mu)``, which returns one
-    value per entry of ``variants``.  The bound takes the body's volume as a
-    number, under the measure it is stated in (``bound_measure``), and
-    computes no left side.  A ``lower`` bound is reported as
-    bound <= functional.
+    value per entry of ``variants``.  Each theorem is checked in the one
+    measure it is stated in, which ``measure_for`` decides: a theorem with a
+    ``measure`` of its own holds for any radial density, and every other for
+    the uniform volume alone.  The bound takes the body's volume in that
+    measure as a number, and computes no left side.  A ``lower`` bound is
+    reported as bound <= functional.
     """
 
     id: str
@@ -789,11 +779,17 @@ class Theorem:
         if self.symmetric and not body.symmetric:
             raise ApplicabilityError(f"theorem {self.id!r} needs an origin-symmetric body")
 
-    def bound_measure(self, mu):
-        """The measure of the volume that ``bound`` takes: mu for a theorem
-        stated in a measure of its own (one with a ``measure``), the uniform
-        one (None) for every other."""
-        return mu if self.measure is not None else None
+    def measure_for(self, mu):
+        """The measure the theorem is checked in.  A theorem with a ``measure``
+        of its own is stated for any radial density, and takes mu, or its own
+        measure when mu is None; every other is stated for the uniform volume
+        alone (None), and refuses any mu with ApplicabilityError."""
+        if self.measure is None:
+            if mu is not None:
+                raise ApplicabilityError(f"theorem {self.id!r} is stated for the uniform volume, "
+                                         f"not for the measure {mu.name!r}")
+            return None
+        return mu if mu is not None else self.measure()
 
 
 # in the CLI's order
@@ -826,18 +822,21 @@ def rhs_bound(theorem_id: str, body: StarBody, mu: RadialDensityMeasure | None =
     """Closed-form bound value for the given theorem at this body's volume.
 
     Never computed through the verifying quadrature of the left side: the
-    volume, under the theorem's ``bound_measure``, is computed once and
-    handed to the bound, and everything else is a closed form.
+    volume, in the measure that ``Theorem.measure_for(mu)`` gives, is
+    computed once and handed to the bound, and everything else is a closed
+    form.
     ``variant=None`` returns the tuple of every variant's bound, in the
     order of the theorem's ``variants``, from that one volume.  Raises
-    ApplicabilityError for a body outside the theorem's hypotheses or a
-    variant the theorem does not have.
+    ApplicabilityError for a body outside the theorem's hypotheses, a
+    measure the theorem is not stated in, or a variant the theorem does not
+    have.
     """
     theorem = get_theorem(theorem_id)
     theorem.check(body)
+    mu = theorem.measure_for(mu)
     if variant is not None and variant not in theorem.variants:
         raise ApplicabilityError(f"unknown variant {variant!r}")
-    bounds = theorem.bound(volume(body, theorem.bound_measure(mu), config), body.space, mu)
+    bounds = theorem.bound(volume(body, mu, config), body.space, mu)
     return bounds if variant is None else bounds[theorem.variants.index(variant)]
 
 

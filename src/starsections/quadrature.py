@@ -291,38 +291,29 @@ def _panel_edges(a: float, b: float) -> np.ndarray:
 
 
 class _Row:
-    """One integrand of ``integrate_vectorized``: its pending intervals, in
-    the order its run alone would hold them, its scaled tolerance, and its
-    accepted intervals' Kronrod values and error estimates."""
+    """One integrand of ``integrate_vectorized``: its scaled tolerance, and
+    its accepted intervals' count, Kronrod values and error estimates."""
 
-    __slots__ = ("lo", "hi", "tol", "accepted", "values", "errors")
+    __slots__ = ("tol", "accepted", "values", "errors")
 
-    def __init__(self, lo, hi, tol):
-        self.lo, self.hi, self.tol = lo, hi, tol
-        self.accepted, self.values, self.errors = 0, [], []
+    def __init__(self, tol):
+        self.tol, self.accepted, self.values, self.errors = tol, 0, [], []
 
-    def round(self, y, centre, half, a, b, floor):
-        """Accept or bisect each pending interval from its 21 values y."""
+    def round(self, y, half, a, b, floor):
+        """Accept or bisect each pending interval from its 21 values y and its
+        half-length; returns the mask of those to bisect."""
         kronrod = half * (y @ _GK21_WEIGHTS)
         err = np.abs(kronrod - half * (y @ _G10_WEIGHTS))
         # a NaN error stops refinement at once; the final check rejects it
         split = (err > self.tol * (2.0 * half) / (b - a)) & (2.0 * half > floor)
         more = np.count_nonzero(split)
-        if more and self.accepted + self.lo.size + more > _GK_MAX_INTERVALS:
-            more = 0
-        if not more:
-            # every interval accepted: no bisection arrays
-            self.accepted += self.lo.size
-            self.values.append(kronrod)
-            self.errors.append(err)
-            self.lo = self.hi = self.lo[:0]
-            return
-        done = ~split
-        self.accepted += self.lo.size - more
+        if more and self.accepted + len(half) + more > _GK_MAX_INTERVALS:
+            split[:] = more = False
+        self.accepted += len(half) - more
+        done = ~split if more else slice(None)   # every interval accepted: no copies
         self.values.append(kronrod[done])
         self.errors.append(err[done])
-        mid = centre[split]
-        self.lo, self.hi = np.concatenate([self.lo[split], mid]), np.concatenate([mid, self.hi[split]])
+        return split
 
     def result(self, index: int, single: bool):
         """(value, error estimate); ConvergenceError past the tolerance."""
@@ -354,11 +345,14 @@ def integrate_vectorized(f, a: float, b: float, tol: float = 1e-12, breaks=()):
     pending interval once 4000 intervals would be exceeded, are accepted as
     they stand.
 
-    Each row keeps its own scale, intervals, cap and final check.  A round
-    evaluates the 21 Kronrod nodes of every interval that some row still has
-    pending in one call of ``f``, and rounds go on while any row has one.  A
-    row sums the values of its own pending intervals, in the order its run
-    alone would hold them (a matrix-vector product may round a row by its
+    Each row keeps its own scale, cap and final check.  The rows share one
+    list of pending intervals, with a (rows x intervals) mask of the rows
+    that hold each; a round evaluates the 21 Kronrod nodes of every listed
+    interval in one call of ``f``, and rounds go on while any row bisects
+    one.  The next list holds the left halves of the intervals that any row
+    bisects, then their right halves: restricted to one row, that is the
+    order its run alone would hold them.  A row sums the values of its own
+    intervals in that order (a matrix-vector product may round a row by its
     place in the batch), so each row's value and estimate equal that row
     integrated alone, bit for bit.
 
@@ -385,32 +379,35 @@ def integrate_vectorized(f, a: float, b: float, tol: float = 1e-12, breaks=()):
         edges = np.sort(np.concatenate([edges, cuts]))
     rows = []
     lo, hi = edges[:-1], edges[1:]
-    while lo.size:
+    # the rows still bisecting, and a (live rows x intervals) mask of the rows
+    # that hold each interval: None while each holds every one, as one row does
+    live, held = [], None
+    while True:
         centre, half = (lo + hi) / 2.0, (hi - lo) / 2.0
         x = centre[:, None] + half[:, None] * _GK21_NODES
         y = np.asarray(f(x.ravel()), dtype=float)
         if not rows:
             single = y.ndim == 1
             y = y.reshape(-1, *x.shape)
-            rows = [_Row(lo, hi, tol * max(1.0, (b - a) * float(np.max(np.abs(yr))))) for yr in y]
+            rows = [_Row(tol * max(1.0, (b - a) * float(np.max(np.abs(yr))))) for yr in y]
+            live = list(enumerate(rows))
         y = y.reshape(len(rows), *x.shape)
-        for row, yr in zip(rows, y):
-            if row.lo is lo:
-                row.round(yr, centre, half, a, b, floor)
-            elif row.lo.size:
-                at = np.searchsorted(lo, row.lo)
-                row.round(yr[at], centre[at], half[at], a, b, floor)
-        live = [row for row in rows if row.lo.size]
-        lo, hi = (live[0].lo, live[0].hi) if live else (edges[:0], edges[:0])
-        if any(not np.array_equal(row.lo, lo) for row in live[1:]):
-            # the union of the rows' pending intervals: in one round every
-            # pending interval lies at the same bisection depth, so its left
-            # end names it
-            lo, first = np.unique(np.concatenate([row.lo for row in live]), return_index=True)
-            hi = np.concatenate([row.hi for row in live])[first]
+        if held is None:
+            split = [row.round(y[r], half, a, b, floor) for r, row in live]
         else:
-            for row in live:
-                row.lo, row.hi = lo, hi
+            split = np.zeros_like(held)
+            for s, h, (r, row) in zip(split, held, live):
+                s[h] = row.round(y[r][h], half[h], a, b, floor)
+        if not any(map(np.count_nonzero, split)):
+            break
+        bisect = split[0] if len(live) == 1 else np.any(split, axis=0)
+        mid = centre[bisect]
+        lo, hi = np.concatenate([lo[bisect], mid]), np.concatenate([mid, hi[bisect]])
+        if len(live) > 1:
+            keep = np.asarray(split)[:, bisect]
+            going = keep.any(axis=1)
+            live, keep = [lr for lr, g in zip(live, going) if g], keep[going]
+            held = None if keep.all() else np.concatenate([keep, keep], axis=1)
     results = [row.result(r, single) for r, row in enumerate(rows)]
     if single:
         return results[0]

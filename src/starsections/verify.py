@@ -40,7 +40,6 @@ from .functionals import (
     busemann_functional,
     busemann_functional_with_error,
     get_theorem,
-    rhs_bound,
     volume,
     volume_and_functional,
 )
@@ -140,17 +139,11 @@ def random_cone_arcs(rng: np.random.Generator, pairs: int = 2) -> StarBody:
 
 def _body_reports(theorem, body, mu, config) -> list[InequalityReport]:
     """One report per variant; the left side does not depend on the variant.
-    When the bound's volume is under the functional's measure, as in every
-    suite that takes its theorem's own measure, one ``volume_and_functional``
-    call gives both."""
+    The bound's volume and the functional are in the same measure, so one
+    ``volume_and_functional`` call gives both."""
     theorem.check(body)
-    if theorem.bound_measure(mu) is mu:
-        vol, functional = volume_and_functional(body, mu, theorem.normalized, theorem.exponent, config)
-        bounds = theorem.bound(vol, body.space, mu)
-    else:
-        bounds = rhs_bound(theorem.id, body, mu, config, variant=None)
-        functional = busemann_functional(body, mu, normalized=theorem.normalized,
-                                         exponent=theorem.exponent, config=config)
+    vol, functional = volume_and_functional(body, mu, theorem.normalized, theorem.exponent, config)
+    bounds = theorem.bound(vol, body.space, mu)
     reports = []
     for variant, bound in zip(theorem.variants, bounds):
         lhs, rhs = (bound, functional) if theorem.lower else (functional, bound)
@@ -169,13 +162,14 @@ def run_theorem_suite(theorem_id: str, bodies, mu: RadialDensityMeasure | None =
 
     ``prop4.1`` has two variants of the closed-form bound: the statement and
     its derivation disagree by a factor 2^n inside the argument; both are
-    checked and the sharp one is flagged by the equality cases.  A body
-    outside the theorem's hypotheses raises ApplicabilityError.
+    checked and the sharp one is flagged by the equality cases.  Both sides
+    are in the measure that ``Theorem.measure_for(mu)`` gives: only
+    ``gaussian`` takes a mu.  A body outside the theorem's hypotheses, or a
+    measure it is not stated in, raises ApplicabilityError.
     """
     theorem = get_theorem(theorem_id)
     config = config if config is not None else theorem.config
-    if mu is None and theorem.measure is not None:
-        mu = theorem.measure()
+    mu = theorem.measure_for(mu)
     return [report for body in bodies for report in _body_reports(theorem, body, mu, config)]
 
 

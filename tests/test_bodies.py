@@ -219,7 +219,9 @@ class TestBandSectionsPerDistinctHeight:
         axis = np.array([0.0, 0.0, 1.0])
         rng = np.random.default_rng(11)
         xis = np.vstack([axis, _unit_rows(rng, 20, 3), -axis, [[1.0, 0.0, 0.0]], axis])
-        for base in (equality_cone_base(3, 0.4, axis), cap_base(axis, 0.3)):
+        # the equality base of height 0.4 about this axis
+        equality = BandsBase(axis, np.array([-0.4, 0.4]), np.array([0.0, 1.0]))
+        for base in (equality, cap_base(axis, 0.3)):
             batch = base.section_measures(xis)
             assert np.array_equal(batch, _rowwise_section_measures(base, xis))
             assert batch[0] == batch[-3] == batch[-1] == base.section_measures(axis[None])[0]
@@ -1029,7 +1031,7 @@ class TestSerialization:
     def test_round_trip(self, builder):
         body = builder()
         doc = body.to_json_dict()
-        assert doc["format_version"] == "1"
+        assert doc["format_version"] == "2"
         clone = body_from_json_dict(doc)
         rng = np.random.default_rng(9)
         dirs = rng.normal(size=(40, body.space.dim))

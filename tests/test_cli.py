@@ -1,7 +1,14 @@
+import argparse
+import ast
 import csv
+import inspect
 import json
 import math
+import re
+import shlex
+import textwrap
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -22,7 +29,7 @@ from starsections.bodies import (
     make_perturbed_ball,
     make_symmetric_polygon_body,
 )
-from starsections.cli import main
+from starsections.cli import build_parser, main
 from starsections.functionals import busemann_functional_with_error
 from starsections.quadrature import build_sphere_rule
 from starsections.spaces import SpaceSpec
@@ -97,6 +104,24 @@ class TestFunctionalCommand:
         assert doc["volume"] == pytest.approx(1 - math.exp(-0.5), rel=1e-10)
 
 
+class TestFormatVersion:
+    """Format 2 has no quadrature ``radial_tol``; every document carries it."""
+
+    def test_every_document_carries_2_and_validates(self, tmp_path, schema):
+        report, body, bundle = (tmp_path / name for name in ("r.json", "body.json", "b.json"))
+        assert run_cli("functional", "--space", "s+:2", "--body", "ball:r=0.5", "--out", str(report),
+                       "--dump-body", str(body)) == 0
+        assert run_cli("verify", "--theorem", "lune-max", "--w", "0.3", "--out", str(bundle)) == 0
+        docs = [json.loads(path.read_text()) for path in (report, body, bundle)]
+        for doc in docs:
+            jsonschema.validate(doc, schema)
+        nested = [docs[2]["reports"][0], docs[0]["body"]]
+        assert {doc["format_version"] for doc in docs + nested} == {"2"}
+        assert docs[0]["quadrature"] == {"outer_degree": 47, "inner_degree": 23}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**docs[0], "format_version": "1"}, schema)
+
+
 class TestVerifyCommand:
     def test_lune_suite(self, tmp_path, schema):
         out = tmp_path / "bundle.json"
@@ -128,7 +153,7 @@ class TestVerifyCommand:
         out = tmp_path / "t.csv"
         assert run_cli("verify", "--theorem", "cone-max", "--seed", "2", "--out", str(out)) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "# format_version=1"
+        assert lines[0] == "# format_version=2"
         assert lines[1].startswith("theorem_id,")
 
     def test_one_degree_flag_keeps_the_suite_config(self, tmp_path):
@@ -155,7 +180,7 @@ class TestExperimentCommand:
                        "--k", "2,4", "--beta", "0.04,0.02", "--out", str(out))
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "# format_version=1"
+        assert lines[0] == "# format_version=2"
         assert len(lines) == 4
         rows = [line.split(",") for line in lines[2:]]
         signs = {int(row[2]): int(row[9]) for row in rows}
@@ -186,7 +211,7 @@ class TestExperimentCommand:
                        "--sense", "max", "--seed", "1", "--budget", "400", "--out", str(out))
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "# format_version=1"
+        assert lines[0] == "# format_version=2"
         assert lines[1] == "iteration,objective,volume_drift"
         assert len(lines) > 3
 
@@ -236,6 +261,86 @@ class TestHugeDimensions:
         assert run_cli("functional", "--body", f"@{path}") == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and err.count("\n") == 1
+
+
+# a value of every experiment flag, and the flags each mode reads
+_EXPERIMENT_FLAGS = {"--dim": "3", "--r": "0.7", "--k": "4", "--beta": "0.04", "--t": "0.5",
+                     "--alphas": "0.4", "--epsilons": "0.2", "--space": "h:7", "--class": "star",
+                     "--sense": "min", "--volume": "1.0", "--budget": "3", "--seed": "1"}
+_MODE_FLAGS = {"perturbation": ("--dim", "--r", "--k", "--beta"),
+               "sharpness": ("--dim", "--t", "--alphas", "--epsilons"),
+               "search": ("--space", "--class", "--sense", "--volume", "--budget", "--seed")}
+_FOREIGN_FLAGS = [(mode, flag) for mode, own in _MODE_FLAGS.items()
+                  for flag in _EXPERIMENT_FLAGS if flag not in own]
+
+
+class TestExperimentModeFlags:
+    """Each experiment mode takes its own flags and refuses the others', which
+    it would ignore."""
+
+    def test_there_are_25_foreign_pairs(self):
+        assert len(_FOREIGN_FLAGS) == 25
+
+    @pytest.mark.parametrize("mode, flag", _FOREIGN_FLAGS, ids="-".join)
+    def test_a_foreign_flag_exits_two(self, mode, flag, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run_cli("experiment", mode, flag, _EXPERIMENT_FLAGS[flag], "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert not captured.out and len(errors) == 1 and flag in errors[0]
+        assert not out.exists()
+
+    def test_ignored_flags_of_a_sharpness_run_exit_two(self, capsys):
+        # it ran, and ignored --k, --space and --budget
+        assert run_cli("experiment", "sharpness", "--dim", "3", "--t", "0.5", "--k", "4",
+                       "--space", "h:7", "--budget", "3", "--alphas", "0.4", "--epsilons", "0.2") == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert not captured.out and len(errors) == 1
+
+
+def _leaf_parsers(parser, path=()):
+    """(command words, parser) of every parser that runs a command."""
+    subs = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*path, name))
+
+
+def _args_read(fn) -> set:
+    """The attributes of ``args`` that a command function reads."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+
+class TestNoDeadFlags:
+    """A flag that no command reads changes nothing; so is every command in
+    the README a command the parser takes."""
+
+    LEAVES = dict(_leaf_parsers(build_parser()))
+
+    @pytest.mark.parametrize("words", list(LEAVES))
+    def test_the_command_reads_every_flag_it_defines(self, words):
+        parser = self.LEAVES[words]
+        functions = [parser.get_default(key) for key in ("fn", "run")]
+        read = set().union(*(_args_read(fn) for fn in functions if fn is not None))
+        dests = {action.dest for action in parser._actions if action.dest != "help"}
+        assert functions[0] is not None and dests <= read, sorted(dests - read)
+
+    def test_every_readme_command_parses(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+        commands = [line for block in blocks for line in block.splitlines()
+                    if line.startswith("starsections ")]
+        assert len(commands) >= 7
+        for line in commands:
+            # as a shell splits it: an unquoted ';' ends the command
+            lexer = shlex.shlex(line, posix=True, punctuation_chars=";&|")
+            lexer.whitespace_split = True
+            build_parser().parse_args(list(lexer)[1:])
 
 
 class TestUsage:
@@ -365,10 +470,15 @@ class TestUsage:
         assert run_cli("verify", "--theorem", "lune-max", "--w", "0.3", "--out", str(out)) == 0
         assert [r["body_kind"] for r in json.loads(out.read_text())["reports"]] == ["lune"]
 
-    def test_verify_takes_no_radial_tol(self):
-        assert run_cli("verify", "--theorem", "lune-max", "--w", "0.3", "--radial-tol", "1e-3") == 2
-        assert run_cli("functional", "--space", "s+:2", "--body", "ball:r=0.5",
-                       "--radial-tol", "1e-3") == 0
+    @pytest.mark.parametrize("argv", [["verify", "--theorem", "lune-max", "--w", "0.3"],
+                                      ["functional", "--space", "s+:2", "--body", "ball:r=0.5"]],
+                             ids=["verify", "functional"])
+    def test_no_command_takes_radial_tol(self, argv, capsys):
+        # functional took it, recorded it in the report, and changed no number
+        assert run_cli(*argv, "--radial-tol", "1e-3") == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert not captured.out and len(errors) == 1 and "--radial-tol" in errors[0]
 
 
 class TestBodyFiles:

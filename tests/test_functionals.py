@@ -28,6 +28,7 @@ from starsections.bodies import (
 )
 from starsections.errors import ApplicabilityError, ConvergenceError, DomainError, InversionRangeError
 from starsections.functionals import (
+    THEOREMS,
     InequalityReport,
     QuadratureConfig,
     RadialDensityMeasure,
@@ -57,6 +58,7 @@ from starsections.verify import (
     run_theorem_suite,
     random_star_body,
     random_symmetric_convex_body,
+    suite_bodies,
 )
 
 S2 = SpaceSpec(1, 2)
@@ -468,15 +470,13 @@ class TestOneRunPerPlaneBody:
         assert _integrals_per_body("gaussian", bodies, gaussian_measure(), monkeypatch) == [1] * 3
 
     @pytest.mark.parametrize("theorem_id", ["cone-max", "lune-max"])
-    def test_a_functional_in_another_measure_than_the_bound_takes_two(self, theorem_id, monkeypatch):
-        # the bound takes the uniform volume and the functional is Gaussian:
-        # two integrands, not one run
-        bodies = _SYMMETRIC_PLANE[:1] + _ASYMMETRIC_PLANE[:1]
-        assert _integrals_per_body(theorem_id, bodies, gaussian_measure(), monkeypatch) == [2, 2]
-        reports = run_theorem_suite(theorem_id, bodies, gaussian_measure())
-        assert [r.rhs for r in reports] == [rhs_bound(theorem_id, body) for body in bodies]
-        assert [r.lhs for r in reports] == [busemann_functional(body, gaussian_measure())
-                                            for body in bodies]
+    def test_a_functional_in_another_measure_than_the_bound_is_refused(self, theorem_id, monkeypatch):
+        # the suite compared a Gaussian functional with a bound on the uniform
+        # volume, which no theorem states, and passed it; now it refuses
+        # before any integral
+        for body in _SYMMETRIC_PLANE[:1] + _ASYMMETRIC_PLANE[:1]:
+            with pytest.raises(ApplicabilityError, match="stated for the uniform volume"):
+                _integrals_per_body(theorem_id, [body], gaussian_measure(), monkeypatch)
 
     @pytest.mark.parametrize("theorem_id, bodies", [
         ("min2d", _SYMMETRIC_PLANE), ("cone-max", _ASYMMETRIC_PLANE), ("lune-max", _ASYMMETRIC_PLANE),
@@ -764,7 +764,8 @@ def _band_cones(n, axis):
     """Cones over a cap near the equator, a cap, an equality base, a double cap
     and a striped base, all about the given axis."""
     striped = make_striped_cone(SpaceSpec(1, n), 0.5, 0.1, 0.05).profile.base
-    bases = [cap_base(axis, -0.077), cap_base(axis, 0.3), equality_cone_base(n, 0.4, axis),
+    bases = [cap_base(axis, -0.077), cap_base(axis, 0.3),
+             BandsBase(axis, np.array([-0.4, 0.4]), np.array([0.0, 1.0])),
              BandsBase(axis, np.array([-1.0, 0.5]), np.array([-0.5, 1.0])),
              BandsBase(axis, striped.los, striped.his)]
     return [make_cone(SpaceSpec(1, n), base) for base in bases]
@@ -1052,8 +1053,26 @@ class TestRhsBounds:
     def test_applicability(self):
         with pytest.raises(ApplicabilityError):
             rhs_bound("min2d", make_ball(E2, 1.0))
-        with pytest.raises(ApplicabilityError):
-            rhs_bound("gaussian", make_ball(E2, 1.0))  # measure required
+        # min2d is stated for the uniform volume alone
+        with pytest.raises(ApplicabilityError, match="stated for the uniform volume"):
+            rhs_bound("min2d", make_ball(S2, 0.7), gaussian_measure())
+
+    @pytest.mark.parametrize("theorem_id", [t.id for t in THEOREMS.values() if t.measure is None])
+    def test_a_theorem_without_a_measure_refuses_one(self, theorem_id):
+        body = suite_bodies(theorem_id)[0]
+        with pytest.raises(ApplicabilityError, match="stated for the uniform volume"):
+            run_theorem_suite(theorem_id, [body], gaussian_measure())
+        with pytest.raises(ApplicabilityError, match="stated for the uniform volume"):
+            rhs_bound(theorem_id, body, gaussian_measure())
+
+    @pytest.mark.parametrize("body", [make_ball(E2, 1.0), make_ball(SpaceSpec(-1, 3), 0.7)],
+                             ids=["e2", "h3"])
+    def test_the_gaussian_bound_takes_its_own_measure_by_default(self, body):
+        # it raised "a radial density measure is required", though the suite
+        # took the Gaussian when given no measure
+        assert rhs_bound("gaussian", body) == rhs_bound("gaussian", body, gaussian_measure())
+        suite_rhs = [r.rhs for r in run_theorem_suite("gaussian", [body])]
+        assert suite_rhs == [rhs_bound("gaussian", body, config=THEOREMS["gaussian"].config)]
 
     def test_lune_bound_domain(self):
         with pytest.raises(DomainError):
@@ -1149,10 +1168,9 @@ class TestInequalityReport:
         assert r.verdict
 
     def test_json_fields(self):
-        r = InequalityReport("t", 1.0, 2.0, 1e-6, {"outer_degree": 23, "inner_degree": 23,
-                                                   "radial_tol": 1e-12})
+        r = InequalityReport("t", 1.0, 2.0, 1e-6, {"outer_degree": 23, "inner_degree": 23})
         doc = r.to_json_dict()
-        assert doc["format_version"] == "1"
+        assert doc["format_version"] == "2"
         assert doc["verdict"] == "pass"
         assert doc["gap"] == pytest.approx(1.0)
 

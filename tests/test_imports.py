@@ -75,6 +75,8 @@ UNCALLED_PUBLIC_NAMES = {
     "radon_quadrature": "the quadrature side of the Funk-Hecke eigenvalue check (acceptance 11)",
     "eval_zonal": "evaluates the zonal harmonics of the Funk-Hecke eigenvalue check",
     "make_vanishing_body": "the vanishing bodies of the benchmark and the acceptance tests",
+    "rhs_bound": "one theorem's right side at one body; the suites take the volume from "
+                 "volume_and_functional instead",
 }
 
 

@@ -121,7 +121,7 @@ class TestPerturbationExperiment:
     def test_json(self):
         res = perturbation_sign_experiment(3, 0.7, 2, betas=(0.04,))
         doc = res.to_json_dict()
-        assert doc["format_version"] == "1" and "rows" in doc
+        assert doc["format_version"] == "2" and "rows" in doc
 
     def test_json_holds_every_field_in_order(self):
         res = perturbation_sign_experiment(3, 0.7, 2, betas=(0.04,))
