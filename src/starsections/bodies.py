@@ -424,6 +424,17 @@ def _normalize_arcs(arcs) -> list[tuple[float, float]]:
     return out
 
 
+def _joined(arcs) -> list[tuple[float, float]]:
+    """Sorted arcs with those that meet or overlap, as floats, made one."""
+    out = []
+    for a, b in arcs:
+        if out and a <= out[-1][1]:
+            out[-1] = (out[-1][0], max(b, out[-1][1]))
+        else:
+            out.append((a, b))
+    return out
+
+
 @dataclass(frozen=True)
 class ArcsBase(ConeBase):
     """Union of disjoint arcs of S^1, given as angle intervals in [0, 2pi)."""
@@ -468,7 +479,20 @@ class ArcsBase(ConeBase):
         return total
 
     def is_origin_symmetric(self) -> bool:
-        return abs(self.intersection_measure(self.reflected()) - self.measure) <= 1e-10
+        """Whether the arcs equal their mirror as floats.  Cut at pi, the arcs
+        below it must pair off, in order, with those above it.  An end x below
+        and an end y above pair when y = x + pi, x = y + pi - 2 pi or
+        y = x + 2 pi + pi - 2 pi, each rounded as written: the ends that arcs
+        written as (a, b) and (a + pi, b + pi), with a in [0, 2 pi), have once
+        normalized."""
+        lower = _joined([(a, min(b, math.pi)) for a, b in self.arcs if a < math.pi])
+        upper = _joined([(max(a, math.pi), b) for a, b in self.arcs if b > math.pi])
+
+        def mirrored(x, y):
+            return (x + math.pi == y or y + math.pi - TWO_PI == x
+                    or x + TWO_PI + math.pi - TWO_PI == y)
+        return len(lower) == len(upper) and all(
+            mirrored(a, c) and mirrored(b, d) for (a, b), (c, d) in zip(lower, upper))
 
     def descriptor(self) -> dict:
         return {"kind": "arcs", "arcs": [list(ab) for ab in self.arcs]}
@@ -935,6 +959,25 @@ def _json_integer(value, name: str, low: int | None = None) -> int:
     return int(value)
 
 
+def _json_object(doc: dict, name: str) -> dict:
+    """A document field that must be a JSON object; DomainError, naming the
+    field, for anything else."""
+    value = doc[name]
+    if not isinstance(value, dict):
+        raise DomainError(f"the document's {name!r} must be an object, got {value!r}")
+    return value
+
+
+def _json_floats(doc: dict, name: str, ndim: int) -> np.ndarray:
+    """A document field that must be a list of numbers (ndim 1) or of lists of
+    numbers (ndim 2); DomainError, naming the field, for any other shape."""
+    value = np.array(doc[name], dtype=float)
+    if value.ndim != ndim:
+        noun = "a list of numbers" if ndim == 1 else "a list of lists of numbers"
+        raise DomainError(f"the document's {name!r} must be {noun}, got {doc[name]!r}")
+    return value
+
+
 def body_from_json_dict(doc: dict) -> StarBody:
     """The body a ``to_json_dict`` document describes.  Each kind passes its
     builder's checks, and the document's space must be the one the profile
@@ -943,10 +986,17 @@ def body_from_json_dict(doc: dict) -> StarBody:
     other kind's claim is ignored.  DomainError for a document that fails any
     of these, whose ``symmetric`` is not a boolean, or whose integer fields
     (the space's ``delta`` and ``dim``, a harmonic's ``degree``, a grid's
-    ``shape`` entries, which must be positive) are not integers."""
-    space = SpaceSpec(_json_integer(doc["space"]["delta"], "delta"),
-                      _json_integer(doc["space"]["dim"], "dim"))
-    p = doc["profile"]
+    ``shape`` entries, which must be positive) are not integers.  A document
+    that is not an object, or whose ``space``, ``profile`` or cone ``base`` is
+    not one, whose grid ``shape`` is not a list, or whose semiaxes or bump
+    arrays have the wrong number of axes, is refused with DomainError naming
+    the field."""
+    if not isinstance(doc, dict):
+        raise DomainError(f"a body document must be an object, got {type(doc).__name__}")
+    space_doc = _json_object(doc, "space")
+    space = SpaceSpec(_json_integer(space_doc["delta"], "delta"),
+                      _json_integer(space_doc["dim"], "dim"))
+    p = _json_object(doc, "profile")
     kind = p["kind"]
     claim = doc.get("symmetric", False)
     if not isinstance(claim, bool):
@@ -954,11 +1004,11 @@ def body_from_json_dict(doc: dict) -> StarBody:
     if kind == "ball":
         body = make_ball(space, float(p["r"]))
     elif kind == "ellipsoid":
-        body = make_ellipsoid(np.array(p["semiaxes"], dtype=float))
+        body = make_ellipsoid(_json_floats(p, "semiaxes", 1))
     elif kind == "lune":
         body = make_lune(float(p["w"]), np.array(p["axis"], dtype=float))
     elif kind == "cone":
-        body = _indicator_body(space, base_from_descriptor(p["base"]), float(p["height"]))
+        body = _indicator_body(space, base_from_descriptor(_json_object(p, "base")), float(p["height"]))
     elif kind == "perturbed_ball":
         r, alpha, beta = float(p["r"]), float(p["alpha"]), float(p["beta"])
         h, span = _perturbation(space, r, beta, _json_integer(p["degree"], "degree"),
@@ -969,19 +1019,17 @@ def body_from_json_dict(doc: dict) -> StarBody:
     elif kind == "polygon":
         body = _polygon_body(np.array(p["normals"], dtype=float), np.array(p["offsets"], dtype=float))
     elif kind == "bumpy":
-        profile = BumpyProfile(
-            float(p["r0"]),
-            np.array(p["centers"], dtype=float),
-            np.array(p["amplitudes"], dtype=float),
-            np.array(p["sharpness"], dtype=float),
-            lo=float(p.get("lo", 0.0)),
-            hi=math.inf if p.get("hi") is None else float(p["hi"]),
-        )
-        _check_bumps(space, profile.r0, profile.centers, profile.amplitudes, profile.sharpness)
+        r0, centers = float(p["r0"]), _json_floats(p, "centers", 2)
+        amplitudes, sharpness = _json_floats(p, "amplitudes", 1), _json_floats(p, "sharpness", 1)
+        _check_bumps(space, r0, centers, amplitudes, sharpness)
+        profile = BumpyProfile(r0, centers, amplitudes, sharpness, lo=float(p.get("lo", 0.0)),
+                               hi=math.inf if p.get("hi") is None else float(p["hi"]))
         if not (math.isfinite(profile.lo) and profile.lo <= profile.hi):
             raise DomainError("a bumpy profile's clip range needs a finite lo <= hi")
         body = StarBody(space, profile)
     elif kind == "grid":
+        if not isinstance(p["shape"], list):
+            raise DomainError(f"the document's 'shape' must be a list of integers, got {p['shape']!r}")
         shape = [_json_integer(size, "shape", 1) for size in p["shape"]]
         profile = GridProfile(np.array(p["values"], dtype=float).reshape(shape))
         if not np.all(np.isfinite(profile.values)):
@@ -1018,7 +1066,12 @@ def make_ellipsoid(semiaxes) -> StarBody:
 
 
 def bands_to_arcs(base: BandsBase) -> ArcsBase:
-    """Rewrite a circle band base as explicit arcs (exact plane functionals)."""
+    """Rewrite a circle band base as explicit arcs (exact plane functionals).
+    The band [lo, hi] about the axis at angle phi0 is the two arcs
+    phi0 +- [acos hi, acos lo], one arc when it holds the axis or its
+    antipode, and the whole circle when it holds both.  A mirrored base is
+    written as its arcs below pi and those arcs turned by pi, which
+    ``ArcsBase.is_origin_symmetric`` reads as symmetric exactly."""
     if base.ambient_dim != 2:
         raise DomainError("arc conversion applies to circle bases")
     phi0 = math.atan2(base.axis[1], base.axis[0])
@@ -1026,9 +1079,19 @@ def bands_to_arcs(base: BandsBase) -> ArcsBase:
     for lo, hi in zip(base.los, base.his):
         a_hi = math.acos(max(-1.0, min(1.0, hi)))
         a_lo = math.acos(max(-1.0, min(1.0, lo)))
-        if a_lo > a_hi:
-            arcs.append((phi0 + a_hi, phi0 + a_lo))
-            arcs.append((phi0 - a_lo, phi0 - a_hi))
+        if not a_lo > a_hi:
+            continue
+        if a_hi == 0.0 and a_lo == math.pi:
+            arcs.append((0.0, TWO_PI))
+        elif a_hi == 0.0:
+            arcs.append((phi0 - a_lo, phi0 + a_lo))
+        elif a_lo == math.pi:
+            arcs.append((phi0 + a_hi, phi0 + TWO_PI - a_hi))
+        else:
+            arcs += [(phi0 + a_hi, phi0 + a_lo), (phi0 - a_lo, phi0 - a_hi)]
+    if base.is_origin_symmetric():
+        below = _joined([(a, min(b, math.pi)) for a, b in _normalize_arcs(arcs) if a < math.pi])
+        arcs = below + [(a + math.pi, b + math.pi) for a, b in below]
     return ArcsBase(tuple(arcs))
 
 

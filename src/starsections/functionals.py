@@ -379,14 +379,19 @@ class _Indicator(_Zonal):
     the radial primitive of the height times the base's section measures, on
     the zonal path's outer rule.  A point is the normal itself."""
 
+    # The base comes first: in a huge dimension its measure is the resource
+    # refusal, and the height's radial primitive takes O(n) steps.
+
     def volume(self, mu) -> float:
-        return float(self._height(mu, self.n)) * self.body.profile.base.measure
+        measure = self.body.profile.base.measure
+        return float(self._height(mu, self.n)) * measure
 
     def point(self, xi):
         return xi[None]
 
     def sections(self, mu, xis):
-        return float(self._height(mu, self.n - 1)) * self.body.profile.base.section_measures(xis)
+        measures = self.body.profile.base.section_measures(xis)
+        return float(self._height(mu, self.n - 1)) * measures
 
     def rule(self):
         weights, c = super().rule()

@@ -387,10 +387,22 @@ def _segment_volumes(space, a, b, h):
     return space.delta * h * (1.0 - cos(m) * (sin(d) / d))
 
 
+def _segment_volume(delta: int, a: float, b: float, h: float) -> float:
+    """One sector of ``_segment_volumes``, for floats a and b, written with
+    ``math``: the moves of the shape search take it on the few segments they
+    touch, and ``_plane_volume`` checks their sum with the array form."""
+    if delta == 0:
+        return h * (a * a + a * b + b * b) / 6.0
+    m, d = 0.5 * (a + b), 0.5 * abs(b - a)
+    if delta == 1:
+        return h * (1.0 - math.cos(m) * (math.sin(d) / d if d > 0.0 else 1.0))
+    return h * (math.cosh(m) * (math.sinh(d) / d if d > 0.0 else 1.0) - 1.0)
+
+
 def _plane_volume(space, values):
     """Exact volume of the piecewise-linear-in-angle profile."""
     nxt = np.concatenate([values[1:], values[:1]])
-    return float(np.sum(_segment_volumes(space, values, nxt, TWO_PI / len(values))))
+    return float(_segment_volumes(space, values, nxt, TWO_PI / len(values)).sum())
 
 
 def _plane_objective(values):
@@ -403,32 +415,68 @@ def _plane_objective(values):
     return float(h * np.sum(seg))
 
 
+def _objective_change(old, new, moved):
+    """``_plane_objective(new) - _plane_objective(old)`` for two profiles (lists
+    of floats) that differ only at the nodes ``moved``, from the terms of the
+    section sum that touch them.  The sum runs over a_k = v_k + v_{k + nodes/2},
+    which has period nodes/2, so it counts each of its segments twice."""
+    nodes = len(old)
+    half = nodes // 2
+    change = 0.0
+    for k in {(m - d) % half for m in moved for d in (0, 1)}:
+        nxt = (k + 1) % half
+        p, q = old[k] + old[k + half], old[nxt] + old[nxt + half]
+        r, s = new[k] + new[k + half], new[nxt] + new[nxt + half]
+        change += (r * r + r * s + s * s) - (p * p + p * q + q * q)
+    return 2.0 * TWO_PI / nodes * change / 3.0
+
+
+def _orbit(k: int, nodes: int, symmetric: bool) -> tuple:
+    """Node k, with its antipode when the class is symmetric."""
+    return (k, (k + nodes // 2) % nodes) if symmetric else (k,)
+
+
 def _volume_move(space, values, i, j, mag, symmetric, lo, hi):
     """Raise node i (with its antipode when symmetric) by mag, clipped at hi,
     and lower node j (with its antipode) to the root in [lo, values[j]] that
     keeps the volume of the segments touching the moved nodes.  None when j
-    lies in i's orbit or even lo cannot absorb the raise."""
+    lies in i's orbit or even lo cannot absorb the raise.
+
+    ``values`` is a list of floats, equal at antipodes when symmetric, and so
+    is the new profile returned.  A symmetric move changes two equal copies
+    of each segment it touches, so the copies at node i and node j decide the
+    root alone.  Segment k joins nodes k and k + 1.  Those at node i that
+    touch no lowered node are summed once, before the root solve; the root's
+    function adds only the 2 segments that join node j to its neighbours."""
     nodes = len(values)
-    up = [i, (i + nodes // 2) % nodes] if symmetric else [i]
-    down = [j, (j + nodes // 2) % nodes] if symmetric else [j]
+    up, down = _orbit(i, nodes, symmetric), _orbit(j, nodes, symmetric)
     if j in up:
         return None
-    # segment k joins nodes k and k + 1; a Python set, since np.unique imports numpy.ma
-    seg = np.array(sorted({(k - d) % nodes for k in up + down for d in (0, 1)}))
-    nxt = (seg + 1) % nodes
-    h = TWO_PI / nodes
-    before = _segment_volumes(space, values[seg], values[nxt], h).sum()
-    cand = values.copy()
-    cand[up] = min(hi, values[i] + mag)
+    delta, h = space.delta, TWO_PI / nodes
+    cand = list(values)
+    for k in up:
+        cand[k] = min(hi, values[i] + mag)
+    lowered = {(k - d) % nodes for k in down for d in (0, 1)}
+    fixed = 0.0
+    for k in ((i - 1) % nodes, i):
+        if k not in lowered:
+            nxt = (k + 1) % nodes
+            fixed += (_segment_volume(delta, cand[k], cand[nxt], h)
+                      - _segment_volume(delta, values[k], values[nxt], h))
+    left, right = (j - 1) % nodes, (j + 1) % nodes
+    a, b = cand[left], cand[right]
+    before = (_segment_volume(delta, values[left], values[j], h)
+              + _segment_volume(delta, values[right], values[j], h))
 
-    def excess(x):
-        cand[down] = x
-        return _segment_volumes(space, cand[seg], cand[nxt], h).sum() - before
+    def excess(x):   # exactly 0 at x = values[j] when the raise is clipped to 0
+        return fixed + ((_segment_volume(delta, a, x, h) + _segment_volume(delta, b, x, h)) - before)
 
     try:  # tolerances at roundoff, so that the volume is kept to roundoff
-        cand[down] = brent_root(excess, lo, values[j], xtol=1e-15, rtol=1e-15)
+        root = brent_root(excess, lo, values[j], xtol=1e-15, rtol=1e-15)
     except ValueError:  # no sign change: even lo cannot absorb the raise
         return None
+    for k in down:
+        cand[k] = root
     return cand
 
 
@@ -440,7 +488,11 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
     perturbed by 64 warm-up moves of magnitude 0.2 r0.  A move raises one node
     (and its antipode when the class is symmetric) and lowers another (and its
     antipode) to the root that keeps the exact piecewise-linear volume of the
-    touched segments, so the volume holds to roundoff by construction.  The
+    touched segments, so the volume holds to roundoff by construction.  Each
+    candidate's whole volume is checked again, and ``evaluations`` counts the
+    candidates that pass.  A candidate is scored by the objective's change
+    over the segments it touches; the whole objective is recomputed for an
+    accepted step alone, so each one in the trace is a full recomputation.  The
     convex classes also reject warm-up moves and steps that fail the convexity
     verdict.  Such steps, and moves too large to absorb, count as rejected
     when the step size adapts.  Claims nothing beyond the best profile found;
@@ -469,29 +521,31 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
     def in_class(cand, probe_seed):
         if not convex:
             return True
+        profile = np.asarray(cand)
         if space.delta == 0:
-            return _is_convex_plane_euclidean(cand)
-        probe = StarBody(space, GridProfile(cand))
+            return _is_convex_plane_euclidean(profile)
+        probe = StarBody(space, GridProfile(profile))
         return is_convex_spherical(probe, samples=400, seed=probe_seed, tol=1e-7)
 
     nodes, step = 64, 0.2   # even, so that every node has its antipode
     r0 = phi_inverse(space, 2, volume_target / TWO_PI)
-    values = np.full(nodes, r0)
+    values = [r0] * nodes   # floats, which the moves read and write one at a time
     for k in range(nodes):
-        i, j = rng.integers(0, nodes, size=2)
+        i, j = rng.integers(0, nodes, size=2).tolist()
         cand = _volume_move(space, values, i, j, 0.2 * r0, symmetric, lo, hi)
         if cand is not None and in_class(cand, seed + k):
             values = cand
 
     sign = 1.0 if sense == "max" else -1.0
-    objective = _plane_objective(values)
+    profile = np.array(values)
+    objective = _plane_objective(profile)
     trace = SearchTrace(settings={
         "delta": space.delta, "dim": space.dim, "body_class": body_class,
         "volume": volume_target, "sense": sense, "budget": budget,
         "seed": seed, "nodes": nodes, "step": step,
     })
     trace.best_objective = objective
-    trace.best_values = values.copy()
+    trace.best_values = profile
 
     eta = step
     recent = []
@@ -500,7 +554,7 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
             if sum(recent) < 8:
                 eta = max(eta * 0.5, 1e-4)
             recent = []
-        i, j = rng.integers(0, nodes, size=2)
+        i, j = rng.integers(0, nodes, size=2).tolist()
         if i == j:
             continue
         mag = eta * rng.uniform(0.2, 1.0)
@@ -508,23 +562,24 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
         if cand is None:  # j in i's orbit, or a raise too large to absorb
             recent.append(0)
             continue
-        vol = _plane_volume(space, cand)
-        drift = abs(vol - volume_target) / volume_target
+        # the whole volume, checked independently of the move's own segments
+        profile = np.array(cand)
+        drift = abs(_plane_volume(space, profile) - volume_target) / volume_target
         if drift > 1e-8:
             continue
-        cand_obj = _plane_objective(cand)
         trace.evaluations += 1
-        accept = sign * (cand_obj - objective) > 0 and in_class(cand, seed + it)
+        moved = _orbit(i, nodes, symmetric) + _orbit(j, nodes, symmetric)
+        accept = sign * _objective_change(values, cand, moved) > 0 and in_class(profile, seed + it)
         recent.append(int(accept))
         if accept:
             values = cand
-            objective = cand_obj
+            objective = _plane_objective(profile)
             trace.accepted += 1
             trace.steps.append((it, objective, drift))
-            trace.step_profiles.append(values.copy())
+            trace.step_profiles.append(profile)
             if sign * (objective - trace.best_objective) > 0:
                 trace.best_objective = objective
-                trace.best_values = values.copy()
+                trace.best_values = profile.copy()
     return trace
 
 

@@ -155,6 +155,47 @@ class TestCones:
         body = make_cone(S3, BandsBase(np.array([1.0, 0, 0]), np.array([-1.0]), np.array([1.0])))
         assert volume(body) == pytest.approx(phi(S3, 3, math.pi / 2) * 4 * math.pi, rel=1e-13)
 
+    @pytest.mark.parametrize("a, b", [(0.2, 1.1), (0.0, 2.5), (1.0, 4.0), (2.0, 5.0), (4.0, 6.0),
+                                      (4.0, 7.0), (5.5, 8.5), (0.0, math.pi), (3.0, 3.0 + 1e-12)])
+    def test_arcs_written_with_their_mirror_are_symmetric(self, a, b):
+        # (a + pi, b + pi) normalizes three ways: below 2 pi, past it, and all past it
+        assert ArcsBase(((a, b), (a + math.pi, b + math.pi))).is_origin_symmetric()
+        assert ArcsBase(((a + math.pi, b + math.pi), (a, b))).is_origin_symmetric()
+        assert not ArcsBase(((a, b),)).is_origin_symmetric()
+
+    @pytest.mark.parametrize("a, b", [(0.2, 1.1), (1.0, 4.0), (4.0, 7.0)])
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_a_mirror_arc_off_by_5e11_is_asymmetric(self, a, b, end):
+        mirror = [a + math.pi, b + math.pi]
+        mirror[end] += 5e-11
+        assert not ArcsBase(((a, b), tuple(mirror))).is_origin_symmetric()
+
+    @pytest.mark.parametrize("arcs", [((0.0, 2 * math.pi),), ((0.0, math.pi), (math.pi, 2 * math.pi)),
+                                      ((1.0, 1.5), (1.5, 2.0), (1.0 + math.pi, 2.0 + math.pi))])
+    def test_arcs_that_meet_end_to_start_are_one(self, arcs):
+        assert ArcsBase(arcs).is_origin_symmetric()
+
+    @pytest.mark.parametrize("angle", [0.0, 0.3, 2.0, math.pi, -0.14321057318936026, -2.5])
+    @pytest.mark.parametrize("los, his", [
+        ([-0.4, 0.2], [-0.2, 0.4]), ([-0.7, -0.1, 0.5], [-0.5, 0.1, 0.7]), ([-0.3], [0.3]),
+        ([-1.0, 0.5], [-0.5, 1.0]), ([-1.0, -0.2, 0.6], [-0.6, 0.2, 1.0]), ([-1.0], [1.0])])
+    def test_a_mirrored_circle_band_base_gives_symmetric_arcs(self, angle, los, his):
+        # bands that hold the axis, its antipode or both, and a middle band
+        axis = np.array([math.cos(angle), math.sin(angle)])
+        base = BandsBase(axis, np.array(los), np.array(his))
+        arcs = bands_to_arcs(base)
+        assert arcs.is_origin_symmetric()
+        assert arcs.measure == pytest.approx(2 * sum(math.acos(lo) - math.acos(hi)
+                                                     for lo, hi in zip(los, his)), rel=1e-14)
+        dirs = _unit_rows(np.random.default_rng(1), 300, 2)
+        assert np.array_equal(arcs.contains(dirs), base.contains(dirs))
+        assert not bands_to_arcs(BandsBase(axis, np.array([0.2]), np.array([0.6]))).is_origin_symmetric()
+
+    def test_random_cone_arcs_are_symmetric(self):
+        for seed in range(200):
+            for pairs in (1, 2, 3):
+                assert random_cone_arcs(np.random.default_rng(seed), pairs).symmetric
+
     def test_bands_to_arcs(self):
         base = cap_base(np.array([0.0, 1.0]), 0.2)
         arcs = bands_to_arcs(base)

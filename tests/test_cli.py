@@ -29,6 +29,7 @@ from starsections.bodies import (
     make_perturbed_ball,
     make_symmetric_polygon_body,
 )
+from starsections import spaces
 from starsections.cli import build_parser, main
 from starsections.functionals import busemann_functional_with_error
 from starsections.quadrature import build_sphere_rule
@@ -252,6 +253,19 @@ class TestHugeDimensions:
         assert run_cli(*argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["functional", "--space", "s+:1000000", "--body", "cone:cap=0.3"],
+        ["verify", "--theorem", "min-nd", "--dim", "1000000"],
+    ], ids=["cap-cone", "min-nd-suite"])
+    def test_a_cone_is_refused_before_its_height_primitive(self, capsys, monkeypatch, argv):
+        # the primitive's recursion takes O(n) steps: 0.28 s at n = 10^6
+        calls = []
+        monkeypatch.setattr(spaces, "_sin_power_primitive", lambda m, x: calls.append(m))
+        assert run_cli(*argv) == 3
+        assert capsys.readouterr().err == ("numeric failure: the area of S^999998 needs "
+                                           "Gamma(499999.5), which overflows a float\n")
+        assert calls == []
 
     def test_a_document_exits_three(self, tmp_path, capsys):
         doc = make_ball(SpaceSpec(1, 3), 0.5).to_json_dict()
@@ -494,6 +508,29 @@ class TestBodyFiles:
         assert run_cli("functional", "--body", f"@{path}") == 2
         assert "--body" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: {**doc, "profile": None}, "'profile' must be an object, got None"),
+        (lambda doc: {**doc, "space": None}, "'space' must be an object, got None"),
+        (lambda doc: [], "a body document must be an object, got list"),
+        (lambda doc: {**doc, "profile": {**doc["profile"], "centers": 5}},
+         "'centers' must be a list of lists of numbers, got 5"),
+        (lambda doc: {**make_ellipsoid([1.0, 2.0]).to_json_dict(),
+                      "profile": {"kind": "ellipsoid", "semiaxes": 5}},
+         "'semiaxes' must be a list of numbers, got 5"),
+        (lambda doc: {**doc, "profile": {"kind": "grid", "shape": 5, "values": [0.7] * 5}},
+         "'shape' must be a list of integers, got 5"),
+    ], ids=["profile-null", "space-null", "top-level-list", "bumpy-centers-number",
+            "ellipsoid-semiaxes-number", "grid-shape-number"])
+    def test_a_malformed_document_names_its_field(self, tmp_path, capsys, edit, field):
+        # an ellipsoid's number for its semiaxes ended in an IndexError traceback (exit 1)
+        doc = make_bumpy_ball(SpaceSpec(1, 2), 0.8, [[1.0, 0.0]], [0.2], [4.0]).to_json_dict()
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps(edit(doc)))
+        assert run_cli("functional", "--body", f"@{path}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --body @{path}: ") and err.count("\n") == 1
+        assert field in err
+
     def _write(self, tmp_path, body, **changes):
         path = tmp_path / "body.json"
         path.write_text(json.dumps({**body.to_json_dict(), **changes}))
@@ -650,6 +687,13 @@ class TestInapplicable:
         assert run_cli("verify", "--theorem", "min2d", "--space", "s+:2",
                        "--body", "cone:arcs=0:3") == 2
         assert "inapplicable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("off, code", [(0.0, 0), (5e-11, 2)])
+    def test_a_mirror_arc_must_be_exact_for_min2d(self, capsys, off, code):
+        a, b = 0.2, 1.1
+        arcs = f"cone:arcs={a!r}:{b!r};{a + math.pi!r}:{b + math.pi + off!r}"
+        assert run_cli("verify", "--theorem", "min2d", "--space", "s+:2", "--body", arcs) == code
+        assert ("inapplicable" in capsys.readouterr().err) == (code == 2)
 
     def test_wrong_space(self, capsys):
         assert run_cli("verify", "--theorem", "min2d", "--space", "e:2", "--body", "ball:r=1") == 2

@@ -167,6 +167,16 @@ def test_dump_prints_the_product_pairs(dump_outputs, capsys):
                for label, value in lines)
 
 
+def test_dump_prints_the_searches(dump_outputs, capsys):
+    dump_outputs.searches()
+    lines = [line.split(" ") for line in capsys.readouterr().out.splitlines()]
+    runs = ("s+:2/sym-star/max/5", "s+:2/star/max/5", "s+:2/sym-star/min/5", "h:2/sym-star/max/1")
+    assert [label for label, _ in lines] == [
+        f"search/{run}/{key}" for run in runs for key in ("accepted", "evaluations", "best-objective")]
+    counts = [int(value) for label, value in lines if not label.endswith("/best-objective")]
+    assert all(0 < accepted <= evaluated <= 1000 for accepted, evaluated in zip(counts[::2], counts[1::2]))
+
+
 # The committed output of tools/dump_outputs.py.  A change that moves numbers
 # on purpose regenerates it (python3 tools/dump_outputs.py > tests/data/dump_outputs.txt)
 # and lists the moved lines in CHANGES.md.

@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from starsections.bodies import (
     make_ball, make_cone,
 )
 from starsections import functionals, spaces, verify
-from starsections.cli import build_parser
+from starsections.cli import build_parser, parse_space
 from starsections.errors import ApplicabilityError, DomainError, RadiusRangeError
 from starsections.functionals import (
     THEOREMS,
@@ -24,8 +26,13 @@ from starsections.spaces import SpaceSpec, sphere_surface_area
 from starsections.verify import (
     _SUITE_BODIES,
     _is_convex_plane_euclidean,
+    _objective_change,
+    _orbit,
+    _plane_objective,
     _plane_volume,
+    _segment_volume,
     _segment_volumes,
+    _volume_move,
     c5_constant,
     c_chain,
     extremizer_search,
@@ -391,3 +398,73 @@ class TestSegmentVolumes:
         got = _segment_volumes(SpaceSpec(delta, 2), np.array([a, b]), np.array([b, a]), h)
         for value in got:
             assert abs(value - ref) <= 1e-14 * ref
+        # the scalar form, which the search's moves take
+        for value in (_segment_volume(delta, a, b, h), _segment_volume(delta, b, a, h)):
+            assert abs(value - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("a, b", [(0.3, 0.3), (0.5, 1.25), (2.0, 0.1)])
+    def test_the_scalar_form_in_the_plane(self, a, b):
+        h = 2 * math.pi / 64
+        expected = h * (a * a + a * b + b * b) / 6.0
+        assert _segment_volume(0, a, b, h) == expected
+        assert _segment_volumes(SpaceSpec(0, 2), np.array([a]), np.array([b]), h)[0] == expected
+
+
+class TestMoves:
+    """A move solves and scores only the segments it touches; the whole
+    profile's volume and objective, in array form, are the reference."""
+
+    @pytest.mark.parametrize("space", [S2, SpaceSpec(-1, 2), SpaceSpec(0, 2)], ids=str)
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_a_move_keeps_the_volume_and_scores_its_change(self, space, symmetric):
+        rng = np.random.default_rng(3)
+        half = rng.uniform(0.6, 1.0, size=32)
+        values = (np.concatenate([half, half]) if symmetric else rng.uniform(0.6, 1.0, size=64)).tolist()
+        pairs = [(5, 6), (6, 5), (0, 63), (63, 0), (3, 40)] + [tuple(rng.integers(0, 64, size=2).tolist())
+                                                              for _ in range(40)]
+        moved_count = 0
+        for i, j in pairs:
+            cand = _volume_move(space, values, i, j, 0.05, symmetric, 1e-6, 1.5)
+            if cand is None:
+                assert j in _orbit(i, 64, symmetric)
+                continue
+            moved_count += 1
+            before, after = np.array(values), np.array(cand)
+            assert abs(_plane_volume(space, after) - _plane_volume(space, before)) <= 1e-14
+            moved = _orbit(i, 64, symmetric) + _orbit(j, 64, symmetric)
+            assert np.array_equal(np.flatnonzero(after != before), sorted(set(moved)))
+            change = _plane_objective(after) - _plane_objective(before)
+            assert abs(_objective_change(values, cand, moved) - change) <= 1e-13 * _plane_objective(before)
+            if symmetric:
+                assert cand[:32] == cand[32:]
+        assert moved_count > 35
+
+    def test_a_raise_clipped_to_nothing_moves_nothing(self):
+        # the root's function is exactly 0 at the lowered node's own value, so
+        # the move returns the profile unchanged, as a candidate
+        values = np.random.default_rng(4).uniform(0.5, 1.0, size=64).tolist()
+        values[7] = 1.2
+        cand = _volume_move(S2, values, 7, 20, 0.1, False, 1e-6, 1.2)
+        assert cand == values
+
+    def test_a_raise_that_lo_cannot_absorb_is_none(self):
+        values = [0.01] * 64
+        assert _volume_move(S2, values, 0, 9, 1.0, False, 1e-6, 1.5) is None
+
+
+# Accepted iterations and best objectives of four 1000-step searches, recorded
+# before the moves took scalar segment volumes: a move that keeps its root to
+# roundoff makes the same accept decisions.
+SEARCH_TRACES = json.loads((Path(__file__).resolve().parent / "data" / "search_traces.json").read_text())
+
+
+class TestPinnedSearchTraces:
+    @pytest.mark.parametrize("case", SEARCH_TRACES,
+                             ids=lambda c: f"{c['space']}-{c['class']}-{c['sense']}-{c['seed']}")
+    def test_the_trace_is_the_recorded_one(self, case):
+        trace = extremizer_search(parse_space(case["space"]), case["class"], case["volume"],
+                                  sense=case["sense"], budget=case["budget"], seed=case["seed"])
+        assert [step[0] for step in trace.steps] == case["iterations"]
+        assert (trace.accepted, trace.evaluations) == (case["accepted"], case["evaluations"])
+        assert trace.best_objective == pytest.approx(case["best_objective"], rel=1e-13, abs=0.0)
+        assert all(step[2] <= 1e-12 for step in trace.steps)

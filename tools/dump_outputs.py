@@ -32,7 +32,11 @@ OLD NEW`` prints how far each group moved.  The set is
   functional and three section volumes;
 * the radial primitives alone: the Gaussian ``radial_integral`` on h:3, h:5
   and s+:4 for m = 2, 3, 5 at radii on and next to the density panels' edges
-  (and 7.5 on h), and phi_m on the hemisphere for m = 1..6.
+  (and 7.5 on h), and phi_m on the hemisphere for m = 1..6;
+* four 1000-step shape searches: on s+:2 at volume 2, seed 5, the
+  ``sym-star`` and ``star`` maxima and the ``sym-star`` minimum, and on h:2
+  the ``sym-star`` maximum at volume 2 pi 0.3, seed 1: the accepted and
+  evaluated counts and the best objective.
 
 The first lines, which begin with ``#``, name the numeric environment:
 numpy's SIMD baseline and the dispatched SIMD targets this CPU enables, and
@@ -81,7 +85,7 @@ from starsections import (  # noqa: E402
 )
 from starsections.errors import ApplicabilityError  # noqa: E402
 from starsections.functionals import THEOREMS  # noqa: E402
-from starsections.verify import suite_bodies  # noqa: E402
+from starsections.verify import extremizer_search, suite_bodies  # noqa: E402
 
 
 def out(label, value):
@@ -252,6 +256,18 @@ def radial():
             out(f"radial/phi/+1/{m}/{x!r}", phi(SpaceSpec(1, max(m, 2)), m, x))
 
 
+def searches():
+    runs = (("s+:2", "sym-star", "max", 2.0, 5), ("s+:2", "star", "max", 2.0, 5),
+            ("s+:2", "sym-star", "min", 2.0, 5), ("h:2", "sym-star", "max", 2.0 * math.pi * 0.3, 1))
+    for space, body_class, sense, vol, seed in runs:
+        delta = 1 if space.startswith("s+") else -1
+        trace = extremizer_search(SpaceSpec(delta, 2), body_class, vol, sense=sense, budget=1000, seed=seed)
+        label = f"search/{space}/{body_class}/{sense}/{seed}"
+        out(f"{label}/accepted", trace.accepted)
+        out(f"{label}/evaluations", trace.evaluations)
+        out(f"{label}/best-objective", trace.best_objective)
+
+
 def main():
     environment()
     suites()
@@ -262,6 +278,7 @@ def main():
     paths()
     product_pairs()
     radial()
+    searches()
 
 
 if __name__ == "__main__":
