@@ -35,7 +35,6 @@ from .bodies import (
     make_symmetric_polygon_body,
     make_vanishing_body,
     striped_cap_subset,
-    is_convex_spherical,
     body_from_json_dict,
     sphere_band_measure,
     spherical_cap_measure,

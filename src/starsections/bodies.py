@@ -515,10 +515,13 @@ class RadialProfile:
 
     ``symmetric`` says whether rho(-u) = rho(u) for every direction u.  Each
     profile decides it exactly from its own data; one that cannot says False.
+    ``convex`` says whether the body is convex, and is True for the kinds that
+    are convex by construction alone: balls, lunes and strip polygons.
     """
 
     kind: str = "abstract"
     symmetric: bool = False
+    convex: bool = False
 
     def rho(self, dirs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -541,6 +544,7 @@ class ConstantProfile(RadialProfile):
     r: float
     kind = "ball"
     symmetric = True
+    convex = True
 
     def rho(self, dirs):
         dirs = np.atleast_2d(dirs)
@@ -581,6 +585,7 @@ class LuneProfile(RadialProfile):
     axis: np.ndarray
     kind = "lune"
     symmetric = True
+    convex = True
 
     def __post_init__(self):
         object.__setattr__(self, "axis", as_direction(self.axis, 2).copy())
@@ -769,6 +774,7 @@ class PolygonProfile(RadialProfile):
     offsets: np.ndarray   # (k,)
     kind = "polygon"
     symmetric = True
+    convex = True
 
     def __post_init__(self):
         for name in ("normals", "offsets"):
@@ -1426,43 +1432,3 @@ def make_vanishing_body(space: SpaceSpec, volume: float, eta: float) -> StarBody
         r *= 1.6
         if r > 320.0:
             raise ResourceLimitError("radius cap reached before the functional fell below eta")
-
-
-# ---------------------------------------------------------------------------
-# spherical convexity (numerical verdict)
-
-
-def is_convex_spherical(body: StarBody, samples: int = 800, seed: int = 0,
-                        tol: float = 1e-9) -> bool:
-    """Midpoint-convexity verdict for a hemisphere body.
-
-    Boundary points are embedded in the unit sphere of R^{n+1}; for random
-    pairs the chord midpoint must again lie inside the body's cone.  This is
-    the gnomonic-image convexity test written pole-safe, so profiles touching
-    rho = pi/2 (cones, lunes) are handled by the same predicate.
-    """
-    if body.space.delta != 1:
-        raise DomainError("spherical convexity applies to hemisphere bodies")
-    n = body.space.dim
-    rng = np.random.default_rng(seed)
-    u = rng.normal(size=(samples, n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = rng.normal(size=(samples, n))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-
-    def embed(dirs):
-        r = body.rho(dirs)
-        return np.column_stack([np.sin(r)[:, None] * dirs, np.cos(r)])
-
-    p = embed(u)
-    q = embed(v)
-    mid = 0.5 * (p + q)
-    norms = np.linalg.norm(mid, axis=1)
-    ok = norms > 1e-12
-    mid = mid[ok] / norms[ok, None]
-    psi = np.arccos(np.clip(mid[:, -1], -1.0, 1.0))
-    horiz = np.linalg.norm(mid[:, :-1], axis=1)
-    nontrivial = horiz > 1e-12
-    w = mid[nontrivial, :-1] / horiz[nontrivial, None]
-    allowed = body.rho(w)
-    return bool(np.all(psi[nontrivial] <= allowed + tol))

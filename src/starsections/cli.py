@@ -87,6 +87,14 @@ def _build_body(text: str, space: SpaceSpec | None) -> StarBody:
     """Constructor mini-language ``kind:key=val,...`` (see the README for the
     keys of each kind), or ``@file.json`` holding a body document."""
     kind, _, rest = text.partition(":")
+
+    def read(key, parse=float, what="a number"):
+        """The parameter key, parsed, or a usage error naming it and its text."""
+        try:
+            return parse(params[key])
+        except ValueError:
+            raise UsageError(f"--body {kind}: {key}={params[key]!r} is not {what}") from None
+
     try:
         if text.startswith("@"):
             kind = text
@@ -96,22 +104,24 @@ def _build_body(text: str, space: SpaceSpec | None) -> StarBody:
         if kind in ("ball", "perturbed", "cone") and space is None:
             raise UsageError(f"--body {kind} requires --space")
         if kind == "ball":
-            return make_ball(space, float(params["r"]))
+            return make_ball(space, read("r"))
         if kind == "ellipsoid":
-            return make_ellipsoid([float(v) for v in params["semiaxes"].split(";")])
+            return make_ellipsoid(read("semiaxes", lambda t: [float(v) for v in t.split(";")],
+                                       "numbers separated by ';'"))
         if kind == "lune":
-            return make_lune(float(params["w"]))
+            return make_lune(read("w"))
         if kind == "perturbed":
-            return make_perturbed_ball(space, float(params["r"]), float(params["beta"]),
-                                       int(params["k"]))
+            return make_perturbed_ball(space, read("r"), read("beta"), read("k", int, "an integer"))
         if kind == "cone":
             if "arcs" in params:
-                pairs = (pair.split(":") for pair in params["arcs"].split(";"))
-                return make_cone(space, ArcsBase(tuple((float(a), float(b)) for a, b in pairs)))
+                arcs = read("arcs", lambda t: tuple((float(a), float(b)) for a, b in
+                                                    (pair.split(":") for pair in t.split(";"))),
+                            "arcs a:b separated by ';'")
+                return make_cone(space, ArcsBase(arcs))
             if "cap" in params:
-                return make_cone(space, cap_base(basis_vector(space.dim), float(params["cap"])))
+                return make_cone(space, cap_base(basis_vector(space.dim), read("cap")))
             if "equality" in params:
-                return make_cone(space, equality_cone_base(space.dim, float(params["equality"])))
+                return make_cone(space, equality_cone_base(space.dim, read("equality")))
             if "full" in params:
                 return make_cone(space, full_sphere_base(space.dim))
             raise UsageError("--body cone needs arcs=, cap=, equality= or full=1")
@@ -394,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = add_mode("search", _search)
     p_search.add_argument("--space", default="s+:2")
     p_search.add_argument("--class", dest="body_class", default="sym-star",
-                          choices=["star", "sym-star", "convex", "sym-convex"])
+                          choices=verify_mod.SEARCH_CLASSES)
     p_search.add_argument("--sense", default="max", choices=["max", "min"])
     p_search.add_argument("--volume", type=float, default=None)
     p_search.add_argument("--budget", type=int, default=4000)
@@ -410,7 +420,10 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already; normalize others
         return int(exc.code) if exc.code else 0
     try:
-        return args.fn(args)
+        # an overflow is refused as a numeric failure, in one line, without
+        # numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

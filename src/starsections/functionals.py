@@ -21,7 +21,13 @@ from functools import lru_cache
 import numpy as np
 
 from .bodies import FORMAT_VERSION, StarBody
-from .errors import ApplicabilityError, ConvergenceError, DomainError, InversionRangeError
+from .errors import (
+    ApplicabilityError,
+    ConvergenceError,
+    DomainError,
+    InversionRangeError,
+    ResourceLimitError,
+)
 from .quadrature import (
     build_sphere_rule,
     default_degree,
@@ -485,10 +491,19 @@ def _path(body: StarBody, config: QuadratureConfig) -> _Product:
     return (_Zonal if body.profile.zonal_axis(n) is not None else _Product)(body, config)
 
 
+def _finite(name: str, value: float) -> float:
+    """The value of a left side, which every public left side returns through
+    here: ResourceLimitError when it is not a finite float, as when a large
+    hyperbolic body's functional overflows."""
+    if not math.isfinite(value):
+        raise ResourceLimitError(f"the {name} is {value!r}, not a finite float")
+    return value
+
+
 def volume(body: StarBody, mu: RadialDensityMeasure | None = None,
            config: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Volume (or mu-measure) of a star body, by sphere rule times radial primitive."""
-    return _path(body, config).volume(mu)
+    return _finite("volume", _path(body, config).volume(mu))
 
 
 def section_volume(body: StarBody, xi, mu: RadialDensityMeasure | None = None,
@@ -497,7 +512,8 @@ def section_volume(body: StarBody, xi, mu: RadialDensityMeasure | None = None,
     origin with unit normal xi; DomainError for any other xi.  It is the
     functional's section operator at one point."""
     path = _path(body, config)
-    return float(path.sections(mu, path.point(as_direction(xi, body.space.dim)))[0])
+    section = path.sections(mu, path.point(as_direction(xi, body.space.dim)))[0]
+    return _finite("section volume", float(section))
 
 
 def busemann_functional(body: StarBody, mu: RadialDensityMeasure | None = None,
@@ -511,7 +527,8 @@ def busemann_functional(body: StarBody, mu: RadialDensityMeasure | None = None,
     """
     n = body.space.dim
     norm = sphere_surface_area(n - 1) if normalized else 1.0
-    return _path(body, config).functional(mu, n if exponent is None else exponent) / norm
+    functional = _path(body, config).functional(mu, n if exponent is None else exponent)
+    return _finite("functional", functional / norm)
 
 
 def volume_and_functional(body: StarBody, mu: RadialDensityMeasure | None = None,
@@ -524,7 +541,7 @@ def volume_and_functional(body: StarBody, mu: RadialDensityMeasure | None = None
     n = body.space.dim
     norm = sphere_surface_area(n - 1) if normalized else 1.0
     vol, functional = _path(body, config).volume_and_functional(mu, n if exponent is None else exponent)
-    return vol, functional / norm
+    return _finite("volume", vol), _finite("functional", functional / norm)
 
 
 def busemann_functional_with_error(body: StarBody, mu=None, normalized: bool = False,
@@ -533,7 +550,8 @@ def busemann_functional_with_error(body: StarBody, mu=None, normalized: bool = F
     """Functional value plus an error estimate: Gauss-Kronrod's on the plane
     path, the difference from degrees + 8 on the others (1e-15 relative for
     the arcs closed form, which no degree changes)."""
-    return _path(body, config).with_error(mu, normalized, exponent)
+    value, error = _path(body, config).with_error(mu, normalized, exponent)
+    return _finite("functional", value), _finite("error estimate", error)
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +777,8 @@ class Theorem:
     ``measure`` of its own holds for any radial density, and every other for
     the uniform volume alone.  The bound takes the body's volume in that
     measure as a number, and computes no left side.  A ``lower`` bound is
-    reported as bound <= functional.
+    reported as bound <= functional.  A ``symmetric`` or ``convex`` theorem
+    takes only bodies whose profile says so.
     """
 
     id: str
@@ -770,6 +789,7 @@ class Theorem:
     normalized: bool = False
     lower: bool = False
     symmetric: bool = False
+    convex: bool = False
     rel_tol: float = 1e-8
     config: QuadratureConfig = DEFAULT_CONFIG
     variants: tuple = ("proof-chain",)
@@ -783,6 +803,8 @@ class Theorem:
                                      f"delta = {space.delta}, n = {space.dim}")
         if self.symmetric and not body.symmetric:
             raise ApplicabilityError(f"theorem {self.id!r} needs an origin-symmetric body")
+        if self.convex and not body.profile.convex:
+            raise ApplicabilityError(f"theorem {self.id!r} needs a convex body: a ball, lune or polygon")
 
     def measure_for(self, mu):
         """The measure the theorem is checked in.  A theorem with a ``measure``
@@ -801,7 +823,7 @@ class Theorem:
 THEOREMS = {t.id: t for t in (
     Theorem("min2d", (1,), _min2d_bound, dims=range(2, 3), lower=True, symmetric=True),
     Theorem("cone-max", (1,), dims=range(2, 3), bound=lambda vol, space, mu: (math.pi ** 2 * vol,)),
-    Theorem("lune-max", (1,), dims=range(2, 3), rel_tol=1e-6,
+    Theorem("lune-max", (1,), dims=range(2, 3), rel_tol=1e-6, convex=True,
             bound=lambda vol, space, mu: (lune_bound(vol),)),
     Theorem("hyperbolic", (-1,), _hyperbolic_bound, rel_tol=1e-6,
             config=QuadratureConfig(outer_degree=31, inner_degree=63)),

@@ -28,7 +28,6 @@ from .bodies import (
     make_perturbed_ball,
     make_striped_cone,
     make_symmetric_polygon_body,
-    is_convex_spherical,
     perturbation_norms,
 )
 from .errors import ApplicabilityError, DomainError, RadiusRangeError
@@ -352,6 +351,14 @@ def sharpness_schedule(n: int, t: float, alphas=None, epsilons=None):
 # volume-preserving extremizer search
 
 
+# The search's profiles are linear in the angle between nodes v_k, so the
+# boundary turns convexly at node k only when v_{k-1} + v_{k+1} <= 2 v_k, in
+# every space.  These second differences sum to 0 around the cycle, so a
+# convex profile of the class is constant: the ball.  No convex class is
+# offered.
+SEARCH_CLASSES = ("star", "sym-star")
+
+
 @dataclass
 class SearchTrace:
     """Reproducible record of a local search run.
@@ -492,18 +499,15 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
     candidate's whole volume is checked again, and ``evaluations`` counts the
     candidates that pass.  A candidate is scored by the objective's change
     over the segments it touches; the whole objective is recomputed for an
-    accepted step alone, so each one in the trace is a full recomputation.  The
-    convex classes also reject warm-up moves and steps that fail the convexity
-    verdict.  Such steps, and moves too large to absorb, count as rejected
-    when the step size adapts.  Claims nothing beyond the best profile found;
-    the trace replays deterministically from the seed.
+    accepted step alone, so each one in the trace is a full recomputation.
+    Moves too large to absorb count as rejected when the step size adapts.
+    The body class is one of ``SEARCH_CLASSES``.  Claims nothing beyond the
+    best profile found; the trace replays deterministically from the seed.
     """
     if space.dim != 2:
         raise ApplicabilityError("the shape search operates on plane profiles (dim = 2)")
-    if body_class not in ("star", "sym-star", "convex", "sym-convex"):
+    if body_class not in SEARCH_CLASSES:
         raise DomainError(f"unknown body class {body_class!r}")
-    if "convex" in body_class and space.delta not in (0, 1):
-        raise ApplicabilityError("the convex class is gated only on the hemisphere or in the plane")
     if sense not in ("max", "min"):
         raise DomainError("sense must be 'max' or 'min'")
     hi = HEMISPHERE_MAX_RADIUS - 1e-9 if space.delta == 1 else 50.0
@@ -516,24 +520,14 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
 
     rng = np.random.default_rng(seed)
     symmetric = body_class.startswith("sym")
-    convex = "convex" in body_class
-
-    def in_class(cand, probe_seed):
-        if not convex:
-            return True
-        profile = np.asarray(cand)
-        if space.delta == 0:
-            return _is_convex_plane_euclidean(profile)
-        probe = StarBody(space, GridProfile(profile))
-        return is_convex_spherical(probe, samples=400, seed=probe_seed, tol=1e-7)
 
     nodes, step = 64, 0.2   # even, so that every node has its antipode
     r0 = phi_inverse(space, 2, volume_target / TWO_PI)
     values = [r0] * nodes   # floats, which the moves read and write one at a time
-    for k in range(nodes):
+    for _ in range(nodes):
         i, j = rng.integers(0, nodes, size=2).tolist()
         cand = _volume_move(space, values, i, j, 0.2 * r0, symmetric, lo, hi)
-        if cand is not None and in_class(cand, seed + k):
+        if cand is not None:
             values = cand
 
     sign = 1.0 if sense == "max" else -1.0
@@ -569,7 +563,7 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
             continue
         trace.evaluations += 1
         moved = _orbit(i, nodes, symmetric) + _orbit(j, nodes, symmetric)
-        accept = sign * _objective_change(values, cand, moved) > 0 and in_class(profile, seed + it)
+        accept = sign * _objective_change(values, cand, moved) > 0
         recent.append(int(accept))
         if accept:
             values = cand
@@ -581,18 +575,3 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
                 trace.best_objective = objective
                 trace.best_values = profile.copy()
     return trace
-
-
-def _is_convex_plane_euclidean(values) -> bool:
-    """Midpoint test for a polar grid profile in the Euclidean plane."""
-    n = len(values)
-    angles = TWO_PI * np.arange(n) / n
-    pts = values[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
-    mids = 0.5 * (pts + np.roll(pts, -1, axis=0))
-    radii = np.linalg.norm(mids, axis=1)
-    mid_angles = np.arctan2(mids[:, 1], mids[:, 0]) % TWO_PI
-    pos = mid_angles / TWO_PI * n
-    i0 = np.floor(pos).astype(int) % n
-    frac = pos - np.floor(pos)
-    interp = values[i0] * (1 - frac) + values[(i0 + 1) % n] * frac
-    return bool(np.all(radii <= interp + 1e-9))

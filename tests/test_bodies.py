@@ -20,7 +20,6 @@ from starsections.bodies import (
     cap_base,
     equality_cone_base,
     full_sphere_base,
-    is_convex_spherical,
     make_ball,
     make_bumpy_ball,
     make_cone,
@@ -792,7 +791,7 @@ class TestLunes:
         assert volume(body) == pytest.approx(1.2, abs=1e-6)
 
     def test_convex(self):
-        assert is_convex_spherical(make_lune(0.7))
+        assert make_lune(0.7).profile.convex
 
     def test_invalid(self):
         with pytest.raises(DomainError):
@@ -948,20 +947,28 @@ def test_nan_parameters_are_refused(build):
 
 
 class TestConvexity:
+    """The profile's ``convex`` flag: True for balls, lunes and strip polygons
+    alone, which are convex by construction, and never settable."""
+
     def test_ball(self):
-        assert is_convex_spherical(make_ball(S2, 0.8))
+        assert make_ball(S2, 0.8).profile.convex
 
     def test_polygon(self):
-        assert is_convex_spherical(make_symmetric_polygon_body([0.9, 1.2], [0.2, 1.7]))
+        assert make_symmetric_polygon_body([0.9, 1.2], [0.2, 1.7]).profile.convex
 
     def test_disconnected_cone_base(self):
         body = make_cone(S2, ArcsBase(((1.0, 1.3), (1.0 + math.pi, 1.3 + math.pi))))
-        assert not is_convex_spherical(body)
+        assert not body.profile.convex
 
     def test_bumpy_nonconvex(self):
         body = make_bumpy_ball(S2, 0.7, [[1.0, 0.0], [0.0, 1.0]], [0.35, -0.3], [8.0, 8.0],
                                symmetric=True)
-        assert not is_convex_spherical(body)
+        assert not body.profile.convex
+
+    def test_the_flag_is_not_settable(self):
+        profile = make_ball(S2, 0.8).profile
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.convex = False
 
 
 class TestScalarInequality:
@@ -1184,8 +1191,8 @@ SYMMETRIC_BUILDERS = {
     "arcs-cone": lambda: random_cone_arcs(np.random.default_rng(5)),
     "striped-cone": lambda: make_striped_cone(S3, 0.5, 0.4, 0.2),
     "vanishing-body": lambda: make_vanishing_body(H3, 1.0, 0.1),
-    **{f"search-{cls}-{space}": (lambda space=space, cls=cls: _search_body(space, cls))
-       for cls in ("sym-star", "sym-convex") for space in (S2, SpaceSpec(0, 2))},
+    **{f"search-sym-star-{space}": (lambda space=space: _search_body(space, "sym-star"))
+       for space in (S2, SpaceSpec(0, 2))},
     "bumpy-interleaved-mirrors": lambda: StarBody(S3, _interleaved_bumps()),
     "perturbed-even-degree": lambda: StarBody(S3, HarmonicPerturbedProfile(
         0.7, 0.0, 0.03, zonal_harmonic(3, 4, np.eye(3)[0]))),

@@ -277,6 +277,54 @@ class TestHugeDimensions:
         assert err.startswith("numeric failure:") and err.count("\n") == 1
 
 
+class TestOneLineRefusals:
+    """Inputs that printed inf and NaN, a FAIL, a traceback or Python's own
+    words: each exits 2 or 3 with one stderr line, and writes no file."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (["functional", "--space", "h:3", "--body", "ball:r=300"], "the functional is inf"),
+        (["functional", "--space", "h:4", "--body", "ball:r=300"], "the volume is inf"),
+        (["verify", "--theorem", "hyperbolic", "--space", "h:4", "--body", "ball:r=300"],
+         "the volume is inf"),
+    ], ids=["functional-h3", "functional-h4", "verify-h4"])
+    def test_an_overflowing_left_side_exits_three(self, argv, message, tmp_path, capsys):
+        # numpy's overflow warning, as an error here, would end in a traceback
+        out = tmp_path / "report.json"
+        assert run_cli(*argv, "--out", str(out)) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"numeric failure: {message}, not a finite float\n"
+        assert not out.exists()
+
+    def test_lune_max_on_a_bow_tie_cone_is_inapplicable(self, capsys):
+        assert run_cli("verify", "--theorem", "lune-max", "--space", "s+:2", "--body",
+                       "cone:arcs=0.2:1.1;3.3415926535897931:4.2415926535897931") == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == ("inapplicable: theorem 'lune-max' needs a convex body: "
+                                "a ball, lune or polygon\n")
+
+    @pytest.mark.parametrize("body_class", ["convex", "sym-convex"])
+    def test_no_convex_search_class(self, body_class, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert run_cli("experiment", "search", "--class", body_class, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert not captured.out and len(errors) == 1 and "--class" in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--body", "ellipsoid:semiaxes="], "--body ellipsoid: semiaxes='' is not numbers separated by ';'"),
+        (["--space", "s+:2", "--body", "cone:arcs=0:1:2"],
+         "--body cone: arcs='0:1:2' is not arcs a:b separated by ';'"),
+        (["--space", "s+:3", "--body", "perturbed:r=0.7,beta=0.01,k=2.5"],
+         "--body perturbed: k='2.5' is not an integer"),
+    ], ids=["semiaxes", "arcs", "degree"])
+    def test_a_body_parameter_is_named(self, argv, message, capsys):
+        assert run_cli("functional", *argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # a value of every experiment flag, and the flags each mode reads
 _EXPERIMENT_FLAGS = {"--dim": "3", "--r": "0.7", "--k": "4", "--beta": "0.04", "--t": "0.5",
                      "--alphas": "0.4", "--epsilons": "0.2", "--space": "h:7", "--class": "star",

@@ -69,6 +69,28 @@ def test_no_scipy_import_anywhere():
         assert not list(scipy_imports(ast.walk(ast.parse(path.read_text())))), path.name
 
 
+def random_references(tree):
+    """The lines that name np.random or numpy.random, or import a random module."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and "random" in (node.module or "").split("."):
+            yield node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "random" in alias.name.split(".") for alias in node.names):
+            yield node.lineno
+
+
+def test_random_draws_only_in_verify():
+    # random bodies, the suites and the shape search draw from np.random; any
+    # other module decides each property of a body from its data, never by
+    # sampling it
+    assert list(random_references(ast.parse("import numpy as np\nnp.random.default_rng(0)"))) == [2]
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "verify.py":
+            assert list(random_references(ast.parse(path.read_text()))) == [], path.name
+
 
 # The public names that nothing in src/ calls, each with the reason it stays.
 UNCALLED_PUBLIC_NAMES = {
