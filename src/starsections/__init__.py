@@ -10,13 +10,7 @@ from .spaces import (
     unit_ball_volume,
 )
 from .quadrature import SphereRule, build_sphere_rule, subsphere_nodes
-from .harmonics import (
-    ZonalHarmonic,
-    zonal_harmonic,
-    eval_zonal,
-    radon_multiplier,
-    radon_quadrature,
-)
+from .harmonics import ZonalHarmonic, zonal_harmonic, radon_multiplier
 from .bodies import (
     StarBody,
     ConeBase,

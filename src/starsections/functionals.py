@@ -32,7 +32,7 @@ from .quadrature import (
     build_sphere_rule,
     default_degree,
     gauss_jacobi,
-    householder_frame,
+    householder_frames,
     integrate_vectorized,
     polar_rule,
     subsphere_nodes,
@@ -56,22 +56,26 @@ TWO_PI = 2.0 * math.pi
 # quadrature configuration
 
 
+# the plane path's Gauss-Kronrod tolerance, relative to max(1, 2 pi max |row|)
+# on the first round
+ANGULAR_TOL = 1e-11
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Degrees and tolerances used by the functional evaluators.
+    """Degrees used by the functional evaluators.
 
     ``outer_degree`` drives the xi-integration on S^{n-1}; ``inner_degree``
     the subsphere integration.  In the plane the angular integrals are done
     by default with adaptive Gauss-Kronrod 10/21 bisection (section profiles
     there often have corners), each row of the one integrand (volume,
-    section power) to ``angular_tol`` relative to
-    max(1, 2 pi max |row|) on the first round.
+    section power) to ``ANGULAR_TOL``; ``plane_adaptive=False`` takes the
+    product path's circle rule instead.
     """
 
     outer_degree: int | None = None
     inner_degree: int | None = None
     plane_adaptive: bool = True
-    angular_tol: float = 1e-11
 
     def outer(self, n: int) -> int:
         return self.outer_degree if self.outer_degree is not None else default_degree(n - 1)
@@ -375,7 +379,7 @@ class _Zonal(_Product):
         s.shape + (n,): u = s axis + sqrt(1 - s^2) b, for one unit b orthogonal
         to the axis."""
         axis = self.body.profile.zonal_axis(self.n)
-        b = householder_frame(axis)[:, 0]
+        b = householder_frames(axis[None])[0, :, 0]
         s = np.asarray(s, dtype=float)[..., None]
         return s * axis + np.sqrt(1.0 - s * s) * b
 
@@ -477,7 +481,7 @@ class _Plane(_Product):
 
         corners = self.body.profile.plane_corners()
         breaks = np.concatenate([corners - math.pi / 2, corners + math.pi / 2]) % TWO_PI
-        return integrate_vectorized(integrand, 0.0, TWO_PI, self.config.angular_tol, breaks)
+        return integrate_vectorized(integrand, 0.0, TWO_PI, ANGULAR_TOL, breaks)
 
 
 def _path(body: StarBody, config: QuadratureConfig) -> _Product:

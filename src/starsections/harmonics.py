@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, UnsupportedDimensionError
-from .quadrature import SphereRule, polar_rule, subsphere_nodes
+from .quadrature import polar_rule
 from .spaces import as_direction
 
 
@@ -75,12 +75,6 @@ def zonal_harmonic(n: int, k: int, axis) -> ZonalHarmonic:
     return ZonalHarmonic(n, k, np.asarray(axis, dtype=float))
 
 
-def eval_zonal(h: ZonalHarmonic, u):
-    """Evaluate a zonal harmonic at one or many unit vectors."""
-    out = h(np.atleast_2d(np.asarray(u, dtype=float)))
-    return float(out[0]) if np.asarray(u).ndim == 1 else out
-
-
 def radon_multiplier(n: int, k: int) -> float:
     """Eigenvalue lambda_k of the transform R on degree-k harmonics on S^{n-1}.
 
@@ -106,10 +100,4 @@ def radon_multiplier(n: int, k: int) -> float:
     )
     sign = -1.0 if (k // 2) % 2 else 1.0
     return sign * math.exp(log_mag)
-
-
-def radon_quadrature(f, rule: SphereRule, xi) -> float:
-    """Quadrature estimate of Rf(xi) using a rule on S^{n-2}."""
-    vals = np.asarray(f(subsphere_nodes(rule, as_direction(xi)[None])[0]), dtype=float)
-    return float(np.dot(rule.weights, vals))
 

@@ -38,12 +38,12 @@ def default_degree(m: int) -> int:
 
 @dataclass(frozen=True)
 class SphereRule:
-    """Nodes and positive weights on S^dim with declared polynomial exactness."""
+    """Nodes and positive weights on S^dim, exact for the polynomials of the
+    degree ``build_sphere_rule`` was given."""
 
     dim: int
     nodes: np.ndarray      # (N, dim + 1), unit rows
     weights: np.ndarray    # (N,)
-    exactness: int
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -51,11 +51,6 @@ class SphereRule:
 
     def __len__(self) -> int:
         return self.nodes.shape[0]
-
-    def integrate(self, f) -> float:
-        """Integrate a vectorized function of node coordinates over the sphere."""
-        vals = np.asarray(f(self.nodes), dtype=float)
-        return float(np.dot(self.weights, vals))
 
     @cached_property
     def antipodal_half(self):
@@ -134,10 +129,10 @@ def _circle_rule(degree: int) -> SphereRule:
     half = np.column_stack([np.cos(angles), np.sin(angles)])
     nodes = np.concatenate([half, -half])
     weights = np.full(n, 2 * math.pi / n)
-    return SphereRule(1, nodes, weights, degree)
+    return SphereRule(1, nodes, weights)
 
 
-_POINT_PAIR = SphereRule(0, np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), 10 ** 9)
+_POINT_PAIR = SphereRule(0, np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +166,7 @@ def build_sphere_rule(m: int, degree: int) -> SphereRule:
     nodes[:, 0] = np.repeat(t, len(sub))
     nodes[:, 1:] = np.repeat(s, len(sub))[:, None] * np.tile(sub.nodes, (npolar, 1))
     weights = np.repeat(wt, len(sub)) * np.tile(sub.weights, npolar)
-    return SphereRule(m, nodes, weights, degree)
+    return SphereRule(m, nodes, weights)
 
 
 @lru_cache(maxsize=None)
@@ -223,22 +218,16 @@ def householder_frames(xis: np.ndarray) -> np.ndarray:
     return house[:, :, : n - 1]
 
 
-def householder_frame(xi: np.ndarray) -> np.ndarray:
-    """The frame of ``householder_frames`` for one normal, shape (n, n - 1)."""
-    return householder_frames(np.asarray(xi, dtype=float)[None])[0]
-
-
-def subsphere_nodes(rule: SphereRule | np.ndarray, xis) -> np.ndarray:
-    """The nodes of a rule on S^{n-2} (or an (N, n - 1) array of such nodes,
-    such as the first half of ``antipodal_half``) carried onto the great
-    subsphere of S^{n-1} orthogonal to each unit normal xi, shape (D, N, n) for
-    D normals.
+def subsphere_nodes(nodes: np.ndarray, xis) -> np.ndarray:
+    """An (N, n - 1) array of nodes on S^{n-2}, such as the first half of
+    ``antipodal_half``, carried onto the great subsphere of S^{n-1} orthogonal
+    to each unit normal xi, shape (D, N, n) for D normals.
 
     All frames are built in one batched step, and each normal takes one
     product with its frame, written into one preallocated array: stacking a
     list of them would hold the grid twice.
     """
-    nodes = rule.nodes if isinstance(rule, SphereRule) else np.asarray(rule, dtype=float)
+    nodes = np.asarray(nodes, dtype=float)
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     n = xis.shape[1]
     if nodes.shape[1] != n - 1:
@@ -315,24 +304,25 @@ class _Row:
         self.errors.append(err[done])
         return split
 
-    def result(self, index: int, single: bool):
-        """(value, error estimate); ConvergenceError past the tolerance."""
+    def result(self, index: int):
+        """(value, error estimate); ConvergenceError, naming the row, past the
+        tolerance."""
         values, errors = ((self.values[0], self.errors[0]) if len(self.values) == 1
                           else (np.concatenate(self.values), np.concatenate(self.errors)))
         value = math.fsum(values.tolist())
         err_total = math.fsum(errors.tolist()) + 50.0 * _EPS * math.fsum(np.abs(values).tolist())
         if not err_total <= max(50.0 * self.tol, 1e-9 * abs(value)):
-            where = "" if single else f" in row {index}"
-            raise ConvergenceError(f"adaptive quadrature stalled{where}: estimated error "
+            raise ConvergenceError(f"adaptive quadrature stalled in row {index}: estimated error "
                                    f"{err_total:.3e} > tol {self.tol:.3e}")
         return value, err_total
 
 
 def integrate_vectorized(f, a: float, b: float, tol: float = 1e-12, breaks=()):
-    """Adaptive Gauss-Kronrod 10/21 integral of a vectorized f over [a, b].
+    """Adaptive Gauss-Kronrod 10/21 integrals of a vectorized f over [a, b],
+    a < b.
 
-    ``f`` maps a 1-d array of points to a 1-d array of values, or to a (k, N)
-    array: k integrands on the same points, its rows.  The first intervals
+    ``f`` maps a 1-d array of N points to a (k, N) array: k integrands on the
+    same points, its rows.  The first intervals
     are 8 equal ones, cut further at each point of ``breaks`` (known corners
     of f, as QUADPACK's qagp takes them) that lies strictly inside (a, b) and
     farther than 1e-12 (b - a) from their edges and from the break before it.
@@ -356,19 +346,12 @@ def integrate_vectorized(f, a: float, b: float, tol: float = 1e-12, breaks=()):
     place in the batch), so each row's value and estimate equal that row
     integrated alone, bit for bit.
 
-    Returns ``(value, error_estimate)`` for a 1-d ``f``, and arrays
-    ``(values, errors)`` of length k for a (k, N) one: the exactly rounded sum
-    of the accepted Kronrod values, and the sum of their |K21 - G10| plus
-    QUADPACK's roundoff floor 50 eps * sum of |K21|.  Raises
+    Returns arrays ``(values, errors)`` of length k: each row's exactly
+    rounded sum of its accepted Kronrod values, and the sum of their
+    |K21 - G10| plus QUADPACK's roundoff floor 50 eps * sum of |K21|.  Raises
     :class:`ConvergenceError` when a row's estimate exceeds max(50 tolerance,
-    1e-9 |value|).  An empty interval gives zeros, from one call of ``f`` at a
-    that only reads the shape.
+    1e-9 |value|).
     """
-    if a > b:
-        raise DomainError("integration requires a <= b")
-    if a == b:
-        shape = np.shape(f(np.array([float(a)])))[:-1]
-        return (0.0, 0.0) if not shape else (np.zeros(shape), np.zeros(shape))
     floor = 1e-12 * (b - a)
     edges = _panel_edges(a, b)
     if len(breaks):
@@ -385,13 +368,10 @@ def integrate_vectorized(f, a: float, b: float, tol: float = 1e-12, breaks=()):
     while True:
         centre, half = (lo + hi) / 2.0, (hi - lo) / 2.0
         x = centre[:, None] + half[:, None] * _GK21_NODES
-        y = np.asarray(f(x.ravel()), dtype=float)
+        y = np.asarray(f(x.ravel()), dtype=float).reshape(-1, *x.shape)
         if not rows:
-            single = y.ndim == 1
-            y = y.reshape(-1, *x.shape)
             rows = [_Row(tol * max(1.0, (b - a) * float(np.max(np.abs(yr))))) for yr in y]
             live = list(enumerate(rows))
-        y = y.reshape(len(rows), *x.shape)
         if held is None:
             split = [row.round(y[r], half, a, b, floor) for r, row in live]
         else:
@@ -408,8 +388,5 @@ def integrate_vectorized(f, a: float, b: float, tol: float = 1e-12, breaks=()):
             going = keep.any(axis=1)
             live, keep = [lr for lr, g in zip(live, going) if g], keep[going]
             held = None if keep.all() else np.concatenate([keep, keep], axis=1)
-    results = [row.result(r, single) for r, row in enumerate(rows)]
-    if single:
-        return results[0]
-    values, errors = np.array(results).T
+    values, errors = np.array([row.result(r) for r, row in enumerate(rows)]).T
     return values, errors

@@ -16,7 +16,6 @@ import numpy as np
 from .bodies import (
     FORMAT_VERSION,
     ArcsBase,
-    GridProfile,
     StarBody,
     equality_cone_base,
     full_sphere_base,
@@ -361,23 +360,18 @@ SEARCH_CLASSES = ("star", "sym-star")
 
 @dataclass
 class SearchTrace:
-    """Reproducible record of a local search run.
+    """Record of a local search run.
 
     ``steps`` holds one (iteration, objective, volume_drift) triple per
     accepted move and ``step_profiles`` the matching grid values.
     """
 
-    settings: dict
     steps: list = field(default_factory=list)
     step_profiles: list = field(default_factory=list)
     best_objective: float = 0.0
     best_values: np.ndarray | None = None
     accepted: int = 0
     evaluations: int = 0
-
-    def best_body(self) -> StarBody:
-        space = SpaceSpec(self.settings["delta"], self.settings["dim"])
-        return StarBody(space, GridProfile(self.best_values.copy()))
 
 
 def _segment_volumes(space, a, b, h):
@@ -532,14 +526,7 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
 
     sign = 1.0 if sense == "max" else -1.0
     profile = np.array(values)
-    objective = _plane_objective(profile)
-    trace = SearchTrace(settings={
-        "delta": space.delta, "dim": space.dim, "body_class": body_class,
-        "volume": volume_target, "sense": sense, "budget": budget,
-        "seed": seed, "nodes": nodes, "step": step,
-    })
-    trace.best_objective = objective
-    trace.best_values = profile
+    trace = SearchTrace(best_objective=_plane_objective(profile), best_values=profile)
 
     eta = step
     recent = []

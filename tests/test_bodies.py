@@ -1173,7 +1173,8 @@ S4 = SpaceSpec(1, 4)
 
 
 def _search_body(space, body_class):
-    return extremizer_search(space, body_class, 1.0, "max", seed=3, budget=200).best_body()
+    trace = extremizer_search(space, body_class, 1.0, "max", seed=3, budget=200)
+    return StarBody(space, GridProfile(trace.best_values))
 
 
 SYMMETRIC_BUILDERS = {

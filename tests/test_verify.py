@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from starsections.bodies import (
-    ArcsBase, BandsBase, equality_cone_base,
+    ArcsBase, BandsBase, GridProfile, StarBody, equality_cone_base,
     make_ball, make_cone,
 )
 from starsections import functionals, spaces, verify
@@ -272,7 +272,7 @@ class TestSearch:
     def test_volume_drift_invariant(self):
         trace = extremizer_search(S2, "star", 2.0, sense="max", budget=800, seed=4)
         assert all(step[2] <= 1e-8 for step in trace.steps)
-        body = trace.best_body()
+        body = StarBody(S2, GridProfile(trace.best_values))
         assert volume(body) == pytest.approx(2.0, rel=1e-4)
 
     def test_hyperbolic_converges_to_ball(self):
@@ -284,14 +284,14 @@ class TestSearch:
 
     def test_hemisphere_max_approaches_cone_value(self):
         trace = extremizer_search(S2, "sym-star", 2.0, sense="max", budget=8000, seed=2)
-        body = trace.best_body()
+        body = StarBody(S2, GridProfile(trace.best_values))
         target = math.pi ** 2 * volume(body)
         assert trace.best_objective <= target * (1 + 1e-9)
         assert trace.best_objective >= 0.9 * target
 
     def test_hemisphere_min_approaches_ball_bound(self):
         trace = extremizer_search(S2, "sym-star", 2.0, sense="min", budget=8000, seed=3)
-        body = trace.best_body()
+        body = StarBody(S2, GridProfile(trace.best_values))
         vol = volume(body)
         bound = 8 * math.pi * math.acos(1 - vol / (2 * math.pi)) ** 2
         assert trace.best_objective >= bound * (1 - 1e-6)
