@@ -500,9 +500,9 @@ class ArcsBase(ConeBase):
 
 def base_from_descriptor(d: dict) -> ConeBase:
     if d["kind"] == "bands":
-        return BandsBase(np.array(d["axis"]), np.array(d["los"]), np.array(d["his"]))
+        return BandsBase(_json_floats(d, "axis", 1), _json_floats(d, "los", 1), _json_floats(d, "his", 1))
     if d["kind"] == "arcs":
-        return ArcsBase(tuple(tuple(ab) for ab in d["arcs"]))
+        return ArcsBase(tuple(map(tuple, _json_floats(d, "arcs", 2).tolist())))
     raise DomainError(f"unknown base kind {d['kind']!r}")
 
 
@@ -965,6 +965,20 @@ def _json_integer(value, name: str, low: int | None = None) -> int:
     return int(value)
 
 
+def _is_json_number(value) -> bool:
+    """Whether value is a JSON number: a real number, not a boolean."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _json_number(doc: dict, name: str) -> float:
+    """A document field that must be a JSON number, as a float; DomainError,
+    naming the field, for a boolean, a string, a list or anything else."""
+    value = doc[name]
+    if not _is_json_number(value):
+        raise DomainError(f"the document's {name!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _json_object(doc: dict, name: str) -> dict:
     """A document field that must be a JSON object; DomainError, naming the
     field, for anything else."""
@@ -975,13 +989,16 @@ def _json_object(doc: dict, name: str) -> dict:
 
 
 def _json_floats(doc: dict, name: str, ndim: int) -> np.ndarray:
-    """A document field that must be a list of numbers (ndim 1) or of lists of
-    numbers (ndim 2); DomainError, naming the field, for any other shape."""
-    value = np.array(doc[name], dtype=float)
-    if value.ndim != ndim:
+    """A document field that must be a list of JSON numbers (ndim 1) or of
+    equally long lists of them (ndim 2), as floats; DomainError, naming the
+    field, for any other shape or entry."""
+    value = doc[name]
+    rows = value if ndim == 2 and isinstance(value, list) else [value]
+    if not (all(isinstance(row, list) and all(map(_is_json_number, row)) for row in rows)
+            and len(set(map(len, rows))) <= 1):
         noun = "a list of numbers" if ndim == 1 else "a list of lists of numbers"
-        raise DomainError(f"the document's {name!r} must be {noun}, got {doc[name]!r}")
-    return value
+        raise DomainError(f"the document's {name!r} must be {noun}, got {value!r}")
+    return np.array(value, dtype=float)
 
 
 def body_from_json_dict(doc: dict) -> StarBody:
@@ -994,7 +1011,8 @@ def body_from_json_dict(doc: dict) -> StarBody:
     (the space's ``delta`` and ``dim``, a harmonic's ``degree``, a grid's
     ``shape`` entries, which must be positive) are not integers.  A document
     that is not an object, or whose ``space``, ``profile`` or cone ``base`` is
-    not one, whose grid ``shape`` is not a list, or whose semiaxes or bump
+    not one, whose grid ``shape`` is not a list, whose number fields hold
+    anything but JSON numbers (a boolean or a string among them), or whose
     arrays have the wrong number of axes, is refused with DomainError naming
     the field."""
     if not isinstance(doc, dict):
@@ -1008,28 +1026,30 @@ def body_from_json_dict(doc: dict) -> StarBody:
     if not isinstance(claim, bool):
         raise DomainError(f"the document's 'symmetric' must be true or false, got {claim!r}")
     if kind == "ball":
-        body = make_ball(space, float(p["r"]))
+        body = make_ball(space, _json_number(p, "r"))
     elif kind == "ellipsoid":
         body = make_ellipsoid(_json_floats(p, "semiaxes", 1))
     elif kind == "lune":
-        body = make_lune(float(p["w"]), np.array(p["axis"], dtype=float))
+        body = make_lune(_json_number(p, "w"), _json_floats(p, "axis", 1))
     elif kind == "cone":
-        body = _indicator_body(space, base_from_descriptor(_json_object(p, "base")), float(p["height"]))
+        body = _indicator_body(space, base_from_descriptor(_json_object(p, "base")),
+                               _json_number(p, "height"))
     elif kind == "perturbed_ball":
-        r, alpha, beta = float(p["r"]), float(p["alpha"]), float(p["beta"])
+        r, alpha, beta = (_json_number(p, name) for name in ("r", "alpha", "beta"))
         h, span = _perturbation(space, r, beta, _json_integer(p["degree"], "degree"),
-                                np.array(p["axis"], dtype=float))
+                                _json_floats(p, "axis", 1))
         if not abs(alpha) <= span:
             raise DomainError(f"the volume shift alpha must lie in [-{span!r}, {span!r}], got {alpha!r}")
         body = StarBody(space, HarmonicPerturbedProfile(r, alpha, beta, h))
     elif kind == "polygon":
-        body = _polygon_body(np.array(p["normals"], dtype=float), np.array(p["offsets"], dtype=float))
+        body = _polygon_body(_json_floats(p, "normals", 2), _json_floats(p, "offsets", 1))
     elif kind == "bumpy":
-        r0, centers = float(p["r0"]), _json_floats(p, "centers", 2)
+        r0, centers = _json_number(p, "r0"), _json_floats(p, "centers", 2)
         amplitudes, sharpness = _json_floats(p, "amplitudes", 1), _json_floats(p, "sharpness", 1)
         _check_bumps(space, r0, centers, amplitudes, sharpness)
-        profile = BumpyProfile(r0, centers, amplitudes, sharpness, lo=float(p.get("lo", 0.0)),
-                               hi=math.inf if p.get("hi") is None else float(p["hi"]))
+        profile = BumpyProfile(r0, centers, amplitudes, sharpness,
+                               lo=_json_number(p, "lo") if "lo" in p else 0.0,
+                               hi=math.inf if p.get("hi") is None else _json_number(p, "hi"))
         if not (math.isfinite(profile.lo) and profile.lo <= profile.hi):
             raise DomainError("a bumpy profile's clip range needs a finite lo <= hi")
         body = StarBody(space, profile)
@@ -1037,7 +1057,7 @@ def body_from_json_dict(doc: dict) -> StarBody:
         if not isinstance(p["shape"], list):
             raise DomainError(f"the document's 'shape' must be a list of integers, got {p['shape']!r}")
         shape = [_json_integer(size, "shape", 1) for size in p["shape"]]
-        profile = GridProfile(np.array(p["values"], dtype=float).reshape(shape))
+        profile = GridProfile(_json_floats(p, "values", 1).reshape(shape))
         if not np.all(np.isfinite(profile.values)):
             raise DomainError("grid values must be finite")
         if profile.ambient_dim != space.dim:

@@ -83,17 +83,27 @@ def parse_body(text: str, space: SpaceSpec | None) -> StarBody:
     return body
 
 
+def _one(text: str) -> None:
+    """The value of a switch key, which must be 1."""
+    if text != "1":
+        raise ValueError(text)
+
+
 def _build_body(text: str, space: SpaceSpec | None) -> StarBody:
     """Constructor mini-language ``kind:key=val,...`` (see the README for the
-    keys of each kind), or ``@file.json`` holding a body document."""
+    keys of each kind), or ``@file.json`` holding a body document.  A key
+    that the kind does not read is a usage error, and so is a second key of
+    a cone's base."""
     kind, _, rest = text.partition(":")
 
     def read(key, parse=float, what="a number"):
-        """The parameter key, parsed, or a usage error naming it and its text."""
+        """The parameter key, parsed and taken out of params, or a usage error
+        naming it and its text."""
+        value = params.pop(key)
         try:
-            return parse(params[key])
+            return parse(value)
         except ValueError:
-            raise UsageError(f"--body {kind}: {key}={params[key]!r} is not {what}") from None
+            raise UsageError(f"--body {kind}: {key}={value!r} is not {what}") from None
 
     try:
         if text.startswith("@"):
@@ -104,34 +114,41 @@ def _build_body(text: str, space: SpaceSpec | None) -> StarBody:
         if kind in ("ball", "perturbed", "cone") and space is None:
             raise UsageError(f"--body {kind} requires --space")
         if kind == "ball":
-            return make_ball(space, read("r"))
-        if kind == "ellipsoid":
-            return make_ellipsoid(read("semiaxes", lambda t: [float(v) for v in t.split(";")],
+            body = make_ball(space, read("r"))
+        elif kind == "ellipsoid":
+            body = make_ellipsoid(read("semiaxes", lambda t: [float(v) for v in t.split(";")],
                                        "numbers separated by ';'"))
-        if kind == "lune":
-            return make_lune(read("w"))
-        if kind == "perturbed":
-            return make_perturbed_ball(space, read("r"), read("beta"), read("k", int, "an integer"))
-        if kind == "cone":
+        elif kind == "lune":
+            body = make_lune(read("w"))
+        elif kind == "perturbed":
+            body = make_perturbed_ball(space, read("r"), read("beta"), read("k", int, "an integer"))
+        elif kind == "cone":
             if "arcs" in params:
-                arcs = read("arcs", lambda t: tuple((float(a), float(b)) for a, b in
-                                                    (pair.split(":") for pair in t.split(";"))),
-                            "arcs a:b separated by ';'")
-                return make_cone(space, ArcsBase(arcs))
-            if "cap" in params:
-                return make_cone(space, cap_base(basis_vector(space.dim), read("cap")))
-            if "equality" in params:
-                return make_cone(space, equality_cone_base(space.dim, read("equality")))
-            if "full" in params:
-                return make_cone(space, full_sphere_base(space.dim))
-            raise UsageError("--body cone needs arcs=, cap=, equality= or full=1")
+                base = ArcsBase(read("arcs", lambda t: tuple((float(a), float(b)) for a, b in
+                                                             (pair.split(":") for pair in t.split(";"))),
+                                     "arcs a:b separated by ';'"))
+            elif "cap" in params:
+                base = cap_base(basis_vector(space.dim), read("cap"))
+            elif "equality" in params:
+                base = equality_cone_base(space.dim, read("equality"))
+            elif "full" in params:
+                read("full", _one, "1")
+                base = full_sphere_base(space.dim)
+            else:
+                raise UsageError("--body cone needs arcs=, cap=, equality= or full=1")
+            body = make_cone(space, base)
+        else:
+            raise UsageError(f"--body: unknown body kind {kind!r}")
+        if params:
+            unused = ", ".join(f"{key}={value!r}" for key, value in params.items())
+            raise UsageError(f"--body {kind}: unused parameter{'s' * (len(params) > 1)} {unused}")
+        return body
     except UsageError:
         raise
     except KeyError as exc:
         raise UsageError(f"--body {kind}: missing parameter {exc.args[0]!r}") from exc
     except (OSError, TypeError, ValueError, GeometryError) as exc:
         raise UsageError(f"--body {kind}: {exc}") from exc
-    raise UsageError(f"--body: unknown body kind {kind!r}")
 
 
 def _integer_at_least(low: int, noun: str):

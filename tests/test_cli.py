@@ -319,7 +319,12 @@ class TestOneLineRefusals:
          "--body cone: arcs='0:1:2' is not arcs a:b separated by ';'"),
         (["--space", "s+:3", "--body", "perturbed:r=0.7,beta=0.01,k=2.5"],
          "--body perturbed: k='2.5' is not an integer"),
-    ], ids=["semiaxes", "arcs", "degree"])
+        # these three ran: the full cone, the ball r=0.5, and the arcs cone
+        (["--space", "s+:2", "--body", "cone:full=0"], "--body cone: full='0' is not 1"),
+        (["--space", "s+:2", "--body", "ball:r=0.5,zzz=3"], "--body ball: unused parameter zzz='3'"),
+        (["--space", "s+:2", "--body", "cone:cap=0.3,arcs=0:1"],
+         "--body cone: unused parameter cap='0.3'"),
+    ], ids=["semiaxes", "arcs", "degree", "full-not-one", "unknown-key", "two-cone-bases"])
     def test_a_body_parameter_is_named(self, argv, message, capsys):
         assert run_cli("functional", *argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -577,6 +582,37 @@ class TestBodyFiles:
         assert run_cli("functional", "--body", f"@{path}") == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: --body @{path}: ") and err.count("\n") == 1
+        assert field in err
+
+    @pytest.mark.parametrize("body, edit, field", [
+        (make_ball(SpaceSpec(1, 3), 0.5), lambda p: p.update(r="0.5"), "'r' must be a number, got '0.5'"),
+        (make_ball(SpaceSpec(1, 3), 0.5), lambda p: p.update(r=True), "'r' must be a number, got True"),
+        (make_ball(SpaceSpec(1, 3), 0.5), lambda p: p.update(r=[0.5]), "'r' must be a number, got [0.5]"),
+        (_CAP_CONE, lambda p: p.update(height=True), "'height' must be a number, got True"),
+        (make_lune(0.5), lambda p: p.update(w="0.5", axis=["1", "0"]), "'w' must be a number, got '0.5'"),
+        (make_lune(0.5), lambda p: p.update(axis=["1", "0"]), "'axis' must be a list of numbers"),
+        (_CAP_CONE, lambda p: p["base"].update(los=[False]), "'los' must be a list of numbers"),
+        (make_cone(SpaceSpec(1, 2), ArcsBase(((0.0, 3.0),))), lambda p: p["base"].update(arcs=[[0, "3"]]),
+         "'arcs' must be a list of lists of numbers"),
+        (make_symmetric_polygon_body([1.0, 0.8], [0.4, 1.5]),
+         lambda p: p.update(normals=[[1.0, 0.0], [0.0]]), "'normals' must be a list of lists of numbers"),
+        (make_bumpy_ball(SpaceSpec(1, 2), 0.8, [[1.0, 0.0]], [0.2], [4.0]), lambda p: p.update(lo="0"),
+         "'lo' must be a number, got '0'"),
+        (StarBody(SpaceSpec(1, 2), GridProfile(np.full(8, 0.7))), lambda p: p["values"].__setitem__(3, None),
+         "'values' must be a list of numbers"),
+    ], ids=["ball-r-string", "ball-r-true", "ball-r-list", "cone-height-true", "lune-strings",
+            "lune-axis-strings", "band-los-false", "arc-string", "polygon-ragged-normals",
+            "bumpy-lo-string", "grid-value-null"])
+    def test_a_number_field_that_is_no_number_exits_two(self, tmp_path, capsys, body, edit, field):
+        # the first five loaded, "0.5" and true as numbers; a list for r exited 2
+        # with Python's words and no field name
+        doc = body.to_json_dict()
+        edit(doc["profile"])
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("functional", "--body", f"@{path}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --body @{path}: the document's ") and err.count("\n") == 1
         assert field in err
 
     def _write(self, tmp_path, body, **changes):
