@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -171,47 +172,49 @@ def run_theorem_suite(theorem_id: str, bodies, mu: RadialDensityMeasure | None =
     return [report for body in bodies for report in _body_reports(theorem, body, mu, config)]
 
 
-_HEMISPHERE_BODIES = (3, lambda n, rng, count: [
-    make_ball(SpaceSpec(1, n), 0.7),
-    *(random_star_body(SpaceSpec(1, n), rng) for _ in range(count))])
+_HEMISPHERE_BODIES = (3, lambda n, rng, count: chain(
+    (make_ball(SpaceSpec(1, n), r) for r in (0.7,)),
+    (random_star_body(SpaceSpec(1, n), rng) for _ in range(count))))
 
-# theorem id -> (default n, factory(n, rng, random_count)): equality cases, then random bodies
+# theorem id -> (default n, factory(n, rng, random_count)): a generator of the
+# equality cases, then the random bodies, each built as it is drawn
 _SUITE_BODIES = {
-    "min2d": (2, lambda n, rng, count: [
-        *(make_ball(SpaceSpec(1, 2), r) for r in (0.2, 0.7, HEMISPHERE_MAX_RADIUS)),
-        *(random_star_body(SpaceSpec(1, 2), rng, symmetric=True) for _ in range(count))]),
-    "cone-max": (2, lambda n, rng, count: [
-        make_cone(SpaceSpec(1, 2), ArcsBase(((0.0, TWO_PI),))),
-        make_cone(SpaceSpec(1, 2), ArcsBase(((0.2, 1.1), (0.2 + math.pi, 1.1 + math.pi)))),
-        *(random_cone_arcs(rng, pairs=p) for p in (1, 2, 3)),
-        *(random_star_body(SpaceSpec(1, 2), rng, symmetric=True) for _ in range(count))]),
-    "lune-max": (2, lambda n, rng, count: [
-        *(make_lune(w) for w in (0.2, 0.5, 1.0)),
-        *(random_symmetric_convex_body(rng) for _ in range(count))]),
-    "hyperbolic": (3, lambda n, rng, count: [
-        *(make_ball(SpaceSpec(-1, n), r) for r in (0.3, 0.7, 1.2)),
-        *(random_star_body(SpaceSpec(-1, n), rng) for _ in range(count))]),
-    "min-nd": (3, lambda n, rng, count: [
-        make_cone(SpaceSpec(1, n), equality_cone_base(n, 0.4)),
-        make_cone(SpaceSpec(1, n), equality_cone_base(n, 0.7)),
-        make_cone(SpaceSpec(1, n), full_sphere_base(n)),
-        *(random_star_body(SpaceSpec(1, n), rng, symmetric=bool(rng.integers(0, 2)))
-          for _ in range(count))]),
-    "gaussian": (3, lambda n, rng, count: [
-        *(make_ball(SpaceSpec(0, n), r) for r in (0.5, 1.0, 2.0)),
-        *(random_star_body(SpaceSpec(0, n), rng) for _ in range(count))]),
+    "min2d": (2, lambda n, rng, count: chain(
+        (make_ball(SpaceSpec(1, 2), r) for r in (0.2, 0.7, HEMISPHERE_MAX_RADIUS)),
+        (random_star_body(SpaceSpec(1, 2), rng, symmetric=True) for _ in range(count)))),
+    "cone-max": (2, lambda n, rng, count: chain(
+        (make_cone(SpaceSpec(1, 2), ArcsBase(arcs))
+         for arcs in (((0.0, TWO_PI),), ((0.2, 1.1), (0.2 + math.pi, 1.1 + math.pi)))),
+        (random_cone_arcs(rng, pairs=p) for p in (1, 2, 3)),
+        (random_star_body(SpaceSpec(1, 2), rng, symmetric=True) for _ in range(count)))),
+    "lune-max": (2, lambda n, rng, count: chain(
+        (make_lune(w) for w in (0.2, 0.5, 1.0)),
+        (random_symmetric_convex_body(rng) for _ in range(count)))),
+    "hyperbolic": (3, lambda n, rng, count: chain(
+        (make_ball(SpaceSpec(-1, n), r) for r in (0.3, 0.7, 1.2)),
+        (random_star_body(SpaceSpec(-1, n), rng) for _ in range(count)))),
+    "min-nd": (3, lambda n, rng, count: chain(
+        (make_cone(SpaceSpec(1, n), equality_cone_base(n, h) if h else full_sphere_base(n))
+         for h in (0.4, 0.7, None)),
+        (random_star_body(SpaceSpec(1, n), rng, symmetric=bool(rng.integers(0, 2)))
+         for _ in range(count)))),
+    "gaussian": (3, lambda n, rng, count: chain(
+        (make_ball(SpaceSpec(0, n), r) for r in (0.5, 1.0, 2.0)),
+        (random_star_body(SpaceSpec(0, n), rng) for _ in range(count)))),
     "prop4.1": _HEMISPHERE_BODIES,
     "prop4.2": _HEMISPHERE_BODIES,
-    "busemann-euclidean": (3, lambda n, rng, count: [
-        make_ball(SpaceSpec(0, n), 1.0),
-        *(random_ellipsoid(n, rng) for _ in range(max(1, count // 2))),
-        *(random_star_body(SpaceSpec(0, n), rng) for _ in range(count))]),
+    "busemann-euclidean": (3, lambda n, rng, count: chain(
+        (make_ball(SpaceSpec(0, n), r) for r in (1.0,)),
+        (random_ellipsoid(n, rng) for _ in range(max(1, count // 2))),
+        (random_star_body(SpaceSpec(0, n), rng) for _ in range(count)))),
 }
 
 
 def suite_bodies(theorem_id: str, dim: int | None = None, random_count: int = 0,
                  seed: int = 0):
-    """Equality-case bodies plus random bodies for a named theorem suite."""
+    """An iterator of the equality-case bodies, then the random bodies, of a
+    named theorem suite, each built as it is drawn; ApplicabilityError at
+    once for a dimension the theorem does not take."""
     theorem = get_theorem(theorem_id)
     default_dim, factory = _SUITE_BODIES[theorem_id]
     n = default_dim if dim is None else dim

@@ -855,7 +855,7 @@ class TestVerifySuiteFlags:
             assert run_cli("verify", "--theorem", "min-nd", *flags, "--out", str(path)) == 0
             docs.append(json.loads(path.read_text()))
         assert docs[0] == docs[1]
-        assert len(docs[0]["reports"]) == len(suite_bodies("min-nd"))
+        assert len(docs[0]["reports"]) == len(list(suite_bodies("min-nd")))
 
 
 def _csv_records(path):

@@ -1104,7 +1104,7 @@ class TestRhsBounds:
 
     @pytest.mark.parametrize("theorem_id", [t.id for t in THEOREMS.values() if t.measure is None])
     def test_a_theorem_without_a_measure_refuses_one(self, theorem_id):
-        body = suite_bodies(theorem_id)[0]
+        body = next(suite_bodies(theorem_id))
         with pytest.raises(ApplicabilityError, match="stated for the uniform volume"):
             run_theorem_suite(theorem_id, [body], gaussian_measure())
         with pytest.raises(ApplicabilityError, match="stated for the uniform volume"):

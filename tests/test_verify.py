@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,24 @@ class TestTheoremTable:
         for theorem_id, theorem in THEOREMS.items():
             for body in suite_bodies(theorem_id, random_count=2):
                 theorem.check(body)
+
+    def test_suite_bodies_are_drawn_as_they_are_checked(self):
+        # the factories returned lists, which held every body before the first
+        # check (about 1.7 KB a random min-nd body); drawn one at a time, the
+        # bodies are those of the whole list, in its order
+        for theorem_id in THEOREMS:
+            drawn = suite_bodies(theorem_id, random_count=2, seed=5)
+            assert iter(drawn) is drawn
+            first = [next(drawn).to_json_dict(), next(drawn).to_json_dict()]
+            whole = list(suite_bodies(theorem_id, random_count=2, seed=5))
+            assert first == [body.to_json_dict() for body in whole[:2]]
+        tracemalloc.start()
+        try:
+            next(suite_bodies("min-nd", random_count=10 ** 9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestSharpness:

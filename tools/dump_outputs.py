@@ -129,7 +129,7 @@ def suites():
     for theorem in THEOREMS.values():
         for dim in (None, 2, 3, 4):
             try:
-                bodies = suite_bodies(theorem.id, dim, random_count=2, seed=11)
+                bodies = list(suite_bodies(theorem.id, dim, random_count=2, seed=11))
             except ApplicabilityError:
                 continue
             config = QuadratureConfig() if dim == 4 else theorem.config
