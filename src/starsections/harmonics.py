@@ -100,4 +100,3 @@ def radon_multiplier(n: int, k: int) -> float:
     )
     sign = -1.0 if (k // 2) % 2 else 1.0
     return sign * math.exp(log_mag)
-
