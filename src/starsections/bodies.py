@@ -333,38 +333,6 @@ class BandsBase(ConeBase):
     def is_origin_symmetric(self) -> bool:
         return self._mirrored
 
-    def with_antipodes(self) -> "BandsBase":
-        """A union -A, with A's meta; DomainError where A meets -A.
-
-        -A comes first.  When A's upper edges are sorted and A's lowest band
-        starts no lower than its mirror, -A lies below A in order: A passed
-        the sort and disjointness checks already, and so did -A, its exact
-        negation, so only the junction of A's lowest band with its mirror is
-        checked, and the two halves are written into the result's arrays
-        without a second pass of checks and copies.  The result is mirrored
-        by construction.  Any other A takes the checked constructor.
-        """
-        los, his = self.los, self.his
-        if not len(los) or self._his_max is not his or -his[0] > los[0]:
-            return BandsBase(self.axis, np.concatenate([-his[::-1], los]),
-                             np.concatenate([-los[::-1], his]), meta={**self.meta})
-        if los[0] < -los[0] - 1e-15:
-            raise DomainError("bands must be disjoint")
-        half = len(los)
-        both_los, both_his = np.empty(2 * half), np.empty(2 * half)
-        np.negative(his[::-1], out=both_los[:half])
-        both_los[half:] = los
-        np.negative(los[::-1], out=both_his[:half])
-        both_his[half:] = his
-        out = object.__new__(BandsBase)
-        # the upper edges are sorted: -A's are, A's are, and -los[0] <= his[0]
-        for name, value in (("axis", self.axis), ("los", both_los), ("his", both_his),
-                            ("_his_max", both_his), ("meta", {**self.meta}), ("_mirrored", True)):
-            object.__setattr__(out, name, value)
-        both_los.setflags(write=False)
-        both_his.setflags(write=False)
-        return out
-
     def descriptor(self) -> dict:
         return {
             "kind": "bands",
@@ -502,7 +470,10 @@ def base_from_descriptor(d: dict) -> ConeBase:
     if d["kind"] == "bands":
         return BandsBase(_json_floats(d, "axis", 1), _json_floats(d, "los", 1), _json_floats(d, "his", 1))
     if d["kind"] == "arcs":
-        return ArcsBase(tuple(map(tuple, _json_floats(d, "arcs", 2).tolist())))
+        arcs = _json_floats(d, "arcs", 2)
+        if len(arcs) and arcs.shape[1] != 2:
+            raise DomainError(f"the document's 'arcs' must be a list of [a, b] pairs, got {d['arcs']!r}")
+        return ArcsBase(tuple(map(tuple, arcs.tolist())))
     raise DomainError(f"unknown base kind {d['kind']!r}")
 
 
@@ -1280,8 +1251,11 @@ def perturbation_norms(body: StarBody):
 # the alternating-strip subset of a cap
 
 
-# The most strips a striped base may have; each takes 8 bytes in each of about
-# five arrays.  The densest base the tests build has 6,433,983.
+# The most strips a striped base may have.  A striped cone keeps two arrays of
+# twice as many floats, 32 bytes a strip.  At n = 3 its build allocates no
+# more; at n >= 4 the primitives of the tops and of one group of lower edges
+# take up to 16 bytes a strip on top.  The densest base the tests build has
+# 6,433,983 bands.
 STRIP_CAP = 1 << 24
 
 # Strips with index below this form one group of the root solve; from here on
@@ -1289,9 +1263,38 @@ STRIP_CAP = 1 << 24
 _FIRST_STRIP_GROUP = 1 << 14
 
 
-def _striped_base(axis, alpha: float, delta: float, lam: float, cap_measure: float) -> BandsBase:
-    """Strips of pitch delta inside the cap, with the keep fraction gamma tuned
-    so that the total measure is lam * cap_measure.
+def _check_strips(los, his, flags, scratch) -> None:
+    """The checks that BandsBase runs on the strips A = (los, his), and those
+    that A union -A, with -A below A, needs on top: lo <= hi and no edge
+    NaN, both edges ascending (across the junction with -A too), the bands
+    disjoint within 1e-15 (A's lowest band and its mirror too), and every
+    edge finite.  DomainError otherwise.  The boolean array flags and the
+    float array scratch, each at least as long as los, hold the temporaries."""
+    n = len(los)
+    if not np.less_equal(los, his, out=flags[:n]).all():
+        raise DomainError("band upper bounds must dominate lower bounds, and no edge may be NaN")
+    f = flags[: n - 1]
+    if (np.less(los[1:], los[:-1], out=f).any() or np.less(his[1:], his[:-1], out=f).any()
+            or -his[0] > los[0]):
+        raise DomainError("strip edges must ascend")
+    if (np.less(los[1:], np.subtract(his[:-1], 1e-15, out=scratch[: n - 1]), out=f).any()
+            or los[0] < -los[0] - 1e-15):
+        raise DomainError("bands must be disjoint")
+    if not (math.isfinite(los[0]) and math.isfinite(his[-1])):
+        raise DomainError("band edges must be finite")
+
+
+def _striped_union(axis, alpha: float, delta: float, lam: float, cap_measure: float) -> BandsBase:
+    """A union -A, where A is the strips of pitch delta inside the cap with the
+    keep fraction gamma tuned so that |A| = lam * cap_measure.
+
+    The two arrays of the result are allocated first, 2 * count floats each.
+    While the root solve runs, their upper halves hold the lower edges and
+    the tops, and their lower halves the solve's scratch: the strip numbers
+    k and the strip measures.  Once gamma is known, the kept strips A pass
+    _check_strips, its temporaries in the lower halves, and only then is -A
+    written there, just below A.  The base is the slice of both arrays
+    around their middle; at n = 3 the build holds no more than the base.
 
     The root solve measures up to about 10^6 strips per evaluation, so it
     does only the arithmetic of sphere_band_measure and no more: the tops'
@@ -1313,17 +1316,24 @@ def _striped_base(axis, alpha: float, delta: float, lam: float, cap_measure: flo
     kept prefix, so gamma and the bands do not depend on what was skipped.
     ResourceLimitError for more than STRIP_CAP strips, before any allocation.
     """
+    axis = as_direction(axis).copy()
     n = len(axis)
     count = int(math.floor((1.0 - alpha) / delta)) + 1
     if count > STRIP_CAP:
         raise ResourceLimitError(f"a pitch of {delta:.3g} would need {count} strips, cap is {STRIP_CAP}")
-    # the strip numbers 1, 2, ... as floats, exactly as k - gamma converts them
-    k = np.arange(1, count + 1).astype(float)
-    tops = np.minimum(alpha + k * delta, 1.0)
+    both_los, both_his = np.empty(2 * count), np.empty(2 * count)
+    k, band = both_los[:count], both_his[:count]
+    lo, tops = both_los[count:], both_his[count:]
+    # the strip numbers 1, 2, ... as floats, exact integers as an arange's are
+    k.fill(1.0)
+    np.cumsum(k, out=k)
+    # alpha + k * delta, the sum's operands swapped, which leaves its bits
+    np.multiply(k, delta, out=tops)
+    tops += alpha
+    np.minimum(tops, 1.0, out=tops)
     q = (n - 3) / 2.0
     top_primitive = _band_primitive(q, tops)
     area = sphere_surface_area(n - 2)
-    lo, band = np.empty(count), np.empty(count)
     starts = [0]
     while (start := max(_FIRST_STRIP_GROUP, 2 * starts[-1])) < count:
         starts.append(start)
@@ -1345,10 +1355,10 @@ def _striped_base(axis, alpha: float, delta: float, lam: float, cap_measure: flo
             np.subtract(k[a:b], gamma, out=edges)
             np.multiply(edges, delta, out=edges)
             np.add(edges, alpha, out=edges)
-        return lo[: np.searchsorted(lo, 1.0)]
+        return int(np.searchsorted(lo, 1.0))
 
     def measure_gap(gamma):
-        kept = len(lower_edges(gamma))
+        kept = lower_edges(gamma)
         for g, (a, b) in enumerate(groups):
             stop = min(b, kept)
             if stop - a <= measured[g]:
@@ -1360,22 +1370,27 @@ def _striped_base(axis, alpha: float, delta: float, lam: float, cap_measure: flo
         return float(np.sum(band[:kept])) - lam * cap_measure
 
     gamma = brent_root(measure_gap, 0.0, 1.0, xtol=1e-15, rtol=1e-15)
-    los = lower_edges(gamma)
-    return BandsBase(np.asarray(axis, dtype=float), los, tops[: len(los)],
-                     meta={"alpha": alpha, "delta": delta, "gamma": gamma, "lam": lam,
-                           "cap_measure": cap_measure})
+    kept = lower_edges(gamma)
+    los, his = lo[:kept], tops[:kept]
+    _check_strips(los, his, k.view(np.bool_), band)
+    np.negative(his[::-1], out=both_los[count - kept : count])
+    np.negative(los[::-1], out=both_his[count - kept : count])
+    both_los, both_his = both_los[count - kept : count + kept], both_his[count - kept : count + kept]
+    out = object.__new__(BandsBase)
+    # the upper edges ascend, so they are their own running maximum, and the
+    # bands are their own mirror by construction
+    for name, value in (("axis", axis), ("los", both_los), ("his", both_his), ("_his_max", both_his),
+                        ("meta", {"alpha": alpha, "delta": delta, "gamma": gamma, "lam": lam,
+                                  "cap_measure": cap_measure}), ("_mirrored", True)):
+        object.__setattr__(out, name, value)
+    for arr in (axis, both_los, both_his):
+        arr.setflags(write=False)
+    return out
 
 
-def striped_cap_subset(alpha: float, axis, lam: float, eps: float) -> BandsBase:
-    """Subset A of the cap C = {<x, u> >= alpha} with |A| = lam |C| whose
-    great-subsphere sections satisfy |A cut xi| <= lam |C cut xi| + eps.
-
-    The construction partitions the cap into narrow strips of pitch delta and
-    keeps a tuned fraction of each.  The pitch is chosen from the explicit
-    error budget: c2 * delta (+ an arcsine edge term when n = 3) <= eps.
-    """
-    axis = as_direction(np.asarray(axis, dtype=float))
-    n = len(axis)
+def _strip_pitch(n: int, alpha: float, lam: float, eps: float) -> tuple[float, float]:
+    """The strip pitch delta that the error budget of striped_cap_subset
+    allows on S^{n-1}, and the measure of the cap of height alpha."""
     if n < 3:
         raise DomainError("strip subsets require ambient dimension >= 3")
     if not 0.0 < alpha < 1.0:
@@ -1398,7 +1413,23 @@ def striped_cap_subset(alpha: float, axis, lam: float, eps: float) -> BandsBase:
         delta /= 2.0
         if delta < 1e-12:
             raise PitchSelectionError("eps is below float-resolvable strip pitch")
-    return _striped_base(axis, alpha, delta, lam, cap)
+    return delta, cap
+
+
+def striped_cap_subset(alpha: float, axis, lam: float, eps: float) -> BandsBase:
+    """Subset A of the cap C = {<x, u> >= alpha} with |A| = lam |C| whose
+    great-subsphere sections satisfy |A cut xi| <= lam |C cut xi| + eps.
+
+    The construction partitions the cap into narrow strips of pitch delta and
+    keeps a tuned fraction of each.  The pitch is chosen from the explicit
+    error budget: c2 * delta (+ an arcsine edge term when n = 3) <= eps.  A is
+    the upper half of the striped cone's base A union -A, copied.
+    """
+    axis = as_direction(np.asarray(axis, dtype=float))
+    delta, cap = _strip_pitch(len(axis), alpha, lam, eps)
+    both = _striped_union(axis, alpha, delta, lam, cap)
+    half = len(both.los) // 2
+    return BandsBase(axis, both.los[half:], both.his[half:], meta=both.meta)
 
 
 def make_striped_cone(space: SpaceSpec, t: float, alpha: float, eps: float) -> StarBody:
@@ -1414,8 +1445,8 @@ def make_striped_cone(space: SpaceSpec, t: float, alpha: float, eps: float) -> S
     if cap <= t / 2.0 * sphere:
         raise DomainError("cap too small: need |C_alpha| > (t/2) |S^{n-1}|")
     lam = t * sphere / (2.0 * cap)
-    axis = basis_vector(n)
-    return make_cone(space, striped_cap_subset(alpha, axis, lam, eps).with_antipodes())
+    delta, cap = _strip_pitch(n, alpha, lam, eps)
+    return make_cone(space, _striped_union(basis_vector(n), alpha, delta, lam, cap))
 
 
 def make_vanishing_body(space: SpaceSpec, volume: float, eta: float) -> StarBody:
@@ -1445,10 +1476,11 @@ def make_vanishing_body(space: SpaceSpec, volume: float, eta: float) -> StarBody
     while True:
         if phi(space, n, r) > volume / (2.0 * cap):
             lam = volume / (2.0 * phi(space, n, r) * cap)
-            base = _striped_base(axis, cap_height, pitch, lam, cap).with_antipodes()
-            body = _indicator_body(space, base, r)
+            body = _indicator_body(space, _striped_union(axis, cap_height, pitch, lam, cap), r)
             if busemann_functional(body) <= eta:
                 return body
+            # the next base is built without this one alive
+            del body
         r *= 1.6
         if r > 320.0:
             raise ResourceLimitError("radius cap reached before the functional fell below eta")

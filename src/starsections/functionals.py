@@ -30,11 +30,13 @@ from .errors import (
 )
 from .quadrature import (
     build_sphere_rule,
+    check_frames,
     default_degree,
     gauss_jacobi,
     householder_frames,
     integrate_vectorized,
     polar_rule,
+    rule_size,
     subsphere_nodes,
 )
 from .spaces import (
@@ -103,6 +105,9 @@ def _section_grid(n: int, outer_degree: int, inner_degree: int):
     product path: one normal of each antipodal pair of the outer rule, and on
     its subsphere one node of each antipodal pair of the inner rule; three
     entries hold what one run reuses (s+:4 at degree 31 is 34 MB)."""
+    # the normals' frames are refused from the rule's node count, before any
+    # rule is built
+    check_frames(rule_size(n - 1, outer_degree) // 2, n)
     normals, weights = build_sphere_rule(n - 1, outer_degree).antipodal_half
     embedded = subsphere_nodes(_inner_pairs(n, inner_degree)[0], normals)
     embedded.setflags(write=False)
@@ -294,7 +299,10 @@ class _Product:
         return float(np.dot(weights, self.sections(mu, points) ** p))
 
     def volume_and_functional(self, mu, p: int):
-        return self.volume(mu), self.functional(mu, p)
+        # the functional first: a grid whose frames are too many is refused
+        # before the volume's rule is built
+        functional = self.functional(mu, p)
+        return self.volume(mu), functional
 
     def with_error(self, mu, normalized: bool, exponent: int | None):
         # both values go through busemann_functional, where a profiler sees
@@ -390,7 +398,11 @@ class _Indicator(_Zonal):
     the zonal path's outer rule.  A point is the normal itself."""
 
     # The base comes first: in a huge dimension its measure is the resource
-    # refusal, and the height's radial primitive takes O(n) steps.
+    # refusal, and the height's radial primitive takes O(n) steps.  So the
+    # volume, the base's measure, comes before the functional here.
+
+    def volume_and_functional(self, mu, p: int):
+        return self.volume(mu), self.functional(mu, p)
 
     def volume(self, mu) -> float:
         measure = self.body.profile.base.measure

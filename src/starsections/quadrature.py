@@ -135,6 +135,12 @@ def _circle_rule(degree: int) -> SphereRule:
 _POINT_PAIR = SphereRule(0, np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
 
 
+def rule_size(m: int, degree: int) -> int:
+    """The node count of ``build_sphere_rule(m, degree)``, m >= 1, found
+    without building the rule."""
+    return ((degree + 2) // 2) ** (m - 1) * _circle_count(degree)
+
+
 @lru_cache(maxsize=None)
 def build_sphere_rule(m: int, degree: int) -> SphereRule:
     """Construct a quadrature rule on S^m exact for polynomials of degree <= degree.
@@ -155,7 +161,7 @@ def build_sphere_rule(m: int, degree: int) -> SphereRule:
 
     npolar = (degree + 2) // 2
     # the count is checked before the S^{m-1} factor is built and cached
-    count = npolar ** (m - 1) * _circle_count(degree)
+    count = rule_size(m, degree)
     if count > NODE_CAP:
         raise ResourceLimitError(f"rule would need {count} nodes, cap is {NODE_CAP}")
     sub = build_sphere_rule(m - 1, degree)
@@ -196,6 +202,13 @@ def polar_rule(m: int, degree: int):
     return t, w
 
 
+def check_frames(count: int, n: int) -> None:
+    """ResourceLimitError when ``householder_frames`` of count normals in R^n
+    would hold more than ``NODE_CAP`` entries in its n x n reflections."""
+    if count * n * n > NODE_CAP:
+        raise ResourceLimitError(f"{count} frames in R^{n} need {count * n * n} entries, cap is {NODE_CAP}")
+
+
 def householder_frames(xis: np.ndarray) -> np.ndarray:
     """Orthonormal bases of xi-perp, shape (D, n, n - 1) for D unit normals: the
     columns of the reflection sending e_n to each xi.
@@ -206,9 +219,7 @@ def householder_frames(xis: np.ndarray) -> np.ndarray:
     """
     xis = np.asarray(xis, dtype=float)
     n = xis.shape[1]
-    if len(xis) * n * n > NODE_CAP:
-        raise ResourceLimitError(f"{len(xis)} frames in R^{n} need {len(xis) * n * n} entries, "
-                                 f"cap is {NODE_CAP}")
+    check_frames(len(xis), n)
     v = xis.copy()
     v[:, -1] -= 1.0
     norm2 = np.einsum("ij,ij->i", v, v)
@@ -234,8 +245,10 @@ def subsphere_nodes(nodes: np.ndarray, xis) -> np.ndarray:
         raise DomainError(f"base rule must have dimension {n - 2}, got {nodes.shape[1] - 1}")
     if not np.all(np.abs(np.linalg.norm(xis, axis=1) - 1.0) <= 1e-12):
         raise DomainError("subsphere normals must be unit vectors")
+    # the frames first: their cap refuses a grid too large to allocate
+    frames = householder_frames(xis)
     out = np.empty((len(xis), len(nodes), n))
-    np.matmul(nodes, householder_frames(xis).transpose(0, 2, 1), out=out)
+    np.matmul(nodes, frames.transpose(0, 2, 1), out=out)
     return out
 
 

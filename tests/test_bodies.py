@@ -273,19 +273,30 @@ class TestBandSectionsPerDistinctHeight:
         assert np.array_equal(base.section_measures(xis[perm]), base.section_measures(xis)[perm])
 
 
-# 0.3 and the seven floats above it
-_POINT_EDGES = 0.3 + np.arange(8) * np.spacing(0.3)
+def _checked_union(half):
+    """A union -A through the checked constructor, for the half base A."""
+    return BandsBase(half.axis, np.concatenate([-half.his[::-1], half.los]),
+                     np.concatenate([-half.los[::-1], half.his]))
 
-WITH_ANTIPODES_BASES = {
-    "striped": lambda: striped_cap_subset(0.2, np.eye(3)[0], 0.6, 0.1),
-    "from-zero": lambda: BandsBase(np.eye(3)[0], np.array([0.0, 0.5]), np.array([0.2, 0.7])),
-    # the lowest band starts below 0, within the disjointness tolerance
-    "below-zero-in-tolerance": lambda: BandsBase(np.eye(4)[0], np.array([-4e-16, 0.5]),
-                                                 np.array([0.3, 0.7])),
-    # a point band nested in the tolerance: A's upper edges are unsorted
-    "upper-edges-unsorted": lambda: BandsBase(np.eye(3)[0], _POINT_EDGES[[0, 2]].copy(),
-                                              _POINT_EDGES[[7, 5]].copy()),
-    "below-the-equator": lambda: BandsBase(np.eye(3)[0], np.array([-0.5]), np.array([-0.4])),
+
+def _upper_half(both):
+    half = len(both.los) // 2
+    return BandsBase(both.axis, both.los[half:], both.his[half:], meta=both.meta)
+
+
+def _striped_union_of(half):
+    """A union -A from the striped builder, at the parameters of the strips A."""
+    meta = half.meta
+    return bodies._striped_union(half.axis, meta["alpha"], meta["delta"], meta["lam"], meta["cap_measure"])
+
+
+STRIPED_HALVES = {
+    "s3": lambda: striped_cap_subset(0.2, np.eye(3)[0], 0.6, 0.1),
+    "s4-tilted-axis": lambda: striped_cap_subset(0.3, _unit_rows(np.random.default_rng(4), 1, 4)[0],
+                                                 0.5, 0.1),
+    "s5-keep-almost-all": lambda: striped_cap_subset(0.4, np.eye(5)[0], 0.995, 0.2),
+    # the upper half of the vanishing body's base, with its parameters
+    "e3-vanishing": lambda: _upper_half(make_vanishing_body(E3, 1.0, 0.3).profile.base),
 }
 
 
@@ -308,26 +319,56 @@ class TestBandsConstruction:
             BandsBase(np.eye(3)[0], np.array(los), np.array(his))
 
     @pytest.mark.parametrize("los, his", [([-0.1], [0.2]), ([-2e-15, 0.3], [0.1, 0.4])])
-    def test_with_antipodes_refuses_a_base_that_meets_its_mirror(self, los, his):
+    def test_strips_that_meet_their_mirror_are_refused(self, los, his):
+        los, his = np.array(los), np.array(his)
         with pytest.raises(DomainError, match="disjoint"):
-            BandsBase(np.eye(3)[0], np.array(los), np.array(his)).with_antipodes()
+            bodies._check_strips(los, his, np.empty(len(los), dtype=bool), np.empty(len(los)))
+        with pytest.raises(DomainError, match="disjoint"):
+            _checked_union(BandsBase(np.eye(3)[0], los, his))
 
-    @pytest.mark.parametrize("builder", WITH_ANTIPODES_BASES.values(), ids=WITH_ANTIPODES_BASES.keys())
-    def test_with_antipodes_is_the_checked_union(self, builder):
+    @pytest.mark.parametrize("los, his, message", [
+        ([0.1, 0.2], [0.3, 0.4], "disjoint"),
+        ([0.1, 0.5], [0.3, 0.4], "dominate"),
+        ([0.1, math.nan], [0.3, 0.4], "dominate"),
+        ([0.1, 0.5], [0.3, math.inf], "finite"),
+    ], ids=["overlapping", "hi-below-lo", "nan", "infinite"])
+    def test_strip_checks_are_the_constructors(self, los, his, message):
+        # the strips' checks refuse what the checked constructor refuses
+        los, his = np.array(los), np.array(his)
+        with pytest.raises(DomainError, match=message):
+            BandsBase(np.eye(3)[0], los, his)
+        with pytest.raises(DomainError, match=message):
+            bodies._check_strips(los, his, np.empty(len(los), dtype=bool), np.empty(len(los)))
+
+    @pytest.mark.parametrize("builder", STRIPED_HALVES.values(), ids=STRIPED_HALVES.keys())
+    def test_striped_union_is_the_checked_union(self, builder):
         half = builder()
-        both = half.with_antipodes()
-        reference = BandsBase(half.axis, np.concatenate([-half.his[::-1], half.los]),
-                              np.concatenate([-half.los[::-1], half.his]))
+        both = _striped_union_of(half)
+        reference = _checked_union(half)
         for name in ("axis", "los", "his", "_his_max"):
             assert np.array_equal(getattr(both, name), getattr(reference, name))
             assert not getattr(both, name).flags.writeable
         assert (both._his_max is both.his) == (reference._his_max is reference.his)
-        assert both.is_origin_symmetric() == reference.is_origin_symmetric()
-        assert both.meta == half.meta and both.meta is not half.meta
+        assert both.is_origin_symmetric() and reference.is_origin_symmetric()
+        assert both.meta == half.meta
 
-    def test_with_antipodes_is_ascending(self):
+    def test_strips_are_checked_before_their_mirror_is_written(self, monkeypatch):
+        check, seen = bodies._check_strips, []
+
+        def spy(los, his, flags, scratch):
+            # the lower half of the lower edges' array still holds the strip
+            # numbers k >= 1, the root solve's scratch
+            both_los = los.base
+            seen.append(bool(np.all(both_los[: len(both_los) // 2] >= 1.0)))
+            check(los, his, flags, scratch)
+
+        monkeypatch.setattr(bodies, "_check_strips", spy)
+        base = make_striped_cone(S3, 0.5, 0.2, 0.1).profile.base
+        assert seen == [True] and np.all(base.los[: len(base.los) // 2] < 0.0)
+
+    def test_striped_union_is_ascending(self):
         half = striped_cap_subset(0.2, np.eye(3)[0], 0.6, 0.1)
-        both = half.with_antipodes()
+        both = _striped_union_of(half)
         assert np.all(np.diff(both.los) > 0) and both.is_origin_symmetric()
         unordered = BandsBase(half.axis, np.concatenate([half.los, -half.his[::-1]]),
                               np.concatenate([half.his, -half.los[::-1]]))
@@ -436,7 +477,9 @@ class TestStripGroups:
         assert len(striped_cap_subset(0.05, np.eye(3)[0], lam, 0.02).los) == 677_261
         assert sum(passed) <= 7_100_000
 
-    def test_densest_cone_peaks_under_twice_its_base(self):
+    def test_densest_cone_peaks_at_its_base(self):
+        # the build writes A union -A into the two arrays the base keeps, and
+        # the root solve's scratch into their lower halves
         make_striped_cone(S3, 0.5, 0.1, 0.05)     # warm any lazy numpy state
         tracemalloc.start()
         try:
@@ -445,7 +488,33 @@ class TestStripGroups:
         finally:
             tracemalloc.stop()
         base = cone.profile.base
-        assert peak <= 2 * (base.los.nbytes + base.his.nbytes)
+        assert peak <= 1.05 * (base.los.nbytes + base.his.nbytes)
+
+    def test_vanishing_body_builds_peak_at_their_base(self, monkeypatch):
+        # each of the four radii builds a base at no more than its own size,
+        # and the call keeps one base at a time: at its peak, the last base
+        # and the section sums' buffers
+        make_vanishing_body(E3, 1.0, 0.3)         # warm any lazy numpy state
+        union, ratios, peaks = bodies._striped_union, [], []
+
+        def spy(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            base = union(*args)
+            ratios.append((tracemalloc.get_traced_memory()[1] - start) / (base.los.nbytes + base.his.nbytes))
+            return base
+
+        monkeypatch.setattr(bodies, "_striped_union", spy)
+        tracemalloc.start()
+        try:
+            body = make_vanishing_body(E3, 1.0, 0.3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        base = body.profile.base
+        assert len(ratios) == 4 and max(ratios) <= 1.05
+        assert max(peaks) < 2 * (base.los.nbytes + base.his.nbytes)
 
     def test_strip_count_is_capped_before_allocation(self):
         # 6.9e10 strips at this eps: the refusal comes before any array
@@ -557,7 +626,7 @@ class TestWindowedBandSums:
     @pytest.mark.parametrize("n", [3, 4, 5, 8])
     def test_dense_striped_base_against_fsum(self, n):
         axis = np.eye(n)[0]
-        base = striped_cap_subset(0.1, axis, 0.5, 0.004 if n == 3 else 0.02).with_antipodes()
+        base = _checked_union(striped_cap_subset(0.1, axis, 0.5, 0.004 if n == 3 else 0.02))
         assert len(base.los) > 16384 // ((n - 2) // 2 + 8)    # more bands than one chunk
         # no band comes closer than alpha = 0.1 to the equator
         assert base.section_measures(_normals_at(axis, [0.03, 0.0999])).tolist() == [0.0, 0.0]

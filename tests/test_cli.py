@@ -7,6 +7,7 @@ import math
 import re
 import shlex
 import textwrap
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -49,6 +50,13 @@ def run_cli(*argv):
 
 NAN = float("nan")
 _CAP_CONE = make_cone(SpaceSpec(1, 3), cap_base(np.eye(3)[0], 0.3))
+
+
+def _arcs_cone_document(arcs):
+    """The document of a cone over arcs of the circle, with its arcs replaced."""
+    doc = make_cone(SpaceSpec(1, 2), ArcsBase(((0.0, 3.0),))).to_json_dict()
+    doc["profile"]["base"]["arcs"] = arcs
+    return doc
 
 
 class TestFunctionalCommand:
@@ -266,6 +274,24 @@ class TestHugeDimensions:
         assert capsys.readouterr().err == ("numeric failure: the area of S^999998 needs "
                                            "Gamma(499999.5), which overflows a float\n")
         assert calls == []
+
+    def test_a_grid_past_the_frames_cap_is_refused_before_any_rule(self, capsys):
+        # s+:6 at the default degrees: the product grid of 248,832 normals
+        # would take 231 GiB, and numpy's memory error ended in a traceback
+        # (exit 1).  The frames' cap refuses it from the outer rule's node
+        # count, before the volume's rule or the grid is built
+        argv = ["verify", "--theorem", "min-nd", "--dim", "6", "--random", "1"]
+        run_cli(*argv)      # a first run imports modules of about 0.8 MB
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 1e6
+        assert capsys.readouterr().err == ("numeric failure: 248832 frames in R^6 need 8957952 entries, "
+                                           "cap is 4000000\n")
 
     def test_a_document_exits_three(self, tmp_path, capsys):
         doc = make_ball(SpaceSpec(1, 3), 0.5).to_json_dict()
@@ -572,10 +598,14 @@ class TestBodyFiles:
          "'semiaxes' must be a list of numbers, got 5"),
         (lambda doc: {**doc, "profile": {"kind": "grid", "shape": 5, "values": [0.7] * 5}},
          "'shape' must be a list of integers, got 5"),
+        (lambda doc: _arcs_cone_document([[0.0, 1.0, 2.0]]),
+         "'arcs' must be a list of [a, b] pairs, got [[0.0, 1.0, 2.0]]"),
+        (lambda doc: _arcs_cone_document([[]]), "'arcs' must be a list of [a, b] pairs, got [[]]"),
     ], ids=["profile-null", "space-null", "top-level-list", "bumpy-centers-number",
-            "ellipsoid-semiaxes-number", "grid-shape-number"])
+            "ellipsoid-semiaxes-number", "grid-shape-number", "arcs-triple", "arcs-empty-pair"])
     def test_a_malformed_document_names_its_field(self, tmp_path, capsys, edit, field):
-        # an ellipsoid's number for its semiaxes ended in an IndexError traceback (exit 1)
+        # an ellipsoid's number for its semiaxes ended in an IndexError traceback
+        # (exit 1), and an arc of three numbers in Python's "too many values to unpack"
         doc = make_bumpy_ball(SpaceSpec(1, 2), 0.8, [[1.0, 0.0]], [0.2], [4.0]).to_json_dict()
         path = tmp_path / "body.json"
         path.write_text(json.dumps(edit(doc)))

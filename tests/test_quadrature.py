@@ -14,6 +14,7 @@ from starsections.quadrature import (
     householder_frames,
     integrate_vectorized,
     polar_rule,
+    rule_size,
     subsphere_nodes,
 )
 from starsections.spaces import basis_vector, sphere_surface_area
@@ -284,6 +285,27 @@ class TestSubsphereNodes:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    def test_a_grid_past_the_frames_cap_is_refused_before_it_allocates(self):
+        # the grid of 444,445 normals times 4 nodes, 43 MB, was allocated
+        # before the frames were refused; at n = 6 the default degrees ask
+        # for 231 GiB.  The frames come first now
+        xis = np.tile(basis_vector(3, 0), (444_445, 1))
+        nodes = build_sphere_rule(1, 1).nodes
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="frames"):
+                subsphere_nodes(nodes, xis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * xis.nbytes
+
+    @pytest.mark.parametrize("m, degree", [(1, 7), (1, 8), (2, 23), (3, 5), (4, 23), (5, 9)])
+    def test_rule_size_is_the_built_count(self, m, degree):
+        # the product path checks its frames on half this count, the antipodal pairs
+        rule = build_sphere_rule(m, degree)
+        assert rule_size(m, degree) == len(rule) == 2 * len(rule.antipodal_half[0])
 
     def test_frames_at_the_cap_are_built(self):
         frames = householder_frames(np.tile(basis_vector(3, 0), (444_444, 1)))
