@@ -9,7 +9,7 @@ from .spaces import (
     sphere_surface_area,
     unit_ball_volume,
 )
-from .quadrature import SphereRule, build_sphere_rule, subsphere_nodes
+from .quadrature import SphereRule, build_sphere_rule
 from .harmonics import ZonalHarmonic, zonal_harmonic, radon_multiplier
 from .bodies import (
     StarBody,

@@ -1294,7 +1294,8 @@ def _striped_union(axis, alpha: float, delta: float, lam: float, cap_measure: fl
     k and the strip measures.  Once gamma is known, the kept strips A pass
     _check_strips, its temporaries in the lower halves, and only then is -A
     written there, just below A.  The base is the slice of both arrays
-    around their middle; at n = 3 the build holds no more than the base.
+    around their middle.  Beyond the base, the build holds at n >= 4 the tops'
+    primitive and one scratch the size of the largest group of strips.
 
     The root solve measures up to about 10^6 strips per evaluation, so it
     does only the arithmetic of sphere_band_measure and no more: the tops'
@@ -1332,12 +1333,17 @@ def _striped_union(axis, alpha: float, delta: float, lam: float, cap_measure: fl
     tops += alpha
     np.minimum(tops, 1.0, out=tops)
     q = (n - 3) / 2.0
-    top_primitive = _band_primitive(q, tops)
+    # the tops' primitive, with the strip measures' half as its scratch, which
+    # is free until the solve; at q = 0 it is the tops themselves
+    top_primitive = tops if q == 0.0 else np.empty(count)
+    _primitive_in_place(q, tops, top_primitive, band)
     area = sphere_surface_area(n - 2)
     starts = [0]
     while (start := max(_FIRST_STRIP_GROUP, 2 * starts[-1])) < count:
         starts.append(start)
     groups = list(zip(starts, starts[1:] + [count]))
+    # the lower edges' primitive goes over their measures; at q = 0 it is them
+    scratch = np.empty(max(b - a for a, b in groups) if q else 0)
     # per group: its last k - gamma when it was rebuilt (nan equals nothing),
     # and how many of its leading strips are measured for those edges
     probes = [math.nan] * len(groups)
@@ -1363,7 +1369,10 @@ def _striped_union(axis, alpha: float, delta: float, lam: float, cap_measure: fl
             stop = min(b, kept)
             if stop - a <= measured[g]:
                 continue
-            vals = np.subtract(top_primitive[a:stop], _band_primitive(q, lo[a:stop]), out=band[a:stop])
+            vals, edges = band[a:stop], lo[a:stop]
+            primitive = edges if q == 0.0 else vals
+            _primitive_in_place(q, edges, primitive, scratch[: stop - a])
+            np.subtract(top_primitive[a:stop], primitive, out=vals)
             np.maximum(vals, 0.0, out=vals)
             vals *= area
             measured[g] = stop - a

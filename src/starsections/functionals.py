@@ -37,7 +37,7 @@ from .quadrature import (
     integrate_vectorized,
     polar_rule,
     rule_size,
-    subsphere_nodes,
+    subsphere_frames,
 )
 from .spaces import (
     SpaceSpec,
@@ -101,17 +101,17 @@ def _inner_pairs(n: int, inner_degree: int):
 
 @lru_cache(maxsize=3)
 def _section_grid(n: int, outer_degree: int, inner_degree: int):
-    """Outer weights and (N_outer / 2, N_inner / 2, n) embedded nodes of the
-    product path: one normal of each antipodal pair of the outer rule, and on
-    its subsphere one node of each antipodal pair of the inner rule; three
-    entries hold what one run reuses (s+:4 at degree 31 is 34 MB)."""
+    """Outer weights and the frames of the product path's normals, one of each
+    antipodal pair of the outer rule, as ``subsphere_frames`` lays them out;
+    the points are built from them a block at a time, and never stored (s+:4
+    at the default degrees is 180 KB, s+:5 3.5 MB)."""
     # the normals' frames are refused from the rule's node count, before any
     # rule is built
     check_frames(rule_size(n - 1, outer_degree) // 2, n)
     normals, weights = build_sphere_rule(n - 1, outer_degree).antipodal_half
-    embedded = subsphere_nodes(_inner_pairs(n, inner_degree)[0], normals)
-    embedded.setflags(write=False)
-    return weights, embedded
+    frames = subsphere_frames(normals)
+    frames.setflags(write=False)
+    return weights, frames
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +282,30 @@ class _Product:
         return float(np.dot(rule.weights, self._body_radial(mu, self.n, rule.nodes)))
 
     def point(self, xi):
-        """The nodes of the inner rule's antipodal pairs on xi's subsphere."""
-        return subsphere_nodes(_inner_pairs(self.n, self.config.inner(self.n))[0], xi)
+        """xi's frame, laid out as the rule's frames are."""
+        return subsphere_frames(xi)
 
-    def sections(self, mu, points):
-        """The inner rule on each row of points, summed by antipodal pairs."""
-        pair_weights = _inner_pairs(self.n, self.config.inner(self.n))[1]
-        return self._pair_radial(mu, self.n - 1, points) @ pair_weights
+    def sections(self, mu, frames):
+        """The inner rule on the subsphere of each normal in frames, summed by
+        antipodal pairs.  A block of normals' points is built node-major by one
+        matrix product into a reused array, and its pair sums, written
+        transposed over them, are summed by one matrix-vector product: from
+        rows at multiples of 16, each row rounds as in the whole matrix."""
+        nodes, pair_weights = _inner_pairs(self.n, self.config.inner(self.n))
+        n, count = self.n, frames.shape[1] // self.n
+        rows = max(16, _BLOCK_POINTS // len(nodes) // 16 * 16)
+        out = np.empty(count)
+        work = np.empty(len(nodes) * min(rows, count) * n)
+        for start in range(0, count, rows):
+            size = min(rows, count - start)
+            points = work[:len(nodes) * size * n].reshape(len(nodes), size * n)
+            np.matmul(nodes, frames[:, start * n:(start + size) * n], out=points)
+            radial = self._pair_radial(mu, n - 1, points.reshape(len(nodes), size, n))
+            block = work[:size * len(nodes)].reshape(size, len(nodes))
+            np.copyto(block, radial.T)
+            del radial
+            np.matmul(block, pair_weights, out=out[start:start + size])
+        return out
 
     def rule(self):
         return _section_grid(self.n, self.config.outer(self.n), self.config.inner(self.n))
@@ -332,15 +349,14 @@ class _Product:
         """``_body_radial`` at dirs plus at -dirs: each antipodal pair of a
         subsphere rule at the weight of one of its nodes.  A symmetric body
         promises rho(-u) = rho(u), so it evaluates dirs alone, at half the
-        points.  Otherwise -dirs is negated a block of rows at a time: negating
-        the whole of a cached product grid would copy it."""
+        points.  Otherwise dirs is negated in place once its own half is
+        taken."""
         out = self._body_radial(mu, m, dirs)
         if self.body.symmetric:
             out *= 2.0
-            return out
-        rows = max(1, _BLOCK_POINTS // math.prod(dirs.shape[1:-1]))
-        for start in range(0, len(dirs), rows):
-            out[start:start + rows] += self._body_radial(mu, m, -dirs[start:start + rows])
+        else:
+            np.negative(dirs, out=dirs)
+            out += self._body_radial(mu, m, dirs)
         return out
 
 

@@ -229,27 +229,20 @@ def householder_frames(xis: np.ndarray) -> np.ndarray:
     return house[:, :, : n - 1]
 
 
-def subsphere_nodes(nodes: np.ndarray, xis) -> np.ndarray:
-    """An (N, n - 1) array of nodes on S^{n-2}, such as the first half of
-    ``antipodal_half``, carried onto the great subsphere of S^{n-1} orthogonal
-    to each unit normal xi, shape (D, N, n) for D normals.
+def subsphere_frames(xis) -> np.ndarray:
+    """The frames of D unit normals xi in R^n laid side by side, one (n - 1, D n)
+    matrix: for an (N, n - 1) array of nodes on S^{n-2}, such as the first half
+    of ``antipodal_half``, nodes @ frames is the (N, D, n) array, node-major,
+    that carries them onto the great subsphere of S^{n-1} orthogonal to each
+    xi, and a block of D' normals' columns carries them onto those alone.
 
-    All frames are built in one batched step, and each normal takes one
-    product with its frame, written into one preallocated array: stacking a
-    list of them would hold the grid twice.
+    The frames are refused, as ``householder_frames`` refuses them, before
+    anything of the size of the nodes' image is allocated.
     """
-    nodes = np.asarray(nodes, dtype=float)
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    n = xis.shape[1]
-    if nodes.shape[1] != n - 1:
-        raise DomainError(f"base rule must have dimension {n - 2}, got {nodes.shape[1] - 1}")
     if not np.all(np.abs(np.linalg.norm(xis, axis=1) - 1.0) <= 1e-12):
         raise DomainError("subsphere normals must be unit vectors")
-    # the frames first: their cap refuses a grid too large to allocate
-    frames = householder_frames(xis)
-    out = np.empty((len(xis), len(nodes), n))
-    np.matmul(nodes, frames.transpose(0, 2, 1), out=out)
-    return out
+    return householder_frames(xis).transpose(2, 0, 1).reshape(xis.shape[1] - 1, -1)
 
 
 # Gauss-Kronrod 10/21 rule on [-1, 1] (QUADPACK dqk21): Kronrod nodes from the

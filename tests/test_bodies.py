@@ -466,13 +466,13 @@ class TestStripGroups:
     def test_densest_solve_measures_under_half_the_strips(self, monkeypatch):
         # re-measuring all 677,261 strips at each of the 20 evaluations passes
         # 14.22 M strip values, the tops included
-        primitive, passed = bodies._band_primitive, []
+        primitive, passed = bodies._primitive_in_place, []
 
-        def spy(q, t):
+        def spy(q, t, p, scratch):
             passed.append(np.size(t))
-            return primitive(q, t)
+            return primitive(q, t, p, scratch)
 
-        monkeypatch.setattr(bodies, "_band_primitive", spy)
+        monkeypatch.setattr(bodies, "_primitive_in_place", spy)
         lam = 0.5 * sphere_surface_area(2) / (2.0 * spherical_cap_measure(2, 0.05))
         assert len(striped_cap_subset(0.05, np.eye(3)[0], lam, 0.02).los) == 677_261
         assert sum(passed) <= 7_100_000
@@ -489,6 +489,23 @@ class TestStripGroups:
             tracemalloc.stop()
         base = cone.profile.base
         assert peak <= 1.05 * (base.los.nbytes + base.his.nbytes)
+
+    def test_dense_cone_at_n8_peaks_under_1_4_times_its_base(self):
+        # 420,358 bands: the tops' primitive takes the strip measures' half as
+        # its scratch, and the lower edges' primitive is written over their
+        # measures, so the build adds the tops' primitive and one scratch the
+        # size of the largest group of strips, not two arrays of every strip
+        space = SpaceSpec(1, 8)
+        make_striped_cone(space, 0.5, 0.1, 0.05)   # warm any lazy numpy state
+        tracemalloc.start()
+        try:
+            cone = make_striped_cone(space, 0.2, 0.05, 3e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        base = cone.profile.base
+        assert len(base.los) == 420_358
+        assert peak <= 1.40 * (base.los.nbytes + base.his.nbytes)
 
     def test_vanishing_body_builds_peak_at_their_base(self, monkeypatch):
         # each of the four radii builds a base at no more than its own size,

@@ -53,7 +53,7 @@ from starsections.functionals import (
     volume_and_functional,
 )
 from starsections.harmonics import zonal_harmonic
-from starsections.quadrature import build_sphere_rule, integrate_vectorized, subsphere_nodes
+from starsections.quadrature import build_sphere_rule, householder_frames, integrate_vectorized
 from starsections.spaces import SpaceSpec, brent_root, phi, sin_power_primitive_full, sphere_surface_area
 from starsections.verify import (
     perturbation_sign_experiment,
@@ -590,7 +590,7 @@ def experiment_config(n, k):
 
 @pytest.fixture
 def fresh_grid_cache():
-    # start from no grids, and drop the n = 4 product grids (up to 0.5 GB) after the test
+    # start from no cached product-path frames, and drop those the test builds
     functionals._section_grid.cache_clear()
     yield
     functionals._section_grid.cache_clear()
@@ -732,7 +732,7 @@ class TestSectionGrid:
         value, error = busemann_functional_with_error(body, config=config)
         outer = build_sphere_rule(n - 1, config.outer(n) + 8)
         inner = build_sphere_rule(n - 2, config.inner(n) + 8)
-        embedded = subsphere_nodes(inner.nodes, outer.nodes)
+        embedded = _whole_grid(inner.nodes, outer.nodes)
         rho = body.rho(embedded.reshape(-1, n)).reshape(embedded.shape[:2])
         sections = phi(space, n - 1, rho) @ inner.weights
         reference = float(np.dot(outer.weights, sections ** n))
@@ -1328,13 +1328,20 @@ class TestRhoClamp:
         assert busemann_functional(body) == busemann_functional(clipped)
 
 
+def _whole_grid(nodes, normals):
+    """The (D, N, n) points of N nodes on the subspheres of D normals, one
+    product per normal, as the product path stored them before it built its
+    points a block at a time."""
+    return np.matmul(nodes, householder_frames(normals).transpose(0, 2, 1))
+
+
 def _full_inner_sections(body, mu, config=DEFAULT):
     """The product path's sections and functional as they were summed before
     the inner rule was folded: every node of the inner rule, at its weight."""
     space, n = body.space, body.space.dim
     normals, weights = build_sphere_rule(n - 1, config.outer(n)).antipodal_half
     inner = build_sphere_rule(n - 2, config.inner(n))
-    embedded = subsphere_nodes(inner.nodes, normals)
+    embedded = _whole_grid(inner.nodes, normals)
     rho = body.rho(embedded.reshape(-1, n))
     radial = phi(space, n - 1, rho) if mu is None else mu.radial_integral(space, n - 1, rho)
     sections = radial.reshape(embedded.shape[:2]) @ inner.weights
@@ -1417,20 +1424,21 @@ class TestPairSum:
         assert sum(points) == (n_outer // 2) * (n_inner // inner_share)
 
     def test_an_asymmetric_body_does_not_copy_the_grid(self, fresh_grid_cache):
-        # the -u half is negated a block of rows at a time, so the peak beyond
-        # the cached grid is that of a symmetric body
+        # the -u half is each block's points negated in place, so the peak is
+        # that of a symmetric body
         space = SpaceSpec(1, 4)
         peaks = {}
         for symmetric in (True, False):
             body = random_star_body(space, np.random.default_rng(4), symmetric)
-            busemann_functional(body)   # builds and caches the grid
+            busemann_functional(body)   # builds and caches the frames
             tracemalloc.start()
             try:
                 busemann_functional(body)
                 peaks[symmetric] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # a copy of the grid (8 MB at the default degrees) would show here
+        # a copy of a block's points, or of all of them (8 MB at the default
+        # degrees), would show here
         assert peaks[False] <= peaks[True] + 2e6
 
     @pytest.mark.parametrize("exponent", [None, 1])
@@ -1530,29 +1538,51 @@ def _bumpy(space, seed):
 
 
 class TestProductPathBlocks:
-    """The product path evaluates rho and the radial primitive a block of
-    points at a time, so that its temporaries stay small."""
+    """The product path builds the points of a block of normals at a time
+    from their cached frames, and evaluates rho and the radial primitive on
+    them, so that no array of every normal's points exists."""
+
+    @staticmethod
+    def _whole_grid_sections(body, mu):
+        """The sections as they were summed from the stored grid: the (D, N, n)
+        points, their radial primitives in one pass, one matrix-vector product."""
+        space, n = body.space, body.space.dim
+        normals = build_sphere_rule(n - 1, DEFAULT.outer(n)).antipodal_half[0]
+        nodes, pair_weights = functionals._inner_pairs(n, DEFAULT.inner(n))
+        grid = _whole_grid(nodes, normals)
+
+        def radial(points):
+            rho = body.rho(points.reshape(-1, n))
+            values = phi(space, n - 1, rho) if mu is None else mu.radial_integral(space, n - 1, rho)
+            return values.reshape(grid.shape[:2])
+
+        pairs = radial(grid) * 2.0 if body.symmetric else radial(grid) + radial(-grid)
+        return pairs @ pair_weights
 
     @pytest.mark.parametrize("mu", [None, gaussian_measure()], ids=["uniform", "gaussian"])
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
     def test_blocks_give_one_pass_bit_for_bit(self, symmetric, mu, monkeypatch, fresh_grid_cache):
         space = SpaceSpec(1, 4)
         body = random_star_body(space, np.random.default_rng(6), symmetric)
-        blocked = _product_sections(body, mu)
-        embedded = functionals._section_grid(4, DEFAULT.outer(4), DEFAULT.inner(4))[1]
-        assert embedded.shape[0] * embedded.shape[1] > 2 * functionals._BLOCK_POINTS
-        monkeypatch.setattr(functionals, "_BLOCK_POINTS", 1 << 30)
-        whole = _product_sections(body, mu)
-        # a point's density integral does not depend on its batch either
-        assert np.array_equal(blocked, whole)
+        whole = self._whole_grid_sections(body, mu)
+        normals = len(whole)
+        pairs = len(functionals._inner_pairs(4, DEFAULT.inner(4))[0])
+        assert normals * pairs > 2 * functionals._BLOCK_POINTS
+        # the default blocks, one block, blocks of 16 rows, and blocks of 80
+        # rows with a ragged last block
+        assert normals % 80
+        for block in (functionals._BLOCK_POINTS, 1 << 30, 16 * pairs, 80 * pairs):
+            monkeypatch.setattr(functionals, "_BLOCK_POINTS", block)
+            # a point's density integral does not depend on its batch either
+            assert np.array_equal(_product_sections(body, mu), whole)
 
     @pytest.mark.parametrize("space, mu, config, cap", [
-        (SpaceSpec(1, 4), None, DEFAULT, 4e6),
+        (SpaceSpec(1, 4), None, DEFAULT, 1.5e6),
         (H3, gaussian_measure(), QuadratureConfig(outer_degree=39, inner_degree=63), 1e6),
     ], ids=["s+4-bumpy", "h3-gaussian"])
     def test_peak_memory_of_one_functional(self, space, mu, config, cap, fresh_grid_cache):
         body = _bumpy(space, 5)
-        busemann_functional(body, mu, config=config)   # builds and caches the grid
+        busemann_functional(body, mu, config=config)   # builds and caches the frames
         tracemalloc.start()
         try:
             busemann_functional(body, mu, config=config)
@@ -1560,3 +1590,21 @@ class TestProductPathBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= cap
+
+    def test_the_cached_entry_holds_frames_not_points(self, fresh_grid_cache):
+        # s+:4 at the default degrees: 1,728 normals, whose points on their
+        # subspheres were an 8 MB grid
+        entry = functionals._section_grid(4, DEFAULT.outer(4), DEFAULT.inner(4))
+        assert sum(array.nbytes for array in entry) < 0.5e6
+
+    def test_peak_memory_of_an_s5_body(self, fresh_grid_cache):
+        # a stored grid of 20,736 normals times 1,728 inner pairs was 1.37 GB
+        body = _bumpy(SpaceSpec(1, 5), 5)
+        tracemalloc.start()
+        try:
+            vol, functional = volume_and_functional(body)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vol > 0.0 and functional > 0.0
+        assert peak < 64e6

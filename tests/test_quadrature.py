@@ -15,7 +15,7 @@ from starsections.quadrature import (
     integrate_vectorized,
     polar_rule,
     rule_size,
-    subsphere_nodes,
+    subsphere_frames,
 )
 from starsections.spaces import basis_vector, sphere_surface_area
 
@@ -224,13 +224,23 @@ class TestAntipodalHalf:
             assert value == pytest.approx(exact, rel=1e-13, abs=0.0), j
 
 
+def carried(nodes, xis):
+    """The nodes carried onto each normal's subsphere, (D, N, n)."""
+    xis = np.atleast_2d(xis)
+    return (nodes @ subsphere_frames(xis)).reshape(len(nodes), len(xis), -1).transpose(1, 0, 2)
+
+
 class TestSubsphereNodes:
+    """``subsphere_frames``: the frames that carry a rule's nodes onto the
+    subspheres of a batch of normals, by one matrix product."""
+
     def test_identity_frame(self):
         n = 4
         xi = np.zeros(n)
         xi[-1] = 1.0
         frame = householder_frames(xi[None])[0]
         assert np.allclose(frame, np.eye(n)[:, : n - 1])
+        assert np.array_equal(subsphere_frames(xi), frame.T)
 
     def test_invariants(self):
         rng = np.random.default_rng(3)
@@ -241,35 +251,40 @@ class TestSubsphereNodes:
             f = householder_frames(xi[None])[0]
             assert np.max(np.abs(f.T @ f - np.eye(2))) < 1e-12
             assert np.max(np.abs(f.T @ xi)) < 1e-12
-            nodes = subsphere_nodes(base.nodes, xi[None])[0]
+            nodes = carried(base.nodes, xi)[0]
             assert np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) < 1e-12
             assert np.max(np.abs(nodes @ xi)) < 1e-12
             assert np.sum(base.weights) == pytest.approx(sphere_surface_area(1))
 
     def test_e1_axis_circle(self):
         base = build_sphere_rule(1, 7)
-        nodes = subsphere_nodes(base.nodes, np.array([[1.0, 0.0, 0.0]]))[0]
+        nodes = carried(base.nodes, np.array([1.0, 0.0, 0.0]))[0]
         assert np.max(np.abs(nodes @ np.array([1.0, 0.0, 0.0]))) < 1e-12
 
     def test_dimension_mismatch(self):
+        # the frames of normals in R^3 carry nodes of S^1, not of S^2
         base = build_sphere_rule(2, 5)
-        with pytest.raises(DomainError):
-            subsphere_nodes(base.nodes, np.array([[1.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError):
+            carried(base.nodes, np.array([[1.0, 0.0, 0.0]]))
 
     def test_batch_rows_equal_single_rows(self):
+        # a block of normals' columns, as the product path takes them, gives
+        # each normal's points bit for bit, and so does the per-normal product
         rng = np.random.default_rng(4)
         base = build_sphere_rule(2, 9)
         xis = rng.normal(size=(7, 4))
         xis /= np.linalg.norm(xis, axis=1, keepdims=True)
-        batch = subsphere_nodes(base.nodes, xis)
+        batch = carried(base.nodes, xis)
         assert batch.shape == (7, len(base), 4)
+        frames = householder_frames(xis)
         for i, xi in enumerate(xis):
-            assert np.array_equal(batch[i], subsphere_nodes(base.nodes, xi[None])[0])
+            assert np.array_equal(batch[i], carried(base.nodes, xi)[0])
+            assert np.array_equal(batch[i], base.nodes @ frames[i].T)
 
     def test_non_unit_normal(self):
         for normal in ([1.0, 1.0, 0.0], [np.nan, 0.0, 0.0]):
             with pytest.raises(DomainError):
-                subsphere_nodes(build_sphere_rule(1, 7).nodes, np.array([normal]))
+                subsphere_frames(np.array([normal]))
 
     @pytest.mark.parametrize("xis", [
         lambda: basis_vector(1_000_000, -1)[None],         # one frame of 10^12 entries
@@ -287,15 +302,13 @@ class TestSubsphereNodes:
         assert peak < 1e6
 
     def test_a_grid_past_the_frames_cap_is_refused_before_it_allocates(self):
-        # the grid of 444,445 normals times 4 nodes, 43 MB, was allocated
-        # before the frames were refused; at n = 6 the default degrees ask
-        # for 231 GiB.  The frames come first now
+        # 444,445 normals: the frames are refused before any array of them,
+        # or of points on their subspheres, is allocated
         xis = np.tile(basis_vector(3, 0), (444_445, 1))
-        nodes = build_sphere_rule(1, 1).nodes
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="frames"):
-                subsphere_nodes(nodes, xis)
+                subsphere_frames(xis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -11,7 +11,8 @@ OLD NEW`` prints how far each group moved.  The set is
 * the nine theorem suites at dim None, 2, 3 and 4 (where the theorem
   applies), seed 11: every report's two sides and every body's volume and
   symmetry flag.  At n = 4 the suites run at the default degrees, because
-  their own degrees (31/63, 39/63) need product grids of 0.13-0.26 GB;
+  their own degrees (31/63, 39/63) would add about 7 s, most of it the
+  Gaussian suite's density integrals;
 * the rows of three perturbation sign experiments;
 * both striped-cone sharpness schedules (n = 3 and n = 4, t = 0.5);
 * the vanishing bodies in R^3 and H^3;
