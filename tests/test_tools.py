@@ -153,7 +153,18 @@ def test_dump_prints_the_radial_primitives(dump_outputs, capsys):
                 assert f"radial/gaussian/{space}/{m}/{u}" in labels
             assert (f"radial/gaussian/{space}/{m}/7.5" in labels) == space.startswith("-1")
     assert [label for label in labels if label.startswith("radial/phi/")] == [
-        f"radial/phi/+1/{m}/{x}" for m in range(1, 7) for x in ("0.001", "0.7", "1.5")]
+        f"radial/phi/+1/{m}/{x}" for m in range(1, 7) for x in ("0.001", "0.7", "1.5")] + [
+        f"radial/phi/{space}/{m}/{x}" for space in ("-1", "+0") for m in range(1, 9)
+        for x in ("0.001", "0.7", "1.5", "7.5")]
+    assert [label for label in labels if label.startswith("radial/phi-inverse/")] == [
+        f"radial/phi-inverse/{space}/{m}/{y}" for space in ("-1", "+0", "+1") for m in (2, 3, 5)
+        for y in ("1e-06", "0.3", "0.5")]
+    assert len([label for label in labels if label.startswith("radial/sin-power-full/")]) == 8 * 3
+    assert [label for label in labels if label.startswith("radial/bound/")] == [
+        f"radial/bound/{theorem}/{n}/{vol}/{variant}"
+        for theorem, volumes, variants in (("hyperbolic", ("0.1", "1.0", "10.0"), ("proof-chain",)),
+                                           ("prop4.1", ("0.1", "1.0", "2.5"), ("proof-chain", "literal")))
+        for n in (3, 4, 5) for vol in volumes for variant in variants]
 
 
 def test_dump_prints_the_product_pairs(dump_outputs, capsys):

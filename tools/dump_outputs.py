@@ -34,6 +34,10 @@ OLD NEW`` prints how far each group moved.  The set is
 * the radial primitives alone: the Gaussian ``radial_integral`` on h:3, h:5
   and s+:4 for m = 2, 3, 5 at radii on and next to the density panels' edges
   (and 7.5 on h), and phi_m on the hemisphere for m = 1..6;
+* the scalar radial paths, a float in and a float out: phi_m on h and e for
+  m = 1..8, phi_inverse on all three spaces, the sphere's sine-power
+  primitive past pi/2, and the ``hyperbolic`` and ``prop4.1`` right sides at
+  three volumes for n = 3, 4, 5;
 * four 1000-step shape searches: on s+:2 at volume 2, seed 5, the
   ``sym-star`` and ``star`` maxima and the ``sym-star`` minimum, and on h:2
   the ``sym-star`` maximum at volume 2 pi 0.3, seed 1: the accepted and
@@ -78,6 +82,7 @@ from starsections import (  # noqa: E402
     make_vanishing_body,
     perturbation_sign_experiment,
     phi,
+    phi_inverse,
     run_theorem_suite,
     section_volume,
     sharpness_schedule,
@@ -86,6 +91,7 @@ from starsections import (  # noqa: E402
 )
 from starsections.errors import ApplicabilityError  # noqa: E402
 from starsections.functionals import THEOREMS  # noqa: E402
+from starsections.spaces import sin_power_primitive_full  # noqa: E402
 from starsections.verify import extremizer_search, suite_bodies  # noqa: E402
 
 
@@ -255,6 +261,24 @@ def radial():
     for m in range(1, 7):
         for x in (1e-3, 0.7, 1.5):
             out(f"radial/phi/+1/{m}/{x!r}", phi(SpaceSpec(1, max(m, 2)), m, x))
+    # the scalar paths, one float in and one float out
+    for delta in (-1, 0):
+        for m in range(1, 9):
+            for x in (1e-3, 0.7, 1.5, 7.5):
+                out(f"radial/phi/{delta:+d}/{m}/{x!r}", phi(SpaceSpec(delta, max(m, 2)), m, x))
+    for delta in (-1, 0, 1):
+        for m in (2, 3, 5):
+            for y in (1e-6, 0.3, 0.5):
+                out(f"radial/phi-inverse/{delta:+d}/{m}/{y!r}", phi_inverse(SpaceSpec(delta, m), m, y))
+    for m in range(1, 9):
+        for x in (2.0, 3.0, math.pi):
+            out(f"radial/sin-power-full/{m}/{x!r}", sin_power_primitive_full(m, x))
+    for theorem_id, delta, volumes in (("hyperbolic", -1, (0.1, 1.0, 10.0)), ("prop4.1", 1, (0.1, 1.0, 2.5))):
+        theorem = THEOREMS[theorem_id]
+        for n in (3, 4, 5):
+            for vol in volumes:
+                for variant, value in zip(theorem.variants, theorem.bound(vol, SpaceSpec(delta, n), None)):
+                    out(f"radial/bound/{theorem_id}/{n}/{vol!r}/{variant}", value)
 
 
 def searches():
