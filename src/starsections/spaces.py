@@ -40,15 +40,33 @@ class SpaceSpec:
 
     def check_radius(self, r, *, name: str = "r"):
         """Validate geodesic radii (scalar or array), returning them as ndarray.
-        Each bound is written so that NaN fails it."""
+        Each bound is written so that NaN fails it.
+
+        A scalar comes back as a 0-d array, not a float: phi's Euclidean
+        ``arr ** m`` then takes numpy's power ufunc, while a numpy float64
+        would take libm's ``pow`` through numpy's scalar arithmetic, which
+        differs in the last bit on some inputs."""
         arr = np.asarray(r, dtype=float)
-        if not np.all(arr >= 0):
+        lo, hi = _extent(arr)
+        if not lo >= 0:
             raise DomainError(f"{name} must be nonnegative")
-        if self.delta == 1 and not np.all(arr <= HEMISPHERE_MAX_RADIUS + 1e-12):
+        if self.delta == 1 and not hi <= HEMISPHERE_MAX_RADIUS + 1e-12:
             raise DomainError(f"{name} exceeds pi/2 on the hemisphere")
-        if self.delta != 1 and not np.all(arr <= RADIUS_SAFETY_CAP):
+        if self.delta != 1 and not hi <= RADIUS_SAFETY_CAP:
             raise ResourceLimitError(f"{name} exceeds the float-safety radius cap")
         return arr
+
+
+def _extent(arr: np.ndarray) -> tuple[float, float]:
+    """The least and the greatest element of a float array, as floats: plain
+    float comparisons for a 0-d array, and reductions without boolean
+    temporaries for a longer one.  NaN makes both NaN, so a bound written as
+    ``not lo >= a`` or ``not hi <= b`` fails it; an empty array gives
+    (inf, -inf), which passes every bound."""
+    if not arr.ndim:
+        value = float(arr)
+        return value, value
+    return float(arr.min(initial=math.inf)), float(arr.max(initial=-math.inf))
 
 
 def basis_vector(n: int, index: int = 0) -> np.ndarray:
@@ -112,8 +130,9 @@ def _sin_power_primitive(m: int, x):
     """Antiderivative of sin^{m-1} on [0, pi], vanishing at 0, by power reduction
     phi_j = (-sin^{j-2} x cos x + (j-2) phi_{j-2}) / (j-1) from phi_1 or phi_2,
     with sin x and cos x taken once.  phi_3 = (x - sin(2x) / 2) / 2 takes one
-    sine, and is no less accurate than its step from phi_1."""
-    x = np.asarray(x, dtype=float)
+    sine, and is no less accurate than its step from phi_1.  A scalar is
+    taken as a numpy float64, the type its first ufunc would return anyway."""
+    x = np.asarray(x, dtype=float)[()]
     if m == 1:
         return x.copy()
     if m == 2:
@@ -130,7 +149,7 @@ def _sin_power_primitive(m: int, x):
 def _sinh_power_primitive(m: int, x):
     """The hyperbolic twin of ``_sin_power_primitive``:
     phi_j = (sinh^{j-2} x cosh x - (j-2) phi_{j-2}) / (j-1)."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)[()]
     if m == 1:
         return x.copy()
     if m == 2:
@@ -167,8 +186,9 @@ def sin_power_primitive_full(m: int, x):
     the hemisphere rim; not subject to the pi/2 radius check.
     """
     arr = np.asarray(x, dtype=float)
+    lo, hi = _extent(arr)
     # written so that NaN fails it, as in SpaceSpec.check_radius
-    if not np.all((arr >= -1e-15) & (arr <= math.pi + 1e-12)):
+    if not (lo >= -1e-15 and hi <= math.pi + 1e-12):
         raise DomainError("x must lie in [0, pi]")
     out = _sin_power_primitive(m, arr)
     return out if out.ndim else float(out)
@@ -260,11 +280,12 @@ def monotone_inverse(f, y, hi: float, cap: float | None = None, error: Exception
 def phi_inverse(space: SpaceSpec, m: int, y):
     """Inverse of ``phi`` in its first radial argument, by bracketed root solve."""
     arr = np.asarray(y, dtype=float)
-    if not np.all(arr >= 0):
+    lo, hi = _extent(arr)
+    if not lo >= 0:
         raise DomainError("phi values are nonnegative")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if space.delta == 1 and not np.all(arr <= phi(space, m, HEMISPHERE_MAX_RADIUS) * (1 + 1e-12)):
+    if space.delta == 1 and not hi <= phi(space, m, HEMISPHERE_MAX_RADIUS) * (1 + 1e-12):
         raise InversionRangeError("value exceeds phi at the hemisphere rim")
 
     # Closed-form inverses for the hot m = 2 case.

@@ -202,6 +202,86 @@ class TestNaN:
             phi_inverse(SPHERE, 4, math.inf)
 
 
+def _as_types(value):
+    """value as a float, an int, a numpy float64, a 0-d array and a 1-element
+    array; the int only where it holds the same number."""
+    forms = {"float": float(value), "float64": np.float64(value),
+             "0-d": np.array(float(value)), "1-element": np.array([float(value)])}
+    if math.isfinite(value) and int(value) == value and not math.copysign(1.0, value) < 0:
+        forms["int"] = int(value)
+    return forms
+
+
+RADIUS_ERRORS = [
+    (SPHERE, math.nan, DomainError, "r must be nonnegative"),
+    (SPHERE, -1e-300, DomainError, "r must be nonnegative"),
+    (HYPER, -1.0, DomainError, "r must be nonnegative"),
+    (SPHERE, math.pi / 2 + 2e-12, DomainError, "r exceeds pi/2 on the hemisphere"),
+    (SPHERE, 2.0, DomainError, "r exceeds pi/2 on the hemisphere"),
+    (HYPER, 2 * spaces.RADIUS_SAFETY_CAP, ResourceLimitError, "r exceeds the float-safety radius cap"),
+    (PLANE, 2 * spaces.RADIUS_SAFETY_CAP, ResourceLimitError, "r exceeds the float-safety radius cap"),
+]
+
+
+class TestScalarContract:
+    """Every input type, scalar or array, meets the same range checks with
+    the same exception and message; a scalar in gives a Python float out."""
+
+    @pytest.mark.parametrize("space, value, error, message", RADIUS_ERRORS,
+                             ids=lambda v: str(v) if isinstance(v, SpaceSpec) else None)
+    def test_check_radius_errors_for_every_type(self, space, value, error, message):
+        for form in _as_types(value).values():
+            with pytest.raises(GeometryError) as info:
+                space.check_radius(form)
+            assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("value", [math.nan, -2e-15, -1.0, math.pi + 2e-12, 4.0])
+    def test_sin_power_primitive_full_errors_for_every_type(self, value):
+        for form in _as_types(value).values():
+            with pytest.raises(GeometryError) as info:
+                sin_power_primitive_full(3, form)
+            assert type(info.value) is DomainError and str(info.value) == "x must lie in [0, pi]"
+
+    @pytest.mark.parametrize("space", [SPHERE, PLANE, HYPER], ids=str)
+    def test_zero_and_the_rim_pass_for_every_type(self, space):
+        for value in (-0.0, 0.0, space.max_radius if space.delta == 1 else spaces.RADIUS_SAFETY_CAP):
+            for form in _as_types(value).values():
+                # a scalar stays a 0-d array: see test_euclidean_phi_takes_the_power_ufunc
+                out = space.check_radius(form)
+                assert type(out) is np.ndarray and out.shape == np.shape(form)
+                assert np.array_equal(out, np.asarray(form, dtype=float))
+
+    def test_sin_power_primitive_full_takes_zero_and_pi_for_every_type(self):
+        for value in (-0.0, 0.0, math.pi):
+            for form in _as_types(value).values():
+                out = sin_power_primitive_full(3, form)
+                assert np.shape(out) == np.shape(form) and out == sin_power_primitive_full(3, value)
+
+    def test_an_empty_array_passes(self):
+        for space in (SPHERE, PLANE, HYPER):
+            assert space.check_radius(np.empty(0)).shape == (0,)
+        assert sin_power_primitive_full(3, np.empty((0, 2))).shape == (0, 2)
+
+    @pytest.mark.parametrize("space", [SPHERE, PLANE, HYPER], ids=str)
+    def test_a_scalar_gives_a_python_float(self, space):
+        scalars = {name: form for name, form in _as_types(1.0).items() if name != "1-element"}
+        for name, form in scalars.items():
+            results = [phi(space, 3, form), metric_sine(space, form), sin_power_primitive_full(3, form),
+                       phi_inverse(space, 1, form), phi_inverse(space, 2, form / 2)]
+            assert all(type(value) is float for value in results), name
+            assert results == [phi(space, 3, 1.0), metric_sine(space, 1.0), sin_power_primitive_full(3, 1.0),
+                               phi_inverse(space, 1, 1.0), phi_inverse(space, 2, 0.5)], name
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_euclidean_phi_takes_the_power_ufunc(self, m):
+        # numpy's power ufunc on a 0-d array and libm's pow (numpy's scalar
+        # arithmetic on a float64) differ in the last bit on some inputs;
+        # phi keeps the ufunc's bits
+        space = SpaceSpec(0, max(m, 2))
+        for x in np.random.default_rng(m).uniform(0.0, 10.0, 500):
+            assert phi(space, m, float(x)) == float(np.asarray(x) ** m / m)
+
+
 class TestConstants:
     def test_sphere_areas(self):
         assert sphere_surface_area(0) == pytest.approx(2.0)
