@@ -58,11 +58,11 @@ class SpaceSpec:
 
 
 def _extent(arr: np.ndarray) -> tuple[float, float]:
-    """The least and the greatest element of a float array, as floats: plain
-    float comparisons for a 0-d array, and reductions without boolean
-    temporaries for a longer one.  NaN makes both NaN, so a bound written as
-    ``not lo >= a`` or ``not hi <= b`` fails it; an empty array gives
-    (inf, -inf), which passes every bound."""
+    """The least and the greatest element of a float array, as floats, so that
+    range checks are float comparisons: one conversion for a 0-d array, and
+    min/max reductions, with no boolean temporaries, for a longer one.  NaN
+    makes both NaN, so a bound written as ``not lo >= a`` or ``not hi <= b``
+    fails it; an empty array gives (inf, -inf), which passes every bound."""
     if not arr.ndim:
         value = float(arr)
         return value, value
