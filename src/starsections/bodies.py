@@ -33,6 +33,7 @@ from .spaces import (
     basis_vector,
     brent_root,
     phi,
+    read_only,
     sphere_surface_area,
 )
 
@@ -488,13 +489,26 @@ class RadialProfile:
     profile decides it exactly from its own data; one that cannot says False.
     ``convex`` says whether the body is convex, and is True for the kinds that
     are convex by construction alone: balls, lunes and strip polygons.
+
+    Every profile but an indicator reads a direction u only through its
+    readings t = reads @ u, for a read-only (k, n) array ``reads``:
+    ``rho_of`` is its formula on an (N, k) array of readings in either
+    memory order, and ``rho`` takes them by one matrix-vector product each,
+    stacked in one call.
     """
 
     kind: str = "abstract"
     symmetric: bool = False
     convex: bool = False
+    reads: np.ndarray
 
     def rho(self, dirs: np.ndarray) -> np.ndarray:
+        # a stack of (N, n) @ (n, 1) products is the BLAS call of dirs @ c
+        # for each reading c, and so rounds as it does
+        t = np.matmul(np.atleast_2d(dirs), self.reads[:, :, None])
+        return self.rho_of(t[:, :, 0].T)
+
+    def rho_of(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def descriptor(self) -> dict:
@@ -517,9 +531,13 @@ class ConstantProfile(RadialProfile):
     symmetric = True
     convex = True
 
+    reads = read_only(np.empty((0, 0)))   # nothing, in any dimension
+
     def rho(self, dirs):
-        dirs = np.atleast_2d(dirs)
-        return np.full(dirs.shape[0], self.r)
+        return self.rho_of(np.empty((len(np.atleast_2d(dirs)), 0)))
+
+    def rho_of(self, t):
+        return np.full(len(t), self.r)
 
     def zonal_axis(self, n):
         # every axis works; take e_1
@@ -537,12 +555,15 @@ class EllipsoidProfile(RadialProfile):
 
     def __post_init__(self):
         ax = np.asarray(self.semiaxes, dtype=float)
-        object.__setattr__(self, "semiaxes", ax)
-        ax.setflags(write=False)
+        object.__setattr__(self, "semiaxes", read_only(ax))
+        object.__setattr__(self, "reads", read_only(np.eye(len(ax))))
 
     def rho(self, dirs):
-        dirs = np.atleast_2d(dirs)
-        return 1.0 / np.sqrt((dirs ** 2) @ (1.0 / self.semiaxes ** 2))
+        # the readings are the coordinates
+        return self.rho_of(np.atleast_2d(dirs))
+
+    def rho_of(self, t):
+        return 1.0 / np.sqrt((t ** 2) @ (1.0 / self.semiaxes ** 2))
 
     def descriptor(self):
         return {"kind": "ellipsoid", "semiaxes": self.semiaxes.tolist()}
@@ -559,13 +580,12 @@ class LuneProfile(RadialProfile):
     convex = True
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", as_direction(self.axis, 2).copy())
-        self.axis.setflags(write=False)
+        object.__setattr__(self, "axis", read_only(as_direction(self.axis, 2).copy()))
+        object.__setattr__(self, "reads", self.axis[None])
 
-    def rho(self, dirs):
-        dirs = np.atleast_2d(dirs)
-        c = np.abs(dirs @ self.axis)
-        out = np.full(dirs.shape[0], HEMISPHERE_MAX_RADIUS)
+    def rho_of(self, t):
+        c = np.abs(t[:, 0])
+        out = np.full(len(c), HEMISPHERE_MAX_RADIUS)
         pos = c > 1e-300
         # arctan(tan w / c) written pole-safe
         out[pos] = HEMISPHERE_MAX_RADIUS - np.arctan(c[pos] / math.tan(self.w))
@@ -595,9 +615,12 @@ class HarmonicPerturbedProfile(RadialProfile):
         # H_k(-u) = (-1)^k H_k(u)
         return self.harmonic.degree % 2 == 0
 
-    def rho(self, dirs):
-        dirs = np.atleast_2d(dirs)
-        return self.r + self.alpha + self.beta * self.harmonic(dirs)
+    @property
+    def reads(self):
+        return self.harmonic.axis[None]
+
+    def rho_of(self, t):
+        return self.r + self.alpha + self.beta * self.harmonic.at(t[:, 0])
 
     def zonal_axis(self, n):
         return self.harmonic.axis
@@ -678,9 +701,7 @@ class BumpyProfile(RadialProfile):
 
     def __post_init__(self):
         for name in ("centers", "amplitudes", "sharpness"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            arr.setflags(write=False)
+            object.__setattr__(self, name, read_only(np.asarray(getattr(self, name), dtype=float)))
         k = len(self.centers)
         half = k // 2
         antipodal = (k > 0 and k % 2 == 0
@@ -694,27 +715,26 @@ class BumpyProfile(RadialProfile):
             paired[:half] = (s > 0) & (s * scale <= _COSH_ARG_MAX)
             paired[half:] = paired[:half]
         lead = paired[:half]
-        # each pair's scaled center s c and coefficient 2 a e^{-s}, and the
-        # indices of the bumps summed one by one
-        for name, arr in (("_pair_centers", s[lead, None] * self.centers[:half][lead]),
-                          ("_pair_coefs", 2.0 * self.amplitudes[:half][lead] * np.exp(-s[lead])),
-                          ("_single", np.flatnonzero(~paired))):
-            object.__setattr__(self, name, arr)
-            arr.setflags(write=False)
+        # each pair's coefficient 2 a e^{-s}, the bumps summed one by one, and
+        # the readings: each pair's scaled center s c, then each single center
+        single = np.flatnonzero(~paired)
+        for name, arr in (("_pair_coefs", 2.0 * self.amplitudes[:half][lead] * np.exp(-s[lead])),
+                          ("_single", single),
+                          ("reads", np.concatenate([s[lead, None] * self.centers[:half][lead],
+                                                    self.centers[single]]))):
+            object.__setattr__(self, name, read_only(arr))
         object.__setattr__(self, "symmetric", bool(antipodal) or _is_own_mirror(self))
 
-    def rho(self, dirs):
-        dirs = np.atleast_2d(dirs)
-        vals = np.full(dirs.shape[0], self.r0)
+    def rho_of(self, t):
+        vals = np.full(len(t), self.r0)
         term = np.empty_like(vals)
-        for sc, coef in zip(self._pair_centers, self._pair_coefs):
-            np.matmul(dirs, sc, out=term)
-            np.cosh(term, out=term)
+        readings = t.T
+        for c, coef in zip(readings, self._pair_coefs):
+            np.cosh(c, out=term)
             term *= coef
             vals += term
-        for j in self._single:
-            np.matmul(dirs, self.centers[j], out=term)
-            term -= 1.0
+        for c, j in zip(readings[len(self._pair_coefs):], self._single):
+            np.subtract(c, 1.0, out=term)
             term *= self.sharpness[j]
             np.exp(term, out=term)
             term *= self.amplitudes[j]
@@ -749,13 +769,15 @@ class PolygonProfile(RadialProfile):
 
     def __post_init__(self):
         for name in ("normals", "offsets"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            arr.setflags(write=False)
+            object.__setattr__(self, name, read_only(np.asarray(getattr(self, name), dtype=float)))
+        object.__setattr__(self, "reads", self.normals)
 
     def rho(self, dirs):
-        dirs = np.atleast_2d(dirs)
-        denom = np.abs(dirs @ self.normals.T)
+        # every reading by one matrix product, whose bits rho has always had
+        return self.rho_of(np.atleast_2d(dirs) @ self.normals.T)
+
+    def rho_of(self, t):
+        denom = np.abs(t)
         with np.errstate(divide="ignore"):
             gnomonic = np.min(self.offsets[None, :] / np.maximum(denom, 1e-300), axis=1)
         return np.arctan(gnomonic)
@@ -809,8 +831,8 @@ class GridProfile(RadialProfile):
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim == 0 or 0 in arr.shape:
             raise DomainError(f"a grid needs at least one value on each angle axis, got shape {arr.shape}")
-        object.__setattr__(self, "values", arr)
-        arr.setflags(write=False)
+        object.__setattr__(self, "values", read_only(arr))
+        object.__setattr__(self, "reads", read_only(np.eye(arr.ndim + 1)))
 
     @cached_property
     def symmetric(self) -> bool:
@@ -828,7 +850,6 @@ class GridProfile(RadialProfile):
         return self.values.ndim + 1
 
     def _angles(self, dirs):
-        dirs = np.atleast_2d(dirs)
         n = dirs.shape[1]
         angs = []
         rem = np.ones(dirs.shape[0])
@@ -840,7 +861,10 @@ class GridProfile(RadialProfile):
         return angs
 
     def rho(self, dirs):
-        dirs = np.atleast_2d(dirs)
+        # the readings are the coordinates
+        return self.rho_of(np.atleast_2d(dirs))
+
+    def rho_of(self, dirs):
         if dirs.shape[1] != self.ambient_dim:
             raise DomainError("direction dimension does not match the grid")
         angs = self._angles(dirs)
@@ -908,7 +932,14 @@ class StarBody:
 
     def rho(self, dirs) -> np.ndarray:
         """The profile clamped to the space's radius range [0, max_radius]."""
-        return np.clip(self.profile.rho(dirs), 0.0, self.space.max_radius)
+        return self._clamped(self.profile.rho(dirs))
+
+    def rho_of(self, t) -> np.ndarray:
+        """``rho`` from the readings t of directions, as ``profile.rho_of``."""
+        return self._clamped(self.profile.rho_of(t))
+
+    def _clamped(self, radii):
+        return np.clip(radii, 0.0, self.space.max_radius)
 
     @property
     def is_indicator(self) -> bool:

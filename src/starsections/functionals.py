@@ -46,6 +46,7 @@ from .spaces import (
     monotone_inverse,
     phi,
     phi_inverse,
+    read_only,
     sin_power_primitive_full,
     sphere_surface_area,
     unit_ball_volume,
@@ -102,16 +103,14 @@ def _inner_pairs(n: int, inner_degree: int):
 @lru_cache(maxsize=3)
 def _section_grid(n: int, outer_degree: int, inner_degree: int):
     """Outer weights and the frames of the product path's normals, one of each
-    antipodal pair of the outer rule, as ``subsphere_frames`` lays them out;
-    the points are built from them a block at a time, and never stored (s+:4
-    at the default degrees is 180 KB, s+:5 3.5 MB)."""
+    antipodal pair of the outer rule, as ``subsphere_frames`` lays them out
+    (s+:4 at the default degrees is 180 KB, s+:5 3.5 MB); the sections read
+    the body through them, and no point on a subsphere is built."""
     # the normals' frames are refused from the rule's node count, before any
     # rule is built
     check_frames(rule_size(n - 1, outer_degree) // 2, n)
     normals, weights = build_sphere_rule(n - 1, outer_degree).antipodal_half
-    frames = subsphere_frames(normals)
-    frames.setflags(write=False)
-    return weights, frames
+    return weights, read_only(subsphere_frames(normals))
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +277,10 @@ class _Product:
         self.body, self.config, self.n = body, config, body.space.dim
 
     def volume(self, mu) -> float:
+        # a symmetric body sums one node of each antipodal pair, at twice its weight
         rule = build_sphere_rule(self.n - 1, self.config.outer(self.n))
-        return float(np.dot(rule.weights, self._body_radial(mu, self.n, rule.nodes)))
+        nodes, weights = rule.antipodal_half if self.body.symmetric else (rule.nodes, rule.weights)
+        return float(np.dot(weights, self._body_radial(mu, self.n, nodes)))
 
     def point(self, xi):
         """xi's frame, laid out as the rule's frames are."""
@@ -287,24 +288,37 @@ class _Product:
 
     def sections(self, mu, frames):
         """The inner rule on the subsphere of each normal in frames, summed by
-        antipodal pairs.  A block of normals' points is built node-major by one
-        matrix product into a reused array, and its pair sums, written
-        transposed over them, are summed by one matrix-vector product: from
-        rows at multiples of 16, each row rounds as in the whole matrix."""
+        antipodal pairs, from the body's readings alone: <F v, c> = <v, F^T c>
+        for a node v and a reading c, so no point is built.  One product takes
+        every normal's F^T c; a block of normals' readings is written
+        normal-major, one product per reading, into a reused array (negated in
+        place for an asymmetric body's -u half), and its pair sums are one
+        matrix-vector product: from rows at multiples of 16, each row rounds
+        as in the whole matrix."""
         nodes, pair_weights = _inner_pairs(self.n, self.config.inner(self.n))
-        n, count = self.n, frames.shape[1] // self.n
-        rows = max(16, _BLOCK_POINTS // len(nodes) // 16 * 16)
+        n, count, size_n = self.n, frames.shape[1] // self.n, len(nodes)
+        reads = self.body.profile.reads
+        # a ball's (0, 0) reads nothing in any dimension
+        reads = reads if len(reads) else reads.reshape(0, n)
+        k = len(reads)
+        # the (k, n - 1, count) array of each reading's F^T c
+        carried = np.matmul(reads, frames.reshape(-1, n).T).reshape(k, n - 1, count)
+        rows = max(16, _BLOCK_POINTS // size_n // 16 * 16)
         out = np.empty(count)
-        work = np.empty(len(nodes) * min(rows, count) * n)
+        work = np.empty(k * size_n * min(rows, count))
         for start in range(0, count, rows):
             size = min(rows, count - start)
-            points = work[:len(nodes) * size * n].reshape(len(nodes), size * n)
-            np.matmul(nodes, frames[:, start * n:(start + size) * n], out=points)
-            radial = self._pair_radial(mu, n - 1, points.reshape(len(nodes), size, n))
-            block = work[:size * len(nodes)].reshape(size, len(nodes))
-            np.copyto(block, radial.T)
-            del radial
-            np.matmul(block, pair_weights, out=out[start:start + size])
+            readings = work[:k * size * size_n].reshape(k, size, size_n)
+            for c, block in zip(carried, readings):
+                np.matmul(c[:, start:start + size].T, nodes.T, out=block)
+            t = readings.reshape(k, size * size_n).T
+            radial = self._body_radial(mu, n - 1, t, self.body.rho_of)
+            if self.body.symmetric:
+                radial *= 2.0
+            else:
+                np.negative(t, out=t)
+                radial += self._body_radial(mu, n - 1, t, self.body.rho_of)
+            np.matmul(radial.reshape(size, size_n), pair_weights, out=out[start:start + size])
         return out
 
     def rule(self):
@@ -330,34 +344,21 @@ class _Product:
         val2 = busemann_functional(self.body, mu, normalized, exponent, finer)
         return val2, abs(val2 - val) + 1e-15 * abs(val2)
 
-    def _body_radial(self, mu, m: int, dirs):
-        """Radial primitives (of dimension m) of a non-indicator body along the
-        last axis of dirs, which holds unit directions: shape dirs.shape[:-1].
-        Every other left side is a weighted sum of these.  More than
-        ``_BLOCK_POINTS`` points are evaluated a block at a time into one
-        output."""
-        flat = dirs.reshape(-1, self.n)
+    def _body_radial(self, mu, m: int, x, rho=None):
+        """Radial primitives (of dimension m) of a non-indicator body at the
+        unit directions along the last axis of x, or at the readings along
+        it when rho is ``body.rho_of``: shape x.shape[:-1].  Every left side
+        is a weighted sum of these.  More than ``_BLOCK_POINTS`` rows are
+        evaluated a block at a time into one output."""
+        rho = rho or self.body.rho
+        flat = x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
         if len(flat) <= _BLOCK_POINTS:
-            return _radial(self.body.space, m, self.body.rho(flat), mu).reshape(dirs.shape[:-1])
+            return _radial(self.body.space, m, rho(flat), mu).reshape(x.shape[:-1])
         out = np.empty(len(flat))
         for start in range(0, len(flat), _BLOCK_POINTS):
             block = flat[start:start + _BLOCK_POINTS]
-            out[start:start + len(block)] = _radial(self.body.space, m, self.body.rho(block), mu)
-        return out.reshape(dirs.shape[:-1])
-
-    def _pair_radial(self, mu, m: int, dirs):
-        """``_body_radial`` at dirs plus at -dirs: each antipodal pair of a
-        subsphere rule at the weight of one of its nodes.  A symmetric body
-        promises rho(-u) = rho(u), so it evaluates dirs alone, at half the
-        points.  Otherwise dirs is negated in place once its own half is
-        taken."""
-        out = self._body_radial(mu, m, dirs)
-        if self.body.symmetric:
-            out *= 2.0
-        else:
-            np.negative(dirs, out=dirs)
-            out += self._body_radial(mu, m, dirs)
-        return out
+            out[start:start + len(block)] = _radial(self.body.space, m, rho(block), mu)
+        return out.reshape(x.shape[:-1])
 
 
 class _Zonal(_Product):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedDimensionError
 from .quadrature import polar_rule
-from .spaces import as_direction
+from .spaces import as_direction, read_only
 
 
 def gegenbauer(k: int, lam: float, t):
@@ -59,8 +59,7 @@ class ZonalHarmonic:
             raise UnsupportedDimensionError("zonal harmonics require ambient dimension >= 3")
         if self.degree < 0:
             raise DomainError("degree must be >= 0")
-        object.__setattr__(self, "axis", as_direction(self.axis, self.ambient_dim).copy())
-        self.axis.setflags(write=False)
+        object.__setattr__(self, "axis", read_only(as_direction(self.axis, self.ambient_dim).copy()))
         object.__setattr__(self, "_scale", _zonal_scale(self.ambient_dim, self.degree))
 
     def __call__(self, u):

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ResourceLimitError
-from .spaces import sphere_surface_area
+from .spaces import read_only, sphere_surface_area
 
 # The most nodes a sphere rule may have, and the most entries of the dense
 # Jacobi matrix that ``gauss_jacobi`` builds (2000 nodes, 32 MB).
@@ -64,10 +64,7 @@ class SphereRule:
         """
         first = self.nodes[np.arange(len(self)), np.argmax(self.nodes != 0.0, axis=1)]
         keep = first > 0.0
-        nodes, weights = self.nodes[keep], 2.0 * self.weights[keep]
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        return nodes, weights
+        return read_only(self.nodes[keep]), read_only(2.0 * self.weights[keep])
 
 
 def gauss_jacobi(npts: int, a: float):
@@ -197,9 +194,7 @@ def polar_rule(m: int, degree: int):
     else:
         t, w = gauss_jacobi((degree + 2) // 2, (m - 2) / 2.0)
         w = w * sphere_surface_area(m - 1)
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
+    return read_only(t), read_only(w)
 
 
 def check_frames(count: int, n: int) -> None:
@@ -231,10 +226,11 @@ def householder_frames(xis: np.ndarray) -> np.ndarray:
 
 def subsphere_frames(xis) -> np.ndarray:
     """The frames of D unit normals xi in R^n laid side by side, one (n - 1, D n)
-    matrix: for an (N, n - 1) array of nodes on S^{n-2}, such as the first half
-    of ``antipodal_half``, nodes @ frames is the (N, D, n) array, node-major,
-    that carries them onto the great subsphere of S^{n-1} orthogonal to each
-    xi, and a block of D' normals' columns carries them onto those alone.
+    matrix: column d n + j holds row j of xi_d's frame F, whose columns span
+    xi_d-perp, so F carries a node v on S^{n-2} onto the great subsphere of
+    S^{n-1} orthogonal to xi_d.  A reading <F v, c> of that point is
+    <v, F^T c>, and frames.reshape(n - 1, D, n) @ c holds every F^T c at once,
+    so the product path reads the subspheres without building their points.
 
     The frames are refused, as ``householder_frames`` refuses them, before
     anything of the size of the nodes' image is allocated.
@@ -280,9 +276,7 @@ _EPS = float(np.finfo(float).eps)
 @lru_cache(maxsize=8)
 def _panel_edges(a: float, b: float) -> np.ndarray:
     """The edges of the 8 equal starting panels of [a, b], read-only."""
-    edges = np.linspace(a, b, _GK_PANELS + 1)
-    edges.setflags(write=False)
-    return edges
+    return read_only(np.linspace(a, b, _GK_PANELS + 1))
 
 
 class _Row:

@@ -77,6 +77,12 @@ def basis_vector(n: int, index: int = 0) -> np.ndarray:
     return e
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only."""
+    arr.setflags(write=False)
+    return arr
+
+
 def as_direction(v, dim: int | None = None) -> np.ndarray:
     """Validate a unit vector (a point of the direction sphere S^{n-1})."""
     u = np.asarray(v, dtype=float)
@@ -126,6 +132,13 @@ def metric_sine(space: SpaceSpec, r):
     return out if out.ndim else float(out)
 
 
+def _power(s, k: int):
+    """s ** k with the bits an array's ** gives, for an array or a float64:
+    s itself at k = 1, its square at k = 2, and numpy's power ufunc above,
+    where a float64's ** would take libm's pow, which rounds otherwise."""
+    return s if k == 1 else s * s if k == 2 else np.power(s, k)
+
+
 def _sin_power_primitive(m: int, x):
     """Antiderivative of sin^{m-1} on [0, pi], vanishing at 0, by power reduction
     phi_j = (-sin^{j-2} x cos x + (j-2) phi_{j-2}) / (j-1) from phi_1 or phi_2,
@@ -142,7 +155,7 @@ def _sin_power_primitive(m: int, x):
     s, c = np.sin(x), np.cos(x)
     out = x.copy() if m % 2 else 1.0 - c
     for j in range(3 if m % 2 else 4, m + 1, 2):
-        out = (-s ** (j - 2) * c + (j - 2) * out) / (j - 1)
+        out = (-_power(s, j - 2) * c + (j - 2) * out) / (j - 1)
     return out
 
 
@@ -157,7 +170,7 @@ def _sinh_power_primitive(m: int, x):
     s, c = np.sinh(x), np.cosh(x)
     out = x.copy() if m % 2 else c - 1.0
     for j in range(3 if m % 2 else 4, m + 1, 2):
-        out = (s ** (j - 2) * c - (j - 2) * out) / (j - 1)
+        out = (_power(s, j - 2) * c - (j - 2) * out) / (j - 1)
     return out
 
 

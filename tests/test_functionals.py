@@ -11,6 +11,7 @@ from starsections import verify as verify_module
 from starsections.bodies import (
     ArcsBase,
     BandsBase,
+    EllipsoidProfile,
     GridProfile,
     HarmonicPerturbedProfile,
     RadialProfile,
@@ -53,7 +54,9 @@ from starsections.functionals import (
     volume_and_functional,
 )
 from starsections.harmonics import zonal_harmonic
-from starsections.quadrature import build_sphere_rule, householder_frames, integrate_vectorized
+from starsections.quadrature import (
+    build_sphere_rule, householder_frames, integrate_vectorized, subsphere_frames,
+)
 from starsections.spaces import SpaceSpec, brent_root, phi, sin_power_primitive_full, sphere_surface_area
 from starsections.verify import (
     perturbation_sign_experiment,
@@ -571,12 +574,9 @@ class NonZonal(RadialProfile):
     """The same radial function with its axis hidden: forces the product rule."""
 
     def __init__(self, profile):
-        self.profile = profile
         self.kind = profile.kind
         self.symmetric = profile.symmetric
-
-    def rho(self, dirs):
-        return self.profile.rho(dirs)
+        self.reads, self.rho_of = profile.reads, profile.rho_of
 
 
 def product_rule(body):
@@ -586,6 +586,20 @@ def product_rule(body):
 def experiment_config(n, k):
     degree = max(31, n * k + 14)   # as perturbation_sign_experiment chooses it
     return QuadratureConfig(outer_degree=degree, inner_degree=degree)
+
+
+def counted_rho_rows(monkeypatch):
+    """The list that the row count of each ``StarBody.rho`` call, at
+    directions, and each ``StarBody.rho_of`` call, at readings, is appended
+    to until monkeypatch undoes it."""
+    rows = []
+    for name in ("rho", "rho_of"):
+        def counted(self, x, original=getattr(StarBody, name)):
+            rows.append(len(x))
+            return original(self, x)
+
+        monkeypatch.setattr(StarBody, name, counted)
+    return rows
 
 
 @pytest.fixture
@@ -707,14 +721,7 @@ class TestSectionGrid:
         assert functionals._section_grid.cache_info().misses == 0
 
     def test_product_path_evaluates_half_the_grid(self, monkeypatch, fresh_grid_cache):
-        points = []
-        rho = StarBody.rho
-
-        def counted(self, dirs):
-            points.append(len(dirs))
-            return rho(self, dirs)
-
-        monkeypatch.setattr(StarBody, "rho", counted)
+        points = counted_rho_rows(monkeypatch)
         body = make_bumpy_ball(S3, 0.8, [[0.0, 0.6, 0.8]], [0.2], [3.0])
         config = QuadratureConfig(outer_degree=11, inner_degree=15)
         busemann_functional(body, config=config)
@@ -1408,16 +1415,9 @@ class TestPairSum:
     @pytest.mark.parametrize("symmetric, inner_share", [(True, 2), (False, 1)],
                              ids=["symmetric", "asymmetric"])
     def test_rho_points(self, symmetric, inner_share, monkeypatch, fresh_grid_cache):
-        points = []
-        rho = StarBody.rho
-
-        def counted(self, dirs):
-            points.append(len(dirs))
-            return rho(self, dirs)
-
         space = SpaceSpec(1, 4)
         body = random_star_body(space, np.random.default_rng(4), symmetric)
-        monkeypatch.setattr(StarBody, "rho", counted)
+        points = counted_rho_rows(monkeypatch)
         busemann_functional(body)
         n_outer = len(build_sphere_rule(3, DEFAULT.outer(4)))
         n_inner = len(build_sphere_rule(2, DEFAULT.inner(4)))
@@ -1537,26 +1537,52 @@ def _bumpy(space, seed):
     return make_bumpy_ball(space, 0.8, centers, [0.15, -0.1], [3.0, 5.0], symmetric=True)
 
 
+def _product_bodies(space, symmetric):
+    """A body of every profile kind that the product path evaluates in this
+    space, with the given symmetry, each under the space's radius range."""
+    n, rng = space.dim, np.random.default_rng(10 * space.dim + space.delta)
+    bodies = [random_star_body(space, rng, symmetric)]
+    values = rng.uniform(0.4, 1.1, size=(5,) * (n - 2) + (8,))
+    if symmetric:
+        # a grid equal to itself with every polar axis flipped and the
+        # azimuth rolled by half its count
+        values = values + np.roll(np.flip(values, axis=tuple(range(n - 2))), 4, axis=-1)
+        bodies += [make_ball(space, 0.7), StarBody(space, EllipsoidProfile(rng.uniform(0.5, 1.1, n)))]
+        if space == S2:
+            bodies += [make_lune(0.6, (0.6, 0.8)), make_symmetric_polygon_body([0.7, 1.3], [0.2, 1.1])]
+    bodies.append(StarBody(space, GridProfile(values / 2)))
+    if n >= 3:
+        axis = rng.normal(size=n)
+        harmonic = zonal_harmonic(n, 2 if symmetric else 3, axis / np.linalg.norm(axis))
+        bodies.append(StarBody(space, HarmonicPerturbedProfile(0.7, 0.01, 0.05, harmonic)))
+    assert all(body.symmetric == symmetric for body in bodies)
+    return bodies
+
+
 class TestProductPathBlocks:
-    """The product path builds the points of a block of normals at a time
+    """The product path takes the readings of a block of normals at a time
     from their cached frames, and evaluates rho and the radial primitive on
-    them, so that no array of every normal's points exists."""
+    them, so that no point on a subsphere and no array of every normal's
+    readings exists."""
 
     @staticmethod
     def _whole_grid_sections(body, mu):
-        """The sections as they were summed from the stored grid: the (D, N, n)
-        points, their radial primitives in one pass, one matrix-vector product."""
+        """The sections from every normal's readings at once: each reading's
+        F^T c by one product, the (D, N) readings of each by one product,
+        their radial primitives in one pass, one matrix-vector product."""
         space, n = body.space, body.space.dim
         normals = build_sphere_rule(n - 1, DEFAULT.outer(n)).antipodal_half[0]
         nodes, pair_weights = functionals._inner_pairs(n, DEFAULT.inner(n))
-        grid = _whole_grid(nodes, normals)
+        reads = body.profile.reads
+        carried = (reads @ subsphere_frames(normals).reshape(-1, n).T).reshape(len(reads), n - 1, -1)
+        readings = np.stack([c.T @ nodes.T for c in carried]).reshape(len(reads), -1).T
 
-        def radial(points):
-            rho = body.rho(points.reshape(-1, n))
+        def radial(t):
+            rho = body.rho_of(t)
             values = phi(space, n - 1, rho) if mu is None else mu.radial_integral(space, n - 1, rho)
-            return values.reshape(grid.shape[:2])
+            return values.reshape(len(normals), len(nodes))
 
-        pairs = radial(grid) * 2.0 if body.symmetric else radial(grid) + radial(-grid)
+        pairs = radial(readings) * 2.0 if body.symmetric else radial(readings) + radial(-readings)
         return pairs @ pair_weights
 
     @pytest.mark.parametrize("mu", [None, gaussian_measure()], ids=["uniform", "gaussian"])
@@ -1576,8 +1602,31 @@ class TestProductPathBlocks:
             # a point's density integral does not depend on its batch either
             assert np.array_equal(_product_sections(body, mu), whole)
 
+    @pytest.mark.parametrize("mu", [None, gaussian_measure()], ids=["uniform", "gaussian"])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("space", [SpaceSpec(delta, n) for delta in (1, -1, 0) for n in (2, 3, 4, 5)],
+                             ids=str)
+    def test_readings_give_the_sections_of_the_points(self, space, symmetric, mu, fresh_grid_cache):
+        # the sections from rho at the points F v of the subspheres, each
+        # built by one product per normal, and from the readings <v, F^T c>
+        n, config = space.dim, QuadratureConfig(outer_degree=9, inner_degree=11)
+        rule = build_sphere_rule(n - 1, config.outer(n))
+        nodes, pair_weights = functionals._inner_pairs(n, config.inner(n))
+        grid = _whole_grid(nodes, rule.antipodal_half[0])
+        for body in _product_bodies(space, symmetric):
+            def radial(points):
+                rho = body.rho(points.reshape(-1, n))
+                values = phi(space, n - 1, rho) if mu is None else mu.radial_integral(space, n - 1, rho)
+                return values.reshape(grid.shape[:2])
+
+            pairs = radial(grid) * 2.0 if symmetric else radial(grid) + radial(-grid)
+            path = functionals._Product(body, config)
+            sections = path.sections(mu, path.rule()[1])
+            assert np.max(np.abs(sections - pairs @ pair_weights) / (pairs @ pair_weights)) <= 1e-15, \
+                body.profile.kind
+
     @pytest.mark.parametrize("space, mu, config, cap", [
-        (SpaceSpec(1, 4), None, DEFAULT, 1.5e6),
+        (SpaceSpec(1, 4), None, DEFAULT, 0.96e6),
         (H3, gaussian_measure(), QuadratureConfig(outer_degree=39, inner_degree=63), 1e6),
     ], ids=["s+4-bumpy", "h3-gaussian"])
     def test_peak_memory_of_one_functional(self, space, mu, config, cap, fresh_grid_cache):

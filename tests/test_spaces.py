@@ -273,6 +273,16 @@ class TestScalarContract:
                                phi_inverse(space, 1, 1.0), phi_inverse(space, 2, 0.5)], name
 
     @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("delta", [1, 0, -1])
+    def test_a_scalar_keeps_the_bits_of_a_one_element_array(self, delta, m):
+        # a scalar takes numpy's ufuncs as an array does, never Python's math
+        # (whose sinh, cosh, exp and expm1 round otherwise on many inputs)
+        space = SpaceSpec(delta, max(m, 2))
+        for x in np.linspace(0.0, math.pi / 2 if delta == 1 else 10.0, 1001).tolist():
+            assert phi(space, m, x) == phi(space, m, np.array([x]))[0], x
+            assert metric_sine(space, x) == metric_sine(space, np.array([x]))[0], x
+
+    @pytest.mark.parametrize("m", range(1, 9))
     def test_euclidean_phi_takes_the_power_ufunc(self, m):
         # numpy's power ufunc on a 0-d array and libm's pow (numpy's scalar
         # arithmetic on a float64) differ in the last bit on some inputs;

@@ -244,6 +244,22 @@ def portable_moves(compare_outputs, old: str, new: str) -> list[str]:
     return moves
 
 
+def dump_mismatch(compare_outputs, committed: str, produced: str) -> str:
+    """What a dump that differs from the committed one is told by: the
+    report of compare_outputs.py on the two, not a diff of every line."""
+    lines = compare_outputs.summary(committed, produced)
+    return "\n".join([f"the dump differs from {COMMITTED_DUMP.name}:"]
+                     + (["the labels differ"] if lines is None else lines))
+
+
+def test_a_differing_dump_is_told_by_the_report(compare_outputs):
+    message = dump_mismatch(compare_outputs, OLD, NEW).splitlines()
+    assert message[1] == "5 of 8 lines changed"
+    assert "  suite/hyperbolic                    2 changed, largest relative change 0.001 " \
+           "(suite/hyperbolic/3/1//lhs)" in message
+    assert dump_mismatch(compare_outputs, OLD, OLD[1:]).splitlines()[1] == "the labels differ"
+
+
 def test_the_dump_matches_the_committed_one(compare_outputs):
     proc = subprocess.run([sys.executable, str(TOOLS / "dump_outputs.py")], capture_output=True,
                           text=True, timeout=600)
@@ -251,7 +267,8 @@ def test_the_dump_matches_the_committed_one(compare_outputs):
     committed = COMMITTED_DUMP.read_text()
     header = [line for line in committed.splitlines() if line.startswith("#")]
     if header == [line for line in proc.stdout.splitlines() if line.startswith("#")]:
-        assert proc.stdout == committed
+        same = proc.stdout == committed
+        assert same, dump_mismatch(compare_outputs, committed, proc.stdout)
     else:
         assert portable_moves(compare_outputs, committed, proc.stdout) == []
 

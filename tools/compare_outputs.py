@@ -29,10 +29,9 @@ PERTURBATION_DIFFERENCE_COLUMN = "5"
 PERTURBATION_ERROR_COLUMN = "6"
 
 
-def read(path):
+def parse(text: str):
     """The environment header lines and the (label, value) pairs of a dump."""
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    lines = [line for line in text.splitlines() if line.strip()]
     header = [line for line in lines if line.startswith("#")]
     return header, [line.split(" ", 1) for line in lines if not line.startswith("#")]
 
@@ -65,14 +64,12 @@ def relative_change(old: str, new: str) -> float:
     return abs(b - a) / abs(a) if a != 0.0 else math.inf
 
 
-def main(argv) -> int:
-    if len(argv) != 3:
-        print("usage: python3 tools/compare_outputs.py OLD NEW", file=sys.stderr)
-        return 2
-    (old_header, old), (new_header, new) = read(argv[1]), read(argv[2])
+def summary(old_text: str, new_text: str) -> list[str] | None:
+    """The lines of the report on two dumps' texts, or None when they do not
+    hold the same labels in the same order."""
+    (old_header, old), (new_header, new) = parse(old_text), parse(new_text)
     if [label for label, _ in old] != [label for label, _ in new]:
-        print("the two files do not hold the same labels in the same order", file=sys.stderr)
-        return 1
+        return None
     groups = {}
     changed = 0
     for (label, a), (_, b) in zip(old, new):
@@ -84,16 +81,15 @@ def main(argv) -> int:
         count, worst, where = groups.get(key, (0, -1.0, ""))
         rel = relative_change(a, b)
         groups[key] = (count + 1, max(worst, rel), where if worst >= rel else label)
-    for line in environment_note(old_header, new_header):
-        print(line)
-    print(f"{changed} of {len(old)} lines changed")
+    out = environment_note(old_header, new_header)
+    out.append(f"{changed} of {len(old)} lines changed")
     for kind in ("values", "error estimates"):
         rows = sorted((prefix, stats) for (k, prefix), stats in groups.items() if k == kind)
         if not rows:
             continue
-        print(f"{kind}:")
+        out.append(f"{kind}:")
         for prefix, (count, worst, where) in rows:
-            print(f"  {prefix:<32} {count:4d} changed, largest relative change {worst:.3g} ({where})")
+            out.append(f"  {prefix:<32} {count:4d} changed, largest relative change {worst:.3g} ({where})")
     new_values = dict(new)
     moves = []
     for label, a in old:
@@ -103,7 +99,23 @@ def main(argv) -> int:
             moves.append((abs(float(new_values[label]) - float(a)) / error, label))
     if moves:
         ratio, label = max(moves)
-        print(f"perturbation differences: largest |change| / own error estimate {ratio:.3g} ({label})")
+        out.append(f"perturbation differences: largest |change| / own error estimate {ratio:.3g} ({label})")
+    return out
+
+
+def main(argv) -> int:
+    if len(argv) != 3:
+        print("usage: python3 tools/compare_outputs.py OLD NEW", file=sys.stderr)
+        return 2
+    texts = []
+    for path in argv[1:]:
+        with open(path) as fh:
+            texts.append(fh.read())
+    lines = summary(*texts)
+    if lines is None:
+        print("the two files do not hold the same labels in the same order", file=sys.stderr)
+        return 1
+    print("\n".join(lines))
     return 0
 
 
