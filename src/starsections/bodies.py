@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -158,25 +158,27 @@ def _band_block(m: int) -> tuple[int, int]:
     return buffers, (16384 // chunk - 1) // buffers * chunk
 
 
-@dataclass(frozen=True)
 class BandsBase(ConeBase):
     """Disjoint union of bands {lo_k <= <x, axis> <= hi_k} on S^{n-1}.
 
     A base whose bands are exactly their own mirror image (the band (-hi, -lo)
     of each band, as floats) is mirrored: the flag is decided once, from the
-    arrays, and the measure and large section sums add only the upper half.
+    arrays, and the measure and every section sum add only the upper half.
+    So a mirrored base of K bands keeps only that half, the bands from K // 2
+    on: when K is odd, the middle band, its own mirror, comes first.  ``los``
+    and ``his`` are the whole union, built read-only each time they are read;
+    only ``descriptor``, ``contains``, a small base's sections and
+    ``bands_to_arcs`` read them.  Any other base keeps its bands as given,
+    sorted.  ``len`` is the number of bands K.
     """
 
     axis: np.ndarray
-    los: np.ndarray
-    his: np.ndarray
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
-    def __post_init__(self):
-        axis = as_direction(self.axis)
-        object.__setattr__(self, "axis", axis.copy())
-        los = np.asarray(self.los, dtype=float)
-        his = np.asarray(self.his, dtype=float)
+    def __init__(self, axis, los, his, meta=None):
+        axis = as_direction(axis).copy()
+        los = np.asarray(los, dtype=float)
+        his = np.asarray(his, dtype=float)
         if los.shape != his.shape or los.ndim != 1:
             raise DomainError("band bounds must be matching 1-d arrays")
         if not np.all(los <= his):
@@ -184,8 +186,6 @@ class BandsBase(ConeBase):
         if np.any(los[1:] < los[:-1]):
             order = np.argsort(los)
             los, his = los[order], his[order]
-        else:
-            los, his = los.copy(), his.copy()
         if np.any(los[1:] < his[:-1] - 1e-15):
             raise DomainError("bands must be disjoint")
         # the running maximum of the upper edges, which bounds the section
@@ -195,11 +195,59 @@ class BandsBase(ConeBase):
         # every edge lies between the lowest lower edge and the highest upper one
         if len(los) and not (math.isfinite(los[0]) and math.isfinite(his_max[-1])):
             raise DomainError("band edges must be finite")
-        object.__setattr__(self, "los", los)
-        object.__setattr__(self, "his", his)
-        object.__setattr__(self, "_his_max", his_max)
-        for arr in (self.axis, self.los, self.his, his_max):
+        count = len(los)
+        # -A has bands [-hi, -lo] in reverse order.  A = -A as floats when
+        # -his[::-1] == los; read backwards, that is also -los[::-1] == his,
+        # so the upper edges ascend and are their own running maximum
+        mirrored = bool(np.array_equal(-his[::-1], los))
+        # the upper half rebuilds the lower one bit for bit unless an edge
+        # there is a zero of the other sign than its mirror's; such a base
+        # keeps every band
+        lower = count // 2
+        if mirrored and np.array_equal(np.signbit(los[:lower]), ~np.signbit(his[::-1][:lower])) \
+                and np.array_equal(np.signbit(his[:lower]), ~np.signbit(los[::-1][:lower])):
+            los, his = los[lower:], his[lower:]
+        self._keep(axis, los.copy(), his.copy(), None, count, mirrored, {} if meta is None else meta)
+
+    @classmethod
+    def _kept(cls, axis, los, his, count, mirrored, meta) -> "BandsBase":
+        """The base of count bands that keeps los and his, ascending, as they
+        are: every band, or the upper half of a mirrored base.  No check."""
+        base = object.__new__(cls)
+        base._keep(axis, los, his, his, count, mirrored, meta)
+        return base
+
+    def _keep(self, axis, los, his, his_max, count, mirrored, meta) -> None:
+        if his_max is None:
+            his_max = np.maximum.accumulate(his) if np.any(his[1:] < his[:-1]) else his
+        self.axis, self.meta = axis, meta
+        self._los, self._his, self._his_max = los, his, his_max
+        # the kept bands are [_offset, count) of the union
+        self._count, self._offset, self._mirrored = count, count - len(los), mirrored
+        for arr in (axis, los, his, his_max):
             arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self._count
+
+    @property
+    def los(self) -> np.ndarray:
+        return self._union(self._los, self._his)
+
+    @property
+    def his(self) -> np.ndarray:
+        return self._union(self._his, self._los)
+
+    def _union(self, kept, mirror) -> np.ndarray:
+        """One edge array of the whole union: kept itself, or below it the
+        negated other edges of the upper half, read backwards."""
+        lower = self._offset
+        if not lower:
+            return kept
+        out = np.empty(self._count)
+        np.negative(mirror[::-1][:lower], out=out[:lower])
+        out[lower:] = kept
+        return read_only(out)
 
     @property
     def ambient_dim(self) -> int:
@@ -207,12 +255,12 @@ class BandsBase(ConeBase):
 
     @property
     def measure(self) -> float:
-        return self._window_sum(self.ambient_dim - 1, 0, len(self.los))
+        return self._window_sum(self.ambient_dim - 1, 0, len(self))
 
     def contains(self, dirs) -> np.ndarray:
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         t = dirs @ self.axis
-        edges = np.empty(2 * len(self.los))
+        edges = np.empty(2 * len(self))
         edges[0::2] = self.los
         edges[1::2] = self.his
         idx = np.searchsorted(edges, t, side="right")
@@ -233,14 +281,15 @@ class BandsBase(ConeBase):
             out[degenerate] = sphere_surface_area(m_sub) if start[0] < stop[0] else 0.0
         rows = np.flatnonzero(~degenerate)
         chunk = _band_chunk(m_sub)
-        k = len(self.los)
+        k = len(self)
         if k <= chunk:
             # a small base: all its bands against a block of rows at once
             block = chunk // max(1, k)
+            los, his = self.los[None, :], self.his[None, :]
             for start in range(0, len(rows), block):
                 todo = rows[start : start + block]
                 sv = s[todo, None]
-                vals = sphere_band_measure(m_sub, self.los[None, :] / sv, self.his[None, :] / sv)
+                vals = sphere_band_measure(m_sub, los / sv, his / sv)
                 out[todo] = np.sum(vals, axis=1)
         else:
             # a large base: only the window of bands that meets [-s, s] adds
@@ -261,15 +310,15 @@ class BandsBase(ConeBase):
         """
         if not self._mirrored:
             return math.fsum(self._chunk_sums(m, s, (start, stop))[0])
-        k = len(self.los)
+        k = len(self)
         half = (k + 1) // 2     # the upper half; band k // 2 is the middle when k is odd
         middle, upper = self._chunk_sums(m, s, (max(start, k // 2), min(stop, half)),
                                          (max(start, half), stop))
         return math.fsum(middle + [2.0 * v for v in upper])
 
     def _chunk_sums(self, m: int, s, *spans) -> list[list[float]]:
-        """For each span [a, b) of bands, the sum of each of its chunks of
-        _band_chunk(m) bands on S^m, edges divided by s.
+        """For each span [a, b) of bands the base keeps, the sum of each of its
+        chunks of _band_chunk(m) bands on S^m, edges divided by s.
 
         A numpy pass evaluates a block of whole chunks: the edges are divided
         into buffers allocated once per call (_band_block), clipped to
@@ -281,7 +330,8 @@ class BandsBase(ConeBase):
         sphere, takes sphere_band_measure per chunk.
         """
         chunk = _band_chunk(m)
-        los, his = self.los, self.his
+        los, his, his_max = self._los, self._his, self._his_max
+        spans = [(a - self._offset, b - self._offset) for a, b in spans]
         if m == 0:
             return [[float(sphere_band_measure(m, los[j : min(j + chunk, b)] / s,
                                                his[j : min(j + chunk, b)] / s).sum())
@@ -300,7 +350,7 @@ class BandsBase(ConeBase):
             for j in range(a, b, block):
                 e = min(j + block, b)
                 n = e - j
-                clip = los[j] / s < -1.0 or self._his_max[e - 1] / s > 1.0
+                clip = los[j] / s < -1.0 or his_max[e - 1] / s > 1.0
                 for edges, t, p in ((his, t_hi, p_hi), (los, t_lo, p_lo)):
                     t, p = t[:n], p[:n]
                     np.divide(edges[j:e], s, out=t)
@@ -321,15 +371,13 @@ class BandsBase(ConeBase):
 
     def _windows(self, svals):
         """For each s, the bands [start, stop) that meet [-s, s]: those before
-        start lie below -s and those from stop on lie above s."""
-        return (np.searchsorted(self._his_max, -svals, side="left"),
-                np.searchsorted(self.los, svals, side="right"))
-
-    @cached_property
-    def _mirrored(self) -> bool:
-        # -A has bands [-hi, -lo] in reverse order.  A = -A as floats when
-        # -his[::-1] == los; read backwards, that is also -los[::-1] == his
-        return bool(np.array_equal(-self.his[::-1], self.los))
+        start lie below -s and those from stop on lie above s.  A mirrored
+        base's window is symmetric, start = K - stop: a band lies below -s
+        exactly when its mirror lies above s."""
+        stop = self._offset + np.searchsorted(self._los, svals, side="right")
+        if self._mirrored:
+            return len(self) - stop, stop
+        return np.searchsorted(self._his_max, -svals, side="left"), stop
 
     def is_origin_symmetric(self) -> bool:
         return self._mirrored
@@ -777,9 +825,8 @@ class PolygonProfile(RadialProfile):
         return self.rho_of(np.atleast_2d(dirs) @ self.normals.T)
 
     def rho_of(self, t):
-        denom = np.abs(t)
-        with np.errstate(divide="ignore"):
-            gnomonic = np.min(self.offsets[None, :] / np.maximum(denom, 1e-300), axis=1)
+        # the divisor is at least 1e-300, so no division is by zero
+        gnomonic = np.min(self.offsets[None, :] / np.maximum(np.abs(t), 1e-300), axis=1)
         return np.arctan(gnomonic)
 
     def plane_corners(self):
@@ -1282,33 +1329,41 @@ def perturbation_norms(body: StarBody):
 # the alternating-strip subset of a cap
 
 
-# The most strips a striped base may have.  A striped cone keeps two arrays of
-# twice as many floats, 32 bytes a strip.  At n = 3 its build allocates no
-# more; at n >= 4 the primitives of the tops and of one group of lower edges
-# take up to 16 bytes a strip on top.  The densest base the tests build has
-# 6,433,983 bands.
+# The most strips a striped base may have.  A striped cone keeps A, its upper
+# half: two arrays of as many floats, 16 bytes a strip.  Its build allocates
+# no more, but for scratch arrays of at most _FIRST_STRIP_GROUP strips.  The
+# densest base the tests build has 6,433,983 bands.
 STRIP_CAP = 1 << 24
 
 # Strips with index below this form one group of the root solve; from here on
-# each binade of k - gamma is a group of its own.
+# each binade of k - gamma is a group of its own.  The strips are built this
+# many at a time.
 _FIRST_STRIP_GROUP = 1 << 14
 
 
-def _check_strips(los, his, flags, scratch) -> None:
+def _check_strips(los, his) -> None:
     """The checks that BandsBase runs on the strips A = (los, his), and those
     that A union -A, with -A below A, needs on top: lo <= hi and no edge
     NaN, both edges ascending (across the junction with -A too), the bands
     disjoint within 1e-15 (A's lowest band and its mirror too), and every
-    edge finite.  DomainError otherwise.  The boolean array flags and the
-    float array scratch, each at least as long as los, hold the temporaries."""
+    edge finite.  DomainError otherwise.  Each check runs over all strips
+    before the next, _FIRST_STRIP_GROUP strips at a time, so that its
+    temporaries stay small."""
+    block = _FIRST_STRIP_GROUP
+
+    def anywhere(test, count):
+        # whether test(a, b) holds on any block [a, b) of range(count)
+        return any(test(a, min(a + block, count)) for a in range(0, count, block))
+
     n = len(los)
-    if not np.less_equal(los, his, out=flags[:n]).all():
+    if anywhere(lambda a, b: not np.all(los[a:b] <= his[a:b]), n):
         raise DomainError("band upper bounds must dominate lower bounds, and no edge may be NaN")
-    f = flags[: n - 1]
-    if (np.less(los[1:], los[:-1], out=f).any() or np.less(his[1:], his[:-1], out=f).any()
+    # the pairs of neighbours (i, i + 1), i < n - 1
+    if (anywhere(lambda a, b: bool(np.any(los[a + 1 : b + 1] < los[a:b])
+                                   or np.any(his[a + 1 : b + 1] < his[a:b])), n - 1)
             or -his[0] > los[0]):
         raise DomainError("strip edges must ascend")
-    if (np.less(los[1:], np.subtract(his[:-1], 1e-15, out=scratch[: n - 1]), out=f).any()
+    if (anywhere(lambda a, b: bool(np.any(los[a + 1 : b + 1] < his[a:b] - 1e-15)), n - 1)
             or los[0] < -los[0] - 1e-15):
         raise DomainError("bands must be disjoint")
     if not (math.isfinite(los[0]) and math.isfinite(his[-1])):
@@ -1317,24 +1372,18 @@ def _check_strips(los, his, flags, scratch) -> None:
 
 def _striped_union(axis, alpha: float, delta: float, lam: float, cap_measure: float) -> BandsBase:
     """A union -A, where A is the strips of pitch delta inside the cap with the
-    keep fraction gamma tuned so that |A| = lam * cap_measure.
+    keep fraction gamma tuned so that |A| = lam * cap_measure.  The base is
+    mirrored and keeps A alone, its upper half; -A is never written.
 
-    The two arrays of the result are allocated first, 2 * count floats each.
-    While the root solve runs, their upper halves hold the lower edges and
-    the tops, and their lower halves the solve's scratch: the strip numbers
-    k and the strip measures.  Once gamma is known, the kept strips A pass
-    _check_strips, its temporaries in the lower halves, and only then is -A
-    written there, just below A.  The base is the slice of both arrays
-    around their middle.  Beyond the base, the build holds at n >= 4 the tops'
-    primitive and one scratch the size of the largest group of strips.
-
-    The root solve measures up to about 10^6 strips per evaluation, so it
-    does only the arithmetic of sphere_band_measure and no more: the tops'
-    primitive is computed once, the lower edges alpha + (k - gamma) delta are
-    rebuilt in place with the same float operations, and as they rise with k
-    the kept strips (lo < 1) are the prefix that one bisection finds.  Every
-    edge lies in [alpha, 1], where clipping changes nothing, so each measure
-    is bit for bit that of sphere_band_measure on the kept strips.
+    The root solve keeps one array, the strip measures, whose np.sum over
+    the kept strips it compares with the target.  The strips are built
+    _FIRST_STRIP_GROUP at a time in small scratch arrays, their numbers
+    k = 1, 2, ... from the index range: the tops min(alpha + k delta, 1), the
+    lower edges alpha + (k - gamma) delta, and at n >= 4 the primitives of
+    both, by the float operations of sphere_band_measure.  The lower edges
+    rise with k, so the kept strips (lo < 1) are a prefix.  Every edge lies
+    in [alpha, 1], where clipping changes nothing, so each measure is bit for
+    bit that of sphere_band_measure on the kept strips.
 
     Only the strips whose edges moved are rebuilt.  The indices [0, 2^14)
     are one group, rebuilt at every evaluation; each further group is the
@@ -1346,86 +1395,117 @@ def _striped_union(axis, alpha: float, delta: float, lam: float, cap_measure: fl
     when all of them are, and then every edge and measure of the group is
     the same to the bit and is kept.  The sum is still one np.sum over the
     kept prefix, so gamma and the bands do not depend on what was skipped.
-    ResourceLimitError for more than STRIP_CAP strips, before any allocation.
+
+    Once gamma is known, A's lower edges are written over the measures and
+    its tops into a second array, the two arrays the base keeps, and A
+    passes _check_strips.  ResourceLimitError for more than STRIP_CAP
+    strips, before any allocation.
     """
     axis = as_direction(axis).copy()
     n = len(axis)
     count = int(math.floor((1.0 - alpha) / delta)) + 1
     if count > STRIP_CAP:
         raise ResourceLimitError(f"a pitch of {delta:.3g} would need {count} strips, cap is {STRIP_CAP}")
-    both_los, both_his = np.empty(2 * count), np.empty(2 * count)
-    k, band = both_los[:count], both_his[:count]
-    lo, tops = both_los[count:], both_his[count:]
-    # the strip numbers 1, 2, ... as floats, exact integers as an arange's are
-    k.fill(1.0)
-    np.cumsum(k, out=k)
-    # alpha + k * delta, the sum's operands swapped, which leaves its bits
-    np.multiply(k, delta, out=tops)
-    tops += alpha
-    np.minimum(tops, 1.0, out=tops)
     q = (n - 3) / 2.0
-    # the tops' primitive, with the strip measures' half as its scratch, which
-    # is free until the solve; at q = 0 it is the tops themselves
-    top_primitive = tops if q == 0.0 else np.empty(count)
-    _primitive_in_place(q, tops, top_primitive, band)
     area = sphere_surface_area(n - 2)
+    block = min(_FIRST_STRIP_GROUP, count)
+    # a block's strip numbers, then its lower edges; at q > 0 also its tops,
+    # their primitive and the primitives' scratch
+    lo_buf = np.empty(block)
+    top_buf, primitive_buf, tmp_buf = (None,) * 3 if q == 0.0 else np.empty((3, block))
+    measures = np.empty(count)
+
+    def tops(k, out):
+        # alpha + k * delta, the sum's operands swapped, which leaves its bits
+        np.multiply(k, delta, out=out)
+        out += alpha
+        return np.minimum(out, 1.0, out=out)
+
+    def top_primitive(k, out):
+        """The primitive of the tops of the strip numbers k, into out; at q = 0
+        the tops are their own primitive."""
+        if q == 0.0:
+            return tops(k, out)
+        top = tops(k, top_buf[: len(k)])
+        _primitive_in_place(q, top, out, tmp_buf[: len(k)])
+        return out
+
+    def lower_edges(k, gamma, out):
+        np.subtract(k, gamma, out=out)
+        np.multiply(out, delta, out=out)
+        return np.add(out, alpha, out=out)
+
+    # the first block, measured at every evaluation, keeps its strip numbers
+    # 1, 2, ... (exact integers, which give every other block's too) and its
+    # tops' primitive, neither of which depends on gamma
+    first_k = np.arange(1.0, block + 1.0)
+    first_top = top_primitive(first_k, np.empty(block))
+
+    def numbers(j, out):
+        """The strip numbers of the strips from index j on, into out."""
+        return np.add(first_k[: len(out)], j, out=out)
+
+    def measure(a, b, gamma) -> int:
+        """Measure the strips [a, b) with lo < 1 at gamma; how many they are."""
+        for j in range(a, b, block):
+            size = min(block, b - j)
+            if j:
+                k = numbers(j, lo_buf[:size])
+                # at q = 0 the tops go where their measures go
+                top = top_primitive(k, measures[j : j + size] if q == 0.0 else primitive_buf[:size])
+            else:
+                k, top = first_k, first_top
+            lo = lower_edges(k, gamma, lo_buf[:size])
+            kept = int(np.searchsorted(lo, 1.0))
+            vals, lo = measures[j : j + kept], lo[:kept]
+            # the lower edges' primitive: the edges themselves at q = 0
+            primitive = lo if q == 0.0 else vals
+            _primitive_in_place(q, lo, primitive, None if q == 0.0 else tmp_buf[:kept])
+            np.subtract(top[:kept], primitive, out=vals)
+            np.maximum(vals, 0.0, out=vals)
+            vals *= area
+            if kept < size:
+                return j - a + kept
+        return b - a
+
     starts = [0]
     while (start := max(_FIRST_STRIP_GROUP, 2 * starts[-1])) < count:
         starts.append(start)
     groups = list(zip(starts, starts[1:] + [count]))
-    # the lower edges' primitive goes over their measures; at q = 0 it is them
-    scratch = np.empty(max(b - a for a, b in groups) if q else 0)
     # per group: its last k - gamma when it was rebuilt (nan equals nothing),
-    # and how many of its leading strips are measured for those edges
+    # and how many of its leading strips have lo < 1, each of them measured
     probes = [math.nan] * len(groups)
-    measured = [0] * len(groups)
+    below = [0] * len(groups)
 
-    def lower_edges(gamma):
+    def measure_gap(gamma):
         for g, (a, b) in enumerate(groups):
             if g:
-                probe = k[b - 1] - gamma
+                probe = b - gamma
                 if probe == probes[g]:
                     continue
                 probes[g] = probe
-            measured[g] = 0
-            edges = lo[a:b]
-            np.subtract(k[a:b], gamma, out=edges)
-            np.multiply(edges, delta, out=edges)
-            np.add(edges, alpha, out=edges)
-        return int(np.searchsorted(lo, 1.0))
-
-    def measure_gap(gamma):
-        kept = lower_edges(gamma)
-        for g, (a, b) in enumerate(groups):
-            stop = min(b, kept)
-            if stop - a <= measured[g]:
-                continue
-            vals, edges = band[a:stop], lo[a:stop]
-            primitive = edges if q == 0.0 else vals
-            _primitive_in_place(q, edges, primitive, scratch[: stop - a])
-            np.subtract(top_primitive[a:stop], primitive, out=vals)
-            np.maximum(vals, 0.0, out=vals)
-            vals *= area
-            measured[g] = stop - a
-        return float(np.sum(band[:kept])) - lam * cap_measure
+            below[g] = measure(a, b, gamma)
+        # the kept prefix ends in the first group with a strip at lo >= 1
+        for (a, b), m in zip(groups, below):
+            if m < b - a:
+                break
+        return float(np.sum(measures[: a + m])) - lam * cap_measure
 
     gamma = brent_root(measure_gap, 0.0, 1.0, xtol=1e-15, rtol=1e-15)
-    kept = lower_edges(gamma)
-    los, his = lo[:kept], tops[:kept]
-    _check_strips(los, his, k.view(np.bool_), band)
-    np.negative(his[::-1], out=both_los[count - kept : count])
-    np.negative(los[::-1], out=both_his[count - kept : count])
-    both_los, both_his = both_los[count - kept : count + kept], both_his[count - kept : count + kept]
-    out = object.__new__(BandsBase)
-    # the upper edges ascend, so they are their own running maximum, and the
-    # bands are their own mirror by construction
-    for name, value in (("axis", axis), ("los", both_los), ("his", both_his), ("_his_max", both_his),
-                        ("meta", {"alpha": alpha, "delta": delta, "gamma": gamma, "lam": lam,
-                                  "cap_measure": cap_measure}), ("_mirrored", True)):
-        object.__setattr__(out, name, value)
-    for arr in (axis, both_los, both_his):
-        arr.setflags(write=False)
-    return out
+    del lo_buf, top_buf, primitive_buf, tmp_buf, first_top
+    # A's lower edges over the measures, then its tops
+    for j in range(0, count, block):
+        k = numbers(j, measures[j : j + block])
+        lower_edges(k, gamma, k)
+    kept = int(np.searchsorted(measures, 1.0))
+    los, his = measures[:kept], np.empty(kept)
+    for j in range(0, kept, block):
+        tops(numbers(j, his[j : j + block]), his[j : j + block])
+    del first_k
+    _check_strips(los, his)
+    return BandsBase._kept(axis, los, his, 2 * kept, True,
+                           {"alpha": alpha, "delta": delta, "gamma": gamma, "lam": lam,
+                            "cap_measure": cap_measure})
 
 
 def _strip_pitch(n: int, alpha: float, lam: float, eps: float) -> tuple[float, float]:
@@ -1463,13 +1543,13 @@ def striped_cap_subset(alpha: float, axis, lam: float, eps: float) -> BandsBase:
     The construction partitions the cap into narrow strips of pitch delta and
     keeps a tuned fraction of each.  The pitch is chosen from the explicit
     error budget: c2 * delta (+ an arcsine edge term when n = 3) <= eps.  A is
-    the upper half of the striped cone's base A union -A, copied.
+    the half that the striped cone's base A union -A keeps, from the same
+    solve and already checked: its arrays themselves, with no copy.
     """
     axis = as_direction(np.asarray(axis, dtype=float))
     delta, cap = _strip_pitch(len(axis), alpha, lam, eps)
     both = _striped_union(axis, alpha, delta, lam, cap)
-    half = len(both.los) // 2
-    return BandsBase(axis, both.los[half:], both.his[half:], meta=both.meta)
+    return BandsBase._kept(both.axis, both._los, both._his, len(both._los), False, both.meta)
 
 
 def make_striped_cone(space: SpaceSpec, t: float, alpha: float, eps: float) -> StarBody:

@@ -724,6 +724,9 @@ def _tanh_sinh_levels():
     reuses the nodes of level L - 1, so each level lists only its new t >= 0.
     A node is given by its distance 1 - |x| = 1 / (e^u cosh u) to the nearer
     end, which keeps the integrand's argument exact next to the endpoints.
+    On [0, pi/2] that distance is the angle d = (pi/4) (1 - |x|) from either
+    end, and a level keeps cos d and sin d, the cosines of its nodes next to
+    0 and next to pi/2, with its step and weights.
     """
     levels = []
     for level in range(_TANH_SINH_LEVELS):
@@ -731,7 +734,9 @@ def _tanh_sinh_levels():
         k = np.arange(round(_TANH_SINH_T_MAX / h) + 1)
         t = h * (k if level == 0 else k[k % 2 == 1])
         u = math.pi / 2.0 * np.sinh(t)
-        levels.append((h, 1.0 / (np.exp(u) * np.cosh(u)), math.pi / 2.0 * np.cosh(t) / np.cosh(u) ** 2))
+        d = math.pi / 4.0 * (1.0 / (np.exp(u) * np.cosh(u)))
+        levels.append((h, read_only(np.cos(d)), read_only(np.sin(d)),
+                       read_only(math.pi / 2.0 * np.cosh(t) / np.cosh(u) ** 2)))
     return levels
 
 
@@ -753,10 +758,9 @@ def lune_bound(vol: float) -> float:
         return (math.pi / 2.0 - np.arctan(cos_theta / tw)) ** 2
 
     total = previous = 0.0
-    for level, (h, gap, weights) in enumerate(_tanh_sinh_levels()):
-        # theta = (pi/4) gap next to 0 and pi/2 - (pi/4) gap next to pi/2
-        d = math.pi / 4.0 * gap
-        values = weights * (integrand(np.cos(d)) + integrand(np.sin(d)))
+    for level, (h, cos_d, sin_d, weights) in enumerate(_tanh_sinh_levels()):
+        # theta = d next to 0 and pi/2 - d next to pi/2
+        values = weights * (integrand(cos_d) + integrand(sin_d))
         if level == 0:
             values[0] /= 2.0   # t = 0 is one node, theta = pi/4
         total = total / 2.0 + h * float(np.sum(values))

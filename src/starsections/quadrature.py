@@ -206,22 +206,33 @@ def check_frames(count: int, n: int) -> None:
 
 def householder_frames(xis: np.ndarray) -> np.ndarray:
     """Orthonormal bases of xi-perp, shape (D, n, n - 1) for D unit normals: the
-    columns of the reflection sending e_n to each xi.
+    first n - 1 columns of the reflection I - 2 v v^T / |v|^2, v = xi - e_n,
+    which sends e_n to xi.
 
     Deterministic completion: for xi = e_n it returns (e_1, ..., e_{n-1}).
-    ResourceLimitError, before anything is allocated, when the D n x n
-    reflections would hold more than ``NODE_CAP`` entries.
+    Only the kept columns are built, each entry delta_ij - (2 v_i v_j) / |v|^2
+    in one pass per column, into an (n - 1, D, n) array of which the result
+    is a view; no n x n reflection exists.  ResourceLimitError, before
+    anything is allocated, when the D n x n reflections would hold more than
+    ``NODE_CAP`` entries.
     """
     xis = np.asarray(xis, dtype=float)
-    n = xis.shape[1]
-    check_frames(len(xis), n)
+    count, n = xis.shape
+    check_frames(count, n)
     v = xis.copy()
     v[:, -1] -= 1.0
     norm2 = np.einsum("ij,ij->i", v, v)
-    reflect = norm2 >= 1e-28
-    house = np.broadcast_to(np.eye(n), (len(xis), n, n)).copy()
-    house[reflect] -= 2.0 * (v[reflect, :, None] * v[reflect, None, :]) / norm2[reflect, None, None]
-    return house[:, :, : n - 1]
+    identity = ~(norm2 >= 1e-28)
+    norm2[identity] = 1.0       # those columns are the identity's
+    columns = np.empty((n - 1, count, n))
+    eye = np.eye(n)
+    for j, column in enumerate(columns):
+        np.multiply(v, v[:, j, None], out=column)
+        column *= 2.0
+        column /= norm2[:, None]
+        np.subtract(eye[j], column, out=column)
+        column[identity] = eye[j]
+    return columns.transpose(1, 2, 0)
 
 
 def subsphere_frames(xis) -> np.ndarray:
@@ -233,7 +244,8 @@ def subsphere_frames(xis) -> np.ndarray:
     so the product path reads the subspheres without building their points.
 
     The frames are refused, as ``householder_frames`` refuses them, before
-    anything of the size of the nodes' image is allocated.
+    anything of the size of the nodes' image is allocated; the matrix is the
+    array that ``householder_frames`` writes, reshaped without a copy.
     """
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     if not np.all(np.abs(np.linalg.norm(xis, axis=1) - 1.0) <= 1e-12):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -16,6 +17,7 @@ from starsections.bodies import (
     HarmonicPerturbedProfile,
     StarBody,
     bands_to_arcs,
+    base_from_descriptor,
     body_from_json_dict,
     cap_base,
     equality_cone_base,
@@ -322,7 +324,7 @@ class TestBandsConstruction:
     def test_strips_that_meet_their_mirror_are_refused(self, los, his):
         los, his = np.array(los), np.array(his)
         with pytest.raises(DomainError, match="disjoint"):
-            bodies._check_strips(los, his, np.empty(len(los), dtype=bool), np.empty(len(los)))
+            bodies._check_strips(los, his)
         with pytest.raises(DomainError, match="disjoint"):
             _checked_union(BandsBase(np.eye(3)[0], los, his))
 
@@ -338,33 +340,36 @@ class TestBandsConstruction:
         with pytest.raises(DomainError, match=message):
             BandsBase(np.eye(3)[0], los, his)
         with pytest.raises(DomainError, match=message):
-            bodies._check_strips(los, his, np.empty(len(los), dtype=bool), np.empty(len(los)))
+            bodies._check_strips(los, his)
 
     @pytest.mark.parametrize("builder", STRIPED_HALVES.values(), ids=STRIPED_HALVES.keys())
     def test_striped_union_is_the_checked_union(self, builder):
         half = builder()
         both = _striped_union_of(half)
         reference = _checked_union(half)
-        for name in ("axis", "los", "his", "_his_max"):
+        # the whole union, and the half that each keeps with its running maximum
+        for name in ("axis", "los", "his", "_los", "_his", "_his_max"):
             assert np.array_equal(getattr(both, name), getattr(reference, name))
             assert not getattr(both, name).flags.writeable
-        assert (both._his_max is both.his) == (reference._his_max is reference.his)
+        assert len(both) == len(reference) == 2 * len(half)
+        assert both._his_max is both._his and reference._his_max is reference._his
         assert both.is_origin_symmetric() and reference.is_origin_symmetric()
         assert both.meta == half.meta
 
-    def test_strips_are_checked_before_their_mirror_is_written(self, monkeypatch):
+    def test_the_checked_strips_are_the_kept_half(self, monkeypatch):
+        # the base keeps the two arrays that passed the checks, and no -A is
+        # written anywhere
         check, seen = bodies._check_strips, []
 
-        def spy(los, his, flags, scratch):
-            # the lower half of the lower edges' array still holds the strip
-            # numbers k >= 1, the root solve's scratch
-            both_los = los.base
-            seen.append(bool(np.all(both_los[: len(both_los) // 2] >= 1.0)))
-            check(los, his, flags, scratch)
+        def spy(los, his):
+            seen.append((los, his))
+            check(los, his)
 
         monkeypatch.setattr(bodies, "_check_strips", spy)
         base = make_striped_cone(S3, 0.5, 0.2, 0.1).profile.base
-        assert seen == [True] and np.all(base.los[: len(base.los) // 2] < 0.0)
+        assert len(seen) == 1 and seen[0][0] is base._los and seen[0][1] is base._his
+        assert 2 * len(base._los) == len(base) and np.all(base._los > 0.0)
+        assert len(base._los.base) - len(base._los) <= 2     # the measures, reused
 
     def test_striped_union_is_ascending(self):
         half = striped_cap_subset(0.2, np.eye(3)[0], 0.6, 0.1)
@@ -477,9 +482,10 @@ class TestStripGroups:
         assert len(striped_cap_subset(0.05, np.eye(3)[0], lam, 0.02).los) == 677_261
         assert sum(passed) <= 7_100_000
 
-    def test_densest_cone_peaks_at_its_base(self):
-        # the build writes A union -A into the two arrays the base keeps, and
-        # the root solve's scratch into their lower halves
+    def test_densest_cone_peaks_at_its_half(self):
+        # the root solve keeps the strip measures, A's lower edges are written
+        # over them and its tops into a second array: the base keeps these two
+        # (10.84 MB) and no -A; the whole union is 21.67 MB
         make_striped_cone(S3, 0.5, 0.1, 0.05)     # warm any lazy numpy state
         tracemalloc.start()
         try:
@@ -488,13 +494,30 @@ class TestStripGroups:
         finally:
             tracemalloc.stop()
         base = cone.profile.base
-        assert peak <= 1.05 * (base.los.nbytes + base.his.nbytes)
+        assert len(base) == 1_354_522
+        assert peak <= 12_000_000
+        assert peak <= 1.05 * (base._los.base.nbytes + base._his.nbytes)
+        assert peak <= 0.55 * (base.los.nbytes + base.his.nbytes)
+
+    def test_densest_volume_and_functional_add_under_half_a_mb(self):
+        make_striped_cone(S3, 0.5, 0.1, 0.05)     # warm any lazy numpy state
+        tracemalloc.start()
+        try:
+            cone = make_striped_cone(S3, 0.5, 0.05, 0.02)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            volume(cone)
+            busemann_functional(cone)
+            added = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert added <= 512 * 1024
 
     def test_dense_cone_at_n8_peaks_under_1_4_times_its_base(self):
-        # 420,358 bands: the tops' primitive takes the strip measures' half as
-        # its scratch, and the lower edges' primitive is written over their
-        # measures, so the build adds the tops' primitive and one scratch the
-        # size of the largest group of strips, not two arrays of every strip
+        # 420,358 bands: the solve keeps the strip measures, and builds the
+        # tops, the lower edges and their primitives 2^14 strips at a time, so
+        # the build adds scratch of a few blocks to the half it keeps (9.04 MB
+        # when the base kept both halves)
         space = SpaceSpec(1, 8)
         make_striped_cone(space, 0.5, 0.1, 0.05)   # warm any lazy numpy state
         tracemalloc.start()
@@ -506,6 +529,24 @@ class TestStripGroups:
         base = cone.profile.base
         assert len(base.los) == 420_358
         assert peak <= 1.40 * (base.los.nbytes + base.his.nbytes)
+        assert peak <= 9_040_000
+
+    def test_densest_strips_peak_at_their_own_size(self, dense_striped_cone_base):
+        # A comes from the solve already checked, with no union, copy or
+        # check temporaries of its size, and it is the half the cone keeps
+        lam = 0.5 * sphere_surface_area(2) / (2.0 * spherical_cap_measure(2, 0.05))
+        striped_cap_subset(0.2, np.eye(3)[0], 0.6, 0.1)     # warm any lazy numpy state
+        tracemalloc.start()
+        try:
+            strips = striped_cap_subset(0.05, np.eye(3)[0], lam, 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(strips) == 677_261 and not strips.is_origin_symmetric()
+        assert peak <= 1.15 * (strips.los.nbytes + strips.his.nbytes)
+        assert strips.los.tobytes() == dense_striped_cone_base._los.tobytes()
+        assert strips.his.tobytes() == dense_striped_cone_base._his.tobytes()
+        assert strips.meta == dense_striped_cone_base.meta
 
     def test_vanishing_body_builds_peak_at_their_base(self, monkeypatch):
         # each of the four radii builds a base at no more than its own size,
@@ -573,9 +614,9 @@ def _per_chunk_sums(base, m, a, b, s=1.0):
     """The chunk sums of the bands [a, b) on S^m, edges divided by s, by one
     clip, recursive primitive and sum per chunk of bodies._band_chunk(m) bands."""
     chunk = bodies._band_chunk(m)
-    sums = []
+    los, his, sums = base.los, base.his, []
     for j in range(a, b, chunk):
-        lo, hi = base.los[j : min(j + chunk, b)] / s, base.his[j : min(j + chunk, b)] / s
+        lo, hi = los[j : min(j + chunk, b)] / s, his[j : min(j + chunk, b)] / s
         if m == 0:
             vals = sphere_band_measure(m, lo, hi)
         else:
@@ -592,7 +633,7 @@ def _per_chunk_window_sum(base, m, start, stop, s=1.0):
     halved sum of a mirrored base, the plain one of any other."""
     if not base.is_origin_symmetric():
         return math.fsum(_per_chunk_sums(base, m, start, stop, s))
-    k = len(base.los)
+    k = len(base)
     half = (k + 1) // 2
     return math.fsum(_per_chunk_sums(base, m, max(start, k // 2), min(stop, half), s)
                      + [2.0 * v for v in _per_chunk_sums(base, m, max(start, half), stop, s)])
@@ -715,25 +756,31 @@ class TestWindowedBandSums:
         # every chunk sum, and so every measure and section, is bit for bit
         # one sphere_band_measure call per chunk
         base = builder()
-        k, m = len(base.los), base.ambient_dim - 1
+        k, m = len(base), base.ambient_dim - 1
+        los, his = base.los, base.his
+        # the bands the base keeps: its upper half when it is mirrored
+        kept = k - len(base._los)
+        assert kept == (k // 2 if base.is_origin_symmetric() else 0)
         assert base.measure == _per_chunk_window_sum(base, m, 0, k)
-        assert base._chunk_sums(m, 1.0, (0, k)) == [_per_chunk_sums(base, m, 0, k)]
+        assert base._chunk_sums(m, 1.0, (kept, k)) == [_per_chunk_sums(base, m, kept, k)]
         # s in the middle of a band above 0, so that the window's end bands
         # reach past -s and s and are clipped; s = 1; s in a gap
         mid = k // 2 + (k - k // 2) // 3
-        gap = 0.5 * (base.his[mid] + base.los[mid + 1]) if mid + 1 < k else 0.999
-        svals = [0.5 * (base.los[mid] + base.his[mid]), 1.0, gap]
+        gap = 0.5 * (his[mid] + los[mid + 1]) if mid + 1 < k else 0.999
+        svals = [0.5 * (los[mid] + his[mid]), 1.0, gap]
         if builder is BLOCK_BASES["overlapping"]:
             svals.append(_overlapping_base()[1])
         xis = _normals_at(base.axis, svals)
         s = np.sqrt(np.maximum(0.0, 1.0 - np.sum(xis * base.axis, axis=1) ** 2))
         sections = base.section_measures(xis)
         clipped = False
+        his_max = np.maximum.accumulate(his)
         for si, start, stop, section in zip(s, *base._windows(s), sections):
             start, stop = int(start), int(stop)
-            clipped |= start < stop and (base.los[start] < -si or base._his_max[stop - 1] > si)
+            clipped |= start < stop and (los[start] < -si or his_max[stop - 1] > si)
             window = base._window_sum(m - 1, start, stop, si)
             assert window == _per_chunk_window_sum(base, m - 1, start, stop, si)
+            start = max(start, kept)
             assert base._chunk_sums(m - 1, si, (start, stop)) == [
                 _per_chunk_sums(base, m - 1, start, stop, si)]
             if k > bodies._band_chunk(m - 1):
@@ -861,6 +908,208 @@ class TestMirroredBandSums:
             tracemalloc.stop()
         base = cone.profile.base
         assert peak < base.los.nbytes + base.his.nbytes + 1024 * 1024
+
+
+class _Union:
+    """The whole union of a base as the arrays it stands for, read by the
+    reference helpers above as they read a base."""
+
+    def __init__(self, axis, los, his):
+        self.axis, self.los, self.his = axis, los, his
+
+    def __len__(self):
+        return len(self.los)
+
+    @property
+    def ambient_dim(self):
+        return len(self.axis)
+
+    def is_origin_symmetric(self):
+        return bool(np.array_equal(-self.his[::-1], self.los))
+
+
+def _union_sections(ref, xis):
+    """Sections as a base that keeps every band sums them: a degenerate row
+    from the window at 0, a small base's row over all its bands, a large
+    base's window over the whole union's running maximum and lower edges,
+    chunk by chunk."""
+    m = ref.ambient_dim - 2
+    s = np.sqrt(np.maximum(0.0, 1.0 - np.sum(xis * ref.axis, axis=1) ** 2))
+    his_max = np.maximum.accumulate(ref.his)
+
+    def window(si):
+        return int(np.searchsorted(his_max, -si, side="left")), int(np.searchsorted(ref.los, si, side="right"))
+
+    out = []
+    for si in s:
+        if si < 1e-15:
+            start, stop = window(0.0)
+            out.append(sphere_surface_area(m) if start < stop else 0.0)
+        elif len(ref) <= bodies._band_chunk(m):
+            out.append(float(np.sum(sphere_band_measure(m, ref.los[None, :] / si, ref.his[None, :] / si),
+                                    axis=1)[0]))
+        else:
+            out.append(_per_chunk_window_sum(ref, m, *window(si), si))
+    return out
+
+
+def _given(axis, los, his):
+    los, his = np.array(los, dtype=float), np.array(his, dtype=float)
+    return BandsBase(axis, los, his), _Union(axis, los, his)
+
+
+def _mirrored_arrays(middle):
+    """The bands of _mirrored_base: 2 * 3000 (+ 1) bands, as arrays."""
+    edges = np.linspace(0.01, 0.95, 6001)
+    lo, hi = edges[0:-1:2], edges[1::2]
+    mid = [0.005] if middle else []
+    return np.concatenate([-hi[::-1], -np.array(mid), lo]), np.concatenate([-lo[::-1], mid, hi])
+
+
+def _striped(n):
+    """A striped cone's base, and the union of the strips A of the same
+    solve with their exact negation, -A below A."""
+    space, t, alpha, eps = SpaceSpec(1, n), 0.5, 0.1, 0.05
+    base = make_striped_cone(space, t, alpha, eps).profile.base
+    cap = spherical_cap_measure(n - 1, alpha)
+    half = striped_cap_subset(alpha, base.axis, t * sphere_surface_area(n - 1) / (2.0 * cap), eps)
+    return base, _Union(base.axis, np.concatenate([-half.his[::-1], half.los]),
+                        np.concatenate([-half.los[::-1], half.his]))
+
+
+def _loaded():
+    axis = np.eye(5)[0]
+    los, his = _mirrored_arrays(True)
+    doc = json.loads(json.dumps(BandsBase(axis, los, his).descriptor()))
+    return base_from_descriptor(doc), _Union(axis, los, his)
+
+
+HALF_STORED_BASES = {
+    "full-sphere-n3": lambda: (full_sphere_base(3), _Union(np.eye(3)[0], np.array([-1.0]), np.array([1.0]))),
+    "full-sphere-n4": lambda: (full_sphere_base(4), _Union(np.eye(4)[0], np.array([-1.0]), np.array([1.0]))),
+    "three-with-middle": lambda: _given(np.eye(3)[0], [-0.5, -0.1, 0.2], [-0.2, 0.1, 0.5]),
+    "middle-point-band": lambda: _given(np.eye(4)[0], [-0.5, 0.0, 0.2], [-0.2, 0.0, 0.5]),
+    "double-cap": lambda: _given(np.eye(4)[0], [-1.0, 0.3], [-0.3, 1.0]),
+    "large-odd": lambda: _given(np.eye(3)[0], *_mirrored_arrays(True)),
+    "large-even": lambda: _given(np.eye(3)[0], *_mirrored_arrays(False)),
+    "striped-n3": lambda: _striped(3),
+    "striped-n4": lambda: _striped(4),
+    "loaded-n5": _loaded,
+}
+
+
+def _edge_directions(ref):
+    """Directions u with <u, axis> exactly each of some edges of the union,
+    their negatives, 0 and -0, and 40 values in (-1, 1)."""
+    edges = np.concatenate([ref.los, ref.his])
+    if len(edges) > 400:
+        edges = np.concatenate([edges[:100], edges[len(edges) // 2 - 100 : len(edges) // 2 + 100],
+                                edges[-100:]])
+    t = np.concatenate([edges, -edges, [0.0, -0.0], np.linspace(-0.99, 0.99, 40)])
+    u = np.zeros((len(t), ref.ambient_dim))
+    u[:, 0], u[:, 1] = t, np.sqrt(1.0 - t * t)
+    return u
+
+
+class TestHalfStoredBase:
+    """A mirrored base keeps its upper half and gives the numbers of the whole
+    union bit for bit."""
+
+    @pytest.mark.parametrize("builder", HALF_STORED_BASES.values(), ids=HALF_STORED_BASES.keys())
+    def test_keeps_the_upper_half_of_the_union(self, builder):
+        base, ref = builder()
+        k = len(ref)
+        assert len(base) == k and base.is_origin_symmetric() and ref.is_origin_symmetric()
+        assert len(base._los) == len(base._his) == k - k // 2
+        for edges, expected in ((base.los, ref.los), (base.his, ref.his)):
+            assert edges.tobytes() == expected.tobytes() and not edges.flags.writeable
+            with pytest.raises(ValueError):
+                edges[0] = 0.0
+        assert base._los.tobytes() == ref.los[k // 2 :].tobytes()
+        assert base._his.tobytes() == ref.his[k // 2 :].tobytes()
+
+    @pytest.mark.parametrize("builder", HALF_STORED_BASES.values(), ids=HALF_STORED_BASES.keys())
+    def test_measure_and_sections_are_the_unions(self, builder):
+        base, ref = builder()
+        n = base.ambient_dim
+        assert base.measure == _per_chunk_window_sum(ref, n - 1, 0, len(ref))
+        # the poles and a normal one rounding off them are degenerate rows
+        pole = np.eye(n)[0]
+        tilted = pole + 1e-17 * np.eye(n)[1]
+        svals = [0.003, 0.1, 0.2, 0.5, 0.6, 0.97, 1.0, *np.abs(ref.his[-3:]), *np.abs(ref.los[-3:])]
+        xis = np.vstack([pole, -pole, tilted / np.linalg.norm(tilted), _normals_at(pole, svals)])
+        assert base.section_measures(xis).tolist() == _union_sections(ref, xis)
+
+    def test_both_section_branches_are_covered(self):
+        small = {name: len(HALF_STORED_BASES[name]()[0]) <= bodies._band_chunk(n - 2)
+                 for name, n in (("striped-n4", 4), ("three-with-middle", 3), ("striped-n3", 3),
+                                 ("large-odd", 3), ("loaded-n5", 5))}
+        assert small == {"striped-n4": True, "three-with-middle": True, "striped-n3": False,
+                         "large-odd": False, "loaded-n5": False}
+
+    @pytest.mark.parametrize("builder", HALF_STORED_BASES.values(), ids=HALF_STORED_BASES.keys())
+    def test_contains_is_the_unions(self, builder):
+        base, ref = builder()
+        dirs = _edge_directions(ref)
+        edges = np.empty(2 * len(ref))
+        edges[0::2], edges[1::2] = ref.los, ref.his
+        expected = np.searchsorted(edges, dirs @ ref.axis, side="right") % 2 == 1
+        assert np.array_equal(base.contains(dirs), expected)
+
+    @pytest.mark.parametrize("builder", HALF_STORED_BASES.values(), ids=HALF_STORED_BASES.keys())
+    def test_descriptor_round_trips(self, builder):
+        base, ref = builder()
+        doc = base.descriptor()
+        assert doc["los"] == ref.los.tolist() and doc["his"] == ref.his.tolist()
+        clone = base_from_descriptor(json.loads(json.dumps(doc)))
+        assert clone.descriptor() == doc and clone.is_origin_symmetric()
+        assert clone.los.tobytes() == ref.los.tobytes() and clone.his.tobytes() == ref.his.tobytes()
+        assert clone.measure == base.measure
+
+    def test_a_zero_of_the_other_sign_keeps_every_band(self):
+        # [-0.5, 0] and [0, 0.5] are their own mirror as floats, but the mirror
+        # of the upper band's 0.0 is -0.0: the base keeps both bands as given
+        base = BandsBase(np.eye(3)[0], np.array([-0.5, 0.0]), np.array([0.0, 0.5]))
+        twin = BandsBase(np.eye(3)[0], np.array([-0.5, -0.0]), np.array([0.0, 0.5]))
+        assert base.is_origin_symmetric() and twin.is_origin_symmetric()
+        assert len(base._los) == 2 and len(twin._los) == 1
+        assert base.descriptor()["his"] == [0.0, 0.5] and math.copysign(1.0, base.his[0]) > 0.0
+        assert twin.descriptor()["los"] == [-0.5, -0.0]
+        xis = _normals_at(base.axis, [0.0, 0.2, 0.5, 1.0])
+        assert base.measure == twin.measure
+        assert base.section_measures(xis).tolist() == twin.section_measures(xis).tolist()
+
+    @pytest.mark.parametrize("builder", [
+        lambda: cap_base(np.eye(3)[0], 0.3),
+        lambda: equality_cone_base(4, 0.4),
+        lambda: striped_cap_subset(0.2, np.eye(3)[0], 0.6, 0.1),
+        lambda: _band_base(3, 10_007, False),
+    ], ids=["cap", "equality", "strips", "large"])
+    def test_a_base_that_is_not_mirrored_is_kept_as_given(self, builder):
+        base = builder()
+        assert not base.is_origin_symmetric()
+        assert base.los is base._los and base.his is base._his and len(base._los) == len(base)
+
+
+class TestPolygonRho:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rho_is_the_gnomonic_minimum_with_no_division_by_zero(self, seed):
+        # the divisor is at least 1e-300, so even readings of exactly 0 divide
+        # by no zero, and rho is arctan of the least c_i / max(|t_i|, 1e-300)
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 5))
+        body = make_symmetric_polygon_body(rng.uniform(0.05, 3.0, size=k), rng.uniform(0.0, math.pi, size=k))
+        profile = body.profile
+        theta = np.concatenate([rng.uniform(0.0, 2 * math.pi, 400), np.arange(8) * math.pi / 4])
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        t = np.vstack([dirs @ profile.normals.T, np.zeros((2, k)), np.full((1, k), -0.0)])
+        with np.errstate(all="raise"):
+            rho = profile.rho_of(t)
+            direct = body.rho(dirs)
+        expected = np.arctan(np.min(profile.offsets[None, :] / np.maximum(np.abs(t), 1e-300), axis=1))
+        assert rho.tobytes() == expected.tobytes()
+        assert direct.tobytes() == expected[: len(dirs)].tobytes()
+        assert np.all(rho[len(dirs):] == np.arctan(np.min(profile.offsets) / 1e-300))
 
 
 class TestLunes:

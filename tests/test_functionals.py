@@ -1147,6 +1147,32 @@ class TestRhsBounds:
                                 [0, mp.pi / 4, *edge, mp.pi / 2])
         assert lune_bound(vol) == pytest.approx(float(expected), rel=2e-15)
 
+    def test_lune_bound_keeps_the_bits_of_per_call_trigonometry(self):
+        # the levels keep cos d and sin d of their nodes' angles d; taking them
+        # at every call from the distances 1 - |x| gives the same bits
+        def per_call(vol):
+            tw = math.tan(vol / 4.0)
+            total = previous = 0.0
+            for level in range(10):
+                h = 0.5 / 2 ** level
+                k = np.arange(round(3.5 / h) + 1)
+                t = h * (k if level == 0 else k[k % 2 == 1])
+                u = math.pi / 2.0 * np.sinh(t)
+                d = math.pi / 4.0 * (1.0 / (np.exp(u) * np.cosh(u)))
+                weights = math.pi / 2.0 * np.cosh(t) / np.cosh(u) ** 2
+                values = weights * ((math.pi / 2.0 - np.arctan(np.cos(d) / tw)) ** 2
+                                    + (math.pi / 2.0 - np.arctan(np.sin(d) / tw)) ** 2)
+                if level == 0:
+                    values[0] /= 2.0
+                total = total / 2.0 + h * float(np.sum(values))
+                if level >= 3 and abs(total - previous) <= 1e-12 * abs(total):
+                    return 16.0 * (math.pi / 4.0) * total
+                previous = total
+            raise AssertionError("the levels did not settle")
+
+        for vol in [1e-9, 1e-3, *np.linspace(0.01, 2 * math.pi - 0.01, 200).tolist(), 2 * math.pi - 1e-9]:
+            assert lune_bound(vol) == per_call(vol)
+
     def test_lune_bound_stall_raises(self, monkeypatch):
         levels = functionals._tanh_sinh_levels()[:3]
         monkeypatch.setattr(functionals, "_tanh_sinh_levels", lambda: levels)

@@ -95,7 +95,7 @@ def test_random_draws_only_in_verify():
 # The public names that nothing in src/ calls, each with the reason it stays.
 UNCALLED_PUBLIC_NAMES = {
     "make_vanishing_body": "the vanishing bodies of the benchmark and the acceptance tests",
-    "striped_cap_subset": "the strips A alone, a copy of the upper half of a striped cone's base; "
+    "striped_cap_subset": "the strips A alone, the half that a striped cone's base keeps; "
                           "the tests and the output dump check them on their own",
     "rhs_bound": "one theorem's right side at one body; the suites take the volume from "
                  "volume_and_functional instead",

@@ -230,9 +230,55 @@ def carried(nodes, xis):
     return (nodes @ subsphere_frames(xis)).reshape(len(nodes), len(xis), -1).transpose(1, 0, 2)
 
 
+def reflection_frames(xis):
+    """The frames as the first n - 1 columns of the D n x n reflections
+    I - 2 v v^T / |v|^2, v = xi - e_n, or of the identity where |v|^2 < 1e-28."""
+    n = xis.shape[1]
+    v = xis.copy()
+    v[:, -1] -= 1.0
+    norm2 = np.einsum("ij,ij->i", v, v)
+    reflect = norm2 >= 1e-28
+    house = np.broadcast_to(np.eye(n), (len(xis), n, n)).copy()
+    house[reflect] -= 2.0 * (v[reflect, :, None] * v[reflect, None, :]) / norm2[reflect, None, None]
+    return house[:, :, : n - 1]
+
+
 class TestSubsphereNodes:
     """``subsphere_frames``: the frames that carry a rule's nodes onto the
     subspheres of a batch of normals, by one matrix product."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_frames_are_the_reflections_columns(self, n):
+        # bit for bit, at random normals, at e_n and -e_n, near e_n, and at a
+        # normal whose |v|^2 falls below 1e-28 (the identity's columns)
+        rng = np.random.default_rng(n)
+        xis = rng.normal(size=(300, n))
+        e = basis_vector(n, n - 1)
+        near = e + 10.0 ** rng.uniform(-12.0, -3.0, size=(20, 1)) * rng.normal(size=(20, n))
+        barely = e.copy()
+        barely[: min(2, n - 1)] = 5e-15      # |v|^2 = 5e-29 at n >= 3
+        xis = np.vstack([xis, near, [e, -e, barely]])
+        xis /= np.linalg.norm(xis, axis=1, keepdims=True)
+        frames = householder_frames(xis)
+        assert frames.shape == (len(xis), n, n - 1)
+        assert frames.tobytes() == reflection_frames(xis).tobytes()
+        assert np.array_equal(frames[-1], np.eye(n)[:, : n - 1])
+        flat = subsphere_frames(xis)
+        assert flat.flags.c_contiguous
+        assert flat.tobytes() == reflection_frames(xis).transpose(2, 0, 1).tobytes()
+
+    def test_s5_frames_peak_under_one_and_a_half_times_their_size(self):
+        # no (D, n, n) reflection, outer product or copy of one: the columns
+        # are written where the frames matrix keeps them
+        xis = build_sphere_rule(4, 23).antipodal_half[0]
+        subsphere_frames(xis)       # warm any lazy numpy state
+        tracemalloc.start()
+        try:
+            frames = subsphere_frames(xis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * frames.nbytes
 
     def test_identity_frame(self):
         n = 4

@@ -170,7 +170,7 @@ def vanishing():
         body = make_vanishing_body(space, 1.0, 0.4)
         label = f"vanishing/{space.delta:+d}"
         out(f"{label}/height", body.profile.height)
-        out(f"{label}/bands", len(body.profile.base.los))
+        out(f"{label}/bands", len(body.profile.base))
         out(f"{label}/volume", volume(body))
         out(f"{label}/functional", busemann_functional(body))
 
@@ -181,7 +181,7 @@ def windowed():
     for name, body in bodies.items():
         n = body.space.dim
         label = f"windowed/{name}"
-        out(f"{label}/bands", len(body.profile.base.los))
+        out(f"{label}/bands", len(body.profile.base))
         out(f"{label}/volume", volume(body))
         out(f"{label}/functional", busemann_functional(body))
         # the axis (no window), the last axis (s = 1), an oblique normal, and
