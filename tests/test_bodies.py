@@ -824,14 +824,18 @@ class TestWindowedBandSums:
             assert largest[-1] >= 2 * bodies._band_chunk(m)
 
 
-def _mirrored_base(n, middle):
-    """A mirrored base of 2 * 3000 (+ 1) bands, more than one chunk: bands in
-    [0.01, 0.95], their mirror images and, when middle, the band [-0.005, 0.005]."""
+def _mirrored_arrays(middle):
+    """2 * 3000 (+ 1) bands, more than one chunk: bands in [0.01, 0.95], their
+    mirror images and, when middle, the band [-0.005, 0.005], as arrays."""
     edges = np.linspace(0.01, 0.95, 6001)
     lo, hi = edges[0:-1:2], edges[1::2]
     mid = [0.005] if middle else []
-    return BandsBase(np.eye(n)[0], np.concatenate([-hi[::-1], -np.array(mid), lo]),
-                     np.concatenate([-lo[::-1], mid, hi]))
+    return np.concatenate([-hi[::-1], -np.array(mid), lo]), np.concatenate([-lo[::-1], mid, hi])
+
+
+def _mirrored_base(n, middle):
+    """The mirrored base of _mirrored_arrays about the first axis."""
+    return BandsBase(np.eye(n)[0], *_mirrored_arrays(middle))
 
 
 def _touching_at_zero_base(n):
@@ -956,14 +960,6 @@ def _union_sections(ref, xis):
 def _given(axis, los, his):
     los, his = np.array(los, dtype=float), np.array(his, dtype=float)
     return BandsBase(axis, los, his), _Union(axis, los, his)
-
-
-def _mirrored_arrays(middle):
-    """The bands of _mirrored_base: 2 * 3000 (+ 1) bands, as arrays."""
-    edges = np.linspace(0.01, 0.95, 6001)
-    lo, hi = edges[0:-1:2], edges[1::2]
-    mid = [0.005] if middle else []
-    return np.concatenate([-hi[::-1], -np.array(mid), lo]), np.concatenate([-lo[::-1], mid, hi])
 
 
 def _striped(n):
