@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -328,6 +328,12 @@ class BandsBase(ConeBase):
         one row of a (rows, chunk) view, so every sum is bit for bit the
         chunk's own sphere_band_measure(...).sum().  m = 0, the two-point
         sphere, takes sphere_band_measure per chunk.
+
+        At q = 0 the primitives are the edges themselves, divided and
+        clipped, which keep the order his >= los: their difference needs no
+        np.maximum.  (A band [0.0, -0.0] gives -0.0 where np.maximum gave
+        0.0; numpy's sum of a chunk gives 0.0 for it all the same.)  At
+        s = 1.0 with no clip, the stored edges are subtracted directly.
         """
         chunk = _band_chunk(m)
         los, his, his_max = self._los, self._his, self._his_max
@@ -351,16 +357,21 @@ class BandsBase(ConeBase):
                 e = min(j + block, b)
                 n = e - j
                 clip = los[j] / s < -1.0 or his_max[e - 1] / s > 1.0
-                for edges, t, p in ((his, t_hi, p_hi), (los, t_lo, p_lo)):
-                    t, p = t[:n], p[:n]
-                    np.divide(edges[j:e], s, out=t)
-                    if clip:
-                        np.maximum(t, -1.0, out=t)
-                        np.minimum(t, 1.0, out=t)
-                    _primitive_in_place(q, t, p, None if scratch is None else scratch[:n])
                 vals = p_hi[:n]
-                np.subtract(vals, p_lo[:n], out=vals)
-                np.maximum(vals, 0.0, out=vals)
+                if q == 0.0 and s == 1.0 and not clip:
+                    # the edges are their own primitives, and x / 1.0 is x
+                    np.subtract(his[j:e], los[j:e], out=vals)
+                else:
+                    for edges, t, p in ((his, t_hi, p_hi), (los, t_lo, p_lo)):
+                        t, p = t[:n], p[:n]
+                        np.divide(edges[j:e], s, out=t)
+                        if clip:
+                            np.maximum(t, -1.0, out=t)
+                            np.minimum(t, 1.0, out=t)
+                        _primitive_in_place(q, t, p, None if scratch is None else scratch[:n])
+                    np.subtract(vals, p_lo[:n], out=vals)
+                    if q:
+                        np.maximum(vals, 0.0, out=vals)
                 vals *= area
                 whole = n - n % chunk
                 sums += vals[:whole].reshape(-1, chunk).sum(axis=1).tolist()
@@ -774,20 +785,28 @@ class BumpyProfile(RadialProfile):
         object.__setattr__(self, "symmetric", bool(antipodal) or _is_own_mirror(self))
 
     def rho_of(self, t):
-        vals = np.full(len(t), self.r0)
+        readings, pairs = t.T, len(self._pair_coefs)
+        if pairs:
+            # r0 plus the first pair's term, the sum's operands swapped
+            vals = np.cosh(readings[0])
+            vals *= self._pair_coefs[0]
+            vals += self.r0
+        else:
+            vals = np.full(len(t), self.r0)
         term = np.empty_like(vals)
-        readings = t.T
-        for c, coef in zip(readings, self._pair_coefs):
+        for c, coef in zip(readings[1:pairs], self._pair_coefs[1:]):
             np.cosh(c, out=term)
             term *= coef
             vals += term
-        for c, j in zip(readings[len(self._pair_coefs):], self._single):
+        for c, j in zip(readings[pairs:], self._single):
             np.subtract(c, 1.0, out=term)
             term *= self.sharpness[j]
             np.exp(term, out=term)
             term *= self.amplitudes[j]
             vals += term
-        return np.clip(vals, self.lo, self.hi, out=vals)
+        # np.clip's values at a fraction of its call overhead
+        np.maximum(vals, self.lo, out=vals)
+        return np.minimum(vals, self.hi, out=vals)
 
     def descriptor(self):
         return {
@@ -986,7 +1005,9 @@ class StarBody:
         return self._clamped(self.profile.rho_of(t))
 
     def _clamped(self, radii):
-        return np.clip(radii, 0.0, self.space.max_radius)
+        # in place: every profile returns a float array of its own
+        np.maximum(radii, 0.0, out=radii)
+        return np.minimum(radii, self.space.max_radius, out=radii)
 
     @property
     def is_indicator(self) -> bool:
@@ -1247,11 +1268,12 @@ def _polygon_body(normals, offsets) -> StarBody:
     return StarBody(SpaceSpec(1, 2), PolygonProfile(normals, offsets))
 
 
+@lru_cache(maxsize=16)
 def _harmonic_extrema(n: int, k: int) -> np.ndarray:
     """The t in [-1, 1] where alpha + beta H_k(t) takes its extrema: +-1 and the
     zeros of H_k' ~ C_{k-1}^{lam+1}, lam = (n - 2) / 2, which are the nodes of
-    the Gauss rule for the weight (1 - t^2)^{(n-1)/2}."""
-    return np.concatenate([[-1.0, 1.0], gauss_jacobi(k - 1, (n - 1) / 2.0)[0]])
+    the Gauss rule for the weight (1 - t^2)^{(n-1)/2}.  Cached, read-only."""
+    return read_only(np.concatenate([[-1.0, 1.0], gauss_jacobi(k - 1, (n - 1) / 2.0)[0]]))
 
 
 def _perturbation(space: SpaceSpec, r: float, beta: float, k: int, axis):
@@ -1331,14 +1353,13 @@ def perturbation_norms(body: StarBody):
 
 # The most strips a striped base may have.  A striped cone keeps A, its upper
 # half: two arrays of as many floats, 16 bytes a strip.  Its build allocates
-# no more, but for scratch arrays of at most _FIRST_STRIP_GROUP strips.  The
+# no more, but for scratch arrays of at most _STRIP_BLOCK strips.  The
 # densest base the tests build has 6,433,983 bands.
 STRIP_CAP = 1 << 24
 
-# Strips with index below this form one group of the root solve; from here on
-# each binade of k - gamma is a group of its own.  The strips are built this
-# many at a time.
-_FIRST_STRIP_GROUP = 1 << 14
+# The strips are built and checked this many at a time.  The first block's
+# strip numbers and tops are kept through the root solve.
+_STRIP_BLOCK = 1 << 14
 
 
 def _check_strips(los, his) -> None:
@@ -1347,9 +1368,9 @@ def _check_strips(los, his) -> None:
     NaN, both edges ascending (across the junction with -A too), the bands
     disjoint within 1e-15 (A's lowest band and its mirror too), and every
     edge finite.  DomainError otherwise.  Each check runs over all strips
-    before the next, _FIRST_STRIP_GROUP strips at a time, so that its
-    temporaries stay small."""
-    block = _FIRST_STRIP_GROUP
+    before the next, _STRIP_BLOCK strips at a time, so that its temporaries
+    stay small."""
+    block = _STRIP_BLOCK
 
     def anywhere(test, count):
         # whether test(a, b) holds on any block [a, b) of range(count)
@@ -1377,24 +1398,32 @@ def _striped_union(axis, alpha: float, delta: float, lam: float, cap_measure: fl
 
     The root solve keeps one array, the strip measures, whose np.sum over
     the kept strips it compares with the target.  The strips are built
-    _FIRST_STRIP_GROUP at a time in small scratch arrays, their numbers
+    _STRIP_BLOCK at a time in small scratch arrays, their numbers
     k = 1, 2, ... from the index range: the tops min(alpha + k delta, 1), the
     lower edges alpha + (k - gamma) delta, and at n >= 4 the primitives of
     both, by the float operations of sphere_band_measure.  The lower edges
     rise with k, so the kept strips (lo < 1) are a prefix.  Every edge lies
     in [alpha, 1], where clipping changes nothing, so each measure is bit for
-    bit that of sphere_band_measure on the kept strips.
+    bit that of sphere_band_measure on the kept strips; at n = 3 the
+    primitive is the edge itself, and top - lo >= 0 needs no np.maximum,
+    since fl(k - gamma) <= k and rounding is monotone.
 
-    Only the strips whose edges moved are rebuilt.  The indices [0, 2^14)
-    are one group, rebuilt at every evaluation; each further group is the
-    indices [2^j, 2^(j+1)), whose strip numbers k in (2^j, 2^(j+1)] put
-    k - gamma, gamma in [0, 1], in the binade [2^j, 2^(j+1)].  There
-    fl(k - gamma) is k minus gamma rounded to the binade's grid, the same
-    rounding for every k, since each k is a multiple of twice the grid.  So
-    the group's last k - gamma is equal to the previous evaluation's exactly
-    when all of them are, and then every edge and measure of the group is
-    the same to the bit and is kept.  The sum is still one np.sum over the
-    kept prefix, so gamma and the bands do not depend on what was skipped.
+    No work is done whose bits are already known:
+    - at gamma = 0 every kept strip has lo = top, fl(fl(k delta) + alpha)
+      both, so every measure is 0 and the gap is 0.0 - lam * cap_measure;
+      nothing is measured, and the next evaluation measures every strip;
+    - only the strips whose edges moved are measured again.  Index 0 (k = 1)
+      is a group of its own, measured at every evaluation; each further
+      group is the indices [2^j, 2^(j+1)), j >= 0, whose strip numbers k in
+      (2^j, 2^(j+1)] put k - gamma, gamma in [0, 1], in the binade
+      [2^j, 2^(j+1)].  There fl(k - gamma) is k minus gamma rounded to the
+      binade's grid, the same rounding for every k, since each k is a
+      multiple of twice the grid.  So the group's last k - gamma is equal to
+      the previous evaluation's exactly when all of them are, and then every
+      edge and measure of the group is the same to the bit and is kept.
+      Consecutive groups to be measured again take one pass.
+    The sum is still one np.sum over the kept prefix, so gamma and the bands
+    do not depend on what was skipped.
 
     Once gamma is known, A's lower edges are written over the measures and
     its tops into a second array, the two arrays the base keeps, and A
@@ -1408,7 +1437,7 @@ def _striped_union(axis, alpha: float, delta: float, lam: float, cap_measure: fl
         raise ResourceLimitError(f"a pitch of {delta:.3g} would need {count} strips, cap is {STRIP_CAP}")
     q = (n - 3) / 2.0
     area = sphere_surface_area(n - 2)
-    block = min(_FIRST_STRIP_GROUP, count)
+    block = min(_STRIP_BLOCK, count)
     # a block's strip numbers, then its lower edges; at q > 0 also its tops,
     # their primitive and the primitives' scratch
     lo_buf = np.empty(block)
@@ -1435,9 +1464,9 @@ def _striped_union(axis, alpha: float, delta: float, lam: float, cap_measure: fl
         np.multiply(out, delta, out=out)
         return np.add(out, alpha, out=out)
 
-    # the first block, measured at every evaluation, keeps its strip numbers
-    # 1, 2, ... (exact integers, which give every other block's too) and its
-    # tops' primitive, neither of which depends on gamma
+    # the first block, whose groups are measured most often, keeps its strip
+    # numbers 1, 2, ... (exact integers, which give every other block's too)
+    # and its tops' primitive, neither of which depends on gamma
     first_k = np.arange(1.0, block + 1.0)
     first_top = top_primitive(first_k, np.empty(block))
 
@@ -1446,15 +1475,18 @@ def _striped_union(axis, alpha: float, delta: float, lam: float, cap_measure: fl
         return np.add(first_k[: len(out)], j, out=out)
 
     def measure(a, b, gamma) -> int:
-        """Measure the strips [a, b) with lo < 1 at gamma; how many they are."""
-        for j in range(a, b, block):
-            size = min(block, b - j)
-            if j:
+        """Measure the strips [a, b) with lo < 1 at gamma, a block at a time
+        (blocks start at multiples of block); how many they are."""
+        j = a
+        while j < b:
+            e = min(b, (j // block + 1) * block)
+            size = e - j
+            if j < block:
+                k, top = first_k[j:e], first_top[j:e]
+            else:
                 k = numbers(j, lo_buf[:size])
                 # at q = 0 the tops go where their measures go
-                top = top_primitive(k, measures[j : j + size] if q == 0.0 else primitive_buf[:size])
-            else:
-                k, top = first_k, first_top
+                top = top_primitive(k, measures[j:e] if q == 0.0 else primitive_buf[:size])
             lo = lower_edges(k, gamma, lo_buf[:size])
             kept = int(np.searchsorted(lo, 1.0))
             vals, lo = measures[j : j + kept], lo[:kept]
@@ -1462,29 +1494,47 @@ def _striped_union(axis, alpha: float, delta: float, lam: float, cap_measure: fl
             primitive = lo if q == 0.0 else vals
             _primitive_in_place(q, lo, primitive, None if q == 0.0 else tmp_buf[:kept])
             np.subtract(top[:kept], primitive, out=vals)
-            np.maximum(vals, 0.0, out=vals)
+            if q:
+                np.maximum(vals, 0.0, out=vals)
             vals *= area
             if kept < size:
                 return j - a + kept
+            j = e
         return b - a
 
+    # the groups: index 0, then [2^j, 2^(j+1)) for j >= 0
     starts = [0]
-    while (start := max(_FIRST_STRIP_GROUP, 2 * starts[-1])) < count:
+    while (start := max(1, 2 * starts[-1])) < count:
         starts.append(start)
     groups = list(zip(starts, starts[1:] + [count]))
-    # per group: its last k - gamma when it was rebuilt (nan equals nothing),
-    # and how many of its leading strips have lo < 1, each of them measured
+    # per group: its last k - gamma when it was measured (nan equals nothing;
+    # index 0 has none), and how many of its leading strips have lo < 1,
+    # each of them measured
     probes = [math.nan] * len(groups)
     below = [0] * len(groups)
 
     def measure_gap(gamma):
+        if gamma == 0.0:
+            return 0.0 - lam * cap_measure
+        runs = []   # [first, last) of each run of consecutive groups to measure
         for g, (a, b) in enumerate(groups):
             if g:
                 probe = b - gamma
                 if probe == probes[g]:
                     continue
                 probes[g] = probe
-            below[g] = measure(a, b, gamma)
+            if runs and runs[-1][1] == g:
+                runs[-1][1] = g + 1
+            else:
+                runs.append([g, g + 1])
+        # each run is one pass, and its count of strips at lo < 1 is split
+        # among its groups
+        for first, last in runs:
+            a, b = groups[first][0], groups[last - 1][1]
+            m = measure(a, b, gamma)
+            for g in range(first, last):
+                start, stop = groups[g]
+                below[g] = min(max(m - (start - a), 0), stop - start)
         # the kept prefix ends in the first group with a strip at lo >= 1
         for (a, b), m in zip(groups, below):
             if m < b - a:

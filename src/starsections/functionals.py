@@ -113,6 +113,13 @@ def _section_grid(n: int, outer_degree: int, inner_degree: int):
     return weights, read_only(subsphere_frames(normals))
 
 
+@lru_cache(maxsize=8)
+def _orthogonal_unit(axis: tuple) -> np.ndarray:
+    """The first column of the axis's Householder frame, read-only: a zonal
+    body takes it once, not at every left side."""
+    return read_only(householder_frames(np.array([axis]))[0, :, 0].copy())
+
+
 # ---------------------------------------------------------------------------
 # radially symmetric measures
 
@@ -296,6 +303,10 @@ class _Product:
         matrix-vector product: from rows at multiples of 16, each row rounds
         as in the whole matrix."""
         nodes, pair_weights = _inner_pairs(self.n, self.config.inner(self.n))
+        if self.body.symmetric:
+            # a node stands for both of its pair: twice the weight, which
+            # rounds each product as doubling the radial value did
+            pair_weights = 2.0 * pair_weights
         n, count, size_n = self.n, frames.shape[1] // self.n, len(nodes)
         reads = self.body.profile.reads
         # a ball's (0, 0) reads nothing in any dimension
@@ -313,9 +324,7 @@ class _Product:
                 np.matmul(c[:, start:start + size].T, nodes.T, out=block)
             t = readings.reshape(k, size * size_n).T
             radial = self._body_radial(mu, n - 1, t, self.body.rho_of)
-            if self.body.symmetric:
-                radial *= 2.0
-            else:
+            if not self.body.symmetric:
                 np.negative(t, out=t)
                 radial += self._body_radial(mu, n - 1, t, self.body.rho_of)
             np.matmul(radial.reshape(size, size_n), pair_weights, out=out[start:start + size])
@@ -404,7 +413,7 @@ class _Zonal(_Product):
         s.shape + (n,): u = s axis + sqrt(1 - s^2) b, for one unit b orthogonal
         to the axis."""
         axis = self.body.profile.zonal_axis(self.n)
-        b = householder_frames(axis[None])[0, :, 0]
+        b = _orthogonal_unit(tuple(axis.tolist()))
         s = np.asarray(s, dtype=float)[..., None]
         return s * axis + np.sqrt(1.0 - s * s) * b
 

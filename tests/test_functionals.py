@@ -670,6 +670,28 @@ class TestZonalPath:
         result = perturbation_sign_experiment(6, 0.7, k)
         assert result.conclusive and result.sign_matches
 
+    def test_directions_take_the_axis_frame_once(self, monkeypatch):
+        # the unit orthogonal to the axis is the first column of its
+        # Householder frame, computed once per axis and read-only
+        frames, calls = functionals.householder_frames, []
+
+        def counted(normals):
+            calls.append(len(normals))
+            return frames(normals)
+
+        monkeypatch.setattr(functionals, "householder_frames", counted)
+        functionals._orthogonal_unit.cache_clear()
+        axis = np.array([0.48, -0.6, 0.64])
+        body = StarBody(S3, HarmonicPerturbedProfile(0.7, 0.0, 0.03, zonal_harmonic(3, 4, axis)))
+        for _ in range(3):
+            busemann_functional(body)
+            volume(body)
+        assert calls == [1]
+        b = functionals._orthogonal_unit(tuple(body.profile.zonal_axis(3).tolist()))
+        assert not b.flags.writeable
+        assert b.tobytes() == frames(body.profile.zonal_axis(3)[None])[0, :, 0].tobytes()
+        functionals._orthogonal_unit.cache_clear()
+
     @pytest.mark.parametrize("mu", [None, gaussian_measure()], ids=["uniform", "gaussian"])
     def test_sections_in_row_blocks_match_one_pass_bit_for_bit(self, mu, monkeypatch):
         body = make_perturbed_ball(S3, 0.8, 0.08, 4)
