@@ -13,7 +13,6 @@ from .quadrature import SphereRule, build_sphere_rule
 from .harmonics import ZonalHarmonic, zonal_harmonic, radon_multiplier
 from .bodies import (
     StarBody,
-    ConeBase,
     BandsBase,
     ArcsBase,
     cap_base,

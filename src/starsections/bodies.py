@@ -1,10 +1,10 @@
 """Star bodies and star-shaped sets in the three model spaces.
 
 A body is a space plus a radial profile on the direction sphere.  Profiles
-are immutable; bodies are safe to share between workers.  Indicator-type
-profiles (cones, radial steps) carry an analytic base so that their volumes
-and great-subsphere sections are computed exactly, never by smoothing a
-discontinuous integrand through a polynomial quadrature rule.
+are immutable.  Indicator-type profiles (cones, radial steps) carry an
+analytic base so that their volumes and great-subsphere sections are
+computed exactly, never by smoothing a discontinuous integrand through a
+polynomial quadrature rule.
 """
 
 from __future__ import annotations
@@ -108,31 +108,7 @@ def spherical_cap_measure(sphere_dim: int, height: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# cone bases: measurable subsets of S^{n-1} with analytic section measures
-
-
-class ConeBase:
-    """Subset A of the direction sphere with exact measures.
-
-    Implementations provide membership, the total measure |A|, the exact
-    subsphere measures |A cut by xi-perp| at a batch of normals xi, and
-    whether A = -A.
-    """
-
-    ambient_dim: int
-    measure: float
-
-    def contains(self, dirs) -> np.ndarray:
-        raise NotImplementedError
-
-    def section_measures(self, xis) -> np.ndarray:
-        raise NotImplementedError
-
-    def is_origin_symmetric(self) -> bool:
-        raise NotImplementedError
-
-    def descriptor(self) -> dict:
-        raise NotImplementedError
+# cone bases, BandsBase and ArcsBase: subsets of S^{n-1} with exact measures
 
 
 def _band_chunk(m: int) -> int:
@@ -158,7 +134,7 @@ def _band_block(m: int) -> tuple[int, int]:
     return buffers, (16384 // chunk - 1) // buffers * chunk
 
 
-class BandsBase(ConeBase):
+class BandsBase:
     """Disjoint union of bands {lo_k <= <x, axis> <= hi_k} on S^{n-1}.
 
     A base whose bands are exactly their own mirror image (the band (-hi, -lo)
@@ -266,15 +242,13 @@ class BandsBase(ConeBase):
         idx = np.searchsorted(edges, t, side="right")
         return idx % 2 == 1
 
-    def section_measures(self, xis) -> np.ndarray:
-        xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    def section_measures(self, c) -> np.ndarray:
+        """The measures of the sections by xi-perp, one per element of the
+        1-d array c = <xi, axis>: a section depends on xi through c alone."""
+        c = np.atleast_1d(np.asarray(c, dtype=float))
         m_sub = self.ambient_dim - 2
-        # elementwise, not xis @ axis: a BLAS product may round a row differently
-        # depending on the rows batched with it, and each row must equal its
-        # one-direction value
-        c = np.sum(xis * self.axis, axis=1)
         s = np.sqrt(np.maximum(0.0, 1.0 - c ** 2))
-        out = np.empty(len(xis))
+        out = np.empty(len(c))
         degenerate = s < 1e-15
         if np.any(degenerate):
             start, stop = self._windows(np.zeros(1))
@@ -464,7 +438,7 @@ def _joined(arcs) -> list[tuple[float, float]]:
 
 
 @dataclass(frozen=True)
-class ArcsBase(ConeBase):
+class ArcsBase:
     """Union of disjoint arcs of S^1, given as angle intervals in [0, 2pi)."""
 
     arcs: tuple
@@ -526,7 +500,7 @@ class ArcsBase(ConeBase):
         return {"kind": "arcs", "arcs": [list(ab) for ab in self.arcs]}
 
 
-def base_from_descriptor(d: dict) -> ConeBase:
+def base_from_descriptor(d: dict) -> BandsBase | ArcsBase:
     if d["kind"] == "bands":
         return BandsBase(_json_floats(d, "axis", 1), _json_floats(d, "los", 1), _json_floats(d, "his", 1))
     if d["kind"] == "arcs":
@@ -574,7 +548,9 @@ class RadialProfile:
         raise NotImplementedError
 
     def zonal_axis(self, n: int) -> np.ndarray | None:
-        """Unit axis in R^n about which rho is rotationally symmetric, or None."""
+        """Unit axis in R^n about which rho is rotationally symmetric, or None.
+        A profile with an axis reads u only through c = <u, axis>: ``rho_of``
+        of an (N, 1) array of c is rho there (a band base reads c instead)."""
         return None
 
     def plane_corners(self):
@@ -702,7 +678,7 @@ class IndicatorProfile(RadialProfile):
     These are star-shaped sets, not star bodies: rho vanishes off the base.
     """
 
-    base: ConeBase
+    base: BandsBase | ArcsBase
     height: float
     kind = "cone"
 
@@ -1157,6 +1133,10 @@ def make_ellipsoid(semiaxes) -> StarBody:
     ax = np.asarray(semiaxes, dtype=float)
     if not np.all((ax > 0) & np.isfinite(ax)):
         raise DomainError("all semiaxes must be positive and finite")
+    with np.errstate(divide="ignore", over="ignore"):   # rho reads 1 / a^2
+        if not np.all(np.isfinite(1.0 / ax ** 2)):
+            raise DomainError(f"all semiaxes must exceed about 7.46e-155: a smaller one's inverse "
+                              f"square overflows, got {ax.tolist()!r}")
     space = SpaceSpec(0, ax.shape[0])
     return StarBody(space, EllipsoidProfile(ax))
 
@@ -1191,7 +1171,7 @@ def bands_to_arcs(base: BandsBase) -> ArcsBase:
     return ArcsBase(tuple(arcs))
 
 
-def _indicator_body(space: SpaceSpec, base: ConeBase, height: float) -> StarBody:
+def _indicator_body(space: SpaceSpec, base: BandsBase | ArcsBase, height: float) -> StarBody:
     """The one builder of indicator bodies: rho = height on the base, 0 elsewhere.
 
     A circle band base becomes arcs, so that plane left sides take the exact
@@ -1207,7 +1187,7 @@ def _indicator_body(space: SpaceSpec, base: ConeBase, height: float) -> StarBody
     return StarBody(space, IndicatorProfile(base, height))
 
 
-def make_cone(space: SpaceSpec, base: ConeBase) -> StarBody:
+def make_cone(space: SpaceSpec, base: BandsBase | ArcsBase) -> StarBody:
     """Spherical cone: rho = pi/2 on the base, 0 elsewhere (star-shaped set)."""
     if space.delta != 1:
         raise DomainError("cones live on the hemisphere (delta = +1)")

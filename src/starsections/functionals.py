@@ -33,7 +33,6 @@ from .quadrature import (
     check_frames,
     default_degree,
     gauss_jacobi,
-    householder_frames,
     integrate_vectorized,
     polar_rule,
     rule_size,
@@ -111,13 +110,6 @@ def _section_grid(n: int, outer_degree: int, inner_degree: int):
     check_frames(rule_size(n - 1, outer_degree) // 2, n)
     normals, weights = build_sphere_rule(n - 1, outer_degree).antipodal_half
     return weights, read_only(subsphere_frames(normals))
-
-
-@lru_cache(maxsize=8)
-def _orthogonal_unit(axis: tuple) -> np.ndarray:
-    """The first column of the axis's Householder frame, read-only: a zonal
-    body takes it once, not at every left side."""
-    return read_only(householder_frames(np.array([axis]))[0, :, 0].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +363,13 @@ class _Product:
 
 
 class _Zonal(_Product):
-    """A body with a zonal axis in n >= 3.  Its radial function depends on
-    <u, axis> alone, and a section on c = <xi, axis> alone (Funk-Hecke), so
-    1-d polar rules take the volume and the sections; a point is c."""
+    """A body with a zonal axis in n >= 3, read at <u, axis> alone: c for the
+    volume, sqrt(1 - c^2) t on xi-perp.  A section depends on c = <xi, axis>
+    alone (Funk-Hecke), so 1-d polar rules take both; a point is c."""
 
     def volume(self, mu) -> float:
         c, w = polar_rule(self.n - 1, self.config.outer(self.n))
-        return float(np.dot(w, self._body_radial(mu, self.n, self._directions(c))))
+        return float(np.dot(w, self._body_radial(mu, self.n, c[:, None], self.body.rho_of)))
 
     def point(self, xi):
         return np.array([xi @ self.body.profile.zonal_axis(self.n)])
@@ -387,8 +379,8 @@ class _Zonal(_Product):
         of the subsphere, so one polar rule on S^{n-2} gives each section."""
         t, w = polar_rule(self.n - 2, self.config.inner(self.n))
         scale = np.sqrt(np.maximum(1.0 - c * c, 0.0))
-        # the directions are built a block of rows at a time, so a fine grid
-        # never holds its (C, T, n) array; a small grid is one block
+        # the readings are taken a block of rows at a time, so a fine grid
+        # never holds its (C, T) array; a small grid is one block
         rows = max(1, _BLOCK_POINTS // len(t))
         out = np.empty(len(scale))
         for start in range(0, len(scale), rows):
@@ -398,7 +390,7 @@ class _Zonal(_Product):
             # nodes: sum the rows pairwise, more accurately than a matrix-vector
             # product
             out[start:start + len(s)] = np.sum(
-                self._body_radial(mu, self.n - 1, self._directions(s)) * w, axis=1)
+                self._body_radial(mu, self.n - 1, s[..., None], self.body.rho_of) * w, axis=1)
         return out
 
     def rule(self):
@@ -408,20 +400,11 @@ class _Zonal(_Product):
         keep = c >= 0.0
         return np.where(c[keep] > 0.0, 2.0, 1.0) * w[keep], c[keep]
 
-    def _directions(self, s):
-        """Unit directions u with <u, axis> = s, one per element of s, shape
-        s.shape + (n,): u = s axis + sqrt(1 - s^2) b, for one unit b orthogonal
-        to the axis."""
-        axis = self.body.profile.zonal_axis(self.n)
-        b = _orthogonal_unit(tuple(axis.tolist()))
-        s = np.asarray(s, dtype=float)[..., None]
-        return s * axis + np.sqrt(1.0 - s * s) * b
-
 
 class _Indicator(_Zonal):
     """An indicator body over a band base, which has an axis: exact sections,
-    the radial primitive of the height times the base's section measures, on
-    the zonal path's outer rule.  A point is the normal itself."""
+    the radial primitive of the height times the base's section measures at
+    c, on the zonal path's outer rule."""
 
     # The base comes first: in a huge dimension its measure is the resource
     # refusal, and the height's radial primitive takes O(n) steps.  So the
@@ -434,26 +417,22 @@ class _Indicator(_Zonal):
         measure = self.body.profile.base.measure
         return float(self._height(mu, self.n)) * measure
 
-    def point(self, xi):
-        return xi[None]
-
-    def sections(self, mu, xis):
-        measures = self.body.profile.base.section_measures(xis)
+    def sections(self, mu, points):
+        measures = self.body.profile.base.section_measures(points)
         return float(self._height(mu, self.n - 1)) * measures
-
-    def rule(self):
-        weights, c = super().rule()
-        return weights, self._directions(c)
 
     def _height(self, mu, m: int):
         return _radial(self.body.space, m, self.body.profile.height, mu)
 
 
 class _Arcs(_Indicator):
-    """An indicator body over arcs of the circle, which have no axis: its
-    sections take the values 0, h and 2h on arcs, so the functional is a
-    closed form that needs no outer rule, and the degree + 8 error estimate
-    is 1e-15 relative."""
+    """An indicator body over arcs of the circle, which have no axis: a point
+    is the normal itself.  Its sections take the values 0, h and 2h on arcs,
+    so the functional is a closed form that needs no outer rule, and the
+    degree + 8 error estimate is 1e-15 relative."""
+
+    def point(self, xi):
+        return xi[None]
 
     def functional(self, mu, p: int) -> float:
         base = self.body.profile.base

@@ -62,9 +62,6 @@ class ZonalHarmonic:
         object.__setattr__(self, "axis", read_only(as_direction(self.axis, self.ambient_dim).copy()))
         object.__setattr__(self, "_scale", _zonal_scale(self.ambient_dim, self.degree))
 
-    def __call__(self, u):
-        return self.at(np.asarray(u, dtype=float) @ self.axis)
-
     def at(self, t):
         """The harmonic at every unit u with <u, axis> = t."""
         return self._scale * gegenbauer(self.degree, (self.ambient_dim - 2) / 2.0, t)

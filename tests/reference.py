@@ -29,6 +29,7 @@ def radon_quadrature(f, rule, xi) -> float:
 
 
 def eval_zonal(h, u):
-    """A zonal harmonic at one unit vector (a float) or at many (an array)."""
-    out = h(np.atleast_2d(np.asarray(u, dtype=float)))
+    """A zonal harmonic at one unit vector (a float) or at many (an array),
+    read at <u, axis>."""
+    out = h.at(np.atleast_2d(np.asarray(u, dtype=float)) @ h.axis)
     return float(out[0]) if np.asarray(u).ndim == 1 else out

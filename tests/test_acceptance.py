@@ -287,8 +287,8 @@ class TestAcceptance:
                 for _ in range(20):
                     xi = rng.normal(size=n)
                     xi /= np.linalg.norm(xi)
-                    worst_mult = max(worst_mult,
-                                     abs(radon_quadrature(h, rule, xi) - lam * eval_zonal(h, xi)))
+                    transform = radon_quadrature(lambda u: h.at(u @ h.axis), rule, xi)
+                    worst_mult = max(worst_mult, abs(transform - lam * eval_zonal(h, xi)))
         worst_identity = 0.0
         for n in (3, 4):
             outer = build_sphere_rule(n - 1, 23)

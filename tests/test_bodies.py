@@ -60,11 +60,18 @@ def _double_cap_base(n, height):
     return BandsBase(np.eye(n)[0], np.array([-1.0, height]), np.array([-height, 1.0]))
 
 
+def _heights(base, xis):
+    """c = <xi, axis> of each normal xi, summed elementwise: a BLAS product
+    may round a row differently with the rows batched beside it."""
+    return np.sum(np.atleast_2d(xis) * base.axis, axis=1)
+
+
 def _section_bound_margin(base, xis):
     """max over xis of |A cut xi| - lam |C cut xi| for a striped cap subset A
     of the cap C: the construction promises at most its eps."""
     cap = cap_base(base.axis, base.meta["alpha"])
-    return float(np.max(base.section_measures(xis) - base.meta["lam"] * cap.section_measures(xis)))
+    c = _heights(base, xis)
+    return float(np.max(base.section_measures(c) - base.meta["lam"] * cap.section_measures(c)))
 
 
 class TestBandMeasures:
@@ -137,6 +144,17 @@ class TestEllipsoids:
     def test_invalid(self):
         with pytest.raises(DomainError):
             make_ellipsoid([1.0, -2.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("semiaxis", [1e-300, 1e-160, 7.45e-155, 5e-324])
+    def test_a_semiaxis_whose_inverse_square_overflows_is_refused(self, semiaxis):
+        # 1 / a^2 is inf below sqrt(1 / DBL_MAX) = 7.4583e-155, and rho was NaN
+        with pytest.raises(DomainError, match="semiaxes"):
+            make_ellipsoid([1.0, 1.0, semiaxis])
+
+    def test_the_smallest_semiaxes_build(self):
+        body = make_ellipsoid([1.0, 1.0, 7.46e-155])
+        assert np.all(np.isfinite(body.rho(np.eye(3))))
 
 
 class TestCones:
@@ -215,13 +233,13 @@ class TestCones:
         rng = np.random.default_rng(1)
         xis = rng.normal(size=(50, 3))
         xis /= np.linalg.norm(xis, axis=1, keepdims=True)
-        secs = base.section_measures(xis)
+        secs = base.section_measures(_heights(base, xis))
         assert np.max(np.abs(secs - math.pi)) < 1e-12  # |S^1| / 2
 
     def test_double_cap_sections_vary(self):
         base = _double_cap_base(3, 0.5)
         xis = np.array([[1.0, 0, 0], [0, 1.0, 0]])
-        secs = base.section_measures(xis)
+        secs = base.section_measures(_heights(base, xis))
         assert abs(secs[0] - secs[1]) > 0.1
 
 
@@ -231,7 +249,7 @@ def _unit_rows(rng, count, n):
 
 
 def _rowwise_section_measures(base, xis):
-    return np.concatenate([base.section_measures(x[None]) for x in xis])
+    return np.concatenate([base.section_measures(_heights(base, x[None])) for x in xis])
 
 
 class TestBandSectionsPerDistinctHeight:
@@ -245,7 +263,7 @@ class TestBandSectionsPerDistinctHeight:
         bases = [striped_cap_subset(0.2, axis, 0.6, 0.1), equality_cone_base(n, 0.4),
                  cap_base(axis, 0.3)]
         for base in bases:
-            batch = base.section_measures(xis)
+            batch = base.section_measures(_heights(base, xis))
             assert np.array_equal(batch, _rowwise_section_measures(base, xis))
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -254,7 +272,7 @@ class TestBandSectionsPerDistinctHeight:
         axis = _unit_rows(rng, 1, n)[0]
         base = striped_cap_subset(0.3, axis, 0.5, 0.1)
         xis = _unit_rows(rng, 300, n)
-        batch = base.section_measures(xis)
+        batch = base.section_measures(_heights(base, xis))
         assert np.array_equal(batch, _rowwise_section_measures(base, xis))
 
     def test_poles_mixed_in(self):
@@ -264,15 +282,17 @@ class TestBandSectionsPerDistinctHeight:
         # the equality base of height 0.4 about this axis
         equality = BandsBase(axis, np.array([-0.4, 0.4]), np.array([0.0, 1.0]))
         for base in (equality, cap_base(axis, 0.3)):
-            batch = base.section_measures(xis)
+            batch = base.section_measures(_heights(base, xis))
             assert np.array_equal(batch, _rowwise_section_measures(base, xis))
-            assert batch[0] == batch[-3] == batch[-1] == base.section_measures(axis[None])[0]
+            pole = base.section_measures(_heights(base, axis[None]))[0]
+            assert batch[0] == batch[-3] == batch[-1] == pole
 
     def test_row_permutation(self):
         base = striped_cap_subset(0.2, np.eye(3)[0], 0.6, 0.1)
         xis = build_sphere_rule(2, default_degree(2)).nodes
         perm = np.random.default_rng(5).permutation(len(xis))
-        assert np.array_equal(base.section_measures(xis[perm]), base.section_measures(xis)[perm])
+        c = _heights(base, xis)
+        assert np.array_equal(base.section_measures(c[perm]), base.section_measures(c)[perm])
 
 
 def _checked_union(half):
@@ -761,7 +781,7 @@ class TestWindowedBandSums:
 
     @staticmethod
     def _assert_matches_fsum(base, xis):
-        for sec, ref in zip(base.section_measures(xis), _fsum_sections(base, xis)):
+        for sec, ref in zip(base.section_measures(_heights(base, xis)), _fsum_sections(base, xis)):
             assert sec == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 8])
@@ -770,12 +790,13 @@ class TestWindowedBandSums:
         base = _checked_union(striped_cap_subset(0.1, axis, 0.5, 0.004 if n == 3 else 0.02))
         assert len(base.los) > 16384 // ((n - 2) // 2 + 8)    # more bands than one chunk
         # no band comes closer than alpha = 0.1 to the equator
-        assert base.section_measures(_normals_at(axis, [0.03, 0.0999])).tolist() == [0.0, 0.0]
+        c = _heights(base, _normals_at(axis, [0.03, 0.0999]))
+        assert base.section_measures(c).tolist() == [0.0, 0.0]
         self._assert_matches_fsum(base, _normals_at(axis, [0.1, 0.1001, 0.3, 0.7, 0.99, 1.0]))
 
     def test_densest_schedule_row_against_fsum(self, dense_striped_cone_base):
         base = dense_striped_cone_base
-        assert base.section_measures(_normals_at(base.axis, [0.049]))[0] == 0.0
+        assert base.section_measures(_heights(base, _normals_at(base.axis, [0.049])))[0] == 0.0
         self._assert_matches_fsum(base, _normals_at(base.axis, [0.05, 0.2, 0.6381613, 0.99212731]))
 
     def test_circle_bands_count_touching_edges(self):
@@ -790,7 +811,7 @@ class TestWindowedBandSums:
             edges[i if i % 2 == parity else i - 1] = t
         base = BandsBase(axis, edges[0:-1:2], edges[1::2])
         assert {-s[0], -s[1], s[2]} <= set(base.los) | set(base.his)
-        assert base.section_measures(xis).tolist() == _fsum_sections(base, xis)
+        assert base.section_measures(_heights(base, xis)).tolist() == _fsum_sections(base, xis)
 
     def test_upper_edges_out_of_order(self):
         # bands may overlap by the disjointness tolerance, so a point band can
@@ -809,11 +830,11 @@ class TestWindowedBandSums:
 
     @staticmethod
     def _traced_peak_less_output(base, xis):
-        base.section_measures(xis)      # warm any lazy numpy state
+        base.section_measures(_heights(base, xis))      # warm any lazy numpy state
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = base.section_measures(xis)
+            out = base.section_measures(_heights(base, xis))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -855,7 +876,7 @@ class TestWindowedBandSums:
             svals.append(_overlapping_base()[1])
         xis = _normals_at(base.axis, svals)
         s = np.sqrt(np.maximum(0.0, 1.0 - np.sum(xis * base.axis, axis=1) ** 2))
-        sections = base.section_measures(xis)
+        sections = base.section_measures(_heights(base, xis))
         clipped = False
         his_max = np.maximum.accumulate(his)
         for si, start, stop, section in zip(s, *base._windows(s), sections):
@@ -929,7 +950,8 @@ class TestWindowedBandSums:
 
         monkeypatch.setattr(bodies, "np", SpyNumpy())
         xis = _normals_at(base.axis, [0.6])
-        for m, run in ((2, lambda: base.measure), (1, lambda: base.section_measures(xis))):
+        c = _heights(base, xis)
+        for m, run in ((2, lambda: base.measure), (1, lambda: base.section_measures(c))):
             largest.append(0)
             run()
             assert largest[-1] >= 2 * bodies._band_chunk(m)
@@ -976,7 +998,7 @@ class TestMirroredBandSums:
         ref = math.fsum(sphere_band_measure(base.ambient_dim - 1, base.los, base.his).tolist())
         assert base.measure == pytest.approx(ref, rel=rel, abs=0.0)
         xis = _normals_at(base.axis, svals)
-        for sec, ref in zip(base.section_measures(xis), _fsum_sections(base, xis)):
+        for sec, ref in zip(base.section_measures(_heights(base, xis)), _fsum_sections(base, xis)):
             assert sec == pytest.approx(ref, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("builder", MIRRORED_BASES.values(), ids=MIRRORED_BASES.keys())
@@ -1000,7 +1022,8 @@ class TestMirroredBandSums:
         self._assert_matches_fsum(twin, svals, 1e-14)
         assert twin.measure == pytest.approx(base.measure, rel=1e-13, abs=0.0)
         xis = _normals_at(base.axis, svals)
-        np.testing.assert_allclose(twin.section_measures(xis), base.section_measures(xis),
+        c = _heights(base, xis)
+        np.testing.assert_allclose(twin.section_measures(c), base.section_measures(c),
                                    rtol=1e-13, atol=0.0)
 
     def test_reloaded_cone_gives_the_same_numbers(self):
@@ -1145,7 +1168,7 @@ class TestHalfStoredBase:
         tilted = pole + 1e-17 * np.eye(n)[1]
         svals = [0.003, 0.1, 0.2, 0.5, 0.6, 0.97, 1.0, *np.abs(ref.his[-3:]), *np.abs(ref.los[-3:])]
         xis = np.vstack([pole, -pole, tilted / np.linalg.norm(tilted), _normals_at(pole, svals)])
-        assert base.section_measures(xis).tolist() == _union_sections(ref, xis)
+        assert base.section_measures(_heights(base, xis)).tolist() == _union_sections(ref, xis)
 
     def test_both_section_branches_are_covered(self):
         small = {name: len(HALF_STORED_BASES[name]()[0]) <= bodies._band_chunk(n - 2)
@@ -1184,7 +1207,8 @@ class TestHalfStoredBase:
         assert twin.descriptor()["los"] == [-0.5, -0.0]
         xis = _normals_at(base.axis, [0.0, 0.2, 0.5, 1.0])
         assert base.measure == twin.measure
-        assert base.section_measures(xis).tolist() == twin.section_measures(xis).tolist()
+        c = _heights(base, xis)
+        assert base.section_measures(c).tolist() == twin.section_measures(c).tolist()
 
     @pytest.mark.parametrize("builder", [
         lambda: cap_base(np.eye(3)[0], 0.3),

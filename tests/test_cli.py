@@ -339,6 +339,26 @@ class TestOneLineRefusals:
         assert not captured.out and len(errors) == 1 and "--class" in errors[0]
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("semiaxis", [1e-300, 1e-160])
+    @pytest.mark.parametrize("given", ["spec", "document"])
+    def test_a_semiaxis_whose_inverse_square_overflows_is_named(self, given, semiaxis, tmp_path,
+                                                                capsys):
+        # it printed numpy's divide-by-zero warning (1e-300), then "numeric
+        # failure: x must be nonnegative", and exited 3
+        body = f"ellipsoid:semiaxes=1;1;{semiaxis!r}"
+        if given == "document":
+            doc = make_ellipsoid([1.0, 1.0, 1.0]).to_json_dict()
+            doc["profile"]["semiaxes"][-1] = semiaxis
+            path = tmp_path / "body.json"
+            path.write_text(json.dumps(doc))
+            body = f"@{path}"
+        assert run_cli("functional", "--space", "e:3", "--body", body) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: --body {'@' if given == 'document' else 'ellipsoid'}")
+        assert "semiaxes" in captured.err
+
     @pytest.mark.parametrize("argv, message", [
         (["--body", "ellipsoid:semiaxes="], "--body ellipsoid: semiaxes='' is not numbers separated by ';'"),
         (["--space", "s+:2", "--body", "cone:arcs=0:1:2"],

@@ -630,14 +630,21 @@ class TestZonalPath:
 
     @pytest.mark.parametrize("n,k", [(3, 4), (4, 2)])
     def test_tilted_axis_matches_default_axis(self, n, k):
+        # the body is read at c = <u, axis> itself, so no left side's bits
+        # depend on the axis
         body = make_perturbed_ball(SpaceSpec(1, n), 0.8, 0.08, k)
         p = body.profile
-        tilted = np.random.default_rng(7).normal(size=n)
-        tilted /= np.linalg.norm(tilted)
-        turned = HarmonicPerturbedProfile(p.r, p.alpha, p.beta, zonal_harmonic(n, k, tilted))
         config = experiment_config(n, k)
-        assert busemann_functional(StarBody(body.space, turned), config=config) == \
-            pytest.approx(busemann_functional(body, config=config), rel=1e-13, abs=0.0)
+        c = functionals._path(body, config).rule()[1]
+        sections = functionals._path(body, config).sections(None, c)
+        for seed in range(10):
+            tilted = np.random.default_rng(seed).normal(size=n)
+            tilted /= np.linalg.norm(tilted)
+            turned = StarBody(body.space, HarmonicPerturbedProfile(p.r, p.alpha, p.beta,
+                                                                   zonal_harmonic(n, k, tilted)))
+            assert volume_and_functional(turned, config=config) == \
+                volume_and_functional(body, config=config)
+            assert functionals._path(turned, config).sections(None, c).tobytes() == sections.tobytes()
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_ball_matches_closed_forms(self, n):
@@ -670,27 +677,26 @@ class TestZonalPath:
         result = perturbation_sign_experiment(6, 0.7, k)
         assert result.conclusive and result.sign_matches
 
-    def test_directions_take_the_axis_frame_once(self, monkeypatch):
-        # the unit orthogonal to the axis is the first column of its
-        # Householder frame, computed once per axis and read-only
-        frames, calls = functionals.householder_frames, []
+    @pytest.mark.parametrize("body", [
+        make_ball(S3, 0.7), make_ball(E3, 1.2), make_perturbed_ball(SpaceSpec(1, 4), 0.8, 0.08, 2),
+        StarBody(S3, HarmonicPerturbedProfile(0.7, 0.0, 0.03, zonal_harmonic(3, 4, [0.48, -0.6, 0.64]))),
+        make_cone(S3, cap_base([0.48, -0.6, 0.64], 0.3)), make_striped_cone(S3, 0.5, 0.4, 0.2),
+    ], ids=["ball-s3", "ball-e3", "perturbed-s4", "perturbed-tilted", "cap-cone-tilted",
+            "striped-cone"])
+    def test_left_sides_build_no_direction(self, body, monkeypatch):
+        # the zonal and band-cone paths read the body at c = <xi, axis> and
+        # at sqrt(1 - c^2) t: no direction in R^n is built and read back
+        def refuse(*args, **kwargs):
+            raise AssertionError("a left side built directions in R^n")
 
-        def counted(normals):
-            calls.append(len(normals))
-            return frames(normals)
-
-        monkeypatch.setattr(functionals, "householder_frames", counted)
-        functionals._orthogonal_unit.cache_clear()
-        axis = np.array([0.48, -0.6, 0.64])
-        body = StarBody(S3, HarmonicPerturbedProfile(0.7, 0.0, 0.03, zonal_harmonic(3, 4, axis)))
-        for _ in range(3):
-            busemann_functional(body)
-            volume(body)
-        assert calls == [1]
-        b = functionals._orthogonal_unit(tuple(body.profile.zonal_axis(3).tolist()))
-        assert not b.flags.writeable
-        assert b.tobytes() == frames(body.profile.zonal_axis(3)[None])[0, :, 0].tobytes()
-        functionals._orthogonal_unit.cache_clear()
+        monkeypatch.setattr(StarBody, "rho", refuse)
+        monkeypatch.setattr(quadrature, "householder_frames", refuse)
+        assert not hasattr(functionals, "householder_frames")
+        xi = np.arange(1.0, body.space.dim + 1.0)
+        for mu in (None, gaussian_measure()):
+            volume(body, mu)
+            busemann_functional(body, mu)
+            section_volume(body, xi / np.linalg.norm(xi), mu)
 
     @pytest.mark.parametrize("mu", [None, gaussian_measure()], ids=["uniform", "gaussian"])
     def test_sections_in_row_blocks_match_one_pass_bit_for_bit(self, mu, monkeypatch):
@@ -700,7 +706,7 @@ class TestZonalPath:
         c = path.rule()[1]
         t, w = functionals.polar_rule(1, DEFAULT.inner(3))
         s = np.sqrt(np.maximum(1.0 - c * c, 0.0))[:, None] * t
-        whole = np.sum(path._body_radial(mu, 2, path._directions(s)) * w, axis=1)
+        whole = np.sum(path._body_radial(mu, 2, s[..., None], body.rho_of) * w, axis=1)
         assert np.array_equal(path.sections(mu, c), whole)
         # blocks of one and of two rows
         for block in (len(t), 2 * len(t)):
@@ -709,7 +715,7 @@ class TestZonalPath:
 
     def test_peak_memory_of_a_fine_zonal_functional(self):
         # degrees 3014/3014: 754 sections of 3,016 points each, which one
-        # (C, T, n) direction array would hold in 55 MB
+        # (C, T) array of readings would hold in 18 MB
         ball, config = make_ball(S3, 0.7), QuadratureConfig(outer_degree=3014, inner_degree=3014)
         value = busemann_functional(ball, config=config)   # builds and caches the polar rules
         tracemalloc.start()
@@ -721,16 +727,10 @@ class TestZonalPath:
         assert peak <= 16e6
 
     def test_n4_experiment_evaluates_few_points(self, monkeypatch):
-        points = []
-        rho = StarBody.rho
-
-        def counted(self, dirs):
-            points.append(len(dirs))
-            return rho(self, dirs)
-
-        monkeypatch.setattr(StarBody, "rho", counted)
+        # the zonal path reads its bodies through rho_of alone
+        points = counted_rho_rows(monkeypatch)
         assert perturbation_sign_experiment(4, 0.8, 2).sign_matches
-        assert sum(points) <= 150_000
+        assert 0 < sum(points) <= 150_000
 
 
 class TestSectionGrid:
@@ -830,7 +830,9 @@ def _sphere_rule_functional(body):
     antipodal pair of the full product rule on S^{n-1}, at the default degree."""
     n = body.space.dim
     normals, weights = build_sphere_rule(n - 1, QuadratureConfig().outer(n)).antipodal_half
-    sections = phi(body.space, n - 1, body.profile.height) * body.profile.base.section_measures(normals)
+    base = body.profile.base
+    c = np.sum(normals * base.axis, axis=1)
+    sections = phi(body.space, n - 1, body.profile.height) * base.section_measures(c)
     return float(np.dot(weights, sections ** n))
 
 
@@ -1449,15 +1451,19 @@ class TestPairSum:
         # section and the functional, at every normal of the folded outer rule
         path = functionals._path(body, DEFAULT)
         assert type(path) in (functionals._Zonal, functionals._Indicator)
-        _, points = path.rule()
-        sections = path.sections(mu, points)
+        _, c = path.rule()
+        sections = path.sections(mu, c)
+        # the normals u = c axis + sqrt(1 - c^2) b, b the first column of the
+        # axis's Householder frame; the single section recomputes c from u
+        axis = body.profile.zonal_axis(body.space.dim)
+        b = householder_frames(axis[None])[0, :, 0]
+        normals = c[:, None] * axis + np.sqrt(1.0 - c[:, None] ** 2) * b
         if type(path) is functionals._Indicator:
             # a row of the band sums does not depend on its batch
-            for normal, section in zip(points, sections, strict=True):
+            for normal, section in zip(normals, sections, strict=True):
                 assert section_volume(body, normal, mu) == section
         else:
-            # the single section's c = <xi, axis> is recomputed from xi
-            for normal, section in zip(path._directions(points), sections, strict=True):
+            for normal, section in zip(normals, sections, strict=True):
                 assert section_volume(body, normal, mu) == pytest.approx(section, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("symmetric, inner_share", [(True, 2), (False, 1)],

@@ -25,7 +25,9 @@ OLD NEW`` prints how far each group moved.  The set is
   each with the uniform and the Gaussian measure and with the default
   config, ``plane_adaptive=False`` and degree 31: the symmetry flag, and
   volume, functional, normalized first power, functional with error and
-  three section volumes;
+  three section volumes.  A perturbed ball and a cap cone about a seeded
+  random unit axis show how the zonal and indicator paths form
+  c = <xi, axis>, which every coordinate axis gives exactly;
 * a symmetric bumpy body of two bumps and their mirrors, whose pairs rho
   sums as one cosh each, on the product path: on s+:4 with the uniform
   measure at the default degrees, and on h:3 with the Gaussian at degrees
@@ -69,7 +71,9 @@ from starsections import (  # noqa: E402
     QuadratureConfig,
     SpaceSpec,
     busemann_functional,
+    body_from_json_dict,
     busemann_functional_with_error,
+    cap_base,
     equality_cone_base,
     gaussian_measure,
     make_ball,
@@ -195,6 +199,12 @@ def windowed():
 
 def path_bodies():
     s2, s3 = SpaceSpec(1, 2), SpaceSpec(1, 3)
+    # an axis off every coordinate axis, where <u, axis> of a built direction
+    # u need not round to the c it was built from
+    tilted = np.random.default_rng(5).normal(size=3)
+    tilted /= np.linalg.norm(tilted)
+    zonal = make_perturbed_ball(s3, 0.8, 0.08, 4).to_json_dict()
+    zonal["profile"]["axis"] = tilted.tolist()
     return {
         "arcs": make_cone(s2, ArcsBase(((0.2, 1.1), (0.2 + math.pi, 1.1 + math.pi)))),
         "indicator": make_cone(s3, equality_cone_base(3, 0.4)),
@@ -203,6 +213,8 @@ def path_bodies():
         "plane-lune": make_lune(0.5),
         "zonal": make_perturbed_ball(s3, 0.8, 0.08, 4),
         "zonal-euclidean": make_ball(SpaceSpec(0, 3), 0.9),
+        "zonal-tilted": body_from_json_dict(zonal),
+        "indicator-tilted": make_cone(s3, cap_base(tilted, 0.3)),
         "product": make_bumpy_ball(s3, 0.8, [[0.0, 0.0, 1.0]], [0.2], [3.0]),
         "product-ellipsoid": make_ellipsoid([0.8, 1.0, 1.2]),
     }
