@@ -24,10 +24,10 @@ OLD NEW`` prints how far each group moved.  The set is
 * bodies on each evaluation path (arcs, indicator, plane, zonal, product),
   each with the uniform and the Gaussian measure and with the default
   config, ``plane_adaptive=False`` and degree 31: the symmetry flag, and
-  volume, functional, normalized first power, functional with error and
-  three section volumes.  A perturbed ball and a cap cone about a seeded
-  random unit axis show how the zonal and indicator paths form
-  c = <xi, axis>, which every coordinate axis gives exactly;
+  volume, functional, normalized first power, functional with error (plain
+  and normalized) and three section volumes.  A perturbed ball and a cap
+  cone about a seeded random unit axis show how the zonal and indicator
+  paths form c = <xi, axis>, which every coordinate axis gives exactly;
 * a symmetric bumpy body of two bumps and their mirrors, whose pairs rho
   sums as one cosh each, on the product path: on s+:4 with the uniform
   measure at the default degrees, and on h:3 with the Gaussian at degrees
@@ -241,6 +241,9 @@ def paths():
                 value, error = busemann_functional_with_error(body, mu, config=config)
                 out(f"{label}/with-error/value", value)
                 out(f"{label}/with-error/error", error)
+                value, error = busemann_functional_with_error(body, mu, normalized=True, config=config)
+                out(f"{label}/normalized-with-error/value", value)
+                out(f"{label}/normalized-with-error/error", error)
                 for i, xi in enumerate(xis):
                     out(f"{label}/section/{i}", section_volume(body, xi, mu, config))
 
