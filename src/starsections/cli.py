@@ -182,19 +182,21 @@ def _write_csv(path: str, header, rows):
         writer.writerows(rows)
 
 
-def _emit(path: str | None, json_doc=None, csv_data=None):
-    if path is None:
-        return
-    if path.endswith(".json"):
-        if json_doc is None:
-            raise UsageError("--out: no JSON form for this command")
-        _write_json(path, json_doc)
-    elif path.endswith(".csv"):
-        if csv_data is None:
-            raise UsageError("--out: no CSV form for this command")
-        _write_csv(path, *csv_data)
-    else:
+def _check_out(path: str | None, forms: tuple):
+    """Refuse, before the command runs, an --out path whose suffix is not one
+    of the command's forms: ".json", ".csv" or both."""
+    if path is not None and not path.endswith((".json", ".csv")):
         raise UsageError("--out: path must end in .json or .csv")
+    if path is not None and not path.endswith(forms):
+        raise UsageError(f"--out: no {path.rpartition('.')[2].upper()} form for this command")
+
+
+def _emit(path: str | None, json_doc=None, csv_data=None):
+    # main has checked the path's suffix against the command's forms
+    if path is not None and path.endswith(".json"):
+        _write_json(path, json_doc)
+    elif path is not None:
+        _write_csv(path, *csv_data)
 
 
 def cmd_functional(args) -> int:
@@ -385,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print a table of N section volumes")
     p_fun.add_argument("--dump-body", default=None, help="write the body JSON here")
     add_quad_args(p_fun)
-    p_fun.set_defaults(fn=cmd_functional)
+    p_fun.set_defaults(fn=cmd_functional, out_forms=(".json",))
 
     p_ver = sub.add_parser("verify", help="run a named theorem suite")
     p_ver.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
@@ -397,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=_count, default=None, help="seed of the random suite bodies (0)")
     p_ver.add_argument("--w", type=float, default=None, help="lune half-width")
     add_quad_args(p_ver)
-    p_ver.set_defaults(fn=cmd_verify)
+    p_ver.set_defaults(fn=cmd_verify, out_forms=(".json", ".csv"))
 
     p_exp = sub.add_parser("experiment", help="perturbation | sharpness | search")
     modes = p_exp.add_subparsers(dest="mode", required=True)
@@ -405,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_mode(name, run):
         p = modes.add_parser(name)
         p.add_argument("--out", default=None, help="write the table to .csv")
-        p.set_defaults(fn=cmd_experiment, run=run)
+        p.set_defaults(fn=cmd_experiment, run=run, out_forms=(".csv",))
         return p
 
     p_pert = add_mode("perturbation", _perturbation)
@@ -437,6 +439,7 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already; normalize others
         return int(exc.code) if exc.code else 0
     try:
+        _check_out(args.out, args.out_forms)
         # an overflow is refused as a numeric failure, in one line, without
         # numpy's warning
         with np.errstate(over="ignore", invalid="ignore"):

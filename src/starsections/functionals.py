@@ -267,9 +267,9 @@ class _Product:
     the ``rule()``: the outer weights with the points of the normals they
     weight.  xi and -xi cut the same section, so each rule takes one normal of
     each antipodal pair at twice its weight.  The functional sums the rule's
-    section powers unless a path overrides it, and its error estimate is the
-    change at degrees + 8.  ``volume_and_functional`` is the two calls, unless
-    a path can share their work.
+    section powers unless a path overrides it, and ``with_error`` estimates
+    its error by the change at degrees + 8.  ``volume_and_functional`` is the
+    two calls, unless a path can share their work.
     """
 
     def __init__(self, body: StarBody, config: QuadratureConfig):
@@ -336,13 +336,11 @@ class _Product:
         functional = self.functional(mu, p)
         return self.volume(mu), functional
 
-    def with_error(self, mu, normalized: bool, exponent: int | None):
-        # both values go through busemann_functional, where a profiler sees
-        # them as two evaluations
+    def with_error(self, mu, p: int, norm: float):
         n, config = self.n, self.config
-        val = busemann_functional(self.body, mu, normalized, exponent, config)
+        val = _finite("functional", self.functional(mu, p) / norm)
         finer = replace(config, outer_degree=config.outer(n) + 8, inner_degree=config.inner(n) + 8)
-        val2 = busemann_functional(self.body, mu, normalized, exponent, finer)
+        val2 = _finite("functional", _path(self.body, finer).functional(mu, p) / norm)
         return val2, abs(val2 - val) + 1e-15 * abs(val2)
 
     def _body_radial(self, mu, m: int, x, rho=None):
@@ -446,8 +444,8 @@ class _Plane(_Product):
     """A plane body while ``plane_adaptive``: profiles in the plane may have
     corners (lunes, grid profiles), so the volume and the functional integrate
     the normal's polar angle by adaptive Gauss-Kronrod instead of the fixed
-    circle rule, both in one run, and the error estimate is Gauss-Kronrod's.
-    Single sections are the product path's."""
+    circle rule, both in one run, and the error estimate is Gauss-Kronrod's,
+    from the functional's own run.  Single sections are the product path's."""
 
     def volume(self, mu) -> float:
         return float(self._integrals(mu, None, volume=True)[0][0])
@@ -459,12 +457,9 @@ class _Plane(_Product):
         values, _ = self._integrals(mu, p, volume=True)
         return float(values[0]), float(values[1])
 
-    def with_error(self, mu, normalized: bool, exponent: int | None):
-        # the value goes through busemann_functional, and the estimate reruns
-        # the integral
-        val = busemann_functional(self.body, mu, normalized, exponent, self.config)
-        _, errors = self._integrals(mu, self.n if exponent is None else exponent)
-        return val, float(errors[0]) / (sphere_surface_area(self.n - 1) if normalized else 1.0)
+    def with_error(self, mu, p: int, norm: float):
+        values, errors = self._integrals(mu, p)
+        return float(values[0]) / norm, float(errors[0]) / norm
 
     def _integrals(self, mu, p: int | None, volume: bool = False):
         """Values and error estimates of the rows asked for, from one
@@ -537,6 +532,12 @@ def section_volume(body: StarBody, xi, mu: RadialDensityMeasure | None = None,
     return _finite("section volume", float(section))
 
 
+def _power_and_norm(body: StarBody, normalized: bool, exponent: int | None):
+    """The section power p (n by default) and the divisor, |S^{n-1}| or 1."""
+    n = body.space.dim
+    return (n if exponent is None else exponent), (sphere_surface_area(n - 1) if normalized else 1.0)
+
+
 def busemann_functional(body: StarBody, mu: RadialDensityMeasure | None = None,
                         normalized: bool = False, exponent: int | None = None,
                         config: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -546,10 +547,8 @@ def busemann_functional(body: StarBody, mu: RadialDensityMeasure | None = None,
     throughout); ``normalized`` divides by |S^{n-1}| so the xi-measure has
     total mass 1.
     """
-    n = body.space.dim
-    norm = sphere_surface_area(n - 1) if normalized else 1.0
-    functional = _path(body, config).functional(mu, n if exponent is None else exponent)
-    return _finite("functional", functional / norm)
+    p, norm = _power_and_norm(body, normalized, exponent)
+    return _finite("functional", _path(body, config).functional(mu, p) / norm)
 
 
 def volume_and_functional(body: StarBody, mu: RadialDensityMeasure | None = None,
@@ -559,9 +558,8 @@ def volume_and_functional(body: StarBody, mu: RadialDensityMeasure | None = None
     exponent, config))``, the same bits, from one evaluation on the paths that
     can share it: the plane path takes both from one Gauss-Kronrod run, which
     evaluates rho once per node."""
-    n = body.space.dim
-    norm = sphere_surface_area(n - 1) if normalized else 1.0
-    vol, functional = _path(body, config).volume_and_functional(mu, n if exponent is None else exponent)
+    p, norm = _power_and_norm(body, normalized, exponent)
+    vol, functional = _path(body, config).volume_and_functional(mu, p)
     return _finite("volume", vol), _finite("functional", functional / norm)
 
 
@@ -571,7 +569,7 @@ def busemann_functional_with_error(body: StarBody, mu=None, normalized: bool = F
     """Functional value plus an error estimate: Gauss-Kronrod's on the plane
     path, the difference from degrees + 8 on the others (1e-15 relative for
     the arcs closed form, which no degree changes)."""
-    value, error = _path(body, config).with_error(mu, normalized, exponent)
+    value, error = _path(body, config).with_error(mu, *_power_and_norm(body, normalized, exponent))
     return _finite("functional", value), _finite("error estimate", error)
 
 

@@ -366,11 +366,10 @@ class SearchTrace:
     """Record of a local search run.
 
     ``steps`` holds one (iteration, objective, volume_drift) triple per
-    accepted move and ``step_profiles`` the matching grid values.
+    accepted move.
     """
 
     steps: list = field(default_factory=list)
-    step_profiles: list = field(default_factory=list)
     best_objective: float = 0.0
     best_values: np.ndarray | None = None
     accepted: int = 0
@@ -560,7 +559,6 @@ def extremizer_search(space: SpaceSpec, body_class: str, volume_target: float,
             objective = _plane_objective(profile)
             trace.accepted += 1
             trace.steps.append((it, objective, drift))
-            trace.step_profiles.append(profile)
             if sign * (objective - trace.best_objective) > 0:
                 trace.best_objective = objective
                 trace.best_values = profile.copy()

@@ -30,7 +30,7 @@ from starsections.bodies import (
     make_perturbed_ball,
     make_symmetric_polygon_body,
 )
-from starsections import spaces
+from starsections import cli, spaces
 from starsections.cli import build_parser, main
 from starsections.functionals import busemann_functional_with_error
 from starsections.quadrature import build_sphere_rule
@@ -165,12 +165,13 @@ class TestVerifyCommand:
         assert lines[0] == "# format_version=2"
         assert lines[1].startswith("theorem_id,")
 
-    def test_one_degree_flag_keeps_the_suite_config(self, tmp_path):
+    @pytest.mark.parametrize("flag, value, degrees", [("--outer-degree", "31", (31, 63)),
+                                                      ("--inner-degree", "9", (31, 9))])
+    def test_one_degree_flag_keeps_the_suite_config(self, flag, value, degrees, tmp_path):
         out = tmp_path / "h.json"
-        assert run_cli("verify", "--theorem", "hyperbolic", "--outer-degree", "31",
-                       "--out", str(out)) == 0
+        assert run_cli("verify", "--theorem", "hyperbolic", flag, value, "--out", str(out)) == 0
         quadrature = json.loads(out.read_text())["reports"][0]["quadrature"]
-        assert (quadrature["outer_degree"], quadrature["inner_degree"]) == (31, 63)
+        assert (quadrature["outer_degree"], quadrature["inner_degree"]) == degrees
 
     def test_deterministic_across_runs(self, tmp_path):
         outs = []
@@ -370,10 +371,51 @@ class TestOneLineRefusals:
         (["--space", "s+:2", "--body", "ball:r=0.5,zzz=3"], "--body ball: unused parameter zzz='3'"),
         (["--space", "s+:2", "--body", "cone:cap=0.3,arcs=0:1"],
          "--body cone: unused parameter cap='0.3'"),
-    ], ids=["semiaxes", "arcs", "degree", "full-not-one", "unknown-key", "two-cone-bases"])
+        (["--space", "s+:2", "--body", "ball:r"], "--body: expected key=val, got 'r'"),
+        (["--body", "ball:r=0.5"], "--body ball requires --space"),
+        (["--space", "s+:3", "--body", "cone:"], "--body cone needs arcs=, cap=, equality= or full=1"),
+    ], ids=["semiaxes", "arcs", "degree", "full-not-one", "unknown-key", "two-cone-bases",
+            "no-equals", "no-space", "no-base"])
     def test_a_body_parameter_is_named(self, argv, message, capsys):
         assert run_cli("functional", *argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("space, hemisphere", [("s+:2", 2 * math.pi), ("s+:3", math.pi ** 2)])
+    def test_the_full_cone_runs(self, space, hemisphere, tmp_path):
+        # the cone over the whole sphere is the hemisphere
+        out = tmp_path / "full.json"
+        assert run_cli("functional", "--space", space, "--body", "cone:full=1", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["volume"] == pytest.approx(hemisphere, rel=1e-12)
+
+
+class TestOutSuffix:
+    """An --out path that the command has no form for exits 2 in one line
+    before the command runs: ``functional`` writes .json, ``verify`` .json or
+    .csv, and each experiment mode .csv."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["functional", "--space", "s+:2", "--body", "ball:r=0.5", "--out", "f.csv"],
+         "--out: no CSV form for this command"),
+        (["functional", "--space", "s+:2", "--body", "ball:r=0.5", "--out", "f.txt"],
+         "--out: path must end in .json or .csv"),
+        (["verify", "--theorem", "cone-max", "--out", "v.txt"], "--out: path must end in .json or .csv"),
+        (["experiment", "sharpness", "--out", "s.json"], "--out: no JSON form for this command"),
+        (["experiment", "perturbation", "--out", "p.json"], "--out: no JSON form for this command"),
+        (["experiment", "search", "--out", "t.txt"], "--out: path must end in .json or .csv"),
+    ], ids=["functional-csv", "functional-txt", "verify-txt", "sharpness-json", "perturbation-json",
+            "search-txt"])
+    def test_a_wrong_suffix_exits_two_before_any_work(self, argv, message, tmp_path, capsys,
+                                                       monkeypatch):
+        def never(args):
+            raise AssertionError("the command ran")
+
+        for name in ("cmd_functional", "cmd_verify", "cmd_experiment"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 # a value of every experiment flag, and the flags each mode reads

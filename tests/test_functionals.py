@@ -376,9 +376,9 @@ class TestPlaneCorners:
     ])
     def test_polygon_and_grid_integrals_take_at_most_two_rounds(self, body, monkeypatch):
         rounds = _plane_rounds(body, monkeypatch)
-        # per measure: volume, two functionals, and the value and error passes
-        # of the functional with error
-        assert len(rounds) == 10 and max(rounds) <= 2
+        # per measure: volume, two functionals, and the functional with error,
+        # whose value and estimate come from one run
+        assert len(rounds) == 8 and max(rounds) <= 2
 
     @pytest.mark.parametrize("w", [0.15, 0.2, 0.4, 1.3])
     @pytest.mark.parametrize("angle", [-0.3, 1.0, 2.0])
@@ -1515,6 +1515,26 @@ class TestPairSum:
         reference = values[0], errors[0]
         assert busemann_functional(body, exponent=exponent) == reference[0]
         assert busemann_functional_with_error(body, exponent=exponent) == reference
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("mu", [None, gaussian_measure()], ids=["uniform", "gaussian"])
+    @pytest.mark.parametrize("body", [make_ball(S2, 0.9), make_lune(0.3),
+                                      make_bumpy_ball(S2, 0.8, [[0.6, 0.8]], [0.2], [3.0])],
+                             ids=["ball", "lune", "asymmetric"])
+    def test_plane_value_and_estimate_come_from_one_run(self, body, mu, normalized, monkeypatch):
+        runs = []
+        integrate = functionals.integrate_vectorized
+
+        def recorded(*args):
+            runs.append(integrate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(functionals, "integrate_vectorized", recorded)
+        value, error = busemann_functional_with_error(body, mu, normalized=normalized)
+        assert len(runs) == 1
+        (values, errors), = runs
+        norm = 2 * math.pi if normalized else 1.0
+        assert (value, error) == (values[0] / norm, errors[0] / norm)
 
 
 # the measures of test_big_psi_concavity, each with its density in mpmath

@@ -138,10 +138,20 @@ UNLOADED_PUBLIC_MEMBERS = {
 }
 
 
+MUTATING_METHODS = {"append", "extend", "add", "update", "insert", "pop", "clear", "remove",
+                    "setdefault"}
+
+
 def attribute_loads(tree):
-    """How often each attribute name is read in tree."""
+    """How often each attribute name is read in tree.  A load whose only use is
+    a call of a mutating method on it, as in ``trace.steps.append(step)``,
+    writes the member and is no read."""
+    written = {id(node.func.value) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr in MUTATING_METHODS}
     return Counter(node.attr for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                   and id(node) not in written)
 
 
 def unloaded_members(trees):
@@ -171,6 +181,10 @@ def test_every_public_member_is_loaded():
     # list's does
     assert list(unloaded_members([ast.parse(
         "class A:\n    x: int\n    y: int\n    def f(self):\n        return self.x\n")])) == ["A.y", "A.f"]
+    # a member that is only appended to is written, never read
+    assert list(unloaded_members([ast.parse(
+        "class A:\n    x: list\n    y: list\n    def f(self):\n        self.x.append(self.y)\n")])) \
+        == ["A.x", "A.f"]
     assert set(unloaded_members(library_trees())) == set(UNLOADED_PUBLIC_MEMBERS)
 
 
@@ -196,3 +210,42 @@ def test_paths_are_chosen_in_one_place():
     names = [(node.lineno, node.value) for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and id(node) not in skip and node.value in PATH_NAMES]
     assert names == []
+
+
+PUBLIC_LEFT_SIDES = {"volume", "section_volume", "busemann_functional", "volume_and_functional",
+                     "busemann_functional_with_error"}
+
+
+def path_classes(tree):
+    """The classes of a module that are ``_Product`` or derive from it; a class
+    is defined after its bases."""
+    names = {"_Product"}
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        if cls.name in names or any(isinstance(base, ast.Name) and base.id in names for base in cls.bases):
+            names.add(cls.name)
+            yield cls
+
+
+def left_side_calls(tree):
+    """(class, method, name) for each call of a public left side by its name
+    in a method of a path class; a path's own methods, called on self, are
+    not such calls."""
+    for cls in path_classes(tree):
+        for method in (node for node in cls.body if isinstance(node, ast.FunctionDef)):
+            for node in ast.walk(method):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                        and node.func.id in PUBLIC_LEFT_SIDES:
+                    yield cls.name, method.name, node.func.id
+
+
+def test_no_path_calls_a_public_left_side():
+    # each path method works from the evaluation it makes; a public left side
+    # called from one would choose the path and divide by the norm again
+    assert list(left_side_calls(ast.parse(
+        "class _Product:\n    def f(self):\n        return busemann_functional(self.body)\n"
+        "class _A(_Product):\n    def g(self):\n        return self.volume(None) + volume(self.body)\n"
+        "class B:\n    def h(self):\n        return volume(self.body)\n"))) == [
+        ("_Product", "f", "busemann_functional"), ("_A", "g", "volume")]
+    tree = ast.parse((PACKAGE / "functionals.py").read_text())
+    assert {cls.name for cls in path_classes(tree)} == {"_Product", "_Zonal", "_Indicator", "_Arcs", "_Plane"}
+    assert list(left_side_calls(tree)) == []
