@@ -372,10 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_quad_args(p):
+    def add_quad_args(p, forms):
         p.add_argument("--outer-degree", type=_degree, default=None)
         p.add_argument("--inner-degree", type=_degree, default=None)
-        p.add_argument("--out", default=None, help="write report to .json or .csv")
+        p.add_argument("--out", default=None, help=f"write the report to {' or '.join(forms)}")
+        p.set_defaults(out_forms=forms)
 
     p_fun = sub.add_parser("functional", help="evaluate volume, sections, functional")
     p_fun.add_argument("--space", default=None, help="s+:<n>, h:<n> or e:<n>")
@@ -386,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fun.add_argument("--sections", type=_count, default=0, metavar="N",
                        help="print a table of N section volumes")
     p_fun.add_argument("--dump-body", default=None, help="write the body JSON here")
-    add_quad_args(p_fun)
-    p_fun.set_defaults(fn=cmd_functional, out_forms=(".json",))
+    add_quad_args(p_fun, (".json",))
+    p_fun.set_defaults(fn=cmd_functional)
 
     p_ver = sub.add_parser("verify", help="run a named theorem suite")
     p_ver.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
@@ -398,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--random", type=_count, default=None, help="number of random suite bodies (0)")
     p_ver.add_argument("--seed", type=_count, default=None, help="seed of the random suite bodies (0)")
     p_ver.add_argument("--w", type=float, default=None, help="lune half-width")
-    add_quad_args(p_ver)
-    p_ver.set_defaults(fn=cmd_verify, out_forms=(".json", ".csv"))
+    add_quad_args(p_ver, (".json", ".csv"))
+    p_ver.set_defaults(fn=cmd_verify)
 
     p_exp = sub.add_parser("experiment", help="perturbation | sharpness | search")
     modes = p_exp.add_subparsers(dest="mode", required=True)

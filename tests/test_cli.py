@@ -165,13 +165,19 @@ class TestVerifyCommand:
         assert lines[0] == "# format_version=2"
         assert lines[1].startswith("theorem_id,")
 
-    @pytest.mark.parametrize("flag, value, degrees", [("--outer-degree", "31", (31, 63)),
-                                                      ("--inner-degree", "9", (31, 9))])
-    def test_one_degree_flag_keeps_the_suite_config(self, flag, value, degrees, tmp_path):
+    def test_one_degree_flag_keeps_the_suite_config(self, tmp_path):
         out = tmp_path / "h.json"
-        assert run_cli("verify", "--theorem", "hyperbolic", flag, value, "--out", str(out)) == 0
+        assert run_cli("verify", "--theorem", "hyperbolic", "--outer-degree", "31",
+                       "--out", str(out)) == 0
         quadrature = json.loads(out.read_text())["reports"][0]["quadrature"]
-        assert (quadrature["outer_degree"], quadrature["inner_degree"]) == degrees
+        assert (quadrature["outer_degree"], quadrature["inner_degree"]) == (31, 63)
+
+    def test_the_inner_degree_flag_keeps_the_outer_one(self, tmp_path):
+        out = tmp_path / "h.json"
+        assert run_cli("verify", "--theorem", "hyperbolic", "--inner-degree", "9",
+                       "--out", str(out)) == 0
+        quadrature = json.loads(out.read_text())["reports"][0]["quadrature"]
+        assert (quadrature["outer_degree"], quadrature["inner_degree"]) == (31, 9)
 
     def test_deterministic_across_runs(self, tmp_path):
         outs = []
