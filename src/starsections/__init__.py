@@ -10,7 +10,7 @@ from .spaces import (
     unit_ball_volume,
 )
 from .quadrature import SphereRule, build_sphere_rule
-from .harmonics import ZonalHarmonic, zonal_harmonic, radon_multiplier
+from .harmonics import ZonalHarmonic, radon_multiplier
 from .bodies import (
     StarBody,
     BandsBase,
@@ -33,7 +33,6 @@ from .bodies import (
     spherical_cap_measure,
 )
 from .functionals import (
-    InequalityReport,
     QuadratureConfig,
     RadialDensityMeasure,
     bound_constants,
@@ -48,12 +47,12 @@ from .functionals import (
     psi,
     psi_inverse,
     big_psi,
-    rhs_bound,
     section_volume,
     volume,
     volume_and_functional,
 )
 from .verify import (
+    InequalityReport,
     PerturbationResult,
     SearchTrace,
     c5_constant,

@@ -24,7 +24,7 @@ from .errors import (
     ResourceLimitError,
     SolverError,
 )
-from .harmonics import ZonalHarmonic, zonal_harmonic
+from .harmonics import ZonalHarmonic
 from .quadrature import gauss_jacobi, polar_rule
 from .spaces import (
     HEMISPHERE_MAX_RADIUS,
@@ -1267,7 +1267,7 @@ def _perturbation(space: SpaceSpec, r: float, beta: float, k: int, axis):
     if not math.isfinite(beta):
         raise DomainError(f"the perturbation amplitude beta must be finite, got {beta}")
     space.check_radius(r)
-    harmonic = zonal_harmonic(space.dim, k, axis)
+    harmonic = ZonalHarmonic(space.dim, k, axis)
     span = abs(beta) * float(np.max(np.abs(harmonic.at(_harmonic_extrema(space.dim, k))))) + 1e-9
     if not (r - 2 * span > 0 and r + 2 * span < HEMISPHERE_MAX_RADIUS):
         raise RadiusRangeError("perturbation leaves the open radius range (0, pi/2)")

@@ -37,14 +37,13 @@ from .bodies import (
 )
 from .errors import ApplicabilityError, DomainError, GeometryError
 from .functionals import (
-    THEOREMS,
     QuadratureConfig,
     busemann_functional_with_error,
     gaussian_measure,
     section_volume,
     volume,
 )
-from .quadrature import build_sphere_rule
+from .quadrature import rule_size, sphere_rule_node
 from .spaces import SpaceSpec, basis_vector
 
 class UsageError(ValueError):
@@ -213,11 +212,13 @@ def cmd_functional(args) -> int:
     print(f"volume: {vol:.12g}")
     sections = []
     if args.sections:
-        rule = build_sphere_rule(space.dim - 1, 11)
-        take = np.linspace(0, len(rule.nodes) - 1, min(args.sections, len(rule.nodes))).astype(int)
+        # evenly spaced nodes of the degree-11 rule on S^{n-1}, each built
+        # from its index alone; past 2^53 nodes a float index can round up
+        count = rule_size(space.dim - 1, 11)
+        take = np.linspace(0, count - 1, min(args.sections, count))
         print("sections (direction -> section volume):")
         for idx in take:
-            xi = rule.nodes[idx]
+            xi = sphere_rule_node(space.dim - 1, 11, min(int(idx), count - 1))
             sv = section_volume(body, xi, mu, config)
             sections.append({"direction": xi.tolist(), "section_volume": sv})
             pretty = ", ".join(f"{c:+.4f}" for c in xi)
@@ -270,7 +271,7 @@ def cmd_verify(args) -> int:
         bodies = verify_mod.suite_bodies(theorem, dim=args.dim, random_count=args.random or 0,
                                          seed=args.seed or 0)
     # a degree flag overrides only that degree of the theorem's own config
-    config = THEOREMS[theorem].config
+    config = verify_mod.THEOREMS[theorem].config
     if args.outer_degree is not None:
         config = replace(config, outer_degree=args.outer_degree)
     if args.inner_degree is not None:
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fun.set_defaults(fn=cmd_functional)
 
     p_ver = sub.add_parser("verify", help="run a named theorem suite")
-    p_ver.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
+    p_ver.add_argument("--theorem", required=True, choices=tuple(verify_mod.THEOREMS))
     p_ver.add_argument("--space", default=None)
     p_ver.add_argument("--body", action="append", default=None,
                        help="explicit body spec (repeatable)")

@@ -1,26 +1,27 @@
 """Volumes, hyperplane-section volumes, the section-power functional, and the
-closed-form right-hand sides of every inequality this library verifies.
+closed forms that the right-hand sides of ``verify.THEOREMS`` are built from:
+the comparison functions G, H, F and Psi, ``bound_constants`` and
+``lune_bound``.
 
 Left sides are always quadrature over the direction sphere; right sides are
 always closed forms (possibly with bracketed inversions, or with a 1-d rule
-of their own, as ``lune_bound``'s tanh-sinh levels).  The two routes never
-share code, so agreement is evidence: a right side takes the body's volume
-as a number.  Every left side of a body takes the one evaluation path that
-``_path`` chooses, an object of one of five private classes: ``_Product``,
-``_Zonal``, ``_Indicator``, ``_Arcs`` or ``_Plane``.
+of their own, as ``lune_bound``'s tanh-sinh levels), which take the body's
+volume as a number and compute no left side.  Every left side of a body
+takes the one evaluation path that ``_path`` chooses, an object of one of
+five private classes: ``_Product``, ``_Zonal``, ``_Indicator``, ``_Arcs`` or
+``_Plane``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .bodies import FORMAT_VERSION, StarBody
+from .bodies import StarBody
 from .errors import (
     ApplicabilityError,
     ConvergenceError,
@@ -755,181 +756,3 @@ def lune_bound(vol: float) -> float:
         previous = total
     raise ConvergenceError("the tanh-sinh levels of the lune bound did not settle")
 
-
-def _power_bound(kind: str, shift: int):
-    """The bound C(n) vol^(n + shift), C the closed-form constant ``kind``."""
-    def bound(vol, space, mu):
-        n = space.dim
-        return (bound_constants(kind, n) * vol ** (n + shift),)
-    return bound
-
-
-def _hyperbolic_bound(vol, space, mu):
-    n = space.dim
-    return (bound_constants("hyperbolic", n) * h_hyperbolic(n, vol),)
-
-
-def _prop41_bound(vol, space, mu):
-    """The proof-chain and the literal bound, from one volume."""
-    n = space.dim
-    s = sphere_surface_area(n - 1)
-    # the literal normalization can push the argument past the domain sup of
-    # F; clamp to the sup (the weakest form, still an upper bound since F is
-    # increasing and vol/(2^n |S|) stays in range)
-    args = (vol / (2.0 ** n * s), min(vol / s, f_spherical_limit(n)))
-    return tuple(2.0 ** (n - 1) * s * sphere_surface_area(n - 2) * f_spherical(n, arg)
-                 for arg in args)
-
-
-def _min2d_bound(vol, space, mu):
-    r = stable_arccos_one_minus(vol / TWO_PI)
-    return (8.0 * math.pi * r ** 2,)
-
-
-def _gaussian_bound(vol, space, mu):
-    n = space.dim
-    return (big_psi(mu, space, n, vol) ** (n - 1),)
-
-
-@dataclass(frozen=True)
-class Theorem:
-    """One verified inequality: where it applies, how its suite checks it, and
-    its closed-form right side ``bound(vol, space, mu)``, which returns one
-    value per entry of ``variants``.  Each theorem is checked in the one
-    measure it is stated in, which ``measure_for`` decides: a theorem with a
-    ``measure`` of its own holds for any radial density, and every other for
-    the uniform volume alone.  The bound takes the body's volume in that
-    measure as a number, and computes no left side.  A ``lower`` bound is
-    reported as bound <= functional.  A ``symmetric`` or ``convex`` theorem
-    takes only bodies whose profile says so.
-    """
-
-    id: str
-    deltas: tuple
-    bound: Callable
-    dims: range = range(2, sys.maxsize)
-    exponent: int | None = None
-    normalized: bool = False
-    lower: bool = False
-    symmetric: bool = False
-    convex: bool = False
-    rel_tol: float = 1e-8
-    config: QuadratureConfig = DEFAULT_CONFIG
-    variants: tuple = ("proof-chain",)
-    measure: Callable | None = None
-
-    def check(self, body: StarBody):
-        """Raise ApplicabilityError unless the body meets the hypotheses."""
-        space = body.space
-        if space.delta not in self.deltas or space.dim not in self.dims:
-            raise ApplicabilityError(f"theorem {self.id!r} does not apply to "
-                                     f"delta = {space.delta}, n = {space.dim}")
-        if self.symmetric and not body.symmetric:
-            raise ApplicabilityError(f"theorem {self.id!r} needs an origin-symmetric body")
-        if self.convex and not body.profile.convex:
-            raise ApplicabilityError(f"theorem {self.id!r} needs a convex body: a ball, lune or polygon")
-
-    def measure_for(self, mu):
-        """The measure the theorem is checked in.  A theorem with a ``measure``
-        of its own is stated for any radial density, and takes mu, or its own
-        measure when mu is None; every other is stated for the uniform volume
-        alone (None), and refuses any mu with ApplicabilityError."""
-        if self.measure is None:
-            if mu is not None:
-                raise ApplicabilityError(f"theorem {self.id!r} is stated for the uniform volume, "
-                                         f"not for the measure {mu.name!r}")
-            return None
-        return mu if mu is not None else self.measure()
-
-
-# in the CLI's order
-THEOREMS = {t.id: t for t in (
-    Theorem("min2d", (1,), _min2d_bound, dims=range(2, 3), lower=True, symmetric=True),
-    Theorem("cone-max", (1,), dims=range(2, 3), bound=lambda vol, space, mu: (math.pi ** 2 * vol,)),
-    Theorem("lune-max", (1,), dims=range(2, 3), rel_tol=1e-6, convex=True,
-            bound=lambda vol, space, mu: (lune_bound(vol),)),
-    Theorem("hyperbolic", (-1,), _hyperbolic_bound, rel_tol=1e-6,
-            config=QuadratureConfig(outer_degree=31, inner_degree=63)),
-    Theorem("min-nd", (1,), _power_bound("spherical-min", 0), dims=range(3, sys.maxsize),
-            lower=True, rel_tol=1e-4),
-    Theorem("gaussian", (0, -1), _gaussian_bound, normalized=True, rel_tol=1e-6,
-            config=QuadratureConfig(outer_degree=39, inner_degree=63), measure=gaussian_measure),
-    Theorem("prop4.1", (1,), _prop41_bound, exponent=1, variants=("proof-chain", "literal")),
-    Theorem("prop4.2", (1,), _power_bound("spherical-nonoptimal", -1)),
-    Theorem("busemann-euclidean", (0,), _power_bound("busemann", -1), rel_tol=1e-5,
-            config=QuadratureConfig(outer_degree=39, inner_degree=63)),
-)}
-
-
-def get_theorem(theorem_id: str) -> Theorem:
-    if theorem_id not in THEOREMS:
-        raise ApplicabilityError(f"unknown theorem id {theorem_id!r}")
-    return THEOREMS[theorem_id]
-
-
-def rhs_bound(theorem_id: str, body: StarBody, mu: RadialDensityMeasure | None = None,
-              config: QuadratureConfig = DEFAULT_CONFIG, variant: str | None = "proof-chain"):
-    """Closed-form bound value for the given theorem at this body's volume.
-
-    Never computed through the verifying quadrature of the left side: the
-    volume, in the measure that ``Theorem.measure_for(mu)`` gives, is
-    computed once and handed to the bound, and everything else is a closed
-    form.
-    ``variant=None`` returns the tuple of every variant's bound, in the
-    order of the theorem's ``variants``, from that one volume.  Raises
-    ApplicabilityError for a body outside the theorem's hypotheses, a
-    measure the theorem is not stated in, or a variant the theorem does not
-    have.
-    """
-    theorem = get_theorem(theorem_id)
-    theorem.check(body)
-    mu = theorem.measure_for(mu)
-    if variant is not None and variant not in theorem.variants:
-        raise ApplicabilityError(f"unknown variant {variant!r}")
-    bounds = theorem.bound(volume(body, mu, config), body.space, mu)
-    return bounds if variant is None else bounds[theorem.variants.index(variant)]
-
-
-# ---------------------------------------------------------------------------
-# inequality reports
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    """One bound check: the reported inequality is always lhs <= rhs."""
-
-    theorem_id: str
-    lhs: float
-    rhs: float
-    tolerance: float
-    quadrature: dict
-    body_kind: str = ""
-    variant: str = ""
-
-    @property
-    def gap(self) -> float:
-        return self.rhs - self.lhs
-
-    @property
-    def rel_gap(self) -> float:
-        scale = max(abs(self.rhs), abs(self.lhs), 1e-300)
-        return self.gap / scale
-
-    @property
-    def verdict(self) -> bool:
-        return self.gap >= -self.tolerance
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "theorem_id": self.theorem_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "rel_gap": self.rel_gap,
-            "tolerance": self.tolerance,
-            "verdict": "pass" if self.verdict else "fail",
-            "quadrature": self.quadrature,
-            "body_kind": self.body_kind,
-            "variant": self.variant,
-        }

@@ -67,10 +67,6 @@ class ZonalHarmonic:
         return self._scale * gegenbauer(self.degree, (self.ambient_dim - 2) / 2.0, t)
 
 
-def zonal_harmonic(n: int, k: int, axis) -> ZonalHarmonic:
-    return ZonalHarmonic(n, k, np.asarray(axis, dtype=float))
-
-
 def radon_multiplier(n: int, k: int) -> float:
     """Eigenvalue lambda_k of the transform R on degree-k harmonics on S^{n-1}.
 

@@ -6,9 +6,11 @@ circle.  Exactness is by construction: a rule of declared degree d integrates
 every polynomial of total degree <= d restricted to the sphere.  Functions of
 <u, e> alone integrate over the polar factor only (``polar_rule``).
 
-Rules are immutable after construction.  Summation over nodes goes through
-``numpy`` dot/sum reductions, which use pairwise summation over the fixed
-node ordering, so repeated evaluations are bit-reproducible.
+Rules are immutable, and sums over nodes take their fixed order, so repeated
+evaluations are bit-reproducible on one machine.  ``np.sum`` sums pairwise;
+``np.dot`` and ``@`` (the product and zonal paths' sums) go to BLAS, whose
+rounding depends on the OpenBLAS core: on a SkylakeX machine,
+``OPENBLAS_CORETYPE=Haswell`` changed 166 of 1,190 dumped values.
 """
 
 from __future__ import annotations
@@ -195,6 +197,19 @@ def polar_rule(m: int, degree: int):
         t, w = gauss_jacobi((degree + 2) // 2, (m - 2) / 2.0)
         w = w * sphere_surface_area(m - 1)
     return read_only(t), read_only(w)
+
+
+def sphere_rule_node(m: int, degree: int, index: int) -> np.ndarray:
+    """Node ``index`` of ``build_sphere_rule(m, degree)``, m >= 1, bit for bit,
+    without the rule: the polar node index // (the S^{m-1} rule's count),
+    then that rule's node index % its count, each level's t and s computed
+    as the rule computes them."""
+    if m == 1:
+        return build_sphere_rule(1, degree).nodes[index]
+    polar, rest = divmod(index, rule_size(m - 1, degree))
+    t = polar_rule(m, degree)[0]
+    s = np.sqrt(1.0 - t ** 2)
+    return np.concatenate([[t[polar]], s[polar] * sphere_rule_node(m - 1, degree, rest)])
 
 
 def check_frames(count: int, n: int) -> None:

@@ -1,14 +1,18 @@
 """Theorem-level verification harness.
 
-Runs inequality suites over constructed and random bodies, the
-ball-perturbation sign experiment, the striped-cone sharpness schedule, and a
-volume-preserving local shape search.  All verdicts are numerical, with the
-tolerance pinned per theorem.
+Holds the theorem table, one ``Theorem`` record per inequality: its
+hypotheses, its closed-form right side and the bodies of its suite.  Runs
+the suites over constructed and random bodies, the ball-perturbation sign
+experiment, the striped-cone sharpness schedule, and a volume-preserving
+local shape search.  All verdicts are numerical, with the tolerance pinned
+per theorem.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from itertools import chain
 
@@ -32,13 +36,19 @@ from .bodies import (
 )
 from .errors import ApplicabilityError, DomainError, RadiusRangeError
 from .functionals import (
-    InequalityReport,
+    DEFAULT_CONFIG,
     QuadratureConfig,
     RadialDensityMeasure,
+    big_psi,
     bound_constants,
     busemann_functional,
     busemann_functional_with_error,
-    get_theorem,
+    f_spherical,
+    f_spherical_limit,
+    gaussian_measure,
+    h_hyperbolic,
+    lune_bound,
+    stable_arccos_one_minus,
     volume,
     volume_and_functional,
 )
@@ -133,6 +143,198 @@ def random_cone_arcs(rng: np.random.Generator, pairs: int = 2) -> StarBody:
 
 
 # ---------------------------------------------------------------------------
+# the theorem table
+
+
+def _power_bound(kind: str, shift: int):
+    """The bound C(n) vol^(n + shift), C the closed-form constant ``kind``."""
+    def bound(vol, space, mu):
+        n = space.dim
+        return (bound_constants(kind, n) * vol ** (n + shift),)
+    return bound
+
+
+def _hyperbolic_bound(vol, space, mu):
+    n = space.dim
+    return (bound_constants("hyperbolic", n) * h_hyperbolic(n, vol),)
+
+
+def _prop41_bound(vol, space, mu):
+    """The proof-chain and the literal bound, from one volume."""
+    n = space.dim
+    s = sphere_surface_area(n - 1)
+    # the literal normalization can push the argument past the domain sup of
+    # F; clamp to the sup (the weakest form, still an upper bound since F is
+    # increasing and vol/(2^n |S|) stays in range)
+    args = (vol / (2.0 ** n * s), min(vol / s, f_spherical_limit(n)))
+    return tuple(2.0 ** (n - 1) * s * sphere_surface_area(n - 2) * f_spherical(n, arg)
+                 for arg in args)
+
+
+def _min2d_bound(vol, space, mu):
+    r = stable_arccos_one_minus(vol / TWO_PI)
+    return (8.0 * math.pi * r ** 2,)
+
+
+def _gaussian_bound(vol, space, mu):
+    n = space.dim
+    return (big_psi(mu, space, n, vol) ** (n - 1),)
+
+
+def _hemisphere_bodies(n, rng, count):
+    """The suite of ``prop4.1`` and ``prop4.2``: a ball, then random bodies."""
+    return chain((make_ball(SpaceSpec(1, n), r) for r in (0.7,)),
+                 (random_star_body(SpaceSpec(1, n), rng) for _ in range(count)))
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One verified inequality: where it applies, its suite, and its
+    closed-form right side ``bound(vol, space, mu)``, one value per entry of
+    ``variants``, which takes the body's volume in the measure that
+    ``measure_for`` gives as a number and computes no left side.  A ``lower``
+    bound is reported as bound <= functional.  A ``symmetric`` or ``convex``
+    theorem takes only bodies whose profile says so.  ``suite(n, rng, count)``
+    yields the equality cases on the n-dimensional space, then ``count``
+    random bodies drawn from rng, each built as it is drawn; ``suite_dim`` is
+    the n of a suite given none.
+    """
+
+    id: str
+    deltas: tuple
+    bound: Callable
+    suite_dim: int
+    suite: Callable
+    dims: range = range(2, sys.maxsize)
+    exponent: int | None = None
+    normalized: bool = False
+    lower: bool = False
+    symmetric: bool = False
+    convex: bool = False
+    rel_tol: float = 1e-8
+    config: QuadratureConfig = DEFAULT_CONFIG
+    variants: tuple = ("proof-chain",)
+    measure: Callable | None = None
+
+    def check(self, body: StarBody):
+        """Raise ApplicabilityError unless the body meets the hypotheses."""
+        space = body.space
+        if space.delta not in self.deltas or space.dim not in self.dims:
+            raise ApplicabilityError(f"theorem {self.id!r} does not apply to "
+                                     f"delta = {space.delta}, n = {space.dim}")
+        if self.symmetric and not body.symmetric:
+            raise ApplicabilityError(f"theorem {self.id!r} needs an origin-symmetric body")
+        if self.convex and not body.profile.convex:
+            raise ApplicabilityError(f"theorem {self.id!r} needs a convex body: a ball, lune or polygon")
+
+    def measure_for(self, mu):
+        """The measure the theorem is checked in.  A theorem with a ``measure``
+        of its own is stated for any radial density, and takes mu, or its own
+        measure when mu is None; every other is stated for the uniform volume
+        alone (None), and refuses any mu with ApplicabilityError."""
+        if self.measure is None:
+            if mu is not None:
+                raise ApplicabilityError(f"theorem {self.id!r} is stated for the uniform volume, "
+                                         f"not for the measure {mu.name!r}")
+            return None
+        return mu if mu is not None else self.measure()
+
+
+# in the CLI's order
+THEOREMS = {t.id: t for t in (
+    Theorem("min2d", (1,), _min2d_bound, dims=range(2, 3), lower=True, symmetric=True,
+            suite_dim=2, suite=lambda n, rng, count: chain(
+                (make_ball(SpaceSpec(1, 2), r) for r in (0.2, 0.7, HEMISPHERE_MAX_RADIUS)),
+                (random_star_body(SpaceSpec(1, 2), rng, symmetric=True) for _ in range(count)))),
+    Theorem("cone-max", (1,), dims=range(2, 3), bound=lambda vol, space, mu: (math.pi ** 2 * vol,),
+            suite_dim=2, suite=lambda n, rng, count: chain(
+                (make_cone(SpaceSpec(1, 2), ArcsBase(arcs))
+                 for arcs in (((0.0, TWO_PI),), ((0.2, 1.1), (0.2 + math.pi, 1.1 + math.pi)))),
+                (random_cone_arcs(rng, pairs=p) for p in (1, 2, 3)),
+                (random_star_body(SpaceSpec(1, 2), rng, symmetric=True) for _ in range(count)))),
+    Theorem("lune-max", (1,), dims=range(2, 3), rel_tol=1e-6, convex=True,
+            bound=lambda vol, space, mu: (lune_bound(vol),),
+            suite_dim=2, suite=lambda n, rng, count: chain(
+                (make_lune(w) for w in (0.2, 0.5, 1.0)),
+                (random_symmetric_convex_body(rng) for _ in range(count)))),
+    Theorem("hyperbolic", (-1,), _hyperbolic_bound, rel_tol=1e-6,
+            config=QuadratureConfig(outer_degree=31, inner_degree=63),
+            suite_dim=3, suite=lambda n, rng, count: chain(
+                (make_ball(SpaceSpec(-1, n), r) for r in (0.3, 0.7, 1.2)),
+                (random_star_body(SpaceSpec(-1, n), rng) for _ in range(count)))),
+    Theorem("min-nd", (1,), _power_bound("spherical-min", 0), dims=range(3, sys.maxsize),
+            lower=True, rel_tol=1e-4,
+            suite_dim=3, suite=lambda n, rng, count: chain(
+                (make_cone(SpaceSpec(1, n), equality_cone_base(n, h) if h else full_sphere_base(n))
+                 for h in (0.4, 0.7, None)),
+                (random_star_body(SpaceSpec(1, n), rng, symmetric=bool(rng.integers(0, 2)))
+                 for _ in range(count)))),
+    Theorem("gaussian", (0, -1), _gaussian_bound, normalized=True, rel_tol=1e-6,
+            config=QuadratureConfig(outer_degree=39, inner_degree=63), measure=gaussian_measure,
+            suite_dim=3, suite=lambda n, rng, count: chain(
+                (make_ball(SpaceSpec(0, n), r) for r in (0.5, 1.0, 2.0)),
+                (random_star_body(SpaceSpec(0, n), rng) for _ in range(count)))),
+    Theorem("prop4.1", (1,), _prop41_bound, exponent=1, variants=("proof-chain", "literal"),
+            suite_dim=3, suite=_hemisphere_bodies),
+    Theorem("prop4.2", (1,), _power_bound("spherical-nonoptimal", -1),
+            suite_dim=3, suite=_hemisphere_bodies),
+    Theorem("busemann-euclidean", (0,), _power_bound("busemann", -1), rel_tol=1e-5,
+            config=QuadratureConfig(outer_degree=39, inner_degree=63),
+            suite_dim=3, suite=lambda n, rng, count: chain(
+                (make_ball(SpaceSpec(0, n), r) for r in (1.0,)),
+                (random_ellipsoid(n, rng) for _ in range(max(1, count // 2))),
+                (random_star_body(SpaceSpec(0, n), rng) for _ in range(count)))),
+)}
+
+
+def get_theorem(theorem_id: str) -> Theorem:
+    if theorem_id not in THEOREMS:
+        raise ApplicabilityError(f"unknown theorem id {theorem_id!r}")
+    return THEOREMS[theorem_id]
+
+
+@dataclass(frozen=True)
+class InequalityReport:
+    """One bound check: the reported inequality is always lhs <= rhs."""
+
+    theorem_id: str
+    lhs: float
+    rhs: float
+    tolerance: float
+    quadrature: dict
+    body_kind: str = ""
+    variant: str = ""
+
+    @property
+    def gap(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def rel_gap(self) -> float:
+        scale = max(abs(self.rhs), abs(self.lhs), 1e-300)
+        return self.gap / scale
+
+    @property
+    def verdict(self) -> bool:
+        return self.gap >= -self.tolerance
+
+    def to_json_dict(self) -> dict:
+        return {
+            "format_version": FORMAT_VERSION,
+            "theorem_id": self.theorem_id,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "gap": self.gap,
+            "rel_gap": self.rel_gap,
+            "tolerance": self.tolerance,
+            "verdict": "pass" if self.verdict else "fail",
+            "quadrature": self.quadrature,
+            "body_kind": self.body_kind,
+            "variant": self.variant,
+        }
+
+
+# ---------------------------------------------------------------------------
 # theorem suites
 
 
@@ -172,55 +374,16 @@ def run_theorem_suite(theorem_id: str, bodies, mu: RadialDensityMeasure | None =
     return [report for body in bodies for report in _body_reports(theorem, body, mu, config)]
 
 
-_HEMISPHERE_BODIES = (3, lambda n, rng, count: chain(
-    (make_ball(SpaceSpec(1, n), r) for r in (0.7,)),
-    (random_star_body(SpaceSpec(1, n), rng) for _ in range(count))))
-
-# theorem id -> (default n, factory(n, rng, random_count)): a generator of the
-# equality cases, then the random bodies, each built as it is drawn
-_SUITE_BODIES = {
-    "min2d": (2, lambda n, rng, count: chain(
-        (make_ball(SpaceSpec(1, 2), r) for r in (0.2, 0.7, HEMISPHERE_MAX_RADIUS)),
-        (random_star_body(SpaceSpec(1, 2), rng, symmetric=True) for _ in range(count)))),
-    "cone-max": (2, lambda n, rng, count: chain(
-        (make_cone(SpaceSpec(1, 2), ArcsBase(arcs))
-         for arcs in (((0.0, TWO_PI),), ((0.2, 1.1), (0.2 + math.pi, 1.1 + math.pi)))),
-        (random_cone_arcs(rng, pairs=p) for p in (1, 2, 3)),
-        (random_star_body(SpaceSpec(1, 2), rng, symmetric=True) for _ in range(count)))),
-    "lune-max": (2, lambda n, rng, count: chain(
-        (make_lune(w) for w in (0.2, 0.5, 1.0)),
-        (random_symmetric_convex_body(rng) for _ in range(count)))),
-    "hyperbolic": (3, lambda n, rng, count: chain(
-        (make_ball(SpaceSpec(-1, n), r) for r in (0.3, 0.7, 1.2)),
-        (random_star_body(SpaceSpec(-1, n), rng) for _ in range(count)))),
-    "min-nd": (3, lambda n, rng, count: chain(
-        (make_cone(SpaceSpec(1, n), equality_cone_base(n, h) if h else full_sphere_base(n))
-         for h in (0.4, 0.7, None)),
-        (random_star_body(SpaceSpec(1, n), rng, symmetric=bool(rng.integers(0, 2)))
-         for _ in range(count)))),
-    "gaussian": (3, lambda n, rng, count: chain(
-        (make_ball(SpaceSpec(0, n), r) for r in (0.5, 1.0, 2.0)),
-        (random_star_body(SpaceSpec(0, n), rng) for _ in range(count)))),
-    "prop4.1": _HEMISPHERE_BODIES,
-    "prop4.2": _HEMISPHERE_BODIES,
-    "busemann-euclidean": (3, lambda n, rng, count: chain(
-        (make_ball(SpaceSpec(0, n), r) for r in (1.0,)),
-        (random_ellipsoid(n, rng) for _ in range(max(1, count // 2))),
-        (random_star_body(SpaceSpec(0, n), rng) for _ in range(count)))),
-}
-
-
 def suite_bodies(theorem_id: str, dim: int | None = None, random_count: int = 0,
                  seed: int = 0):
     """An iterator of the equality-case bodies, then the random bodies, of a
     named theorem suite, each built as it is drawn; ApplicabilityError at
     once for a dimension the theorem does not take."""
     theorem = get_theorem(theorem_id)
-    default_dim, factory = _SUITE_BODIES[theorem_id]
-    n = default_dim if dim is None else dim
+    n = theorem.suite_dim if dim is None else dim
     if n not in theorem.dims:
         raise ApplicabilityError(f"theorem {theorem_id!r} does not apply to n = {n}")
-    return factory(n, np.random.default_rng(seed), random_count)
+    return theorem.suite(n, np.random.default_rng(seed), random_count)
 
 
 # ---------------------------------------------------------------------------

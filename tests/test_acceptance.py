@@ -27,14 +27,14 @@ from starsections.functionals import (
     g_hyperbolic,
     gaussian_measure,
     psi,
-    rhs_bound,
     section_volume,
     volume,
 )
-from starsections.harmonics import radon_multiplier, zonal_harmonic
+from starsections.harmonics import ZonalHarmonic, radon_multiplier
 from starsections.quadrature import build_sphere_rule
 from starsections.spaces import SpaceSpec, sphere_surface_area
 from starsections.verify import (
+    THEOREMS,
     perturbation_sign_experiment,
     random_cone_arcs,
     random_ellipsoid,
@@ -88,12 +88,12 @@ class TestAcceptance:
             for r in (0.3, 0.7, 1.2):
                 body = make_ball(space, r)
                 lhs = busemann_functional(body)
-                rhs = rhs_bound("hyperbolic", body)
+                (rhs,) = THEOREMS["hyperbolic"].bound(volume(body), space, None)
                 worst_eq = max(worst_eq, abs(lhs - rhs) / rhs)
             for _ in range(10):
                 body = random_star_body(space, rng)
                 lhs = busemann_functional(body)
-                rhs = rhs_bound("hyperbolic", body)
+                (rhs,) = THEOREMS["hyperbolic"].bound(volume(body), space, None)
                 worst_gap = min(worst_gap, (rhs - lhs) / rhs)
         elapsed = time.monotonic() - t0
         report(2, worst_eq <= 1e-6 and worst_gap >= 0.0 and elapsed <= 120.0,
@@ -126,14 +126,14 @@ class TestAcceptance:
         for r in (0.2, 0.7, math.pi / 2):
             body = make_ball(space, r)
             lhs = busemann_functional(body)
-            rhs = rhs_bound("min2d", body)
+            (rhs,) = THEOREMS["min2d"].bound(volume(body), space, None)
             worst_eq = max(worst_eq, abs(lhs - rhs) / max(rhs, 1e-300))
         rng = np.random.default_rng(104)
         worst_gap = math.inf
         for _ in range(20):
             body = random_star_body(space, rng, symmetric=True)
             lhs = busemann_functional(body)
-            rhs = rhs_bound("min2d", body)
+            (rhs,) = THEOREMS["min2d"].bound(volume(body), space, None)
             worst_gap = min(worst_gap, (lhs - rhs) / rhs)
         report(4, worst_eq <= 1e-8 and worst_gap > 0.0,
                f"ball equality {worst_eq:.2e} <= 1e-8, random bodies strictly above "
@@ -169,14 +169,14 @@ class TestAcceptance:
         for w in (0.2, 0.5, 1.0):
             body = make_lune(w)
             lhs = busemann_functional(body)
-            rhs = rhs_bound("lune-max", body)
+            (rhs,) = THEOREMS["lune-max"].bound(volume(body), body.space, None)
             worst_eq = max(worst_eq, abs(lhs - rhs) / rhs)
         rng = np.random.default_rng(106)
         worst = -math.inf
         for _ in range(20):
             body = random_symmetric_convex_body(rng)
             lhs = busemann_functional(body)
-            rhs = rhs_bound("lune-max", body)
+            (rhs,) = THEOREMS["lune-max"].bound(volume(body), body.space, None)
             worst = max(worst, (lhs - rhs) / rhs)
         report(6, worst_eq <= 1e-6 and worst <= 1e-6,
                f"lune equality {worst_eq:.2e} <= 1e-6, 20 convex bodies at or below "
@@ -245,7 +245,7 @@ class TestAcceptance:
             for r in (0.5, 1.0, 2.0):
                 body = make_ball(space, r)
                 lhs = busemann_functional(body, mu, normalized=True)
-                rhs = rhs_bound("gaussian", body, mu)
+                (rhs,) = THEOREMS["gaussian"].bound(volume(body, mu), space, mu)
                 worst_eq = max(worst_eq, abs(lhs - rhs) / rhs)
         # erf cross-check of the section measure at n = 2
         erf_err = max(
@@ -260,7 +260,7 @@ class TestAcceptance:
             for _ in range(10):
                 body = random_star_body(space, rng)
                 lhs = busemann_functional(body, mu, normalized=True, config=EUCLID_CFG)
-                rhs = rhs_bound("gaussian", body, mu, config=EUCLID_CFG)
+                (rhs,) = THEOREMS["gaussian"].bound(volume(body, mu, EUCLID_CFG), space, mu)
                 worst_gap = min(worst_gap, (rhs - lhs) / rhs)
         # midpoint concavity of the comparison function on 1000 pairs
         space = SpaceSpec(0, 3)
@@ -282,7 +282,7 @@ class TestAcceptance:
             rng = np.random.default_rng(111 + n)
             for k in range(0, 9, 2):
                 rule = build_sphere_rule(n - 2, 2 * k + 12)
-                h = zonal_harmonic(n, k, np.eye(n)[-1])
+                h = ZonalHarmonic(n, k, np.eye(n)[-1])
                 lam = radon_multiplier(n, k)
                 for _ in range(20):
                     xi = rng.normal(size=n)
@@ -316,16 +316,19 @@ class TestAcceptance:
         ok41p = ok41l = ok42 = True
         for _ in range(20):
             body = random_star_body(space, rng)
+            vol = volume(body)
+            proof_chain, literal = THEOREMS["prop4.1"].bound(vol, space, None)
             l1 = busemann_functional(body, exponent=1)
-            ok41p = ok41p and l1 <= rhs_bound("prop4.1", body, variant="proof-chain") * (1 + 1e-9)
-            ok41l = ok41l and l1 <= rhs_bound("prop4.1", body, variant="literal") * (1 + 1e-9)
+            ok41p = ok41p and l1 <= proof_chain * (1 + 1e-9)
+            ok41l = ok41l and l1 <= literal * (1 + 1e-9)
             ln = busemann_functional(body)
-            ok42 = ok42 and ln <= rhs_bound("prop4.2", body) * (1 + 1e-9)
+            ok42 = ok42 and ln <= THEOREMS["prop4.2"].bound(vol, space, None)[0] * (1 + 1e-9)
         # empirical resolution of the normalization discrepancy
         ball = make_ball(space, 0.7)
         l1 = busemann_functional(ball, exponent=1)
-        sharp_rel = abs(l1 / rhs_bound("prop4.1", ball, variant="proof-chain") - 1.0)
-        literal_slack = rhs_bound("prop4.1", ball, variant="literal") / l1 - 1.0
+        proof_chain, literal = THEOREMS["prop4.1"].bound(volume(ball), space, None)
+        sharp_rel = abs(l1 / proof_chain - 1.0)
+        literal_slack = literal / l1 - 1.0
         hemisphere_arg = volume(make_ball(space, math.pi / 2)) / sphere_surface_area(2)
         literal_overflows = hemisphere_arg > f_spherical_limit(3)
         resolved = sharp_rel <= 1e-8 and literal_slack > 0.1 and literal_overflows

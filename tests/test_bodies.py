@@ -37,7 +37,7 @@ from starsections.bodies import (
     striped_cap_subset,
 )
 from starsections.errors import DomainError, ResourceLimitError
-from starsections.harmonics import zonal_harmonic
+from starsections.harmonics import ZonalHarmonic
 from starsections.functionals import busemann_functional, volume
 from starsections.quadrature import build_sphere_rule, default_degree, gauss_jacobi, polar_rule
 from starsections.spaces import SpaceSpec, brent_root, phi, sphere_surface_area
@@ -1669,7 +1669,7 @@ SYMMETRIC_BUILDERS = {
        for space in (S2, SpaceSpec(0, 2))},
     "bumpy-interleaved-mirrors": lambda: StarBody(S3, _interleaved_bumps()),
     "perturbed-even-degree": lambda: StarBody(S3, HarmonicPerturbedProfile(
-        0.7, 0.0, 0.03, zonal_harmonic(3, 4, np.eye(3)[0]))),
+        0.7, 0.0, 0.03, ZonalHarmonic(3, 4, np.eye(3)[0]))),
     "grid-s2": lambda: StarBody(S2, GridProfile(_symmetric_grid(16, 3))),
     "grid-s3": lambda: StarBody(S3, GridProfile(_symmetric_grid((5, 8), 2))),
     "grid-s4": lambda: StarBody(S4, GridProfile(_symmetric_grid((4, 5, 6), 2))),
@@ -1680,7 +1680,7 @@ ASYMMETRIC_BUILDERS = {
     "bumpy": lambda: make_bumpy_ball(S3, 0.8, [[0.0, 0.6, 0.8]], [0.2], [3.0]),
     "bumpy-mirror-off-in-sharpness": lambda: StarBody(S3, _interleaved_bumps(s2=5.5)),
     "perturbed-odd-degree": lambda: StarBody(S3, HarmonicPerturbedProfile(
-        0.7, 0.0, 0.03, zonal_harmonic(3, 3, np.eye(3)[-1]))),
+        0.7, 0.0, 0.03, ZonalHarmonic(3, 3, np.eye(3)[-1]))),
     "arcs-cone": lambda: make_cone(S2, ArcsBase(((0.0, 3.0),))),
     "equality-cone": lambda: make_cone(S3, equality_cone_base(3, 0.3)),
     "grid-s2": lambda: StarBody(S2, GridProfile(np.linspace(0.5, 1.2, 16))),

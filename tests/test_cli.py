@@ -72,6 +72,27 @@ class TestFunctionalCommand:
         assert doc["volume"] == pytest.approx(2 * math.pi * (1 - math.cos(0.7)), rel=1e-10)
         assert doc["functional"] == pytest.approx(8 * math.pi * 0.49, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_section_directions_are_nodes_of_the_degree_11_rule(self, n, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli("functional", "--space", f"s+:{n}", "--body", "ball:r=0.5",
+                       "--sections", "5", "--out", str(out)) == 0
+        nodes = build_sphere_rule(n - 1, 11).nodes
+        idx = np.linspace(0, len(nodes) - 1, 5).astype(int)
+        directions = np.array([row["direction"] for row in json.loads(out.read_text())["sections"]])
+        assert directions.tobytes() == nodes[idx].tobytes()
+
+    def test_sections_past_the_rule_cap(self, tmp_path, capsys):
+        # the rule on S^9 would need 20,155,392 nodes: the command built all of
+        # it to read three, and exited 3 past the cap
+        out = tmp_path / "report.json"
+        assert run_cli("functional", "--space", "s+:10", "--body", "ball:r=0.5",
+                       "--sections", "3", "--out", str(out)) == 0
+        sections = json.loads(out.read_text())["sections"]
+        assert len(sections) == 3
+        assert all(np.linalg.norm(row["direction"]) == pytest.approx(1.0, abs=1e-14) for row in sections)
+        assert capsys.readouterr().out.count("] -> ") == 3
+
     def test_hyperbolic_ball_matches_radial_primitive(self, tmp_path, schema):
         out = tmp_path / "report.json"
         code = run_cli("functional", "--space", "h:3", "--body", "ball:r=1", "--out", str(out))

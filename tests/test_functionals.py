@@ -31,8 +31,6 @@ from starsections.errors import (
     ApplicabilityError, ConvergenceError, DomainError, InversionRangeError, ResourceLimitError,
 )
 from starsections.functionals import (
-    THEOREMS,
-    InequalityReport,
     QuadratureConfig,
     RadialDensityMeasure,
     big_psi,
@@ -47,18 +45,19 @@ from starsections.functionals import (
     lune_bound,
     psi,
     psi_inverse,
-    rhs_bound,
     section_volume,
     stable_arccos_one_minus,
     volume,
     volume_and_functional,
 )
-from starsections.harmonics import zonal_harmonic
+from starsections.harmonics import ZonalHarmonic
 from starsections.quadrature import (
     build_sphere_rule, householder_frames, integrate_vectorized, subsphere_frames,
 )
 from starsections.spaces import SpaceSpec, brent_root, phi, sin_power_primitive_full, sphere_surface_area
 from starsections.verify import (
+    THEOREMS,
+    InequalityReport,
     perturbation_sign_experiment,
     run_theorem_suite,
     random_star_body,
@@ -161,7 +160,7 @@ class TestFiniteLeftSides:
             with pytest.raises(ResourceLimitError, match="the (volume|functional) is inf"):
                 left_side(body)
         with pytest.raises(ResourceLimitError, match="the volume is inf"):
-            rhs_bound("hyperbolic", body)
+            run_theorem_suite("hyperbolic", [body])
 
     def test_an_overflowing_functional(self):
         body = make_ball(H3, 300.0)
@@ -505,7 +504,7 @@ class TestOneRunPerPlaneBody:
             with pytest.raises(ApplicabilityError, match="needs a convex body"):
                 _integrals_per_body("lune-max", [body], None, monkeypatch)
             with pytest.raises(ApplicabilityError, match="needs a convex body"):
-                rhs_bound("lune-max", body)
+                THEOREMS["lune-max"].check(body)
 
     @pytest.mark.parametrize("space", [E2, H2], ids=str)
     def test_the_gaussian_theorem_in_the_plane(self, space, monkeypatch):
@@ -530,10 +529,10 @@ class TestOneRunPerPlaneBody:
         ("min2d", _SYMMETRIC_PLANE), ("cone-max", _ASYMMETRIC_PLANE), ("lune-max", _CONVEX_PLANE),
     ])
     def test_the_reports_hold_the_two_calls(self, theorem_id, bodies):
-        theorem = functionals.get_theorem(theorem_id)
+        theorem = THEOREMS[theorem_id]
         for body, report in zip(bodies, run_theorem_suite(theorem_id, bodies)):
             functional = busemann_functional(body)
-            bound = rhs_bound(theorem_id, body)
+            (bound,) = theorem.bound(volume(body), body.space, None)
             assert (report.lhs, report.rhs) == ((bound, functional) if theorem.lower
                                                 else (functional, bound))
 
@@ -641,7 +640,7 @@ class TestZonalPath:
             tilted = np.random.default_rng(seed).normal(size=n)
             tilted /= np.linalg.norm(tilted)
             turned = StarBody(body.space, HarmonicPerturbedProfile(p.r, p.alpha, p.beta,
-                                                                   zonal_harmonic(n, k, tilted)))
+                                                                   ZonalHarmonic(n, k, tilted)))
             assert volume_and_functional(turned, config=config) == \
                 volume_and_functional(body, config=config)
             assert functionals._path(turned, config).sections(None, c).tobytes() == sections.tobytes()
@@ -679,7 +678,7 @@ class TestZonalPath:
 
     @pytest.mark.parametrize("body", [
         make_ball(S3, 0.7), make_ball(E3, 1.2), make_perturbed_ball(SpaceSpec(1, 4), 0.8, 0.08, 2),
-        StarBody(S3, HarmonicPerturbedProfile(0.7, 0.0, 0.03, zonal_harmonic(3, 4, [0.48, -0.6, 0.64]))),
+        StarBody(S3, HarmonicPerturbedProfile(0.7, 0.0, 0.03, ZonalHarmonic(3, 4, [0.48, -0.6, 0.64]))),
         make_cone(S3, cap_base([0.48, -0.6, 0.64], 0.3)), make_striped_cone(S3, 0.5, 0.4, 0.2),
     ], ids=["ball-s3", "ball-e3", "perturbed-s4", "perturbed-tilted", "cap-cone-tilted",
             "striped-cone"])
@@ -1109,16 +1108,19 @@ class TestBoundConstants:
 class TestRhsBounds:
     def test_min2d_hemisphere_volume(self):
         body = make_ball(S2, math.pi / 2)
-        assert rhs_bound("min2d", body) == pytest.approx(2 * math.pi ** 3, rel=1e-12)
+        (bound,) = THEOREMS["min2d"].bound(volume(body), S2, None)
+        assert bound == pytest.approx(2 * math.pi ** 3, rel=1e-12)
 
     def test_min2d_ball(self):
         for r in (0.2, 0.7):
             body = make_ball(S2, r)
-            assert rhs_bound("min2d", body) == pytest.approx(8 * math.pi * r * r, rel=1e-10)
+            (bound,) = THEOREMS["min2d"].bound(volume(body), S2, None)
+            assert bound == pytest.approx(8 * math.pi * r * r, rel=1e-10)
 
     def test_lune_bound_matches_functional(self):
         body = make_lune(0.3)
-        assert rhs_bound("lune-max", body) == pytest.approx(busemann_functional(body), rel=1e-6)
+        (bound,) = THEOREMS["lune-max"].bound(volume(body), S2, None)
+        assert bound == pytest.approx(busemann_functional(body), rel=1e-6)
 
     def test_stable_arccos(self):
         for u in (1e-14, 1e-10, 1e-7, 0.1):
@@ -1127,11 +1129,13 @@ class TestRhsBounds:
             )
 
     def test_applicability(self):
-        with pytest.raises(ApplicabilityError):
-            rhs_bound("min2d", make_ball(E2, 1.0))
+        with pytest.raises(ApplicabilityError, match="does not apply to delta = 0, n = 2"):
+            THEOREMS["min2d"].check(make_ball(E2, 1.0))
+        with pytest.raises(ApplicabilityError, match="does not apply to delta = 1, n = 3"):
+            THEOREMS["min2d"].check(make_ball(S3, 0.7))
         # min2d is stated for the uniform volume alone
         with pytest.raises(ApplicabilityError, match="stated for the uniform volume"):
-            rhs_bound("min2d", make_ball(S2, 0.7), gaussian_measure())
+            THEOREMS["min2d"].measure_for(gaussian_measure())
 
     @pytest.mark.parametrize("theorem_id", [t.id for t in THEOREMS.values() if t.measure is None])
     def test_a_theorem_without_a_measure_refuses_one(self, theorem_id):
@@ -1139,16 +1143,20 @@ class TestRhsBounds:
         with pytest.raises(ApplicabilityError, match="stated for the uniform volume"):
             run_theorem_suite(theorem_id, [body], gaussian_measure())
         with pytest.raises(ApplicabilityError, match="stated for the uniform volume"):
-            rhs_bound(theorem_id, body, gaussian_measure())
+            THEOREMS[theorem_id].measure_for(gaussian_measure())
 
     @pytest.mark.parametrize("body", [make_ball(E2, 1.0), make_ball(SpaceSpec(-1, 3), 0.7)],
                              ids=["e2", "h3"])
     def test_the_gaussian_bound_takes_its_own_measure_by_default(self, body):
         # it raised "a radial density measure is required", though the suite
         # took the Gaussian when given no measure
-        assert rhs_bound("gaussian", body) == rhs_bound("gaussian", body, gaussian_measure())
+        theorem = THEOREMS["gaussian"]
+        mu = theorem.measure_for(None)
+        assert mu.name == "gaussian"
+        vol = volume(body, gaussian_measure(), theorem.config)
+        assert theorem.bound(vol, body.space, mu) == theorem.bound(vol, body.space, gaussian_measure())
         suite_rhs = [r.rhs for r in run_theorem_suite("gaussian", [body])]
-        assert suite_rhs == [rhs_bound("gaussian", body, config=THEOREMS["gaussian"].config)]
+        assert suite_rhs == list(theorem.bound(vol, body.space, mu))
 
     def test_lune_bound_domain(self):
         with pytest.raises(DomainError):
@@ -1203,19 +1211,14 @@ class TestRhsBounds:
         with pytest.raises(ConvergenceError):
             lune_bound(1.0)
 
-    def test_all_variants_at_once(self):
-        body = make_ball(S3, 0.7)
-        both = rhs_bound("prop4.1", body, variant=None)
-        assert both == (rhs_bound("prop4.1", body, variant="proof-chain"),
-                        rhs_bound("prop4.1", body, variant="literal"))
-        assert rhs_bound("min2d", make_ball(S2, 0.7), variant=None) == (
-            rhs_bound("min2d", make_ball(S2, 0.7)),)
-
-    def test_unknown_variant(self):
-        with pytest.raises(ApplicabilityError):
-            rhs_bound("prop4.1", make_ball(S3, 0.7), variant="nope")
-        with pytest.raises(ApplicabilityError):
-            rhs_bound("min2d", make_ball(S2, 0.7), variant="literal")
+    @pytest.mark.parametrize("theorem", THEOREMS.values(), ids=list(THEOREMS))
+    def test_one_bound_per_variant(self, theorem):
+        # the reports label each bound with its variant; prop4.1 alone has two
+        body = next(suite_bodies(theorem.id))
+        mu = theorem.measure_for(None)
+        bounds = theorem.bound(volume(body, mu), body.space, mu)
+        assert len(bounds) == len(theorem.variants) == (2 if theorem.id == "prop4.1" else 1)
+        assert all(math.isfinite(bound) and bound > 0.0 for bound in bounds)
 
 
 def _phi_ratio_sides(n, x):
@@ -1627,7 +1630,7 @@ def _product_bodies(space, symmetric):
     bodies.append(StarBody(space, GridProfile(values / 2)))
     if n >= 3:
         axis = rng.normal(size=n)
-        harmonic = zonal_harmonic(n, 2 if symmetric else 3, axis / np.linalg.norm(axis))
+        harmonic = ZonalHarmonic(n, 2 if symmetric else 3, axis / np.linalg.norm(axis))
         bodies.append(StarBody(space, HarmonicPerturbedProfile(0.7, 0.01, 0.05, harmonic)))
     assert all(body.symmetric == symmetric for body in bodies)
     return bodies

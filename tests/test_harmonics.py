@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from starsections.errors import UnsupportedDimensionError
-from starsections.harmonics import radon_multiplier, zonal_harmonic
+from starsections.harmonics import ZonalHarmonic, radon_multiplier
 from starsections.quadrature import build_sphere_rule
 from starsections.spaces import sphere_surface_area
 
@@ -24,27 +24,27 @@ def l2_bound_sides(f, outer_rule, inner_rule):
 
 class TestZonalHarmonics:
     def test_constant(self):
-        h = zonal_harmonic(3, 0, EZ)
+        h = ZonalHarmonic(3, 0, EZ)
         # normalized constant on S^2 is 1 / sqrt(4 pi)
         assert eval_zonal(h, np.array([1.0, 0.0, 0.0])) == pytest.approx(
             1 / math.sqrt(4 * math.pi), abs=1e-12
         )
 
     def test_degree_two_at_equator(self):
-        h = zonal_harmonic(3, 2, EZ)
+        h = ZonalHarmonic(3, 2, EZ)
         # normalized Legendre P2 at t = 0: -(1/2) sqrt(5 / 4 pi)
         assert eval_zonal(h, np.array([0.0, 1.0, 0.0])) == pytest.approx(
             -0.5 * math.sqrt(5 / (4 * math.pi)), abs=1e-12
         )
 
     def test_even_parity(self):
-        h = zonal_harmonic(3, 2, EZ)
+        h = ZonalHarmonic(3, 2, EZ)
         u = np.array([0.48, -0.6, math.sqrt(1 - 0.48 ** 2 - 0.36)])
         assert eval_zonal(h, u) == pytest.approx(eval_zonal(h, -u), abs=1e-14)
 
     @pytest.mark.parametrize("n,k", [(3, 2), (3, 6), (4, 2), (4, 4), (5, 4)])
     def test_unit_norm_and_zero_mean(self, n, k):
-        h = zonal_harmonic(n, k, np.eye(n)[-1])
+        h = ZonalHarmonic(n, k, np.eye(n)[-1])
         rule = build_sphere_rule(n - 1, 2 * k + 1)
         norm_sq = float(np.dot(rule.weights, h.at(rule.nodes @ h.axis) ** 2))
         assert abs(math.sqrt(norm_sq) - 1.0) < 1e-8
@@ -53,7 +53,7 @@ class TestZonalHarmonics:
     def test_zonality(self):
         # the value depends on the direction only through its axis component
         rng = np.random.default_rng(0)
-        h = zonal_harmonic(4, 4, np.eye(4)[-1])
+        h = ZonalHarmonic(4, 4, np.eye(4)[-1])
         for _ in range(20):
             t = rng.uniform(-1.0, 1.0)
             s = math.sqrt(1.0 - t * t)
@@ -107,7 +107,7 @@ class TestRadonQuadrature:
         worst = 0.0
         for k in range(0, 9, 2):
             rule = build_sphere_rule(n - 2, 2 * k + 12)
-            h = zonal_harmonic(n, k, np.eye(n)[-1])
+            h = ZonalHarmonic(n, k, np.eye(n)[-1])
             lam = radon_multiplier(n, k)
             for _ in range(50):
                 xi = rng.normal(size=n)
@@ -128,7 +128,7 @@ class TestL2Bound:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_degree_four_ratio(self):
-        h4 = zonal_harmonic(3, 4, EZ)
+        h4 = ZonalHarmonic(3, 4, EZ)
         lhs, rhs = l2_bound_sides(lambda u: h4.at(u @ h4.axis), self.outer, self.inner)
         assert lhs / rhs == pytest.approx(3.0 / 8.0, abs=1e-10)
 

@@ -97,8 +97,6 @@ UNCALLED_PUBLIC_NAMES = {
     "make_vanishing_body": "the vanishing bodies of the benchmark and the acceptance tests",
     "striped_cap_subset": "the strips A alone, the half that a striped cone's base keeps; "
                           "the tests and the output dump check them on their own",
-    "rhs_bound": "one theorem's right side at one body; the suites take the volume from "
-                 "volume_and_functional instead",
 }
 
 
@@ -186,6 +184,39 @@ def test_every_public_member_is_loaded():
         "class A:\n    x: list\n    y: list\n    def f(self):\n        self.x.append(self.y)\n")])) \
         == ["A.x", "A.f"]
     assert set(unloaded_members(library_trees())) == set(UNLOADED_PUBLIC_MEMBERS)
+
+
+THEOREM_NAMES = {"Theorem", "THEOREMS", "get_theorem", "InequalityReport"}
+
+
+def theorem_code(tree):
+    """(line, name) for each theorem-table name that a module defines, and for
+    each import from ``.verify`` or of ``FORMAT_VERSION``, which only the
+    verdict code needs."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in THEOREM_NAMES:
+            yield node.lineno, node.name
+        elif isinstance(node, ast.Assign):
+            yield from ((node.lineno, target.id) for target in node.targets
+                        if isinstance(target, ast.Name) and target.id in THEOREM_NAMES)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "verify":
+            yield node.lineno, f"from {'.' * node.level}{node.module}"
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((node.lineno, alias.name) for alias in node.names
+                        if alias.name.split(".")[-1] in ("verify", "FORMAT_VERSION"))
+
+
+def test_functionals_holds_no_theorem_code():
+    # the theorem table, its verdicts and their report format live in
+    # verify.py; functionals.py holds the left sides and the closed forms
+    # that the table's right sides call
+    assert list(theorem_code(ast.parse(
+        "from .bodies import FORMAT_VERSION, StarBody\nfrom . import verify\nfrom .verify import x\n"
+        "THEOREMS = {}\nclass Theorem:\n    pass\ndef get_theorem():\n    pass\n"))) == [
+        (4, "THEOREMS"), (5, "Theorem"), (7, "get_theorem"), (1, "FORMAT_VERSION"), (2, "verify"),
+        (3, "from .verify")]
+    assert list(theorem_code(ast.parse((PACKAGE / "functionals.py").read_text()))) == []
 
 
 PATH_NAMES = {"arcs", "indicator", "plane", "zonal", "product"}

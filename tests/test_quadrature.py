@@ -6,7 +6,7 @@ import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
 from starsections.errors import ConvergenceError, DomainError, ResourceLimitError
-from starsections.harmonics import zonal_harmonic
+from starsections.harmonics import ZonalHarmonic
 from starsections.quadrature import (
     _GK21_NODES,
     build_sphere_rule,
@@ -15,6 +15,7 @@ from starsections.quadrature import (
     integrate_vectorized,
     polar_rule,
     rule_size,
+    sphere_rule_node,
     subsphere_frames,
 )
 from starsections.spaces import basis_vector, sphere_surface_area
@@ -106,10 +107,10 @@ class TestSphereRules:
     def test_harmonic_orthogonality(self):
         # degree-4 zonal harmonic integrates to zero on S^2
         rule = build_sphere_rule(2, 11)
-        h4 = zonal_harmonic(3, 4, np.array([0.0, 0.0, 1.0]))
+        h4 = ZonalHarmonic(3, 4, np.array([0.0, 0.0, 1.0]))
         assert abs(rule.weights @ h4.at(rule.nodes @ h4.axis)) < 1e-9
         for k in (1, 2, 3, 5, 6):
-            hk = zonal_harmonic(3, k, np.array([0.0, 0.0, 1.0]))
+            hk = ZonalHarmonic(3, k, np.array([0.0, 0.0, 1.0]))
             rule_hi = build_sphere_rule(2, 2 * k + 3)
             assert abs(rule_hi.weights @ hk.at(rule_hi.nodes @ hk.axis)) < 1e-9
 
@@ -365,6 +366,12 @@ class TestSubsphereNodes:
         # the product path checks its frames on half this count, the antipodal pairs
         rule = build_sphere_rule(m, degree)
         assert rule_size(m, degree) == len(rule) == 2 * len(rule.antipodal_half[0])
+
+    @pytest.mark.parametrize("m, degree", [(1, 7), (1, 8), (2, 11), (3, 5), (3, 11), (4, 6)])
+    def test_a_node_from_its_index_is_the_built_node(self, m, degree):
+        rule = build_sphere_rule(m, degree)
+        nodes = np.array([sphere_rule_node(m, degree, i) for i in range(len(rule))])
+        assert nodes.tobytes() == rule.nodes.tobytes()
 
     def test_frames_at_the_cap_are_built(self):
         frames = householder_frames(np.tile(basis_vector(3, 0), (444_444, 1)))

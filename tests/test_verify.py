@@ -16,7 +16,6 @@ from starsections import functionals, spaces, verify
 from starsections.cli import build_parser, parse_space
 from starsections.errors import ApplicabilityError, DomainError, RadiusRangeError
 from starsections.functionals import (
-    THEOREMS,
     bound_constants,
     busemann_functional,
     volume,
@@ -25,7 +24,7 @@ from starsections.functionals import (
 from starsections.harmonics import radon_multiplier
 from starsections.spaces import SpaceSpec, sphere_surface_area
 from starsections.verify import (
-    _SUITE_BODIES,
+    THEOREMS,
     _objective_change,
     _orbit,
     _plane_objective,
@@ -234,11 +233,16 @@ class TestSuites:
 
 
 class TestTheoremTable:
-    def test_same_ids_in_table_suite_bodies_and_cli(self):
+    def test_same_ids_in_table_and_cli(self):
         parser = build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         theorem_arg = next(a for a in sub.choices["verify"]._actions if a.dest == "theorem")
-        assert list(THEOREMS) == list(_SUITE_BODIES) == list(theorem_arg.choices)
+        assert list(THEOREMS) == list(theorem_arg.choices)
+
+    def test_each_default_suite_dimension_is_one_the_theorem_takes(self):
+        for theorem in THEOREMS.values():
+            assert theorem.suite_dim in theorem.dims
+            assert next(suite_bodies(theorem.id)).space.dim == theorem.suite_dim
 
     def test_suite_bodies_meet_their_hypotheses(self):
         for theorem_id, theorem in THEOREMS.items():

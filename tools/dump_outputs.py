@@ -94,9 +94,8 @@ from starsections import (  # noqa: E402
     volume,
 )
 from starsections.errors import ApplicabilityError  # noqa: E402
-from starsections.functionals import THEOREMS  # noqa: E402
 from starsections.spaces import sin_power_primitive_full  # noqa: E402
-from starsections.verify import extremizer_search, suite_bodies  # noqa: E402
+from starsections.verify import THEOREMS, extremizer_search, suite_bodies  # noqa: E402
 
 
 def out(label, value):
