@@ -844,7 +844,7 @@ class PolygonProfile(RadialProfile):
             return out[:-1]
 
         ring = np.array(chain(points) + chain(points[::-1]))
-        dx, dy = (np.roll(ring, -1, axis=0) - ring).T
+        dx, dy = (np.concatenate([ring[1:], ring[:1]]) - ring).T
         # the outer normal of the counter-clockwise edge (dx, dy) is (dy, -dx)
         return np.arctan2(-dx, dy) % TWO_PI
 

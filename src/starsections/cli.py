@@ -46,6 +46,12 @@ from .functionals import (
 from .quadrature import rule_size, sphere_rule_node
 from .spaces import SpaceSpec, basis_vector
 
+# The most sections ``functional --sections`` prints.  Each is a section
+# volume (about 13,000 a second on s+:9), and the index of N of them is N
+# floats: 10^9 asked on s+:12 would take 725,594,112 of them, 5.8 GB.
+SECTIONS_CAP = 10_000
+
+
 class UsageError(ValueError):
     pass
 
@@ -199,6 +205,8 @@ def _emit(path: str | None, json_doc=None, csv_data=None):
 
 
 def cmd_functional(args) -> int:
+    if args.sections > SECTIONS_CAP:
+        raise UsageError(f"--sections: at most {SECTIONS_CAP} sections, got {args.sections}")
     space = parse_space(args.space) if args.space else None
     body = parse_body(args.body, space)
     space = body.space
@@ -386,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fun.add_argument("--normalized", action="store_true")
     p_fun.add_argument("--exponent", type=_integer_at_least(1, "section-power exponent"), default=None)
     p_fun.add_argument("--sections", type=_count, default=0, metavar="N",
-                       help="print a table of N section volumes")
+                       help=f"print a table of N section volumes, N <= {SECTIONS_CAP}")
     p_fun.add_argument("--dump-body", default=None, help="write the body JSON here")
     add_quad_args(p_fun, (".json",))
     p_fun.set_defaults(fn=cmd_functional)

@@ -478,7 +478,9 @@ class _Plane(_Product):
             out = np.empty((count, len(theta)))
             for start in range(0, len(theta), _BLOCK_POINTS):
                 a = theta[start:start + _BLOCK_POINTS] + math.pi / 2
-                dirs = np.column_stack([np.cos(a), np.sin(a)])
+                dirs = np.empty((len(a), 2))
+                np.cos(a, out=dirs[:, 0])
+                np.sin(a, out=dirs[:, 1])
                 radii = rho(dirs)
                 rows = out[:, start:start + len(a)]
                 if volume:
@@ -493,7 +495,8 @@ class _Plane(_Product):
             return out
 
         corners = self.body.profile.plane_corners()
-        breaks = np.concatenate([corners - math.pi / 2, corners + math.pi / 2]) % TWO_PI
+        breaks = (np.concatenate([corners - math.pi / 2, corners + math.pi / 2]) % TWO_PI
+                  if len(corners) else ())
         return integrate_vectorized(integrand, 0.0, TWO_PI, ANGULAR_TOL, breaks)
 
 

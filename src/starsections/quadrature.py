@@ -300,10 +300,20 @@ _GK_MAX_INTERVALS = 4000
 _EPS = float(np.finfo(float).eps)
 
 
+def _intervals(lo, hi):
+    """A round's pending intervals [lo, hi]: (lo, hi, their centres,
+    half-lengths and lengths, and their 21 Kronrod nodes each)."""
+    centre, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    return lo, hi, centre, half, 2.0 * half, centre[:, None] + half[:, None] * _GK21_NODES
+
+
 @lru_cache(maxsize=8)
-def _panel_edges(a: float, b: float) -> np.ndarray:
-    """The edges of the 8 equal starting panels of [a, b], read-only."""
-    return read_only(np.linspace(a, b, _GK_PANELS + 1))
+def _equal_panels(a: float, b: float):
+    """The edges of the 8 equal starting panels of [a, b], and their
+    ``_intervals``: the first round of every run that no break cuts, built
+    once, read-only."""
+    edges = read_only(np.linspace(a, b, _GK_PANELS + 1))
+    return edges, tuple(read_only(v) for v in _intervals(edges[:-1], edges[1:]))
 
 
 class _Row:
@@ -315,13 +325,14 @@ class _Row:
     def __init__(self, tol):
         self.tol, self.accepted, self.values, self.errors = tol, 0, [], []
 
-    def round(self, y, half, a, b, floor):
-        """Accept or bisect each pending interval from its 21 values y and its
-        half-length; returns the mask of those to bisect."""
+    def round(self, y, half, width, long, a, b):
+        """Accept or bisect each pending interval from its 21 values y, its
+        half-length and length, and whether that exceeds the floor; returns
+        the mask of those to bisect."""
         kronrod = half * (y @ _GK21_WEIGHTS)
         err = np.abs(kronrod - half * (y @ _G10_WEIGHTS))
         # a NaN error stops refinement at once; the final check rejects it
-        split = (err > self.tol * (2.0 * half) / (b - a)) & (2.0 * half > floor)
+        split = (err > self.tol * width / (b - a)) & long
         more = np.count_nonzero(split)
         if more and self.accepted + len(half) + more > _GK_MAX_INTERVALS:
             split[:] = more = False
@@ -348,8 +359,8 @@ def integrate_vectorized(f, a: float, b: float, tol: float = 1e-12, breaks=()):
     """Adaptive Gauss-Kronrod 10/21 integrals of a vectorized f over [a, b],
     a < b.
 
-    ``f`` maps a 1-d array of N points to a (k, N) array: k integrands on the
-    same points, its rows.  The first intervals
+    ``f`` maps a 1-d array of N points, which it may not write, to a (k, N)
+    array: k integrands on the same points, its rows.  The first intervals
     are 8 equal ones, cut further at each point of ``breaks`` (known corners
     of f, as QUADPACK's qagp takes them) that lies strictly inside (a, b) and
     farther than 1e-12 (b - a) from their edges and from the break before it.
@@ -380,36 +391,39 @@ def integrate_vectorized(f, a: float, b: float, tol: float = 1e-12, breaks=()):
     1e-9 |value|).
     """
     floor = 1e-12 * (b - a)
-    edges = _panel_edges(a, b)
+    edges, pending = _equal_panels(a, b)
     if len(breaks):
         cuts = np.sort(np.asarray(breaks, dtype=float).ravel())
         cuts = cuts[(cuts > a) & (cuts < b)]
-        cuts = cuts[np.min(np.abs(cuts[:, None] - edges), axis=1) > floor]
-        cuts = cuts[np.diff(cuts, prepend=-np.inf) > floor]
+        cuts = cuts[np.abs(cuts[:, None] - edges).min(axis=1) > floor]
+        cuts = np.concatenate([cuts[:1], cuts[1:][cuts[1:] - cuts[:-1] > floor]])
         edges = np.sort(np.concatenate([edges, cuts]))
+        pending = _intervals(edges[:-1], edges[1:])
     rows = []
-    lo, hi = edges[:-1], edges[1:]
+    lo, hi, centre, half, width, x = pending
     # the rows still bisecting, and a (live rows x intervals) mask of the rows
     # that hold each interval: None while each holds every one, as one row does
     live, held = [], None
     while True:
-        centre, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        x = centre[:, None] + half[:, None] * _GK21_NODES
         y = np.asarray(f(x.ravel()), dtype=float).reshape(-1, *x.shape)
         if not rows:
-            rows = [_Row(tol * max(1.0, (b - a) * float(np.max(np.abs(yr))))) for yr in y]
+            scales = np.abs(y).max(axis=(1, 2)).tolist()
+            rows = [_Row(tol * max(1.0, (b - a) * scale)) for scale in scales]
             live = list(enumerate(rows))
+        # which intervals exceed the floor, once for every row
+        long = width > floor
         if held is None:
-            split = [row.round(y[r], half, a, b, floor) for r, row in live]
+            split = [row.round(y[r], half, width, long, a, b) for r, row in live]
         else:
             split = np.zeros_like(held)
             for s, h, (r, row) in zip(split, held, live):
-                s[h] = row.round(y[r][h], half[h], a, b, floor)
+                s[h] = row.round(y[r][h], half[h], width[h], long[h], a, b)
         if not any(map(np.count_nonzero, split)):
             break
         bisect = split[0] if len(live) == 1 else np.any(split, axis=0)
         mid = centre[bisect]
-        lo, hi = np.concatenate([lo[bisect], mid]), np.concatenate([mid, hi[bisect]])
+        lo, hi, centre, half, width, x = _intervals(np.concatenate([lo[bisect], mid]),
+                                                    np.concatenate([mid, hi[bisect]]))
         if len(live) > 1:
             keep = np.asarray(split)[:, bisect]
             going = keep.any(axis=1)

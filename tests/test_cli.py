@@ -93,6 +93,29 @@ class TestFunctionalCommand:
         assert all(np.linalg.norm(row["direction"]) == pytest.approx(1.0, abs=1e-14) for row in sections)
         assert capsys.readouterr().out.count("] -> ") == 3
 
+    def test_sections_past_the_cap_are_refused_before_any_is_built(self, capsys, monkeypatch):
+        # 10^9 sections on s+:9 printed 126,663 of 3,359,232 in 10 s; on s+:12
+        # their index would have been 725,594,112 floats
+        def fail(*args, **kwargs):
+            raise AssertionError("built before the refusal")
+
+        for name in ("section_volume", "sphere_rule_node", "rule_size", "volume", "parse_body"):
+            monkeypatch.setattr(cli, name, fail)
+        monkeypatch.setattr(cli.np, "linspace", fail)
+        assert run_cli("functional", "--space", "s+:12", "--body", "ball:r=0.5",
+                       "--sections", "1000000000") == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == f"error: --sections: at most {cli.SECTIONS_CAP} sections, got 1000000000\n"
+
+    def test_sections_at_the_cap_run(self, capsys):
+        # the degree-11 rule on S^1 has 12 nodes, so the cap's request prints 12
+        assert run_cli("functional", "--space", "s+:2", "--body", "ball:r=0.5",
+                       "--sections", str(cli.SECTIONS_CAP)) == 0
+        assert capsys.readouterr().out.count("] -> ") == 12
+        assert run_cli("functional", "--space", "s+:2", "--body", "ball:r=0.5",
+                       "--sections", str(cli.SECTIONS_CAP + 1)) == 2
+
     def test_hyperbolic_ball_matches_radial_primitive(self, tmp_path, schema):
         out = tmp_path / "report.json"
         code = run_cli("functional", "--space", "h:3", "--body", "ball:r=1", "--out", str(out))

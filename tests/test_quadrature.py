@@ -20,6 +20,8 @@ from starsections.quadrature import (
 )
 from starsections.spaces import basis_vector, sphere_surface_area
 
+from reference import _Row as FrozenRow
+from reference import integrate_vectorized as frozen_integrate
 from reference import radon_quadrature
 
 
@@ -594,3 +596,113 @@ class TestIntegrateVectorizedRows:
 
         with pytest.raises(ConvergenceError, match=f"in row {row}"):
             integrate_vectorized(f, self.A, self.B, 1e-12)
+
+
+def _noise(t):
+    """A deterministic function of t with no smoothness at any scale, in [0, 1)."""
+    return np.modf(np.abs(np.sin(t * 12.9898)) * 43758.5453)[0]
+
+
+def _seeded_row(rng):
+    """One integrand on [0, 2 pi] of a seeded kind, place and magnitude
+    (1e-12 to 1e6), and the corner it has (None for a smooth one)."""
+    scale, c = 10.0 ** rng.uniform(-12.0, 6.0), rng.uniform(0.0, 2 * math.pi)
+    kind = int(rng.integers(4))
+    if kind == 0:       # one round
+        return (lambda t: scale * np.exp(np.sin(t - c))), None
+    if kind == 1:       # a kink: a few rounds
+        return (lambda t: scale * np.abs(np.sin(t - c))), c
+    if kind == 2:       # a square-root end: many rounds
+        return (lambda t: scale * np.sqrt(np.abs(t - c))), c
+    return (lambda t: scale * np.maximum(t - c, 0.0) ** 3), c
+
+
+class TestTheFrozenIntegrator:
+    """``integrate_vectorized`` returns the bits of the frozen copy in
+    ``tests/reference.py``, and raises its errors, on seeded integrands."""
+
+    A, B = 0.0, 2 * math.pi
+    EDGES = [k * math.pi / 4 for k in range(1, 8)]
+
+    @staticmethod
+    def _both(f, a, b, tol=1e-12, breaks=()):
+        """Each integrator's (values, errors) as bytes, or its error's type
+        and message."""
+        outcomes = []
+        for integrate in (integrate_vectorized, frozen_integrate):
+            try:
+                values, errors = integrate(f, a, b, tol, breaks)
+                outcomes.append((values.tobytes(), errors.tobytes()))
+            except ConvergenceError as exc:
+                outcomes.append((type(exc), str(exc)))
+        return outcomes
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_seeded_rows_and_breaks(self, seed):
+        rng = np.random.default_rng([seed, 40])
+        rows = [_seeded_row(rng) for _ in range(1 + seed % 3)]
+        corners = [c for _, c in rows if c is not None]
+        breaks = [(), self.EDGES, corners * 3 + [c + 1e-13 for c in corners], corners][seed // 3 % 4]
+        f = lambda t: np.array([g(t) for g, _ in rows])  # noqa: E731
+        mine, frozen = self._both(f, self.A, self.B, breaks=breaks)
+        assert mine == frozen
+
+    @pytest.mark.parametrize("breaks", [(), (1.234567,), (math.pi / 2,) * 3])
+    def test_rows_that_stop_at_different_rounds(self, breaks):
+        # one round, a kink's few and a square root's many: the later rounds
+        # hold masks of the rows still bisecting
+        f, calls = _counting(lambda t: np.array([np.exp(np.sin(t)), np.abs(np.sin(3.0 * t - 0.3)),
+                                                 1e-9 * np.sqrt(np.abs(t - 1.234567))]))
+        mine, frozen = self._both(f, self.A, self.B, breaks=breaks)
+        assert mine == frozen
+        assert len(set(calls)) > 2
+
+    def test_a_row_at_the_interval_cap(self):
+        # noise 1e-9 on a smooth row bisects every interval until 4000 would
+        # be passed; all are accepted then, and the kinked row runs on alone
+        f, calls = _counting(lambda t: np.array([np.exp(np.sin(t)) + 1e-9 * _noise(t),
+                                                 np.abs(np.sin(t - 0.3))]))
+        mine, frozen = self._both(f, self.A, self.B)
+        assert mine == frozen and isinstance(mine[0], bytes)
+        assert max(calls) >= 2000 * 21 and calls[-1] < 21 * 8
+
+    def test_a_row_past_the_interval_cap_raises_as_the_frozen_one(self):
+        f = lambda t: np.array([np.exp(np.sin(t)), 1e3 * _noise(t)])  # noqa: E731
+        mine, frozen = self._both(f, self.A, self.B)
+        assert mine == frozen and mine[0] is ConvergenceError and "in row 1" in mine[1]
+
+    def test_errors_at_the_threshold_split_as_the_frozen_ones(self):
+        # tol * width / (b - a) and tol * (width / (b - a)) can differ in the
+        # last bit.  For kinks of 40 heights, the tols within 8 ulps of the
+        # kinked panel's first-round threshold that put its error on either
+        # side of the two: there only the frozen order of operations matches
+        edges = np.linspace(self.A, self.B, 9)
+        half = (edges[1:] - edges[:-1]) / 2.0
+        width = 2.0 * half[0]     # the kink at 0.3 is in panel 0
+        x = ((edges[:-1] + edges[1:]) / 2.0)[:, None] + half[:, None] * _GK21_NODES
+        cases = []
+        for height in 0.1 + 0.001 * np.arange(40):    # max |f| (b - a) < 1: tol unscaled
+            f = lambda t, height=height: height * np.abs(np.sin(t - 0.3))  # noqa: E731
+            first = FrozenRow(1.0)    # accepts every panel, keeping its error
+            first.round(f(x), half, self.A, self.B, 1e-12 * (self.B - self.A))
+            err = first.errors[0][0]
+            for direction in (np.inf, -np.inf):
+                tol = err * (self.B - self.A) / width
+                for _ in range(8):
+                    if (err > tol * width / (self.B - self.A)) != (err > tol * (width / (self.B - self.A))):
+                        cases.append((f, tol))
+                    tol = np.nextafter(tol, direction)
+        assert len(cases) >= 2
+        for f, tol in cases:
+            mine, frozen = self._both(lambda t, f=f: f(t)[None], self.A, self.B, tol)
+            assert mine == frozen
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_a_nan_row(self, row):
+        def f(t):
+            y = np.array([np.abs(np.sin(t - 0.3)), np.exp(np.cos(t)), 1e6 * np.sqrt(np.abs(t - 2.0))])
+            y[row, 7] = np.nan
+            return y
+
+        mine, frozen = self._both(f, self.A, self.B)
+        assert mine == frozen and mine[0] is ConvergenceError and f"in row {row}" in mine[1]
